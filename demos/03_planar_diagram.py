@@ -37,13 +37,11 @@ column = d.restricted(0, 1)
 print("column restriction vs", mu_m())
 print(" ", check_berger_2d(column, mu_m(), (8, 8)).verdict)
 
-# a float eigenvalue screen over a finite window; exact entries first,
-# one numerical diagonalization at the end
-for parameter in (F(1, 5), F(1, 2)):
-    window = joint_hyponormality_window(LubinFamily(parameter).diagram(), (4, 4))
-    print(
-        f"\njoint hyponormality window at x = {parameter}:",
-        window.verdict,
-        "min eigenvalue",
-        f"{window.witness['min_eigenvalue']:.3g}",
-    )
+# exact joint hyponormality on a window: one 2x2 block per lattice point,
+# decided over the rationals; a failure names its lattice point
+for parameter in (F(2, 11), F(1, 5), F(1, 2)):
+    window = joint_hyponormality_window(LubinFamily(parameter).diagram(), (8, 8))
+    line = f"\njoint hyponormality on 8x8 at x = {parameter}: {window.verdict}"
+    if not window.ok:
+        line += f" at k = {tuple(window.witness['k'])}"
+    print(line)

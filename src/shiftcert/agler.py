@@ -295,8 +295,8 @@ def tail_stopping_index() -> TailBound:
     ratios against the targets are then (31/30)^n for c = 1/16 and
     (15/14)^n for c = 1/8, and each only needs to clear 27.
     """
-    assert 2 * 12**2 < 17**2
-    assert Fraction(6 * 22 * 17, 7 * 12) < 27
+    if not (2 * 12**2 < 17**2 and Fraction(6 * 22 * 17, 7 * 12) < 27):
+        raise ArithmeticError("the rational bounds sqrt(2) < 17/12 and 6*pi*sqrt(2) < 27 failed")
     n_sixteenth = _first_power_at_least(Fraction(31, 30), 27)
     n_eighth = _first_power_at_least(Fraction(15, 14), 27)
     n_star = max(n_sixteenth, n_eighth)
@@ -340,7 +340,8 @@ def certified_x_max() -> Fraction:
         sup = per_n_exact_sup(n)
         if sup is not None and sup < best:
             best = sup
-    assert best > PAIR_THRESHOLD, "the certified bound must clear 2/11 strictly"
+    if not best > PAIR_THRESHOLD:
+        raise ArithmeticError("the certified bound must clear 2/11 strictly")
     return best
 
 
@@ -425,7 +426,8 @@ def certify_sum(x) -> AglerCertificate:
     cap_ok = x <= K0_CAP
     verdict = cap_ok and all(record.ok for record in records)
     x_max = certified_x_max()
-    assert verdict == (x <= x_max), "per-n decisions must match the certified bound"
+    if verdict != (x <= x_max):
+        raise ArithmeticError("per-n decisions must match the certified bound")
     witness = None
     if not verdict:
         witness = first_violation or {

@@ -33,6 +33,7 @@ from . import agler, lubin
 from .errors import ShiftCertError
 from .measures import (
     AtomicMeasure1D,
+    AtomicMeasure2D,
     measure_from_dict,
     measure_to_dict,
     moment1,
@@ -180,26 +181,28 @@ def cmd_check2d(args) -> int:
     try:
         x = parse_rational(args.x)
         window = _parse_window(args.window)
+        if min(window) < 1:
+            raise ValueError(f"window sides must be >= 1, got {args.window!r}")
         base = _parse_point(args.restrict)
+        diagram = lubin.LubinFamily(x).diagram().restricted(*base)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    family = lubin.LubinFamily(x)
-    diagram = family.diagram().restricted(*base)
     checks = [commutativity_check(diagram, window)]
     if args.berger:
         try:
             mu = measure_from_dict(_load_json(args.berger))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail_usage(f"cannot load measure: {exc}")
+        if not isinstance(mu, AtomicMeasure2D):
+            return _fail_usage("--berger needs a measure with dim = 2")
         checks.append(check_berger_2d(diagram, mu, window))
     if args.path:
         try:
-            point = _parse_point(args.path)
+            checks.append(path_independence_check(diagram, _parse_point(args.path)))
         except ValueError as exc:
             return _fail_usage(str(exc))
-        checks.append(path_independence_check(diagram, point))
     if args.hyponormal:
-        checks.append(joint_hyponormality_window(diagram, window, args.tolerance))
+        checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
         w, h = window
         lines = ["k1,k2,alpha_sq,beta_sq"]
@@ -328,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict", default="0,0", help="base point i,j of the restriction")
     p.add_argument("--berger", help="measure JSON to verify against the diagram")
     p.add_argument("--path", help="lattice point k1,k2 for path independence")
-    p.add_argument("--hyponormal", action="store_true", help="windowed eigenvalue check")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument(
+        "--hyponormal", action="store_true", help="exact joint hyponormality test on the window"
+    )
     p.add_argument("--dump", help="write the window's weights as CSV here")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check2d)

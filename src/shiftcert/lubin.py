@@ -366,7 +366,8 @@ def is_t2_subnormal(x) -> Certificate:
     threshold = threshold_t2()
     column0 = backward_extension_1d(Fraction(11, 8) * x, xi_c())
     ok = x <= threshold
-    assert column0.ok == ok, "first-column extension must match the threshold comparison"
+    if column0.ok != ok:
+        raise ArithmeticError("first-column extension must match the threshold comparison")
     return Certificate(
         "is_t2_subnormal",
         ok,
@@ -396,7 +397,8 @@ def is_pair_subnormal(x) -> Certificate:
     step_one = backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
     step_two = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
     ok = t2.ok and deep.ok and step_one.passed and step_two.passed
-    assert ok == (x <= PAIR_THRESHOLD), "pipeline must agree with the threshold"
+    if ok != (x <= PAIR_THRESHOLD):
+        raise ArithmeticError("pipeline must agree with the threshold")
     return Certificate(
         "is_pair_subnormal",
         ok,

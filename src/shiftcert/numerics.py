@@ -3,9 +3,8 @@
 Scalars are ``fractions.Fraction`` throughout: arbitrary-precision
 rationals in lowest terms, which is exactly the arithmetic needed to
 separate thresholds such as 2/11 from 8/33 without any tolerance budget.
-Floats appear in two places only -- the quadrature cross-check below and
-the windowed eigenvalue check in :mod:`.shift2d` -- and never feed back
-into a decision taken by an exact code path.
+Floats appear in one place only -- the quadrature cross-check below --
+and never feed back into a decision.
 
 Serialization convention: a rational renders as ``"p/q"``, or bare
 ``"p"`` when the denominator is 1 (``str(Fraction)`` already does this).
@@ -17,8 +16,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .certificate import Certificate
 from .errors import QuadratureConvergenceError
@@ -89,9 +86,8 @@ def arcsine_moment_quadrature(n: int, tolerance: float = 1e-10) -> float:
     estimate = float("nan")
     for exponent in range(4, 24):
         panels = 1 << exponent
-        t = np.linspace(0.0, math.pi, panels + 1)
-        values = (2.0 * (1.0 - np.cos(t))) ** n
-        estimate = (float(np.sum(values[1:-1])) + 0.5 * (values[0] + values[-1])) / panels
+        values = [(2.0 * (1.0 - math.cos(math.pi * i / panels))) ** n for i in range(panels + 1)]
+        estimate = (math.fsum(values[1:-1]) + 0.5 * (values[0] + values[-1])) / panels
         if previous is not None and abs(estimate - previous) <= tolerance * max(abs(estimate), 1.0):
             return estimate
         previous = estimate
@@ -141,9 +137,6 @@ class SymmetricExactMatrix:
         if len(v) != self.order:
             raise ValueError("vector length must match the matrix order")
         return sum(v[i] * self._rows[i][j] * v[j] for i in range(self.order) for j in range(self.order))
-
-    def as_float_array(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self._rows], dtype=float)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymmetricExactMatrix) and self._rows == other._rows
@@ -201,7 +194,8 @@ def _negativity_certificate(matrix, lower, support) -> Certificate:
                 acc -= lower[j][i] * v[j]
         v[i] = acc
     value = matrix.quadratic_form(v)
-    assert value < 0, "internal error: lifted witness is not negative"
+    if not value < 0:
+        raise ArithmeticError("internal error: lifted witness is not negative")
     return Certificate(
         "is_psd",
         False,

@@ -22,19 +22,16 @@ characterization:
 * verification of a candidate planar Berger measure on a window,
 * the one-step backward extension of a subnormal pair, including the
   explicit new Berger measure when the test passes,
-* a float-only windowed joint hyponormality check (compressed
-  self-commutator matrix, eigenvalues with an explicit tolerance).
+* the exact windowed joint hyponormality check: the compressed
+  self-commutator splits into 2x2 blocks, each decided over the rationals.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .certificate import Certificate
 from .measures import (
@@ -350,57 +347,52 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
     )
 
 
-def joint_hyponormality_window(diagram: WeightDiagram, window, tolerance: float = 1e-9) -> Certificate:
-    """Float eigenvalue check of the compressed self-commutator matrix.
+def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
+    """Exact PSD test of the compressed self-commutator on a window.
 
-    Builds the compression of [[ [T1*,T1], [T2*,T1] ], [ [T1*,T2], [T2*,T2] ]]
-    to the window's basis vectors in both components and tests its smallest
-    eigenvalue against ``-tolerance``.  This is the one deliberately
-    numerical check in the package: it screens windows quickly, while the
-    exact verdicts come from the measure-theoretic tests.
+    The compression of [[ [T1*,T1], [T2*,T1] ], [ [T1*,T2], [T2*,T2] ]] to
+    the window's basis vectors in both components is block-diagonal:
+    [T2*, T1] couples component 2 at k + (0,1) only with component 1 at
+    k + (1,0).  Base point k therefore owns the block (Curto's six-point
+    test)
+
+        [[a, off], [off, d]],   a = alpha^2_{k+(1,0)} - alpha^2_k,
+                                d = beta^2_{k+(0,1)} - beta^2_k,
+                                off = sqrt(P) - sqrt(Q),
+        P = alpha^2_{k+(0,1)} beta^2_{k+(1,0)},   Q = alpha^2_k beta^2_k,
+
+    shrunk to the one entry a or d whose partner leaves the window; the
+    entries at k1 == 0 (component 1) and k2 == 0 (component 2) are squared
+    weights, positive by construction.  With r = P + Q - a d the block is
+    PSD iff a >= 0, d >= 0 and (r <= 0 or r^2 <= 4 P Q), which needs no
+    square root and no commutativity.  The witness of a failure is the
+    base point k with a, d, P and Q.
     """
     w, h = _check_window(window)
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    points = [(k1, k2) for k2 in range(h) for k1 in range(w)]
-    index = {k: i for i, k in enumerate(points)}
-    n = len(points)
-
-    def alpha(k1: int, k2: int) -> Fraction:
-        if k1 < 0 or k2 < 0:
-            return Fraction(0)
-        return diagram.alpha_sq(k1, k2)
-
-    def beta(k1: int, k2: int) -> Fraction:
-        if k1 < 0 or k2 < 0:
-            return Fraction(0)
-        return diagram.beta_sq(k1, k2)
-
-    matrix = np.zeros((2 * n, 2 * n))
-    for (k1, k2), i in index.items():
-        # diagonal blocks: [Ti*, Ti] are diagonal in the basis
-        matrix[i, i] = float(alpha(k1, k2) - alpha(k1 - 1, k2))
-        matrix[n + i, n + i] = float(beta(k1, k2) - beta(k1, k2 - 1))
-        # [T2*, T1] e_k lands on e_{k + (1,-1)} (zero when k2 == 0)
-        if k2 >= 1:
-            target = (k1 + 1, k2 - 1)
-            if target in index:
-                value = math.sqrt(float(alpha(k1, k2) * beta(k1 + 1, k2 - 1))) - math.sqrt(
-                    float(alpha(k1, k2 - 1) * beta(k1, k2 - 1))
+    alpha, beta = diagram.alpha_sq, diagram.beta_sq
+    for k2 in range(h):
+        for k1 in range(w):
+            a = alpha(k1 + 1, k2) - alpha(k1, k2) if k1 + 1 < w else None
+            d = beta(k1, k2 + 1) - beta(k1, k2) if k2 + 1 < h else None
+            p = q = None
+            ok = (a is None or a >= 0) and (d is None or d >= 0)
+            if ok and a is not None and d is not None:
+                p = alpha(k1, k2 + 1) * beta(k1 + 1, k2)
+                q = alpha(k1, k2) * beta(k1, k2)
+                r = p + q - a * d
+                ok = r <= 0 or r * r <= 4 * p * q
+            if not ok:
+                return Certificate(
+                    "joint_hyponormality_window",
+                    False,
+                    {
+                        "window": [w, h],
+                        "k": [k1, k2],
+                        **{name: None if v is None else str(v) for name, v in zip("adPQ", (a, d, p, q))},
+                    },
                 )
-                j = index[target]
-                matrix[j, n + i] = value  # row block 1 ([T2*,T1]), column block 2
-                matrix[n + i, j] = value
-    matrix = (matrix + matrix.T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    smallest = float(eigenvalues[0])
     return Certificate(
         "joint_hyponormality_window",
-        smallest >= -tolerance,
-        {
-            "window": [w, h],
-            "matrix_order": 2 * n,
-            "min_eigenvalue": smallest,
-            "tolerance": tolerance,
-        },
+        True,
+        {"window": [w, h], "blocks_checked": w * h - 1},
     )

@@ -182,6 +182,29 @@ class TestCheck2D:
     def test_bad_parameter(self):
         assert main(["check2d", "--x", "0.2"]) == 2
 
+    def test_empty_window_is_a_usage_error(self, capsys):
+        assert main(["check2d", "--x", "1/5", "--window", "0x3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonpositive_parameter_is_a_usage_error(self, capsys):
+        assert main(["check2d", "--x", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_variable_berger_measure_is_a_usage_error(self, xi_a_file, capsys):
+        assert main(["check2d", "--x", "1/5", "--berger", xi_a_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_path_point_is_a_usage_error(self, capsys):
+        assert main(["check2d", "--x", "1/5", "--path=-1,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_hyponormality_witness_names_the_failing_point(self, capsys):
+        assert main(["check2d", "--x", "1/5", "--window", "8x8", "--hyponormal"]) == 1
+        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        witness = checks["joint_hyponormality_window"]["witness"]
+        assert witness["k"] == [6, 0]
+        assert {"a", "d", "P", "Q"} <= set(witness)
+
 
 class TestLubinCertify:
     def test_counterexample_at_one_fifth(self, capsys):

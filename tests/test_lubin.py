@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcert import lubin
 from shiftcert.errors import NegativeMassError
 from shiftcert.lubin import (
     PAIR_THRESHOLD,
@@ -236,6 +237,13 @@ class TestVerdicts:
         assert cert.witness["extension_to_mu_m"].passed
         assert cert.witness["final_extension"].passed
         assert cert.witness["extension_to_mu_m"].new_measure == mu_m()
+
+    def test_cross_check_disagreement_raises(self, monkeypatch):
+        # the threshold comparison and the extension test must agree; a
+        # disagreement is an internal error, raised even under python -O
+        monkeypatch.setattr(lubin, "threshold_t2", lambda: F(1, 2))
+        with pytest.raises(ArithmeticError):
+            is_t2_subnormal(F(1, 3))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import json
+import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,17 +229,110 @@ class TestBackwardExtension2D:
                 )
 
 
+def dense_compression(diagram: WeightDiagram, window):
+    """Float matrix of the compressed self-commutator, built entry by entry.
+
+    The oracle for the exact block test: no block structure is assumed.
+    Component 1 occupies indices [0, n) and component 2 indices [n, 2n).
+    """
+    w, h = window
+    index = {(k1, k2): i for i, (k1, k2) in enumerate((k1, k2) for k2 in range(h) for k1 in range(w))}
+    n = len(index)
+
+    def alpha(k1, k2):
+        return diagram.alpha_sq(k1, k2) if k1 >= 0 and k2 >= 0 else F(0)
+
+    def beta(k1, k2):
+        return diagram.beta_sq(k1, k2) if k1 >= 0 and k2 >= 0 else F(0)
+
+    matrix = np.zeros((2 * n, 2 * n))
+    for (k1, k2), i in index.items():
+        matrix[i, i] = float(alpha(k1, k2) - alpha(k1 - 1, k2))
+        matrix[n + i, n + i] = float(beta(k1, k2) - beta(k1, k2 - 1))
+        # [T2*, T1] sends component 2 at k to component 1 at k + (1,-1)
+        j = index.get((k1 + 1, k2 - 1))
+        if j is not None:
+            value = math.sqrt(alpha(k1, k2) * beta(k1 + 1, k2 - 1)) - math.sqrt(
+                alpha(k1, k2 - 1) * beta(k1, k2 - 1)
+            )
+            matrix[j, n + i] = matrix[n + i, j] = value
+    return matrix
+
+
+def monotone_random_diagram(rng: random.Random) -> WeightDiagram:
+    """Squared weights nondecreasing along their own direction (so every
+    diagonal entry is >= 0 and the off-diagonal terms decide), otherwise
+    random: the pair does not commute."""
+    def step():
+        return F(rng.randint(0, 6), rng.randint(1, 12))
+
+    base_a = {k2: F(rng.randint(1, 8), rng.randint(1, 8)) for k2 in range(8)}
+    base_b = {k1: F(rng.randint(1, 8), rng.randint(1, 8)) for k1 in range(8)}
+    inc_a = {(k1, k2): step() for k1 in range(8) for k2 in range(8)}
+    inc_b = {(k1, k2): step() for k1 in range(8) for k2 in range(8)}
+    return WeightDiagram(
+        lambda k1, k2: base_a[k2] + sum(inc_a[i, k2] for i in range(k1)),
+        lambda k1, k2: base_b[k1] + sum(inc_b[k1, j] for j in range(k2)),
+        name="random",
+    )
+
+
 class TestJointHyponormality:
     def test_family_window_passes_below_threshold(self):
-        cert = joint_hyponormality_window(family(F(1, 5)), (4, 4))
-        assert cert.ok
-        assert cert.witness["matrix_order"] == 32
-        assert cert.witness["min_eigenvalue"] >= -1e-9
+        for x in (F(1, 10), F(2, 11)):
+            for side in (8, 16, 32):
+                cert = joint_hyponormality_window(family(x), (side, side))
+                assert cert.ok, (x, side)
+                assert cert.witness == {"window": [side, side], "blocks_checked": side * side - 1}
+
+    def test_one_fifth_passes_4x4_and_fails_8x8_at_6_0(self):
+        assert joint_hyponormality_window(family(F(1, 5)), (4, 4)).ok
+        cert = joint_hyponormality_window(family(F(1, 5)), (8, 8))
+        assert not cert.ok
+        assert cert.witness["k"] == [6, 0]
+        a, d, p, q = (F(cert.witness[name]) for name in ("a", "d", "P", "Q"))
+        assert a >= 0 and d >= 0
+        assert (p + q - a * d) ** 2 > 4 * p * q
+
+    def test_t2_threshold_fails_at_1_0(self):
+        cert = joint_hyponormality_window(family(F(8, 33)), (8, 8))
+        assert not cert.ok
+        assert cert.witness["k"] == [1, 0]
 
     def test_family_fails_at_one_half(self):
         cert = joint_hyponormality_window(family(F(1, 2)), (3, 3))
         assert not cert.ok
-        assert cert.witness["min_eigenvalue"] < -0.3
+        assert cert.witness["k"] == [1, 0]
+        assert F(cert.witness["d"]) < 0
+        assert cert.witness["P"] is None and cert.witness["Q"] is None
+
+    def test_interior_blocks_are_exactly_singular(self):
+        # off^2 == a d at every k with k1, k2 >= 1, so a float verdict on
+        # the family is decided by rounding
+        d = family(F(2, 11))
+        for k1 in range(1, 6):
+            for k2 in range(1, 6):
+                a = d.alpha_sq(k1 + 1, k2) - d.alpha_sq(k1, k2)
+                b = d.beta_sq(k1, k2 + 1) - d.beta_sq(k1, k2)
+                p = d.alpha_sq(k1, k2 + 1) * d.beta_sq(k1 + 1, k2)
+                q = d.alpha_sq(k1, k2) * d.beta_sq(k1, k2)
+                assert (p + q - a * b) ** 2 == 4 * p * q
+
+    def test_agrees_with_dense_eigenvalues(self):
+        rng = random.Random(20260)
+        cases = [family(x) for x in (F(1, 20), F(1, 6), F(3, 16), F(1, 5), F(1, 4), F(1, 3), F(1))]
+        cases += [monotone_random_diagram(rng) for _ in range(60)]
+        verdicts = set()
+        for diagram in cases:
+            for w in range(1, 7):
+                for h in range(1, 7):
+                    exact = joint_hyponormality_window(diagram, (w, h)).ok
+                    smallest = np.linalg.eigvalsh(dense_compression(diagram, (w, h)))[0]
+                    # the draws stay off the knife edge, so float rounding cannot decide
+                    assert smallest >= -1e-9 or smallest < -1e-6
+                    assert exact == (smallest >= -1e-9), (diagram.name, w, h, smallest)
+                    verdicts.add(exact)
+        assert verdicts == {True, False}
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
