@@ -42,6 +42,14 @@ The upshot is an exact certified bound ``certified_x_max`` strictly above
 2/11: the rescaled sum is subnormal on (0, 2/11 + epsilon] with
 ``epsilon = certified_epsilon()`` a positive rational, even though the
 pair itself stops being jointly subnormal at 2/11.
+
+Everything above that does not depend on x is computed once per process:
+the per-n record :func:`per_n_coefficients` (constants and slopes of A_n
+and B_n, C_n, the k = 0 affine pair and the two tail inequalities),
+:func:`per_n_exact_sup`, :func:`tail_stopping_index` and
+:func:`certified_x_max`.  Those caches are keyed by n or by nothing, so no
+cache grows with x; :func:`certify_sum` still runs the exact k-scan at x
+for every n and checks its verdict against the certified bound.
 """
 
 from __future__ import annotations
@@ -82,21 +90,54 @@ def integral_moment(c, n: int) -> Fraction:
     return Fraction(numerator, q**n)
 
 
-class IntegralMoments:
-    """Cached I_n values at a fixed c."""
+@lru_cache(maxsize=128)  # failure witnesses reach x-dependent k
+def _gamma_row(k: int) -> Fraction:
+    return moment1(xi_a(), k)
 
-    def __init__(self, c):
-        self.c = Fraction(c)
-        if not 0 < self.c < 1:
-            raise ValueError(f"c must lie in (0, 1), got {self.c}")
 
-    def value(self, n: int) -> Fraction:
-        return integral_moment(self.c, n)
+@dataclass(frozen=True)
+class PerNCoefficients:
+    """The x-free data of one n, from which every per-n fact at x follows.
+
+    A_n = const_a + slope_a x,  B_n = const_b + slope_b x,  C_n = c_n,
+    P_n(0, 0) = k0_const + k0_slope x, and the two tail inequalities
+    I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n.
+    """
+
+    const_a: Fraction
+    slope_a: Fraction
+    const_b: Fraction
+    slope_b: Fraction
+    c_n: Fraction
+    k0_const: Fraction
+    k0_slope: Fraction
+    tail_sixteenth: bool
+    tail_eighth: bool
 
 
 @lru_cache(maxsize=None)
-def _gamma_row(k: int) -> Fraction:
-    return moment1(xi_a(), k)
+def per_n_coefficients(n: int) -> PerNCoefficients:
+    """The per-n record, computed once per process for each n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    i16 = integral_moment(C_SIXTEENTH, n)
+    i8 = integral_moment(C_EIGHTH, n)
+    p16, p8, p4 = _P16**n, _P8**n, _P4**n
+    const_a, slope_a = PAIR_THRESHOLD * p16, i16 - p16
+    const_b, slope_b = Fraction(1, 22) * p8, (i8 - p8) / 4
+    c_n = Fraction(1, 44) * p4
+    return PerNCoefficients(
+        const_a=const_a,
+        slope_a=slope_a,
+        const_b=const_b,
+        slope_b=slope_b,
+        c_n=c_n,
+        # P_n(0,0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n)
+        k0_const=Fraction(3, 4) + const_a + const_b + c_n,
+        k0_slope=slope_a + slope_b - Fraction(5, 8) * (1 - p4),
+        tail_sixteenth=i16 >= p16,
+        tail_eighth=i8 >= p8,
+    )
 
 
 def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -104,29 +145,8 @@ def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
     x = Fraction(x)
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = (PAIR_THRESHOLD - x) * _P16**n + x * integral_moment(C_SIXTEENTH, n)
-    b = (Fraction(1, 22) - x / 4) * _P8**n + (x / 4) * integral_moment(C_EIGHTH, n)
-    c = Fraction(1, 44) * _P4**n
-    return a, b, c
-
-
-def _k0_affine(n: int) -> tuple[Fraction, Fraction]:
-    """P_n(0,0) = const + slope * x."""
-    const = (
-        Fraction(3, 4)
-        + PAIR_THRESHOLD * _P16**n
-        + Fraction(1, 22) * _P8**n
-        + Fraction(1, 44) * _P4**n
-    )
-    slope = (
-        integral_moment(C_SIXTEENTH, n)
-        + integral_moment(C_EIGHTH, n) / 4
-        + Fraction(5, 8) * _P4**n
-        - Fraction(5, 8)
-        - _P16**n
-        - _P8**n / 4
-    )
-    return const, slope
+    r = per_n_coefficients(n)
+    return r.const_a + r.slope_a * x, r.const_b + r.slope_b * x, r.c_n
 
 
 def p_n_closed(x, k: int, n: int) -> Fraction:
@@ -137,8 +157,8 @@ def p_n_closed(x, k: int, n: int) -> Fraction:
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if k == 0:
-        const, slope = _k0_affine(n)
-        return const + slope * x
+        r = per_n_coefficients(n)
+        return r.k0_const + r.k0_slope * x
     a, b, c = abc_coefficients(x, n)
     return (a * Fraction(1, 4) ** k + b * Fraction(1, 2) ** k + c) / _gamma_row(k)
 
@@ -176,17 +196,11 @@ def per_n_affine_bounds(n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    i16 = integral_moment(C_SIXTEENTH, n)
-    i8 = integral_moment(C_EIGHTH, n)
-    slope_a = i16 - _P16**n
-    slope_b = (i8 - _P8**n) / 4
-    const_a = PAIR_THRESHOLD * _P16**n
-    const_b = Fraction(1, 22) * _P8**n
-    k0_const, k0_slope = _k0_affine(n)
+    r = per_n_coefficients(n)
     return {
-        "a": None if slope_a >= 0 else const_a / -slope_a,
-        "b": None if slope_b >= 0 else const_b / -slope_b,
-        "k0": None if k0_slope >= 0 else k0_const / -k0_slope,
+        "a": None if r.slope_a >= 0 else r.const_a / -r.slope_a,
+        "b": None if r.slope_b >= 0 else r.const_b / -r.slope_b,
+        "k0": None if r.k0_slope >= 0 else r.k0_const / -r.k0_slope,
     }
 
 
@@ -203,26 +217,20 @@ def per_n_exact_sup(n: int) -> Fraction | None:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    i16 = integral_moment(C_SIXTEENTH, n)
-    i8 = integral_moment(C_EIGHTH, n)
-    slope_a = i16 - _P16**n
-    slope_b = (i8 - _P8**n) / 4
-    const_a = PAIR_THRESHOLD * _P16**n
-    const_b = Fraction(1, 22) * _P8**n
-    c_n = Fraction(1, 44) * _P4**n
+    r = per_n_coefficients(n)
     best: Fraction | None = None
-    if slope_a < 0 or slope_b < 0:
+    if r.slope_a < 0 or r.slope_b < 0:
         quarter, half = Fraction(1, 4), Fraction(1, 2)
         for k in range(1, _SCAN_LIMIT):
             wa, wb = quarter**k, half**k
-            slope_k = slope_a * wa + slope_b * wb
+            slope_k = r.slope_a * wa + r.slope_b * wb
             if slope_k < 0:
-                threshold = -(const_a * wa + const_b * wb + c_n) / slope_k
+                threshold = -(r.const_a * wa + r.const_b * wb + r.c_n) / slope_k
                 if best is None or threshold < best:
                     best = threshold
-            if slope_b >= 0 and slope_k >= 0:
+            if r.slope_b >= 0 and slope_k >= 0:
                 break  # slope_k * 4^k = slope_a + slope_b 2^k is nondecreasing
-            if best is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * best < c_n:
+            if best is not None and (abs(r.slope_a) * wa + abs(r.slope_b) * wb) * best < r.c_n:
                 break  # later k cannot push the threshold below the running minimum
         else:
             raise ArithmeticError("per-n scan failed to terminate")
@@ -323,12 +331,8 @@ def _first_power_at_least(ratio: Fraction, target: int) -> int:
 
 def tail_inequalities_hold(n: int) -> tuple[bool, bool]:
     """Exact checks I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (
-        integral_moment(C_SIXTEENTH, n) >= _P16**n,
-        integral_moment(C_EIGHTH, n) >= _P8**n,
-    )
+    r = per_n_coefficients(n)
+    return r.tail_sixteenth, r.tail_eighth
 
 
 @lru_cache(maxsize=1)

@@ -2,7 +2,8 @@
 
 Every decision procedure in the package returns a :class:`Certificate`
 rather than a bare boolean: a failing check names the first violation it
-found, and a passing check records what was actually verified.  Rational
+found, and a passing check records what was actually verified.  The
+witness is a read-only mapping, so a certificate can be shared.  Rational
 values inside a certificate are stored as "p/q" strings so the JSON form
 is lossless.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Mapping
 
 
@@ -20,6 +22,10 @@ class Certificate:
     check: str
     ok: bool
     witness: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # read-only, so a certificate can be cached and shared
+        object.__setattr__(self, "witness", MappingProxyType(dict(self.witness)))
 
     def __bool__(self) -> bool:
         return self.ok

@@ -54,14 +54,20 @@ from .shift2d import (
 )
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, code: int = 0) -> int:
+    """Print ``text``, or write it to ``out_path``; return ``code``, or 2
+    when the file cannot be written."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            return _fail_usage(f"cannot write {out_path}: {exc}")
     else:
         print(text)
+    return code
 
 
 def _fail_usage(message: str) -> int:
@@ -92,6 +98,8 @@ def _parse_point(text: str) -> tuple[int, int]:
 
 def _load_weights(path: str) -> WeightSequence1D:
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError("weight file must hold a JSON object")
     kind = data.get("kind")
     if kind == "measure":
         mu = measure_from_dict(data["measure"])
@@ -118,11 +126,9 @@ def cmd_moments(args) -> int:
     values = [(n, moment1(mu, n)) for n in range(args.n_max + 1)]
     if args.format == "json":
         payload = [{"n": n, "gamma": rat_str(g)} for n, g in values]
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["n,gamma_n"] + [f"{n},{rat_str(g)}" for n, g in values]
-        _emit("\n".join(lines), args.out)
-    return 0
+        return _emit(json.dumps(payload, indent=2), args.out)
+    lines = ["n,gamma_n"] + [f"{n},{rat_str(g)}" for n, g in values]
+    return _emit("\n".join(lines), args.out)
 
 
 def cmd_fit(args) -> int:
@@ -146,13 +152,14 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         return _fail_usage(str(exc))
     except ShiftCertError as exc:
-        _emit(json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2), args.out)
-        return 1
-    _emit(json.dumps(measure_to_dict(measure), indent=2, sort_keys=True), args.out)
-    return 0
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        return _emit(json.dumps(error, indent=2), args.out, 1)
+    return _emit(json.dumps(measure_to_dict(measure), indent=2, sort_keys=True), args.out)
 
 
 def cmd_check1d(args) -> int:
+    if args.order < 0 or args.n_max < 1 or args.k_max < 0:
+        return _fail_usage("need --order >= 0, --n-max >= 1 and --k-max >= 0")
     try:
         weights = _load_weights(args.weights)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -173,8 +180,8 @@ def cmd_check1d(args) -> int:
             return _fail_usage("backward extension needs a measure on the half-line")
         checks.append(backward_extension_1d(alpha0, mu))
     payload = {"input": args.weights, "checks": [c.as_dict() for c in checks]}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0 if all(c.ok for c in checks) else 1
+    code = 0 if all(c.ok for c in checks) else 1
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
 
 
 def cmd_check2d(args) -> int:
@@ -211,16 +218,16 @@ def cmd_check2d(args) -> int:
                 lines.append(
                     f"{k1},{k2},{rat_str(diagram.alpha_sq(k1, k2))},{rat_str(diagram.beta_sq(k1, k2))}"
                 )
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        if _emit("\n".join(lines), args.dump) == 2:
+            return 2
     payload = {
         "x": rat_str(x),
         "base_point": list(base),
         "window": list(window),
         "checks": [c.as_dict() for c in checks],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0 if all(c.ok for c in checks) else 1
+    code = 0 if all(c.ok for c in checks) else 1
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
 
 
 def cmd_lubin_certify(args) -> int:
@@ -253,8 +260,8 @@ def cmd_lubin_certify(args) -> int:
         },
         "certificates": report["certificates"],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0 if all(verdicts.values()) else 1
+    code = 0 if all(verdicts.values()) else 1
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
 
 
 def cmd_sweep(args) -> int:
@@ -277,8 +284,7 @@ def cmd_sweep(args) -> int:
             for k in range(args.k_max + 1):
                 lines.append(f"{rat_str(x)},{n},{k},{rat_str(agler.p_n_closed(x, k, n))}")
         x += x_step
-    _emit("\n".join(lines), args.out)
-    return 0
+    return _emit("\n".join(lines), args.out)
 
 
 def cmd_epsilon(args) -> int:
@@ -291,8 +297,7 @@ def cmd_epsilon(args) -> int:
         "n_tail": tail.n_star,
         "strictly_positive": epsilon > 0,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    return 0
+    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,13 @@ Certified thresholds (all decided in exact rational arithmetic):
 * the rescaled sum T1 + T2 stays subnormal strictly past 2/11, with an
   explicit certified margin; see :mod:`.agler`.
 
+The x-free parts of these verdicts are computed once per process:
+:func:`threshold_t1` (a certificate with a read-only witness),
+:func:`threshold_t2`, and step one of the pair test, the horizontal
+extension to mu_M.  The tests at a given x still run at that x.  The one
+cache keyed by x, :func:`moment2d`, holds at most 1024 entries, so no
+cache grows with x.
+
 A weight-formula quirk, adopted deliberately: the closed form
 
     (10*4^n + 2^n + 1) / (10*4^n + 2^{n+1} + 4)
@@ -55,6 +62,7 @@ from .measures import (
 )
 from .shift1d import WeightSequence1D, backward_extension_1d
 from .shift2d import (
+    BackwardExtensionReport,
     MomentTable2D,
     WeightDiagram,
     backward_extension_2d,
@@ -200,7 +208,7 @@ def mu_m() -> AtomicMeasure2D:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def moment2d(k1: int, k2: int, x) -> Fraction:
     """Closed-form moment table of the family at parameter x.
 
@@ -266,6 +274,7 @@ def t2_column_bound(n: int) -> Fraction:
     return numerator / denominator
 
 
+@lru_cache(maxsize=None)
 def threshold_t1(m_max: int = 64) -> Certificate:
     """T1 is subnormal for every x > 0.
 
@@ -303,6 +312,7 @@ def threshold_t1(m_max: int = 64) -> Certificate:
     )
 
 
+@lru_cache(maxsize=None)
 def threshold_t2(n_max: int = 64) -> Fraction:
     """Exact T2 threshold 8/33: infimum over columns of the extension bounds.
 
@@ -328,6 +338,13 @@ def threshold_t2(n_max: int = 64) -> Fraction:
     return minimum
 
 
+@lru_cache(maxsize=1)
+def _extension_to_mu_m() -> BackwardExtensionReport:
+    """Step one of the pair test: extend mu_{M int N} horizontally through
+    the column-0 slice with the x-free first-step weight 1/8."""
+    return backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
+
+
 def threshold_pair() -> Fraction:
     """Exact joint threshold 2/11, composed from the two extension steps.
 
@@ -340,7 +357,7 @@ def threshold_pair() -> Fraction:
              x * ||1/t|| * (mu_M extremal marginal) )
       = min( 8/15, 6/5, 2/11, 2/11 ) = 2/11.
     """
-    step_one = backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
+    step_one = _extension_to_mu_m()
     if not step_one.passed or step_one.new_measure != mu_m():
         raise ArithmeticError("the horizontal extension step failed to rebuild mu_M")
     norm = reciprocal_norm(mu_m(), "t")
@@ -394,7 +411,7 @@ def is_pair_subnormal(x) -> Certificate:
     t2 = is_t2_subnormal(x)
     family = LubinFamily(x)
     deep = check_berger_2d(family.diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
-    step_one = backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
+    step_one = _extension_to_mu_m()
     step_two = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
     ok = t2.ok and deep.ok and step_one.passed and step_two.passed
     if ok != (x <= PAIR_THRESHOLD):

@@ -333,6 +333,8 @@ def measure_to_dict(mu) -> dict:
 
 def measure_from_dict(data: dict):
     """Inverse of :func:`measure_to_dict`; validates masses and duplicates."""
+    if not isinstance(data, dict):
+        raise ValueError("a measure must be a JSON object")
     dim = data.get("dim")
     raw = data.get("atoms")
     if dim not in (1, 2) or not isinstance(raw, list):

@@ -108,38 +108,6 @@ class WeightSequence1D:
         return f"WeightSequence1D({label}, bound_sq={self.norm_bound_sq})"
 
 
-class MomentSequence:
-    """Cached moment sequence gamma with gamma_0 == 1 and gamma_n > 0."""
-
-    def __init__(self, rule: Callable[[int], Fraction]):
-        self._rule = rule
-        self._cache: dict[int, Fraction] = {}
-        if self.value(0) != 1:
-            raise ValueError("gamma_0 must equal 1")
-
-    @classmethod
-    def from_weights(cls, w: WeightSequence1D) -> "MomentSequence":
-        return cls(w.moment)
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("moment order must be >= 0")
-        if n not in self._cache:
-            v = Fraction(self._rule(n))
-            if v <= 0:
-                raise ValueError(f"moment of order {n} must be positive, got {v}")
-            self._cache[n] = v
-        return self._cache[n]
-
-    def prefix(self, count: int) -> list[Fraction]:
-        return [self.value(n) for n in range(count)]
-
-
-def moments_from_weights(w: WeightSequence1D, n: int) -> Fraction:
-    """gamma_n as the running product of squared weights."""
-    return w.moment(n)
-
-
 def weights_from_measure(xi: AtomicMeasure1D, n: int) -> Fraction:
     """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi."""
     if all(p == 0 for p, _ in xi.atoms):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shiftcert.agler import (
     K0_CAP,
-    IntegralMoments,
     abc_coefficients,
     certified_epsilon,
     certified_x_max,
@@ -72,10 +71,6 @@ class TestIntegralMoment:
             integral_moment(F(3, 2), 1)
         with pytest.raises(ValueError):
             integral_moment(F(1, 16), -1)
-
-    def test_wrapper_class(self):
-        m = IntegralMoments(F(1, 8))
-        assert m.value(3) == integral_moment(F(1, 8), 3)
 
 
 class TestDualRoutes:

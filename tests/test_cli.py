@@ -267,6 +267,38 @@ class TestEpsilon:
         assert F(data["certified_x_max"]) > F(2, 11)
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check2d", "--x", "1/5", "--window", "3x3", "--out"],
+            ["epsilon", "--out"],
+            ["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1", "--out"],
+            ["check2d", "--x", "1/5", "--window", "3x3", "--dump"],
+        ],
+        ids=["check2d-out", "epsilon-out", "sweep-out", "check2d-dump"],
+    )
+    def test_missing_directory_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert main(argv + [str(tmp_path / "missing" / "file")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["moments", "check1d"])
+    def test_json_array_is_a_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags", [["--order", "-1"], ["--n-max", "0"], ["--k-max", "-1"]], ids=lambda f: f[0]
+    )
+    def test_out_of_range_check1d_flag_is_a_usage_error(self, flags, weights_file, capsys):
+        assert main(["check1d", weights_file] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestParser:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -5,9 +5,13 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import shiftcert
+from shiftcert import agler, lubin
 
 SRC = Path(shiftcert.__file__).resolve().parent
 
@@ -30,3 +34,33 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_no_cache_grows_with_the_parameter():
+    # x-free results are cached once per process; nothing keyed by x may
+    # grow without bound across verdict sheets at fresh parameters
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in (lubin, agler)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    sizes = []
+    for j in range(30):
+        x = Fraction(3 * j + 1, 61)  # 1/61 .. 88/61, every regime of the headline table
+        lubin.family_report(x)
+        agler.certify_sum(x)
+        sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
+    growing = [
+        name
+        for name, cache in caches.items()
+        if cache.cache_info().maxsize is None and sizes[1][name] != sizes[-1][name]
+    ]
+    assert growing == []
+
+
+def test_cached_threshold_t1_is_read_only():
+    cert = lubin.threshold_t1()
+    assert cert is lubin.threshold_t1()
+    with pytest.raises(TypeError):
+        cert.witness["m_max"] = 0

@@ -12,12 +12,10 @@ from shiftcert.errors import (
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
 from shiftcert.shift1d import (
-    MomentSequence,
     WeightSequence1D,
     agler_sums_1d,
     backward_extension_1d,
     berger_fit,
-    moments_from_weights,
     restrict,
     subnormal_necessary,
     weights_from_measure,
@@ -48,7 +46,7 @@ class TestWeightSequence:
         w = seq_a()
         assert w.moment(0) == 1
         assert w.moment(3) == F(1, 11) * F(1, 2) * F(11, 16)
-        assert moments_from_weights(w, 2) == F(1, 22)
+        assert [w.moment(n) for n in range(4)] == [F(1), F(1, 11), F(1, 22), F(1, 32)]
 
     def test_measure_weights_equal_moment_ratios(self):
         for n in range(6):
@@ -87,21 +85,6 @@ class TestWeightSequence:
         assert [w1.squared_weight(n) for n in range(8)] == [
             v1.squared_weight(n) for n in range(8)
         ]
-
-
-class TestMomentSequence:
-    def test_prefix_and_cache(self):
-        ms = MomentSequence.from_weights(seq_a())
-        assert ms.prefix(4) == [F(1), F(1, 11), F(1, 22), F(1, 32)]
-
-    def test_gamma0_must_be_one(self):
-        with pytest.raises(ValueError):
-            MomentSequence(lambda n: F(2) if n == 0 else F(1)).value(0)
-
-    def test_values_must_stay_positive(self):
-        ms = MomentSequence(lambda n: F(1) - n)
-        with pytest.raises(ValueError):
-            ms.value(1)
 
 
 class TestSubnormalNecessary:
