@@ -48,8 +48,10 @@ the per-n record :func:`per_n_coefficients` (constants and slopes of A_n
 and B_n, C_n, the k = 0 affine pair and the two tail inequalities),
 :func:`per_n_exact_sup`, :func:`tail_stopping_index` and
 :func:`certified_x_max`.  Those caches are keyed by n or by nothing, so no
-cache grows with x; :func:`certify_sum` still runs the exact k-scan at x
-for every n and checks its verdict against the certified bound.
+cache grows with x; :func:`certify_sum` still decides every n at x and
+checks its verdict against the certified bound.  At x, the signs of
+P_n(0, 0), A_n and B_n are those of cross-multiplied integers (no gcd);
+Fractions are built only for a failure witness and the rare k-scan.
 """
 
 from __future__ import annotations
@@ -151,16 +153,20 @@ def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
 
 def p_n_closed(x, k: int, n: int) -> Fraction:
     """P_n(k, 0) via the collapsed coefficients; exact rational."""
+    return p_n_closed_values(x, n, (k,))[0]
+
+
+def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
+    """P_n(k, 0) for each k in ``ks``, with A_n(x), B_n(x), C_n computed once."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
-    if n < 1 or k < 0:
+    if n < 1 or any(k < 0 for k in ks):
         raise ValueError("need n >= 1 and k >= 0")
-    if k == 0:
-        r = per_n_coefficients(n)
-        return r.k0_const + r.k0_slope * x
+    r = per_n_coefficients(n)
     a, b, c = abc_coefficients(x, n)
-    return (a * Fraction(1, 4) ** k + b * Fraction(1, 2) ** k + c) / _gamma_row(k)
+    k0 = r.k0_const + r.k0_slope * x
+    return [k0 if k == 0 else (a / 4**k + b / 2**k + c) / _gamma_row(k) for k in ks]
 
 
 def p_n_bruteforce(x, k: int, n: int) -> Fraction:
@@ -240,29 +246,37 @@ def per_n_exact_sup(n: int) -> Fraction | None:
     return best
 
 
+def _nonnegative_at(const: Fraction, slope: Fraction, x: Fraction) -> bool:
+    """const + slope x >= 0, by the sign of one integer: the affine form
+    times the positive const.den * slope.den * x.den, with no gcd taken."""
+    scaled_const = const.numerator * slope.denominator * x.denominator
+    return scaled_const + slope.numerator * const.denominator * x.numerator >= 0
+
+
 def positivity_over_all_k(x, n: int) -> Certificate:
     """Exact decision of P_n(k, 0) >= 0 for every k >= 0 at fixed n.
 
     Checks k = 0 directly; for k >= 1, nonnegative A_n and B_n settle the
     matter at once, otherwise the constant C_n > 0 bounds how far a
     negative coefficient can reach and the finitely many exposed k are
-    evaluated exactly.
+    evaluated exactly.  The sign tests evaluate at x, never against a
+    cached root, so :func:`certify_sum`'s cross-check stays independent.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    p0 = p_n_closed(x, 0, n)
-    if p0 < 0:
+    r = per_n_coefficients(n)
+    if not _nonnegative_at(r.k0_const, r.k0_slope, x):
         return Certificate(
-            "positivity_over_all_k", False, {"n": n, "k": 0, "value": str(p0)}
+            "positivity_over_all_k", False, {"n": n, "k": 0, "value": str(p_n_closed(x, 0, n))}
         )
-    a, b, c = abc_coefficients(x, n)
-    if a >= 0 and b >= 0:
+    if _nonnegative_at(r.const_a, r.slope_a, x) and _nonnegative_at(r.const_b, r.slope_b, x):
         return Certificate(
             "positivity_over_all_k", True, {"n": n, "mode": "coefficientwise"}
         )
+    a, b, c = abc_coefficients(x, n)
     quarter, half = Fraction(1, 4), Fraction(1, 2)
     for k in range(1, _SCAN_LIMIT):
         wa, wb = quarter**k, half**k

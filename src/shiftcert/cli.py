@@ -13,6 +13,9 @@ Subcommands::
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (the JSON output carries the witness), 2 usage or input errors.
 
+The argument parser is built once per process and reused by every call
+of :func:`main`; argparse keeps each call's values in a fresh namespace.
+
 Weight files for ``check1d`` are JSON, either a measure reference::
 
     {"kind": "measure", "measure": {"dim": 1, "atoms": [...]}}
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import agler, lubin
 from .errors import ShiftCertError
@@ -108,6 +112,8 @@ def _load_weights(path: str) -> WeightSequence1D:
         return WeightSequence1D.from_measure(mu)
     if kind == "prefix":
         bound = data.get("norm_bound_sq")
+        if not isinstance(data["squared_weights"], list):
+            raise ValueError("\"squared_weights\" must be a list")
         return WeightSequence1D.from_prefix(
             [parse_rational(v) for v in data["squared_weights"]],
             tail=data.get("tail", "repeat_last"),
@@ -279,10 +285,11 @@ def cmd_sweep(args) -> int:
         return _fail_usage(str(exc))
     lines = ["x,n,k,p_n"]
     x = x_min
+    ks = range(args.k_max + 1)
     while x <= x_max:
         for n in range(1, args.n_max + 1):
-            for k in range(args.k_max + 1):
-                lines.append(f"{rat_str(x)},{n},{k},{rat_str(agler.p_n_closed(x, k, n))}")
+            for k, value in zip(ks, agler.p_n_closed_values(x, n, ks)):
+                lines.append(f"{rat_str(x)},{n},{k},{rat_str(value)}")
         x += x_step
     return _emit("\n".join(lines), args.out)
 
@@ -300,6 +307,7 @@ def cmd_epsilon(args) -> int:
     return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftcert",

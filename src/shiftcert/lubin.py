@@ -27,10 +27,11 @@ Certified thresholds (all decided in exact rational arithmetic):
 
 The x-free parts of these verdicts are computed once per process:
 :func:`threshold_t1` (a certificate with a read-only witness),
-:func:`threshold_t2`, and step one of the pair test, the horizontal
-extension to mu_M.  The tests at a given x still run at that x.  The one
-cache keyed by x, :func:`moment2d`, holds at most 1024 entries, so no
-cache grows with x.
+:func:`threshold_t2`, and two stages of the pair test, the Berger check
+of the deep (1, 1) restriction (its weights are ratios of interior
+moments, in which x/8 cancels) and the horizontal extension to mu_M.  The
+tests at a given x still run at that x.  The one cache keyed by x,
+:func:`moment2d`, holds at most 1024 entries, so no cache grows with x.
 
 A weight-formula quirk, adopted deliberately: the closed form
 
@@ -345,6 +346,16 @@ def _extension_to_mu_m() -> BackwardExtensionReport:
     return backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
 
 
+@lru_cache(maxsize=1)
+def _deep_restriction_check() -> Certificate:
+    """Berger check of the (1, 1) restriction against mu_{M int N} on 6x6.
+
+    x cancels: each weight of the restriction is a ratio of two interior
+    moments (x/8) f(k1 + k2), so the check is the same at every x > 0.
+    """
+    return check_berger_2d(LubinFamily(_QUARTER).diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
+
+
 def threshold_pair() -> Fraction:
     """Exact joint threshold 2/11, composed from the two extension steps.
 
@@ -403,14 +414,14 @@ def is_pair_subnormal(x) -> Certificate:
 
     Runs the full pipeline at the given x: component subnormality, the
     Berger check of the deep restriction, the horizontal extension to
-    mu_M, and the final vertical extension with first step x.
+    mu_M, and the final vertical extension with first step x.  The middle
+    two are x-free and cached.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
     t2 = is_t2_subnormal(x)
-    family = LubinFamily(x)
-    deep = check_berger_2d(family.diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
+    deep = _deep_restriction_check()
     step_one = _extension_to_mu_m()
     step_two = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
     ok = t2.ok and deep.ok and step_one.passed and step_two.passed

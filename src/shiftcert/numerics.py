@@ -29,6 +29,8 @@ def parse_rational(text: str) -> Fraction:
     Decimal literals are rejected on purpose: every interface of this
     package is exact, and a caller holding ``0.1`` has already lost.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

@@ -232,7 +232,8 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
                     False,
                     {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)},
                 )
-    return Certificate("check_berger_2d", True, {"window": [w, h]})
+    # a tuple, not a list: the pair test caches one of these certificates
+    return Certificate("check_berger_2d", True, {"window": (w, h)})
 
 
 @dataclass(frozen=True)

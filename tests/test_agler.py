@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -27,6 +28,24 @@ from shiftcert.measures import moment1
 from shiftcert.lubin import xi_a
 
 xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
+wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
+
+
+def positivity_reference(x: F, n: int) -> tuple[bool, dict]:
+    """The per-n decision and witness by Fraction signs and the k-scan."""
+    p0 = p_n_closed(x, 0, n)
+    if p0 < 0:
+        return False, {"n": n, "k": 0, "value": str(p0)}
+    a, b, c = abc_coefficients(x, n)
+    if a >= 0 and b >= 0:
+        return True, {"n": n, "mode": "coefficientwise"}
+    for k in itertools.count(1):
+        wa, wb = F(1, 4) ** k, F(1, 2) ** k
+        value = a * wa + b * wb + c
+        if value < 0:
+            return False, {"n": n, "k": k, "value": str(value / moment1(xi_a(), k))}
+        if abs(a) * wa + abs(b) * wb <= c:
+            return True, {"n": n, "mode": "tail-dominated", "k_checked": k}
 
 
 def quadrature_oracle(c: F, n: int) -> float:
@@ -156,6 +175,26 @@ class TestPositivityDecision:
         assert not cert.ok
         assert cert.witness["k"] == 0
         assert F(cert.witness["value"]) == p_n_closed(F(4), 0, 1)
+
+    def test_integer_sign_tests_on_the_knife_edges(self):
+        # every root of the three affine sign tests and every exact sup,
+        # and each of them nudged by 10^-40 to either side
+        nudge = F(1, 10**40)
+        checked = 0
+        for n in range(1, tail_stopping_index().n_star + 1):
+            roots = [*per_n_affine_bounds(n).values(), per_n_exact_sup(n)]
+            for root in (r for r in roots if r is not None):
+                for x in (root - nudge, root, root + nudge):
+                    cert = positivity_over_all_k(x, n)
+                    assert (cert.ok, dict(cert.witness)) == positivity_reference(x, n), (x, n)
+                    checked += 1
+        assert checked > 600
+
+    @given(x=wide_xs, n=st.integers(min_value=1, max_value=tail_stopping_index().n_star))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_sign_tests_match_the_reference(self, x, n):
+        cert = positivity_over_all_k(x, n)
+        assert (cert.ok, dict(cert.witness)) == positivity_reference(x, n)
 
     @given(x=xs, n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from shiftcert.cli import main
+import shiftcert
+from shiftcert.cli import build_parser, main
 from shiftcert.lubin import mu_m_cap_n, xi_a
 from shiftcert.measures import dump_measure, measure_to_dict, moment1
 
@@ -292,6 +297,22 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("moments", {"dim": 1, "atoms": [1]}),
+            ("moments", {"dim": 1, "atoms": [{"point": 0, "mass": 1}]}),
+            ("check1d", {"kind": "prefix", "squared_weights": 5}),
+            ("check1d", {"kind": "prefix", "squared_weights": [5]}),
+        ],
+        ids=["atom-not-object", "atom-numbers", "weights-not-list", "weight-number"],
+    )
+    def test_malformed_nested_json_is_a_usage_error(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
         "flags", [["--order", "-1"], ["--n-max", "0"], ["--k-max", "-1"]], ids=lambda f: f[0]
     )
     def test_out_of_range_check1d_flag_is_a_usage_error(self, flags, weights_file, capsys):
@@ -309,6 +330,29 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+class TestParserIsBuiltOnce:
+    def test_successive_calls_print_what_fresh_processes_print(self, weights_file, capsys):
+        # the parser is shared across calls; no value of one call may leak
+        # into the next, defaults included
+        assert build_parser() is build_parser()
+        sequence = [
+            ["check1d", weights_file, "--order", "2"],
+            ["check1d", weights_file],
+            ["check2d", "--x", "1/5", "--window", "3x3", "--hyponormal"],
+            ["sweep", "--x-min", "1/5", "--x-max", "1/4", "--x-step", "1/20", "--n-max", "2"],
+            ["check2d", "--x", "2/11", "--window", "3x3"],
+            ["lubin", "certify", "--x", "1/5"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent))
+        for argv in sequence:
+            code = main(argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "shiftcert.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
 
 
 class TestGammaGolden:

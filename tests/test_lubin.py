@@ -37,7 +37,7 @@ from shiftcert.lubin import (
     xi_c,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
-from shiftcert.shift2d import commutativity_check
+from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 xs = st.fractions(min_value=F(1, 64), max_value=F(8, 15), max_denominator=64)
 
@@ -237,6 +237,18 @@ class TestVerdicts:
         assert cert.witness["extension_to_mu_m"].passed
         assert cert.witness["final_extension"].passed
         assert cert.witness["extension_to_mu_m"].new_measure == mu_m()
+
+    @pytest.mark.parametrize(
+        "x",
+        [F(1, 10), F(2, 11), F(8, 33), F(1, 2), F(1), F(3, 2), F(876543210987654321, 1 << 59)],
+        ids=str,
+    )
+    def test_cached_deep_check_equals_the_check_at_x(self, x):
+        # the interior weights are x-free, so the once-per-process check
+        # must be exactly what the pipeline would compute at x
+        at_x = check_berger_2d(LubinFamily(x).diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
+        assert is_pair_subnormal(x).witness["deep_restriction"] == at_x
+        assert at_x.ok and at_x.witness == {"window": (6, 6)}
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
         # the threshold comparison and the extension test must agree; a

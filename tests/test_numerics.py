@@ -31,7 +31,7 @@ class TestParseRational:
         assert parse_rational("+7") == F(7)
         assert parse_rational("0") == F(0)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "2/0", "1/-2", "", "a/b", "1 / 2"])
+    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "2/0", "1/-2", "", "a/b", "1 / 2", 5, None])
     def test_rejects_non_rational_text(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import shiftcert
-from shiftcert import agler, lubin
+from shiftcert import agler, cli, lubin
 
 SRC = Path(shiftcert.__file__).resolve().parent
 
@@ -41,15 +41,16 @@ def test_no_cache_grows_with_the_parameter():
     # grow without bound across verdict sheets at fresh parameters
     caches = {
         f"{module.__name__}.{name}": value
-        for module in (lubin, agler)
+        for module in (lubin, agler, cli)
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
+    assert "shiftcert.cli.build_parser" in caches
     sizes = []
     for j in range(30):
         x = Fraction(3 * j + 1, 61)  # 1/61 .. 88/61, every regime of the headline table
-        lubin.family_report(x)
-        agler.certify_sum(x)
+        # lubin certify runs lubin.family_report and agler.certify_sum
+        cli.main(["lubin", "certify", "--x", str(x), "--out", os.devnull])
         sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
     growing = [
         name
@@ -64,3 +65,12 @@ def test_cached_threshold_t1_is_read_only():
     assert cert is lubin.threshold_t1()
     with pytest.raises(TypeError):
         cert.witness["m_max"] = 0
+
+
+def test_cached_deep_restriction_check_is_read_only():
+    cert = lubin.is_pair_subnormal(Fraction(1, 10)).witness["deep_restriction"]
+    assert cert is lubin.is_pair_subnormal(Fraction(1, 2)).witness["deep_restriction"]
+    with pytest.raises(TypeError):
+        cert.witness["window"] = (1, 1)
+    with pytest.raises(AttributeError):
+        cert.witness["window"].append(1)
