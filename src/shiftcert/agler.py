@@ -43,15 +43,19 @@ The upshot is an exact certified bound ``certified_x_max`` strictly above
 ``epsilon = certified_epsilon()`` a positive rational, even though the
 pair itself stops being jointly subnormal at 2/11.
 
-Everything above that does not depend on x is computed once per process:
-the per-n record :func:`per_n_coefficients` (constants and slopes of A_n
-and B_n, C_n, the k = 0 affine pair and the two tail inequalities),
-:func:`per_n_exact_sup`, :func:`tail_stopping_index` and
-:func:`certified_x_max`.  Those caches are keyed by n or by nothing, so no
-cache grows with x; :func:`certify_sum` still decides every n at x and
-checks its verdict against the certified bound.  At x, the signs of
-P_n(0, 0), A_n and B_n are those of cross-multiplied integers (no gcd);
-Fractions are built only for a failure witness and the rare k-scan.
+Everything above that does not depend on x is computed once per process,
+in the per-n record :func:`per_n_coefficients`: the constants and slopes
+of A_n and B_n, C_n, the k = 0 affine pair, the two tail inequalities,
+and one k-scan.  For each k >= 1, P_n(k, 0) gamma_k = const_k + slope_k x
+with const_k > 0, so only the forms with slope_k < 0 can go negative; the
+record keeps those ``exposed`` forms up to the index past which no root
+can fall below the running minimum, and ``sup``, the least root over
+them and the k = 0 form.  The caches are keyed by n or by nothing, so no
+cache grows with x.  At x, a per-n decision tests the k = 0 form and each
+exposed form by the sign of one cross-multiplied integer (no gcd), never
+against a cached root, so :func:`certify_sum` can check its verdict
+against the certified bound; Fractions are built only for a failure
+witness.
 """
 
 from __future__ import annotations
@@ -104,6 +108,12 @@ class PerNCoefficients:
     A_n = const_a + slope_a x,  B_n = const_b + slope_b x,  C_n = c_n,
     P_n(0, 0) = k0_const + k0_slope x, and the two tail inequalities
     I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n.
+
+    ``exposed`` holds each (k, const_k, slope_k) with k >= 1, slope_k < 0
+    and const_k + slope_k x = P_n(k, 0) gamma_k, in increasing k, up to the
+    scan's stop; every later k has its root at or above ``sup``, the least
+    root over the exposed forms and the k = 0 form (``None`` when no form
+    has a negative slope).
     """
 
     const_a: Fraction
@@ -115,11 +125,19 @@ class PerNCoefficients:
     k0_slope: Fraction
     tail_sixteenth: bool
     tail_eighth: bool
+    exposed: tuple[tuple[int, Fraction, Fraction], ...]
+    sup: Fraction | None
 
 
 @lru_cache(maxsize=None)
 def per_n_coefficients(n: int) -> PerNCoefficients:
-    """The per-n record, computed once per process for each n."""
+    """The per-n record, computed once per process for each n.
+
+    For each k >= 1 the form const_k + slope_k x has const_k > 0, so each k
+    contributes either no constraint (nonnegative slope) or a root; the
+    roots grow without bound in k because C_n > 0 dominates, so the scan
+    stops once no later k can undercut the running minimum.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     i16 = integral_moment(C_SIXTEENTH, n)
@@ -128,17 +146,42 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
     const_a, slope_a = PAIR_THRESHOLD * p16, i16 - p16
     const_b, slope_b = Fraction(1, 22) * p8, (i8 - p8) / 4
     c_n = Fraction(1, 44) * p4
+    # P_n(0,0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n)
+    k0_const = Fraction(3, 4) + const_a + const_b + c_n
+    k0_slope = slope_a + slope_b - Fraction(5, 8) * (1 - p4)
+    exposed = []
+    sup: Fraction | None = None
+    if slope_a < 0 or slope_b < 0:
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        for k in range(1, _SCAN_LIMIT):
+            wa, wb = quarter**k, half**k
+            slope_k = slope_a * wa + slope_b * wb
+            if slope_k < 0:
+                const_k = const_a * wa + const_b * wb + c_n
+                exposed.append((k, const_k, slope_k))
+                root = const_k / -slope_k
+                if sup is None or root < sup:
+                    sup = root
+            if slope_b >= 0 and slope_k >= 0:
+                break  # slope_k * 4^k = slope_a + slope_b 2^k is nondecreasing
+            if sup is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * sup < c_n:
+                break  # later k cannot push the root below the running minimum
+        else:
+            raise ArithmeticError("per-n scan failed to terminate")
+    if k0_slope < 0 and (sup is None or k0_const / -k0_slope < sup):
+        sup = k0_const / -k0_slope
     return PerNCoefficients(
         const_a=const_a,
         slope_a=slope_a,
         const_b=const_b,
         slope_b=slope_b,
         c_n=c_n,
-        # P_n(0,0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n)
-        k0_const=Fraction(3, 4) + const_a + const_b + c_n,
-        k0_slope=slope_a + slope_b - Fraction(5, 8) * (1 - p4),
+        k0_const=k0_const,
+        k0_slope=k0_slope,
         tail_sixteenth=i16 >= p16,
         tail_eighth=i8 >= p8,
+        exposed=tuple(exposed),
+        sup=sup,
     )
 
 
@@ -192,58 +235,11 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
     return total
 
 
-def per_n_affine_bounds(n: int) -> dict:
-    """Per-n sufficient constraints, solved for x.
-
-    Keys "a", "b", "k0" hold the largest x keeping A_n, B_n, and the
-    k = 0 value nonnegative (``None`` when the slope is nonnegative, i.e.
-    no constraint).  These are sufficient bounds: nonnegative A_n and B_n
-    force positivity for every k >= 1 regardless of compensation.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = per_n_coefficients(n)
-    return {
-        "a": None if r.slope_a >= 0 else r.const_a / -r.slope_a,
-        "b": None if r.slope_b >= 0 else r.const_b / -r.slope_b,
-        "k0": None if r.k0_slope >= 0 else r.k0_const / -r.k0_slope,
-    }
-
-
-@lru_cache(maxsize=None)
 def per_n_exact_sup(n: int) -> Fraction | None:
-    """Largest x with P_n(k, 0) >= 0 for every k >= 0, or ``None`` if unconstrained.
-
-    For each k >= 1 the value is affine in x with constant part
-    cA (1/4)^k + cB (1/2)^k + C_n > 0, so each k contributes either no
-    constraint (nonnegative slope) or a threshold x_k; the thresholds grow
-    without bound in k because C_n > 0 dominates, so the scan below
-    terminates once no later k can undercut the running minimum.  The
-    k = 0 affine constraint joins at the end.
-    """
+    """Largest x with P_n(k, 0) >= 0 for every k >= 0, or ``None`` if unconstrained."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = per_n_coefficients(n)
-    best: Fraction | None = None
-    if r.slope_a < 0 or r.slope_b < 0:
-        quarter, half = Fraction(1, 4), Fraction(1, 2)
-        for k in range(1, _SCAN_LIMIT):
-            wa, wb = quarter**k, half**k
-            slope_k = r.slope_a * wa + r.slope_b * wb
-            if slope_k < 0:
-                threshold = -(r.const_a * wa + r.const_b * wb + r.c_n) / slope_k
-                if best is None or threshold < best:
-                    best = threshold
-            if r.slope_b >= 0 and slope_k >= 0:
-                break  # slope_k * 4^k = slope_a + slope_b 2^k is nondecreasing
-            if best is not None and (abs(r.slope_a) * wa + abs(r.slope_b) * wb) * best < r.c_n:
-                break  # later k cannot push the threshold below the running minimum
-        else:
-            raise ArithmeticError("per-n scan failed to terminate")
-    k0_bound = per_n_affine_bounds(n)["k0"]
-    if k0_bound is not None and (best is None or k0_bound < best):
-        best = k0_bound
-    return best
+    return per_n_coefficients(n).sup
 
 
 def _nonnegative_at(const: Fraction, slope: Fraction, x: Fraction) -> bool:
@@ -253,47 +249,45 @@ def _nonnegative_at(const: Fraction, slope: Fraction, x: Fraction) -> bool:
     return scaled_const + slope.numerator * const.denominator * x.numerator >= 0
 
 
+def _first_negative_k(record: PerNCoefficients, x: Fraction) -> int | None:
+    """The least k >= 0 with P_n(k, 0) < 0 at x, or ``None`` when there is none.
+
+    Tests the k = 0 form, then each exposed form, at x.  Every k the scan
+    passed over without exposing it has a nonnegative slope, and every k
+    past the scan's stop has its root at or above ``sup``, which one of the
+    tested forms attains; so a form fails at x iff some k fails, and the
+    first one found is the least.
+    """
+    if not _nonnegative_at(record.k0_const, record.k0_slope, x):
+        return 0
+    for k, const, slope in record.exposed:
+        if not _nonnegative_at(const, slope, x):
+            return k
+    return None
+
+
 def positivity_over_all_k(x, n: int) -> Certificate:
     """Exact decision of P_n(k, 0) >= 0 for every k >= 0 at fixed n.
 
-    Checks k = 0 directly; for k >= 1, nonnegative A_n and B_n settle the
-    matter at once, otherwise the constant C_n > 0 bounds how far a
-    negative coefficient can reach and the finitely many exposed k are
-    evaluated exactly.  The sign tests evaluate at x, never against a
-    cached root, so :func:`certify_sum`'s cross-check stays independent.
+    Evaluates at x the k = 0 form and each exposed form of the per-n
+    record :func:`per_n_coefficients`, by integer signs and never against
+    a cached root.  A pass witness counts the forms checked; a failure
+    witness names the least failing k and the value P_n(k, 0) < 0 there.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = per_n_coefficients(n)
-    if not _nonnegative_at(r.k0_const, r.k0_slope, x):
+    record = per_n_coefficients(n)
+    k = _first_negative_k(record, x)
+    if k is None:
         return Certificate(
-            "positivity_over_all_k", False, {"n": n, "k": 0, "value": str(p_n_closed(x, 0, n))}
+            "positivity_over_all_k", True, {"n": n, "forms_checked": 1 + len(record.exposed)}
         )
-    if _nonnegative_at(r.const_a, r.slope_a, x) and _nonnegative_at(r.const_b, r.slope_b, x):
-        return Certificate(
-            "positivity_over_all_k", True, {"n": n, "mode": "coefficientwise"}
-        )
-    a, b, c = abc_coefficients(x, n)
-    quarter, half = Fraction(1, 4), Fraction(1, 2)
-    for k in range(1, _SCAN_LIMIT):
-        wa, wb = quarter**k, half**k
-        value = a * wa + b * wb + c
-        if value < 0:
-            return Certificate(
-                "positivity_over_all_k",
-                False,
-                {"n": n, "k": k, "value": str(value / _gamma_row(k))},
-            )
-        if abs(a) * wa + abs(b) * wb <= c:
-            return Certificate(
-                "positivity_over_all_k",
-                True,
-                {"n": n, "mode": "tail-dominated", "k_checked": k},
-            )
-    raise ArithmeticError("positivity scan failed to terminate")
+    return Certificate(
+        "positivity_over_all_k", False, {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
+    )
 
 
 @dataclass(frozen=True)
@@ -434,13 +428,15 @@ def certify_sum(x) -> AglerCertificate:
     records = []
     first_violation = None
     for n in range(1, tail.n_star + 1):
-        decision = positivity_over_all_k(x, n)
-        t16, t8 = tail_inequalities_hold(n)
+        r = per_n_coefficients(n)
+        k = _first_negative_k(r, x)
         records.append(
-            PerNRecord(n=n, ok=decision.ok, x_max=per_n_exact_sup(n), tail_sixteenth=t16, tail_eighth=t8)
+            PerNRecord(
+                n=n, ok=k is None, x_max=r.sup, tail_sixteenth=r.tail_sixteenth, tail_eighth=r.tail_eighth
+            )
         )
-        if not decision.ok and first_violation is None:
-            first_violation = dict(decision.witness)
+        if k is not None and first_violation is None:
+            first_violation = {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
     cap_ok = x <= K0_CAP
     verdict = cap_ok and all(record.ok for record in records)
     x_max = certified_x_max()

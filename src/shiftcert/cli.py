@@ -114,10 +114,14 @@ def _load_weights(path: str) -> WeightSequence1D:
         bound = data.get("norm_bound_sq")
         if not isinstance(data["squared_weights"], list):
             raise ValueError("\"squared_weights\" must be a list")
+        prefix = [parse_rational(v) for v in data["squared_weights"]]
+        bound = None if bound is None else parse_rational(bound)
+        for index, value in enumerate(prefix):
+            # the tail repeats prefix values, so checking the prefix checks every weight
+            if value <= 0 or (bound is not None and value > bound):
+                raise ValueError(f"squared weight {value} at {index} must lie in (0, norm_bound_sq]")
         return WeightSequence1D.from_prefix(
-            [parse_rational(v) for v in data["squared_weights"]],
-            tail=data.get("tail", "repeat_last"),
-            norm_bound_sq=None if bound is None else parse_rational(bound),
+            prefix, tail=data.get("tail", "repeat_last"), norm_bound_sq=bound
         )
     raise ValueError("weight file needs \"kind\": \"measure\" or \"prefix\"")
 
@@ -179,6 +183,8 @@ def cmd_check1d(args) -> int:
             return _fail_usage("--backext-alpha0 and --backext-measure go together")
         try:
             alpha0 = parse_rational(args.backext_alpha0)
+            if alpha0 <= 0:
+                raise ValueError("--backext-alpha0 must be positive")
             mu = measure_from_dict(_load_json(args.backext_measure))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail_usage(f"cannot load backward-extension inputs: {exc}")

@@ -205,27 +205,6 @@ def _negativity_certificate(matrix, lower, support) -> Certificate:
     )
 
 
-def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve a square rational system exactly; ``None`` when singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for row in aug:
-        if len(row) != n + 1:
-            raise ValueError("system must be square")
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
     m = [[Fraction(v) for v in row] for row in rows]

@@ -37,7 +37,7 @@ from .errors import (
     ZeroMomentError,
 )
 from .measures import AtomicMeasure1D, is_infinite, moment1, reciprocal_norm
-from .numerics import SymmetricExactMatrix, binomial, is_psd, rref, solve_linear_system
+from .numerics import SymmetricExactMatrix, binomial, is_psd, rref
 
 
 class WeightSequence1D:
@@ -230,11 +230,11 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
         points = _rational_roots(coeffs)
         if any(p < 0 for p in points):
             raise InconsistentMomentsError("recurrence has a root at a negative location")
-        masses = solve_linear_system(
-            [[p**j for p in points] for j in range(len(points))], ms[: len(points)]
-        )
-        if masses is None:  # distinct points: cannot happen
+        size = len(points)
+        reduced, pivot_cols = rref([[p**j for p in points] + [ms[j]] for j in range(size)])
+        if pivot_cols != list(range(size)):  # distinct points: cannot happen
             raise InconsistentMomentsError("Vandermonde system is singular")
+        masses = [row[size] for row in reduced]
         if any(m <= 0 for m in masses):
             raise InconsistentMomentsError("fit requires a nonpositive mass")
         candidate = AtomicMeasure1D(zip(points, masses))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcert import agler
 from shiftcert.agler import (
     K0_CAP,
     abc_coefficients,
@@ -17,7 +19,8 @@ from shiftcert.agler import (
     integral_moment,
     p_n_bruteforce,
     p_n_closed,
-    per_n_affine_bounds,
+    p_n_closed_values,
+    per_n_coefficients,
     per_n_exact_sup,
     positivity_over_all_k,
     tail_inequalities_hold,
@@ -31,21 +34,35 @@ xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
 
 
-def positivity_reference(x: F, n: int) -> tuple[bool, dict]:
-    """The per-n decision and witness by Fraction signs and the k-scan."""
+def positivity_reference(x: F, n: int) -> tuple[bool, int | None, str | None]:
+    """(ok, least failing k, P_n(k, 0) there) by Fraction signs and a k-scan at x."""
     p0 = p_n_closed(x, 0, n)
     if p0 < 0:
-        return False, {"n": n, "k": 0, "value": str(p0)}
+        return False, 0, str(p0)
     a, b, c = abc_coefficients(x, n)
     if a >= 0 and b >= 0:
-        return True, {"n": n, "mode": "coefficientwise"}
+        return True, None, None
     for k in itertools.count(1):
         wa, wb = F(1, 4) ** k, F(1, 2) ** k
         value = a * wa + b * wb + c
         if value < 0:
-            return False, {"n": n, "k": k, "value": str(value / moment1(xi_a(), k))}
+            return False, k, str(value / moment1(xi_a(), k))
         if abs(a) * wa + abs(b) * wb <= c:
-            return True, {"n": n, "mode": "tail-dominated", "k_checked": k}
+            return True, None, None
+
+
+def decision(x: F, n: int) -> tuple[bool, int | None, str | None]:
+    cert = positivity_over_all_k(x, n)
+    return cert.ok, cert.witness.get("k"), cert.witness.get("value")
+
+
+def roots(n: int) -> list[F]:
+    """The k = 0 root, each exposed root and the sup of the per-n record."""
+    r = per_n_coefficients(n)
+    found = [-const / slope for _, const, slope in r.exposed] + [r.sup]
+    if r.k0_slope < 0:
+        found.append(-r.k0_const / r.k0_slope)
+    return [root for root in found if root is not None]
 
 
 def quadrature_oracle(c: F, n: int) -> float:
@@ -126,10 +143,16 @@ class TestDualRoutes:
 
 class TestPerNBounds:
     def test_affine_bounds_at_n1_by_hand(self):
-        bounds = per_n_affine_bounds(1)
-        assert bounds["a"] == F(30, 11)
-        assert bounds["b"] == F(14, 11)
-        assert bounds["k0"] == F(43, 11)
+        r = per_n_coefficients(1)
+        assert -r.const_a / r.slope_a == F(30, 11)
+        assert -r.const_b / r.slope_b == F(14, 11)
+        assert -r.k0_const / r.k0_slope == F(43, 11)
+        # the scan stops once no later root can fall below the running minimum 28/11
+        assert [(k, -const / slope) for k, const, slope in r.exposed] == [
+            (1, F(28, 11)),
+            (2, F(106, 33)),
+            (3, F(278, 55)),
+        ]
 
     def test_k0_bound_matches_the_first_moment(self):
         # P_1(0) = 1 - (gamma_(1,0) + gamma_(0,1))/4 = 1 - (1/11 + x)/4
@@ -155,12 +178,45 @@ class TestPerNBounds:
             per_n_exact_sup(0)
 
 
+class TestPerNRecord:
+    def test_exposed_roots_are_zeros_of_the_oracle(self):
+        nudge = F(1, 10**40)
+        checked = 0
+        for n in range(1, tail_stopping_index().n_star + 1):
+            for k, const, slope in per_n_coefficients(n).exposed:
+                assert slope < 0 < const
+                root = -const / slope
+                assert p_n_bruteforce(root, k, n) == 0
+                assert p_n_bruteforce(root + nudge, k, n) < 0
+                checked += 1
+        assert checked > 0
+
+    def test_no_k_goes_negative_at_the_sup(self):
+        # a scan that stopped too early would miss a k with a lower root
+        for n in range(1, tail_stopping_index().n_star + 1):
+            sup = per_n_coefficients(n).sup
+            if sup is not None:
+                assert min(p_n_closed_values(sup, n, range(1, 65))) >= 0, n
+
+    def test_certify_sum_cross_check_catches_a_dropped_form(self, monkeypatch):
+        x_max = certified_x_max()
+        n = next(m for m in range(1, 102) if per_n_coefficients(m).sup == x_max)
+        record = per_n_coefficients(n)
+        kept = tuple(form for form in record.exposed if -form[1] / form[2] != x_max)
+        assert len(kept) < len(record.exposed)  # the bound is attained by an exposed form
+        broken = dataclasses.replace(record, exposed=kept)
+        original = agler.per_n_coefficients
+        monkeypatch.setattr(agler, "per_n_coefficients", lambda m: broken if m == n else original(m))
+        with pytest.raises(ArithmeticError):
+            certify_sum(x_max + F(1, 10**40))
+
+
 class TestPositivityDecision:
     def test_passes_below_the_bound(self):
         for n in range(1, 7):
             cert = positivity_over_all_k(F(1, 5), n)
             assert cert.ok
-            assert cert.witness["mode"] in ("coefficientwise", "tail-dominated")
+            assert cert.witness == {"n": n, "forms_checked": 1 + len(per_n_coefficients(n).exposed)}
 
     def test_failure_witness_is_replayable(self):
         cert = positivity_over_all_k(F(3), 1)
@@ -177,24 +233,21 @@ class TestPositivityDecision:
         assert F(cert.witness["value"]) == p_n_closed(F(4), 0, 1)
 
     def test_integer_sign_tests_on_the_knife_edges(self):
-        # every root of the three affine sign tests and every exact sup,
-        # and each of them nudged by 10^-40 to either side
+        # the k = 0 root, every exposed root and every sup, and each of
+        # them nudged by 10^-40 to either side
         nudge = F(1, 10**40)
         checked = 0
         for n in range(1, tail_stopping_index().n_star + 1):
-            roots = [*per_n_affine_bounds(n).values(), per_n_exact_sup(n)]
-            for root in (r for r in roots if r is not None):
+            for root in roots(n):
                 for x in (root - nudge, root, root + nudge):
-                    cert = positivity_over_all_k(x, n)
-                    assert (cert.ok, dict(cert.witness)) == positivity_reference(x, n), (x, n)
+                    assert decision(x, n) == positivity_reference(x, n), (x, n)
                     checked += 1
         assert checked > 600
 
     @given(x=wide_xs, n=st.integers(min_value=1, max_value=tail_stopping_index().n_star))
     @settings(max_examples=200, deadline=None)
     def test_integer_sign_tests_match_the_reference(self, x, n):
-        cert = positivity_over_all_k(x, n)
-        assert (cert.ok, dict(cert.witness)) == positivity_reference(x, n)
+        assert decision(x, n) == positivity_reference(x, n)
 
     @given(x=xs, n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)

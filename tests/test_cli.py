@@ -319,6 +319,26 @@ class TestMalformedInput:
         assert main(["check1d", weights_file] + flags) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"kind": "prefix", "squared_weights": ["1", "0"]},
+            {"kind": "prefix", "squared_weights": ["2"], "norm_bound_sq": "1"},
+        ],
+        ids=["weight-zero-past-index-0", "weight-above-bound"],
+    )
+    def test_out_of_range_prefix_weight_is_a_usage_error(self, content, tmp_path, capsys):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(content))
+        assert main(["check1d", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("alpha0", ["0", "-1/2"])
+    def test_nonpositive_backext_alpha0_is_a_usage_error(self, alpha0, weights_file, xi_a_file, capsys):
+        argv = ["check1d", weights_file, f"--backext-alpha0={alpha0}", "--backext-measure", xi_a_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestParser:
     def test_no_command_is_usage_error(self):

@@ -16,7 +16,6 @@ from shiftcert.numerics import (
     parse_rational,
     rat_str,
     rref,
-    solve_linear_system,
 )
 
 rationals = st.fractions(
@@ -182,13 +181,16 @@ class TestIsPsd:
 
 class TestLinearAlgebraHelpers:
     def test_solve_square_system(self):
-        rows = [[F(2), F(1)], [F(1), F(3)]]
-        sol = solve_linear_system(rows, [F(5), F(10)])
-        assert sol == [F(1), F(3)]
+        # the augmented matrix [A | b]: pivots 0..n-1, the last column holds the solution
+        reduced, pivots = rref([[F(2), F(1), F(5)], [F(1), F(3), F(10)]])
+        assert pivots == [0, 1]
+        assert [row[2] for row in reduced] == [F(1), F(3)]
 
-    def test_singular_returns_none(self):
-        rows = [[F(1), F(2)], [F(2), F(4)]]
-        assert solve_linear_system(rows, [F(1), F(2)]) is None
+    def test_singular_system_misses_a_pivot(self):
+        consistent = [[F(1), F(2), F(1)], [F(2), F(4), F(2)]]
+        inconsistent = [[F(1), F(2), F(1)], [F(2), F(4), F(3)]]
+        assert rref(consistent)[1] == [0]
+        assert rref(inconsistent)[1] == [0, 2]
 
     def test_rref_pivots(self):
         rows = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]

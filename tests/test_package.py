@@ -2,6 +2,7 @@
 fresh interpreter."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -74,3 +75,22 @@ def test_cached_deep_restriction_check_is_read_only():
         cert.witness["window"] = (1, 1)
     with pytest.raises(AttributeError):
         cert.witness["window"].append(1)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these names by lookup; read its tables
+    # without importing it, so a deleted or renamed function fails here
+    tracing = SRC.parent.parent / "bench" / "tracing.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTERS")
+    }
+    assert set(tables) == {"SPANS", "COUNTERS"}
+    missing = [
+        f"{module}.{function}"
+        for entries in tables.values()
+        for _, module, function in entries
+        if not callable(getattr(importlib.import_module(module), function, None))
+    ]
+    assert missing == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcert import shift1d
 from shiftcert.errors import (
     InconsistentMomentsError,
     NoRationalAtomsError,
@@ -192,6 +193,12 @@ class TestBergerFit:
         moments = [moment1(mu, n) for n in range(5)]
         with pytest.raises(RankExceededError):
             berger_fit(moments, 2)
+
+    def test_singular_vandermonde_system_is_inconsistent(self, monkeypatch):
+        # distinct rational roots never give a singular system; force a repeated one
+        monkeypatch.setattr(shift1d, "_rational_roots", lambda coeffs: [F(1, 2), F(1, 2)])
+        with pytest.raises(InconsistentMomentsError, match="singular"):
+            berger_fit([moment1(XI_A, n) for n in range(9)], 4)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
