@@ -12,7 +12,6 @@ from shiftcert import (
     AtomicMeasure2D,
     extremal,
     marginal,
-    marginal_reciprocal_identity,
     moment1,
     moment2,
     reciprocal_norm,
@@ -47,7 +46,7 @@ print("y-marginal:", marginal(mu, "y"))
 # groupings of the same finite sum must agree exactly
 norm = reciprocal_norm(mu, axis="t")
 print("\n||1/t|| =", norm)
-assert marginal_reciprocal_identity(mu)
+assert norm == reciprocal_norm(marginal(mu, "y"))
 
 # reweighting by 1/(t ||1/t||) gives the extremal probability measure
 ext = extremal(mu, axis="t")

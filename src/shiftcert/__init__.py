@@ -17,7 +17,6 @@ from .errors import (
     InfiniteReciprocalNormError,
     NegativeMassError,
     NoRationalAtomsError,
-    QuadratureConvergenceError,
     RankExceededError,
     ShiftCertError,
     ZeroMomentError,
@@ -28,12 +27,9 @@ from .measures import (
     AtomicMeasure2D,
     dominates,
     domination_scale_bound,
-    dump_measure,
     extremal,
     is_infinite,
-    load_measure,
     marginal,
-    marginal_reciprocal_identity,
     measure_from_dict,
     measure_to_dict,
     moment1,
@@ -43,9 +39,6 @@ from .measures import (
 )
 from .numerics import (
     SymmetricExactMatrix,
-    alternating_binomial_sum,
-    arcsine_moment_quadrature,
-    chu_vandermonde_check,
     is_psd,
     parse_rational,
     rat_str,
@@ -68,7 +61,6 @@ from .shift2d import (
     commutativity_check,
     joint_hyponormality_window,
     path_independence_check,
-    tensor_diagram,
     weights_from_moments2d,
 )
 from .lubin import (
@@ -111,7 +103,6 @@ __all__ = [
     "NegativeMassError",
     "NoRationalAtomsError",
     "PAIR_THRESHOLD",
-    "QuadratureConvergenceError",
     "RankExceededError",
     "ShiftCertError",
     "SymmetricExactMatrix",
@@ -120,8 +111,6 @@ __all__ = [
     "WeightSequence1D",
     "ZeroMomentError",
     "agler_sums_1d",
-    "alternating_binomial_sum",
-    "arcsine_moment_quadrature",
     "backward_extension_1d",
     "backward_extension_2d",
     "berger_fit",
@@ -129,11 +118,9 @@ __all__ = [
     "certified_x_max",
     "certify_sum",
     "check_berger_2d",
-    "chu_vandermonde_check",
     "commutativity_check",
     "dominates",
     "domination_scale_bound",
-    "dump_measure",
     "extremal",
     "family_report",
     "integral_moment",
@@ -143,9 +130,7 @@ __all__ = [
     "is_t1_subnormal",
     "is_t2_subnormal",
     "joint_hyponormality_window",
-    "load_measure",
     "marginal",
-    "marginal_reciprocal_identity",
     "measure_from_dict",
     "measure_to_dict",
     "moment1",
@@ -161,7 +146,6 @@ __all__ = [
     "restrict_density",
     "subnormal_necessary",
     "tail_stopping_index",
-    "tensor_diagram",
     "threshold_pair",
     "threshold_t1",
     "threshold_t2",

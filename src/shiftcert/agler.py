@@ -60,7 +60,6 @@ witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -337,12 +336,6 @@ def _first_power_at_least(ratio: Fraction, target: int) -> int:
     return n
 
 
-def tail_inequalities_hold(n: int) -> tuple[bool, bool]:
-    """Exact checks I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n."""
-    r = per_n_coefficients(n)
-    return r.tail_sixteenth, r.tail_eighth
-
-
 @lru_cache(maxsize=1)
 def certified_x_max() -> Fraction:
     """Largest x certified here for subnormality of the rescaled sum."""
@@ -408,9 +401,6 @@ class AglerCertificate:
             "witness": self.witness,
             "per_n": [record.as_dict() for record in self.per_n],
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def certify_sum(x) -> AglerCertificate:

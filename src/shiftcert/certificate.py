@@ -10,7 +10,6 @@ is lossless.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -40,9 +39,6 @@ class Certificate:
             "verdict": self.verdict,
             "witness": _plain(self.witness),
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def _plain(value: Any) -> Any:

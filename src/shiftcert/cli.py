@@ -57,6 +57,9 @@ from .shift2d import (
     path_independence_check,
 )
 
+# deepest lattice point --path accepts; each path walks k1 + k2 exact products
+PATH_DEPTH_MAX = 2000
+
 
 def _emit(text: str, out_path: str | None, code: int = 0) -> int:
     """Print ``text``, or write it to ``out_path``; return ``code``, or 2
@@ -127,6 +130,8 @@ def _load_weights(path: str) -> WeightSequence1D:
 
 
 def cmd_moments(args) -> int:
+    if args.n_max < 0:
+        return _fail_usage("need --n-max >= 0")
     try:
         mu = measure_from_dict(_load_json(args.measure))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -190,6 +195,8 @@ def cmd_check1d(args) -> int:
             return _fail_usage(f"cannot load backward-extension inputs: {exc}")
         if not isinstance(mu, AtomicMeasure1D):
             return _fail_usage("backward extension needs a measure on the half-line")
+        if not mu.atoms:
+            return _fail_usage("backward extension needs a measure with at least one atom")
         checks.append(backward_extension_1d(alpha0, mu))
     payload = {"input": args.weights, "checks": [c.as_dict() for c in checks]}
     code = 0 if all(c.ok for c in checks) else 1
@@ -217,7 +224,10 @@ def cmd_check2d(args) -> int:
         checks.append(check_berger_2d(diagram, mu, window))
     if args.path:
         try:
-            checks.append(path_independence_check(diagram, _parse_point(args.path)))
+            point = _parse_point(args.path)
+            if sum(point) > PATH_DEPTH_MAX:
+                raise ValueError(f"--path needs k1 + k2 <= {PATH_DEPTH_MAX}, got {args.path!r}")
+            checks.append(path_independence_check(diagram, point))
         except ValueError as exc:
             return _fail_usage(str(exc))
     if args.hyponormal:

@@ -31,10 +31,3 @@ class InconsistentMomentsError(ShiftCertError):
     atomic measure (negative mass, negative atom location, or a moment
     mismatch on re-verification)."""
 
-
-class QuadratureConvergenceError(ShiftCertError):
-    """Trapezoid refinement failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved

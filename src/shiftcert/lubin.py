@@ -33,15 +33,9 @@ moments, in which x/8 cancels) and the horizontal extension to mu_M.  The
 tests at a given x still run at that x.  The one cache keyed by x,
 :func:`moment2d`, holds at most 1024 entries, so no cache grows with x.
 
-A weight-formula quirk, adopted deliberately: the closed form
-
-    (10*4^n + 2^n + 1) / (10*4^n + 2^{n+1} + 4)
-
-reproduces the measure-derived squared b-weight at index n+1, not n.  The
-measure xi_b is canonical here, so the squared weight at lattice point
-(0, 2) is 43/48; the surd sqrt(44/48) sometimes quoted for that slot is
-inconsistent with the moments of xi_b (see the tests for the off-by-one
-identity).
+The measure xi_b is canonical here, so the squared weight at lattice
+point (0, 2) is 43/48, as its moments force; the surd sqrt(44/48)
+sometimes quoted for that slot is inconsistent with them.
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ from .measures import (
     reciprocal_norm,
     restrict_density,
 )
-from .shift1d import WeightSequence1D, backward_extension_1d
+from .shift1d import backward_extension_1d
 from .shift2d import (
     BackwardExtensionReport,
     MomentTable2D,
@@ -127,64 +121,9 @@ def xi_b_level1() -> AtomicMeasure1D:
 
 
 @lru_cache(maxsize=None)
-def weight_a(n: int) -> Fraction:
-    """Squared weight of the xi_a shift: 1/11, 1/2, 11/16, ..."""
-    return moment1(xi_a(), n + 1) / moment1(xi_a(), n)
-
-
-def weight_b(n: int, x) -> Fraction:
-    """Squared weight of the column-0 shift; x only enters at n == 0.
-
-    Derived from the moment rule gamma_0 = 1,
-    gamma_k = x ((1/4)^k + 1/4 (1/2)^k + 5/8), which is well-defined for
-    every x > 0 (no positivity of xi_b required).
-    """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if n == 0:
-        return x
-    return _b_moment_core(n + 1) / _b_moment_core(n)
-
-
-@lru_cache(maxsize=None)
 def _b_moment_core(k: int) -> Fraction:
     # gamma_k(xi_b) / x for k >= 1
     return _QUARTER**k + _QUARTER * _HALF**k + Fraction(5, 8)
-
-
-@lru_cache(maxsize=None)
-def weight_c(n: int) -> Fraction:
-    """Squared weight of the xi_c shift: 3/8, 5/12, 9/20, ..."""
-    return moment1(xi_c(), n + 1) / moment1(xi_c(), n)
-
-
-def weight_a_closed(n: int) -> Fraction:
-    """(4^n + 2^n + 2) / (4^n + 2^{n+1} + 8), valid for n >= 1."""
-    if n < 1:
-        raise ValueError("closed form is stated for n >= 1")
-    return Fraction(4**n + 2**n + 2, 4**n + 2 ** (n + 1) + 8)
-
-
-def weight_b_closed(n: int) -> Fraction:
-    """(5*4^n + 2^n + 2) / (5*4^n + 2^{n+1} + 8): the measure-consistent form, n >= 1."""
-    if n < 1:
-        raise ValueError("closed form is stated for n >= 1")
-    return Fraction(5 * 4**n + 2**n + 2, 5 * 4**n + 2 ** (n + 1) + 8)
-
-
-def weight_b_closed_shifted(n: int) -> Fraction:
-    """(10*4^n + 2^n + 1) / (10*4^n + 2^{n+1} + 4): reproduces weight_b at n+1, n >= 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Fraction(10 * 4**n + 2**n + 1, 10 * 4**n + 2 ** (n + 1) + 4)
-
-
-def weight_c_closed(n: int) -> Fraction:
-    """(2^{n+1} + 1) / (2^{n+2} + 4), valid for all n >= 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Fraction(2 ** (n + 1) + 1, 2 ** (n + 2) + 4)
 
 
 @lru_cache(maxsize=1)
@@ -250,19 +189,6 @@ class LubinFamily:
         if self._diagram is None:
             self._diagram = weights_from_moments2d(self.moment_table())
         return self._diagram
-
-    def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        return self.diagram().alpha_sq(k1, k2)
-
-    def beta_sq(self, k1: int, k2: int) -> Fraction:
-        return self.diagram().beta_sq(k1, k2)
-
-    def row_shift(self) -> WeightSequence1D:
-        return WeightSequence1D.from_measure(xi_a(), name="row0")
-
-    def column_shift(self) -> WeightSequence1D:
-        x = self.x
-        return WeightSequence1D(lambda n: weight_b(n, x), max(Fraction(1), x), name="column0")
 
 
 def t2_column_bound(n: int) -> Fraction:

@@ -15,10 +15,9 @@ The calculus implemented here:
 * the extremal reweighting  d(mu_ext) = (1 / (t * ||1/t||)) d(mu),
 * atomwise domination and the largest scale c with c*mu <= nu,
 * the restriction density  d(xi_i) = (s^i / gamma_i) d(xi), which is the
-  Berger measure of a restricted shift,
-* the marginal identity  ||1/t||_{L1(mu)} == ||1/t||_{L1(mu^Y)}.
+  Berger measure of a restricted shift.
 
-JSON schema (used by the CLI and the loaders below)::
+JSON schema (used by the CLI)::
 
     {"dim": 1, "atoms": [{"point": "1/4", "mass": "2/11"}, ...]}
     {"dim": 2, "atoms": [{"point": ["1/4", "1/2"], "mass": "1/8"}, ...]}
@@ -26,7 +25,6 @@ JSON schema (used by the CLI and the loaders below)::
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable
 
@@ -300,20 +298,6 @@ def restrict_density(xi: AtomicMeasure1D, i: int) -> AtomicMeasure1D:
     return AtomicMeasure1D((p, m * p**i / gamma) for p, m in xi.atoms if p != 0)
 
 
-def marginal_reciprocal_identity(mu: AtomicMeasure2D) -> bool:
-    """Exact check of ||1/t||_{L1(mu)} == ||1/t||_{L1(mu^Y)}.
-
-    Both sides are finite sums over the same atoms grouped differently, so
-    the identity holds for every finitely atomic measure with positive
-    t-coordinates; violations would indicate a marginal/merge bug.
-    """
-    lhs = reciprocal_norm(mu, "t")
-    rhs = reciprocal_norm(marginal(mu, "y"))
-    if is_infinite(lhs) or is_infinite(rhs):
-        raise InfiniteReciprocalNormError("identity requires positive t-coordinates")
-    return lhs == rhs
-
-
 def measure_to_dict(mu) -> dict:
     if isinstance(mu, AtomicMeasure1D):
         return {
@@ -355,13 +339,3 @@ def measure_from_dict(data: dict):
         )
     return AtomicMeasure2D(atoms)
 
-
-def load_measure(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return measure_from_dict(json.load(fh))
-
-
-def dump_measure(mu, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(mu), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -3,8 +3,7 @@
 Scalars are ``fractions.Fraction`` throughout: arbitrary-precision
 rationals in lowest terms, which is exactly the arithmetic needed to
 separate thresholds such as 2/11 from 8/33 without any tolerance budget.
-Floats appear in one place only -- the quadrature cross-check below --
-and never feed back into a decision.
+No float appears anywhere in the package.
 
 Serialization convention: a rational renders as ``"p/q"``, or bare
 ``"p"`` when the denominator is 1 (``str(Fraction)`` already does this).
@@ -18,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .certificate import Certificate
-from .errors import QuadratureConvergenceError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -45,57 +43,6 @@ def rat_str(value) -> str:
 def binomial(n: int, k: int) -> int:
     """C(n, k), zero when k > n.  Exact integer."""
     return math.comb(n, k)
-
-
-def chu_vandermonde_sum(n: int) -> int:
-    """Brute-force sum of C(n, k)^2 over k; equals C(2n, n)."""
-    return sum(math.comb(n, k) ** 2 for k in range(n + 1))
-
-
-def chu_vandermonde_check(n: int) -> bool:
-    """Exact check of sum_k C(n,k)^2 == C(2n,n)."""
-    return chu_vandermonde_sum(n) == math.comb(2 * n, n)
-
-
-def alternating_binomial_sum(c: Fraction, n: int) -> Fraction:
-    """sum_{l=1..n} (-1)^l C(n,l) c^l, which telescopes to (1-c)^n - 1."""
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(
-        Fraction((-1) ** ell * math.comb(n, ell)) * c**ell for ell in range(1, n + 1)
-    )
-
-
-def arcsine_moment_quadrature(n: int, tolerance: float = 1e-10) -> float:
-    """(1/pi) * integral over [0, 4] of s^n / sqrt(4s - s^2) ds, numerically.
-
-    The substitution s = 2(1 - cos t) absorbs the inverse-square-root
-    endpoint singularities: the integral becomes
-    (1/pi) * int_0^pi (2(1 - cos t))^n dt, whose integrand is a
-    trigonometric polynomial, so the composite trapezoid rule converges
-    geometrically (it is exact once the panel count exceeds the degree).
-    The limit is the central binomial coefficient C(2n, n), which callers
-    use as the oracle.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    previous = None
-    estimate = float("nan")
-    for exponent in range(4, 24):
-        panels = 1 << exponent
-        values = [(2.0 * (1.0 - math.cos(math.pi * i / panels))) ** n for i in range(panels + 1)]
-        estimate = (math.fsum(values[1:-1]) + 0.5 * (values[0] + values[-1])) / panels
-        if previous is not None and abs(estimate - previous) <= tolerance * max(abs(estimate), 1.0):
-            return estimate
-        previous = estimate
-    raise QuadratureConvergenceError(
-        f"trapezoid refinement stalled for n={n}", achieved=abs(estimate - previous)
-    )
 
 
 class SymmetricExactMatrix:
@@ -130,9 +77,6 @@ class SymmetricExactMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i][j]
-
-    def rows(self) -> tuple:
-        return self._rows
 
     def quadratic_form(self, vector: Sequence) -> Fraction:
         v = [Fraction(x) for x in vector]

@@ -45,7 +45,6 @@ from .measures import (
     moment2,
     reciprocal_norm,
 )
-from .shift1d import WeightSequence1D
 
 
 def _check_window(window) -> tuple[int, int]:
@@ -115,13 +114,16 @@ class WeightDiagram:
         """gamma_k along the canonical path: row 0 first, then up column k1."""
         if k1 < 0 or k2 < 0:
             raise ValueError("lattice indices must be >= 0")
-        key = (k1, k2)
-        if key not in self._moments:
-            if k2 == 0:
-                self._moments[key] = self.moment(k1 - 1, 0) * self.alpha_sq(k1 - 1, 0)
-            else:
-                self._moments[key] = self.moment(k1, k2 - 1) * self.beta_sq(k1, k2 - 1)
-        return self._moments[key]
+        moments = self._moments
+        if (k1, k2) not in moments:
+            # a loop, not recursion: depth is bounded by time alone
+            for i in range(1, k1 + 1):
+                if (i, 0) not in moments:
+                    moments[i, 0] = moments[i - 1, 0] * self.alpha_sq(i - 1, 0)
+            for j in range(1, k2 + 1):
+                if (k1, j) not in moments:
+                    moments[k1, j] = moments[k1, j - 1] * self.beta_sq(k1, j - 1)
+        return moments[k1, k2]
 
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): weights translated."""
@@ -143,15 +145,6 @@ def weights_from_moments2d(table: MomentTable2D, name: str | None = None) -> Wei
         lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
         lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
         name=name or table.name,
-    )
-
-
-def tensor_diagram(row: WeightSequence1D, column: WeightSequence1D, name: str | None = None) -> WeightDiagram:
-    """Diagram of the tensor product of two one-variable shifts."""
-    return WeightDiagram(
-        lambda k1, k2: row.squared_weight(k1),
-        lambda k1, k2: column.squared_weight(k2),
-        name=name,
     )
 
 

@@ -15,7 +15,7 @@ from shiftcert.agler import (
     certify_sum,
     p_n_bruteforce,
     p_n_closed,
-    tail_inequalities_hold,
+    per_n_coefficients,
     tail_stopping_index,
 )
 from shiftcert.cli import main
@@ -27,7 +27,6 @@ from shiftcert.lubin import (
     mu_m_cap_n,
     threshold_pair,
     threshold_t2,
-    weight_a,
     xi_a,
     xi_b,
     xi_b_level1,
@@ -41,7 +40,6 @@ from shiftcert.measures import (
     reciprocal_norm,
     restrict_density,
 )
-from shiftcert.numerics import arcsine_moment_quadrature, chu_vandermonde_check
 from shiftcert.shift1d import WeightSequence1D, berger_fit, restrict
 from shiftcert.shift2d import (
     backward_extension_2d,
@@ -64,11 +62,12 @@ def _report(number: int, text: str, started: float) -> None:
 
 def test_criterion_1_moment_identity():
     started = time.monotonic()
-    # running product of the measure-derived squared a-weights; the closed
-    # form drops the atom at 0, so it starts at l = 1
+    # running product of the squared a-weights along row 0 of the diagram;
+    # the closed form drops the atom at 0, so it starts at l = 1
+    row = LubinFamily(F(1, 5)).diagram()
     product = F(1)
     for ell in range(1, 65):
-        product *= weight_a(ell - 1)
+        product *= row.alpha_sq(ell - 1, 0)
         assert product == F(2, 11) * F(1, 4) ** ell + F(1, 22) * F(1, 2) ** ell + F(1, 44)
     assert time.monotonic() - started < 1.0
     _report(1, "a-weight products match the three-term closed form up to l = 64, exactly", started)
@@ -77,17 +76,17 @@ def test_criterion_1_moment_identity():
 def test_criterion_2_golden_weights():
     started = time.monotonic()
     for x in (F(1, 5), F(2, 11), F(1, 7)):
-        fam = LubinFamily(x)
-        assert [fam.alpha_sq(k, 0) for k in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
-        deep = fam.diagram().restricted(1, 1)
+        d = LubinFamily(x).diagram()
+        assert [d.alpha_sq(k, 0) for k in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
+        deep = d.restricted(1, 1)
         assert [deep.alpha_sq(k, 0) for k in range(3)] == [F(3, 8), F(5, 12), F(9, 20)]
-        assert fam.alpha_sq(0, 1) == F(1, 8)
-        assert fam.alpha_sq(0, 2) == F(1, 16)
-        assert fam.beta_sq(1, 0) == F(11, 8) * x
-        assert fam.beta_sq(2, 0) == F(33, 32) * x
+        assert d.alpha_sq(0, 1) == F(1, 8)
+        assert d.alpha_sq(0, 2) == F(1, 16)
+        assert d.beta_sq(1, 0) == F(11, 8) * x
+        assert d.beta_sq(2, 0) == F(33, 32) * x
         # known deviation: the moments force 43/48 here, not 44/48
-        assert fam.beta_sq(0, 2) == F(43, 48)
-        assert fam.beta_sq(0, 2) != F(44, 48)
+        assert d.beta_sq(0, 2) == F(43, 48)
+        assert d.beta_sq(0, 2) != F(44, 48)
     _report(2, "figure weights (incl. 43/48 correction) hold symbolically at three parameters", started)
 
 
@@ -120,10 +119,16 @@ def test_criterion_4_component_thresholds():
 
 def test_criterion_5_chu_vandermonde():
     started = time.monotonic()
-    assert all(chu_vandermonde_check(n) for n in range(65))
+    assert all(sum(math.comb(n, k) ** 2 for k in range(n + 1)) == math.comb(2 * n, n) for n in range(65))
+    # C(2n,n) = (1/pi) int_0^pi (2 - 2 cos t)^n dt, the moments of the
+    # arcsine-type density; the integrand is a cosine polynomial of degree
+    # n, so the trapezoid rule with more panels than n is exact up to rounding
+    panels = 64
     for n in range(16):
+        values = [(2 - 2 * math.cos(math.pi * i / panels)) ** n for i in range(panels + 1)]
+        quadrature = (sum(values) - (values[0] + values[-1]) / 2) / panels
         exact = math.comb(2 * n, n)
-        assert abs(arcsine_moment_quadrature(n) - exact) <= 1e-8 * exact
+        assert abs(quadrature - exact) <= 1e-8 * exact
     assert time.monotonic() - started < 5.0
     _report(5, "sum of C(n,k)^2 equals C(2n,n) for n <= 64; quadrature agrees to 1e-8", started)
 
@@ -150,11 +155,11 @@ def test_criterion_7_certified_epsilon():
     assert len(cert.per_n) == tail.n_star and all(r.ok for r in cert.per_n)
     assert cert.tail_witness
     for n in range(1, tail.n_star + 1):
-        holds_16, holds_8 = tail_inequalities_hold(n)
+        record = per_n_coefficients(n)
         if n >= tail.n_sixteenth:
-            assert holds_16
+            assert record.tail_sixteenth
         if n >= tail.n_eighth:
-            assert holds_8
+            assert record.tail_eighth
     assert time.monotonic() - started < 60.0
     _report(
         7,

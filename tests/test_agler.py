@@ -23,7 +23,6 @@ from shiftcert.agler import (
     per_n_coefficients,
     per_n_exact_sup,
     positivity_over_all_k,
-    tail_inequalities_hold,
     tail_stopping_index,
 )
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
@@ -268,9 +267,11 @@ class TestTail:
         assert F(15, 14) ** 48 >= 27 > F(15, 14) ** 47
 
     def test_inequalities_fail_early_and_hold_late(self):
-        assert tail_inequalities_hold(1) == (False, False)
+        first = per_n_coefficients(1)
+        assert (first.tail_sixteenth, first.tail_eighth) == (False, False)
         for n in range(101, 131):
-            assert tail_inequalities_hold(n) == (True, True)
+            record = per_n_coefficients(n)
+            assert (record.tail_sixteenth, record.tail_eighth) == (True, True)
 
     def test_tail_makes_coefficients_safe_for_large_x(self):
         # past the stopping index A_n and B_n are nonnegative for any x
@@ -327,7 +328,7 @@ class TestCertifySum:
 
     def test_serialization(self):
         cert = certify_sum(F(2, 11))
-        data = json.loads(cert.to_json())
+        data = json.loads(json.dumps(cert.as_dict()))
         assert data["verdict"] == "pass"
         assert data["certified_x_max"] == str(certified_x_max())
         assert len(data["per_n"]) == 101

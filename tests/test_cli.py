@@ -10,7 +10,11 @@ import pytest
 import shiftcert
 from shiftcert.cli import build_parser, main
 from shiftcert.lubin import mu_m_cap_n, xi_a
-from shiftcert.measures import dump_measure, measure_to_dict, moment1
+from shiftcert.measures import measure_to_dict, moment1
+
+
+def dump_measure(mu, path) -> None:
+    Path(path).write_text(json.dumps(measure_to_dict(mu)))
 
 
 @pytest.fixture()
@@ -203,6 +207,16 @@ class TestCheck2D:
         assert main(["check2d", "--x", "1/5", "--path=-1,2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("point", ["700,700", "2000,0"])
+    def test_deep_path_point_is_decided(self, point, capsys):
+        assert main(["check2d", "--x", "1/5", "--window", "3x3", "--path", point]) == 0
+        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["path_independence_check"]["verdict"] == "pass"
+
+    def test_path_past_the_depth_cap_is_a_usage_error(self, capsys):
+        assert main(["check2d", "--x", "1/5", "--window", "3x3", "--path", "2001,0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_hyponormality_witness_names_the_failing_point(self, capsys):
         assert main(["check2d", "--x", "1/5", "--window", "8x8", "--hyponormal"]) == 1
         checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -336,6 +350,17 @@ class TestMalformedInput:
     @pytest.mark.parametrize("alpha0", ["0", "-1/2"])
     def test_nonpositive_backext_alpha0_is_a_usage_error(self, alpha0, weights_file, xi_a_file, capsys):
         argv = ["check1d", weights_file, f"--backext-alpha0={alpha0}", "--backext-measure", xi_a_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_moment_count_is_a_usage_error(self, xi_a_file, capsys):
+        assert main(["moments", xi_a_file, "--n-max", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_backext_measure_is_a_usage_error(self, weights_file, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"dim": 1, "atoms": []}))
+        argv = ["check1d", weights_file, "--backext-alpha0", "1/2", "--backext-measure", str(empty)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

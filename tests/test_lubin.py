@@ -23,13 +23,6 @@ from shiftcert.lubin import (
     threshold_pair,
     threshold_t1,
     threshold_t2,
-    weight_a,
-    weight_a_closed,
-    weight_b,
-    weight_b_closed,
-    weight_b_closed_shifted,
-    weight_c,
-    weight_c_closed,
     xi_a,
     xi_a_level1,
     xi_b,
@@ -37,6 +30,7 @@ from shiftcert.lubin import (
     xi_c,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
+from shiftcert.shift1d import WeightSequence1D
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 xs = st.fractions(min_value=F(1, 64), max_value=F(8, 15), max_denominator=64)
@@ -83,47 +77,77 @@ class TestMeasures:
         assert mu_m().mass_at(F(0), F(1)) == F(5, 8)
 
 
+# Literal closed forms of the squared weights: a along row 0, b up column
+# 0 and c along row 0 of the deep (1, 1) restriction.  The a and b forms
+# are stated for n >= 1, where the atom at 0 no longer enters.
+
+
+def a_closed(n: int) -> F:
+    return F(4**n + 2**n + 2, 4**n + 2 ** (n + 1) + 8)
+
+
+def b_closed(n: int) -> F:
+    return F(5 * 4**n + 2**n + 2, 5 * 4**n + 2 ** (n + 1) + 8)
+
+
+def b_closed_shifted(n: int) -> F:
+    # the form sometimes quoted for index n; it reproduces index n + 1
+    return F(10 * 4**n + 2**n + 1, 10 * 4**n + 2 ** (n + 1) + 4)
+
+
+def c_closed(n: int) -> F:
+    return F(2 ** (n + 1) + 1, 2 ** (n + 2) + 4)
+
+
 class TestWeights:
+    def diagram(self, x=F(1, 5)):
+        return LubinFamily(x).diagram()
+
     def test_a_golden(self):
-        assert [weight_a(n) for n in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
+        assert [self.diagram().alpha_sq(n, 0) for n in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
 
     def test_c_golden(self):
-        assert [weight_c(n) for n in range(3)] == [F(3, 8), F(5, 12), F(9, 20)]
+        deep = self.diagram().restricted(1, 1)
+        assert [deep.alpha_sq(n, 0) for n in range(3)] == [F(3, 8), F(5, 12), F(9, 20)]
 
     def test_b_starts_at_x(self):
         for x in (F(1, 7), F(2, 11), F(1, 2)):
-            assert weight_b(0, x) == x
+            assert self.diagram(x).beta_sq(0, 0) == x
 
     def test_b_is_parameter_free_past_the_start(self):
         for n in range(1, 6):
-            assert weight_b(n, F(1, 7)) == weight_b(n, F(1, 2))
+            assert self.diagram(F(1, 7)).beta_sq(0, n) == self.diagram(F(1, 2)).beta_sq(0, n)
 
     def test_b_level_two_is_43_over_48(self):
         # derived from the xi_b moments; see the module docstring for the
         # inconsistent surd sometimes quoted for this slot (44/48)
-        assert weight_b(2, F(1, 5)) == F(43, 48)
-        assert weight_b(2, F(1, 5)) != F(44, 48)
+        assert self.diagram().beta_sq(0, 2) == F(43, 48)
+        assert self.diagram().beta_sq(0, 2) != F(44, 48)
 
     def test_closed_forms_match_measure_ratios(self):
+        d = self.diagram()
+        deep = d.restricted(1, 1)
         for n in range(1, 16):
-            assert weight_a_closed(n) == weight_a(n)
-            assert weight_b_closed(n) == weight_b(n, F(1, 5))
+            assert a_closed(n) == d.alpha_sq(n, 0)
+            assert b_closed(n) == d.beta_sq(0, n)
         for n in range(0, 15):
-            assert weight_b_closed_shifted(n) == weight_b(n + 1, F(1, 5))
-            assert weight_c_closed(n) == weight_c(n)
+            assert b_closed_shifted(n) == d.beta_sq(0, n + 1)
+            assert c_closed(n) == deep.alpha_sq(n, 0)
 
     def test_closed_form_domains(self):
-        with pytest.raises(ValueError):
-            weight_a_closed(0)
-        with pytest.raises(ValueError):
-            weight_b_closed(0)
+        # at n = 0 the atom at 0 enters gamma_0, so the a and b forms miss
+        d = self.diagram()
+        assert a_closed(0) == F(4, 11) != d.alpha_sq(0, 0)
+        assert b_closed(0) == F(8, 15) != d.beta_sq(0, 0)
 
     def test_weights_increase_to_their_limits(self):
-        assert weight_a(40) < 1
-        assert weight_c(40) < F(1, 2)
+        d = self.diagram()
+        deep = d.restricted(1, 1)
+        assert d.alpha_sq(40, 0) < 1
+        assert deep.alpha_sq(40, 0) < F(1, 2)
         for n in range(12):
-            assert weight_a(n) < weight_a(n + 1)
-            assert weight_c(n) < weight_c(n + 1)
+            assert d.alpha_sq(n, 0) < d.alpha_sq(n + 1, 0)
+            assert deep.alpha_sq(n, 0) < deep.alpha_sq(n + 1, 0)
 
 
 class TestMomentTable:
@@ -155,27 +179,29 @@ class TestMomentTable:
 class TestFamilyDiagram:
     def test_figure_golden_weights(self):
         for x in (F(1, 5), F(2, 11), F(1, 7)):
-            fam = LubinFamily(x)
-            assert fam.alpha_sq(0, 0) == F(1, 11)
-            assert fam.alpha_sq(1, 0) == F(1, 2)
-            assert fam.alpha_sq(2, 0) == F(11, 16)
-            assert fam.alpha_sq(0, 1) == F(1, 8)
-            assert fam.alpha_sq(0, 2) == F(1, 16)
-            assert fam.beta_sq(0, 0) == x
-            assert fam.beta_sq(1, 0) == F(11, 8) * x
-            assert fam.beta_sq(2, 0) == F(33, 32) * x
-            assert fam.beta_sq(0, 1) == F(3, 4)
-            assert fam.beta_sq(0, 2) == F(43, 48)
+            d = LubinFamily(x).diagram()
+            assert d.alpha_sq(0, 0) == F(1, 11)
+            assert d.alpha_sq(1, 0) == F(1, 2)
+            assert d.alpha_sq(2, 0) == F(11, 16)
+            assert d.alpha_sq(0, 1) == F(1, 8)
+            assert d.alpha_sq(0, 2) == F(1, 16)
+            assert d.beta_sq(0, 0) == x
+            assert d.beta_sq(1, 0) == F(11, 8) * x
+            assert d.beta_sq(2, 0) == F(33, 32) * x
+            assert d.beta_sq(0, 1) == F(3, 4)
+            assert d.beta_sq(0, 2) == F(43, 48)
 
     def test_diagram_commutes_at_several_parameters(self):
         for x in (F(2, 11), F(1, 2), F(6, 5)):
             assert commutativity_check(LubinFamily(x).diagram(), (10, 10)).ok
 
     def test_component_shifts(self):
-        fam = LubinFamily(F(1, 5))
-        assert fam.row_shift().squared_weight(0) == F(1, 11)
-        assert fam.column_shift().squared_weight(0) == F(1, 5)
-        assert fam.column_shift().squared_weight(2) == F(43, 48)
+        # row 0 is the xi_a shift; column 0 starts at x and reaches 43/48
+        d = LubinFamily(F(1, 5)).diagram()
+        row = WeightSequence1D.from_measure(xi_a())
+        assert [d.alpha_sq(n, 0) for n in range(8)] == [row.squared_weight(n) for n in range(8)]
+        assert d.beta_sq(0, 0) == F(1, 5)
+        assert d.beta_sq(0, 2) == F(43, 48)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,11 @@
-import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcert.errors import QuadratureConvergenceError
 from shiftcert.numerics import (
     SymmetricExactMatrix,
-    alternating_binomial_sum,
-    arcsine_moment_quadrature,
-    chu_vandermonde_check,
-    chu_vandermonde_sum,
     is_psd,
     parse_rational,
     rat_str,
@@ -38,57 +32,6 @@ class TestParseRational:
     def test_round_trips_with_rat_str(self):
         for value in (F(2, 11), F(-5), F(0), F(43, 48)):
             assert parse_rational(rat_str(value)) == value
-
-
-class TestChuVandermonde:
-    def test_small_cases_by_hand(self):
-        # n = 2: 1 + 4 + 1 = 6 = C(4,2)
-        assert chu_vandermonde_sum(2) == 6
-        # n = 3: 1 + 9 + 9 + 1 = 20 = C(6,3)
-        assert chu_vandermonde_sum(3) == 20
-
-    def test_identity_through_64(self):
-        assert all(chu_vandermonde_check(n) for n in range(65))
-
-
-class TestAlternatingBinomialSum:
-    def test_matches_telescoped_form(self):
-        for c, n in [(F(1, 16), 3), (F(1, 8), 5), (F(3, 7), 4)]:
-            assert alternating_binomial_sum(c, n) == (1 - c) ** n - 1
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            alternating_binomial_sum(F(3, 2), 2)
-        with pytest.raises(ValueError):
-            alternating_binomial_sum(F(1, 2), 0)
-
-    @given(
-        c=st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64),
-        n=st.integers(min_value=1, max_value=20),
-    )
-    def test_telescoping_identity_property(self, c, n):
-        assert alternating_binomial_sum(c, n) == (1 - c) ** n - 1
-
-
-class TestArcsineQuadrature:
-    def test_matches_central_binomials(self):
-        # [PAPER] moments of 1/(pi sqrt(s(4-s))) on [0,4] are C(2n,n)
-        for n in range(8):
-            approx = arcsine_moment_quadrature(n)
-            exact = math.comb(2 * n, n)
-            assert abs(approx - exact) <= 1e-8 * exact
-
-    def test_zeroth_moment_is_one(self):
-        assert abs(arcsine_moment_quadrature(0) - 1.0) < 1e-12
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            arcsine_moment_quadrature(3, tolerance=0.0)
-
-    def test_convergence_error_carries_achieved_gap(self):
-        err = QuadratureConvergenceError("stalled", achieved=1.5e-9)
-        assert err.achieved == 1.5e-9
-        assert "stalled" in str(err)
 
 
 class TestSymmetricExactMatrix:

@@ -28,6 +28,38 @@ def test_no_assert_statements():
     assert found == []
 
 
+_FLOAT_MATH = {"cos", "sin", "pi", "sqrt", "fsum", "exp", "log"}
+
+
+def _float_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{node.lineno}: name float")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in _FLOAT_MATH
+        ):
+            found.append(f"{node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno}: from math import {a.name}" for a in node.names if a.name in _FLOAT_MATH]
+    return found
+
+
+def test_no_float_in_the_package():
+    # every verdict is exact; a float would bring a tolerance back
+    found = [
+        f"{path.name}:{use}"
+        for path in sorted(SRC.glob("*.py"))
+        for use in _float_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = "import sys, shiftcert, shiftcert.cli; print('numpy' in sys.modules)"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcert.lubin import LubinFamily, xi_a_level1, xi_b_level1
+from shiftcert.lubin import LubinFamily, moment2d, xi_a, xi_a_level1, xi_b_level1
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -24,7 +24,6 @@ from shiftcert.shift2d import (
     commutativity_check,
     joint_hyponormality_window,
     path_independence_check,
-    tensor_diagram,
     weights_from_moments2d,
 )
 
@@ -80,6 +79,13 @@ class TestWeightDiagram:
         assert d.moment(2, 0) == d.alpha_sq(0, 0) * d.alpha_sq(1, 0)
         assert d.moment(1, 1) == d.alpha_sq(0, 0) * d.beta_sq(1, 0)
 
+    def test_deep_moment_needs_no_recursion(self):
+        # past the interpreter's recursion limit, and filled in two pieces
+        d = family()
+        assert d.moment(3, 2) == moment2d(3, 2, F(1, 5))
+        assert d.moment(1500, 0) == moment1(xi_a(), 1500)
+        assert d.moment(3, 1500) == moment2d(3, 1500, F(1, 5))
+
     def test_restriction_translates_indices(self):
         d = family()
         r = d.restricted(1, 1)
@@ -97,7 +103,8 @@ class TestCommutativity:
 
     def test_tensor_commutes(self):
         w = WeightSequence1D.from_measure(XI_C)
-        assert commutativity_check(tensor_diagram(w, w), (6, 6)).ok
+        tensor = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
+        assert commutativity_check(tensor, (6, 6)).ok
 
     def test_skew_fails_with_witness(self):
         cert = commutativity_check(skew_diagram(), (4, 4))
@@ -157,7 +164,8 @@ class TestBerger2D:
                 for q, mq in XI_C.atoms
             ]
         )
-        assert check_berger_2d(tensor_diagram(w, w), product, (6, 6)).ok
+        tensor = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
+        assert check_berger_2d(tensor, product, (6, 6)).ok
 
     def test_wrong_measure_names_first_bad_moment(self):
         cert = check_berger_2d(family().restricted(1, 1), MU_M, (4, 4))
@@ -358,6 +366,6 @@ class TestTensorProperty:
         total = sum(m for _, m in row_atoms)
         xi = AtomicMeasure1D([(p, m / total) for p, m in row_atoms])
         w = WeightSequence1D.from_measure(xi)
-        d = tensor_diagram(w, w)
+        d = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
         assert d.moment(k1, k2) == moment1(xi, k1) * moment1(xi, k2)
         assert commutativity_check(d, (3, 3)).ok
