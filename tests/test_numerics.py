@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,44 @@ class TestParseRational:
     def test_round_trips_with_rat_str(self):
         for value in (F(2, 11), F(-5), F(0), F(43, 48)):
             assert parse_rational(rat_str(value)) == value
+
+
+def chu_vandermonde_sum(n):
+    """Brute-force sum of C(n, k)^2 over k; equals C(2n, n)."""
+    return sum(math.comb(n, k) ** 2 for k in range(n + 1))
+
+
+def arcsine_moment_quadrature(n, panels=64):
+    """(1/pi) int_0^4 s^n / sqrt(4s - s^2) ds by the trapezoid rule.
+
+    With s = 2(1 - cos t) the integrand is a cosine polynomial of degree n,
+    so the rule is exact up to rounding once panels > n.
+    """
+    values = [(2.0 * (1.0 - math.cos(math.pi * i / panels))) ** n for i in range(panels + 1)]
+    return (math.fsum(values[1:-1]) + 0.5 * (values[0] + values[-1])) / panels
+
+
+class TestChuVandermonde:
+    def test_small_cases_by_hand(self):
+        # n = 2: 1 + 4 + 1 = 6 = C(4,2)
+        assert chu_vandermonde_sum(2) == 6
+        # n = 3: 1 + 9 + 9 + 1 = 20 = C(6,3)
+        assert chu_vandermonde_sum(3) == 20
+
+    def test_identity_through_64(self):
+        assert all(chu_vandermonde_sum(n) == math.comb(2 * n, n) for n in range(65))
+
+
+class TestArcsineQuadrature:
+    def test_matches_central_binomials(self):
+        # [PAPER] moments of 1/(pi sqrt(s(4-s))) on [0,4] are C(2n,n)
+        for n in range(8):
+            approx = arcsine_moment_quadrature(n)
+            exact = math.comb(2 * n, n)
+            assert abs(approx - exact) <= 1e-8 * exact
+
+    def test_zeroth_moment_is_one(self):
+        assert abs(arcsine_moment_quadrature(0) - 1.0) < 1e-12
 
 
 class TestSymmetricExactMatrix:
