@@ -54,14 +54,12 @@ from .shift1d import (
 )
 from .shift2d import (
     BackwardExtensionReport,
-    MomentTable2D,
     WeightDiagram,
     backward_extension_2d,
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
     path_independence_check,
-    weights_from_moments2d,
 )
 from .lubin import (
     PAIR_THRESHOLD,
@@ -99,7 +97,6 @@ __all__ = [
     "InconsistentMomentsError",
     "InfiniteReciprocalNormError",
     "LubinFamily",
-    "MomentTable2D",
     "NegativeMassError",
     "NoRationalAtomsError",
     "PAIR_THRESHOLD",
@@ -150,5 +147,4 @@ __all__ = [
     "threshold_t1",
     "threshold_t2",
     "weights_from_measure",
-    "weights_from_moments2d",
 ]

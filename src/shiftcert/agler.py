@@ -65,8 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certificate import Certificate
-from .lubin import PAIR_THRESHOLD, moment2d, xi_a
-from .measures import moment1
+from .lubin import PAIR_THRESHOLD, gamma_row, moment2d
 from .numerics import binomial
 
 _P16 = Fraction(15, 16)
@@ -93,11 +92,6 @@ def integral_moment(c, n: int) -> Fraction:
         for ell in range(n + 1)
     )
     return Fraction(numerator, q**n)
-
-
-@lru_cache(maxsize=128)  # failure witnesses reach x-dependent k
-def _gamma_row(k: int) -> Fraction:
-    return moment1(xi_a(), k)
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,7 @@ def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
     r = per_n_coefficients(n)
     a, b, c = abc_coefficients(x, n)
     k0 = r.k0_const + r.k0_slope * x
-    return [k0 if k == 0 else (a / 4**k + b / 2**k + c) / _gamma_row(k) for k in ks]
+    return [k0 if k == 0 else (a / 4**k + b / 2**k + c) / gamma_row(k) for k in ks]
 
 
 def p_n_bruteforce(x, k: int, n: int) -> Fraction:

@@ -13,6 +13,15 @@ are given in closed form by :func:`moment2d`; the weight rules stay
 well-defined for every x > 0 even though xi_b itself only exists as a
 positive measure for x <= 8/15.
 
+Only the row-0 vertical weights depend on x: beta^2_(k1,0) = x c(k1),
+with c(0) = 1.  Every other weight is an x-free ratio of moment cores:
+the xi_a moments on row 0, gamma_k(xi_b) / x on column 0, and
+f(s-1) / f(s-2) off the axes, where s = k1 + k2 and
+f(p) = 1/2 4^-p + 1/2 2^-p.  The cores and the weights are cached by the
+one index each depends on, in bounded caches, so
+:meth:`LubinFamily.diagram` pays for x with one product per column of
+row 0; :func:`moment2d` is built from the same cores.
+
 Certified thresholds (all decided in exact rational arithmetic):
 
 * T1 is subnormal for every x > 0 (the backward-extension margin along
@@ -31,7 +40,9 @@ The x-free parts of these verdicts are computed once per process:
 of the deep (1, 1) restriction (its weights are ratios of interior
 moments, in which x/8 cancels) and the horizontal extension to mu_M.  The
 tests at a given x still run at that x.  The one cache keyed by x,
-:func:`moment2d`, holds at most 1024 entries, so no cache grows with x.
+:func:`moment2d`, holds at most 1024 entries, so no cache grows with x;
+the index-keyed caches hold at most 2048 entries each, so none grows
+with a window or a lattice depth either.
 
 The measure xi_b is canonical here, so the squared weight at lattice
 point (0, 2) is 43/48, as its moments force; the surd sqrt(44/48)
@@ -58,11 +69,9 @@ from .measures import (
 from .shift1d import backward_extension_1d
 from .shift2d import (
     BackwardExtensionReport,
-    MomentTable2D,
     WeightDiagram,
     backward_extension_2d,
     check_berger_2d,
-    weights_from_moments2d,
 )
 
 _HALF = Fraction(1, 2)
@@ -120,10 +129,48 @@ def xi_b_level1() -> AtomicMeasure1D:
     return restrict_density(xi_b(Fraction(1, 5)), 1)
 
 
-@lru_cache(maxsize=None)
+# entries per index-keyed cache: every index a --path walk (k1 + k2 <= 2000) reaches
+_INDEX_CACHE = 2048
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def gamma_row(k: int) -> Fraction:
+    """gamma_(k,0) = gamma_k(xi_a), the row-0 moments; x-free."""
+    return moment1(xi_a(), k)
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
 def _b_moment_core(k: int) -> Fraction:
     # gamma_k(xi_b) / x for k >= 1
     return _QUARTER**k + _QUARTER * _HALF**k + Fraction(5, 8)
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def _interior_core(p: int) -> Fraction:
+    # f(p) = 1/2 (1/4)^p + 1/2 (1/2)^p, so gamma_(k1,k2) = (x/8) f(k1+k2-2) for k1, k2 >= 1
+    return _HALF * _QUARTER**p + _HALF * _HALF**p
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def _row_weights(k1: int) -> tuple[Fraction, Fraction]:
+    # (alpha^2_(k1,0), beta^2_(k1,0) / x); beta^2_(0,0) / x = gamma_1(xi_b) / x = 1
+    alpha_sq = gamma_row(k1 + 1) / gamma_row(k1)
+    if k1 == 0:
+        return alpha_sq, _b_moment_core(1)
+    return alpha_sq, _interior_core(k1 - 1) / (8 * gamma_row(k1))
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def _column_weights(k2: int) -> tuple[Fraction, Fraction]:
+    # (alpha^2_(0,k2), beta^2_(0,k2)) for k2 >= 1; x cancels in both
+    core = _b_moment_core(k2)
+    return _interior_core(k2 - 1) / (8 * core), _b_moment_core(k2 + 1) / core
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
+def _interior_weight(s: int) -> Fraction:
+    # alpha^2_k == beta^2_k == f(s-1) / f(s-2) for k1, k2 >= 1 with k1 + k2 = s
+    return _interior_core(s - 1) / _interior_core(s - 2)
 
 
 @lru_cache(maxsize=1)
@@ -162,11 +209,10 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
     if k1 < 0 or k2 < 0:
         raise ValueError("lattice indices must be >= 0")
     if k2 == 0:
-        return moment1(xi_a(), k1)
+        return gamma_row(k1)
     if k1 == 0:
         return x * _b_moment_core(k2)
-    power = k1 + k2 - 2
-    return (x / 8) * (_HALF * _QUARTER**power + _HALF * _HALF**power)
+    return (x / 8) * _interior_core(k1 + k2 - 2)
 
 
 class LubinFamily:
@@ -176,18 +222,37 @@ class LubinFamily:
         self.x = Fraction(x)
         if self.x <= 0:
             raise ValueError("x must be positive")
-        self._table: MomentTable2D | None = None
         self._diagram: WeightDiagram | None = None
 
-    def moment_table(self) -> MomentTable2D:
-        if self._table is None:
-            x = self.x
-            self._table = MomentTable2D(lambda k1, k2: moment2d(k1, k2, x), name=f"family(x={x})")
-        return self._table
-
     def diagram(self) -> WeightDiagram:
+        """The weight diagram, gamma_{k+e} / gamma_k in closed form.
+
+        Each weight is one of the index-keyed x-free helpers above, except
+        beta^2_(k1,0), which is x times one; so a window costs its x-free
+        lookups and one product with x per column.
+        """
         if self._diagram is None:
-            self._diagram = weights_from_moments2d(self.moment_table())
+            x = self.x
+
+            def alpha_sq(k1: int, k2: int) -> Fraction:
+                if k1 < 0 or k2 < 0:
+                    raise ValueError("lattice indices must be >= 0")
+                if k2 == 0:
+                    return _row_weights(k1)[0]
+                if k1 == 0:
+                    return _column_weights(k2)[0]
+                return _interior_weight(k1 + k2)
+
+            def beta_sq(k1: int, k2: int) -> Fraction:
+                if k1 < 0 or k2 < 0:
+                    raise ValueError("lattice indices must be >= 0")
+                if k2 == 0:
+                    return x * _row_weights(k1)[1]
+                if k1 == 0:
+                    return _column_weights(k2)[1]
+                return _interior_weight(k1 + k2)
+
+            self._diagram = WeightDiagram(alpha_sq, beta_sq, name=f"family(x={x})")
         return self._diagram
 
 

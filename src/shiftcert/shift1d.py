@@ -177,11 +177,13 @@ def backward_extension_1d(alpha0_sq, xi: AtomicMeasure1D) -> Certificate:
     """One-step backward extension test for a subnormal shift with measure xi.
 
     Passes iff 1/s is integrable (no atom at 0) and the prepended squared
-    weight does not exceed 1 / ||1/s||.
+    weight does not exceed 1 / ||1/s||.  The measure needs an atom.
     """
     a0 = Fraction(alpha0_sq)
     if a0 <= 0:
         raise ValueError("the prepended squared weight must be positive")
+    if not xi.atoms:
+        raise ValueError("backward extension needs a measure with at least one atom")
     norm = reciprocal_norm(xi)
     if is_infinite(norm):
         return Certificate(

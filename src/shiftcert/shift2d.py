@@ -17,13 +17,17 @@ moment sequence of a positive measure on a closed square (its Berger
 measure); this module provides the exact finite machinery around that
 characterization:
 
-* diagram <-> moment-table conversions and lattice restrictions,
+* weight diagrams, their canonical-path moments and lattice restrictions,
 * commutativity and path-independence checks with witnesses,
 * verification of a candidate planar Berger measure on a window,
 * the one-step backward extension of a subnormal pair, including the
   explicit new Berger measure when the test passes,
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
+
+The commutativity and hyponormality checks decide by the signs of
+integers, cross-multiplying numerators and (positive) denominators with
+no gcd taken; a fraction is built only for a failure witness.
 """
 
 from __future__ import annotations
@@ -54,26 +58,12 @@ def _check_window(window) -> tuple[int, int]:
     return int(w), int(h)
 
 
-class MomentTable2D:
-    """Lazy table of planar moments gamma_{(k1, k2)} with gamma_{(0,0)} == 1."""
-
-    def __init__(self, rule: Callable[[int, int], Fraction], name: str | None = None):
-        self._rule = rule
-        self.name = name
-        self._cache: dict[tuple[int, int], Fraction] = {}
-        if self.value(0, 0) != 1:
-            raise ValueError("gamma_(0,0) must equal 1")
-
-    def value(self, k1: int, k2: int) -> Fraction:
-        if k1 < 0 or k2 < 0:
-            raise ValueError("lattice indices must be >= 0")
-        key = (k1, k2)
-        if key not in self._cache:
-            v = Fraction(self._rule(k1, k2))
-            if v <= 0:
-                raise ValueError(f"gamma_{key} must be positive, got {v}")
-            self._cache[key] = v
-        return self._cache[key]
+def _positive(name: str, key: tuple[int, int], value) -> Fraction:
+    # a Fraction's denominator is positive, so its numerator carries the sign
+    v = value if type(value) is Fraction else Fraction(value)
+    if v.numerator <= 0:
+        raise ValueError(f"{name} at {key} must be positive, got {v}")
+    return v
 
 
 class WeightDiagram:
@@ -93,22 +83,16 @@ class WeightDiagram:
         self._moments: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        key = (k1, k2)
-        if key not in self._alpha:
-            v = Fraction(self._alpha_rule(k1, k2))
-            if v <= 0:
-                raise ValueError(f"alpha^2 at {key} must be positive, got {v}")
-            self._alpha[key] = v
-        return self._alpha[key]
+        v = self._alpha.get((k1, k2))
+        if v is None:
+            v = self._alpha[k1, k2] = _positive("alpha^2", (k1, k2), self._alpha_rule(k1, k2))
+        return v
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
-        key = (k1, k2)
-        if key not in self._beta:
-            v = Fraction(self._beta_rule(k1, k2))
-            if v <= 0:
-                raise ValueError(f"beta^2 at {key} must be positive, got {v}")
-            self._beta[key] = v
-        return self._beta[key]
+        v = self._beta.get((k1, k2))
+        if v is None:
+            v = self._beta[k1, k2] = _positive("beta^2", (k1, k2), self._beta_rule(k1, k2))
+        return v
 
     def moment(self, k1: int, k2: int) -> Fraction:
         """gamma_k along the canonical path: row 0 first, then up column k1."""
@@ -139,27 +123,25 @@ class WeightDiagram:
         )
 
 
-def weights_from_moments2d(table: MomentTable2D, name: str | None = None) -> WeightDiagram:
-    """Diagram with alpha_k^2 = gamma_{k+(1,0)} / gamma_k, beta_k^2 = gamma_{k+(0,1)} / gamma_k."""
-    return WeightDiagram(
-        lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
-        lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
-        name=name or table.name,
-    )
-
-
 def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
-    """beta_{k+(1,0)}^2 alpha_k^2 == alpha_{k+(0,1)}^2 beta_k^2 on the window."""
+    """beta_{k+(1,0)}^2 alpha_k^2 == alpha_{k+(0,1)}^2 beta_k^2 on the window.
+
+    Decided by cross-multiplied integers; the products are built as
+    fractions only for a failure witness.
+    """
     w, h = _check_window(window)
+    alpha, beta = diagram.alpha_sq, diagram.beta_sq
     for k2 in range(h):
         for k1 in range(w):
-            lhs = diagram.beta_sq(k1 + 1, k2) * diagram.alpha_sq(k1, k2)
-            rhs = diagram.alpha_sq(k1, k2 + 1) * diagram.beta_sq(k1, k2)
-            if lhs != rhs:
+            b1, a0 = beta(k1 + 1, k2), alpha(k1, k2)
+            a2, b0 = alpha(k1, k2 + 1), beta(k1, k2)
+            lhs_n, lhs_d = b1.numerator * a0.numerator, b1.denominator * a0.denominator
+            rhs_n, rhs_d = a2.numerator * b0.numerator, a2.denominator * b0.denominator
+            if lhs_n * rhs_d != rhs_n * lhs_d:
                 return Certificate(
                     "commutativity_check",
                     False,
-                    {"k": [k1, k2], "lhs": str(lhs), "rhs": str(rhs)},
+                    {"k": [k1, k2], "lhs": str(b1 * a0), "rhs": str(a2 * b0)},
                 )
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
@@ -359,22 +341,38 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     entries at k1 == 0 (component 1) and k2 == 0 (component 2) are squared
     weights, positive by construction.  With r = P + Q - a d the block is
     PSD iff a >= 0, d >= 0 and (r <= 0 or r^2 <= 4 P Q), which needs no
-    square root and no commutativity.  The witness of a failure is the
-    base point k with a, d, P and Q.
+    square root and no commutativity.  Each test is the sign of one
+    integer: the quantity times a positive product of the six weights'
+    denominators, with no gcd taken.  The witness of a failure is the base
+    point k with a, d, P and Q as fractions.
     """
     w, h = _check_window(window)
     alpha, beta = diagram.alpha_sq, diagram.beta_sq
     for k2 in range(h):
         for k1 in range(w):
-            a = alpha(k1 + 1, k2) - alpha(k1, k2) if k1 + 1 < w else None
-            d = beta(k1, k2 + 1) - beta(k1, k2) if k2 + 1 < h else None
-            p = q = None
-            ok = (a is None or a >= 0) and (d is None or d >= 0)
+            a0, b0 = alpha(k1, k2), beta(k1, k2)
+            a = d = p = q = None  # each entry as (numerator, positive denominator)
+            if k1 + 1 < w:
+                a1 = alpha(k1 + 1, k2)
+                a = (
+                    a1.numerator * a0.denominator - a0.numerator * a1.denominator,
+                    a0.denominator * a1.denominator,
+                )
+            if k2 + 1 < h:
+                b1 = beta(k1, k2 + 1)
+                d = (
+                    b1.numerator * b0.denominator - b0.numerator * b1.denominator,
+                    b0.denominator * b1.denominator,
+                )
+            ok = (a is None or a[0] >= 0) and (d is None or d[0] >= 0)
             if ok and a is not None and d is not None:
-                p = alpha(k1, k2 + 1) * beta(k1 + 1, k2)
-                q = alpha(k1, k2) * beta(k1, k2)
-                r = p + q - a * d
-                ok = r <= 0 or r * r <= 4 * p * q
+                a2, b2 = alpha(k1, k2 + 1), beta(k1 + 1, k2)
+                p = (a2.numerator * b2.numerator, a2.denominator * b2.denominator)
+                q = (a0.numerator * b0.numerator, a0.denominator * b0.denominator)
+                # r and 4 P Q times L and L^2, with L = P_den Q_den a1_den b1_den
+                scale = a1.denominator * b1.denominator
+                r = scale * (p[0] * q[1] + q[0] * p[1]) - a[0] * d[0] * p[1]
+                ok = r <= 0 or r * r <= 4 * p[0] * q[0] * p[1] * q[1] * scale * scale
             if not ok:
                 return Certificate(
                     "joint_hyponormality_window",
@@ -382,7 +380,7 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
                     {
                         "window": [w, h],
                         "k": [k1, k2],
-                        **{name: None if v is None else str(v) for name, v in zip("adPQ", (a, d, p, q))},
+                        **{name: None if v is None else str(Fraction(*v)) for name, v in zip("adPQ", (a, d, p, q))},
                     },
                 )
     return Certificate(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftcert
-from shiftcert.cli import build_parser, main
+from shiftcert.cli import WINDOW_SIDE_MAX, build_parser, main
 from shiftcert.lubin import mu_m_cap_n, xi_a
 from shiftcert.measures import measure_to_dict, moment1
 
@@ -217,12 +221,109 @@ class TestCheck2D:
         assert main(["check2d", "--x", "1/5", "--window", "3x3", "--path", "2001,0"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_window_past_the_side_cap_is_a_usage_error(self, capsys):
+        side = WINDOW_SIDE_MAX + 1
+        for window in (f"{side}x1", f"1x{side}"):
+            assert main(["check2d", "--x", "1/10", "--window", window, "--hyponormal"]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_window_at_the_side_cap_is_decided(self, capsys):
+        for window in (f"{WINDOW_SIDE_MAX}x2", f"2x{WINDOW_SIDE_MAX}"):
+            assert main(["check2d", "--x", "1/10", "--window", window, "--hyponormal"]) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [c["verdict"] for c in checks] == ["pass", "pass"]
+
     def test_hyponormality_witness_names_the_failing_point(self, capsys):
         assert main(["check2d", "--x", "1/5", "--window", "8x8", "--hyponormal"]) == 1
         checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
         witness = checks["joint_hyponormality_window"]["witness"]
         assert witness["k"] == [6, 0]
         assert {"a", "d", "P", "Q"} <= set(witness)
+
+
+@pytest.fixture(scope="module")
+def berger_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("berger")
+    files = {"missing": str(root / "missing.json")}
+    contents = {
+        "cap": json.dumps(measure_to_dict(mu_m_cap_n())),
+        "line": json.dumps(measure_to_dict(xi_a())),
+        "empty": json.dumps({"dim": 2, "atoms": []}),
+        "array": "[1, 2]",
+        "broken": "{",
+        "atom-numbers": json.dumps({"dim": 2, "atoms": [1]}),
+    }
+    for name, text in contents.items():
+        path = root / f"{name}.json"
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
+def _mostly(valid, invalid):
+    """Draw from ``invalid`` one time in eight, so most command lines reach a verdict."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+def _points(bound: int):
+    return st.tuples(st.integers(0, bound), st.integers(0, bound)).map(lambda p: f"{p[0]},{p[1]}")
+
+
+check2d_argv = st.fixed_dictionaries(
+    {
+        "--x": _mostly(
+            st.one_of(
+                st.sampled_from(["1/5", "2/11", "8/33", "1/2", "3"]),
+                st.fractions(min_value=F(1, 100), max_value=F(3), max_denominator=10**6).map(str),
+            ),
+            st.sampled_from(["0", "-1/3", "0.2", "1/0", "abc", ""]),
+        ),
+        "--window": _mostly(
+            st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda w: f"{w[0]}x{w[1]}"),
+            st.sampled_from(["0x3", "-1x2", "six", "3x", "2x2x2", f"{WINDOW_SIDE_MAX + 1}x1"]),
+        ),
+        "--restrict": _mostly(_points(3), st.sampled_from(["-1,0", "1", "a,b", "1,2,3", ""])),
+        "--path": st.one_of(
+            st.none(), _mostly(_points(8), st.sampled_from(["0,-1", "2001,0", "1", "a,b"]))
+        ),
+        "--berger": st.one_of(
+            st.none(),
+            _mostly(st.just("cap"), st.sampled_from(["line", "empty", "array", "broken", "atom-numbers", "missing"])),
+        ),
+        "--hyponormal": st.booleans(),
+    }
+)
+
+
+class TestCheck2DFuzz:
+    @given(options=check2d_argv)
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_follow_the_contract(self, berger_files, options):
+        argv = ["check2d"]
+        for flag, value in options.items():
+            if flag == "--hyponormal":
+                argv += [flag] if value else []
+            elif value is not None:
+                value = berger_files[value] if flag == "--berger" else value
+                argv.append(f"{flag}={value}")  # "=" keeps values like -1,0 off the option parser
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+        if code == 2:
+            assert "error: " in err.getvalue()
+        else:
+            checks = json.loads(out.getvalue())["checks"]
+            assert (code == 1) == any(c["verdict"] == "fail" for c in checks)
+            for c in checks:
+                assert c["witness"], c
+            if code == 1:
+                failed = next(c for c in checks if c["verdict"] == "fail")
+                assert "k" in failed["witness"] or "path" in failed["witness"]
 
 
 class TestLubinCertify:

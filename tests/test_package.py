@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import shiftcert
-from shiftcert import agler, cli, lubin
+from shiftcert import agler, cli, lubin, shift2d
 
 SRC = Path(shiftcert.__file__).resolve().parent
 
@@ -91,6 +91,34 @@ def test_no_cache_grows_with_the_parameter():
         if cache.cache_info().maxsize is None and sizes[1][name] != sizes[-1][name]
     ]
     assert growing == []
+
+
+def test_no_cache_grows_with_the_window_or_path_depth():
+    # check2d reaches the index-keyed weight caches with its window, base
+    # point and --path depth; each of them must be bounded
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in (lubin, agler, cli, shift2d)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert "shiftcert.lubin._b_moment_core" in caches
+    sizes = []
+    for side, depth in ((4, 40), (8, 150), (12, 400), (16, 900)):
+        for base in ("0,0", "1,1"):
+            cli.main(
+                ["check2d", "--x", "1/5", "--window", f"{side}x{side}", "--restrict", base,
+                 "--hyponormal", "--path", f"0,{depth}", "--out", os.devnull]
+            )
+            cli.main(["check2d", "--x", "1/5", "--window", "2x2", "--path", f"{depth},0", "--out", os.devnull])
+        sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
+    growing = [
+        name
+        for name, cache in caches.items()
+        if cache.cache_info().maxsize is None and sizes[0][name] != sizes[-1][name]
+    ]
+    assert growing == []
+    assert sizes[0]["shiftcert.lubin._b_moment_core"] < sizes[-1]["shiftcert.lubin._b_moment_core"]
 
 
 def test_cached_threshold_t1_is_read_only():

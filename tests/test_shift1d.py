@@ -159,6 +159,11 @@ class TestBackwardExtension1D:
         with pytest.raises(ValueError):
             backward_extension_1d(F(0), XI_A_LEVEL1)
 
+    def test_measure_without_atoms_is_rejected(self):
+        # ||1/s|| is 0 for the zero measure; the bound 1/||1/s|| does not exist
+        with pytest.raises(ValueError, match="at least one atom"):
+            backward_extension_1d(F(1, 2), AtomicMeasure1D([]))
+
 
 class TestBergerFit:
     def test_recovers_xi_a(self):

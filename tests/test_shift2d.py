@@ -8,23 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftcert.certificate import Certificate
 from shiftcert.lubin import LubinFamily, moment2d, xi_a, xi_a_level1, xi_b_level1
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
     is_infinite,
     moment1,
+    moment2,
 )
 from shiftcert.shift1d import WeightSequence1D
 from shiftcert.shift2d import (
-    MomentTable2D,
     WeightDiagram,
     backward_extension_2d,
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
     path_independence_check,
-    weights_from_moments2d,
 )
 
 MU_CAP = AtomicMeasure2D(
@@ -38,6 +38,105 @@ MU_M = AtomicMeasure2D(
     ]
 )
 XI_C = AtomicMeasure1D([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))])
+
+
+class MomentTable2D:
+    """Lazy table of planar moments gamma_{(k1, k2)} with gamma_{(0,0)} == 1.
+
+    With :func:`weights_from_moments2d` this is the oracle for the
+    family's closed-form diagram: every weight a ratio of two moments.
+    """
+
+    def __init__(self, rule, name=None):
+        self._rule = rule
+        self.name = name
+        self._cache = {}
+        if self.value(0, 0) != 1:
+            raise ValueError("gamma_(0,0) must equal 1")
+
+    def value(self, k1: int, k2: int) -> F:
+        if k1 < 0 or k2 < 0:
+            raise ValueError("lattice indices must be >= 0")
+        key = (k1, k2)
+        if key not in self._cache:
+            v = F(self._rule(k1, k2))
+            if v <= 0:
+                raise ValueError(f"gamma_{key} must be positive, got {v}")
+            self._cache[key] = v
+        return self._cache[key]
+
+
+def weights_from_moments2d(table: MomentTable2D, name=None) -> WeightDiagram:
+    """Diagram with alpha_k^2 = gamma_{k+(1,0)} / gamma_k, beta_k^2 = gamma_{k+(0,1)} / gamma_k."""
+    return WeightDiagram(
+        lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
+        lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
+        name=name or table.name,
+    )
+
+
+def family_moment(x, k1: int, k2: int) -> F:
+    """gamma_k of the family read off its measures: xi_a on row 0, the
+    atoms of xi_b(x) away from 0 on column 0, and x/8 times mu_{M int N}
+    shifted one step inside."""
+    if k2 == 0:
+        return moment1(xi_a(), k1)
+    if k1 == 0:
+        return x * (F(1, 4) ** k2 + F(1, 4) * F(1, 2) ** k2 + F(5, 8))
+    return x / 8 * moment2(MU_CAP, k1 - 1, k2 - 1)
+
+
+def moment_ratio_diagram(x) -> WeightDiagram:
+    return weights_from_moments2d(MomentTable2D(lambda k1, k2: family_moment(x, k1, k2)))
+
+
+def reference_commutativity_check(diagram: WeightDiagram, window) -> Certificate:
+    """The check in Fraction arithmetic; the oracle for the integer kernel."""
+    w, h = window
+    for k2 in range(h):
+        for k1 in range(w):
+            lhs = diagram.beta_sq(k1 + 1, k2) * diagram.alpha_sq(k1, k2)
+            rhs = diagram.alpha_sq(k1, k2 + 1) * diagram.beta_sq(k1, k2)
+            if lhs != rhs:
+                return Certificate(
+                    "commutativity_check",
+                    False,
+                    {"k": [k1, k2], "lhs": str(lhs), "rhs": str(rhs)},
+                )
+    return Certificate("commutativity_check", True, {"window": [w, h]})
+
+
+def reference_joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
+    """Curto's 2x2 block test in Fraction arithmetic; the oracle for the
+    integer kernel."""
+    w, h = window
+    alpha, beta = diagram.alpha_sq, diagram.beta_sq
+    for k2 in range(h):
+        for k1 in range(w):
+            a = alpha(k1 + 1, k2) - alpha(k1, k2) if k1 + 1 < w else None
+            d = beta(k1, k2 + 1) - beta(k1, k2) if k2 + 1 < h else None
+            p = q = None
+            ok = (a is None or a >= 0) and (d is None or d >= 0)
+            if ok and a is not None and d is not None:
+                p = alpha(k1, k2 + 1) * beta(k1 + 1, k2)
+                q = alpha(k1, k2) * beta(k1, k2)
+                r = p + q - a * d
+                ok = r <= 0 or r * r <= 4 * p * q
+            if not ok:
+                return Certificate(
+                    "joint_hyponormality_window",
+                    False,
+                    {
+                        "window": [w, h],
+                        "k": [k1, k2],
+                        **{name: None if v is None else str(v) for name, v in zip("adPQ", (a, d, p, q))},
+                    },
+                )
+    return Certificate(
+        "joint_hyponormality_window",
+        True,
+        {"window": [w, h], "blocks_checked": w * h - 1},
+    )
 
 
 def family(x=F(1, 5)) -> WeightDiagram:
@@ -67,9 +166,7 @@ class TestMomentTable:
 class TestWeightDiagram:
     def test_family_weights_from_moments(self):
         x = F(1, 5)
-        diagram = weights_from_moments2d(
-            MomentTable2D(lambda k1, k2: LubinFamily(x).moment_table().value(k1, k2))
-        )
+        diagram = weights_from_moments2d(MomentTable2D(lambda k1, k2: moment2d(k1, k2, x)))
         assert diagram.alpha_sq(0, 0) == F(1, 11)
         assert diagram.beta_sq(1, 0) == F(11, 8) * x
 
@@ -95,6 +192,41 @@ class TestWeightDiagram:
     def test_restriction_validation(self):
         with pytest.raises(ValueError):
             family().restricted(-1, 0)
+
+
+def seeded_parameters(count: int, seed: int) -> list[F]:
+    """Positive rationals with 3- to 200-bit numerators and denominators."""
+    rng = random.Random(seed)
+    xs = []
+    for _ in range(count):
+        bits = rng.randint(3, 200)
+        xs.append(F(rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1)))
+    return xs
+
+
+class TestClosedFormDiagram:
+    @pytest.mark.parametrize(
+        "x",
+        [pytest.param(x, id=str(x)) for x in (F(2, 11), F(8, 33), F(1, 5), F(3, 2))]
+        + [pytest.param(x, id=f"seeded{i}") for i, x in enumerate(seeded_parameters(20, 711))],
+    )
+    def test_equals_the_moment_ratio_diagram(self, x):
+        closed, oracle = family(x), moment_ratio_diagram(x)
+        for base in ((0, 0), (1, 1), (0, 1)):
+            c, o = closed.restricted(*base), oracle.restricted(*base)
+            for k2 in range(41):
+                for k1 in range(41):
+                    assert c.alpha_sq(k1, k2) == o.alpha_sq(k1, k2), (base, k1, k2)
+                    assert c.beta_sq(k1, k2) == o.beta_sq(k1, k2), (base, k1, k2)
+        for k1 in range(41):
+            for k2 in range(41):
+                assert moment2d(k1, k2, x) == family_moment(x, k1, k2)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            family().alpha_sq(-1, 2)
+        with pytest.raises(ValueError):
+            family().beta_sq(3, -1)
 
 
 class TestCommutativity:
@@ -345,6 +477,125 @@ class TestJointHyponormality:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             joint_hyponormality_window(family(), (3, 0))
+
+
+def table_diagram(alpha: dict, beta: dict, fill=F(100)) -> WeightDiagram:
+    """Squared weights from two tables; points outside them get ``fill``."""
+    return WeightDiagram(
+        lambda k1, k2: alpha.get((k1, k2), fill),
+        lambda k1, k2: beta.get((k1, k2), fill),
+        name="table",
+    )
+
+
+def single_block(a0, a1, a2, b0, b1, b2) -> WeightDiagram:
+    """A 2x2 window whose block at (0, 0) has the six given weights; the
+    other three blocks pass, since their one entry meets the fill 100."""
+    return table_diagram(
+        {(0, 0): a0, (1, 0): a1, (0, 1): a2}, {(0, 0): b0, (0, 1): b1, (1, 0): b2}
+    )
+
+
+weights = st.builds(F, st.integers(1, 32), st.integers(1, 8))
+steps = st.builds(F, st.integers(0, 16), st.integers(1, 8))
+
+
+@st.composite
+def random_diagrams(draw):
+    """A small window over random squared weights, of three shapes: free
+    (signs of a and d random), monotone along each direction (the r test
+    decides), or a tensor product (commuting) with one weight perturbed.
+    One block may then be made exactly singular: r^2 == 4 P Q with square
+    P and Q and a d == (sqrt P - sqrt Q)^2, or r == 0, or a == 0 with
+    P == Q."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    points = [(k1, k2) for k1 in range(w + 1) for k2 in range(h + 1)]
+    shape = draw(st.sampled_from(["free", "monotone", "tensor"]))
+    if shape == "free":
+        alpha = {k: draw(weights) for k in points}
+        beta = {k: draw(weights) for k in points}
+    elif shape == "monotone":
+        alpha, beta = {}, {}
+        for k1, k2 in sorted(points):
+            alpha[k1, k2] = alpha[k1 - 1, k2] + draw(steps) if k1 else draw(weights)
+            beta[k1, k2] = beta[k1, k2 - 1] + draw(steps) if k2 else draw(weights)
+    else:
+        row = [draw(weights) for _ in range(w + 1)]
+        column = [draw(weights) for _ in range(h + 1)]
+        alpha = {(k1, k2): row[k1] for k1, k2 in points}
+        beta = {(k1, k2): column[k2] for k1, k2 in points}
+        if draw(st.booleans()):
+            table = draw(st.sampled_from([alpha, beta]))
+            table[draw(st.sampled_from(points))] = draw(weights)
+    kind = draw(st.sampled_from([None, "boundary", "r_zero", "a_zero"]))
+    if kind is not None and w >= 2 and h >= 2:
+        k1, k2 = draw(st.integers(0, w - 2)), draw(st.integers(0, h - 2))
+        e1, e2 = (k1 + 1, k2), (k1, k2 + 1)
+        g, u, v, g2, p, q, t = (draw(weights) for _ in range(7))
+        alpha[k1, k2], beta[k1, k2] = g * u * u, v * v / g  # Q = (u v)^2
+        alpha[e2], beta[e1] = g2 * p * p, q * q / g2  # P = (p q)^2
+        big_p, big_q = (p * q) ** 2, (u * v) ** 2
+        if kind == "boundary":
+            a, d = t, (p * q - u * v) ** 2 / t
+        elif kind == "r_zero":
+            a, d = t, (big_p + big_q) / t
+        else:
+            beta[e1] = big_q / alpha[e2]  # P == Q
+            a, d = F(0), t
+        alpha[e1], beta[e2] = alpha[k1, k2] + a, beta[k1, k2] + d
+    return table_diagram(alpha, beta), (w, h)
+
+
+class TestIntegerKernels:
+    @given(case=random_diagrams())
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_the_fraction_reference(self, case):
+        diagram, window = case
+        for check, reference in (
+            (commutativity_check, reference_commutativity_check),
+            (joint_hyponormality_window, reference_joint_hyponormality_window),
+        ):
+            got, want = check(diagram, window), reference(diagram, window)
+            assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
+
+    def test_family_interior_at_the_pair_threshold(self):
+        # every block of the (1, 1) restriction is exactly singular at 2/11
+        deep = family(F(2, 11)).restricted(1, 1)
+        for side in (2, 5, 12):
+            cert = joint_hyponormality_window(deep, (side, side))
+            assert cert.ok
+            assert cert == reference_joint_hyponormality_window(deep, (side, side))
+        for x in (F(1, 5), F(8, 33), F(1, 2)):
+            for window in ((3, 3), (8, 8), (12, 5)):
+                d = family(x)
+                assert joint_hyponormality_window(d, window) == reference_joint_hyponormality_window(d, window)
+                assert commutativity_check(d, window) == reference_commutativity_check(d, window)
+
+    def test_singular_block_is_psd_and_a_nudge_is_not(self):
+        # P = 4, Q = 1, a = d = 1 = (sqrt P - sqrt Q)^2: r = 4 and r^2 == 4 P Q
+        one = F(1)
+        assert joint_hyponormality_window(single_block(one, F(2), F(4), one, F(2), one), (2, 2)).ok
+        nudged = single_block(one, F(2), F(4), one, F(2) - F(1, 10**30), one)
+        cert = joint_hyponormality_window(nudged, (2, 2))
+        assert not cert.ok and cert.witness["k"] == [0, 0]
+        assert cert == reference_joint_hyponormality_window(nudged, (2, 2))
+
+    def test_zero_diagonal_entry_needs_a_zero_off_diagonal(self):
+        one = F(1)
+        # a == 0 and P == Q: the block is [[0, 0], [0, d]]
+        assert joint_hyponormality_window(single_block(one, one, F(2), one, F(3), F(1, 2)), (2, 2)).ok
+        # a == 0 and P != Q: the off-diagonal entry is not 0
+        cert = joint_hyponormality_window(single_block(one, one, F(2), one, F(3), one), (2, 2))
+        assert not cert.ok
+        assert cert.witness["a"] == "0" and cert.witness["P"] == "2" and cert.witness["Q"] == "1"
+
+    def test_negative_diagonal_entry_witness(self):
+        one = F(1)
+        cert = joint_hyponormality_window(single_block(F(2), one, one, one, F(3), one), (2, 2))
+        assert not cert.ok
+        assert dict(cert.witness) == {
+            "window": [2, 2], "k": [0, 0], "a": "-1", "d": "2", "P": None, "Q": None,
+        }
 
 
 class TestTensorProperty:
