@@ -11,7 +11,10 @@ Subcommands::
     epsilon   print the certified margin past the joint threshold
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
-(the JSON output carries the witness), 2 usage or input errors.
+(the JSON output carries the witness), 2 usage or input errors: commands
+raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
+with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
+where it is written).  Every size flag has a cap, a constant below.
 
 The argument parser is built once per process and reused by every call
 of :func:`main`; argparse keeps each call's values in a fresh namespace.
@@ -57,11 +60,27 @@ from .shift2d import (
     path_independence_check,
 )
 
-# deepest lattice point --path accepts; each path walks k1 + k2 exact products
-PATH_DEPTH_MAX = 2000
-# longest --window side; on a 2-core machine a 256x256 --hyponormal run takes about
-# 1.3 s from a fresh interpreter, and about 4.5 s with --restrict 1,1 --berger and --dump
+# Caps on the size flags; the largest call each admits takes a few seconds on 2 cores.
+MOMENTS_N_MAX = 1000
+CHECK1D_ORDER_MAX = 128
+CHECK1D_N_MAX = 64  # the Agler sums cost about n_max^2 k_max terms
+CHECK1D_K_MAX = 64
+SWEEP_N_MAX = 200
+SWEEP_K_MAX = 200
+SWEEP_ROWS_MAX = 50_000
+# check2d weights at depth k1 + k2 have about 2 (k1 + k2) bits.  DEPTH_MAX caps the deepest
+# point read (the --path point or the window's far corner, offset by --restrict), which also
+# keeps printed rationals inside Python's 4300-digit limit; the window tests cost about
+# w h d^2 at depth d = k1 + k2 + w + h, so WINDOW_WORK_MAX caps --restrict with the window.
+DEPTH_MAX = 2000
 WINDOW_SIDE_MAX = 256
+WINDOW_WORK_MAX = 2 * 10**10
+
+
+def _cap(what: str, value: int, limit: int) -> None:
+    """Reject a size flag's ``value`` past its cap ``limit``."""
+    if value > limit:
+        raise ValueError(f"{what} must be at most {limit}, got {value}")
 
 
 def _emit(text: str, out_path: str | None, code: int = 0) -> int:
@@ -85,62 +104,78 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _parse_window(text: str) -> tuple[int, int]:
+def _load(path: str, what: str, parse):
+    """``parse`` applied to the open file at ``path``; a file that cannot be
+    read or parsed becomes one ``ValueError`` naming ``what``."""
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError as exc:
-        raise ValueError(f"window must look like 8x8, got {text!r}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValueError(f"cannot load {what}: {exc}") from exc
 
 
-def _parse_point(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError as exc:
-        raise ValueError(f"lattice point must look like 1,2, got {text!r}") from exc
+def _measure(data, dim: int):
+    """The measure that the JSON value ``data`` describes, of dimension ``dim``."""
+    mu = measure_from_dict(data)
+    if not isinstance(mu, AtomicMeasure1D if dim == 1 else AtomicMeasure2D):
+        raise ValueError(f"need a measure with dim = {dim}")
+    return mu
 
 
-def _load_weights(path: str) -> WeightSequence1D:
-    data = _load_json(path)
+def _weights(fh) -> WeightSequence1D:
+    data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("weight file must hold a JSON object")
     kind = data.get("kind")
     if kind == "measure":
-        mu = measure_from_dict(data["measure"])
-        if not isinstance(mu, AtomicMeasure1D):
-            raise ValueError("check1d needs a measure on the half-line")
-        return WeightSequence1D.from_measure(mu)
+        if "measure" not in data:
+            raise ValueError("a weight file of kind \"measure\" needs a \"measure\" field")
+        return WeightSequence1D.from_measure(_measure(data["measure"], 1))
     if kind == "prefix":
-        bound = data.get("norm_bound_sq")
-        if not isinstance(data["squared_weights"], list):
+        raw = data.get("squared_weights")
+        if not isinstance(raw, list):
             raise ValueError("\"squared_weights\" must be a list")
-        prefix = [parse_rational(v) for v in data["squared_weights"]]
-        bound = None if bound is None else parse_rational(bound)
-        for index, value in enumerate(prefix):
-            # the tail repeats prefix values, so checking the prefix checks every weight
-            if value <= 0 or (bound is not None and value > bound):
-                raise ValueError(f"squared weight {value} at {index} must lie in (0, norm_bound_sq]")
-        return WeightSequence1D.from_prefix(
-            prefix, tail=data.get("tail", "repeat_last"), norm_bound_sq=bound
+        bound = data.get("norm_bound_sq")
+        weights = WeightSequence1D.from_prefix(
+            [parse_rational(v) for v in raw],
+            tail=data.get("tail", "repeat_last"),
+            norm_bound_sq=None if bound is None else parse_rational(bound),
         )
+        for index in range(len(raw)):
+            # the tail repeats prefix values, so checking the prefix checks every weight
+            weights.squared_weight(index)
+        return weights
     raise ValueError("weight file needs \"kind\": \"measure\" or \"prefix\"")
+
+
+def _moments(fh) -> list:
+    """gamma_0, gamma_1, ... from CSV rows ``n,gamma_n`` after an optional header."""
+    rows = [line.strip() for line in fh if line.strip()]
+    if rows and not rows[0].split(",")[0].strip().lstrip("-").isdigit():
+        rows = rows[1:]  # header
+    pairs = []
+    for row in rows:
+        n_text, gamma_text = row.split(",")
+        pairs.append((int(n_text), parse_rational(gamma_text)))
+    pairs.sort()
+    if [n for n, _ in pairs] != list(range(len(pairs))):
+        raise ValueError("moment indices must be contiguous from 0")
+    return [g for _, g in pairs]
+
+
+def _parse_pair(text: str, sep: str, shape: str) -> tuple[int, int]:
+    try:
+        a, b = text.lower().split(sep)
+        return int(a), int(b)
+    except ValueError as exc:
+        raise ValueError(f"{shape}, got {text!r}") from exc
 
 
 def cmd_moments(args) -> int:
     if args.n_max < 0:
-        return _fail_usage("need --n-max >= 0")
-    try:
-        mu = measure_from_dict(_load_json(args.measure))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_usage(f"cannot load measure: {exc}")
-    if not isinstance(mu, AtomicMeasure1D):
-        return _fail_usage("moments works on measures with dim = 1")
+        raise ValueError("need --n-max >= 0")
+    _cap("--n-max", args.n_max, MOMENTS_N_MAX)
+    mu = _load(args.measure, "measure", lambda fh: _measure(json.load(fh), 1))
     values = [(n, moment1(mu, n)) for n in range(args.n_max + 1)]
     if args.format == "json":
         payload = [{"n": n, "gamma": rat_str(g)} for n, g in values]
@@ -150,25 +185,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        with open(args.moments, "r", encoding="utf-8") as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-        if rows and not rows[0].split(",")[0].strip().lstrip("-").isdigit():
-            rows = rows[1:]  # header
-        pairs = []
-        for row in rows:
-            n_text, gamma_text = row.split(",")
-            pairs.append((int(n_text), parse_rational(gamma_text)))
-        pairs.sort()
-        if [n for n, _ in pairs] != list(range(len(pairs))):
-            raise ValueError("moment indices must be contiguous from 0")
-        moments = [g for _, g in pairs]
-    except (OSError, ValueError) as exc:
-        return _fail_usage(f"cannot load moments: {exc}")
+    moments = _load(args.moments, "moments", _moments)
     try:
         measure = berger_fit(moments, args.max_atoms)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     except ShiftCertError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         return _emit(json.dumps(error, indent=2), args.out, 1)
@@ -176,68 +195,47 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check1d(args) -> int:
-    if args.order < 0 or args.n_max < 1 or args.k_max < 0:
-        return _fail_usage("need --order >= 0, --n-max >= 1 and --k-max >= 0")
-    try:
-        weights = _load_weights(args.weights)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_usage(f"cannot load weights: {exc}")
+    _cap("--order", args.order, CHECK1D_ORDER_MAX)
+    _cap("--n-max", args.n_max, CHECK1D_N_MAX)
+    _cap("--k-max", args.k_max, CHECK1D_K_MAX)
+    weights = _load(args.weights, "weights", _weights)
     checks = [
         subnormal_necessary(weights, args.order),
         agler_sums_1d(weights, args.n_max, args.k_max),
     ]
     if args.backext_alpha0 is not None or args.backext_measure is not None:
         if args.backext_alpha0 is None or args.backext_measure is None:
-            return _fail_usage("--backext-alpha0 and --backext-measure go together")
-        try:
-            alpha0 = parse_rational(args.backext_alpha0)
-            if alpha0 <= 0:
-                raise ValueError("--backext-alpha0 must be positive")
-            mu = measure_from_dict(_load_json(args.backext_measure))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail_usage(f"cannot load backward-extension inputs: {exc}")
-        if not isinstance(mu, AtomicMeasure1D):
-            return _fail_usage("backward extension needs a measure on the half-line")
-        try:
-            checks.append(backward_extension_1d(alpha0, mu))
-        except ValueError as exc:  # a measure with no atoms
-            return _fail_usage(str(exc))
+            raise ValueError("--backext-alpha0 and --backext-measure go together")
+        alpha0 = parse_rational(args.backext_alpha0)
+        mu = _load(args.backext_measure, "backward-extension measure", lambda fh: _measure(json.load(fh), 1))
+        checks.append(backward_extension_1d(alpha0, mu))
     payload = {"input": args.weights, "checks": [c.as_dict() for c in checks]}
     code = 0 if all(c.ok for c in checks) else 1
     return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
 
 
 def cmd_check2d(args) -> int:
-    try:
-        x = parse_rational(args.x)
-        window = _parse_window(args.window)
-        if min(window) < 1 or max(window) > WINDOW_SIDE_MAX:
-            raise ValueError(f"window sides must lie in 1..{WINDOW_SIDE_MAX}, got {args.window!r}")
-        base = _parse_point(args.restrict)
-        diagram = lubin.LubinFamily(x).diagram().restricted(*base)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    x = parse_rational(args.x)
+    window = w, h = _parse_pair(args.window, "x", "window must look like 8x8")
+    base = _parse_pair(args.restrict, ",", "lattice point must look like 1,2")
+    depth = sum(base) + w + h
+    _cap("a --window side", max(window), WINDOW_SIDE_MAX)
+    _cap("--restrict k1 + k2 plus the window sides", depth, DEPTH_MAX)
+    _cap("the window's work w h (k1 + k2 + w + h)^2", w * h * depth**2, WINDOW_WORK_MAX)
+    point = None
+    if args.path:
+        point = _parse_pair(args.path, ",", "lattice point must look like 1,2")
+        _cap("--path k1 + k2 plus --restrict k1 + k2", sum(base) + sum(point), DEPTH_MAX)
+    diagram = lubin.LubinFamily(x).diagram().restricted(*base)
     checks = [commutativity_check(diagram, window)]
     if args.berger:
-        try:
-            mu = measure_from_dict(_load_json(args.berger))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail_usage(f"cannot load measure: {exc}")
-        if not isinstance(mu, AtomicMeasure2D):
-            return _fail_usage("--berger needs a measure with dim = 2")
+        mu = _load(args.berger, "measure", lambda fh: _measure(json.load(fh), 2))
         checks.append(check_berger_2d(diagram, mu, window))
-    if args.path:
-        try:
-            point = _parse_point(args.path)
-            if sum(point) > PATH_DEPTH_MAX:
-                raise ValueError(f"--path needs k1 + k2 <= {PATH_DEPTH_MAX}, got {args.path!r}")
-            checks.append(path_independence_check(diagram, point))
-        except ValueError as exc:
-            return _fail_usage(str(exc))
+    if point is not None:
+        checks.append(path_independence_check(diagram, point))
     if args.hyponormal:
         checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
-        w, h = window
         lines = ["k1,k2,alpha_sq,beta_sq"]
         for k2 in range(h):
             for k1 in range(w):
@@ -257,12 +255,7 @@ def cmd_check2d(args) -> int:
 
 
 def cmd_lubin_certify(args) -> int:
-    try:
-        x = parse_rational(args.x)
-        if x <= 0:
-            raise ValueError("x must be positive")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    x = parse_rational(args.x)
     report = lubin.family_report(x)
     sum_certificate = agler.certify_sum(x)
     verdicts = dict(report["verdicts"])
@@ -291,26 +284,25 @@ def cmd_lubin_certify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        x_min = parse_rational(args.x_min)
-        x_max = parse_rational(args.x_max)
-        x_step = parse_rational(args.x_step)
-        if x_step <= 0:
-            raise ValueError("--x-step must be positive")
-        if x_min <= 0:
-            raise ValueError("--x-min must be positive")
-        if args.n_max < 1 or args.k_max < 0:
-            raise ValueError("need --n-max >= 1 and --k-max >= 0")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    x_min = parse_rational(args.x_min)
+    x_max = parse_rational(args.x_max)
+    x_step = parse_rational(args.x_step)
+    if x_step <= 0:
+        raise ValueError("--x-step must be positive")
+    if x_min <= 0:
+        raise ValueError("--x-min must be positive")
+    if args.n_max < 1 or args.k_max < 0:
+        raise ValueError("need --n-max >= 1 and --k-max >= 0")
+    _cap("--n-max", args.n_max, SWEEP_N_MAX)
+    _cap("--k-max", args.k_max, SWEEP_K_MAX)
+    count = max(0, (x_max - x_min) // x_step + 1)
+    _cap("the sweep's row count", count * args.n_max * (args.k_max + 1), SWEEP_ROWS_MAX)
     lines = ["x,n,k,p_n"]
-    x = x_min
     ks = range(args.k_max + 1)
-    while x <= x_max:
+    for x in (x_min + i * x_step for i in range(count)):
         for n in range(1, args.n_max + 1):
             for k, value in zip(ks, agler.p_n_closed_values(x, n, ks)):
                 lines.append(f"{rat_str(x)},{n},{k},{rat_str(value)}")
-        x += x_step
     return _emit("\n".join(lines), args.out)
 
 
@@ -395,13 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ShiftCertError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:
+        return _fail_usage(str(exc))
 
 
 def entry() -> None:

@@ -266,8 +266,12 @@ def t2_column_bound(n: int) -> Fraction:
     return numerator / denominator
 
 
-@lru_cache(maxsize=None)
-def threshold_t1(m_max: int = 64) -> Certificate:
+# rows (threshold_t1) and columns (threshold_t2) verified exactly before the closed forms
+THRESHOLD_WINDOW = 64
+
+
+@lru_cache(maxsize=1)
+def threshold_t1() -> Certificate:
     """T1 is subnormal for every x > 0.
 
     Row m+1 is the backward extension of the xi_c shift restricted m steps,
@@ -276,12 +280,10 @@ def threshold_t1(m_max: int = 64) -> Certificate:
 
         8 gamma_m(xi_b restricted) - (2 (1/4)^m + (1/2)^m) == 5,
 
-    verified exactly for every m <= m_max alongside the extension test
-    itself; row 0 is the xi_a shift, subnormal outright.
+    verified exactly for every m <= THRESHOLD_WINDOW alongside the extension
+    test itself; row 0 is the xi_a shift, subnormal outright.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    for m in range(m_max + 1):
+    for m in range(THRESHOLD_WINDOW + 1):
         numerator = moment1(xi_c(), m)
         denominator = 8 * moment1(xi_b_level1(), m)
         alpha0_sq = numerator / denominator  # x cancels in gamma_(1,m+1)/gamma_(0,m+1)
@@ -297,32 +299,30 @@ def threshold_t1(m_max: int = 64) -> Certificate:
         "threshold_t1",
         True,
         {
-            "m_max": m_max,
+            "m_max": THRESHOLD_WINDOW,
             "constant_margin": "5",
             "conclusion": "row extensions pass for every parameter value",
         },
     )
 
 
-@lru_cache(maxsize=None)
-def threshold_t2(n_max: int = 64) -> Fraction:
+@lru_cache(maxsize=1)
+def threshold_t2() -> Fraction:
     """Exact T2 threshold 8/33: infimum over columns of the extension bounds.
 
-    Verifies on the window that the per-column bounds increase and that the
-    minimum sits at n == 0, then certifies the global claim by the
-    polynomial identity 3 - u - 2u^2 == 2 (1 - u) (u + 3/2) >= 0 for
-    u = (1/2)^n in (0, 1].
+    Verifies on columns n <= THRESHOLD_WINDOW that the per-column bounds
+    increase and that the minimum sits at n == 0, then certifies the global
+    claim by the polynomial identity 3 - u - 2u^2 == 2 (1 - u) (u + 3/2) >= 0
+    for u = (1/2)^n in (0, 1].
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    bounds = [t2_column_bound(n) for n in range(n_max + 1)]
+    bounds = [t2_column_bound(n) for n in range(THRESHOLD_WINDOW + 1)]
     for earlier, later in zip(bounds, bounds[1:]):
         if not earlier < later:
             raise ArithmeticError("column bounds failed to increase on the window")
     minimum = bounds[0]
     if minimum != T2_THRESHOLD:
         raise ArithmeticError(f"expected the first column bound to be 8/33, got {minimum}")
-    for n in range(n_max + 1):
+    for n in range(THRESHOLD_WINDOW + 1):
         u = _HALF**n
         lhs = 3 - u - 2 * u**2
         if lhs != 2 * (1 - u) * (u + Fraction(3, 2)) or lhs < 0:

@@ -323,8 +323,8 @@ def measure_from_dict(data: dict):
     raw = data.get("atoms")
     if dim not in (1, 2) or not isinstance(raw, list):
         raise ValueError("measure object needs 'dim' in {1, 2} and an 'atoms' list")
-    if not all(isinstance(entry, dict) for entry in raw):
-        raise ValueError("each atom must be a JSON object")
+    if not all(isinstance(entry, dict) and {"point", "mass"} <= entry.keys() for entry in raw):
+        raise ValueError("each atom must be a JSON object with a 'point' and a 'mass'")
     if dim == 1:
         return AtomicMeasure1D(
             (parse_rational(entry["point"]), parse_rational(entry["mass"])) for entry in raw

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftcert
-from shiftcert.cli import WINDOW_SIDE_MAX, build_parser, main
+from shiftcert.cli import (
+    CHECK1D_K_MAX,
+    CHECK1D_N_MAX,
+    CHECK1D_ORDER_MAX,
+    DEPTH_MAX,
+    MOMENTS_N_MAX,
+    SWEEP_K_MAX,
+    SWEEP_N_MAX,
+    SWEEP_ROWS_MAX,
+    WINDOW_SIDE_MAX,
+    WINDOW_WORK_MAX,
+    build_parser,
+    main,
+)
 from shiftcert.lubin import mu_m_cap_n, xi_a
 from shiftcert.measures import measure_to_dict, moment1
 
@@ -242,22 +256,74 @@ class TestCheck2D:
 
 
 @pytest.fixture(scope="module")
-def berger_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("berger")
-    files = {"missing": str(root / "missing.json")}
+def input_files(tmp_path_factory):
+    """Well-formed and malformed inputs for the contract fuzzers, by name."""
+    root = tmp_path_factory.mktemp("inputs")
+    files = {
+        "missing": str(root / "missing.json"),
+        "out": str(root / "out.txt"),
+        "out-no-dir": str(root / "no-dir" / "out.txt"),
+    }
+    line = measure_to_dict(xi_a())
     contents = {
         "cap": json.dumps(measure_to_dict(mu_m_cap_n())),
-        "line": json.dumps(measure_to_dict(xi_a())),
+        "line": json.dumps(line),
         "empty": json.dumps({"dim": 2, "atoms": []}),
+        "empty-line": json.dumps({"dim": 1, "atoms": []}),
         "array": "[1, 2]",
         "broken": "{",
+        "deep": "[" * 100_000,
         "atom-numbers": json.dumps({"dim": 2, "atoms": [1]}),
+        "atom-no-mass": json.dumps({"dim": 1, "atoms": [{"point": "1/2"}]}),
+        "w-measure": json.dumps({"kind": "measure", "measure": line}),
+        "w-half": json.dumps({"kind": "prefix", "squared_weights": ["1/2"]}),
+        "w-bad": json.dumps({"kind": "prefix", "squared_weights": ["2", "1/2"], "norm_bound_sq": "2"}),
+        "w-planar": json.dumps({"kind": "measure", "measure": measure_to_dict(mu_m_cap_n())}),
+        "w-no-measure": json.dumps({"kind": "measure"}),
+        "w-no-weights": json.dumps({"kind": "prefix"}),
+        "w-not-list": json.dumps({"kind": "prefix", "squared_weights": 5}),
+        "w-zero": json.dumps({"kind": "prefix", "squared_weights": ["1", "0"]}),
+        "w-above-bound": json.dumps({"kind": "prefix", "squared_weights": ["2"], "norm_bound_sq": "1"}),
+        "w-kind": json.dumps({"kind": "spectral"}),
+        "csv": "n,gamma_n\n" + "\n".join(f"{n},{moment1(xi_a(), n)}" for n in range(12)),
+        "csv-fib": "0,1\n1,1\n2,2\n3,3\n4,5\n",
+        "csv-short": "0,1\n1,1/2\n",
+        "csv-repeated": "0,1\n0,1\n1,1/2\n2,1/4\n",
+        "csv-gap": "0,1\n2,1/2\n3,1/4\n",
+        "csv-three-columns": "0,1,2\n",
+        "csv-decimal": "0,1\n1,0.5\n",
+        "csv-header-only": "n,gamma_n\n",
     }
     for name, text in contents.items():
         path = root / f"{name}.json"
         path.write_text(text)
         files[name] = str(path)
+    path = root / "not-utf8.json"
+    path.write_bytes(b"\xff\xfe{")
+    files["not-utf8"] = str(path)
     return files
+
+
+def _run_contract(argv, out_path=None):
+    """Run ``main(argv)``, writing to ``out_path`` when given, and check the
+    contract every command keeps: the exit code is 0, 1 or 2, no traceback is
+    printed, and exit 2 prints ``error: ``.  Return the exit code and the
+    command's output (None on exit 2)."""
+    if out_path is not None:
+        Path(out_path).unlink(missing_ok=True)
+        argv = argv + [f"--out={out_path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue() + out.getvalue(), argv
+    if code == 2:
+        assert "error: " in err.getvalue(), argv
+        return code, None
+    return code, Path(out_path).read_text() if out_path else out.getvalue()
 
 
 def _mostly(valid, invalid):
@@ -269,26 +335,54 @@ def _points(bound: int):
     return st.tuples(st.integers(0, bound), st.integers(0, bound)).map(lambda p: f"{p[0]},{p[1]}")
 
 
+def _flag(low: int, high: int, cap: int):
+    """Mostly a small legal value, sometimes the cap itself, else just past either bound."""
+    return _mostly(_mostly(st.integers(low, high), st.just(cap)), st.sampled_from([low - 1, cap + 1]))
+
+
+def _argv(command: list[str], options: dict, files: dict) -> list[str]:
+    argv = list(command)
+    for flag, value in options.items():
+        if value is None:
+            continue
+        if flag.startswith("-"):
+            if value is True:
+                argv.append(flag)
+            elif value is not False:
+                value = files.get(value, value) if isinstance(value, str) else value
+                argv.append(f"{flag}={value}")  # "=" keeps values like -1,0 off the option parser
+        else:
+            argv.append(files[value])
+    return argv
+
+
+_X = _mostly(
+    st.one_of(
+        st.sampled_from(["1/5", "2/11", "8/33", "1/2", "3"]),
+        st.fractions(min_value=F(1, 100), max_value=F(3), max_denominator=10**6).map(str),
+    ),
+    st.sampled_from(["0", "-1/3", "0.2", "1/0", "abc", ""]),
+)
+_BAD_JSON = ["array", "broken", "deep", "missing", "not-utf8"]
+_OUT = st.sampled_from([None, None, "out", "out-no-dir"])
+
 check2d_argv = st.fixed_dictionaries(
     {
-        "--x": _mostly(
-            st.one_of(
-                st.sampled_from(["1/5", "2/11", "8/33", "1/2", "3"]),
-                st.fractions(min_value=F(1, 100), max_value=F(3), max_denominator=10**6).map(str),
-            ),
-            st.sampled_from(["0", "-1/3", "0.2", "1/0", "abc", ""]),
-        ),
+        "--x": _X,
         "--window": _mostly(
             st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda w: f"{w[0]}x{w[1]}"),
             st.sampled_from(["0x3", "-1x2", "six", "3x", "2x2x2", f"{WINDOW_SIDE_MAX + 1}x1"]),
         ),
-        "--restrict": _mostly(_points(3), st.sampled_from(["-1,0", "1", "a,b", "1,2,3", ""])),
+        "--restrict": _mostly(_points(3), st.sampled_from(["-1,0", "1", "a,b", "1,2,3", "", f"{DEPTH_MAX},0"])),
         "--path": st.one_of(
-            st.none(), _mostly(_points(8), st.sampled_from(["0,-1", "2001,0", "1", "a,b"]))
+            st.none(), _mostly(_points(8), st.sampled_from(["0,-1", f"{DEPTH_MAX + 1},0", "1", "a,b"]))
         ),
         "--berger": st.one_of(
             st.none(),
-            _mostly(st.just("cap"), st.sampled_from(["line", "empty", "array", "broken", "atom-numbers", "missing"])),
+            _mostly(
+                st.just("cap"),
+                st.sampled_from(["line", "empty", "atom-numbers", "atom-no-mass"] + _BAD_JSON),
+            ),
         ),
         "--hyponormal": st.booleans(),
     }
@@ -298,32 +392,208 @@ check2d_argv = st.fixed_dictionaries(
 class TestCheck2DFuzz:
     @given(options=check2d_argv)
     @settings(max_examples=150, deadline=None)
-    def test_exit_codes_follow_the_contract(self, berger_files, options):
-        argv = ["check2d"]
-        for flag, value in options.items():
-            if flag == "--hyponormal":
-                argv += [flag] if value else []
-            elif value is not None:
-                value = berger_files[value] if flag == "--berger" else value
-                argv.append(f"{flag}={value}")  # "=" keeps values like -1,0 off the option parser
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue() + out.getvalue()
-        if code == 2:
-            assert "error: " in err.getvalue()
-        else:
-            checks = json.loads(out.getvalue())["checks"]
+    def test_exit_codes_follow_the_contract(self, input_files, options):
+        code, output = _run_contract(_argv(["check2d"], options, input_files))
+        if code != 2:
+            checks = json.loads(output)["checks"]
             assert (code == 1) == any(c["verdict"] == "fail" for c in checks)
             for c in checks:
                 assert c["witness"], c
             if code == 1:
                 failed = next(c for c in checks if c["verdict"] == "fail")
                 assert "k" in failed["witness"] or "path" in failed["witness"]
+
+
+CHECK1D_CAPS = {"--order": CHECK1D_ORDER_MAX, "--n-max": CHECK1D_N_MAX, "--k-max": CHECK1D_K_MAX}
+
+
+class TestContractFuzz:
+    """The exit-code contract on every other subcommand: malformed files and
+    flags on both sides of each cap exit 2, and exit 1 carries a witness."""
+
+    @given(
+        options=st.fixed_dictionaries(
+            {
+                "measure": _mostly(
+                    st.just("line"), st.sampled_from(["cap", "empty-line", "atom-no-mass"] + _BAD_JSON)
+                ),
+                "--n-max": _flag(0, 12, MOMENTS_N_MAX),
+                "--format": st.sampled_from(["csv", "json"]),
+            }
+        ),
+        out=_OUT,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moments(self, input_files, options, out):
+        code, output = _run_contract(_argv(["moments"], options, input_files), input_files.get(out))
+        assert code != 1
+        if code == 0:
+            assert output.startswith("n,gamma_n" if options["--format"] == "csv" else "[")
+
+    @given(
+        options=st.fixed_dictionaries(
+            {
+                "moments": _mostly(
+                    st.sampled_from(["csv", "csv-fib"]),
+                    st.sampled_from(
+                        ["csv-short", "csv-repeated", "csv-gap", "csv-three-columns", "csv-decimal",
+                         "csv-header-only", "missing", "not-utf8"]
+                    ),
+                ),
+                "--max-atoms": _mostly(st.integers(1, 5), st.sampled_from([0, -1, 100])),
+            }
+        ),
+        out=_OUT,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit(self, input_files, options, out):
+        code, output = _run_contract(_argv(["fit"], options, input_files), input_files.get(out))
+        if code == 1:
+            assert set(json.loads(output)) == {"error", "message"}
+        elif code == 0:
+            assert json.loads(output)["dim"] == 1
+
+    @given(
+        options=st.fixed_dictionaries(
+            {
+                "weights": _mostly(
+                    st.sampled_from(["w-measure", "w-half", "w-bad"]),
+                    st.sampled_from(
+                        ["w-planar", "w-no-measure", "w-no-weights", "w-not-list", "w-zero",
+                         "w-above-bound", "w-kind"] + _BAD_JSON
+                    ),
+                ),
+                "--order": _flag(0, 4, CHECK1D_ORDER_MAX),
+                "--n-max": _flag(1, 4, CHECK1D_N_MAX),
+                "--k-max": _flag(0, 4, CHECK1D_K_MAX),
+                "--backext-alpha0": st.one_of(st.none(), st.sampled_from(["1/11", "1/2", "0", "-1/2", "x"])),
+                "--backext-measure": st.one_of(
+                    st.none(), _mostly(st.just("line"), st.sampled_from(["cap", "empty-line"] + _BAD_JSON))
+                ),
+            }
+        ),
+        out=_OUT,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_check1d(self, input_files, options, out):
+        # a cap is sized for seconds, not for a fuzz example: one at a time, on cheap weights
+        at_cap = [f for f, cap in CHECK1D_CAPS.items() if options[f] == cap]
+        if at_cap:
+            options["weights"] = "w-half"
+            for flag in at_cap[1:]:
+                options[flag] = 1
+        code, output = _run_contract(_argv(["check1d"], options, input_files), input_files.get(out))
+        if code != 2:
+            checks = json.loads(output)["checks"]
+            assert (code == 1) == any(c["verdict"] == "fail" for c in checks)
+            for c in checks:
+                assert c["witness"], c
+
+    @given(
+        options=st.fixed_dictionaries(
+            {
+                "--x-min": _X,
+                "--x-max": _X,
+                "--x-step": _mostly(
+                    st.fractions(min_value=F(1, 20), max_value=F(2), max_denominator=100).map(str),
+                    st.sampled_from(["0", "-1", "1/100000000", "0.1"]),
+                ),
+                "--n-max": _flag(1, 3, SWEEP_N_MAX),
+                "--k-max": _flag(0, 3, SWEEP_K_MAX),
+            }
+        ),
+        out=_OUT,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep(self, input_files, options, out):
+        if options["--n-max"] == SWEEP_N_MAX and options["--k-max"] == SWEEP_K_MAX:
+            options["--k-max"] = 0  # one corner of the caps at a time keeps the example small
+        code, output = _run_contract(_argv(["sweep"], options, input_files), input_files.get(out))
+        assert code != 1
+        if code == 0:
+            assert output.startswith("x,n,k,p_n")
+
+    @given(x=_X, out=_OUT)
+    @settings(max_examples=40, deadline=None)
+    def test_lubin_certify(self, input_files, x, out):
+        code, output = _run_contract(["lubin", "certify", f"--x={x}"], input_files.get(out))
+        if code != 2:
+            data = json.loads(output)
+            assert (code == 1) == (not all(data["verdicts"].values()))
+            witnesses = {
+                "t1_subnormal": data["certificates"]["t1"]["witness"],
+                "t2_subnormal": data["certificates"]["t2"]["witness"],
+                "pair_subnormal": data["certificates"]["pair"]["witness"],
+                "sum_subnormal_certified": data["sum_certificate"]["witness"],
+            }
+            for verdict, holds in data["verdicts"].items():
+                assert holds or witnesses[verdict], verdict
+
+    @pytest.mark.parametrize("out", [None, "out", "out-no-dir"])
+    def test_epsilon(self, input_files, out):
+        code, output = _run_contract(["epsilon"], input_files.get(out))
+        assert code == (2 if out == "out-no-dir" else 0)
+        if code == 0:
+            assert json.loads(output)["strictly_positive"] is True
+
+
+_SWEEP_ONE_X = ["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1"]
+_PAST_CAPS = {
+    "moments-n-max": (["moments", "{measure}", "--n-max", MOMENTS_N_MAX + 1], MOMENTS_N_MAX),
+    "check1d-order": (["check1d", "{weights}", "--order", CHECK1D_ORDER_MAX + 1], CHECK1D_ORDER_MAX),
+    "check1d-n-max": (["check1d", "{weights}", "--n-max", CHECK1D_N_MAX + 1], CHECK1D_N_MAX),
+    "check1d-k-max": (["check1d", "{weights}", "--k-max", CHECK1D_K_MAX + 1], CHECK1D_K_MAX),
+    "sweep-n-max": (_SWEEP_ONE_X + ["--n-max", SWEEP_N_MAX + 1], SWEEP_N_MAX),
+    "sweep-k-max": (_SWEEP_ONE_X + ["--k-max", SWEEP_K_MAX + 1], SWEEP_K_MAX),
+    "sweep-rows": (["sweep", "--x-min", "1/10", "--x-max", "1", "--x-step", "1/100000000"], SWEEP_ROWS_MAX),
+    "check2d-restrict-depth": (
+        ["check2d", "--x", "1/5", "--window", "1x2", "--restrict", f"{DEPTH_MAX - 2},0"],
+        DEPTH_MAX,
+    ),
+    "check2d-restricted-path-depth": (
+        ["check2d", "--x", "1/5", "--window", "1x1", "--restrict", "1,0", "--path", f"{DEPTH_MAX},0"],
+        DEPTH_MAX,
+    ),
+    "check2d-window-work": (
+        # the shallowest base point whose largest window passes the work cap
+        ["check2d", "--x", "1/5", "--window", f"{WINDOW_SIDE_MAX}x{WINDOW_SIDE_MAX}", "--restrict",
+         f"{math.isqrt(WINDOW_WORK_MAX // WINDOW_SIDE_MAX**2) + 1 - 2 * WINDOW_SIDE_MAX},0", "--hyponormal"],
+        WINDOW_WORK_MAX,
+    ),
+}
+
+_AT_CAPS = {
+    "moments-n-max": ["moments", "{measure}", "--n-max", MOMENTS_N_MAX],
+    "check1d-order": ["check1d", "{half}", "--order", CHECK1D_ORDER_MAX, "--n-max", 1, "--k-max", 0],
+    "check1d-n-max": ["check1d", "{half}", "--order", 0, "--n-max", CHECK1D_N_MAX, "--k-max", 0],
+    "check1d-k-max": ["check1d", "{half}", "--order", 0, "--n-max", 1, "--k-max", CHECK1D_K_MAX],
+    "sweep-n-max": _SWEEP_ONE_X + ["--n-max", SWEEP_N_MAX, "--k-max", 0],
+    "sweep-k-max": _SWEEP_ONE_X + ["--n-max", 1, "--k-max", SWEEP_K_MAX],
+    "check2d-restrict-depth": ["check2d", "--x", "1/5", "--window", "1x2", "--restrict", f"{DEPTH_MAX - 3},0"],
+    "check2d-restricted-path-depth": [
+        "check2d", "--x", "1/5", "--window", "1x1", "--restrict", "1,0", "--path", f"{DEPTH_MAX - 1},0"
+    ],
+}
+
+
+class TestCaps:
+    @pytest.fixture()
+    def paths(self, xi_a_file, weights_file, tmp_path):
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps({"kind": "prefix", "squared_weights": ["1/2"]}))
+        return {"measure": xi_a_file, "weights": weights_file, "half": str(half)}
+
+    @pytest.mark.parametrize("case", sorted(_PAST_CAPS))
+    def test_past_a_cap_is_a_usage_error(self, case, paths, capsys):
+        argv, cap = _PAST_CAPS[case]
+        assert main([str(a).format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at most {cap}," in err
+
+    @pytest.mark.parametrize("case", sorted(_AT_CAPS))
+    def test_at_a_cap_is_decided(self, case, paths, capsys):
+        assert main([str(a).format(**paths) for a in _AT_CAPS[case]]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestLubinCertify:
@@ -426,6 +696,36 @@ class TestMalformedInput:
         path.write_text(json.dumps(content))
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, content, field",
+        [
+            ("moments", {"dim": 1, "atoms": [{"point": "1/2"}]}, "'mass'"),
+            ("moments", {"dim": 1, "atoms": [{"mass": "1"}]}, "'point'"),
+            ("check1d", {"kind": "measure"}, '"measure"'),
+            ("check1d", {"kind": "prefix"}, '"squared_weights"'),
+        ],
+        ids=["atom-without-mass", "atom-without-point", "weights-without-measure", "weights-without-list"],
+    )
+    def test_missing_field_is_named(self, command, content, field, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load ") and field in err
+
+    @pytest.mark.parametrize("flag", ["measure", "weights", "--backext-measure", "--berger"])
+    def test_deeply_nested_json_is_a_usage_error(self, flag, weights_file, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "measure": ["moments", str(deep)],
+            "weights": ["check1d", str(deep)],
+            "--backext-measure": ["check1d", weights_file, "--backext-alpha0", "1/2", flag, str(deep)],
+            "--berger": ["check2d", "--x", "1/5", flag, str(deep)],
+        }[flag]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load ")
 
     @pytest.mark.parametrize(
         "flags", [["--order", "-1"], ["--n-max", "0"], ["--k-max", "-1"]], ids=lambda f: f[0]

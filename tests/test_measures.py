@@ -272,6 +272,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             measure_from_dict({"dim": 3, "atoms": []})
 
+    @pytest.mark.parametrize(
+        "atom", [{"point": "1/2"}, {"mass": "1"}, {"point": ["1/2", "1/2"]}], ids=["no-mass", "no-point", "planar-no-mass"]
+    )
+    def test_missing_atom_field_is_named(self, atom):
+        dim = 2 if isinstance(atom.get("point"), list) else 1
+        with pytest.raises(ValueError, match="'point' and a 'mass'"):
+            measure_from_dict({"dim": dim, "atoms": [atom]})
+
 
 class TestInfiniteSentinel:
     def test_sentinel_identity(self):
