@@ -12,20 +12,27 @@ moment table:
 because the images of e_{(k,0)} under distinct monomials in T1, T2 of the
 same degree are orthogonal (:func:`p_n_bruteforce`).  Collapsing the inner
 sum with the square-binomial convolution identity gives the closed form
-(:func:`p_n_closed`): with
-
-    I_n(c) = sum_l C(n,l) (-c)^l C(2l, l)
-           = integral of (1 - c s)^n against the arcsine-type density
-             (1/pi) / sqrt(4s - s^2) on [0, 4],
-
-and for k >= 1,
+(:func:`p_n_closed`): for k >= 1,
 
     P_n(k,0) gamma_k = A_n(x) (1/4)^k + B_n(x) (1/2)^k + C_n,
     A_n = (2/11 - x)(15/16)^n + x I_n(1/16),
     B_n = (1/22 - x/4)(7/8)^n + (x/4) I_n(1/8),
     C_n = (1/44)(3/4)^n,
 
-with an analogous affine-in-x expression at k = 0.  All coefficients are
+where
+
+    I_n(c) = sum_l C(n,l) (-c)^l C(2l, l)
+           = integral of (1 - c s)^n against the arcsine-type density
+             (1/pi) / sqrt(4s - s^2) on [0, 4].
+
+The generating function  sum_n I_n(c) t^n = ((1 - t)(1 - (1 - 4c) t))^(-1/2)
+gives the three-term recurrence
+
+    (n + 1) I_(n+1) = (2n + 1)(1 - 2c) I_n - n (1 - 4c) I_(n-1),
+    I_0 = 1,  I_1 = 1 - 2c,
+
+so :func:`integral_moment` costs O(n) integer steps.  The k = 0 value
+has an analogous affine-in-x expression.  All coefficients are
 exact rationals, so per-n positivity over all k is decidable: C_n > 0
 dominates the tail in k, and the k = 0 form is affine in x.
 
@@ -55,7 +62,10 @@ cache grows with x.  At x, a per-n decision tests the k = 0 form and each
 exposed form by the sign of one cross-multiplied integer (no gcd), never
 against a cached root, so :func:`certify_sum` can check its verdict
 against the certified bound; Fractions are built only for a failure
-witness.
+witness.  The record itself is built in integers: every coefficient is a
+numerator over the one denominator 88 * 16^n, so the k-scan compares
+slopes, consts and roots by cross-multiplication, and Fractions are built
+only for the stored fields.
 """
 
 from __future__ import annotations
@@ -68,9 +78,6 @@ from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, gamma_row, moment2d
 from .numerics import binomial
 
-_P16 = Fraction(15, 16)
-_P8 = Fraction(7, 8)
-_P4 = Fraction(3, 4)
 C_SIXTEENTH = Fraction(1, 16)
 C_EIGHTH = Fraction(1, 8)
 K0_CAP = Fraction(6, 5)  # the k = 0 tail constraint: 3/4 - (5x/8)(1 - (3/4)^n) >= 0
@@ -78,20 +85,54 @@ K0_CAP = Fraction(6, 5)  # the k = 0 tail constraint: 3/4 - (5x/8)(1 - (3/4)^n) 
 _SCAN_LIMIT = 100_000
 
 
-@lru_cache(maxsize=None)
+# c values whose numerator lists are kept; the certificate reads two, 1/16 and 1/8
+_NUMERATOR_CACHE = 8
+# entries of the (c, n)-keyed integral_moment cache
+_MOMENT_CACHE = 1024
+
+
+@lru_cache(maxsize=_NUMERATOR_CACHE)
+def _moment_numerators(c: Fraction) -> list[int]:
+    # J_n = q^n I_n(c) for c = p/q, for n = 0, 1, ...; integral_moment extends the list in place
+    return [1, c.denominator - 2 * c.numerator]
+
+
+@lru_cache(maxsize=_MOMENT_CACHE)
 def integral_moment(c, n: int) -> Fraction:
-    """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l), computed over a common denominator."""
+    """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l), by its three-term recurrence.
+
+    The generating function sum_n I_n(c) t^n = ((1 - t)(1 - (1 - 4c) t))^(-1/2)
+    gives (n + 1) I_(n+1) = (2n + 1)(1 - 2c) I_n - n (1 - 4c) I_(n-1) with
+    I_0 = 1 and I_1 = 1 - 2c.  For c = p/q the numerators J_n = q^n I_n are
+    integers with
+
+        (n + 1) J_(n+1) = (2n + 1)(q - 2p) J_n - n q (q - 4p) J_(n-1),
+
+    filled in ascending n into a list kept per c (at most ``_NUMERATOR_CACHE``
+    of them), and each division by n + 1 is checked to be exact.
+    """
     c = Fraction(c)
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     if n < 0:
         raise ValueError("n must be >= 0")
     p, q = c.numerator, c.denominator
-    numerator = sum(
-        binomial(n, ell) * binomial(2 * ell, ell) * (-p) ** ell * q ** (n - ell)
-        for ell in range(n + 1)
-    )
-    return Fraction(numerator, q**n)
+    numerators = _moment_numerators(c)
+    for m in range(len(numerators) - 1, n):
+        step = (2 * m + 1) * (q - 2 * p) * numerators[m] - m * q * (q - 4 * p) * numerators[m - 1]
+        value, remainder = divmod(step, m + 1)
+        if remainder:
+            raise ArithmeticError(f"the recurrence for I_{m + 1}({c}) left a remainder")
+        numerators.append(value)
+    return Fraction(numerators[n], q**n)
+
+
+def _numerator_over(value: Fraction, denominator: int) -> int:
+    """value * denominator, which must be an integer."""
+    scaled, remainder = divmod(value.numerator * denominator, value.denominator)
+    if remainder:
+        raise ArithmeticError(f"{value} is not a multiple of 1/{denominator}")
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -130,51 +171,60 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
     contributes either no constraint (nonnegative slope) or a root; the
     roots grow without bound in k because C_n > 0 dominates, so the scan
     stops once no later k can undercut the running minimum.
+
+    All seven coefficients are integer numerators over 88 * 16^n, and the
+    k-th form is scaled by a further 4^k, so the scan is integer-only;
+    Fractions are built only for the stored fields.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    i16 = integral_moment(C_SIXTEENTH, n)
-    i8 = integral_moment(C_EIGHTH, n)
-    p16, p8, p4 = _P16**n, _P8**n, _P4**n
-    const_a, slope_a = PAIR_THRESHOLD * p16, i16 - p16
-    const_b, slope_b = Fraction(1, 22) * p8, (i8 - p8) / 4
-    c_n = Fraction(1, 44) * p4
+    sixteen, fifteen, fourteen, twelve = 16**n, 15**n, 14**n, 12**n
+    j16 = _numerator_over(integral_moment(C_SIXTEENTH, n), sixteen)  # 16^n I_n(1/16)
+    j8 = _numerator_over(integral_moment(C_EIGHTH, n), sixteen)  # 16^n I_n(1/8)
+    # numerators over den = 88 * 16^n; (15/16)^n, (7/8)^n, (3/4)^n are 15^n, 14^n, 12^n over 16^n
+    den = 88 * sixteen
+    const_a, slope_a = 16 * fifteen, 88 * (j16 - fifteen)  # (2/11)(15/16)^n, I_n(1/16) - (15/16)^n
+    const_b, slope_b = 4 * fourteen, 22 * (j8 - fourteen)  # (1/22)(7/8)^n, (I_n(1/8) - (7/8)^n) / 4
+    c_n = 2 * twelve  # (1/44)(3/4)^n
     # P_n(0,0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n)
-    k0_const = Fraction(3, 4) + const_a + const_b + c_n
-    k0_slope = slope_a + slope_b - Fraction(5, 8) * (1 - p4)
+    k0_const = 66 * sixteen + const_a + const_b + c_n
+    k0_slope = slope_a + slope_b - 55 * (sixteen - twelve)
     exposed = []
-    sup: Fraction | None = None
+    sup: tuple[int, int] | None = None  # (numerator, positive denominator)
     if slope_a < 0 or slope_b < 0:
-        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        two_k = 1  # the k-th form times 4^k den is const_k + slope_k x below
         for k in range(1, _SCAN_LIMIT):
-            wa, wb = quarter**k, half**k
-            slope_k = slope_a * wa + slope_b * wb
+            two_k *= 2
+            slope_k = slope_a + slope_b * two_k
             if slope_k < 0:
-                const_k = const_a * wa + const_b * wb + c_n
+                const_k = const_a + const_b * two_k + c_n * two_k * two_k
                 exposed.append((k, const_k, slope_k))
-                root = const_k / -slope_k
-                if sup is None or root < sup:
-                    sup = root
+                if sup is None or const_k * sup[1] < sup[0] * -slope_k:
+                    sup = (const_k, -slope_k)
             if slope_b >= 0 and slope_k >= 0:
-                break  # slope_k * 4^k = slope_a + slope_b 2^k is nondecreasing
-            if sup is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * sup < c_n:
+                break  # slope_k = slope_a + slope_b 2^k is nondecreasing
+            reach = abs(slope_a) + abs(slope_b) * two_k
+            if sup is not None and reach * sup[0] < c_n * two_k * two_k * sup[1]:
                 break  # later k cannot push the root below the running minimum
         else:
             raise ArithmeticError("per-n scan failed to terminate")
-    if k0_slope < 0 and (sup is None or k0_const / -k0_slope < sup):
-        sup = k0_const / -k0_slope
+    if k0_slope < 0 and (sup is None or k0_const * sup[1] < sup[0] * -k0_slope):
+        sup = (k0_const, -k0_slope)
     return PerNCoefficients(
-        const_a=const_a,
-        slope_a=slope_a,
-        const_b=const_b,
-        slope_b=slope_b,
-        c_n=c_n,
-        k0_const=k0_const,
-        k0_slope=k0_slope,
-        tail_sixteenth=i16 >= p16,
-        tail_eighth=i8 >= p8,
-        exposed=tuple(exposed),
-        sup=sup,
+        const_a=Fraction(const_a, den),
+        slope_a=Fraction(slope_a, den),
+        const_b=Fraction(const_b, den),
+        slope_b=Fraction(slope_b, den),
+        c_n=Fraction(c_n, den),
+        k0_const=Fraction(k0_const, den),
+        k0_slope=Fraction(k0_slope, den),
+        tail_sixteenth=j16 >= fifteen,
+        tail_eighth=j8 >= fourteen,
+        exposed=tuple(
+            (k, Fraction(const_k, den << 2 * k), Fraction(slope_k, den << 2 * k))
+            for k, const_k, slope_k in exposed
+        ),
+        sup=None if sup is None else Fraction(*sup),
     )
 
 

@@ -36,7 +36,9 @@ Certified thresholds (all decided in exact rational arithmetic):
 
 The x-free parts of these verdicts are computed once per process:
 :func:`threshold_t1` (a certificate with a read-only witness),
-:func:`threshold_t2`, and two stages of the pair test, the Berger check
+:func:`threshold_t2` (both loops compare integer numerators over 8 * 4^m
+read from the atoms of the measures, and build Fractions only for a
+failure witness), and two stages of the pair test, the Berger check
 of the deep (1, 1) restriction (its weights are ratios of interior
 moments, in which x/8 cancels) and the horizontal extension to mu_M.  The
 tests at a given x still run at that x.  The one cache keyed by x,
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .certificate import Certificate
 from .errors import NegativeMassError
@@ -256,18 +259,28 @@ class LubinFamily:
         return self._diagram
 
 
-def t2_column_bound(n: int) -> Fraction:
-    """Largest x for which column n+1 extends backward:
-    8 gamma_n(xi_a restricted) / (11 (2 (1/4)^n + (1/2)^n))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    numerator = 8 * moment1(xi_a_level1(), n)
-    denominator = 11 * (2 * _QUARTER**n + _HALF**n)
-    return numerator / denominator
-
-
 # rows (threshold_t1) and columns (threshold_t2) verified exactly before the closed forms
 THRESHOLD_WINDOW = 64
+
+# every atom of xi_c, xi_b_level1 and xi_a_level1 has its point in (1/4)Z and its
+# mass in (1/8)Z, so the threshold loops read gamma_m as an integer over 8 * 4^m
+_GRID_POINT, _GRID_MASS = 4, 8
+
+
+def _grid_atoms(mu: AtomicMeasure1D) -> tuple[tuple[int, int], ...]:
+    """(4 point, 8 mass) of each atom, as integers."""
+    atoms = []
+    for point, mass in mu.atoms:
+        a, b = point * _GRID_POINT, mass * _GRID_MASS
+        if a.denominator != 1 or b.denominator != 1:
+            raise ArithmeticError(f"atom {mass} d({point}) is off the grid of the threshold loops")
+        atoms.append((a.numerator, b.numerator))
+    return tuple(atoms)
+
+
+def _grid_moment(atoms: tuple[tuple[int, int], ...], m: int) -> int:
+    """8 * 4^m * gamma_m of the measure with these grid atoms (0^0 = 1)."""
+    return sum(b * a**m for a, b in atoms)
 
 
 @lru_cache(maxsize=1)
@@ -281,15 +294,28 @@ def threshold_t1() -> Certificate:
         8 gamma_m(xi_b restricted) - (2 (1/4)^m + (1/2)^m) == 5,
 
     verified exactly for every m <= THRESHOLD_WINDOW alongside the extension
-    test itself; row 0 is the xi_a shift, subnormal outright.
+    test itself; row 0 is the xi_a shift, subnormal outright.  Both tests
+    compare integer numerators over 8 * 4^m read from the atoms of the two
+    measures; only a failure builds the Fraction witness.
     """
+    c_atoms, b_atoms = _grid_atoms(xi_c()), _grid_atoms(xi_b_level1())
+    lift = lcm(*(a for a, _ in c_atoms if a))  # off 0, 1/p = 4/a = 4 (lift // a) / lift
     for m in range(THRESHOLD_WINDOW + 1):
-        numerator = moment1(xi_c(), m)
-        denominator = 8 * moment1(xi_b_level1(), m)
-        alpha0_sq = numerator / denominator  # x cancels in gamma_(1,m+1)/gamma_(0,m+1)
-        cert = backward_extension_1d(alpha0_sq, restrict_density(xi_c(), m))
-        identity = 8 * moment1(xi_b_level1(), m) - (2 * _QUARTER**m + _HALF**m)
-        if not cert.ok or identity != 5:
+        gamma_c, gamma_b = _grid_moment(c_atoms, m), _grid_moment(b_atoms, m)
+        # alpha0^2 = gamma_c / (8 gamma_b), as x cancels in gamma_(1,m+1)/gamma_(0,m+1).  The
+        # restriction of xi_c past m has ||1/s|| = reach / (lift gamma_c), infinite if m = 0 and
+        # an atom sits at 0, where reach / (lift 8 4^m) sums mass p^(m-1) over the atoms off 0;
+        # the extension needs alpha0^2 ||1/s|| <= 1
+        reach = sum(_GRID_POINT * b * a**m * (lift // a) for a, b in c_atoms if a)
+        integrable = m > 0 or all(a for a, _ in c_atoms)
+        extends = integrable and gamma_c * reach <= 8 * gamma_b * gamma_c * lift
+        margin = 8 * gamma_b - _GRID_MASS * (2 + 2**m)  # the identity's left side over 8 * 4^m
+        if not extends or margin != 5 * _GRID_MASS * _GRID_POINT**m:
+            alpha0_sq = moment1(xi_c(), m) / (8 * moment1(xi_b_level1(), m))
+            cert = backward_extension_1d(alpha0_sq, restrict_density(xi_c(), m))
+            identity = 8 * moment1(xi_b_level1(), m) - (2 * _QUARTER**m + _HALF**m)
+            if cert.ok and identity == 5:
+                raise ArithmeticError("the integer and the rational row checks disagree")
             return Certificate(
                 "threshold_t1",
                 False,
@@ -310,22 +336,30 @@ def threshold_t1() -> Certificate:
 def threshold_t2() -> Fraction:
     """Exact T2 threshold 8/33: infimum over columns of the extension bounds.
 
-    Verifies on columns n <= THRESHOLD_WINDOW that the per-column bounds
-    increase and that the minimum sits at n == 0, then certifies the global
-    claim by the polynomial identity 3 - u - 2u^2 == 2 (1 - u) (u + 3/2) >= 0
-    for u = (1/2)^n in (0, 1].
+    Column n+1 extends backward iff x <= 8 gamma_n(xi_a restricted) /
+    (11 (2 (1/4)^n + (1/2)^n)).  Verifies on columns n <= THRESHOLD_WINDOW
+    that these bounds increase and that the minimum sits at n == 0, then
+    certifies the global claim by the polynomial identity
+    3 - u - 2u^2 == 2 (1 - u) (u + 3/2) >= 0 for u = (1/2)^n in (0, 1].
+    The comparisons cross-multiply integer numerators over 8 * 4^n, with
+    gamma_n read from the atoms of the measure.
     """
-    bounds = [t2_column_bound(n) for n in range(THRESHOLD_WINDOW + 1)]
-    for earlier, later in zip(bounds, bounds[1:]):
-        if not earlier < later:
+    a_atoms = _grid_atoms(xi_a_level1())
+    # each column bound as (numerator, denominator), both scaled by 8 * 4^n
+    bounds = [
+        (8 * _grid_moment(a_atoms, n), 11 * _GRID_MASS * (2 + 2**n))
+        for n in range(THRESHOLD_WINDOW + 1)
+    ]
+    for (p, q), (r, s) in zip(bounds, bounds[1:]):
+        if not p * s < r * q:
             raise ArithmeticError("column bounds failed to increase on the window")
-    minimum = bounds[0]
+    minimum = Fraction(*bounds[0])
     if minimum != T2_THRESHOLD:
         raise ArithmeticError(f"expected the first column bound to be 8/33, got {minimum}")
     for n in range(THRESHOLD_WINDOW + 1):
-        u = _HALF**n
-        lhs = 3 - u - 2 * u**2
-        if lhs != 2 * (1 - u) * (u + Fraction(3, 2)) or lhs < 0:
+        v = 2**n  # 1/u; both sides times 2 v^2
+        lhs = 6 * v * v - 2 * v - 4
+        if lhs != 2 * (v - 1) * (2 + 3 * v) or lhs < 0:
             raise ArithmeticError("global minimality identity failed")
     return minimum
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .certificate import Certificate
@@ -46,7 +47,6 @@ from .measures import (
     extremal,
     is_infinite,
     marginal,
-    moment2,
     reciprocal_norm,
 )
 
@@ -194,14 +194,46 @@ def path_independence_check(
     )
 
 
+def _scaled(value: Fraction, denominator: int) -> int:
+    """value * denominator, for a multiple of value's denominator."""
+    return value.numerator * (denominator // value.denominator)
+
+
+def _powers(base: int, count: int) -> list[int]:
+    """[base^0, ..., base^(count-1)], with 0^0 = 1."""
+    powers = [1]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * base)
+    return powers
+
+
 def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Certificate:
-    """Exact equality of diagram moments and measure moments on the window."""
+    """Exact equality of diagram moments and measure moments on the window.
+
+    Over common denominators f of the masses and b, d of the coordinates,
+    an atom m d(s, t) is (e/f) d(a/b, c/d) with integer e, a, c, and the
+    measure moment at (k1, k2) is sum e a^k1 c^k2 / (f b^k1 d^k2).  Each
+    atom's a^k1 (k1 < w) and c^k2 (k2 < h) are built once, and each
+    window point is one integer cross-multiplication with the diagram
+    moment; a Fraction is built only for a failure witness.
+    """
     w, h = _check_window(window)
+    f = lcm(*(m.denominator for _, m in mu.atoms))
+    b = lcm(*(s.denominator for (s, _), _ in mu.atoms))
+    d = lcm(*(t.denominator for (_, t), _ in mu.atoms))
+    atoms = [
+        (_scaled(m, f), _powers(_scaled(s, b), w), _powers(_scaled(t, d), h)) for (s, t), m in mu.atoms
+    ]
+    b_powers = _powers(b, w)
     for k2 in range(h):
+        row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]
+        row_denominator = f * d**k2
         for k1 in range(w):
             lhs = diagram.moment(k1, k2)
-            rhs = moment2(mu, k1, k2)
-            if lhs != rhs:
+            numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
+            denominator = row_denominator * b_powers[k1]
+            if lhs.numerator * denominator != numerator * lhs.denominator:
+                rhs = Fraction(numerator, denominator)
                 return Certificate(
                     "check_berger_2d",
                     False,

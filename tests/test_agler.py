@@ -64,6 +64,58 @@ def roots(n: int) -> list[F]:
     return [root for root in found if root is not None]
 
 
+def integral_moment_sum(c: F, n: int) -> F:
+    """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l) over a common denominator: the
+    O(n^2) binomial sum, the oracle for the recurrence of integral_moment."""
+    p, q = c.numerator, c.denominator
+    numerator = sum(
+        math.comb(n, ell) * math.comb(2 * ell, ell) * (-p) ** ell * q ** (n - ell) for ell in range(n + 1)
+    )
+    return F(numerator, q**n)
+
+
+def per_n_coefficients_reference(n: int) -> dict:
+    """The per-n record's fields by the Fraction k-scan, with I_n from the binomial sum."""
+    i16, i8 = integral_moment_sum(F(1, 16), n), integral_moment_sum(F(1, 8), n)
+    p16, p8, p4 = F(15, 16) ** n, F(7, 8) ** n, F(3, 4) ** n
+    const_a, slope_a = PAIR_THRESHOLD * p16, i16 - p16
+    const_b, slope_b = F(1, 22) * p8, (i8 - p8) / 4
+    c_n = F(1, 44) * p4
+    k0_const = F(3, 4) + const_a + const_b + c_n
+    k0_slope = slope_a + slope_b - F(5, 8) * (1 - p4)
+    exposed = []
+    sup = None
+    if slope_a < 0 or slope_b < 0:
+        for k in itertools.count(1):
+            wa, wb = F(1, 4) ** k, F(1, 2) ** k
+            slope_k = slope_a * wa + slope_b * wb
+            if slope_k < 0:
+                const_k = const_a * wa + const_b * wb + c_n
+                exposed.append((k, const_k, slope_k))
+                root = const_k / -slope_k
+                if sup is None or root < sup:
+                    sup = root
+            if slope_b >= 0 and slope_k >= 0:
+                break
+            if sup is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * sup < c_n:
+                break
+    if k0_slope < 0 and (sup is None or k0_const / -k0_slope < sup):
+        sup = k0_const / -k0_slope
+    return {
+        "const_a": const_a,
+        "slope_a": slope_a,
+        "const_b": const_b,
+        "slope_b": slope_b,
+        "c_n": c_n,
+        "k0_const": k0_const,
+        "k0_slope": k0_slope,
+        "tail_sixteenth": i16 >= p16,
+        "tail_eighth": i8 >= p8,
+        "exposed": tuple(exposed),
+        "sup": sup,
+    }
+
+
 def quadrature_oracle(c: F, n: int) -> float:
     # (1/pi) int_0^pi (1 - 2c(1 - cos t))^n dt, plain trapezoid
     t = np.linspace(0.0, math.pi, 1 << 16)
@@ -106,6 +158,32 @@ class TestIntegralMoment:
             integral_moment(F(3, 2), 1)
         with pytest.raises(ValueError):
             integral_moment(F(1, 16), -1)
+
+    def test_recurrence_matches_the_binomial_sum(self):
+        for c in (F(1, 16), F(1, 8), F(1, 5), F(3, 7), F(99, 100)):
+            for n in range(201):
+                assert integral_moment(c, n) == integral_moment_sum(c, n), (c, n)
+
+    def test_cold_high_order_has_no_recursion(self):
+        agler.integral_moment.cache_clear()
+        agler._moment_numerators.cache_clear()
+        try:
+            value = integral_moment(F(1, 16), 3000)
+        finally:
+            agler.integral_moment.cache_clear()
+            agler._moment_numerators.cache_clear()
+        assert 0 < value < integral_moment(F(1, 16), 2999)
+
+    def test_a_remainder_in_the_recurrence_raises(self):
+        # with c = 1/3, 2 J_2 = 3 J_1 + 3; a corrupted even J_1 leaves a remainder
+        c = F(1, 3)
+        agler._moment_numerators.cache_clear()
+        try:
+            agler._moment_numerators(c)[1] = 2
+            with pytest.raises(ArithmeticError):
+                agler.integral_moment.__wrapped__(c, 2)
+        finally:
+            agler._moment_numerators.cache_clear()
 
 
 class TestDualRoutes:
@@ -178,6 +256,14 @@ class TestPerNBounds:
 
 
 class TestPerNRecord:
+    def test_integer_record_matches_the_fraction_scan(self):
+        # every field, for each n up to the sweep's --n-max cap
+        for n in range(201):
+            record = per_n_coefficients(n)
+            assert {f.name: getattr(record, f.name) for f in dataclasses.fields(record)} == (
+                per_n_coefficients_reference(n)
+            ), n
+
     def test_exposed_roots_are_zeros_of_the_oracle(self):
         nudge = F(1, 10**40)
         checked = 0

@@ -1,5 +1,7 @@
+import contextlib
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from shiftcert.lubin import (
     moment2d,
     mu_m,
     mu_m_cap_n,
-    t2_column_bound,
     threshold_pair,
     threshold_t1,
     threshold_t2,
@@ -30,10 +31,85 @@ from shiftcert.lubin import (
     xi_c,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
-from shiftcert.shift1d import WeightSequence1D
+from shiftcert.certificate import Certificate
+from shiftcert.shift1d import WeightSequence1D, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 xs = st.fractions(min_value=F(1, 64), max_value=F(8, 15), max_denominator=64)
+# measures on the grid the threshold loops read: points in (1/4)Z, masses in (1/8)Z
+grid_measures = st.dictionaries(st.integers(0, 8), st.integers(1, 16), min_size=1, max_size=4).map(
+    lambda atoms: AtomicMeasure1D((F(a, 4), F(b, 8)) for a, b in atoms.items())
+)
+
+
+def t2_column_bound(n: int) -> F:
+    """Largest x for which column n+1 extends backward:
+    8 gamma_n(xi_a restricted) / (11 (2 (1/4)^n + (1/2)^n))."""
+    numerator = 8 * moment1(lubin.xi_a_level1(), n)
+    denominator = 11 * (2 * F(1, 4) ** n + F(1, 2) ** n)
+    return numerator / denominator
+
+
+def threshold_t1_reference() -> Certificate:
+    """The row loop of threshold_t1 in Fractions: the oracle for its integer loop."""
+    for m in range(lubin.THRESHOLD_WINDOW + 1):
+        numerator = moment1(lubin.xi_c(), m)
+        denominator = 8 * moment1(lubin.xi_b_level1(), m)
+        cert = backward_extension_1d(numerator / denominator, restrict_density(lubin.xi_c(), m))
+        identity = 8 * moment1(lubin.xi_b_level1(), m) - (2 * F(1, 4) ** m + F(1, 2) ** m)
+        if not cert.ok or identity != 5:
+            return Certificate(
+                "threshold_t1", False, {"m": m, "extension": cert, "margin_identity": str(identity)}
+            )
+    return Certificate(
+        "threshold_t1",
+        True,
+        {
+            "m_max": lubin.THRESHOLD_WINDOW,
+            "constant_margin": "5",
+            "conclusion": "row extensions pass for every parameter value",
+        },
+    )
+
+
+def threshold_t2_reference() -> F:
+    """The column loop of threshold_t2 in Fractions: the oracle for its integer loop."""
+    bounds = [t2_column_bound(n) for n in range(lubin.THRESHOLD_WINDOW + 1)]
+    for earlier, later in zip(bounds, bounds[1:]):
+        if not earlier < later:
+            raise ArithmeticError("column bounds failed to increase on the window")
+    minimum = bounds[0]
+    if minimum != T2_THRESHOLD:
+        raise ArithmeticError(f"expected the first column bound to be 8/33, got {minimum}")
+    for n in range(lubin.THRESHOLD_WINDOW + 1):
+        u = F(1, 2) ** n
+        lhs = 3 - u - 2 * u**2
+        if lhs != 2 * (1 - u) * (u + F(3, 2)) or lhs < 0:
+            raise ArithmeticError("global minimality identity failed")
+    return minimum
+
+
+@contextlib.contextmanager
+def measures_replaced(**measures):
+    """Replace lubin's x-free measures, with the threshold caches cleared on entry and exit."""
+    replacements = {name: (lambda mu=mu: mu) for name, mu in measures.items()}
+    with mock.patch.multiple(lubin, **replacements):
+        lubin.threshold_t1.cache_clear()
+        lubin.threshold_t2.cache_clear()
+        try:
+            yield
+        finally:
+            lubin.threshold_t1.cache_clear()
+            lubin.threshold_t2.cache_clear()
+
+
+def outcome(check):
+    """The JSON form of what ``check()`` returns, or the type and text of what it raises."""
+    try:
+        value = check()
+    except (ArithmeticError, ValueError) as error:
+        return type(error).__name__, str(error)
+    return value.as_dict() if isinstance(value, Certificate) else str(value)
 
 
 class TestMeasures:
@@ -235,6 +311,55 @@ class TestThresholds:
         assert T2_THRESHOLD == F(8, 33)
         assert PAIR_THRESHOLD == F(2, 11)
         assert XI_B_MASS_CAP == F(8, 15)
+
+    def test_integer_loops_match_the_fraction_loops(self):
+        assert threshold_t1().as_dict() == threshold_t1_reference().as_dict()
+        assert threshold_t2() == threshold_t2_reference() == T2_THRESHOLD
+
+    def test_t1_failure_reads_the_measure(self):
+        # total mass 3/4 breaks the margin identity at m = 0: 8 * 3/4 - 3 != 5
+        broken = AtomicMeasure1D([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4))])
+        with measures_replaced(xi_b_level1=broken):
+            cert = threshold_t1()
+            assert not cert.ok
+            assert set(cert.witness) == {"m", "extension", "margin_identity"}
+            assert cert.witness["m"] == 0
+            assert cert.witness["margin_identity"] == "3"
+            assert cert.as_dict() == threshold_t1_reference().as_dict()
+        assert threshold_t1().ok
+
+    def test_t1_failure_at_an_atom_at_zero(self):
+        with measures_replaced(xi_c=AtomicMeasure1D([(F(0), F(1, 2)), (F(1, 2), F(1, 2))])):
+            cert = threshold_t1()
+            assert not cert.ok and cert.witness["m"] == 0
+            assert cert.witness["extension"].witness["reciprocal_norm"] == "infinite"
+            assert cert.as_dict() == threshold_t1_reference().as_dict()
+
+    @given(grid_measures, grid_measures)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_t1_matches_the_fraction_loop_on_grid_measures(self, c_measure, b_measure):
+        for measures in ({"xi_c": c_measure}, {"xi_c": c_measure, "xi_b_level1": b_measure}):
+            with measures_replaced(**measures):
+                assert outcome(threshold_t1) == outcome(threshold_t1_reference)
+
+    @given(grid_measures)
+    @settings(max_examples=100, deadline=None)
+    def test_integer_t2_matches_the_fraction_loop_on_grid_measures(self, a_measure):
+        with measures_replaced(xi_a_level1=a_measure):
+            assert outcome(threshold_t2) == outcome(threshold_t2_reference)
+
+    def test_t2_refuses_equal_column_bounds(self):
+        # gamma_n = (2 (1/4)^n + (1/2)^n) / 8 makes every column bound 1/11
+        flat = AtomicMeasure1D([(F(1, 4), F(1, 4)), (F(1, 2), F(1, 8))])
+        with measures_replaced(xi_a_level1=flat):
+            with pytest.raises(ArithmeticError, match="failed to increase"):
+                threshold_t2()
+            assert outcome(threshold_t2) == outcome(threshold_t2_reference)
+
+    def test_off_grid_measure_is_refused(self):
+        with measures_replaced(xi_c=AtomicMeasure1D([(F(1, 3), F(1))])):
+            with pytest.raises(ArithmeticError):
+                threshold_t1()
 
 
 class TestVerdicts:

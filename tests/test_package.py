@@ -121,6 +121,28 @@ def test_no_cache_grows_with_the_window_or_path_depth():
     assert sizes[0]["shiftcert.lubin._b_moment_core"] < sizes[-1]["shiftcert.lubin._b_moment_core"]
 
 
+def test_no_cache_grows_with_the_integral_moment_argument():
+    # integral_moment keeps a numerator list per c; neither it nor the
+    # (c, n)-keyed values may grow without bound across fresh c
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in (lubin, agler, cli)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert {"shiftcert.agler.integral_moment", "shiftcert.agler._moment_numerators"} <= set(caches)
+    before = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    for j in range(50):
+        agler.integral_moment(Fraction(j + 1, 53), 60)
+    growing = [
+        name
+        for name, cache in caches.items()
+        if cache.cache_info().maxsize is None and before[name] != cache.cache_info().currsize
+    ]
+    assert growing == []
+    assert agler._moment_numerators.cache_info().currsize <= agler._NUMERATOR_CACHE
+
+
 def test_cached_threshold_t1_is_read_only():
     cert = lubin.threshold_t1()
     assert cert is lubin.threshold_t1()

@@ -106,6 +106,19 @@ def reference_commutativity_check(diagram: WeightDiagram, window) -> Certificate
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
 
+def reference_check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Certificate:
+    """The Berger check by moment2 at every window point; the oracle for the integer kernel."""
+    w, h = window
+    for k2 in range(h):
+        for k1 in range(w):
+            lhs, rhs = diagram.moment(k1, k2), moment2(mu, k1, k2)
+            if lhs != rhs:
+                return Certificate(
+                    "check_berger_2d", False, {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)}
+                )
+    return Certificate("check_berger_2d", True, {"window": (w, h)})
+
+
 def reference_joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     """Curto's 2x2 block test in Fraction arithmetic; the oracle for the
     integer kernel."""
@@ -305,6 +318,58 @@ class TestBerger2D:
         assert cert.witness["k"] == [1, 0]
         assert F(cert.witness["diagram"]) == F(3, 8)
         assert F(cert.witness["measure"]) == F(1, 8)
+
+
+coordinates = st.builds(F, st.integers(0, 6), st.integers(1, 7))
+positive_coordinates = st.builds(F, st.integers(1, 6), st.integers(1, 7))
+
+
+@st.composite
+def berger_cases(draw):
+    """The moment diagram of a probability measure with atoms off the axes,
+    a measure to check it against (the same one, one atom moved along s, or
+    a random one that may sit on the axes) and a window."""
+    points = draw(st.lists(st.tuples(positive_coordinates, positive_coordinates), min_size=1, max_size=3, unique=True))
+    masses = [draw(st.integers(1, 9)) for _ in points]
+    mu = AtomicMeasure2D((p, F(m, sum(masses))) for p, m in zip(points, masses))
+    kind = draw(st.sampled_from(["same", "moved", "random"]))
+    other = mu
+    if kind == "moved":
+        (s, t), mass = mu.atoms[0]
+        moved = (s + F(1, draw(st.integers(2, 12))), t)
+        if moved not in points:
+            other = AtomicMeasure2D([(moved, mass), *mu.atoms[1:]])
+    elif kind == "random":
+        other_points = draw(st.lists(st.tuples(coordinates, coordinates), min_size=0, max_size=3, unique=True))
+        other = AtomicMeasure2D((p, draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))) for p in other_points)
+    diagram = weights_from_moments2d(MomentTable2D(lambda k1, k2: moment2(mu, k1, k2)))
+    return diagram, other, (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+
+
+class TestBerger2DKernel:
+    @given(case=berger_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_moment2_reference(self, case):
+        diagram, mu, window = case
+        got, want = check_berger_2d(diagram, mu, window), reference_check_berger_2d(diagram, mu, window)
+        assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
+
+    def test_first_failure_far_from_the_origin(self):
+        # the moment table of MU_CAP with gamma_(7,3) doubled: the diagram moment differs
+        # there alone, so the row-major scan must reach it
+        rule = lambda k1, k2: moment2(MU_CAP, k1, k2) * (2 if (k1, k2) == (7, 3) else 1)
+        diagram = weights_from_moments2d(MomentTable2D(rule))
+        cert = check_berger_2d(diagram, MU_CAP, (10, 10))
+        assert not cert.ok and cert.witness["k"] == [7, 3]
+        assert F(cert.witness["diagram"]) == 2 * F(cert.witness["measure"]) == 2 * moment2(MU_CAP, 7, 3)
+        want = reference_check_berger_2d(diagram, MU_CAP, (10, 10))
+        assert dict(cert.witness) == dict(want.witness)
+
+    def test_family_windows_agree_with_the_reference(self):
+        for base, mu in (((1, 1), MU_CAP), ((0, 1), MU_M), ((1, 1), MU_M)):
+            diagram = family().restricted(*base)
+            got, want = check_berger_2d(diagram, mu, (24, 24)), reference_check_berger_2d(diagram, mu, (24, 24))
+            assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
 
 
 class TestBackwardExtension2D:
