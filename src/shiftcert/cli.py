@@ -14,7 +14,7 @@ Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (the JSON output carries the witness), 2 usage or input errors: commands
 raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
 with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
-where it is written).  Every size flag has a cap, a constant below.
+where it is written).  Every size flag, and fit's row count, has a cap.
 
 The argument parser is built once per process and reused by every call
 of :func:`main`; argparse keeps each call's values in a fresh namespace.
@@ -62,6 +62,8 @@ from .shift2d import (
 
 # Caps on the size flags; the largest call each admits takes a few seconds on 2 cores.
 MOMENTS_N_MAX = 1000
+FIT_ATOMS_MAX = 16  # berger_fit runs one rref per order up to --max-atoms, over every row
+FIT_ROWS_MAX = 200
 CHECK1D_ORDER_MAX = 128
 CHECK1D_N_MAX = 64  # the Agler sums cost about n_max^2 k_max terms
 CHECK1D_K_MAX = 64
@@ -185,7 +187,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _cap("--max-atoms", args.max_atoms, FIT_ATOMS_MAX)
     moments = _load(args.moments, "moments", _moments)
+    _cap("the moment CSV's rows", len(moments), FIT_ROWS_MAX)
     try:
         measure = berger_fit(moments, args.max_atoms)
     except ShiftCertError as exc:

@@ -18,9 +18,9 @@ with c(0) = 1.  Every other weight is an x-free ratio of moment cores:
 the xi_a moments on row 0, gamma_k(xi_b) / x on column 0, and
 f(s-1) / f(s-2) off the axes, where s = k1 + k2 and
 f(p) = 1/2 4^-p + 1/2 2^-p.  The cores and the weights are cached by the
-one index each depends on, in bounded caches, so
-:meth:`LubinFamily.diagram` pays for x with one product per column of
-row 0; :func:`moment2d` is built from the same cores.
+one index each depends on, in bounded caches, so a diagram costs nothing
+to build and is not kept: it pays for x with one product per column of
+row 0.  :func:`moment2d` is built from the same cores.
 
 Certified thresholds (all decided in exact rational arithmetic):
 
@@ -41,7 +41,7 @@ read from the atoms of the measures, and build Fractions only for a
 failure witness), and two stages of the pair test, the Berger check
 of the deep (1, 1) restriction (its weights are ratios of interior
 moments, in which x/8 cancels) and the horizontal extension to mu_M.  The
-tests at a given x still run at that x.  The one cache keyed by x,
+tests at a given x run once per verdict sheet.  The one cache keyed by x,
 :func:`moment2d`, holds at most 1024 entries, so no cache grows with x;
 the index-keyed caches hold at most 2048 entries each, so none grows
 with a window or a lattice depth either.
@@ -225,7 +225,6 @@ class LubinFamily:
         self.x = Fraction(x)
         if self.x <= 0:
             raise ValueError("x must be positive")
-        self._diagram: WeightDiagram | None = None
 
     def diagram(self) -> WeightDiagram:
         """The weight diagram, gamma_{k+e} / gamma_k in closed form.
@@ -234,29 +233,27 @@ class LubinFamily:
         beta^2_(k1,0), which is x times one; so a window costs its x-free
         lookups and one product with x per column.
         """
-        if self._diagram is None:
-            x = self.x
+        x = self.x
 
-            def alpha_sq(k1: int, k2: int) -> Fraction:
-                if k1 < 0 or k2 < 0:
-                    raise ValueError("lattice indices must be >= 0")
-                if k2 == 0:
-                    return _row_weights(k1)[0]
-                if k1 == 0:
-                    return _column_weights(k2)[0]
-                return _interior_weight(k1 + k2)
+        def alpha_sq(k1: int, k2: int) -> Fraction:
+            if k1 < 0 or k2 < 0:
+                raise ValueError("lattice indices must be >= 0")
+            if k2 == 0:
+                return _row_weights(k1)[0]
+            if k1 == 0:
+                return _column_weights(k2)[0]
+            return _interior_weight(k1 + k2)
 
-            def beta_sq(k1: int, k2: int) -> Fraction:
-                if k1 < 0 or k2 < 0:
-                    raise ValueError("lattice indices must be >= 0")
-                if k2 == 0:
-                    return x * _row_weights(k1)[1]
-                if k1 == 0:
-                    return _column_weights(k2)[1]
-                return _interior_weight(k1 + k2)
+        def beta_sq(k1: int, k2: int) -> Fraction:
+            if k1 < 0 or k2 < 0:
+                raise ValueError("lattice indices must be >= 0")
+            if k2 == 0:
+                return x * _row_weights(k1)[1]
+            if k1 == 0:
+                return _column_weights(k2)[1]
+            return _interior_weight(k1 + k2)
 
-            self._diagram = WeightDiagram(alpha_sq, beta_sq, name=f"family(x={x})")
-        return self._diagram
+        return WeightDiagram(alpha_sq, beta_sq, name=f"family(x={x})")
 
 
 # rows (threshold_t1) and columns (threshold_t2) verified exactly before the closed forms
@@ -470,8 +467,8 @@ def family_report(x) -> dict:
     """JSON-ready summary of the family's verdicts at parameter x."""
     x = Fraction(x)
     t1 = is_t1_subnormal(x)
-    t2 = is_t2_subnormal(x)
     pair = is_pair_subnormal(x)
+    t2 = pair.witness["t2"]  # the pair test runs the T2 test first
     return {
         "x": str(x),
         "thresholds": {

@@ -25,15 +25,18 @@ characterization:
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
 
-The commutativity and hyponormality checks decide by the signs of
-integers, cross-multiplying numerators and (positive) denominators with
-no gcd taken; a fraction is built only for a failure witness.
+A diagram is its two weight rules and holds no other state.  The checks
+read each weight they need once and decide by the signs of integers,
+cross-multiplying numerators and (positive) denominators with no gcd
+taken; a fraction is built only for a failure witness.  The Berger check
+steps along the canonical path (row 0, then up a column) as it scans,
+so it builds no moment table.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable
@@ -66,75 +69,75 @@ def _positive(name: str, key: tuple[int, int], value) -> Fraction:
     return v
 
 
-class WeightDiagram:
-    """Squared weights (alpha^2, beta^2) indexed by lattice points."""
+Rule = Callable[[int, int], Fraction]  # a squared weight by lattice point
 
-    def __init__(
-        self,
-        alpha_sq_rule: Callable[[int, int], Fraction],
-        beta_sq_rule: Callable[[int, int], Fraction],
-        name: str | None = None,
-    ):
+
+class WeightDiagram:
+    """Squared weights (alpha^2, beta^2) indexed by lattice points: the two
+    rules, each read validated, and no other state."""
+
+    def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule, name: str | None = None):
         self._alpha_rule = alpha_sq_rule
         self._beta_rule = beta_sq_rule
         self.name = name
-        self._alpha: dict[tuple[int, int], Fraction] = {}
-        self._beta: dict[tuple[int, int], Fraction] = {}
-        self._moments: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        v = self._alpha.get((k1, k2))
-        if v is None:
-            v = self._alpha[k1, k2] = _positive("alpha^2", (k1, k2), self._alpha_rule(k1, k2))
-        return v
+        return _positive("alpha^2", (k1, k2), self._alpha_rule(k1, k2))
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
-        v = self._beta.get((k1, k2))
-        if v is None:
-            v = self._beta[k1, k2] = _positive("beta^2", (k1, k2), self._beta_rule(k1, k2))
-        return v
+        return _positive("beta^2", (k1, k2), self._beta_rule(k1, k2))
 
     def moment(self, k1: int, k2: int) -> Fraction:
         """gamma_k along the canonical path: row 0 first, then up column k1."""
         if k1 < 0 or k2 < 0:
             raise ValueError("lattice indices must be >= 0")
-        moments = self._moments
-        if (k1, k2) not in moments:
-            # a loop, not recursion: depth is bounded by time alone
-            for i in range(1, k1 + 1):
-                if (i, 0) not in moments:
-                    moments[i, 0] = moments[i - 1, 0] * self.alpha_sq(i - 1, 0)
-            for j in range(1, k2 + 1):
-                if (k1, j) not in moments:
-                    moments[k1, j] = moments[k1, j - 1] * self.beta_sq(k1, j - 1)
-        return moments[k1, k2]
+        return _path_product(self, "R" * k1 + "U" * k2)
 
     def restricted(self, i: int, j: int) -> "WeightDiagram":
-        """The diagram seen from base point (i, j): weights translated."""
+        """The diagram seen from base point (i, j): its rules translated."""
         if i < 0 or j < 0:
             raise ValueError("base point must be in the quadrant")
         if i == 0 and j == 0:
             return self
         name = f"{self.name}|({i},{j})" if self.name else None
+        alpha, beta = self._alpha_rule, self._beta_rule
         return WeightDiagram(
-            lambda k1, k2: self.alpha_sq(k1 + i, k2 + j),
-            lambda k1, k2: self.beta_sq(k1 + i, k2 + j),
+            lambda k1, k2: alpha(k1 + i, k2 + j),
+            lambda k1, k2: beta(k1 + i, k2 + j),
             name=name,
         )
+
+
+def _path_product(diagram: WeightDiagram, steps) -> Fraction:
+    """Product of the squared weights along a monotone path from (0, 0):
+    "R" steps by alpha^2 to the right, "U" by beta^2 upwards."""
+    x = y = 0
+    total = Fraction(1)
+    for step in steps:
+        if step == "R":
+            total *= diagram.alpha_sq(x, y)
+            x += 1
+        else:
+            total *= diagram.beta_sq(x, y)
+            y += 1
+    return total
 
 
 def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
     """beta_{k+(1,0)}^2 alpha_k^2 == alpha_{k+(0,1)}^2 beta_k^2 on the window.
 
-    Decided by cross-multiplied integers; the products are built as
-    fractions only for a failure witness.
+    Reads the w x (h+1) alphas and (w+1) x h betas once each, and decides
+    by cross-multiplied integers; the products are built as fractions
+    only for a failure witness.
     """
     w, h = _check_window(window)
-    alpha, beta = diagram.alpha_sq, diagram.beta_sq
+    alpha = [[diagram.alpha_sq(k1, k2) for k1 in range(w)] for k2 in range(h + 1)]
+    beta = [[diagram.beta_sq(k1, k2) for k1 in range(w + 1)] for k2 in range(h)]
     for k2 in range(h):
+        alpha_row, alpha_up, beta_row = alpha[k2], alpha[k2 + 1], beta[k2]
         for k1 in range(w):
-            b1, a0 = beta(k1 + 1, k2), alpha(k1, k2)
-            a2, b0 = alpha(k1, k2 + 1), beta(k1, k2)
+            b1, a0 = beta_row[k1 + 1], alpha_row[k1]
+            a2, b0 = alpha_up[k1], beta_row[k1]
             lhs_n, lhs_d = b1.numerator * a0.numerator, b1.denominator * a0.denominator
             rhs_n, rhs_d = a2.numerator * b0.numerator, a2.denominator * b0.denominator
             if lhs_n * rhs_d != rhs_n * lhs_d:
@@ -155,19 +158,6 @@ def path_independence_check(
     if k1 < 0 or k2 < 0:
         raise ValueError("lattice point must be in the quadrant")
     reference = diagram.moment(k1, k2)
-
-    def product_along(steps: list[str]) -> Fraction:
-        x = y = 0
-        total = Fraction(1)
-        for step in steps:
-            if step == "R":
-                total *= diagram.alpha_sq(x, y)
-                x += 1
-            else:
-                total *= diagram.beta_sq(x, y)
-                y += 1
-        return total
-
     paths = [["U"] * k2 + ["R"] * k1]
     rng = random.Random(seed)
     for _ in range(n_random):
@@ -175,7 +165,7 @@ def path_independence_check(
         rng.shuffle(steps)
         paths.append(steps)
     for steps in paths:
-        value = product_along(steps)
+        value = _path_product(diagram, steps)
         if value != reference:
             return Certificate(
                 "path_independence_check",
@@ -212,10 +202,14 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
 
     Over common denominators f of the masses and b, d of the coordinates,
     an atom m d(s, t) is (e/f) d(a/b, c/d) with integer e, a, c, and the
-    measure moment at (k1, k2) is sum e a^k1 c^k2 / (f b^k1 d^k2).  Each
-    atom's a^k1 (k1 < w) and c^k2 (k2 < h) are built once, and each
-    window point is one integer cross-multiplication with the diagram
-    moment; a Fraction is built only for a failure witness.
+    measure moment at (k1, k2) is N / (f b^k1 d^k2), N = sum e a^k1 c^k2;
+    each atom's a^k1 (k1 < w) and c^k2 (k2 < h) are built once.  The scan
+    is row-major, so each point's predecessor on the canonical path,
+    (k1-1, 0) on row 0 and (k1, k2-1) above it, has already matched the
+    diagram: the mass must be 1, and every other measure moment its
+    predecessor's times the squared weight between them.  Each test is one
+    integer cross-multiplication; a Fraction is built only for a failure
+    witness, where predecessor times weight is the diagram moment.
     """
     w, h = _check_window(window)
     f = lcm(*(m.denominator for _, m in mu.atoms))
@@ -224,21 +218,28 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     atoms = [
         (_scaled(m, f), _powers(_scaled(s, b), w), _powers(_scaled(t, d), h)) for (s, t), m in mu.atoms
     ]
-    b_powers = _powers(b, w)
+    numerators: list[int] = []  # N on the row being scanned
     for k2 in range(h):
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]
-        row_denominator = f * d**k2
+        below, numerators = numerators, []
         for k1 in range(w):
-            lhs = diagram.moment(k1, k2)
             numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
-            denominator = row_denominator * b_powers[k1]
-            if lhs.numerator * denominator != numerator * lhs.denominator:
+            if k2:
+                weight, previous, step = diagram.beta_sq(k1, k2 - 1), below[k1], d
+            elif k1:
+                weight, previous, step = diagram.alpha_sq(k1 - 1, 0), numerators[k1 - 1], b
+            else:
+                weight, previous, step = Fraction(1), f, 1  # the mass N(0, 0) / f
+            if numerator * weight.denominator != previous * weight.numerator * step:
+                denominator = f * b**k1 * d**k2
+                lhs = Fraction(previous, denominator // step) * weight
                 rhs = Fraction(numerator, denominator)
                 return Certificate(
                     "check_berger_2d",
                     False,
                     {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)},
                 )
+            numerators.append(numerator)
     # a tuple, not a list: the pair test caches one of these certificates
     return Certificate("check_berger_2d", True, {"window": (w, h)})
 
@@ -303,14 +304,9 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
         raise ValueError("direction must be 'vertical' or 'horizontal'")
     if direction == "horizontal":
         report = backward_extension_2d(first_step_sq, mu_sub.swapped(), xi0, "vertical")
-        return BackwardExtensionReport(
+        return replace(
+            report,
             direction="horizontal",
-            passed=report.passed,
-            reciprocal_norm=report.reciprocal_norm,
-            bound=report.bound,
-            first_step_sq=report.first_step_sq,
-            weight_ok=report.weight_ok,
-            domination=report.domination,
             new_measure=None if report.new_measure is None else report.new_measure.swapped(),
         )
 
@@ -376,29 +372,32 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     square root and no commutativity.  Each test is the sign of one
     integer: the quantity times a positive product of the six weights'
     denominators, with no gcd taken.  The witness of a failure is the base
-    point k with a, d, P and Q as fractions.
+    point k with a, d, P and Q as fractions.  Every weight a block needs
+    lies in the window, and each is read once.
     """
     w, h = _check_window(window)
-    alpha, beta = diagram.alpha_sq, diagram.beta_sq
+    alpha = [[diagram.alpha_sq(k1, k2) for k1 in range(w)] for k2 in range(h)]
+    beta = [[diagram.beta_sq(k1, k2) for k1 in range(w)] for k2 in range(h)]
     for k2 in range(h):
+        alpha_row, beta_row = alpha[k2], beta[k2]
         for k1 in range(w):
-            a0, b0 = alpha(k1, k2), beta(k1, k2)
+            a0, b0 = alpha_row[k1], beta_row[k1]
             a = d = p = q = None  # each entry as (numerator, positive denominator)
             if k1 + 1 < w:
-                a1 = alpha(k1 + 1, k2)
+                a1 = alpha_row[k1 + 1]
                 a = (
                     a1.numerator * a0.denominator - a0.numerator * a1.denominator,
                     a0.denominator * a1.denominator,
                 )
             if k2 + 1 < h:
-                b1 = beta(k1, k2 + 1)
+                b1 = beta[k2 + 1][k1]
                 d = (
                     b1.numerator * b0.denominator - b0.numerator * b1.denominator,
                     b0.denominator * b1.denominator,
                 )
             ok = (a is None or a[0] >= 0) and (d is None or d[0] >= 0)
             if ok and a is not None and d is not None:
-                a2, b2 = alpha(k1, k2 + 1), beta(k1 + 1, k2)
+                a2, b2 = alpha[k2 + 1][k1], beta_row[k1 + 1]
                 p = (a2.numerator * b2.numerator, a2.denominator * b2.denominator)
                 q = (a0.numerator * b0.numerator, a0.denominator * b0.denominator)
                 # r and 4 P Q times L and L^2, with L = P_den Q_den a1_den b1_den

@@ -18,6 +18,8 @@ from shiftcert.cli import (
     CHECK1D_N_MAX,
     CHECK1D_ORDER_MAX,
     DEPTH_MAX,
+    FIT_ATOMS_MAX,
+    FIT_ROWS_MAX,
     MOMENTS_N_MAX,
     SWEEP_K_MAX,
     SWEEP_N_MAX,
@@ -33,6 +35,12 @@ from shiftcert.measures import measure_to_dict, moment1
 
 def dump_measure(mu, path) -> None:
     Path(path).write_text(json.dumps(measure_to_dict(mu)))
+
+
+def two_atom_csv(rows: int) -> str:
+    """The moments (1/2^n + 1) / 2 of 1/2 d(1/2) + 1/2 d(1) as a CSV of ``rows`` rows:
+    a fit finds them at order 2 whatever --max-atoms allows."""
+    return "n,gamma_n\n" + "\n".join(f"{n},{(F(1, 2**n) + 1) / 2}" for n in range(rows))
 
 
 @pytest.fixture()
@@ -293,6 +301,8 @@ def input_files(tmp_path_factory):
         "csv-three-columns": "0,1,2\n",
         "csv-decimal": "0,1\n1,0.5\n",
         "csv-header-only": "n,gamma_n\n",
+        "csv-rows-at-cap": two_atom_csv(FIT_ROWS_MAX),
+        "csv-rows-past-cap": two_atom_csv(FIT_ROWS_MAX + 1),
     }
     for name, text in contents.items():
         path = root / f"{name}.json"
@@ -434,13 +444,16 @@ class TestContractFuzz:
         options=st.fixed_dictionaries(
             {
                 "moments": _mostly(
-                    st.sampled_from(["csv", "csv-fib"]),
+                    st.sampled_from(["csv", "csv-fib", "csv-rows-at-cap"]),
                     st.sampled_from(
                         ["csv-short", "csv-repeated", "csv-gap", "csv-three-columns", "csv-decimal",
-                         "csv-header-only", "missing", "not-utf8"]
+                         "csv-header-only", "csv-rows-past-cap", "missing", "not-utf8"]
                     ),
                 ),
-                "--max-atoms": _mostly(st.integers(1, 5), st.sampled_from([0, -1, 100])),
+                "--max-atoms": _mostly(
+                    st.one_of(st.integers(1, 5), st.just(FIT_ATOMS_MAX)),
+                    st.sampled_from([0, -1, FIT_ATOMS_MAX + 1, 100]),
+                ),
             }
         ),
         out=_OUT,
@@ -448,6 +461,10 @@ class TestContractFuzz:
     @settings(max_examples=60, deadline=None)
     def test_fit(self, input_files, options, out):
         code, output = _run_contract(_argv(["fit"], options, input_files), input_files.get(out))
+        if options["moments"] == "csv-rows-past-cap" or options["--max-atoms"] > FIT_ATOMS_MAX:
+            assert code == 2
+        if options["moments"] == "csv-rows-at-cap" and 2 <= options["--max-atoms"] <= FIT_ATOMS_MAX:
+            assert code == (2 if out == "out-no-dir" else 0)
         if code == 1:
             assert set(json.loads(output)) == {"error", "message"}
         elif code == 0:
@@ -540,6 +557,8 @@ class TestContractFuzz:
 _SWEEP_ONE_X = ["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1"]
 _PAST_CAPS = {
     "moments-n-max": (["moments", "{measure}", "--n-max", MOMENTS_N_MAX + 1], MOMENTS_N_MAX),
+    "fit-max-atoms": (["fit", "{rows_at_cap}", "--max-atoms", FIT_ATOMS_MAX + 1], FIT_ATOMS_MAX),
+    "fit-rows": (["fit", "{rows_past_cap}", "--max-atoms", 2], FIT_ROWS_MAX),
     "check1d-order": (["check1d", "{weights}", "--order", CHECK1D_ORDER_MAX + 1], CHECK1D_ORDER_MAX),
     "check1d-n-max": (["check1d", "{weights}", "--n-max", CHECK1D_N_MAX + 1], CHECK1D_N_MAX),
     "check1d-k-max": (["check1d", "{weights}", "--k-max", CHECK1D_K_MAX + 1], CHECK1D_K_MAX),
@@ -564,6 +583,8 @@ _PAST_CAPS = {
 
 _AT_CAPS = {
     "moments-n-max": ["moments", "{measure}", "--n-max", MOMENTS_N_MAX],
+    "fit-max-atoms": ["fit", "{rows_at_cap}", "--max-atoms", FIT_ATOMS_MAX],
+    "fit-rows": ["fit", "{rows_at_cap}", "--max-atoms", 2],
     "check1d-order": ["check1d", "{half}", "--order", CHECK1D_ORDER_MAX, "--n-max", 1, "--k-max", 0],
     "check1d-n-max": ["check1d", "{half}", "--order", 0, "--n-max", CHECK1D_N_MAX, "--k-max", 0],
     "check1d-k-max": ["check1d", "{half}", "--order", 0, "--n-max", 1, "--k-max", CHECK1D_K_MAX],
@@ -581,7 +602,11 @@ class TestCaps:
     def paths(self, xi_a_file, weights_file, tmp_path):
         half = tmp_path / "half.json"
         half.write_text(json.dumps({"kind": "prefix", "squared_weights": ["1/2"]}))
-        return {"measure": xi_a_file, "weights": weights_file, "half": str(half)}
+        rows = {}
+        for name, count in (("rows_at_cap", FIT_ROWS_MAX), ("rows_past_cap", FIT_ROWS_MAX + 1)):
+            rows[name] = tmp_path / f"{name}.csv"
+            rows[name].write_text(two_atom_csv(count))
+        return {"measure": xi_a_file, "weights": weights_file, "half": str(half), **rows}
 
     @pytest.mark.parametrize("case", sorted(_PAST_CAPS))
     def test_past_a_cap_is_a_usage_error(self, case, paths, capsys):

@@ -429,3 +429,11 @@ class TestFamilyReport:
     def test_report_serializes(self):
         text = json.dumps(family_report(F(2, 11)), sort_keys=True)
         assert "certificates" in text
+
+    @pytest.mark.parametrize("x", [F(1, 10), F(2, 11), F(1, 5), F(8, 33), F(1, 2)])
+    def test_t2_runs_once_per_sheet(self, x):
+        with mock.patch.object(lubin, "is_t2_subnormal", wraps=lubin.is_t2_subnormal) as t2:
+            report = family_report(x)
+        assert t2.call_count == 1
+        assert report["certificates"]["t2"] == lubin.is_t2_subnormal(x).as_dict()
+        assert report["verdicts"]["t2_subnormal"] == (x <= lubin.T2_THRESHOLD)

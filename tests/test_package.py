@@ -176,3 +176,15 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs_cleanly(demo):
+    # each demo runs standalone, in a fresh interpreter with src/ on the path
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -190,7 +191,7 @@ class TestWeightDiagram:
         assert d.moment(1, 1) == d.alpha_sq(0, 0) * d.beta_sq(1, 0)
 
     def test_deep_moment_needs_no_recursion(self):
-        # past the interpreter's recursion limit, and filled in two pieces
+        # past the interpreter's recursion limit, along row 0 and up a column
         d = family()
         assert d.moment(3, 2) == moment2d(3, 2, F(1, 5))
         assert d.moment(1500, 0) == moment1(xi_a(), 1500)
@@ -346,6 +347,18 @@ def berger_cases(draw):
     return diagram, other, (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
 
 
+def perturbed(diagram: WeightDiagram, which: str, point, factor) -> WeightDiagram:
+    """``diagram`` with the one squared weight ``which`` at ``point`` times ``factor``."""
+    def rule(name, read):
+        return lambda k1, k2: read(k1, k2) * (factor if (name, (k1, k2)) == (which, point) else 1)
+
+    return WeightDiagram(rule("alpha", diagram.alpha_sq), rule("beta", diagram.beta_sq), name="perturbed")
+
+
+def cap_moment_diagram() -> WeightDiagram:
+    return weights_from_moments2d(MomentTable2D(lambda k1, k2: moment2(MU_CAP, k1, k2)))
+
+
 class TestBerger2DKernel:
     @given(case=berger_cases())
     @settings(max_examples=200, deadline=None)
@@ -370,6 +383,92 @@ class TestBerger2DKernel:
             diagram = family().restricted(*base)
             got, want = check_berger_2d(diagram, mu, (24, 24)), reference_check_berger_2d(diagram, mu, (24, 24))
             assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
+
+    # on a diagram that does not commute, the check must agree with the moments along
+    # the canonical path (row 0, then up column k1) and no other path
+    @given(
+        which=st.sampled_from(["alpha", "beta"]),
+        k1=st.integers(0, 5),
+        k2=st.integers(1, 5),
+        factor=st.sampled_from([F(2), F(1, 3), F(7, 5)]),
+        window=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_weight_off_row_0_perturbed(self, which, k1, k2, factor, window):
+        diagram = perturbed(cap_moment_diagram(), which, (k1, k2), factor)
+        assert not commutativity_check(diagram, (6, 6)).ok
+        got, want = check_berger_2d(diagram, MU_CAP, window), reference_check_berger_2d(diagram, MU_CAP, window)
+        assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
+
+    def test_an_alpha_off_row_0_is_off_the_canonical_path(self):
+        # no canonical path steps right above row 0, so the check passes although
+        # the all-vertical-first path to (3, 3) meets the perturbed weight
+        diagram = perturbed(cap_moment_diagram(), "alpha", (1, 2), F(2))
+        assert check_berger_2d(diagram, MU_CAP, (6, 6)).ok
+        assert not path_independence_check(diagram, (3, 3)).ok
+
+    def test_a_beta_above_row_0_fails_up_its_column(self):
+        diagram = perturbed(cap_moment_diagram(), "beta", (2, 1), F(2))
+        cert = check_berger_2d(diagram, MU_CAP, (6, 6))
+        assert not cert.ok and cert.witness["k"] == [2, 2]
+        assert F(cert.witness["diagram"]) == 2 * moment2(MU_CAP, 2, 2) == 2 * F(cert.witness["measure"])
+        assert dict(cert.witness) == dict(reference_check_berger_2d(diagram, MU_CAP, (6, 6)).witness)
+
+    @pytest.mark.parametrize(
+        "atoms, k, diagram_moment, measure_moment",
+        [
+            # mass 1/2: the first test, at the origin
+            ([((F(1, 4), F(1, 4)), F(1, 4)), ((F(1, 2), F(1, 2)), F(1, 4))], [0, 0], "1", "1/2"),
+            # t-moments of MU_CAP, one s-coordinate moved: row 0
+            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 3), F(1, 2)), F(1, 2))], [1, 0], "3/8", "7/24"),
+            # s-moments of MU_CAP, one t-coordinate moved: above row 0
+            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 2), F(1, 3)), F(1, 2))], [0, 1], "3/8", "7/24"),
+        ],
+        ids=["origin", "row-0", "above-row-0"],
+    )
+    def test_first_failure_and_its_witness(self, atoms, k, diagram_moment, measure_moment):
+        diagram, mu = cap_moment_diagram(), AtomicMeasure2D(atoms)
+        cert = check_berger_2d(diagram, mu, (5, 5))
+        assert not cert.ok
+        assert dict(cert.witness) == {"k": k, "diagram": diagram_moment, "measure": measure_moment}
+        assert cert == reference_check_berger_2d(diagram, mu, (5, 5))
+
+
+def state(diagram: WeightDiagram) -> dict:
+    """A copy of every attribute of ``diagram``, containers copied."""
+    return {name: copy.copy(value) for name, value in vars(diagram).items()}
+
+
+class TestStatelessDiagram:
+    def test_checks_leave_no_state_behind(self):
+        family_x = LubinFamily(F(1, 7))
+        whole = family_x.diagram()
+        deep = whole.restricted(1, 1)
+        before = state(whole), state(deep)
+        for diagram in (whole, deep):
+            commutativity_check(diagram, (64, 64))
+            joint_hyponormality_window(diagram, (64, 64))
+            check_berger_2d(diagram, MU_CAP, (64, 64))
+            assert path_independence_check(diagram, (0, 500)).ok
+        assert (state(whole), state(deep)) == before
+        assert vars(family_x) == {"x": F(1, 7)}
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [F(0), F(-1)])
+    def test_a_nonpositive_weight_is_rejected_when_read(self, which, value):
+        # the moment diagram of the unit point mass at (1, 1), one weight at the origin replaced
+        bad = perturbed(WeightDiagram(lambda k1, k2: F(1), lambda k1, k2: F(1)), which, (0, 0), value)
+        unit = AtomicMeasure2D([((F(1), F(1)), F(1))])
+        step = (1, 0) if which == "alpha" else (0, 1)
+        for check in (
+            lambda: commutativity_check(bad, (2, 2)),
+            lambda: joint_hyponormality_window(bad, (2, 2)),
+            lambda: check_berger_2d(bad, unit, (2, 2)),
+            lambda: path_independence_check(bad, (1, 1)),
+            lambda: bad.moment(*step),
+        ):
+            with pytest.raises(ValueError, match="must be positive"):
+                check()
 
 
 class TestBackwardExtension2D:
