@@ -26,14 +26,14 @@ print("threshold_t2() =", threshold_t2())
 
 # two variables: the horizontal step rebuilds mu_M from the deep measure
 step = backward_extension_2d(F(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
-print("\nhorizontal step passed:", step.passed)
-print("reconstructed:", step.new_measure)
+print("\nhorizontal step passed:", step.ok)
+print("reconstructed:", step.witness["new_measure"])
 
 # the final vertical step prepends beta^2_(0,0) = x below mu_M; the
 # domination against xi_a is what pins the pair threshold at 2/11
 for x in (F(2, 11), F(2, 11) + F(1, 10**6)):
     step = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
-    print(f"vertical step at x = {x}: {step.passed}")
+    print(f"vertical step at x = {x}: {step.ok}")
 print("threshold_pair() =", threshold_pair())
 
 # the composed verdicts

@@ -7,8 +7,7 @@ and two variables, Hankel and Agler positivity checks, and a certified
 parameter range for the subnormality of a rescaled shift sum.
 
 Everything decision-bearing returns a :class:`~shiftcert.certificate.Certificate`
-(or a structured report) carrying an exact witness, so a failure can be
-replayed by hand.
+carrying an exact witness, so a failure can be replayed by hand.
 """
 
 from .certificate import Certificate
@@ -31,7 +30,6 @@ from .measures import (
     is_infinite,
     marginal,
     measure_from_dict,
-    measure_to_dict,
     moment1,
     moment2,
     reciprocal_norm,
@@ -48,12 +46,10 @@ from .shift1d import (
     agler_sums_1d,
     backward_extension_1d,
     berger_fit,
-    restrict,
     subnormal_necessary,
     weights_from_measure,
 )
 from .shift2d import (
-    BackwardExtensionReport,
     WeightDiagram,
     backward_extension_2d,
     check_berger_2d,
@@ -74,7 +70,6 @@ from .lubin import (
     threshold_t2,
 )
 from .agler import (
-    AglerCertificate,
     certified_epsilon,
     certified_x_max,
     certify_sum,
@@ -88,10 +83,8 @@ from .agler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AglerCertificate",
     "AtomicMeasure1D",
     "AtomicMeasure2D",
-    "BackwardExtensionReport",
     "Certificate",
     "INFINITE",
     "InconsistentMomentsError",
@@ -129,7 +122,6 @@ __all__ = [
     "joint_hyponormality_window",
     "marginal",
     "measure_from_dict",
-    "measure_to_dict",
     "moment1",
     "moment2",
     "p_n_bruteforce",
@@ -139,7 +131,6 @@ __all__ = [
     "positivity_over_all_k",
     "rat_str",
     "reciprocal_norm",
-    "restrict",
     "restrict_density",
     "subnormal_necessary",
     "tail_stopping_index",

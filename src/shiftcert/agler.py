@@ -70,7 +70,7 @@ only for the stored fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -135,13 +135,17 @@ def _numerator_over(value: Fraction, denominator: int) -> int:
     return scaled
 
 
-@dataclass(frozen=True)
-class PerNCoefficients:
+class PerNCoefficients(
+    namedtuple(
+        "PerNCoefficients",
+        "const_a slope_a const_b slope_b c_n k0_const k0_slope tail_sixteenth tail_eighth exposed sup",
+    )
+):
     """The x-free data of one n, from which every per-n fact at x follows.
 
     A_n = const_a + slope_a x,  B_n = const_b + slope_b x,  C_n = c_n,
     P_n(0, 0) = k0_const + k0_slope x, and the two tail inequalities
-    I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n.
+    I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n as booleans.
 
     ``exposed`` holds each (k, const_k, slope_k) with k >= 1, slope_k < 0
     and const_k + slope_k x = P_n(k, 0) gamma_k, in increasing k, up to the
@@ -150,17 +154,7 @@ class PerNCoefficients:
     has a negative slope).
     """
 
-    const_a: Fraction
-    slope_a: Fraction
-    const_b: Fraction
-    slope_b: Fraction
-    c_n: Fraction
-    k0_const: Fraction
-    k0_slope: Fraction
-    tail_sixteenth: bool
-    tail_eighth: bool
-    exposed: tuple[tuple[int, Fraction, Fraction], ...]
-    sup: Fraction | None
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +327,10 @@ def positivity_over_all_k(x, n: int) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(namedtuple("TailBound", "n_star n_sixteenth n_eighth witness")):
     """Analytic closure of the n-tail, with exact stopping indices."""
 
-    n_star: int
-    n_sixteenth: int
-    n_eighth: int
-    witness: str
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)
@@ -399,95 +389,42 @@ def certified_epsilon() -> Fraction:
     return certified_x_max() - PAIR_THRESHOLD
 
 
-@dataclass(frozen=True)
-class PerNRecord:
-    n: int
-    ok: bool
-    x_max: Fraction | None
-    tail_sixteenth: bool
-    tail_eighth: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ok": self.ok,
-            "x_max": None if self.x_max is None else str(self.x_max),
-            "tail_sixteenth": self.tail_sixteenth,
-            "tail_eighth": self.tail_eighth,
-        }
-
-
-@dataclass(frozen=True)
-class AglerCertificate:
-    """Complete finite-plus-tail certificate for the rescaled sum at x."""
-
-    x: Fraction
-    verdict: bool
-    n_tail: int
-    per_n: tuple[PerNRecord, ...]
-    certified_x_max: Fraction
-    epsilon: Fraction
-    tail_witness: str
-    witness: dict | None
-
-    def __bool__(self) -> bool:
-        return self.verdict
-
-    def as_dict(self) -> dict:
-        return {
-            "check": "certify_sum",
-            "x": str(self.x),
-            "verdict": "pass" if self.verdict else "fail",
-            "n_tail": self.n_tail,
-            "certified_x_max": str(self.certified_x_max),
-            "epsilon": str(self.epsilon),
-            "tail_witness": self.tail_witness,
-            "witness": self.witness,
-            "per_n": [record.as_dict() for record in self.per_n],
-        }
-
-
-def certify_sum(x) -> AglerCertificate:
+def certify_sum(x) -> Certificate:
     """Decide subnormality of (T1 + T2)/2 at parameter x, with certificate.
 
-    Exact per-n positivity for every n up to the analytic stopping index,
-    the exact tail inequalities recorded per n, and the k = 0 cap x <= 6/5
-    covering all larger n.  The verdict is equivalent to
-    x <= certified_x_max(), which the construction re-asserts.
+    Exact per-n positivity for every n up to the analytic stopping index
+    ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n.  The
+    verdict is equivalent to x <= certified_x_max(), which the
+    construction re-asserts.  The witness records x, ``n_tail``,
+    ``certified_x_max``, ``epsilon``, the analytic ``tail_witness``, and the
+    ``violation``: ``None`` on a pass, else the least failing n with its
+    least failing k and the value P_n(k, 0) < 0 there, or the cap it
+    exceeds.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
     tail = tail_stopping_index()
-    records = []
-    first_violation = None
+    violation = None
     for n in range(1, tail.n_star + 1):
-        r = per_n_coefficients(n)
-        k = _first_negative_k(r, x)
-        records.append(
-            PerNRecord(
-                n=n, ok=k is None, x_max=r.sup, tail_sixteenth=r.tail_sixteenth, tail_eighth=r.tail_eighth
-            )
-        )
-        if k is not None and first_violation is None:
-            first_violation = {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
-    cap_ok = x <= K0_CAP
-    verdict = cap_ok and all(record.ok for record in records)
+        k = _first_negative_k(per_n_coefficients(n), x)
+        if k is not None:
+            violation = {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
+            break
+    if violation is None and x > K0_CAP:
+        violation = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}
     x_max = certified_x_max()
-    if verdict != (x <= x_max):
+    if (violation is None) != (x <= x_max):
         raise ArithmeticError("per-n decisions must match the certified bound")
-    witness = None
-    if not verdict:
-        witness = first_violation or {
-            "reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"
-        }
-    return AglerCertificate(
-        x=x,
-        verdict=verdict,
-        n_tail=tail.n_star,
-        per_n=tuple(records),
-        certified_x_max=x_max,
-        epsilon=x_max - PAIR_THRESHOLD,
-        tail_witness=tail.witness,
-        witness=witness,
+    return Certificate(
+        "certify_sum",
+        violation is None,
+        {
+            "x": x,
+            "n_tail": tail.n_star,
+            "certified_x_max": x_max,
+            "epsilon": certified_epsilon(),
+            "tail_witness": tail.witness,
+            "violation": violation,
+        },
     )

@@ -42,7 +42,6 @@ from .measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
     measure_from_dict,
-    measure_to_dict,
     moment1,
 )
 from .numerics import parse_rational, rat_str
@@ -195,7 +194,7 @@ def cmd_fit(args) -> int:
     except ShiftCertError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         return _emit(json.dumps(error, indent=2), args.out, 1)
-    return _emit(json.dumps(measure_to_dict(measure), indent=2, sort_keys=True), args.out)
+    return _emit(json.dumps(measure.as_dict(), indent=2, sort_keys=True), args.out)
 
 
 def cmd_check1d(args) -> int:
@@ -262,11 +261,12 @@ def cmd_lubin_certify(args) -> int:
     x = parse_rational(args.x)
     report = lubin.family_report(x)
     sum_certificate = agler.certify_sum(x)
+    sum_witness = sum_certificate.witness
     verdicts = dict(report["verdicts"])
-    verdicts["sum_subnormal_certified"] = sum_certificate.verdict
+    verdicts["sum_subnormal_certified"] = sum_certificate.ok
     payload = {
         "x": report["x"],
-        "thresholds": {**report["thresholds"], "sum_certified": rat_str(sum_certificate.certified_x_max)},
+        "thresholds": {**report["thresholds"], "sum_certified": rat_str(sum_witness["certified_x_max"])},
         "verdicts": verdicts,
         "counterexample": (
             verdicts["t1_subnormal"]
@@ -275,11 +275,11 @@ def cmd_lubin_certify(args) -> int:
             and not verdicts["pair_subnormal"]
         ),
         "sum_certificate": {
-            "n_tail": sum_certificate.n_tail,
-            "certified_x_max": rat_str(sum_certificate.certified_x_max),
-            "epsilon": rat_str(sum_certificate.epsilon),
-            "witness": sum_certificate.witness,
-            "tail_witness": sum_certificate.tail_witness,
+            "n_tail": sum_witness["n_tail"],
+            "certified_x_max": rat_str(sum_witness["certified_x_max"]),
+            "epsilon": rat_str(sum_witness["epsilon"]),
+            "witness": sum_witness["violation"],
+            "tail_witness": sum_witness["tail_witness"],
         },
         "certificates": report["certificates"],
     }

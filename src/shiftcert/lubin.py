@@ -70,12 +70,7 @@ from .measures import (
     restrict_density,
 )
 from .shift1d import backward_extension_1d
-from .shift2d import (
-    BackwardExtensionReport,
-    WeightDiagram,
-    backward_extension_2d,
-    check_berger_2d,
-)
+from .shift2d import WeightDiagram, backward_extension_2d, check_berger_2d
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -362,7 +357,7 @@ def threshold_t2() -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _extension_to_mu_m() -> BackwardExtensionReport:
+def _extension_to_mu_m() -> Certificate:
     """Step one of the pair test: extend mu_{M int N} horizontally through
     the column-0 slice with the x-free first-step weight 1/8."""
     return backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
@@ -391,7 +386,7 @@ def threshold_pair() -> Fraction:
       = min( 8/15, 6/5, 2/11, 2/11 ) = 2/11.
     """
     step_one = _extension_to_mu_m()
-    if not step_one.passed or step_one.new_measure != mu_m():
+    if not step_one.ok or step_one.witness["new_measure"] != mu_m():
         raise ArithmeticError("the horizontal extension step failed to rebuild mu_M")
     norm = reciprocal_norm(mu_m(), "t")
     per_unit_x = marginal(extremal(mu_m(), "t"), "x").scaled(norm)
@@ -446,7 +441,7 @@ def is_pair_subnormal(x) -> Certificate:
     deep = _deep_restriction_check()
     step_one = _extension_to_mu_m()
     step_two = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
-    ok = t2.ok and deep.ok and step_one.passed and step_two.passed
+    ok = t2.ok and deep.ok and step_one.ok and step_two.ok
     if ok != (x <= PAIR_THRESHOLD):
         raise ArithmeticError("pipeline must agree with the threshold")
     return Certificate(

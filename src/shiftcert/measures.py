@@ -80,10 +80,6 @@ class AtomicMeasure1D:
             seen[p] = m
         self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(seen.items()))
 
-    @staticmethod
-    def dirac(point) -> "AtomicMeasure1D":
-        return AtomicMeasure1D([(point, Fraction(1))])
-
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
@@ -96,9 +92,6 @@ class AtomicMeasure1D:
             if q == p:
                 return m
         return Fraction(0)
-
-    def points(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.atoms)
 
     def scaled(self, factor) -> "AtomicMeasure1D":
         c = Fraction(factor)
@@ -124,6 +117,10 @@ class AtomicMeasure1D:
             else:
                 merged[p] = left
         return AtomicMeasure1D(merged.items())
+
+    def as_dict(self) -> dict:
+        """The JSON form; :func:`measure_from_dict` reads it back."""
+        return {"dim": 1, "atoms": [{"point": rat_str(p), "mass": rat_str(m)} for p, m in self.atoms]}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomicMeasure1D) and self.atoms == other.atoms
@@ -156,10 +153,6 @@ class AtomicMeasure2D:
             seen[key] = m
         self.atoms: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = tuple(sorted(seen.items()))
 
-    @staticmethod
-    def dirac(s, t) -> "AtomicMeasure2D":
-        return AtomicMeasure2D([((s, t), Fraction(1))])
-
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
@@ -188,6 +181,13 @@ class AtomicMeasure2D:
     def swapped(self) -> "AtomicMeasure2D":
         """Push forward under (s, t) -> (t, s)."""
         return AtomicMeasure2D(((t, s), m) for (s, t), m in self.atoms)
+
+    def as_dict(self) -> dict:
+        """The JSON form; :func:`measure_from_dict` reads it back."""
+        return {
+            "dim": 2,
+            "atoms": [{"point": [rat_str(s), rat_str(t)], "mass": rat_str(m)} for (s, t), m in self.atoms],
+        }
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomicMeasure2D) and self.atoms == other.atoms
@@ -298,25 +298,8 @@ def restrict_density(xi: AtomicMeasure1D, i: int) -> AtomicMeasure1D:
     return AtomicMeasure1D((p, m * p**i / gamma) for p, m in xi.atoms if p != 0)
 
 
-def measure_to_dict(mu) -> dict:
-    if isinstance(mu, AtomicMeasure1D):
-        return {
-            "dim": 1,
-            "atoms": [{"point": rat_str(p), "mass": rat_str(m)} for p, m in mu.atoms],
-        }
-    if isinstance(mu, AtomicMeasure2D):
-        return {
-            "dim": 2,
-            "atoms": [
-                {"point": [rat_str(s), rat_str(t)], "mass": rat_str(m)}
-                for (s, t), m in mu.atoms
-            ],
-        }
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
-
-
 def measure_from_dict(data: dict):
-    """Inverse of :func:`measure_to_dict`; validates masses and duplicates."""
+    """Inverse of the measures' ``as_dict``; validates masses and duplicates."""
     if not isinstance(data, dict):
         raise ValueError("a measure must be a JSON object")
     dim = data.get("dim")

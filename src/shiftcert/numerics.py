@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .certificate import Certificate
 
@@ -62,10 +62,6 @@ class SymmetricExactMatrix:
                     raise ValueError(f"matrix is not symmetric at ({i}, {j})")
         self._rows = data
         self.order = n
-
-    @classmethod
-    def from_function(cls, order: int, fn: Callable[[int, int], Fraction]) -> "SymmetricExactMatrix":
-        return cls([[fn(i, j) for j in range(order)] for i in range(order)])
 
     @classmethod
     def hankel(cls, values: Sequence, order: int) -> "SymmetricExactMatrix":

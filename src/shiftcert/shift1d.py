@@ -98,11 +98,6 @@ class WeightSequence1D:
         rule = lambda n: prefix[n] if n < len(prefix) else prefix[-1]
         return cls(rule, bound, name=name)
 
-    @classmethod
-    def constant(cls, squared_value, name: str | None = None) -> "WeightSequence1D":
-        c = Fraction(squared_value)
-        return cls(lambda n: c, c, name=name)
-
     def __repr__(self) -> str:
         label = self.name or "anonymous"
         return f"WeightSequence1D({label}, bound_sq={self.norm_bound_sq})"
@@ -116,16 +111,6 @@ def weights_from_measure(xi: AtomicMeasure1D, n: int) -> Fraction:
     if denom == 0:
         raise ZeroMomentError(f"moment of order {n} vanishes")
     return moment1(xi, n + 1) / denom
-
-
-def restrict(w: WeightSequence1D, i: int) -> WeightSequence1D:
-    """The shift on the invariant subspace of indices >= i (weights shifted by i)."""
-    if i < 0:
-        raise ValueError("restriction index must be >= 0")
-    if i == 0:
-        return w
-    name = f"{w.name}|L{i}" if w.name else None
-    return WeightSequence1D(lambda n: w.squared_weight(n + i), w.norm_bound_sq, name=name)
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:
@@ -263,19 +248,23 @@ def _recurrence_polynomial(ms: list[Fraction], order: int) -> list[Fraction] | N
 _FACTOR_CAP = 10**12
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
+def _divisors(n: int) -> set[int]:
+    out = set()
     i = 1
     while i * i <= n:
         if n % i == 0:
-            out.append(i)
-            out.append(n // i)
+            out.update((i, n // i))
         i += 1
     return out
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All roots of a polynomial known to split into distinct rational roots."""
+    """All roots of a polynomial known to split into distinct rational roots.
+
+    By the rational root theorem each nonzero root is +-p/q in lowest terms
+    with p dividing the constant and q the leading integer coefficient;
+    it is a root iff the integer sum a_i (+-p)^i q^(d-i) vanishes.
+    """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     g = math.gcd(*ints)
@@ -292,15 +281,15 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         low, high = abs(ints[0]), abs(ints[-1])
         if low > _FACTOR_CAP or high > _FACTOR_CAP:
             raise NoRationalAtomsError("coefficients too large for a rational root search")
-        seen = set()
+        d = len(ints) - 1
+        denominators = _divisors(high)
         for p in _divisors(low):
-            for q in _divisors(high):
-                for candidate in (Fraction(p, q), Fraction(-p, q)):
-                    if candidate in seen:
-                        continue
-                    seen.add(candidate)
-                    if sum(ints[i] * candidate**i for i in range(len(ints))) == 0:
-                        roots.append(candidate)
+            for q in denominators:
+                if math.gcd(p, q) != 1:
+                    continue
+                for s in (p, -p):
+                    if sum(a * s**i * q ** (d - i) for i, a in enumerate(ints)) == 0:
+                        roots.append(Fraction(s, q))
     if len(roots) != degree:
         raise NoRationalAtomsError(
             f"recurrence polynomial of degree {degree} has only "

@@ -36,7 +36,6 @@ so it builds no moment table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable
@@ -45,7 +44,6 @@ from .certificate import Certificate
 from .measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
-    INFINITE,
     dominates,
     extremal,
     is_infinite,
@@ -244,46 +242,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     return Certificate("check_berger_2d", True, {"window": (w, h)})
 
 
-@dataclass(frozen=True)
-class BackwardExtensionReport:
-    """Outcome of a one-step planar backward extension.
-
-    ``passed`` summarizes three conditions along the extension coordinate:
-    (i) 1/coordinate integrable, (ii) the prepended squared weight at most
-    1/||1/coordinate||, (iii) the rescaled extremal marginal dominated by
-    the prescribed slice measure.  When all three hold, ``new_measure``
-    is the Berger measure of the extended pair.
-    """
-
-    direction: str
-    passed: bool
-    reciprocal_norm: object  # Fraction or INFINITE
-    bound: Fraction | None
-    first_step_sq: Fraction
-    weight_ok: bool
-    domination: Certificate | None
-    new_measure: AtomicMeasure2D | None
-
-    def as_dict(self) -> dict:
-        from .measures import measure_to_dict  # local import avoids cycle at module load
-
-        return {
-            "check": "backward_extension_2d",
-            "direction": self.direction,
-            "verdict": "pass" if self.passed else "fail",
-            "reciprocal_norm": "infinite" if is_infinite(self.reciprocal_norm) else str(self.reciprocal_norm),
-            "bound": None if self.bound is None else str(self.bound),
-            "first_step_sq": str(self.first_step_sq),
-            "weight_ok": self.weight_ok,
-            "domination": None if self.domination is None else self.domination.as_dict(),
-            "new_measure": None if self.new_measure is None else measure_to_dict(self.new_measure),
-        }
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMeasure1D, direction: str) -> BackwardExtensionReport:
+def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMeasure1D, direction: str) -> Certificate:
     """One-step backward extension of a subnormal pair.
 
     ``mu_sub`` is the Berger measure of the pair restricted past the first
@@ -292,7 +251,13 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
     the slice being extended through; ``first_step_sq`` is the squared
     weight prepended along the extension coordinate.
 
-    On success the new Berger measure is
+    The check passes iff three conditions hold along the extension
+    coordinate: (i) 1/coordinate is integrable (the witness records
+    ``reciprocal_norm``, "infinite" when it is not), (ii) the prepended
+    squared weight is at most ``bound`` = 1/||1/coordinate||
+    (``weight_ok``), (iii) the rescaled extremal marginal is dominated by
+    the slice measure (``domination``).  On success ``new_measure`` is the
+    Berger measure of the extended pair,
 
         c * mu_ext  +  (xi0 - c * (mu_ext marginal)) x delta_0,
 
@@ -303,52 +268,45 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
     if direction not in ("vertical", "horizontal"):
         raise ValueError("direction must be 'vertical' or 'horizontal'")
     if direction == "horizontal":
-        report = backward_extension_2d(first_step_sq, mu_sub.swapped(), xi0, "vertical")
-        return replace(
-            report,
-            direction="horizontal",
-            new_measure=None if report.new_measure is None else report.new_measure.swapped(),
-        )
+        cert = backward_extension_2d(first_step_sq, mu_sub.swapped(), xi0, "vertical")
+        measure = cert.witness["new_measure"]
+        witness = {
+            **cert.witness,
+            "direction": "horizontal",
+            "new_measure": None if measure is None else measure.swapped(),
+        }
+        return Certificate("backward_extension_2d", cert.ok, witness)
 
     beta0 = Fraction(first_step_sq)
     if beta0 <= 0:
         raise ValueError("the prepended squared weight must be positive")
+    witness = {
+        "direction": "vertical",
+        "reciprocal_norm": "infinite",
+        "bound": None,
+        "first_step_sq": beta0,
+        "weight_ok": False,
+        "domination": None,
+        "new_measure": None,
+    }
     norm = reciprocal_norm(mu_sub, "t")
     if is_infinite(norm):
-        return BackwardExtensionReport(
-            direction="vertical",
-            passed=False,
-            reciprocal_norm=INFINITE,
-            bound=None,
-            first_step_sq=beta0,
-            weight_ok=False,
-            domination=None,
-            new_measure=None,
-        )
+        return Certificate("backward_extension_2d", False, witness)
     bound = 1 / norm
     weight_ok = beta0 <= bound
     scale = beta0 * norm  # total mass moved off the axis
     ext = extremal(mu_sub, "t")
     shadow = marginal(ext, "x").scaled(scale)
     dom = dominates(shadow, xi0)
-    passed = weight_ok and dom.ok
-    new_measure = None
-    if passed:
+    ok = weight_ok and dom.ok
+    witness.update(reciprocal_norm=norm, bound=bound, weight_ok=weight_ok, domination=dom)
+    if ok:
         lifted = ext.scaled(scale)
         leftover = xi0.minus(shadow)
         axis_part = AtomicMeasure2D(((p, Fraction(0)), m) for p, m in leftover.atoms)
         # no collision: condition (i) rules out mu_sub atoms with t == 0
-        new_measure = lifted.plus(axis_part) if leftover.atoms else lifted
-    return BackwardExtensionReport(
-        direction="vertical",
-        passed=passed,
-        reciprocal_norm=norm,
-        bound=bound,
-        first_step_sq=beta0,
-        weight_ok=weight_ok,
-        domination=dom,
-        new_measure=new_measure,
-    )
+        witness["new_measure"] = lifted.plus(axis_part) if leftover.atoms else lifted
+    return Certificate("backward_extension_2d", ok, witness)
 
 
 def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:

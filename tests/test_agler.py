@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -260,7 +259,7 @@ class TestPerNRecord:
         # every field, for each n up to the sweep's --n-max cap
         for n in range(201):
             record = per_n_coefficients(n)
-            assert {f.name: getattr(record, f.name) for f in dataclasses.fields(record)} == (
+            assert record._asdict() == (
                 per_n_coefficients_reference(n)
             ), n
 
@@ -289,7 +288,7 @@ class TestPerNRecord:
         record = per_n_coefficients(n)
         kept = tuple(form for form in record.exposed if -form[1] / form[2] != x_max)
         assert len(kept) < len(record.exposed)  # the bound is attained by an exposed form
-        broken = dataclasses.replace(record, exposed=kept)
+        broken = record._replace(exposed=kept)
         original = agler.per_n_coefficients
         monkeypatch.setattr(agler, "per_n_coefficients", lambda m: broken if m == n else original(m))
         with pytest.raises(ArithmeticError):
@@ -390,34 +389,45 @@ class TestCertifiedBound:
 class TestCertifySum:
     def test_passes_at_the_counterexample_parameter(self):
         cert = certify_sum(F(1, 5))
-        assert cert.verdict and bool(cert)
-        assert cert.n_tail == 101
-        assert len(cert.per_n) == 101
-        assert all(record.ok for record in cert.per_n)
-        assert cert.witness is None
+        assert cert.ok and bool(cert) and cert.verdict == "pass"
+        assert cert.witness["x"] == F(1, 5)
+        assert cert.witness["n_tail"] == 101
+        assert cert.witness["violation"] is None
 
     def test_passes_exactly_up_to_the_certified_bound(self):
         x_max = certified_x_max()
-        assert certify_sum(x_max).verdict
+        assert certify_sum(x_max).ok
         bad = certify_sum(x_max + F(1, 10**6))
-        assert not bad.verdict
-        value = F(bad.witness["value"])
+        assert not bad.ok and bad.verdict == "fail"
+        violation = bad.witness["violation"]
+        value = F(violation["value"])
         assert value < 0
-        assert value == p_n_bruteforce(x_max + F(1, 10**6), bad.witness["k"], bad.witness["n"])
+        assert value == p_n_bruteforce(x_max + F(1, 10**6), violation["k"], violation["n"])
 
     def test_tail_flags_recorded(self):
+        # the certificate closes the n-tail where both per-n tail inequalities hold
         cert = certify_sum(F(1, 5))
-        last = cert.per_n[-1]
-        assert last.n == 101
+        n_tail = cert.witness["n_tail"]
+        last = per_n_coefficients(n_tail)
         assert last.tail_sixteenth and last.tail_eighth
-        assert not cert.per_n[0].tail_sixteenth
+        assert not per_n_coefficients(1).tail_sixteenth
+        assert f"for n > {n_tail}" in cert.witness["tail_witness"]
 
     def test_serialization(self):
         cert = certify_sum(F(2, 11))
         data = json.loads(json.dumps(cert.as_dict()))
-        assert data["verdict"] == "pass"
-        assert data["certified_x_max"] == str(certified_x_max())
-        assert len(data["per_n"]) == 101
+        assert data == {
+            "check": "certify_sum",
+            "verdict": "pass",
+            "witness": {
+                "x": "2/11",
+                "n_tail": 101,
+                "certified_x_max": str(certified_x_max()),
+                "epsilon": str(certified_epsilon()),
+                "tail_witness": tail_stopping_index().witness,
+                "violation": None,
+            },
+        }
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -30,11 +30,11 @@ from shiftcert.cli import (
     main,
 )
 from shiftcert.lubin import mu_m_cap_n, xi_a
-from shiftcert.measures import measure_to_dict, moment1
+from shiftcert.measures import moment1
 
 
 def dump_measure(mu, path) -> None:
-    Path(path).write_text(json.dumps(measure_to_dict(mu)))
+    Path(path).write_text(json.dumps(mu.as_dict()))
 
 
 def two_atom_csv(rows: int) -> str:
@@ -54,7 +54,7 @@ def xi_a_file(tmp_path):
 def weights_file(tmp_path):
     path = tmp_path / "weights.json"
     path.write_text(
-        json.dumps({"kind": "measure", "measure": measure_to_dict(xi_a())})
+        json.dumps({"kind": "measure", "measure": xi_a().as_dict()})
     )
     return str(path)
 
@@ -109,7 +109,7 @@ class TestFit:
         assert main(["moments", xi_a_file, "--n-max", "8", "--out", str(csv)]) == 0
         assert main(["fit", str(csv), "--max-atoms", "4"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data == measure_to_dict(xi_a())
+        assert data == xi_a().as_dict()
 
     def test_too_few_moments_is_usage_error(self, tmp_path):
         csv = tmp_path / "m.csv"
@@ -272,9 +272,9 @@ def input_files(tmp_path_factory):
         "out": str(root / "out.txt"),
         "out-no-dir": str(root / "no-dir" / "out.txt"),
     }
-    line = measure_to_dict(xi_a())
+    line = xi_a().as_dict()
     contents = {
-        "cap": json.dumps(measure_to_dict(mu_m_cap_n())),
+        "cap": json.dumps(mu_m_cap_n().as_dict()),
         "line": json.dumps(line),
         "empty": json.dumps({"dim": 2, "atoms": []}),
         "empty-line": json.dumps({"dim": 1, "atoms": []}),
@@ -286,7 +286,7 @@ def input_files(tmp_path_factory):
         "w-measure": json.dumps({"kind": "measure", "measure": line}),
         "w-half": json.dumps({"kind": "prefix", "squared_weights": ["1/2"]}),
         "w-bad": json.dumps({"kind": "prefix", "squared_weights": ["2", "1/2"], "norm_bound_sq": "2"}),
-        "w-planar": json.dumps({"kind": "measure", "measure": measure_to_dict(mu_m_cap_n())}),
+        "w-planar": json.dumps({"kind": "measure", "measure": mu_m_cap_n().as_dict()}),
         "w-no-measure": json.dumps({"kind": "measure"}),
         "w-no-weights": json.dumps({"kind": "prefix"}),
         "w-not-list": json.dumps({"kind": "prefix", "squared_weights": 5}),
@@ -619,6 +619,47 @@ class TestCaps:
     def test_at_a_cap_is_decided(self, case, paths, capsys):
         assert main([str(a).format(**paths) for a in _AT_CAPS[case]]) == 0
         assert capsys.readouterr().err == ""
+
+
+def certificate_objects(value):
+    """Every JSON object with a "check" key inside ``value``."""
+    if isinstance(value, dict):
+        if "check" in value:
+            yield value
+        for item in value.values():
+            yield from certificate_objects(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from certificate_objects(item)
+
+
+def assert_one_certificate_shape(payload) -> set:
+    """Every certificate in ``payload`` is {check, verdict, witness}; returns the check names."""
+    found = list(certificate_objects(payload))
+    assert found
+    for cert in found:
+        assert set(cert) == {"check", "verdict", "witness"}, cert
+        assert cert["verdict"] in ("pass", "fail"), cert
+    return {cert["check"] for cert in found}
+
+
+class TestOneCertificateShape:
+    @pytest.mark.parametrize("x", ["1/6", "7/30", "1/2", "1"])
+    def test_lubin_certify(self, x, capsys):
+        # one x in each regime: all pass, only the pair fails, only T1 and the sum pass, only T1 passes
+        main(["lubin", "certify", "--x", x])
+        data = json.loads(capsys.readouterr().out)
+        assert "backward_extension_2d" in assert_one_certificate_shape(data)
+        assert all(type(value) is bool for value in data["verdicts"].values())
+
+    def test_check1d_backward_extension_through_an_atom_at_zero(self, weights_file, xi_a_file, capsys):
+        code = main(["check1d", weights_file, "--backext-alpha0", "1/11", "--backext-measure", xi_a_file])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert "backward_extension_1d" in assert_one_certificate_shape(data)
+        extension = data["checks"][-1]
+        assert extension["verdict"] == "fail"
+        assert extension["witness"]["reciprocal_norm"] == "infinite"
 
 
 class TestLubinCertify:

@@ -13,6 +13,12 @@ from shiftcert.numerics import (
     rref,
 )
 
+
+def from_function(order, fn):
+    """The order x order matrix [fn(i, j)]."""
+    return SymmetricExactMatrix([[fn(i, j) for j in range(order)] for i in range(order)])
+
+
 rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=40
 )
@@ -85,32 +91,32 @@ class TestSymmetricExactMatrix:
             SymmetricExactMatrix.hankel([F(1), F(2)], 2)
 
     def test_quadratic_form_by_hand(self):
-        m = SymmetricExactMatrix.from_function(2, lambda i, j: F(i + j + 1))
+        m = from_function(2, lambda i, j: F(i + j + 1))
         # [[1,2],[2,3]], v = (1,-1): 1 - 2 - 2 + 3 = 0
         assert m.quadratic_form([F(1), F(-1)]) == 0
 
     def test_asymmetric_function_rejected(self):
         with pytest.raises(ValueError):
-            SymmetricExactMatrix.from_function(2, lambda i, j: F(i - j))
+            from_function(2, lambda i, j: F(i - j))
 
 
 class TestIsPsd:
     def test_diagonal_psd(self):
-        m = SymmetricExactMatrix.from_function(3, lambda i, j: F(i + 1) if i == j else F(0))
+        m = from_function(3, lambda i, j: F(i + 1) if i == j else F(0))
         assert is_psd(m).ok
 
     def test_hilbert_matrix_is_psd(self):
-        h = SymmetricExactMatrix.from_function(4, lambda i, j: F(1, i + j + 1))
+        h = from_function(4, lambda i, j: F(1, i + j + 1))
         cert = is_psd(h)
         assert cert.ok
         assert len(cert.witness["pivots"]) == 4
 
     def test_rank_deficient_psd(self):
-        ones = SymmetricExactMatrix.from_function(3, lambda i, j: F(1))
+        ones = from_function(3, lambda i, j: F(1))
         assert is_psd(ones).ok
 
     def test_indefinite_has_checkable_witness(self):
-        m = SymmetricExactMatrix.from_function(2, lambda i, j: F(1) if i == j else F(2))
+        m = from_function(2, lambda i, j: F(1) if i == j else F(2))
         cert = is_psd(m)
         assert not cert.ok
         v = [F(t) for t in cert.witness["vector"]]
@@ -119,14 +125,14 @@ class TestIsPsd:
         assert value == F(cert.witness["value"])
 
     def test_zero_pivot_psd(self):
-        m = SymmetricExactMatrix.from_function(
+        m = from_function(
             2, lambda i, j: F(1) if i == j == 1 else F(0)
         )
         assert is_psd(m).ok
 
     def test_zero_pivot_indefinite(self):
         # [[0,1],[1,0]] has eigenvalues +-1
-        m = SymmetricExactMatrix.from_function(2, lambda i, j: F(0) if i == j else F(1))
+        m = from_function(2, lambda i, j: F(0) if i == j else F(1))
         cert = is_psd(m)
         assert not cert.ok
         v = [F(t) for t in cert.witness["vector"]]
@@ -142,7 +148,7 @@ class TestIsPsd:
         def gram(i, j):
             return sum(b[k][i] * b[k][j] for k in range(3))
 
-        assert is_psd(SymmetricExactMatrix.from_function(3, gram)).ok
+        assert is_psd(from_function(3, gram)).ok
 
     @given(entries=st.lists(rationals, min_size=6, max_size=6))
     @settings(max_examples=60)
@@ -152,7 +158,7 @@ class TestIsPsd:
         for i in range(3):
             for j in range(i, 3):
                 vals[(i, j)] = next(pool)
-        m = SymmetricExactMatrix.from_function(
+        m = from_function(
             3, lambda i, j: vals[(min(i, j), max(i, j))]
         )
         cert = is_psd(m)

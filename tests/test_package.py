@@ -61,12 +61,17 @@ def test_no_float_in_the_package():
 
 
 def test_import_does_not_load_numpy():
+    # dataclasses and inspect are measured as what the import adds, so a
+    # site that preloads them does not fail the test
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = "import sys, shiftcert, shiftcert.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import shiftcert, shiftcert.cli; "
+        "print('numpy' in sys.modules, sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False []"
 
 
 def test_no_cache_grows_with_the_parameter():
@@ -146,8 +151,21 @@ def test_no_cache_grows_with_the_integral_moment_argument():
 def test_cached_threshold_t1_is_read_only():
     cert = lubin.threshold_t1()
     assert cert is lubin.threshold_t1()
+    with pytest.raises(AttributeError):
+        cert.ok = False
     with pytest.raises(TypeError):
         cert.witness["m_max"] = 0
+
+
+def test_cached_extension_to_mu_m_is_read_only():
+    cert = lubin._extension_to_mu_m()
+    assert cert is lubin.is_pair_subnormal(Fraction(1, 2)).witness["extension_to_mu_m"]
+    for name in ("check", "ok", "witness"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
+    with pytest.raises(TypeError):
+        cert.witness["new_measure"] = None
+    assert cert.witness["new_measure"] == lubin.mu_m()
 
 
 def test_cached_deep_restriction_check_is_read_only():

@@ -17,10 +17,20 @@ from shiftcert.shift1d import (
     agler_sums_1d,
     backward_extension_1d,
     berger_fit,
-    restrict,
     subnormal_necessary,
     weights_from_measure,
 )
+
+
+def dirac(point):
+    """The unit point mass at ``point``."""
+    return AtomicMeasure1D([(point, F(1))])
+
+
+def restrict(w, i):
+    """The shift on the invariant subspace of indices >= i: its weights shifted by i."""
+    return WeightSequence1D(lambda n: w.squared_weight(n + i), w.norm_bound_sq)
+
 
 XI_A = AtomicMeasure1D(
     [(F(0), F(3, 4)), (F(1, 4), F(2, 11)), (F(1, 2), F(1, 22)), (F(1), F(1, 44))]
@@ -59,7 +69,7 @@ class TestWeightSequence:
 
     def test_weights_need_support_off_zero(self):
         with pytest.raises(ZeroMomentError):
-            weights_from_measure(AtomicMeasure1D.dirac(F(0)), 0)
+            weights_from_measure(dirac(F(0)), 0)
 
     def test_prefix_tail_repeats(self):
         assert BAD.squared_weight(0) == 2
@@ -71,7 +81,7 @@ class TestWeightSequence:
             w.squared_weight(0)
 
     def test_constant_shift(self):
-        w = WeightSequence1D.constant(F(1, 3))
+        w = WeightSequence1D.from_prefix([F(1, 3)])
         assert w.moment(4) == F(1, 3) ** 4
 
     def test_restrict_shifts_weights(self):
@@ -127,7 +137,7 @@ class TestAglerSums1D:
     def test_rescaling_keeps_expanding_subnormal_shifts_green(self):
         # constant squared weight 2: moments 2^k, a contraction only
         # after rescaling, and genuinely subnormal (measure d(2))
-        w = WeightSequence1D.constant(F(2))
+        w = WeightSequence1D.from_prefix([F(2)])
         cert = agler_sums_1d(w, 6, 3)
         assert cert.ok
         assert F(cert.witness["rescaled_by"]) == 2
@@ -175,7 +185,7 @@ class TestBergerFit:
         assert berger_fit(moments, 6) == XI_A
 
     def test_point_mass_at_zero(self):
-        assert berger_fit([F(1), F(0), F(0)], 1) == AtomicMeasure1D.dirac(F(0))
+        assert berger_fit([F(1), F(0), F(0)], 1) == dirac(F(0))
 
     def test_irrational_atoms_detected(self):
         # Fibonacci: recurrence x^2 = x + 1 has irrational roots
@@ -204,6 +214,34 @@ class TestBergerFit:
         monkeypatch.setattr(shift1d, "_rational_roots", lambda coeffs: [F(1, 2), F(1, 2)])
         with pytest.raises(InconsistentMomentsError, match="singular"):
             berger_fit([moment1(XI_A, n) for n in range(9)], 4)
+
+    def test_large_atom_lists_each_coefficient_divisors_once(self, monkeypatch):
+        # one atom p/q: the recurrence polynomial is q z - p, and the rational
+        # root search lists the divisors of p and of q once each
+        atom = F(43243200, 10131543907)
+        calls = []
+        divisors = shift1d._divisors
+        monkeypatch.setattr(shift1d, "_divisors", lambda n: calls.append(n) or divisors(n))
+        assert berger_fit([F(1), atom, atom**2], 1) == dirac(atom)
+        assert len(calls) <= 2
+
+    def test_divisors_of_a_square(self):
+        assert shift1d._divisors(36) == {1, 2, 3, 4, 6, 9, 12, 18, 36}
+
+    @given(
+        roots=st.lists(
+            st.fractions(min_value=F(-4), max_value=F(4), max_denominator=12),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rational_roots_of_split_polynomials(self, roots):
+        coeffs = [F(1)]  # lowest degree first; multiply by (z - r) for each root r
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+        assert shift1d._rational_roots(coeffs) == sorted(roots)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

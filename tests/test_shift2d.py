@@ -14,7 +14,6 @@ from shiftcert.lubin import LubinFamily, moment2d, xi_a, xi_a_level1, xi_b_level
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
-    is_infinite,
     moment1,
     moment2,
 )
@@ -474,16 +473,16 @@ class TestStatelessDiagram:
 class TestBackwardExtension2D:
     def test_horizontal_step_reconstructs_mu_m(self):
         report = backward_extension_2d(F(1, 8), MU_CAP, xi_b_level1(), "horizontal")
-        assert report.passed
-        assert report.reciprocal_norm == 3
-        assert report.bound == F(1, 3)
-        assert report.new_measure == MU_M
+        assert report.ok
+        assert report.witness["reciprocal_norm"] == 3
+        assert report.witness["bound"] == F(1, 3)
+        assert report.witness["new_measure"] == MU_M
 
     def test_vertical_step_at_the_pair_threshold(self):
         x = F(2, 11)
         report = backward_extension_2d(F(11, 8) * x, MU_CAP, xi_a_level1(), "vertical")
-        assert report.passed
-        assert report.new_measure == AtomicMeasure2D(
+        assert report.ok
+        assert report.witness["new_measure"] == AtomicMeasure2D(
             [
                 ((F(1, 4), F(1, 4)), F(1, 2)),
                 ((F(1, 2), F(1, 2)), F(1, 4)),
@@ -494,20 +493,20 @@ class TestBackwardExtension2D:
     def test_vertical_step_fails_past_the_threshold(self):
         x = F(2, 11) + F(1, 10**6)
         report = backward_extension_2d(F(11, 8) * x, MU_CAP, xi_a_level1(), "vertical")
-        assert not report.passed
-        assert report.weight_ok  # 11x/8 is still below 1/3
-        assert not report.domination.ok
-        assert report.new_measure is None
+        assert not report.ok
+        assert report.witness["weight_ok"]  # 11x/8 is still below 1/3
+        assert not report.witness["domination"].ok
+        assert report.witness["new_measure"] is None
 
     def test_weight_condition_alone_can_fail(self):
         report = backward_extension_2d(F(1, 2), MU_CAP, xi_a_level1(), "vertical")
-        assert not report.weight_ok
-        assert not report.passed
+        assert not report.witness["weight_ok"]
+        assert not report.ok
 
     def test_atom_on_the_axis_blocks_extension(self):
         report = backward_extension_2d(F(1, 100), MU_M.swapped(), xi_a_level1(), "vertical")
-        assert not report.passed
-        assert is_infinite(report.reciprocal_norm)
+        assert not report.ok
+        assert report.witness["reciprocal_norm"] == "infinite"
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -528,7 +527,7 @@ class TestBackwardExtension2D:
 
         for k1 in range(4):
             for k2 in range(4):
-                assert moment2(report.new_measure, k1 + 1, k2) == F(1, 8) * moment2(
+                assert moment2(report.witness["new_measure"], k1 + 1, k2) == F(1, 8) * moment2(
                     MU_CAP, k1, k2
                 )
 
