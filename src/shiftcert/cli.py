@@ -64,7 +64,7 @@ MOMENTS_N_MAX = 1000
 FIT_ATOMS_MAX = 16  # berger_fit runs one rref per order up to --max-atoms, over every row
 FIT_ROWS_MAX = 200
 CHECK1D_ORDER_MAX = 128
-CHECK1D_N_MAX = 64  # the Agler sums cost about n_max^2 k_max terms
+CHECK1D_N_MAX = 64  # the Agler sums take one integer difference table of n_max + k_max + 1 moments
 CHECK1D_K_MAX = 64
 SWEEP_N_MAX = 200
 SWEEP_K_MAX = 200

@@ -15,7 +15,8 @@ arithmetic:
   [gamma_{i+j+1}] must be positive semidefinite (necessary at every
   order, sufficient in the limit);
 * ``agler_sums_1d`` -- for a contraction, all alternating binomial sums
-  sum_l (-1)^l C(n,l) gamma_{k+l} / gamma_k must be nonnegative;
+  sum_l (-1)^l C(n,l) gamma_{k+l} / gamma_k must be nonnegative (decided
+  by the signs of one integer forward-difference table);
 * ``backward_extension_1d`` -- a subnormal shift with measure xi extends
   one step backward by a weight alpha_0 iff 1/s is xi-integrable and
   alpha_0^2 <= 1 / ||1/s||;
@@ -37,7 +38,7 @@ from .errors import (
     ZeroMomentError,
 )
 from .measures import AtomicMeasure1D, is_infinite, moment1, reciprocal_norm
-from .numerics import SymmetricExactMatrix, binomial, is_psd, rref
+from .numerics import SymmetricExactMatrix, is_psd, rref
 
 
 class WeightSequence1D:
@@ -79,7 +80,8 @@ class WeightSequence1D:
         if not xi.is_probability():
             raise ValueError("Berger measures are probability measures")
         bound = max(p for p, _ in xi.atoms)
-        return cls(lambda n: weights_from_measure(xi, n), bound, name=name)
+        moments: list[Fraction] = []
+        return cls(lambda n: weights_from_measure(xi, n, moments), bound, name=name)
 
     @classmethod
     def from_prefix(
@@ -103,14 +105,24 @@ class WeightSequence1D:
         return f"WeightSequence1D({label}, bound_sq={self.norm_bound_sq})"
 
 
-def weights_from_measure(xi: AtomicMeasure1D, n: int) -> Fraction:
-    """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi."""
+def weights_from_measure(xi: AtomicMeasure1D, n: int, moments: list[Fraction] | None = None) -> Fraction:
+    """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi.
+
+    ``moments``, when given, is a list of gamma_0(xi), gamma_1(xi), ... kept
+    by the caller and extended here in ascending order, so that a sequence
+    reading its weights in turn computes each moment once.
+    """
     if all(p == 0 for p, _ in xi.atoms):
         raise ZeroMomentError("measure has no atom away from 0; weights vanish")
-    denom = moment1(xi, n)
+    if moments is None:
+        denom, numer = moment1(xi, n), moment1(xi, n + 1)
+    else:
+        for k in range(len(moments), n + 2):
+            moments.append(moment1(xi, k))
+        denom, numer = moments[n], moments[n + 1]
     if denom == 0:
         raise ZeroMomentError(f"moment of order {n} vanishes")
-    return moment1(xi, n + 1) / denom
+    return numer / denom
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:
@@ -132,24 +144,28 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
 
     The test applies to contractions; when the declared squared-weight
     bound B exceeds 1 the shift is rescaled first (gamma_k -> gamma_k/B^k),
-    which preserves subnormality.
+    which preserves subnormality.  The sum at (n, k) is the n-th forward
+    difference (I - E)^n gamma at k divided by gamma_k > 0, so each is
+    decided by the sign of one entry of the difference table of the
+    gammas over a common denominator, in integers; a fraction is built
+    only for the failure witness.
     """
     if n_max < 1 or k_max < 0:
         raise ValueError("need n_max >= 1 and k_max >= 0")
     bound = w.norm_bound_sq
     scale = bound if bound > 1 else Fraction(1)
     gammas = [w.moment(i) / scale**i for i in range(n_max + k_max + 1)]
+    den = math.lcm(*(g.denominator for g in gammas))
+    base = [g.numerator * (den // g.denominator) for g in gammas]
+    row = base
     for n in range(1, n_max + 1):
+        row = [a - b for a, b in zip(row, row[1:])]
         for k in range(k_max + 1):
-            total = sum(
-                Fraction((-1) ** ell * binomial(n, ell)) * gammas[k + ell] / gammas[k]
-                for ell in range(n + 1)
-            )
-            if total < 0:
+            if row[k] < 0:
                 return Certificate(
                     "agler_sums_1d",
                     False,
-                    {"n": n, "k": k, "value": str(total), "rescaled_by": str(scale)},
+                    {"n": n, "k": k, "value": str(Fraction(row[k], base[k])), "rescaled_by": str(scale)},
                 )
     return Certificate(
         "agler_sums_1d",
@@ -261,9 +277,10 @@ def _divisors(n: int) -> set[int]:
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All roots of a polynomial known to split into distinct rational roots.
 
-    By the rational root theorem each nonzero root is +-p/q in lowest terms
-    with p dividing the constant and q the leading integer coefficient;
-    it is a root iff the integer sum a_i (+-p)^i q^(d-i) vanishes.
+    Degrees 1 and 2 are solved directly: a quadratic's roots are rational
+    iff its discriminant is a square.  Above degree 2 one root is searched
+    for (see :func:`_rational_root`) and divided out, and the quotient,
+    whose end coefficients are smaller, goes on down to degree 2.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
@@ -277,22 +294,60 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             raise InconsistentMomentsError("recurrence polynomial has a repeated root at 0")
         roots.append(Fraction(0))
         ints = ints[1:]
-    if len(ints) > 1:
+    if len(ints) > 3:
         low, high = abs(ints[0]), abs(ints[-1])
         if low > _FACTOR_CAP or high > _FACTOR_CAP:
             raise NoRationalAtomsError("coefficients too large for a rational root search")
-        d = len(ints) - 1
-        denominators = _divisors(high)
-        for p in _divisors(low):
-            for q in denominators:
-                if math.gcd(p, q) != 1:
-                    continue
-                for s in (p, -p):
-                    if sum(a * s**i * q ** (d - i) for i, a in enumerate(ints)) == 0:
-                        roots.append(Fraction(s, q))
-    if len(roots) != degree:
+        numerators, denominators = _divisors(low), _divisors(high)
+    while len(ints) > 3:
+        root = _rational_root(ints, numerators, denominators)
+        if root is None:
+            break
+        s, q = root
+        roots.append(Fraction(s, q))
+        # divide by q z - s: the quotient's q b_(i-1) - s b_i = a_i, filled
+        # from the top, and every division is exact by Gauss's lemma
+        quotient = [ints[-1] // q]
+        for a in reversed(ints[1:-1]):
+            quotient.append((a + s * quotient[-1]) // q)
+        ints = quotient[::-1]
+        # the new end coefficients divide the old ones, so do their divisors
+        numerators = {d for d in numerators if ints[0] % d == 0}
+        denominators = {d for d in denominators if ints[-1] % d == 0}
+    if len(ints) == 2:
+        roots.append(Fraction(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            roots.extend({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
+    distinct = set(roots)
+    if len(distinct) != degree:
         raise NoRationalAtomsError(
             f"recurrence polynomial of degree {degree} has only "
-            f"{len(roots)} distinct rational roots"
+            f"{len(distinct)} distinct rational roots"
         )
     return sorted(roots)
+
+
+def _rational_root(ints: list[int], numerators: set[int], denominators: set[int]) -> tuple[int, int] | None:
+    """One rational root s/q of sum ints[i] z^i, or None.
+
+    By the rational root theorem each root is +-p/q in lowest terms with p
+    among the divisors of the constant and q among those of the leading
+    coefficient; it is a root iff the integer sum a_i (+-p)^i q^(d-i),
+    taken by Horner's rule, vanishes.
+    """
+    for p in numerators:
+        for q in denominators:
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                value, power = ints[-1], 1
+                for a in reversed(ints[:-1]):
+                    power *= q
+                    value = value * s + a * power
+                if value == 0:
+                    return s, q
+    return None

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert import shift1d
+from shiftcert.certificate import Certificate
 from shiftcert.errors import (
     InconsistentMomentsError,
     NoRationalAtomsError,
@@ -46,6 +48,48 @@ BAD = WeightSequence1D.from_prefix([F(2), F(1, 2)], tail="repeat_last", norm_bou
 
 def seq_a() -> WeightSequence1D:
     return WeightSequence1D.from_measure(XI_A)
+
+
+def agler_sums_1d_reference(w, n_max, k_max):
+    """Every alternating sum sum_l (-1)^l C(n,l) gamma_(k+l) / gamma_k as a
+    Fraction, in the scan order of agler_sums_1d: the oracle for its
+    integer difference table."""
+    scale = w.norm_bound_sq if w.norm_bound_sq > 1 else F(1)
+    gammas = [w.moment(i) / scale**i for i in range(n_max + k_max + 1)]
+    for n in range(1, n_max + 1):
+        for k in range(k_max + 1):
+            total = sum(
+                F((-1) ** ell * math.comb(n, ell)) * gammas[k + ell] / gammas[k]
+                for ell in range(n + 1)
+            )
+            if total < 0:
+                return Certificate(
+                    "agler_sums_1d",
+                    False,
+                    {"n": n, "k": k, "value": str(total), "rescaled_by": str(scale)},
+                )
+    return Certificate(
+        "agler_sums_1d", True, {"n_max": n_max, "k_max": k_max, "rescaled_by": str(scale)}
+    )
+
+
+squared_prefixes = st.lists(
+    st.fractions(min_value=F(1, 16), max_value=F(3), max_denominator=16),
+    min_size=1,
+    max_size=6,
+)
+
+probability_measures = st.lists(
+    st.tuples(
+        st.fractions(min_value=F(0), max_value=F(3), max_denominator=8),
+        st.fractions(min_value=F(1, 16), max_value=F(1), max_denominator=16),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda a: a[0],
+).filter(lambda atoms: any(p > 0 for p, _ in atoms)).map(
+    lambda atoms: AtomicMeasure1D([(p, m / sum(m for _, m in atoms)) for p, m in atoms])
+)
 
 
 class TestWeightSequence:
@@ -146,6 +190,51 @@ class TestAglerSums1D:
         with pytest.raises(ValueError):
             agler_sums_1d(seq_a(), 0, 2)
 
+    @pytest.mark.parametrize(
+        "prefix, n_max, k_max, n, k, value, rescaled_by",
+        [
+            # 1 - 2 (3/4) + (3/4)(1/4) = -5/16 at k = 1, while k = 0 gives 11/16
+            ([F(1, 4), F(3, 4), F(1, 4)], 2, 2, 2, 1, "-5/16", "1"),
+            # rescaled weights 1/6, 1, 1/3: 1 - 2 + 1/3 at k = 1
+            ([F(1, 4), F(3, 2), F(1, 2)], 2, 3, 2, 1, "-2/3", "3/2"),
+            # every sum with n <= 3 is nonnegative
+            ([F(1, 8), F(3, 8), F(1, 8)], 4, 3, 4, 1, "-989/4096", "1"),
+            ([F(2), F(1, 2)], 2, 0, 2, 0, "-3/4", "2"),
+        ],
+    )
+    def test_first_failure_at_k_above_0_and_at_n_max(self, prefix, n_max, k_max, n, k, value, rescaled_by):
+        w = WeightSequence1D.from_prefix(prefix)
+        cert = agler_sums_1d(w, n_max, k_max)
+        assert cert.as_dict()["witness"] == {"n": n, "k": k, "value": value, "rescaled_by": rescaled_by}
+        assert cert == agler_sums_1d_reference(w, n_max, k_max)
+
+    @given(prefix=squared_prefixes, n_max=st.integers(1, 12), k_max=st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_sums_on_prefixes(self, prefix, n_max, k_max):
+        w = WeightSequence1D.from_prefix(prefix)
+        assert agler_sums_1d(w, n_max, k_max).as_dict() == agler_sums_1d_reference(w, n_max, k_max).as_dict()
+
+    @given(xi=probability_measures, n_max=st.integers(1, 12), k_max=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_sums_on_measures(self, xi, n_max, k_max):
+        w = WeightSequence1D.from_measure(xi)
+        assert agler_sums_1d(w, n_max, k_max).as_dict() == agler_sums_1d_reference(w, n_max, k_max).as_dict()
+
+    def test_each_moment_is_computed_and_read_once(self, monkeypatch):
+        # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each;
+        # the weights behind them are ratios of the measure moments 0 .. 128,
+        # and each of those is built once
+        xi = AtomicMeasure1D([(F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(1), F(1, 4)), (F(3, 2), F(1, 4))])
+        built = []
+        monkeypatch.setattr(shift1d, "moment1", lambda mu, k: built.append(k) or moment1(mu, k))
+        w = WeightSequence1D.from_measure(xi)
+        reads = []
+        moment = w.moment
+        w.moment = lambda n: reads.append(n) or moment(n)
+        assert agler_sums_1d(w, 64, 64).ok
+        assert reads == list(range(129))
+        assert built == list(range(129))
+
 
 class TestBackwardExtension1D:
     def test_passes_at_the_family_weight(self):
@@ -216,14 +305,47 @@ class TestBergerFit:
             berger_fit([moment1(XI_A, n) for n in range(9)], 4)
 
     def test_large_atom_lists_each_coefficient_divisors_once(self, monkeypatch):
-        # one atom p/q: the recurrence polynomial is q z - p, and the rational
-        # root search lists the divisors of p and of q once each
+        # one atom p/q: the recurrence polynomial is q z - p, whose root is
+        # read off directly; no search lists the divisors of p or of q
         atom = F(43243200, 10131543907)
         calls = []
         divisors = shift1d._divisors
         monkeypatch.setattr(shift1d, "_divisors", lambda n: calls.append(n) or divisors(n))
         assert berger_fit([F(1), atom, atom**2], 1) == dirac(atom)
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            AtomicMeasure1D([(F(963761198400), F(1, 2)), (F(1, 963761198400), F(1, 2))]),
+            dirac(F(963761198400, 1700637401)),
+            AtomicMeasure1D([(F(1, 10**7 + 19), F(1, 2)), (F(1, 10**7 + 79), F(1, 2))]),
+        ],
+        ids=["two-atoms", "one-atom", "past-the-factor-cap"],
+    )
+    def test_low_degree_fits_need_no_divisor_search(self, monkeypatch, mu):
+        # both end coefficients of the first recurrence polynomial have 6,720
+        # divisors, and the last one's exceed _FACTOR_CAP; degrees 1 and 2 are
+        # solved directly, so no divisor is listed
+        calls = []
+        divisors = shift1d._divisors
+        monkeypatch.setattr(shift1d, "_divisors", lambda n: calls.append(n) or divisors(n))
+        r = len(mu.atoms)
+        assert berger_fit([moment1(mu, n) for n in range(2 * r + 1)], r) == mu
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "coeffs, found",
+        [
+            ([F(1, 4), F(-1), F(1)], 1),  # (z - 1/2)^2
+            ([F(-2), F(0), F(1)], 0),  # z^2 - 2
+            ([F(4), F(-2), F(-2), F(1)], 1),  # (z - 2)(z^2 - 2)
+            ([F(-1, 4), F(5, 4), F(-2), F(1)], 2),  # (z - 1/2)^2 (z - 1)
+        ],
+    )
+    def test_repeated_or_irrational_roots_are_reported(self, coeffs, found):
+        with pytest.raises(NoRationalAtomsError, match=f"only {found} distinct"):
+            shift1d._rational_roots(coeffs)
 
     def test_divisors_of_a_square(self):
         assert shift1d._divisors(36) == {1, 2, 3, 4, 6, 9, 12, 18, 36}
