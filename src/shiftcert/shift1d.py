@@ -40,24 +40,38 @@ from .errors import (
 from .measures import AtomicMeasure1D, is_infinite, moment1, reciprocal_norm
 from .numerics import SymmetricExactMatrix, is_psd, rref
 
+Rule = Callable[[int], Fraction]  # a squared weight or a moment by index
+
 
 class WeightSequence1D:
-    """Lazy squared-weight sequence with a declared norm bound."""
+    """Lazy squared-weight sequence with a declared norm bound.
 
-    def __init__(self, squared_rule: Callable[[int], Fraction], norm_bound_sq, name: str | None = None):
+    A sequence is given by its squared weights, ``squared_rule(n) =
+    alpha_n^2``, and its moments are their running products; or by its
+    moments, ``moment_rule(k) = gamma_k``, and its squared weights are their
+    ratios gamma_{n+1} / gamma_n.  Either way each moment is computed once
+    and kept, and each squared weight read is checked against the bound.
+    """
+
+    def __init__(
+        self, squared_rule: Rule | None, norm_bound_sq, name: str | None = None, moment_rule: Rule | None = None
+    ):
+        if (squared_rule is None) == (moment_rule is None):
+            raise ValueError("give exactly one of squared_rule and moment_rule")
         self._rule = squared_rule
+        self._moment_rule = moment_rule
         self.norm_bound_sq = Fraction(norm_bound_sq)
         if self.norm_bound_sq <= 0:
             raise ValueError("norm bound must be positive")
         self.name = name
         self._weights: dict[int, Fraction] = {}
-        self._moments: list[Fraction] = [Fraction(1)]
+        self._moments: list[Fraction] = [] if moment_rule else [Fraction(1)]
 
     def squared_weight(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("weight index must be >= 0")
         if n not in self._weights:
-            w = Fraction(self._rule(n))
+            w = Fraction(self._rule(n)) if self._rule else self.moment(n + 1) / self.moment(n)
             if w <= 0:
                 raise ValueError(f"squared weight at {n} must be positive, got {w}")
             if w > self.norm_bound_sq:
@@ -72,16 +86,24 @@ class WeightSequence1D:
             raise ValueError("moment order must be >= 0")
         while len(self._moments) <= n:
             k = len(self._moments)
-            self._moments.append(self._moments[-1] * self.squared_weight(k - 1))
+            if self._moment_rule:
+                self._moments.append(self._moment_rule(k))
+            else:
+                self._moments.append(self._moments[-1] * self.squared_weight(k - 1))
         return self._moments[n]
 
     @classmethod
     def from_measure(cls, xi: AtomicMeasure1D, name: str | None = None) -> "WeightSequence1D":
+        """The shift whose Berger measure is the probability measure xi.
+
+        Its moments are xi's, gamma_k = moment1(xi, k).  They are positive,
+        as the bound (the largest atom) must be, and their ratios are at
+        most that bound.
+        """
         if not xi.is_probability():
             raise ValueError("Berger measures are probability measures")
         bound = max(p for p, _ in xi.atoms)
-        moments: list[Fraction] = []
-        return cls(lambda n: weights_from_measure(xi, n, moments), bound, name=name)
+        return cls(None, bound, name=name, moment_rule=lambda k: moment1(xi, k))
 
     @classmethod
     def from_prefix(
@@ -105,24 +127,14 @@ class WeightSequence1D:
         return f"WeightSequence1D({label}, bound_sq={self.norm_bound_sq})"
 
 
-def weights_from_measure(xi: AtomicMeasure1D, n: int, moments: list[Fraction] | None = None) -> Fraction:
-    """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi.
-
-    ``moments``, when given, is a list of gamma_0(xi), gamma_1(xi), ... kept
-    by the caller and extended here in ascending order, so that a sequence
-    reading its weights in turn computes each moment once.
-    """
+def weights_from_measure(xi: AtomicMeasure1D, n: int) -> Fraction:
+    """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi."""
     if all(p == 0 for p, _ in xi.atoms):
         raise ZeroMomentError("measure has no atom away from 0; weights vanish")
-    if moments is None:
-        denom, numer = moment1(xi, n), moment1(xi, n + 1)
-    else:
-        for k in range(len(moments), n + 2):
-            moments.append(moment1(xi, k))
-        denom, numer = moments[n], moments[n + 1]
+    denom = moment1(xi, n)
     if denom == 0:
         raise ZeroMomentError(f"moment of order {n} vanishes")
-    return numer / denom
+    return moment1(xi, n + 1) / denom
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:

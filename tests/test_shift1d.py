@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,14 @@ probability_measures = st.lists(
 
 
 class TestWeightSequence:
+    def test_given_by_weights_or_by_moments(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            WeightSequence1D(None, F(1))
+        with pytest.raises(ValueError, match="exactly one"):
+            WeightSequence1D(lambda n: F(1, 2), F(1), moment_rule=lambda k: F(1, 2) ** k)
+        w = WeightSequence1D(None, F(1), moment_rule=lambda k: F(1, k + 1))
+        assert [w.squared_weight(n) for n in range(3)] == [F(1, 2), F(2, 3), F(3, 4)]
+
     def test_golden_weights_from_measure(self):
         w = seq_a()
         assert [w.squared_weight(n) for n in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
@@ -221,9 +230,9 @@ class TestAglerSums1D:
         assert agler_sums_1d(w, n_max, k_max).as_dict() == agler_sums_1d_reference(w, n_max, k_max).as_dict()
 
     def test_each_moment_is_computed_and_read_once(self, monkeypatch):
-        # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each;
-        # the weights behind them are ratios of the measure moments 0 .. 128,
-        # and each of those is built once
+        # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each,
+        # and a measure-backed sequence builds each of them once, as the
+        # measure moment
         xi = AtomicMeasure1D([(F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(1), F(1, 4)), (F(3, 2), F(1, 4))])
         built = []
         monkeypatch.setattr(shift1d, "moment1", lambda mu, k: built.append(k) or moment1(mu, k))
@@ -333,6 +342,37 @@ class TestBergerFit:
         r = len(mu.atoms)
         assert berger_fit([moment1(mu, n) for n in range(2 * r + 1)], r) == mu
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [F(963761198400), F(1, 963761198400), F(1)],
+            [F(481880599200), F(1, 481880599200), F(2)],
+            [F(240940299600), F(1, 240940299600), F(1, 4), F(4)],
+        ],
+        ids=["cubic-root-1", "cubic-root-2", "quartic"],
+    )
+    def test_deflation_tries_far_fewer_pairs_than_one_scan(self, monkeypatch, points):
+        # a single scan pays one gcd for every pair of divisors of the two
+        # end coefficients (6,720 divisors at the constant end here, so tens
+        # of millions of pairs); dividing out the first
+        # root found leaves a quadratic (or a cubic, then a quadratic), so
+        # the search stops after a few thousand pairs at most
+        listed = []
+        divisors = shift1d._divisors
+        monkeypatch.setattr(shift1d, "_divisors", lambda n: listed.append(divisors(n)) or listed[-1])
+        pairs = [0]
+
+        def gcd(*a):
+            pairs[0] += len(a) == 2
+            return math.gcd(*a)
+
+        monkeypatch.setattr(shift1d, "math", types.SimpleNamespace(lcm=math.lcm, isqrt=math.isqrt, gcd=gcd))
+        mu = AtomicMeasure1D([(p, F(1, len(points))) for p in points])
+        r = len(points)
+        assert berger_fit([moment1(mu, n) for n in range(2 * r + 1)], r) == mu
+        numerators, denominators = listed
+        assert 1000 * pairs[0] < len(numerators) * len(denominators)
 
     @pytest.mark.parametrize(
         "coeffs, found",
