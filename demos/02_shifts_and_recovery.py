@@ -1,7 +1,9 @@
 """Weighted shifts: necessary tests, Agler sums, and measure recovery.
 
-A weight sequence is subnormal exactly when its moments are the power
-moments of a measure.  The Hankel tests and the alternating Agler sums
+A weighted shift is its moment sequence: from_measure takes a measure's
+moments, from_prefix the running products of given squared weights (the
+last one repeated), and the squared weights are the moment ratios.  It is
+subnormal exactly when its moments are the power moments of a measure.  The Hankel tests and the alternating Agler sums
 detect failures with exact witnesses; berger_fit inverts the good cases.
 """
 
@@ -27,7 +29,7 @@ print("Agler sums:", agler_sums_1d(good, 8, 4).verdict)
 
 # squared weights 2, 1/2, 1/2, ... look innocent but the formal fit is
 # the signed measure 4 d(1/4) - 3 d(0); both tests see it
-bad = WeightSequence1D.from_prefix([F(2), F(1, 2)], tail="repeat_last", norm_bound_sq=F(2))
+bad = WeightSequence1D.from_prefix([F(2), F(1, 2)], norm_bound_sq=F(2))
 hankel = subnormal_necessary(bad, 2)
 print("\nbad sequence Hankel test:", hankel.verdict)
 print("  plain part:", hankel.witness["hankel"].verdict)

@@ -1,6 +1,7 @@
 """The parametric planar diagram and its exact consistency checks.
 
-The family's moment table determines a two-variable weight diagram.
+The family's moment table determines a two-variable weight diagram,
+``family_diagram(x)``: every weight is a ratio of two moments.
 Commutativity, path independence, and the Berger checks of its
 restrictions are all decided exactly, with replayable witnesses.
 """
@@ -8,17 +9,16 @@ restrictions are all decided exactly, with replayable witnesses.
 from fractions import Fraction as F
 
 from shiftcert import (
-    LubinFamily,
     check_berger_2d,
     commutativity_check,
+    family_diagram,
     joint_hyponormality_window,
     path_independence_check,
 )
 from shiftcert.lubin import mu_m, mu_m_cap_n
 
 x = F(1, 5)
-fam = LubinFamily(x)
-d = fam.diagram()
+d = family_diagram(x)
 
 print(f"family at x = {x}")
 print("alpha^2 along row 0:", [str(d.alpha_sq(k, 0)) for k in range(3)])
@@ -40,7 +40,7 @@ print(" ", check_berger_2d(column, mu_m(), (8, 8)).verdict)
 # exact joint hyponormality on a window: one 2x2 block per lattice point,
 # decided over the rationals; a failure names its lattice point
 for parameter in (F(2, 11), F(1, 5), F(1, 2)):
-    window = joint_hyponormality_window(LubinFamily(parameter).diagram(), (8, 8))
+    window = joint_hyponormality_window(family_diagram(parameter), (8, 8))
     line = f"\njoint hyponormality on 8x8 at x = {parameter}: {window.verdict}"
     if not window.ok:
         line += f" at k = {tuple(window.witness['k'])}"

@@ -47,7 +47,6 @@ from .shift1d import (
     backward_extension_1d,
     berger_fit,
     subnormal_necessary,
-    weights_from_measure,
 )
 from .shift2d import (
     WeightDiagram,
@@ -60,7 +59,7 @@ from .shift2d import (
 from .lubin import (
     PAIR_THRESHOLD,
     T2_THRESHOLD,
-    LubinFamily,
+    family_diagram,
     family_report,
     is_pair_subnormal,
     is_t1_subnormal,
@@ -89,7 +88,6 @@ __all__ = [
     "INFINITE",
     "InconsistentMomentsError",
     "InfiniteReciprocalNormError",
-    "LubinFamily",
     "NegativeMassError",
     "NoRationalAtomsError",
     "PAIR_THRESHOLD",
@@ -112,6 +110,7 @@ __all__ = [
     "dominates",
     "domination_scale_bound",
     "extremal",
+    "family_diagram",
     "family_report",
     "integral_moment",
     "is_infinite",
@@ -137,5 +136,4 @@ __all__ = [
     "threshold_pair",
     "threshold_t1",
     "threshold_t2",
-    "weights_from_measure",
 ]

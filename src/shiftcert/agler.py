@@ -70,13 +70,13 @@ only for the stored fields.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, gamma_row, moment2d
-from .numerics import binomial
 
 C_SIXTEENTH = Fraction(1, 16)
 C_EIGHTH = Fraction(1, 8)
@@ -265,10 +265,10 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
     total = Fraction(0)
     for ell in range(n + 1):
         inner = sum(
-            Fraction(binomial(ell, i) ** 2) * moment2d(k + ell - i, i, x)
+            Fraction(math.comb(ell, i) ** 2) * moment2d(k + ell - i, i, x)
             for i in range(ell + 1)
         )
-        total += Fraction((-1) ** ell * binomial(n, ell), 4**ell) * inner / base
+        total += Fraction((-1) ** ell * math.comb(n, ell), 4**ell) * inner / base
     return total
 
 

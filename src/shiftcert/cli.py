@@ -23,10 +23,15 @@ Weight files for ``check1d`` are JSON, either a measure reference::
 
     {"kind": "measure", "measure": {"dim": 1, "atoms": [...]}}
 
-or an explicit prefix with a tail rule::
+or an explicit prefix of squared weights, the last one repeated::
 
     {"kind": "prefix", "squared_weights": ["2", "1/2"],
      "tail": "repeat_last", "norm_bound_sq": "2"}
+
+``"tail"`` is optional and ``"repeat_last"`` is its only value;
+``"norm_bound_sq"`` defaults to the largest prefix weight.  Either form
+becomes the shift's moment sequence: the measure's moments, or the
+running products of the prefix.
 """
 
 from __future__ import annotations
@@ -38,12 +43,7 @@ from functools import lru_cache
 
 from . import agler, lubin
 from .errors import ShiftCertError
-from .measures import (
-    AtomicMeasure1D,
-    AtomicMeasure2D,
-    measure_from_dict,
-    moment1,
-)
+from .measures import measure_from_dict, moment1
 from .numerics import parse_rational, rat_str
 from .shift1d import (
     WeightSequence1D,
@@ -118,7 +118,7 @@ def _load(path: str, what: str, parse):
 def _measure(data, dim: int):
     """The measure that the JSON value ``data`` describes, of dimension ``dim``."""
     mu = measure_from_dict(data)
-    if not isinstance(mu, AtomicMeasure1D if dim == 1 else AtomicMeasure2D):
+    if mu.dim != dim:
         raise ValueError(f"need a measure with dim = {dim}")
     return mu
 
@@ -136,16 +136,13 @@ def _weights(fh) -> WeightSequence1D:
         raw = data.get("squared_weights")
         if not isinstance(raw, list):
             raise ValueError("\"squared_weights\" must be a list")
+        prefix = [parse_rational(v) for v in raw]
         bound = data.get("norm_bound_sq")
-        weights = WeightSequence1D.from_prefix(
-            [parse_rational(v) for v in raw],
-            tail=data.get("tail", "repeat_last"),
-            norm_bound_sq=None if bound is None else parse_rational(bound),
-        )
-        for index in range(len(raw)):
-            # the tail repeats prefix values, so checking the prefix checks every weight
-            weights.squared_weight(index)
-        return weights
+        bound = None if bound is None else parse_rational(bound)
+        tail = data.get("tail", "repeat_last")
+        if prefix and tail != "repeat_last":  # an empty prefix is reported first
+            raise ValueError(f"unknown tail rule {tail!r}")
+        return WeightSequence1D.from_prefix(prefix, bound)
     raise ValueError("weight file needs \"kind\": \"measure\" or \"prefix\"")
 
 
@@ -229,7 +226,7 @@ def cmd_check2d(args) -> int:
     if args.path:
         point = _parse_pair(args.path, ",", "lattice point must look like 1,2")
         _cap("--path k1 + k2 plus --restrict k1 + k2", sum(base) + sum(point), DEPTH_MAX)
-    diagram = lubin.LubinFamily(x).diagram().restricted(*base)
+    diagram = lubin.family_diagram(x).restricted(*base)
     checks = [commutativity_check(diagram, window)]
     if args.berger:
         mu = _load(args.berger, "measure", lambda fh: _measure(json.load(fh), 2))

@@ -213,42 +213,36 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
     return (x / 8) * _interior_core(k1 + k2 - 2)
 
 
-class LubinFamily:
-    """The family at a fixed rational parameter x > 0."""
+def family_diagram(x) -> WeightDiagram:
+    """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k in closed form.
 
-    def __init__(self, x):
-        self.x = Fraction(x)
-        if self.x <= 0:
-            raise ValueError("x must be positive")
+    Each weight is one of the index-keyed x-free helpers above, except
+    beta^2_(k1,0), which is x times one; so a window costs its x-free
+    lookups and one product with x per column.
+    """
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("x must be positive")
 
-    def diagram(self) -> WeightDiagram:
-        """The weight diagram, gamma_{k+e} / gamma_k in closed form.
+    def alpha_sq(k1: int, k2: int) -> Fraction:
+        if k1 < 0 or k2 < 0:
+            raise ValueError("lattice indices must be >= 0")
+        if k2 == 0:
+            return _row_weights(k1)[0]
+        if k1 == 0:
+            return _column_weights(k2)[0]
+        return _interior_weight(k1 + k2)
 
-        Each weight is one of the index-keyed x-free helpers above, except
-        beta^2_(k1,0), which is x times one; so a window costs its x-free
-        lookups and one product with x per column.
-        """
-        x = self.x
+    def beta_sq(k1: int, k2: int) -> Fraction:
+        if k1 < 0 or k2 < 0:
+            raise ValueError("lattice indices must be >= 0")
+        if k2 == 0:
+            return x * _row_weights(k1)[1]
+        if k1 == 0:
+            return _column_weights(k2)[1]
+        return _interior_weight(k1 + k2)
 
-        def alpha_sq(k1: int, k2: int) -> Fraction:
-            if k1 < 0 or k2 < 0:
-                raise ValueError("lattice indices must be >= 0")
-            if k2 == 0:
-                return _row_weights(k1)[0]
-            if k1 == 0:
-                return _column_weights(k2)[0]
-            return _interior_weight(k1 + k2)
-
-        def beta_sq(k1: int, k2: int) -> Fraction:
-            if k1 < 0 or k2 < 0:
-                raise ValueError("lattice indices must be >= 0")
-            if k2 == 0:
-                return x * _row_weights(k1)[1]
-            if k1 == 0:
-                return _column_weights(k2)[1]
-            return _interior_weight(k1 + k2)
-
-        return WeightDiagram(alpha_sq, beta_sq, name=f"family(x={x})")
+    return WeightDiagram(alpha_sq, beta_sq)
 
 
 # rows (threshold_t1) and columns (threshold_t2) verified exactly before the closed forms
@@ -370,7 +364,7 @@ def _deep_restriction_check() -> Certificate:
     x cancels: each weight of the restriction is a ratio of two interior
     moments (x/8) f(k1 + k2), so the check is the same at every x > 0.
     """
-    return check_berger_2d(LubinFamily(_QUARTER).diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
+    return check_berger_2d(family_diagram(_QUARTER).restricted(1, 1), mu_m_cap_n(), (6, 6))
 
 
 def threshold_pair() -> Fraction:
@@ -394,13 +388,10 @@ def threshold_pair() -> Fraction:
     return min(ratio_bound, 1 / norm)
 
 
-def is_t1_subnormal(x=None) -> Certificate:
+def is_t1_subnormal(x) -> Certificate:
     """T1 is subnormal regardless of the parameter; ``x`` is recorded only."""
     cert = threshold_t1()
-    witness = dict(cert.witness)
-    if x is not None:
-        witness["x"] = str(Fraction(x))
-    return Certificate("is_t1_subnormal", cert.ok, witness)
+    return Certificate("is_t1_subnormal", cert.ok, {**cert.witness, "x": str(Fraction(x))})
 
 
 def is_t2_subnormal(x) -> Certificate:

@@ -62,23 +62,28 @@ def _axis_index(axis) -> int:
     raise ValueError(f"axis must be one of 'x'/'s'/0 or 'y'/'t'/1, got {axis!r}")
 
 
-class AtomicMeasure1D:
-    """Finitely atomic positive measure on [0, inf)."""
+class _AtomicMeasure:
+    """The core both measure types share: a measure is its canonical atoms.
+
+    A subclass says how a point is read (``_location``), which points lie
+    in the support (``_inside``, named by ``_SUPPORT``) and how a point is
+    written (``_point_json``, ``_point_repr``).
+    """
 
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Iterable):
-        seen: dict[Fraction, Fraction] = {}
+        seen = {}
         for point, mass in atoms:
-            p, m = Fraction(point), Fraction(mass)
-            if p < 0:
-                raise ValueError(f"atom location must be >= 0, got {p}")
+            key, m = self._location(point), Fraction(mass)
+            if not self._inside(key):
+                raise ValueError(f"atom location must be {self._SUPPORT}, got {key}")
             if m <= 0:
-                raise ValueError(f"atom mass must be positive, got {m} at {p}")
-            if p in seen:
-                raise ValueError(f"duplicate atom location {p}")
-            seen[p] = m
-        self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(seen.items()))
+                raise ValueError(f"atom mass must be positive, got {m} at {key}")
+            if key in seen:
+                raise ValueError(f"duplicate atom location {key}")
+            seen[key] = m
+        self.atoms = tuple(sorted(seen.items()))
 
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
@@ -86,24 +91,55 @@ class AtomicMeasure1D:
     def is_probability(self) -> bool:
         return self.total_mass() == 1
 
-    def mass_at(self, point) -> Fraction:
-        p = Fraction(point)
+    def mass_at(self, *point) -> Fraction:
+        """The mass at a point: ``mass_at(p)`` on the half-line, ``mass_at(s, t)`` in the plane."""
+        key = self._location(point[0] if self.dim == 1 else point)
         for q, m in self.atoms:
-            if q == p:
+            if q == key:
                 return m
         return Fraction(0)
 
-    def scaled(self, factor) -> "AtomicMeasure1D":
+    def scaled(self, factor):
         c = Fraction(factor)
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        return AtomicMeasure1D((p, c * m) for p, m in self.atoms)
+        return type(self)((p, c * m) for p, m in self.atoms)
 
-    def plus(self, other: "AtomicMeasure1D") -> "AtomicMeasure1D":
-        merged: dict[Fraction, Fraction] = dict(self.atoms)
+    def plus(self, other):
+        merged = dict(self.atoms)
         for p, m in other.atoms:
             merged[p] = merged.get(p, Fraction(0)) + m
-        return AtomicMeasure1D(merged.items())
+        return type(self)(merged.items())
+
+    def as_dict(self) -> dict:
+        """The JSON form; :func:`measure_from_dict` reads it back."""
+        atoms = [{"point": self._point_json(p), "mass": rat_str(m)} for p, m in self.atoms]
+        return {"dim": self.dim, "atoms": atoms}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
+
+    def __repr__(self) -> str:
+        inner = " + ".join(f"{m} d({self._point_repr(p)})" for p, m in self.atoms) or "0"
+        return f"{type(self).__name__}({inner})"
+
+
+class AtomicMeasure1D(_AtomicMeasure):
+    """Finitely atomic positive measure on [0, inf)."""
+
+    __slots__ = ()
+    dim = 1
+    _SUPPORT = ">= 0"
+    _location = staticmethod(Fraction)
+    _point_json = staticmethod(rat_str)
+    _point_repr = staticmethod(str)
+
+    @staticmethod
+    def _inside(p: Fraction) -> bool:
+        return p >= 0
 
     def minus(self, other: "AtomicMeasure1D") -> "AtomicMeasure1D":
         """Atomwise difference; zero atoms are dropped, negatives raise."""
@@ -118,86 +154,34 @@ class AtomicMeasure1D:
                 merged[p] = left
         return AtomicMeasure1D(merged.items())
 
-    def as_dict(self) -> dict:
-        """The JSON form; :func:`measure_from_dict` reads it back."""
-        return {"dim": 1, "atoms": [{"point": rat_str(p), "mass": rat_str(m)} for p, m in self.atoms]}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AtomicMeasure1D) and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{m} d({p})" for p, m in self.atoms) or "0"
-        return f"AtomicMeasure1D({inner})"
-
-
-class AtomicMeasure2D:
+class AtomicMeasure2D(_AtomicMeasure):
     """Finitely atomic positive measure on the closed quarter-plane."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ()
+    dim = 2
+    _SUPPORT = "in the quarter-plane"
 
-    def __init__(self, atoms: Iterable):
-        seen: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for point, mass in atoms:
-            s, t = point
-            key = (Fraction(s), Fraction(t))
-            m = Fraction(mass)
-            if key[0] < 0 or key[1] < 0:
-                raise ValueError(f"atom location must be in the quarter-plane, got {key}")
-            if m <= 0:
-                raise ValueError(f"atom mass must be positive, got {m} at {key}")
-            if key in seen:
-                raise ValueError(f"duplicate atom location {key}")
-            seen[key] = m
-        self.atoms: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...] = tuple(sorted(seen.items()))
+    @staticmethod
+    def _location(point) -> tuple[Fraction, Fraction]:
+        s, t = point
+        return Fraction(s), Fraction(t)
 
-    def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms), Fraction(0))
+    @staticmethod
+    def _inside(key: tuple[Fraction, Fraction]) -> bool:
+        return key[0] >= 0 and key[1] >= 0
 
-    def is_probability(self) -> bool:
-        return self.total_mass() == 1
+    @staticmethod
+    def _point_json(key: tuple[Fraction, Fraction]) -> list[str]:
+        return [rat_str(key[0]), rat_str(key[1])]
 
-    def mass_at(self, s, t) -> Fraction:
-        key = (Fraction(s), Fraction(t))
-        for q, m in self.atoms:
-            if q == key:
-                return m
-        return Fraction(0)
-
-    def scaled(self, factor) -> "AtomicMeasure2D":
-        c = Fraction(factor)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return AtomicMeasure2D((p, c * m) for p, m in self.atoms)
-
-    def plus(self, other: "AtomicMeasure2D") -> "AtomicMeasure2D":
-        merged: dict[tuple[Fraction, Fraction], Fraction] = dict(self.atoms)
-        for p, m in other.atoms:
-            merged[p] = merged.get(p, Fraction(0)) + m
-        return AtomicMeasure2D(merged.items())
+    @staticmethod
+    def _point_repr(key: tuple[Fraction, Fraction]) -> str:
+        return f"{key[0]},{key[1]}"
 
     def swapped(self) -> "AtomicMeasure2D":
         """Push forward under (s, t) -> (t, s)."""
         return AtomicMeasure2D(((t, s), m) for (s, t), m in self.atoms)
-
-    def as_dict(self) -> dict:
-        """The JSON form; :func:`measure_from_dict` reads it back."""
-        return {
-            "dim": 2,
-            "atoms": [{"point": [rat_str(s), rat_str(t)], "mass": rat_str(m)} for (s, t), m in self.atoms],
-        }
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AtomicMeasure2D) and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"{m} d({p[0]},{p[1]})" for p, m in self.atoms) or "0"
-        return f"AtomicMeasure2D({inner})"
 
 
 def moment1(mu: AtomicMeasure1D, k: int) -> Fraction:

@@ -11,7 +11,6 @@ Serialization convention: a rational renders as ``"p/q"``, or bare
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -38,11 +37,6 @@ def parse_rational(text: str) -> Fraction:
 def rat_str(value) -> str:
     """Canonical string form of a rational, ``p/q`` or ``p``."""
     return str(Fraction(value))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), zero when k > n.  Exact integer."""
-    return math.comb(n, k)
 
 
 class SymmetricExactMatrix:

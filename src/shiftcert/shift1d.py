@@ -1,10 +1,10 @@
 """One-variable weighted shifts: moments, fits, and subnormality tests.
 
-A weighted shift is represented by its *squared* weight sequence
-``n -> alpha_n^2`` (rationals), cached lazily, together with a declared
-bound on the squared weights.  The moments are the running products
+A weighted shift is represented by its moment sequence ``k -> gamma_k``
+(rationals), computed lazily, together with a declared bound on the
+squared weights.  The squared weights are the moment ratios
 
-    gamma_0 = 1,   gamma_n = alpha_0^2 * ... * alpha_{n-1}^2,
+    alpha_n^2 = gamma_{n+1} / gamma_n,   so   gamma_n = alpha_0^2 * ... * alpha_{n-1}^2,
 
 and a shift is subnormal exactly when its moment sequence is the moment
 sequence of a positive measure on [0, ||shift||^2] (its Berger measure).
@@ -35,65 +35,48 @@ from .errors import (
     InconsistentMomentsError,
     NoRationalAtomsError,
     RankExceededError,
-    ZeroMomentError,
 )
 from .measures import AtomicMeasure1D, is_infinite, moment1, reciprocal_norm
 from .numerics import SymmetricExactMatrix, is_psd, rref
 
-Rule = Callable[[int], Fraction]  # a squared weight or a moment by index
+Rule = Callable[[int], Fraction]  # a moment by index
 
 
 class WeightSequence1D:
-    """Lazy squared-weight sequence with a declared norm bound.
+    """A weighted shift given by its moments, with a declared norm bound.
 
-    A sequence is given by its squared weights, ``squared_rule(n) =
-    alpha_n^2``, and its moments are their running products; or by its
-    moments, ``moment_rule(k) = gamma_k``, and its squared weights are their
-    ratios gamma_{n+1} / gamma_n.  Either way each moment is computed once
-    and kept, and each squared weight read is checked against the bound.
+    The shift is its moment sequence, ``moment_rule(k) = gamma_k``; each
+    moment is computed once and kept.  Its squared weights are the ratios
+    gamma_{n+1} / gamma_n, and each one read is checked to be positive and
+    at most the bound.
     """
 
-    def __init__(
-        self, squared_rule: Rule | None, norm_bound_sq, name: str | None = None, moment_rule: Rule | None = None
-    ):
-        if (squared_rule is None) == (moment_rule is None):
-            raise ValueError("give exactly one of squared_rule and moment_rule")
-        self._rule = squared_rule
+    def __init__(self, moment_rule: Rule, norm_bound_sq):
         self._moment_rule = moment_rule
         self.norm_bound_sq = Fraction(norm_bound_sq)
         if self.norm_bound_sq <= 0:
             raise ValueError("norm bound must be positive")
-        self.name = name
-        self._weights: dict[int, Fraction] = {}
-        self._moments: list[Fraction] = [] if moment_rule else [Fraction(1)]
+        self._moments: list[Fraction] = []
 
     def squared_weight(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("weight index must be >= 0")
-        if n not in self._weights:
-            w = Fraction(self._rule(n)) if self._rule else self.moment(n + 1) / self.moment(n)
-            if w <= 0:
-                raise ValueError(f"squared weight at {n} must be positive, got {w}")
-            if w > self.norm_bound_sq:
-                raise ValueError(
-                    f"squared weight {w} at {n} exceeds the declared bound {self.norm_bound_sq}"
-                )
-            self._weights[n] = w
-        return self._weights[n]
+        w = self.moment(n + 1) / self.moment(n)
+        if w <= 0:
+            raise ValueError(f"squared weight at {n} must be positive, got {w}")
+        if w > self.norm_bound_sq:
+            raise ValueError(f"squared weight {w} at {n} exceeds the declared bound {self.norm_bound_sq}")
+        return w
 
     def moment(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("moment order must be >= 0")
         while len(self._moments) <= n:
-            k = len(self._moments)
-            if self._moment_rule:
-                self._moments.append(self._moment_rule(k))
-            else:
-                self._moments.append(self._moments[-1] * self.squared_weight(k - 1))
+            self._moments.append(self._moment_rule(len(self._moments)))
         return self._moments[n]
 
     @classmethod
-    def from_measure(cls, xi: AtomicMeasure1D, name: str | None = None) -> "WeightSequence1D":
+    def from_measure(cls, xi: AtomicMeasure1D) -> "WeightSequence1D":
         """The shift whose Berger measure is the probability measure xi.
 
         Its moments are xi's, gamma_k = moment1(xi, k).  They are positive,
@@ -103,38 +86,29 @@ class WeightSequence1D:
         if not xi.is_probability():
             raise ValueError("Berger measures are probability measures")
         bound = max(p for p, _ in xi.atoms)
-        return cls(None, bound, name=name, moment_rule=lambda k: moment1(xi, k))
+        return cls(lambda k: moment1(xi, k), bound)
 
     @classmethod
-    def from_prefix(
-        cls,
-        squared_prefix: Sequence,
-        tail: str = "repeat_last",
-        norm_bound_sq=None,
-        name: str | None = None,
-    ) -> "WeightSequence1D":
+    def from_prefix(cls, squared_prefix: Sequence, norm_bound_sq=None) -> "WeightSequence1D":
+        """The shift with the given squared weights, the last one repeated.
+
+        Its moments are the running products of the weights.  Every prefix
+        weight is checked here, in index order; the tail repeats the last
+        one, so no later weight can fail.
+        """
         prefix = [Fraction(v) for v in squared_prefix]
         if not prefix:
             raise ValueError("prefix must be nonempty")
-        if tail != "repeat_last":
-            raise ValueError(f"unknown tail rule {tail!r}")
         bound = Fraction(norm_bound_sq) if norm_bound_sq is not None else max(prefix)
-        rule = lambda n: prefix[n] if n < len(prefix) else prefix[-1]
-        return cls(rule, bound, name=name)
-
-    def __repr__(self) -> str:
-        label = self.name or "anonymous"
-        return f"WeightSequence1D({label}, bound_sq={self.norm_bound_sq})"
-
-
-def weights_from_measure(xi: AtomicMeasure1D, n: int) -> Fraction:
-    """Squared weight gamma_{n+1}(xi) / gamma_n(xi) of the shift with measure xi."""
-    if all(p == 0 for p, _ in xi.atoms):
-        raise ZeroMomentError("measure has no atom away from 0; weights vanish")
-    denom = moment1(xi, n)
-    if denom == 0:
-        raise ZeroMomentError(f"moment of order {n} vanishes")
-    return moment1(xi, n + 1) / denom
+        products = [Fraction(1)]
+        for v in prefix:
+            products.append(products[-1] * v)
+        last = prefix[-1]
+        size = len(prefix)
+        w = cls(lambda k: products[k] if k <= size else products[size] * last ** (k - size), bound)
+        for n in range(size):
+            w.squared_weight(n)
+        return w
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:

@@ -74,10 +74,9 @@ class WeightDiagram:
     """Squared weights (alpha^2, beta^2) indexed by lattice points: the two
     rules, each read validated, and no other state."""
 
-    def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule, name: str | None = None):
+    def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule):
         self._alpha_rule = alpha_sq_rule
         self._beta_rule = beta_sq_rule
-        self.name = name
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         return _positive("alpha^2", (k1, k2), self._alpha_rule(k1, k2))
@@ -97,13 +96,8 @@ class WeightDiagram:
             raise ValueError("base point must be in the quadrant")
         if i == 0 and j == 0:
             return self
-        name = f"{self.name}|({i},{j})" if self.name else None
         alpha, beta = self._alpha_rule, self._beta_rule
-        return WeightDiagram(
-            lambda k1, k2: alpha(k1 + i, k2 + j),
-            lambda k1, k2: beta(k1 + i, k2 + j),
-            name=name,
-        )
+        return WeightDiagram(lambda k1, k2: alpha(k1 + i, k2 + j), lambda k1, k2: beta(k1 + i, k2 + j))
 
 
 def _path_product(diagram: WeightDiagram, steps) -> Fraction:
@@ -147,18 +141,20 @@ def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
 
-def path_independence_check(
-    diagram: WeightDiagram, point, n_random: int = 10, seed: int = 0
-) -> Certificate:
+# random monotone paths that path_independence_check tries besides the two extreme ones
+RANDOM_PATHS = 10
+
+
+def path_independence_check(diagram: WeightDiagram, point, seed: int = 0) -> Certificate:
     """gamma at ``point`` along all-horizontal-first, all-vertical-first, and
-    random monotone paths; exact equality required."""
+    RANDOM_PATHS random monotone paths; exact equality required."""
     k1, k2 = point
     if k1 < 0 or k2 < 0:
         raise ValueError("lattice point must be in the quadrant")
     reference = diagram.moment(k1, k2)
     paths = [["U"] * k2 + ["R"] * k1]
     rng = random.Random(seed)
-    for _ in range(n_random):
+    for _ in range(RANDOM_PATHS):
         steps = ["R"] * k1 + ["U"] * k2
         rng.shuffle(steps)
         paths.append(steps)

@@ -20,7 +20,7 @@ from shiftcert.agler import (
 )
 from shiftcert.cli import main
 from shiftcert.lubin import (
-    LubinFamily,
+    family_diagram,
     is_pair_subnormal,
     is_t2_subnormal,
     mu_m,
@@ -64,7 +64,7 @@ def test_criterion_1_moment_identity():
     started = time.monotonic()
     # running product of the squared a-weights along row 0 of the diagram;
     # the closed form drops the atom at 0, so it starts at l = 1
-    row = LubinFamily(F(1, 5)).diagram()
+    row = family_diagram(F(1, 5))
     product = F(1)
     for ell in range(1, 65):
         product *= row.alpha_sq(ell - 1, 0)
@@ -76,7 +76,7 @@ def test_criterion_1_moment_identity():
 def test_criterion_2_golden_weights():
     started = time.monotonic()
     for x in (F(1, 5), F(2, 11), F(1, 7)):
-        d = LubinFamily(x).diagram()
+        d = family_diagram(x)
         assert [d.alpha_sq(k, 0) for k in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
         deep = d.restricted(1, 1)
         assert [deep.alpha_sq(k, 0) for k in range(3)] == [F(3, 8), F(5, 12), F(9, 20)]
@@ -92,9 +92,9 @@ def test_criterion_2_golden_weights():
 
 def test_criterion_3_measure_reconstruction():
     started = time.monotonic()
-    fam = LubinFamily(F(1, 5))
-    assert check_berger_2d(fam.diagram().restricted(1, 1), mu_m_cap_n(), (8, 8)).ok
-    assert check_berger_2d(fam.diagram().restricted(0, 1), mu_m(), (8, 8)).ok
+    diagram = family_diagram(F(1, 5))
+    assert check_berger_2d(diagram.restricted(1, 1), mu_m_cap_n(), (8, 8)).ok
+    assert check_berger_2d(diagram.restricted(0, 1), mu_m(), (8, 8)).ok
     report = backward_extension_2d(F(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
     assert report.ok
     assert report.witness["new_measure"] == MU_M
@@ -204,7 +204,7 @@ def test_criterion_9_property_suites():
         assert direct == reciprocal_norm(marginal(mu, "y"))
 
     # path independence on 50 random lattice points of the family diagram
-    diagram = LubinFamily(F(1, 5)).diagram()
+    diagram = family_diagram(F(1, 5))
     for index in range(50):
         point = (rng.randint(0, 9), rng.randint(0, 9))
         assert path_independence_check(diagram, point, seed=index).ok

@@ -814,6 +814,21 @@ class TestMalformedInput:
         assert main(["check1d", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tail", ["cycle", 5])
+    def test_unknown_tail_rule_is_a_usage_error(self, tail, tmp_path):
+        # "repeat_last" is the one tail rule; any other value exits 2 with
+        # one error line and no traceback
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"kind": "prefix", "squared_weights": ["1/2", "1/3"], "tail": tail}))
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-m", "shiftcert.cli", "check1d", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot load weights: unknown tail rule {tail!r}\n"
+
     @pytest.mark.parametrize("alpha0", ["0", "-1/2"])
     def test_nonpositive_backext_alpha0_is_a_usage_error(self, alpha0, weights_file, xi_a_file, capsys):
         argv = ["check1d", weights_file, f"--backext-alpha0={alpha0}", "--backext-measure", xi_a_file]

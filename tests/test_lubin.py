@@ -13,7 +13,7 @@ from shiftcert.lubin import (
     PAIR_THRESHOLD,
     T2_THRESHOLD,
     XI_B_MASS_CAP,
-    LubinFamily,
+    family_diagram,
     family_report,
     is_pair_subnormal,
     is_t1_subnormal,
@@ -177,7 +177,7 @@ def c_closed(n: int) -> F:
 
 class TestWeights:
     def diagram(self, x=F(1, 5)):
-        return LubinFamily(x).diagram()
+        return family_diagram(x)
 
     def test_a_golden(self):
         assert [self.diagram().alpha_sq(n, 0) for n in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
@@ -255,7 +255,7 @@ class TestMomentTable:
 class TestFamilyDiagram:
     def test_figure_golden_weights(self):
         for x in (F(1, 5), F(2, 11), F(1, 7)):
-            d = LubinFamily(x).diagram()
+            d = family_diagram(x)
             assert d.alpha_sq(0, 0) == F(1, 11)
             assert d.alpha_sq(1, 0) == F(1, 2)
             assert d.alpha_sq(2, 0) == F(11, 16)
@@ -269,11 +269,11 @@ class TestFamilyDiagram:
 
     def test_diagram_commutes_at_several_parameters(self):
         for x in (F(2, 11), F(1, 2), F(6, 5)):
-            assert commutativity_check(LubinFamily(x).diagram(), (10, 10)).ok
+            assert commutativity_check(family_diagram(x), (10, 10)).ok
 
     def test_component_shifts(self):
         # row 0 is the xi_a shift; column 0 starts at x and reaches 43/48
-        d = LubinFamily(F(1, 5)).diagram()
+        d = family_diagram(F(1, 5))
         row = WeightSequence1D.from_measure(xi_a())
         assert [d.alpha_sq(n, 0) for n in range(8)] == [row.squared_weight(n) for n in range(8)]
         assert d.beta_sq(0, 0) == F(1, 5)
@@ -281,13 +281,12 @@ class TestFamilyDiagram:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            LubinFamily(F(-1, 5))
+            family_diagram(F(-1, 5))
 
     @given(x=xs, k1=st.integers(min_value=0, max_value=5), k2=st.integers(min_value=0, max_value=5))
     @settings(max_examples=60, deadline=None)
     def test_diagram_reproduces_the_table(self, x, k1, k2):
-        fam = LubinFamily(x)
-        assert fam.diagram().moment(k1, k2) == moment2d(k1, k2, x)
+        assert family_diagram(x).moment(k1, k2) == moment2d(k1, k2, x)
 
 
 class TestThresholds:
@@ -397,7 +396,7 @@ class TestVerdicts:
     def test_cached_deep_check_equals_the_check_at_x(self, x):
         # the interior weights are x-free, so the once-per-process check
         # must be exactly what the pipeline would compute at x
-        at_x = check_berger_2d(LubinFamily(x).diagram().restricted(1, 1), mu_m_cap_n(), (6, 6))
+        at_x = check_berger_2d(family_diagram(x).restricted(1, 1), mu_m_cap_n(), (6, 6))
         assert is_pair_subnormal(x).witness["deep_restriction"] == at_x
         assert at_x.ok and at_x.witness == {"window": (6, 6)}
 

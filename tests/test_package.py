@@ -4,6 +4,7 @@ fresh interpreter."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -194,6 +195,45 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
+    """Module-level functions and classes of ``src`` that nothing else names.
+
+    A reference is an AST name or attribute in ``src`` or ``demos``, outside
+    the definition itself (so recursion does not count) and outside
+    ``__init__.py``, whose re-exports are not uses.  The benchmark's tracer
+    names functions as strings, so any word-bounded mention in ``bench``
+    counts too.  Docstrings hold no names, so they never count.
+    """
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = statement.name
+                if path.parent == src:
+                    defined[own] = f"{path.name}:{own}"
+            for node in ast.walk(statement):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    bench_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py")))
+    return sorted(
+        where
+        for name, where in defined.items()
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    )
+
+
+def test_every_function_and_class_is_used():
+    # a module-level function or class that no other code names is dead:
+    # delete it, or move it into the tests if only the tests call it
+    root = SRC.parent.parent
+    assert _unreferenced(SRC, root / "demos", root / "bench") == []
 
 
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))

@@ -12,7 +12,6 @@ from shiftcert.errors import (
     InconsistentMomentsError,
     NoRationalAtomsError,
     RankExceededError,
-    ZeroMomentError,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
 from shiftcert.shift1d import (
@@ -21,7 +20,6 @@ from shiftcert.shift1d import (
     backward_extension_1d,
     berger_fit,
     subnormal_necessary,
-    weights_from_measure,
 )
 
 
@@ -31,8 +29,9 @@ def dirac(point):
 
 
 def restrict(w, i):
-    """The shift on the invariant subspace of indices >= i: its weights shifted by i."""
-    return WeightSequence1D(lambda n: w.squared_weight(n + i), w.norm_bound_sq)
+    """The shift on the invariant subspace of indices >= i: its weights shifted
+    by i, so its moments are gamma_(k+i) / gamma_i."""
+    return WeightSequence1D(lambda k: w.moment(k + i) / w.moment(i), w.norm_bound_sq)
 
 
 XI_A = AtomicMeasure1D(
@@ -44,7 +43,7 @@ XI_A_LEVEL1 = AtomicMeasure1D(
 
 # squared weights 2, 1/2, 1/2, ...: gamma = 1, 2, 1, 1/2, ... is not a
 # Hausdorff moment sequence (the formal fit is 4 d(1/4) - 3 d(0))
-BAD = WeightSequence1D.from_prefix([F(2), F(1, 2)], tail="repeat_last", norm_bound_sq=F(2))
+BAD = WeightSequence1D.from_prefix([F(2), F(1, 2)], norm_bound_sq=F(2))
 
 
 def seq_a() -> WeightSequence1D:
@@ -94,14 +93,6 @@ probability_measures = st.lists(
 
 
 class TestWeightSequence:
-    def test_given_by_weights_or_by_moments(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            WeightSequence1D(None, F(1))
-        with pytest.raises(ValueError, match="exactly one"):
-            WeightSequence1D(lambda n: F(1, 2), F(1), moment_rule=lambda k: F(1, 2) ** k)
-        w = WeightSequence1D(None, F(1), moment_rule=lambda k: F(1, k + 1))
-        assert [w.squared_weight(n) for n in range(3)] == [F(1, 2), F(2, 3), F(3, 4)]
-
     def test_golden_weights_from_measure(self):
         w = seq_a()
         assert [w.squared_weight(n) for n in range(3)] == [F(1, 11), F(1, 2), F(11, 16)]
@@ -112,26 +103,45 @@ class TestWeightSequence:
         assert w.moment(3) == F(1, 11) * F(1, 2) * F(11, 16)
         assert [w.moment(n) for n in range(4)] == [F(1), F(1, 11), F(1, 22), F(1, 32)]
 
-    def test_measure_weights_equal_moment_ratios(self):
-        for n in range(6):
-            assert weights_from_measure(XI_A, n) == moment1(XI_A, n + 1) / moment1(XI_A, n)
-
     def test_from_measure_needs_probability(self):
         with pytest.raises(ValueError):
             WeightSequence1D.from_measure(XI_A.scaled(F(2)))
-
-    def test_weights_need_support_off_zero(self):
-        with pytest.raises(ZeroMomentError):
-            weights_from_measure(dirac(F(0)), 0)
 
     def test_prefix_tail_repeats(self):
         assert BAD.squared_weight(0) == 2
         assert BAD.squared_weight(7) == F(1, 2)
 
     def test_norm_bound_enforced(self):
-        w = WeightSequence1D.from_prefix([F(2)], tail="repeat_last", norm_bound_sq=F(1))
         with pytest.raises(ValueError):
-            w.squared_weight(0)
+            WeightSequence1D.from_prefix([F(2)], norm_bound_sq=F(1))
+
+    @pytest.mark.parametrize(
+        "prefix, bound, message",
+        [
+            ([F(0), F(1, 2)], None, "squared weight at 0 must be positive, got 0"),
+            ([F(-1, 3), F(1, 2)], None, "squared weight at 0 must be positive, got -1/3"),
+            ([F(3), F(1, 2)], F(2), "squared weight 3 at 0 exceeds the declared bound 2"),
+            ([F(1, 2), F(1, 3), F(0), F(-1)], None, "squared weight at 2 must be positive, got 0"),
+            ([F(1, 2), F(1, 3), F(-2, 5), F(5)], F(1), "squared weight at 2 must be positive, got -2/5"),
+            ([F(1, 2), F(1, 3), F(1, 4), F(3, 2), F(0)], F(1), "squared weight 3/2 at 3 exceeds the declared bound 1"),
+        ],
+        ids=["zero-at-0", "negative-at-0", "above-bound-at-0", "zero-at-2", "negative-at-2", "above-bound-at-3"],
+    )
+    def test_prefix_is_checked_at_construction(self, prefix, bound, message):
+        # every prefix weight is checked once, in index order, so the first
+        # bad index is reported before any later one
+        with pytest.raises(ValueError) as caught:
+            WeightSequence1D.from_prefix(prefix, norm_bound_sq=bound)
+        assert str(caught.value) == message
+
+    @given(prefix=squared_prefixes)
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_moments_are_running_products(self, prefix):
+        w = WeightSequence1D.from_prefix(prefix, norm_bound_sq=F(3))
+        gamma = F(1)
+        for k in range(3 * len(prefix) + 1):
+            assert w.moment(k) == gamma
+            gamma *= prefix[min(k, len(prefix) - 1)]
 
     def test_constant_shift(self):
         w = WeightSequence1D.from_prefix([F(1, 3)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert.certificate import Certificate
-from shiftcert.lubin import LubinFamily, moment2d, xi_a, xi_a_level1, xi_b_level1
+from shiftcert.lubin import family_diagram, moment2d, xi_a, xi_a_level1, xi_b_level1
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -47,9 +47,8 @@ class MomentTable2D:
     family's closed-form diagram: every weight a ratio of two moments.
     """
 
-    def __init__(self, rule, name=None):
+    def __init__(self, rule):
         self._rule = rule
-        self.name = name
         self._cache = {}
         if self.value(0, 0) != 1:
             raise ValueError("gamma_(0,0) must equal 1")
@@ -66,12 +65,11 @@ class MomentTable2D:
         return self._cache[key]
 
 
-def weights_from_moments2d(table: MomentTable2D, name=None) -> WeightDiagram:
+def weights_from_moments2d(table: MomentTable2D) -> WeightDiagram:
     """Diagram with alpha_k^2 = gamma_{k+(1,0)} / gamma_k, beta_k^2 = gamma_{k+(0,1)} / gamma_k."""
     return WeightDiagram(
         lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
         lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
-        name=name or table.name,
     )
 
 
@@ -153,7 +151,7 @@ def reference_joint_hyponormality_window(diagram: WeightDiagram, window) -> Cert
 
 
 def family(x=F(1, 5)) -> WeightDiagram:
-    return LubinFamily(x).diagram()
+    return family_diagram(x)
 
 
 def skew_diagram() -> WeightDiagram:
@@ -161,7 +159,6 @@ def skew_diagram() -> WeightDiagram:
     return WeightDiagram(
         lambda k1, k2: F(1, 2),
         lambda k1, k2: F(1, k1 + 2),
-        name="skew",
     )
 
 
@@ -351,7 +348,7 @@ def perturbed(diagram: WeightDiagram, which: str, point, factor) -> WeightDiagra
     def rule(name, read):
         return lambda k1, k2: read(k1, k2) * (factor if (name, (k1, k2)) == (which, point) else 1)
 
-    return WeightDiagram(rule("alpha", diagram.alpha_sq), rule("beta", diagram.beta_sq), name="perturbed")
+    return WeightDiagram(rule("alpha", diagram.alpha_sq), rule("beta", diagram.beta_sq))
 
 
 def cap_moment_diagram() -> WeightDiagram:
@@ -440,8 +437,7 @@ def state(diagram: WeightDiagram) -> dict:
 
 class TestStatelessDiagram:
     def test_checks_leave_no_state_behind(self):
-        family_x = LubinFamily(F(1, 7))
-        whole = family_x.diagram()
+        whole = family_diagram(F(1, 7))
         deep = whole.restricted(1, 1)
         before = state(whole), state(deep)
         for diagram in (whole, deep):
@@ -450,7 +446,8 @@ class TestStatelessDiagram:
             check_berger_2d(diagram, MU_CAP, (64, 64))
             assert path_independence_check(diagram, (0, 500)).ok
         assert (state(whole), state(deep)) == before
-        assert vars(family_x) == {"x": F(1, 7)}
+        # a diagram is its two rules and nothing else
+        assert set(vars(whole)) == set(vars(deep)) == {"_alpha_rule", "_beta_rule"}
 
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [F(0), F(-1)])
@@ -576,7 +573,6 @@ def monotone_random_diagram(rng: random.Random) -> WeightDiagram:
     return WeightDiagram(
         lambda k1, k2: base_a[k2] + sum(inc_a[i, k2] for i in range(k1)),
         lambda k1, k2: base_b[k1] + sum(inc_b[k1, j] for j in range(k2)),
-        name="random",
     )
 
 
@@ -626,14 +622,14 @@ class TestJointHyponormality:
         cases = [family(x) for x in (F(1, 20), F(1, 6), F(3, 16), F(1, 5), F(1, 4), F(1, 3), F(1))]
         cases += [monotone_random_diagram(rng) for _ in range(60)]
         verdicts = set()
-        for diagram in cases:
+        for index, diagram in enumerate(cases):
             for w in range(1, 7):
                 for h in range(1, 7):
                     exact = joint_hyponormality_window(diagram, (w, h)).ok
                     smallest = np.linalg.eigvalsh(dense_compression(diagram, (w, h)))[0]
                     # the draws stay off the knife edge, so float rounding cannot decide
                     assert smallest >= -1e-9 or smallest < -1e-6
-                    assert exact == (smallest >= -1e-9), (diagram.name, w, h, smallest)
+                    assert exact == (smallest >= -1e-9), (index, w, h, smallest)
                     verdicts.add(exact)
         assert verdicts == {True, False}
 
@@ -647,7 +643,6 @@ def table_diagram(alpha: dict, beta: dict, fill=F(100)) -> WeightDiagram:
     return WeightDiagram(
         lambda k1, k2: alpha.get((k1, k2), fill),
         lambda k1, k2: beta.get((k1, k2), fill),
-        name="table",
     )
 
 
