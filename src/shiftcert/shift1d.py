@@ -65,7 +65,9 @@ class WeightSequence1D:
         if w <= 0:
             raise ValueError(f"squared weight at {n} must be positive, got {w}")
         if w > self.norm_bound_sq:
-            raise ValueError(f"squared weight {w} at {n} exceeds the declared bound {self.norm_bound_sq}")
+            raise ValueError(
+                f"squared weight {w} at {n} exceeds the declared bound {self.norm_bound_sq}"
+            )
         return w
 
     def moment(self, n: int) -> Fraction:

@@ -97,7 +97,10 @@ class WeightDiagram:
         if i == 0 and j == 0:
             return self
         alpha, beta = self._alpha_rule, self._beta_rule
-        return WeightDiagram(lambda k1, k2: alpha(k1 + i, k2 + j), lambda k1, k2: beta(k1 + i, k2 + j))
+        return WeightDiagram(
+            lambda k1, k2: alpha(k1 + i, k2 + j),
+            lambda k1, k2: beta(k1 + i, k2 + j),
+        )
 
 
 def _path_product(diagram: WeightDiagram, steps) -> Fraction:
