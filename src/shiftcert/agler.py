@@ -138,14 +138,13 @@ def _numerator_over(value: Fraction, denominator: int) -> int:
 class PerNCoefficients(
     namedtuple(
         "PerNCoefficients",
-        "const_a slope_a const_b slope_b c_n k0_const k0_slope tail_sixteenth tail_eighth exposed sup",
+        "const_a slope_a const_b slope_b c_n k0_const k0_slope exposed sup",
     )
 ):
     """The x-free data of one n, from which every per-n fact at x follows.
 
     A_n = const_a + slope_a x,  B_n = const_b + slope_b x,  C_n = c_n,
-    P_n(0, 0) = k0_const + k0_slope x, and the two tail inequalities
-    I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n as booleans.
+    P_n(0, 0) = k0_const + k0_slope x.
 
     ``exposed`` holds each (k, const_k, slope_k) with k >= 1, slope_k < 0
     and const_k + slope_k x = P_n(k, 0) gamma_k, in increasing k, up to the
@@ -212,8 +211,6 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
         c_n=Fraction(c_n, den),
         k0_const=Fraction(k0_const, den),
         k0_slope=Fraction(k0_slope, den),
-        tail_sixteenth=j16 >= fifteen,
-        tail_eighth=j8 >= fourteen,
         exposed=tuple(
             (k, Fraction(const_k, den << 2 * k), Fraction(slope_k, den << 2 * k))
             for k, const_k, slope_k in exposed

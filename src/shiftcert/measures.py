@@ -77,11 +77,11 @@ class _AtomicMeasure:
         for point, mass in atoms:
             key, m = self._location(point), Fraction(mass)
             if not self._inside(key):
-                raise ValueError(f"atom location must be {self._SUPPORT}, got {key}")
+                raise ValueError(f"atom location must be {self._SUPPORT}, got {self._point_repr(key)}")
             if m <= 0:
-                raise ValueError(f"atom mass must be positive, got {m} at {key}")
+                raise ValueError(f"atom mass must be positive, got {m} at {self._point_repr(key)}")
             if key in seen:
-                raise ValueError(f"duplicate atom location {key}")
+                raise ValueError(f"duplicate atom location {self._point_repr(key)}")
             seen[key] = m
         self.atoms = tuple(sorted(seen.items()))
 

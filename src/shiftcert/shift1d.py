@@ -21,7 +21,7 @@ arithmetic:
   one step backward by a weight alpha_0 iff 1/s is xi-integrable and
   alpha_0^2 <= 1 / ||1/s||;
 * ``berger_fit`` -- exact recovery of the unique atomic measure behind a
-  moment list (minimal linear recurrence, rational roots, Vandermonde).
+  moment list (minimal linear recurrence, Sturm root isolation, Vandermonde).
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     """Recover the unique finitely atomic measure behind a moment list.
 
     Exact pipeline: find the minimal-order linear recurrence the moments
-    satisfy (Hankel kernel over the rationals), read atom locations off the
-    recurrence polynomial as rational roots, solve the Vandermonde system
-    for the masses, then re-verify every supplied moment.
+    satisfy (Hankel kernel over the rationals), take its polynomial's roots,
+    isolated exactly at any coefficient size, as the atoms, solve the
+    Vandermonde system for the masses, then re-verify every supplied moment.
 
     Raises :class:`RankExceededError` when no recurrence of order up to
     ``max_atoms`` exists, :class:`NoRationalAtomsError` when the recurrence
@@ -249,93 +249,76 @@ def _recurrence_polynomial(ms: list[Fraction], order: int) -> list[Fraction] | N
     return coeffs
 
 
-_FACTOR_CAP = 10**12
-
-
-def _divisors(n: int) -> set[int]:
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.update((i, n // i))
-        i += 1
-    return out
-
-
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All roots of a polynomial known to split into distinct rational roots.
+    """All roots of a monic polynomial known to split into distinct rational roots.
 
-    Degrees 1 and 2 are solved directly: a quadratic's roots are rational
-    iff its discriminant is a square.  Above degree 2 one root is searched
-    for (see :func:`_rational_root`) and divided out, and the quotient,
-    whose end coefficients are smaller, goes on down to degree 2.
+    Cleared of denominators, P(z) = sum a_i z^i of degree e and leading
+    coefficient L has its rational roots at z = u / (2 L) with u an even
+    integer root of the monic integer polynomial R(u) = 2^e L^(e-1) P(u / (2 L)).
+    No odd integer is a root of R, and every real one lies in (-2 B, 2 B),
+    B = |L| + max |a_i| (Cauchy's bound).  Bisection between odd integers,
+    counting the distinct roots in each cell by the Sturm chain of R, leaves
+    cells (u - 1, u + 1), and R(u) = 0 is tested exactly in each.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    degree = len(ints) - 1
-    roots: list[Fraction] = []
-    if ints[0] == 0:
-        if len(ints) > 1 and ints[1] == 0:
-            raise InconsistentMomentsError("recurrence polynomial has a repeated root at 0")
-        roots.append(Fraction(0))
-        ints = ints[1:]
-    if len(ints) > 3:
-        low, high = abs(ints[0]), abs(ints[-1])
-        if low > _FACTOR_CAP or high > _FACTOR_CAP:
-            raise NoRationalAtomsError("coefficients too large for a rational root search")
-        numerators, denominators = _divisors(low), _divisors(high)
-    while len(ints) > 3:
-        root = _rational_root(ints, numerators, denominators)
-        if root is None:
-            break
-        s, q = root
-        roots.append(Fraction(s, q))
-        # divide by q z - s: the quotient's q b_(i-1) - s b_i = a_i, filled
-        # from the top, and every division is exact by Gauss's lemma
-        quotient = [ints[-1] // q]
-        for a in reversed(ints[1:-1]):
-            quotient.append((a + s * quotient[-1]) // q)
-        ints = quotient[::-1]
-        # the new end coefficients divide the old ones, so do their divisors
-        numerators = {d for d in numerators if ints[0] % d == 0}
-        denominators = {d for d in denominators if ints[-1] % d == 0}
-    if len(ints) == 2:
-        roots.append(Fraction(-ints[0], ints[1]))
-    elif len(ints) == 3:
-        c, b, a = ints
-        disc = b * b - 4 * a * c
-        root = math.isqrt(max(disc, 0))
-        if root * root == disc:
-            roots.extend({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)})
-    distinct = set(roots)
-    if len(distinct) != degree:
+    ints = [int(c * den) for c in coeffs]  # content 1, as coeffs[-1] == 1
+    if ints[:2] == [0, 0]:
+        raise InconsistentMomentsError("recurrence polynomial has a repeated root at 0")
+    e, lead = len(ints) - 1, ints[-1]
+    monic = [a * 2 ** (e - i) * lead ** (e - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    chain, nxt = [monic], [i * a for i, a in enumerate(monic)][1:]
+    while nxt:  # the Sturm chain: R, R', then negated remainders
+        chain.append(nxt)
+        nxt = [-c for c in _remainder(chain[-2], nxt)]
+    edge = 2 * (abs(lead) + max(map(abs, ints[:-1]))) + 1
+    roots, cells = [], [(-edge, _sign_changes(chain, -edge), edge, _sign_changes(chain, edge))]
+    while cells:
+        lo, v_lo, hi, v_hi = cells.pop()
+        if v_lo == v_hi:
+            continue  # no root between lo and hi
+        if hi - lo > 2:
+            mid = lo + (hi - lo) // 4 * 2
+            v_mid = _sign_changes(chain, mid)
+            cells += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        elif _value(monic, lo + 1) == 0:
+            roots.append(Fraction((lo + 1) // 2, lead))
+    if len(roots) != e:
         raise NoRationalAtomsError(
-            f"recurrence polynomial of degree {degree} has only "
-            f"{len(distinct)} distinct rational roots"
+            f"recurrence polynomial of degree {e} has only "
+            f"{len(roots)} distinct rational roots"
         )
     return sorted(roots)
 
 
-def _rational_root(ints: list[int], numerators: set[int], denominators: set[int]) -> tuple[int, int] | None:
-    """One rational root s/q of sum ints[i] z^i, or None.
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, with content 1 (coefficients lowest first)."""
+    a, lead = list(a), b[-1]
+    while len(a) >= len(b):
+        top, shift = a.pop(), len(a) - len(b) + 1
+        if top:  # |lead| a - sign(lead) top z^shift b has no top term
+            a = [abs(lead) * c for c in a]
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] -= (top if lead > 0 else -top) * c
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
-    By the rational root theorem each root is +-p/q in lowest terms with p
-    among the divisors of the constant and q among those of the leading
-    coefficient; it is a root iff the integer sum a_i (+-p)^i q^(d-i),
-    taken by Horner's rule, vanishes.
-    """
-    for p in numerators:
-        for q in denominators:
-            if math.gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                value, power = ints[-1], 1
-                for a in reversed(ints[:-1]):
-                    power *= q
-                    value = value * s + a * power
-                if value == 0:
-                    return s, q
-    return None
+
+def _value(p: list[int], u: int) -> int:
+    """p(u) by Horner's rule."""
+    value = 0
+    for c in reversed(p):
+        value = value * u + c
+    return value
+
+
+def _sign_changes(chain: list[list[int]], u: int) -> int:
+    """Sign changes along the chain's values at u, zeros skipped."""
+    changes, last = 0, 0
+    for p in chain:
+        value = _value(p, u)
+        if value:
+            changes += last != 0 and (value < 0) != (last < 0)
+            last = value
+    return changes

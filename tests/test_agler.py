@@ -73,6 +73,12 @@ def integral_moment_sum(c: F, n: int) -> F:
     return F(numerator, q**n)
 
 
+def tail_inequalities(n: int) -> tuple[bool, bool]:
+    """I_n(1/16) >= (15/16)^n and I_n(1/8) >= (7/8)^n, the two inequalities
+    that close the n-tail."""
+    return integral_moment(F(1, 16), n) >= F(15, 16) ** n, integral_moment(F(1, 8), n) >= F(7, 8) ** n
+
+
 def per_n_coefficients_reference(n: int) -> dict:
     """The per-n record's fields by the Fraction k-scan, with I_n from the binomial sum."""
     i16, i8 = integral_moment_sum(F(1, 16), n), integral_moment_sum(F(1, 8), n)
@@ -108,8 +114,6 @@ def per_n_coefficients_reference(n: int) -> dict:
         "c_n": c_n,
         "k0_const": k0_const,
         "k0_slope": k0_slope,
-        "tail_sixteenth": i16 >= p16,
-        "tail_eighth": i8 >= p8,
         "exposed": tuple(exposed),
         "sup": sup,
     }
@@ -352,11 +356,9 @@ class TestTail:
         assert F(15, 14) ** 48 >= 27 > F(15, 14) ** 47
 
     def test_inequalities_fail_early_and_hold_late(self):
-        first = per_n_coefficients(1)
-        assert (first.tail_sixteenth, first.tail_eighth) == (False, False)
+        assert tail_inequalities(1) == (False, False)
         for n in range(101, 131):
-            record = per_n_coefficients(n)
-            assert (record.tail_sixteenth, record.tail_eighth) == (True, True)
+            assert tail_inequalities(n) == (True, True)
 
     def test_tail_makes_coefficients_safe_for_large_x(self):
         # past the stopping index A_n and B_n are nonnegative for any x
@@ -408,9 +410,8 @@ class TestCertifySum:
         # the certificate closes the n-tail where both per-n tail inequalities hold
         cert = certify_sum(F(1, 5))
         n_tail = cert.witness["n_tail"]
-        last = per_n_coefficients(n_tail)
-        assert last.tail_sixteenth and last.tail_eighth
-        assert not per_n_coefficients(1).tail_sixteenth
+        assert tail_inequalities(n_tail) == (True, True)
+        assert not tail_inequalities(1)[0]
         assert f"for n > {n_tail}" in cert.witness["tail_witness"]
 
     def test_serialization(self):

@@ -30,7 +30,7 @@ from shiftcert.cli import (
     main,
 )
 from shiftcert.lubin import mu_m_cap_n, xi_a
-from shiftcert.measures import moment1
+from shiftcert.measures import AtomicMeasure1D, moment1
 
 
 def dump_measure(mu, path) -> None:
@@ -122,6 +122,16 @@ class TestFit:
         assert main(["fit", str(csv), "--max-atoms", "2"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["error"] == "NoRationalAtomsError"
+
+    def test_sixteen_atoms_fit_at_the_atom_cap(self, tmp_path, capsys):
+        # the uniform measure on j/17, 1 <= j <= 16: its recurrence has
+        # coefficients far past what a divisor search over them can take
+        mu = AtomicMeasure1D([(F(j, 17), F(1, 16)) for j in range(1, 17)])
+        csv = tmp_path / "m.csv"
+        csv.write_text("n,gamma_n\n" + "\n".join(f"{n},{moment1(mu, n)}" for n in range(33)))
+        assert main(["fit", str(csv), "--max-atoms", "16"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == mu.as_dict() and captured.err == ""
 
     def test_non_contiguous_indices_rejected(self, tmp_path):
         csv = tmp_path / "m.csv"
@@ -228,6 +238,23 @@ class TestCheck2D:
     def test_one_variable_berger_measure_is_a_usage_error(self, xi_a_file, capsys):
         assert main(["check2d", "--x", "1/5", "--berger", xi_a_file]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([[["1/2", "-1"], "1"]], "atom location must be in the quarter-plane, got 1/2,-1"),
+            ([[["1/2", "1"], "0"]], "atom mass must be positive, got 0 at 1/2,1"),
+            ([[["1/2", "1"], "1/2"], [["2/4", "1"], "1/2"]], "duplicate atom location 1/2,1"),
+        ],
+        ids=["location", "zero-mass", "duplicate"],
+    )
+    def test_bad_planar_atom_is_named_by_its_coordinates(self, tmp_path, capsys, atoms, message):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": [{"point": p, "mass": m} for p, m in atoms]}))
+        assert main(["check2d", "--x", "1/10", "--berger", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot load measure: {message}\n"
 
     def test_negative_path_point_is_a_usage_error(self, capsys):
         assert main(["check2d", "--x", "1/5", "--path=-1,2"]) == 2

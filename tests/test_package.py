@@ -198,13 +198,14 @@ def test_traced_names_resolve():
 
 
 def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
-    """Module-level functions and classes of ``src`` that nothing else names.
+    """Module-level functions, classes and constants of ``src`` that nothing else names.
 
-    A reference is an AST name or attribute in ``src`` or ``demos``, outside
-    the definition itself (so recursion does not count) and outside
-    ``__init__.py``, whose re-exports are not uses.  The benchmark's tracer
-    names functions as strings, so any word-bounded mention in ``bench``
-    counts too.  Docstrings hold no names, so they never count.
+    A constant is a name bound by a top-level assignment.  A reference is an
+    AST name or attribute in ``src`` or ``demos``, outside the definition
+    itself (so recursion does not count) and outside ``__init__.py``, whose
+    re-exports are not uses.  The benchmark's tracer names functions as
+    strings, so any word-bounded mention in ``bench`` counts too.
+    Docstrings hold no names, so they never count.
     """
     defined: dict[str, str] = {}
     used: set[str] = set()
@@ -212,14 +213,22 @@ def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
         if path.name == "__init__.py":
             continue
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = None
+            own: set[str] = set()
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = statement.name
-                if path.parent == src:
-                    defined[own] = f"{path.name}:{own}"
+                own = {statement.name}
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                own = {
+                    node.id
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                }
+            if path.parent == src:
+                defined.update((name, f"{path.name}:{name}") for name in own)
             for node in ast.walk(statement):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
                     used.add(name)
     bench_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py")))
     return sorted(
@@ -230,7 +239,7 @@ def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
 
 
 def test_every_function_and_class_is_used():
-    # a module-level function or class that no other code names is dead:
+    # a module-level function, class or constant that no other code names is dead:
     # delete it, or move it into the tests if only the tests call it
     root = SRC.parent.parent
     assert _unreferenced(SRC, root / "demos", root / "bench") == []

@@ -1,9 +1,8 @@
 import math
-import types
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftcert import shift1d
@@ -71,6 +70,131 @@ def agler_sums_1d_reference(w, n_max, k_max):
     return Certificate(
         "agler_sums_1d", True, {"n_max": n_max, "k_max": k_max, "rescaled_by": str(scale)}
     )
+
+
+FACTOR_CAP = 10**12  # the divisor search refuses end coefficients above this
+
+
+def divisors(n: int) -> set[int]:
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.update((i, n // i))
+        i += 1
+    return out
+
+
+def rational_root(ints: list[int], numerators: set[int], denominators: set[int]) -> tuple[int, int] | None:
+    """One rational root s/q of sum ints[i] z^i, or None: each candidate
+    +-p/q with p | ints[0] and q | ints[-1] is tried by Horner's rule."""
+    for p in numerators:
+        for q in denominators:
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                value, power = ints[-1], 1
+                for a in reversed(ints[:-1]):
+                    power *= q
+                    value = value * s + a * power
+                if value == 0:
+                    return s, q
+    return None
+
+
+def rational_roots_reference(coeffs: list[F]) -> list[F]:
+    """The rational roots by the rational root theorem: the oracle for the
+    root isolation of berger_fit.  Degrees 1 and 2 are solved directly;
+    above that each root found by a divisor-pair search is divided out."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    degree = len(ints) - 1
+    roots: list[F] = []
+    if ints[0] == 0:
+        if len(ints) > 1 and ints[1] == 0:
+            raise InconsistentMomentsError("recurrence polynomial has a repeated root at 0")
+        roots.append(F(0))
+        ints = ints[1:]
+    if len(ints) > 3:
+        low, high = abs(ints[0]), abs(ints[-1])
+        if low > FACTOR_CAP or high > FACTOR_CAP:
+            raise NoRationalAtomsError("coefficients too large for a rational root search")
+        numerators, denominators = divisors(low), divisors(high)
+    while len(ints) > 3:
+        root = rational_root(ints, numerators, denominators)
+        if root is None:
+            break
+        s, q = root
+        roots.append(F(s, q))
+        quotient = [ints[-1] // q]  # divide by q z - s, from the top
+        for a in reversed(ints[1:-1]):
+            quotient.append((a + s * quotient[-1]) // q)
+        ints = quotient[::-1]
+        numerators = {d for d in numerators if ints[0] % d == 0}
+        denominators = {d for d in denominators if ints[-1] % d == 0}
+    if len(ints) == 2:
+        roots.append(F(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            roots.extend({F(-b - root, 2 * a), F(-b + root, 2 * a)})
+    distinct = set(roots)
+    if len(distinct) != degree:
+        raise NoRationalAtomsError(
+            f"recurrence polynomial of degree {degree} has only "
+            f"{len(distinct)} distinct rational roots"
+        )
+    return sorted(roots)
+
+
+def times(p: list[F], q: list[F]) -> list[F]:
+    """The product of two polynomials, coefficients lowest degree first."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def root_polynomials(draw) -> list[F]:
+    """A monic polynomial with rational roots (some repeated) times
+    factors with no rational root."""
+    roots = draw(st.lists(st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6), max_size=5))
+    repeated = draw(st.lists(st.sampled_from(roots), max_size=2)) if roots else []
+    irreducible = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    [F(-2), F(0), F(1)],  # z^2 - 2
+                    [F(1), F(1), F(1)],  # z^2 + z + 1
+                    [F(-3, 4), F(0), F(1)],  # z^2 - 3/4
+                    [F(1, 3), F(-1), F(1)],  # z^2 - z + 1/3
+                    [F(-2), F(0), F(0), F(1)],  # z^3 - 2
+                    [F(-1), F(-1), F(0), F(1)],  # z^3 - z - 1
+                ]
+            ),
+            max_size=2,
+        )
+    )
+    coeffs = [F(1)]
+    for r in roots + repeated:
+        coeffs = times(coeffs, [-r, F(1)])
+    for factor in irreducible:
+        coeffs = times(coeffs, factor)
+    assume(len(coeffs) > 1)
+    return coeffs
+
+
+def roots_or_message(find, coeffs: list[F]):
+    try:
+        return find(coeffs)
+    except (InconsistentMomentsError, NoRationalAtomsError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 squared_prefixes = st.lists(
@@ -323,66 +447,54 @@ class TestBergerFit:
         with pytest.raises(InconsistentMomentsError, match="singular"):
             berger_fit([moment1(XI_A, n) for n in range(9)], 4)
 
-    def test_large_atom_lists_each_coefficient_divisors_once(self, monkeypatch):
-        # one atom p/q: the recurrence polynomial is q z - p, whose root is
-        # read off directly; no search lists the divisors of p or of q
-        atom = F(43243200, 10131543907)
-        calls = []
-        divisors = shift1d._divisors
-        monkeypatch.setattr(shift1d, "_divisors", lambda n: calls.append(n) or divisors(n))
-        assert berger_fit([F(1), atom, atom**2], 1) == dirac(atom)
-        assert len(calls) <= 2
-
-    @pytest.mark.parametrize(
-        "mu",
-        [
-            AtomicMeasure1D([(F(963761198400), F(1, 2)), (F(1, 963761198400), F(1, 2))]),
-            dirac(F(963761198400, 1700637401)),
-            AtomicMeasure1D([(F(1, 10**7 + 19), F(1, 2)), (F(1, 10**7 + 79), F(1, 2))]),
-        ],
-        ids=["two-atoms", "one-atom", "past-the-factor-cap"],
-    )
-    def test_low_degree_fits_need_no_divisor_search(self, monkeypatch, mu):
-        # both end coefficients of the first recurrence polynomial have 6,720
-        # divisors, and the last one's exceed _FACTOR_CAP; degrees 1 and 2 are
-        # solved directly, so no divisor is listed
-        calls = []
-        divisors = shift1d._divisors
-        monkeypatch.setattr(shift1d, "_divisors", lambda n: calls.append(n) or divisors(n))
-        r = len(mu.atoms)
-        assert berger_fit([moment1(mu, n) for n in range(2 * r + 1)], r) == mu
-        assert calls == []
-
     @pytest.mark.parametrize(
         "points",
         [
+            [F(j, 17) for j in range(1, 17)],
+            [F(1, 1000003), F(1, 1000033), F(1, 1000037)],
+            [F(43243200, 10131543907)],
+            [F(963761198400, 1700637401)],
+            [F(963761198400), F(1, 963761198400)],
+            [F(1, 10**7 + 19), F(1, 10**7 + 79)],
             [F(963761198400), F(1, 963761198400), F(1)],
             [F(481880599200), F(1, 481880599200), F(2)],
             [F(240940299600), F(1, 240940299600), F(1, 4), F(4)],
         ],
-        ids=["cubic-root-1", "cubic-root-2", "quartic"],
+        ids=[
+            "sixteen-atoms",
+            "three-close-atoms",
+            "one-atom",
+            "one-large-atom",
+            "two-atoms",
+            "two-close-atoms",
+            "cubic-root-1",
+            "cubic-root-2",
+            "quartic",
+        ],
     )
-    def test_deflation_tries_far_fewer_pairs_than_one_scan(self, monkeypatch, points):
-        # a single scan pays one gcd for every pair of divisors of the two
-        # end coefficients (6,720 divisors at the constant end here, so tens
-        # of millions of pairs); dividing out the first
-        # root found leaves a quadratic (or a cubic, then a quadratic), so
-        # the search stops after a few thousand pairs at most
-        listed = []
-        divisors = shift1d._divisors
-        monkeypatch.setattr(shift1d, "_divisors", lambda n: listed.append(divisors(n)) or listed[-1])
-        pairs = [0]
-
-        def gcd(*a):
-            pairs[0] += len(a) == 2
-            return math.gcd(*a)
-
-        monkeypatch.setattr(shift1d, "math", types.SimpleNamespace(lcm=math.lcm, isqrt=math.isqrt, gcd=gcd))
+    def test_uniform_measures_with_large_coefficients_fit_exactly(self, points):
+        # the first two exceeded the divisor search's coefficient cap; the
+        # rest have end coefficients with thousands of divisors
         mu = AtomicMeasure1D([(p, F(1, len(points))) for p in points])
         r = len(points)
         assert berger_fit([moment1(mu, n) for n in range(2 * r + 1)], r) == mu
-        numerators, denominators = listed
-        assert 1000 * pairs[0] < len(numerators) * len(denominators)
+
+    def test_cubic_without_rational_roots_is_refused_by_a_short_bisection(self, monkeypatch):
+        # the recurrence N z^3 + z + N: a divisor search scans 6,720 x 6,720
+        # pairs of its end coefficients' divisors; R(u) = u^3 + 4 N u + 8 N^3
+        # has its one real root in (-4 N, 4 N), and halving that interval
+        # down to width 2 takes about log2(4 N) = 42 evaluations of the chain
+        n = 963761198400
+        moments = [F(1), F(1, 2), F(1, 3)]
+        while len(moments) < 7:
+            moments.append(-(moments[-2] / n + moments[-3]))
+        calls = []
+        sign_changes = shift1d._sign_changes
+        monkeypatch.setattr(shift1d, "_sign_changes", lambda chain, u: calls.append(u) or sign_changes(chain, u))
+        with pytest.raises(NoRationalAtomsError) as caught:
+            berger_fit(moments, 3)
+        assert str(caught.value) == "recurrence polynomial of degree 3 has only 0 distinct rational roots"
+        assert 0 < len(calls) <= 2 + (8 * n).bit_length()
 
     @pytest.mark.parametrize(
         "coeffs, found",
@@ -396,9 +508,6 @@ class TestBergerFit:
     def test_repeated_or_irrational_roots_are_reported(self, coeffs, found):
         with pytest.raises(NoRationalAtomsError, match=f"only {found} distinct"):
             shift1d._rational_roots(coeffs)
-
-    def test_divisors_of_a_square(self):
-        assert shift1d._divisors(36) == {1, 2, 3, 4, 6, 9, 12, 18, 36}
 
     @given(
         roots=st.lists(
@@ -414,6 +523,13 @@ class TestBergerFit:
         for r in roots:
             coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
         assert shift1d._rational_roots(coeffs) == sorted(roots)
+
+    @given(coeffs=root_polynomials())
+    @settings(max_examples=200, deadline=None)
+    def test_roots_and_messages_match_the_divisor_search(self, coeffs):
+        expected = roots_or_message(rational_roots_reference, coeffs)
+        assume(expected != ("NoRationalAtomsError", "coefficients too large for a rational root search"))
+        assert roots_or_message(shift1d._rational_roots, coeffs) == expected
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
