@@ -4,15 +4,17 @@ Every decision procedure in the package returns a :class:`Certificate`
 rather than a bare boolean: a failing check names the first violation it
 found, and a passing check records what was actually verified.  A
 certificate is immutable and its witness is a read-only mapping, so a
-certificate can be cached and shared.  Rational values render as "p/q"
-strings in the JSON form, so it is lossless.
+certificate can be cached and shared.  :func:`to_json` renders every JSON
+payload the CLI prints, with rationals as "p/q" strings, so it is lossless.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 
 class Certificate:
@@ -46,21 +48,50 @@ class Certificate:
     def verdict(self) -> str:
         return "pass" if self.ok else "fail"
 
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "witness": _plain(self.witness),
-        }
+
+def to_json(value: Any) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, built in one pass.
+
+    A certificate renders as ``{"check", "verdict", "witness"}``, a measure
+    as its ``as_dict()``, a ``Fraction`` as its "p/q" string, a mapping with
+    ``str(key)`` keys and a tuple as a list; the other values are ``str``,
+    ``int``, ``bool`` and ``None``.
+    """
+    out: list[str] = []
+    _write(value, out, "\n")
+    return "".join(out)
 
 
-def _plain(value: Any) -> Any:
-    if hasattr(value, "as_dict"):  # a certificate or a measure
-        return value.as_dict()
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append ``value``'s JSON text to ``out``; ``newline`` starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is Fraction:
+        out.append(f'"{value}"')
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is Certificate:
+        _write({"check": value.check, "verdict": value.verdict, "witness": value.witness}, out, newline)
+    elif kind is dict or kind is MappingProxyType or isinstance(value, Mapping):
+        inner = newline + "  "
+        out.append("{")
+        for key, item in sorted({str(k): v for k, v in value.items()}.items()):
+            out += (inner, _quote(key), ": ")
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "}" if value else "{}"  # the last comma, or the lone bracket
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "]" if value else "[]"
+    elif hasattr(value, "as_dict"):  # a measure
+        _write(value.as_dict(), out, newline)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -15,6 +15,8 @@ Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
 with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
 where it is written).  Every size flag, and fit's row count, has a cap.
+Every JSON payload on stdout or in ``--out`` comes from ``certificate.to_json``
+(sorted keys, indent 2); the one-line error on stderr is compact.
 
 The argument parser is built once per process and reused by every call
 of :func:`main`; argparse keeps each call's values in a fresh namespace.
@@ -42,6 +44,7 @@ import sys
 from functools import lru_cache
 
 from . import agler, lubin
+from .certificate import to_json
 from .errors import ShiftCertError
 from .measures import measure_from_dict, moment1
 from .numerics import parse_rational, rat_str
@@ -176,8 +179,8 @@ def cmd_moments(args) -> int:
     mu = _load(args.measure, "measure", lambda fh: _measure(json.load(fh), 1))
     values = [(n, moment1(mu, n)) for n in range(args.n_max + 1)]
     if args.format == "json":
-        payload = [{"n": n, "gamma": rat_str(g)} for n, g in values]
-        return _emit(json.dumps(payload, indent=2), args.out)
+        payload = [{"n": n, "gamma": g} for n, g in values]
+        return _emit(to_json(payload), args.out)
     lines = ["n,gamma_n"] + [f"{n},{rat_str(g)}" for n, g in values]
     return _emit("\n".join(lines), args.out)
 
@@ -190,8 +193,8 @@ def cmd_fit(args) -> int:
         measure = berger_fit(moments, args.max_atoms)
     except ShiftCertError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
-        return _emit(json.dumps(error, indent=2), args.out, 1)
-    return _emit(json.dumps(measure.as_dict(), indent=2, sort_keys=True), args.out)
+        return _emit(to_json(error), args.out, 1)
+    return _emit(to_json(measure), args.out)
 
 
 def cmd_check1d(args) -> int:
@@ -209,9 +212,9 @@ def cmd_check1d(args) -> int:
         alpha0 = parse_rational(args.backext_alpha0)
         mu = _load(args.backext_measure, "backward-extension measure", lambda fh: _measure(json.load(fh), 1))
         checks.append(backward_extension_1d(alpha0, mu))
-    payload = {"input": args.weights, "checks": [c.as_dict() for c in checks]}
+    payload = {"input": args.weights, "checks": checks}
     code = 0 if all(c.ok for c in checks) else 1
-    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
+    return _emit(to_json(payload), args.out, code)
 
 
 def cmd_check2d(args) -> int:
@@ -245,13 +248,13 @@ def cmd_check2d(args) -> int:
         if _emit("\n".join(lines), args.dump) == 2:
             return 2
     payload = {
-        "x": rat_str(x),
-        "base_point": list(base),
-        "window": list(window),
-        "checks": [c.as_dict() for c in checks],
+        "x": x,
+        "base_point": base,
+        "window": window,
+        "checks": checks,
     }
     code = 0 if all(c.ok for c in checks) else 1
-    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
+    return _emit(to_json(payload), args.out, code)
 
 
 def cmd_lubin_certify(args) -> int:
@@ -263,7 +266,7 @@ def cmd_lubin_certify(args) -> int:
     verdicts["sum_subnormal_certified"] = sum_certificate.ok
     payload = {
         "x": report["x"],
-        "thresholds": {**report["thresholds"], "sum_certified": rat_str(sum_witness["certified_x_max"])},
+        "thresholds": {**report["thresholds"], "sum_certified": sum_witness["certified_x_max"]},
         "verdicts": verdicts,
         "counterexample": (
             verdicts["t1_subnormal"]
@@ -273,15 +276,15 @@ def cmd_lubin_certify(args) -> int:
         ),
         "sum_certificate": {
             "n_tail": sum_witness["n_tail"],
-            "certified_x_max": rat_str(sum_witness["certified_x_max"]),
-            "epsilon": rat_str(sum_witness["epsilon"]),
+            "certified_x_max": sum_witness["certified_x_max"],
+            "epsilon": sum_witness["epsilon"],
             "witness": sum_witness["violation"],
             "tail_witness": sum_witness["tail_witness"],
         },
         "certificates": report["certificates"],
     }
     code = 0 if all(verdicts.values()) else 1
-    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out, code)
+    return _emit(to_json(payload), args.out, code)
 
 
 def cmd_sweep(args) -> int:
@@ -311,13 +314,13 @@ def cmd_epsilon(args) -> int:
     epsilon = agler.certified_epsilon()
     tail = agler.tail_stopping_index()
     payload = {
-        "pair_threshold": rat_str(lubin.PAIR_THRESHOLD),
-        "certified_x_max": rat_str(agler.certified_x_max()),
-        "epsilon": rat_str(epsilon),
+        "pair_threshold": lubin.PAIR_THRESHOLD,
+        "certified_x_max": agler.certified_x_max(),
+        "epsilon": epsilon,
         "n_tail": tail.n_star,
         "strictly_positive": epsilon > 0,
     }
-    return _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return _emit(to_json(payload), args.out)
 
 
 @lru_cache(maxsize=1)

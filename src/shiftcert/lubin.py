@@ -450,7 +450,7 @@ def is_pair_subnormal(x) -> Certificate:
 
 
 def family_report(x) -> dict:
-    """JSON-ready summary of the family's verdicts at parameter x."""
+    """The family's thresholds, verdicts and certificates at parameter x."""
     x = Fraction(x)
     t1 = is_t1_subnormal(x)
     pair = is_pair_subnormal(x)
@@ -467,9 +467,5 @@ def family_report(x) -> dict:
             "t2_subnormal": t2.ok,
             "pair_subnormal": pair.ok,
         },
-        "certificates": {
-            "t1": t1.as_dict(),
-            "t2": t2.as_dict(),
-            "pair": pair.as_dict(),
-        },
+        "certificates": {"t1": t1, "t2": t2, "pair": pair},
     }

@@ -258,7 +258,9 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     No odd integer is a root of R, and every real one lies in (-2 B, 2 B),
     B = |L| + max |a_i| (Cauchy's bound).  Bisection between odd integers,
     counting the distinct roots in each cell by the Sturm chain of R, leaves
-    cells (u - 1, u + 1), and R(u) = 0 is tested exactly in each.
+    cells (u - 1, u + 1), and R(u) = 0 is tested exactly in each.  A cell
+    that holds one root, with R of opposite signs at its ends, is halved by
+    the sign of R alone.
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]  # content 1, as coeffs[-1] == 1
@@ -276,11 +278,17 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         lo, v_lo, hi, v_hi = cells.pop()
         if v_lo == v_hi:
             continue  # no root between lo and hi
-        if hi - lo > 2:
+        one_root = hi - lo > 2 and v_lo - v_hi == 1
+        if one_root and (_value(monic, lo) < 0) != (negative := _value(monic, hi) < 0):
+            while hi - lo > 2:  # R crosses zero once in the cell: its sign alone halves it
+                mid = lo + (hi - lo) // 4 * 2
+                lo, hi = (lo, mid) if (_value(monic, mid) < 0) == negative else (mid, hi)
+        elif hi - lo > 2:
             mid = lo + (hi - lo) // 4 * 2
             v_mid = _sign_changes(chain, mid)
             cells += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
-        elif _value(monic, lo + 1) == 0:
+            continue
+        if _value(monic, lo + 1) == 0:
             roots.append(Fraction((lo + 1) // 2, lead))
     if len(roots) != e:
         raise NoRationalAtomsError(

@@ -24,6 +24,7 @@ from shiftcert.agler import (
     positivity_over_all_k,
     tail_stopping_index,
 )
+from shiftcert.certificate import to_json
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
 from shiftcert.measures import moment1
 from shiftcert.lubin import xi_a
@@ -416,7 +417,7 @@ class TestCertifySum:
 
     def test_serialization(self):
         cert = certify_sum(F(2, 11))
-        data = json.loads(json.dumps(cert.as_dict()))
+        data = json.loads(to_json(cert))
         assert data == {
             "check": "certify_sum",
             "verdict": "pass",

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -687,6 +688,42 @@ class TestOneCertificateShape:
         extension = data["checks"][-1]
         assert extension["verdict"] == "fail"
         assert extension["witness"]["reciprocal_norm"] == "infinite"
+
+
+class TestNoCyclicGarbage:
+    def test_each_subcommand_frees_what_it_builds_without_the_collector(
+        self, xi_a_file, weights_file, bad_weights_file, tmp_path, capsys
+    ):
+        # reference counting alone must free what a call leaves behind; a
+        # reference cycle (the pure-Python JSON encoder's closures made some on
+        # every call) waits for the cyclic collector and inflates the heap
+        moments_csv, fib_csv = tmp_path / "m.csv", tmp_path / "fib.csv"
+        assert main(["moments", xi_a_file, "--n-max", "8", "--out", str(moments_csv)]) == 0
+        fib_csv.write_text("0,1\n1,1\n2,2\n3,3\n4,5\n")
+        calls = [
+            (["moments", xi_a_file, "--format", "json"], 0),
+            (["fit", str(moments_csv)], 0),
+            (["fit", str(fib_csv), "--max-atoms", "2"], 1),
+            (["check1d", weights_file, "--backext-alpha0", "1/11", "--backext-measure", xi_a_file], 1),
+            (["check1d", bad_weights_file], 1),
+            (["check2d", "--x", "1/5", "--window", "4x4", "--hyponormal", "--path", "2,3"], 0),
+            (["lubin", "certify", "--x", "1/5"], 1),
+            (["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1"], 0),
+            (["epsilon"], 0),
+            (["moments", str(tmp_path / "missing.json")], 2),
+            (["check2d", "--x", "0"], 2),
+        ]
+        for argv, code in calls:  # the first round fills the caches
+            assert main(argv) == code, argv
+        gc.collect()
+        gc.disable()
+        try:
+            for argv, code in calls:
+                assert main(argv) == code, argv
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestLubinCertify:

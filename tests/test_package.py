@@ -61,6 +61,20 @@ def test_no_float_in_the_package():
     assert found == []
 
 
+def test_no_indented_json_dumps():
+    # every indented payload goes through certificate.to_json; json.dumps with
+    # an indent would be a second emission path, on the slow pure-Python encoder
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
 def test_import_does_not_load_numpy():
     # dataclasses and inspect are measured as what the import adds, so a
     # site that preloads them does not fail the test

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcert.certificate import Certificate
+from shiftcert.certificate import Certificate, to_json
 from shiftcert.lubin import family_diagram, moment2d, xi_a, xi_a_level1, xi_b_level1
 from shiftcert.measures import (
     AtomicMeasure1D,
@@ -513,7 +513,7 @@ class TestBackwardExtension2D:
 
     def test_report_serializes(self):
         report = backward_extension_2d(F(1, 8), MU_CAP, xi_b_level1(), "horizontal")
-        payload = json.dumps(report.as_dict(), sort_keys=True)
+        payload = to_json(report)
         assert "new_measure" in payload
 
     def test_extension_moments_extend_the_restriction(self):
