@@ -2,7 +2,7 @@
 
 Everything is a finite sum over atoms, so every quantity below is an
 exact rational: moments, marginals, reciprocal norms, and the extremal
-reweighting used by the planar backward-extension test.
+reweighting 1/(t ||1/t||) of a planar measure.
 """
 
 from fractions import Fraction as F

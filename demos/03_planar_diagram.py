@@ -9,16 +9,25 @@ restrictions are all decided exactly, with replayable witnesses.
 from fractions import Fraction as F
 
 from shiftcert import (
+    AtomicMeasure2D,
     check_berger_2d,
     commutativity_check,
     family_diagram,
     joint_hyponormality_window,
     path_independence_check,
 )
-from shiftcert.lubin import mu_m, mu_m_cap_n
+from shiftcert.lubin import MU
 
 x = F(1, 5)
 d = family_diagram(x)
+
+
+def restriction(i, j):
+    """The Berger measure of the (i, j) restriction: s^i t^j mu, normalized."""
+    atoms = [(p, (c + d * x) * p[0] ** i * p[1] ** j) for p, c, d in MU]
+    total = sum(m for _, m in atoms)
+    return AtomicMeasure2D((p, m / total) for p, m in atoms if m)
+
 
 print(f"family at x = {x}")
 print("alpha^2 along row 0:", [str(d.alpha_sq(k, 0)) for k in range(3)])
@@ -28,14 +37,14 @@ print("beta^2 up column 0: ", [str(d.beta_sq(0, k)) for k in range(3)])
 print("\ncommutativity on 10x10:", commutativity_check(d, (10, 10)).verdict)
 print("path independence at (6, 5):", path_independence_check(d, (6, 5)).verdict)
 
-# the deep restriction (both indices >= 1) carries an explicit two-atom
-# measure; one level down the column, three atoms
+# the family's signed measure mu restricts to positive measures: the deep
+# restriction (both indices >= 1) keeps two atoms; one level up, three
 deep = d.restricted(1, 1)
-print("\ndeep restriction vs", mu_m_cap_n())
-print(" ", check_berger_2d(deep, mu_m_cap_n(), (8, 8)).verdict)
+print("\ndeep restriction vs", restriction(1, 1))
+print(" ", check_berger_2d(deep, restriction(1, 1), (8, 8)).verdict)
 column = d.restricted(0, 1)
-print("column restriction vs", mu_m())
-print(" ", check_berger_2d(column, mu_m(), (8, 8)).verdict)
+print("column restriction vs", restriction(0, 1))
+print(" ", check_berger_2d(column, restriction(0, 1), (8, 8)).verdict)
 
 # exact joint hyponormality on a window: one 2x2 block per lattice point,
 # decided over the rationals; a failure names its lattice point

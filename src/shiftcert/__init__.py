@@ -2,9 +2,10 @@
 
 The package works over the rationals end to end: weight sequences and
 planar weight diagrams, finitely atomic representing measures and their
-marginal/extremal/restriction calculus, backward-extension tests in one
-and two variables, Hankel and Agler positivity checks, and a certified
-parameter range for the subnormality of a rescaled shift sum.
+marginal/extremal/restriction calculus, the one-variable backward-extension
+test, Hankel and Agler positivity checks, an exact sign test for short
+exponential sums, and a certified parameter range for the subnormality
+of a rescaled shift sum.
 
 Everything decision-bearing returns a :class:`~shiftcert.certificate.Certificate`
 carrying an exact witness, so a failure can be replayed by hand.
@@ -14,7 +15,6 @@ from .certificate import Certificate
 from .errors import (
     InconsistentMomentsError,
     InfiniteReciprocalNormError,
-    NegativeMassError,
     NoRationalAtomsError,
     RankExceededError,
     ShiftCertError,
@@ -24,8 +24,6 @@ from .measures import (
     INFINITE,
     AtomicMeasure1D,
     AtomicMeasure2D,
-    dominates,
-    domination_scale_bound,
     extremal,
     is_infinite,
     marginal,
@@ -50,7 +48,6 @@ from .shift1d import (
 )
 from .shift2d import (
     WeightDiagram,
-    backward_extension_2d,
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
@@ -88,7 +85,6 @@ __all__ = [
     "INFINITE",
     "InconsistentMomentsError",
     "InfiniteReciprocalNormError",
-    "NegativeMassError",
     "NoRationalAtomsError",
     "PAIR_THRESHOLD",
     "RankExceededError",
@@ -100,15 +96,12 @@ __all__ = [
     "ZeroMomentError",
     "agler_sums_1d",
     "backward_extension_1d",
-    "backward_extension_2d",
     "berger_fit",
     "certified_epsilon",
     "certified_x_max",
     "certify_sum",
     "check_berger_2d",
     "commutativity_check",
-    "dominates",
-    "domination_scale_bound",
     "extremal",
     "family_diagram",
     "family_report",

@@ -77,6 +77,7 @@ from functools import lru_cache
 
 from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, gamma_row, moment2d
+from .numerics import _first_power_at_least
 
 C_SIXTEENTH = Fraction(1, 16)
 C_EIGHTH = Fraction(1, 8)
@@ -354,17 +355,6 @@ def tail_stopping_index() -> TailBound:
         "nonnegative for every x > 0 and the k = 0 value only requires x <= 6/5."
     )
     return TailBound(n_star=n_star, n_sixteenth=n_sixteenth, n_eighth=n_eighth, witness=witness)
-
-
-def _first_power_at_least(ratio: Fraction, target: int) -> int:
-    power = Fraction(1)
-    n = 0
-    while power < target:
-        power *= ratio
-        n += 1
-        if n > _SCAN_LIMIT:
-            raise ArithmeticError("ratio failed to clear the target")
-    return n
 
 
 @lru_cache(maxsize=1)

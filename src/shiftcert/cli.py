@@ -64,7 +64,7 @@ from .shift2d import (
 
 # Caps on the size flags; the largest call each admits takes a few seconds on 2 cores.
 MOMENTS_N_MAX = 1000
-FIT_ATOMS_MAX = 16  # berger_fit runs one rref per order up to --max-atoms, over every row
+FIT_ATOMS_MAX = 16  # berger_fit isolates the roots of a recurrence of degree up to --max-atoms
 FIT_ROWS_MAX = 200
 CHECK1D_ORDER_MAX = 128
 CHECK1D_N_MAX = 64  # the Agler sums take one integer difference table of n_max + k_max + 1 moments

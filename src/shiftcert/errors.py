@@ -9,10 +9,6 @@ class ZeroMomentError(ShiftCertError):
     """A moment that must be positive vanished (measure concentrated at 0)."""
 
 
-class NegativeMassError(ShiftCertError):
-    """A construction would produce an atom with negative mass."""
-
-
 class InfiniteReciprocalNormError(ShiftCertError):
     """1/coordinate is not integrable: an atom sits on the coordinate axis."""
 

@@ -2,10 +2,9 @@
 
 Atom lists are kept canonical -- sorted by location, distinct locations,
 strictly positive rational masses -- so equality of measures is structural
-equality.  Domination is decided atomwise, which for finitely atomic
-measures coincides with the set-wise definition.  Non-integrability of
-1/coordinate is a *value* (:data:`INFINITE`), not an error: several
-subnormality tests read it as a definite negative answer.
+equality.  Non-integrability of 1/coordinate is a *value* (:data:`INFINITE`),
+not an error: several subnormality tests read it as a definite negative
+answer.
 
 The calculus implemented here:
 
@@ -13,7 +12,6 @@ The calculus implemented here:
 * marginals of planar measures (pushforward onto an axis, masses merged),
 * the reciprocal norm  || 1/t ||_{L1(mu)}  along either coordinate,
 * the extremal reweighting  d(mu_ext) = (1 / (t * ||1/t||)) d(mu),
-* atomwise domination and the largest scale c with c*mu <= nu,
 * the restriction density  d(xi_i) = (s^i / gamma_i) d(xi), which is the
   Berger measure of a restricted shift.
 
@@ -28,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .certificate import Certificate
-from .errors import InfiniteReciprocalNormError, NegativeMassError, ZeroMomentError
+from .errors import InfiniteReciprocalNormError, ZeroMomentError
 from .numerics import parse_rational, rat_str
 
 
@@ -91,25 +88,11 @@ class _AtomicMeasure:
     def is_probability(self) -> bool:
         return self.total_mass() == 1
 
-    def mass_at(self, *point) -> Fraction:
-        """The mass at a point: ``mass_at(p)`` on the half-line, ``mass_at(s, t)`` in the plane."""
-        key = self._location(point[0] if self.dim == 1 else point)
-        for q, m in self.atoms:
-            if q == key:
-                return m
-        return Fraction(0)
-
     def scaled(self, factor):
         c = Fraction(factor)
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return type(self)((p, c * m) for p, m in self.atoms)
-
-    def plus(self, other):
-        merged = dict(self.atoms)
-        for p, m in other.atoms:
-            merged[p] = merged.get(p, Fraction(0)) + m
-        return type(self)(merged.items())
 
     def as_dict(self) -> dict:
         """The JSON form; :func:`measure_from_dict` reads it back."""
@@ -141,19 +124,6 @@ class AtomicMeasure1D(_AtomicMeasure):
     def _inside(p: Fraction) -> bool:
         return p >= 0
 
-    def minus(self, other: "AtomicMeasure1D") -> "AtomicMeasure1D":
-        """Atomwise difference; zero atoms are dropped, negatives raise."""
-        merged: dict[Fraction, Fraction] = dict(self.atoms)
-        for p, m in other.atoms:
-            left = merged.get(p, Fraction(0)) - m
-            if left < 0:
-                raise NegativeMassError(f"difference is negative at {p}")
-            if left == 0:
-                merged.pop(p, None)
-            else:
-                merged[p] = left
-        return AtomicMeasure1D(merged.items())
-
 
 class AtomicMeasure2D(_AtomicMeasure):
     """Finitely atomic positive measure on the closed quarter-plane."""
@@ -178,10 +148,6 @@ class AtomicMeasure2D(_AtomicMeasure):
     @staticmethod
     def _point_repr(key: tuple[Fraction, Fraction]) -> str:
         return f"{key[0]},{key[1]}"
-
-    def swapped(self) -> "AtomicMeasure2D":
-        """Push forward under (s, t) -> (t, s)."""
-        return AtomicMeasure2D(((t, s), m) for (s, t), m in self.atoms)
 
 
 def moment1(mu: AtomicMeasure1D, k: int) -> Fraction:
@@ -239,26 +205,6 @@ def extremal(mu: AtomicMeasure2D, axis) -> AtomicMeasure2D:
     return AtomicMeasure2D(
         (point, m / (point[idx] * norm)) for point, m in mu.atoms
     )
-
-
-def dominates(mu: AtomicMeasure1D, nu: AtomicMeasure1D) -> Certificate:
-    """Atomwise check of mu <= nu, with the first violating atom as witness."""
-    for p, m in mu.atoms:
-        available = nu.mass_at(p)
-        if m > available:
-            return Certificate(
-                "dominates",
-                False,
-                {"point": str(p), "needed": str(m), "available": str(available)},
-            )
-    return Certificate("dominates", True, {"atoms_checked": len(mu.atoms)})
-
-
-def domination_scale_bound(mu: AtomicMeasure1D, nu: AtomicMeasure1D):
-    """Largest c >= 0 with c*mu <= nu atomwise; INFINITE when mu is the zero measure."""
-    if not mu.atoms:
-        return INFINITE
-    return min(nu.mass_at(p) / m for p, m in mu.atoms)
 
 
 def restrict_density(xi: AtomicMeasure1D, i: int) -> AtomicMeasure1D:

@@ -5,6 +5,11 @@ rationals in lowest terms, which is exactly the arithmetic needed to
 separate thresholds such as 2/11 from 8/33 without any tolerance budget.
 No float appears anywhere in the package.
 
+Besides the matrix kernels, :func:`exponential_sum_sign` decides the sign
+of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once, and
+:func:`exponential_sum_threshold` finds the exact parameter range on which
+such a sum, with coefficients affine in a parameter, stays nonnegative.
+
 Serialization convention: a rational renders as ``"p/q"``, or bare
 ``"p"`` when the denominator is 1 (``str(Fraction)`` already does this).
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .certificate import Certificate
@@ -162,3 +168,119 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         pivot_cols.append(c)
         r += 1
     return m, pivot_cols
+
+
+def _first_power_at_least(ratio, target) -> int:
+    """The least n >= 0 with ratio^n >= target, for a rational ratio > 1.
+
+    In integers, with ratio = p/q: the powers p^(2^j), q^(2^j) square
+    until they clear the target, and then the bits of n - 1, the largest
+    exponent that falls short, are read off from the top, one product each.
+    """
+    ratio, target = Fraction(ratio), Fraction(target)
+    p, q = ratio.numerator, ratio.denominator
+    if p <= q:
+        raise ValueError("the ratio must exceed 1")
+    if target <= 1:
+        return 0
+    num, den = target.numerator, target.denominator
+    squares = [(p, q)]  # (p^(2^j), q^(2^j))
+    while squares[-1][0] * den < squares[-1][1] * num:
+        squares.append((squares[-1][0] ** 2, squares[-1][1] ** 2))
+    short, a, b = 0, 1, 1  # ratio^short = a / b falls short of the target
+    for j in reversed(range(len(squares) - 1)):
+        c, d = a * squares[j][0], b * squares[j][1]
+        if c * den < d * num:
+            short, a, b = short + 2**j, c, d
+    return short + 1
+
+
+def exponential_sum_sign(terms) -> Certificate:
+    """Decide f(k) = sum_i c_i a_i^k >= 0 for every k >= 0, exactly.
+
+    ``terms`` holds pairs (a_i, c_i) of distinct rational bases in [0, 1]
+    and rational coefficients (ints or Fractions), with 0^0 = 1, so a base
+    0 counts at k = 0 only.  Past that, the largest base a with a nonzero
+    coefficient c dominates: from the least K with (a / b)^K >= S / |c|, b
+    the next base and S the other coefficients' absolute sum, f(k) has the
+    sign of c (strictly past K).  So k < K is scanned when c > 0, and
+    k <= K + 1 when c < 0, as the integers q^k D f(k) over the common
+    denominators q of the bases and D of the coefficients.
+
+    The witness is the least failing k with f(k) < 0 as ``value``, or on a
+    pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
+    the ``stop_index`` from which it dominates.
+    """
+    terms = list(terms)
+    q = lcm(*(a.denominator for a, _ in terms))
+    d = lcm(*(c.denominator for _, c in terms))
+    ints = [(a.numerator * (q // a.denominator), c.numerator * (d // c.denominator)) for a, c in terms]
+    if len({p for p, _ in ints}) != len(ints) or not all(0 <= p <= q for p, _ in ints):
+        raise ValueError("the bases must be distinct and lie in [0, 1]")
+    if sum(n for _, n in ints) < 0:
+        value = Fraction(sum(n for _, n in ints), d)
+        return Certificate("exponential_sum_sign", False, {"k": 0, "value": value})
+    live = sorted(((p, n) for p, n in ints if p and n), reverse=True)
+    if not live:
+        return Certificate("exponential_sum_sign", True, {"dominant_base": None, "stop_index": 1})
+    (top, lead), rest = live[0], live[1:]
+    stop = 0
+    if rest:
+        others = Fraction(sum(abs(n) for _, n in rest), abs(lead))
+        stop = _first_power_at_least(Fraction(top, rest[0][0]), others)
+    last = stop if lead > 0 else stop + 2  # the scan's end, exclusive
+    bases = [p for p, _ in live]
+    powers = [n * p for p, n in live]
+    for k in range(1, last):
+        total = sum(powers)
+        if total < 0:
+            value = Fraction(total, d * q**k)
+            return Certificate("exponential_sum_sign", False, {"k": k, "value": value})
+        powers = [v * p for v, p in zip(powers, bases)]
+    if lead < 0:
+        raise ArithmeticError("a negative dominant term failed to show by its stop index")
+    return Certificate("exponential_sum_sign", True, {"dominant_base": Fraction(top, q), "stop_index": max(1, stop)})
+
+
+def exponential_sum_threshold(terms) -> tuple[Fraction | None, int | None]:
+    """The exact X with f_k(x) >= 0 for every k >= 0 iff 0 < x <= X.
+
+    ``terms`` holds triples (a_i, c_i, d_i), and f_k(x) = sum_i (c_i + d_i x)
+    a_i^k = A_k + B_k x.  Returns (X, k) with k the least index where
+    -A_k / B_k = X; (X, None) when X is the point where the largest base's
+    coefficient vanishes, the limit of those roots; or (None, None) when
+    every x > 0 passes.  The set has this shape iff every A_k >= 0; when it
+    has not, or holds no x > 0, this raises ``ArithmeticError``.
+
+    The search starts at the first root with B_k < 0, or at the limit when
+    that is smaller, and the sign test at each candidate either passes, so
+    the candidate is X, or names an index with a smaller root.  Only
+    finitely many roots lie below a candidate under the limit, so it ends.
+    """
+    terms = [(Fraction(a), Fraction(c), Fraction(d)) for a, c, d in terms]
+
+    def root(k: int) -> Fraction:
+        constant = sum(c * a**k for a, c, _ in terms)
+        if constant == 0:
+            raise ArithmeticError(f"f_{k}(x) < 0 for every x > 0")
+        return constant / -sum(d * a**k for a, _, d in terms)
+
+    at_zero = exponential_sum_sign([(a, c) for a, c, _ in terms])
+    if not at_zero.ok:
+        raise ArithmeticError(f"f_k(0) < 0 at k = {at_zero.witness['k']}, so the range is not (0, X]")
+    sign = exponential_sum_sign([(a, d) for a, _, d in terms])
+    if sign.ok:
+        return None, None
+    index = sign.witness["k"]
+    best = root(index)
+    _, c, d = max(((a, c, d) for a, c, d in terms if a and (c or d)), default=(0, 0, 0))
+    if d < 0 and c / -d < best:
+        best, index = c / -d, None
+        if best == 0:
+            raise ArithmeticError("the dominant coefficient is negative for every x > 0")
+    while True:
+        sign = exponential_sum_sign([(a, c + d * best) for a, c, d in terms])
+        if sign.ok:
+            return best, index
+        index = sign.witness["k"]
+        best = root(index)

@@ -21,7 +21,8 @@ arithmetic:
   one step backward by a weight alpha_0 iff 1/s is xi-integrable and
   alpha_0^2 <= 1 / ||1/s||;
 * ``berger_fit`` -- exact recovery of the unique atomic measure behind a
-  moment list (minimal linear recurrence, Sturm root isolation, Vandermonde).
+  moment list (minimal linear recurrence by Berlekamp-Massey, Sturm root
+  isolation, Vandermonde).
 """
 
 from __future__ import annotations
@@ -197,9 +198,10 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     """Recover the unique finitely atomic measure behind a moment list.
 
     Exact pipeline: find the minimal-order linear recurrence the moments
-    satisfy (Hankel kernel over the rationals), take its polynomial's roots,
-    isolated exactly at any coefficient size, as the atoms, solve the
-    Vandermonde system for the masses, then re-verify every supplied moment.
+    satisfy (one Berlekamp-Massey pass over the rationals), take its
+    polynomial's roots, isolated exactly at any coefficient size, as the
+    atoms, solve the Vandermonde system for the masses, then re-verify
+    every supplied moment.
 
     Raises :class:`RankExceededError` when no recurrence of order up to
     ``max_atoms`` exists, :class:`NoRationalAtomsError` when the recurrence
@@ -214,39 +216,58 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
         raise ValueError("moments[0] must equal 1")
     if len(ms) < 2 * max_atoms + 1:
         raise ValueError("need at least 2*max_atoms + 1 moments")
-    for order in range(1, max_atoms + 1):
-        coeffs = _recurrence_polynomial(ms, order)
-        if coeffs is None:
+    coeffs = _minimal_recurrence(ms, max_atoms)
+    if coeffs is None:
+        raise RankExceededError(f"no linear recurrence of order <= {max_atoms} fits the moments")
+    points = _rational_roots(coeffs)
+    if any(p < 0 for p in points):
+        raise InconsistentMomentsError("recurrence has a root at a negative location")
+    size = len(points)
+    reduced, pivot_cols = rref([[p**j for p in points] + [ms[j]] for j in range(size)])
+    if pivot_cols != list(range(size)):  # distinct points: cannot happen
+        raise InconsistentMomentsError("Vandermonde system is singular")
+    masses = [row[size] for row in reduced]
+    if any(m <= 0 for m in masses):
+        raise InconsistentMomentsError("fit requires a nonpositive mass")
+    candidate = AtomicMeasure1D(zip(points, masses))
+    for j, target in enumerate(ms):
+        if moment1(candidate, j) != target:
+            raise InconsistentMomentsError(f"fit fails to reproduce moment {j}")
+    return candidate
+
+
+def _minimal_recurrence(ms: list[Fraction], max_order: int) -> list[Fraction] | None:
+    """Monic coefficients c, of least order L, with sum_i c_i * ms[j+i] == 0 for
+    every window j; ``None`` when L > max_order.
+
+    One Berlekamp-Massey pass over the rationals: ``current`` is the
+    connection polynomial C (C_0 = 1) of the shortest recurrence of the
+    moments read so far, and a nonzero discrepancy d at index n is cancelled
+    by (d / last) z^gap ``previous``, the polynomial and discrepancy before
+    the last change of L.  The answer is C reversed to degree L, the only
+    one of order L given 2 L moments.  L never decreases, so the pass stops
+    once it exceeds ``max_order``.
+    """
+    current, previous = [Fraction(1)], [Fraction(1)]
+    length, gap, last = 0, 1, Fraction(1)
+    for n, moment in enumerate(ms):
+        discrepancy = moment + sum(current[i] * ms[n - i] for i in range(1, min(len(current), n + 1)))
+        if discrepancy == 0:
+            gap += 1
             continue
-        points = _rational_roots(coeffs)
-        if any(p < 0 for p in points):
-            raise InconsistentMomentsError("recurrence has a root at a negative location")
-        size = len(points)
-        reduced, pivot_cols = rref([[p**j for p in points] + [ms[j]] for j in range(size)])
-        if pivot_cols != list(range(size)):  # distinct points: cannot happen
-            raise InconsistentMomentsError("Vandermonde system is singular")
-        masses = [row[size] for row in reduced]
-        if any(m <= 0 for m in masses):
-            raise InconsistentMomentsError("fit requires a nonpositive mass")
-        candidate = AtomicMeasure1D(zip(points, masses))
-        for j, target in enumerate(ms):
-            if moment1(candidate, j) != target:
-                raise InconsistentMomentsError(f"fit fails to reproduce moment {j}")
-        return candidate
-    raise RankExceededError(f"no linear recurrence of order <= {max_atoms} fits the moments")
-
-
-def _recurrence_polynomial(ms: list[Fraction], order: int) -> list[Fraction] | None:
-    """Monic coefficients c with sum_i c_i * ms[j+i] == 0 for every window j."""
-    rows = [ms[j : j + order + 1] for j in range(len(ms) - order)]
-    reduced, pivot_cols = rref(rows)
-    if order in pivot_cols:
-        return None  # every kernel vector has leading coefficient 0
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[order] = Fraction(1)
-    for row_index, col in enumerate(pivot_cols):
-        coeffs[col] = -reduced[row_index][order]
-    return coeffs
+        factor = discrepancy / last
+        updated = current + [Fraction(0)] * (len(previous) + gap - len(current))
+        for i, c in enumerate(previous):
+            updated[i + gap] -= factor * c
+        if 2 * length <= n:
+            length, previous, last, gap = n + 1 - length, current, discrepancy, 1
+            if length > max_order:
+                return None
+        else:
+            gap += 1
+        current = updated
+    current += [Fraction(0)] * (length + 1 - len(current))
+    return current[length::-1]
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:

@@ -20,8 +20,6 @@ characterization:
 * weight diagrams, their canonical-path moments and lattice restrictions,
 * commutativity and path-independence checks with witnesses,
 * verification of a candidate planar Berger measure on a window,
-* the one-step backward extension of a subnormal pair, including the
-  explicit new Berger measure when the test passes,
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
 
@@ -41,15 +39,7 @@ from math import lcm
 from typing import Callable
 
 from .certificate import Certificate
-from .measures import (
-    AtomicMeasure1D,
-    AtomicMeasure2D,
-    dominates,
-    extremal,
-    is_infinite,
-    marginal,
-    reciprocal_norm,
-)
+from .measures import AtomicMeasure2D
 
 
 def _check_window(window) -> tuple[int, int]:
@@ -237,75 +227,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
                     {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)},
                 )
             numerators.append(numerator)
-    # a tuple, not a list: the pair test caches one of these certificates
     return Certificate("check_berger_2d", True, {"window": (w, h)})
-
-
-def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMeasure1D, direction: str) -> Certificate:
-    """One-step backward extension of a subnormal pair.
-
-    ``mu_sub`` is the Berger measure of the pair restricted past the first
-    row (direction "vertical", new index along t) or the first column
-    (direction "horizontal", along s); ``xi0`` is the Berger measure of
-    the slice being extended through; ``first_step_sq`` is the squared
-    weight prepended along the extension coordinate.
-
-    The check passes iff three conditions hold along the extension
-    coordinate: (i) 1/coordinate is integrable (the witness records
-    ``reciprocal_norm``, "infinite" when it is not), (ii) the prepended
-    squared weight is at most ``bound`` = 1/||1/coordinate||
-    (``weight_ok``), (iii) the rescaled extremal marginal is dominated by
-    the slice measure (``domination``).  On success ``new_measure`` is the
-    Berger measure of the extended pair,
-
-        c * mu_ext  +  (xi0 - c * (mu_ext marginal)) x delta_0,
-
-    with c = first_step_sq * ||1/coordinate|| and the leftover placed on
-    the coordinate axis.  The horizontal case runs the vertical case on
-    the swapped measure; there is one audited code path.
-    """
-    if direction not in ("vertical", "horizontal"):
-        raise ValueError("direction must be 'vertical' or 'horizontal'")
-    if direction == "horizontal":
-        cert = backward_extension_2d(first_step_sq, mu_sub.swapped(), xi0, "vertical")
-        measure = cert.witness["new_measure"]
-        witness = {
-            **cert.witness,
-            "direction": "horizontal",
-            "new_measure": None if measure is None else measure.swapped(),
-        }
-        return Certificate("backward_extension_2d", cert.ok, witness)
-
-    beta0 = Fraction(first_step_sq)
-    if beta0 <= 0:
-        raise ValueError("the prepended squared weight must be positive")
-    witness = {
-        "direction": "vertical",
-        "reciprocal_norm": "infinite",
-        "bound": None,
-        "first_step_sq": beta0,
-        "weight_ok": False,
-        "domination": None,
-        "new_measure": None,
-    }
-    norm = reciprocal_norm(mu_sub, "t")
-    if is_infinite(norm):
-        return Certificate("backward_extension_2d", False, witness)
-    bound = 1 / norm
-    weight_ok = beta0 <= bound
-    scale = beta0 * norm  # total mass moved off the axis
-    ext = extremal(mu_sub, "t")
-    shadow = marginal(ext, "x").scaled(scale)
-    dom = dominates(shadow, xi0)
-    ok = weight_ok and dom.ok
-    witness.update(reciprocal_norm=norm, bound=bound, weight_ok=weight_ok, domination=dom)
-    if ok:
-        lifted = ext.scaled(scale)
-        leftover = xi0.minus(shadow)
-        axis_part = AtomicMeasure2D(((p, Fraction(0)), m) for p, m in leftover.atoms)
-        # no collision: condition (i) rules out mu_sub atoms with t == 0
-        witness["new_measure"] = lifted.plus(axis_part) if leftover.atoms else lifted
-    return Certificate("backward_extension_2d", ok, witness)
 
 
 def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:

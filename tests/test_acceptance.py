@@ -19,18 +19,18 @@ from shiftcert.agler import (
     tail_stopping_index,
 )
 from shiftcert.cli import main
+from oracles import xi_b, xi_c
 from shiftcert.lubin import (
+    MU,
     family_diagram,
     is_pair_subnormal,
+    is_t1_subnormal,
     is_t2_subnormal,
-    mu_m,
-    mu_m_cap_n,
+    moment2d,
     threshold_pair,
+    threshold_t1,
     threshold_t2,
     xi_a,
-    xi_b,
-    xi_b_level1,
-    xi_c,
 )
 from shiftcert.measures import (
     AtomicMeasure2D,
@@ -42,17 +42,8 @@ from shiftcert.measures import (
 )
 from shiftcert.shift1d import WeightSequence1D, berger_fit
 from shiftcert.shift2d import (
-    backward_extension_2d,
     check_berger_2d,
     path_independence_check,
-)
-
-MU_M = AtomicMeasure2D(
-    [
-        ((F(1, 4), F(1, 4)), F(1, 4)),
-        ((F(1, 2), F(1, 2)), F(1, 8)),
-        ((F(0), F(1)), F(5, 8)),
-    ]
 )
 
 
@@ -92,18 +83,23 @@ def test_criterion_2_golden_weights():
 
 def test_criterion_3_measure_reconstruction():
     started = time.monotonic()
-    diagram = family_diagram(F(1, 5))
-    assert check_berger_2d(diagram.restricted(1, 1), mu_m_cap_n(), (8, 8)).ok
-    assert check_berger_2d(diagram.restricted(0, 1), mu_m(), (8, 8)).ok
-    report = backward_extension_2d(F(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
-    assert report.ok
-    assert report.witness["new_measure"] == MU_M
-    assert mu_m() == MU_M
-    _report(3, "Berger checks pass and the horizontal extension rebuilds mu_M exactly", started)
+    # the signed measure mu reproduces the closed-form moments on 12x12 ...
+    for x in (F(1, 7), F(2, 11), F(1, 5), F(1, 2), F(6, 5)):
+        for k1 in range(12):
+            for k2 in range(12):
+                mu_moment = sum((c + d * x) * s**k1 * t**k2 for (s, t), c, d in MU)
+                assert mu_moment == moment2d(k1, k2, x)
+    # ... and, while its masses are nonnegative, is the pair's Berger measure
+    for x in (F(1, 7), F(1, 6), F(2, 11)):
+        atoms = [(point, c + d * x) for point, c, d in MU if c + d * x]
+        assert check_berger_2d(family_diagram(x), AtomicMeasure2D(atoms), (12, 12)).ok
+    _report(3, "mu matches moment2d on 12x12 and is the Berger measure for x <= 2/11", started)
 
 
 def test_criterion_4_component_thresholds():
     started = time.monotonic()
+    assert threshold_t1().ok and threshold_t1().witness["threshold"] is None
+    assert is_t1_subnormal(F(10**6)).ok
     assert threshold_t2() == F(8, 33)
     assert is_t2_subnormal(F(8, 33)).ok
     assert not is_t2_subnormal(F(8, 33) + F(1, 10**6)).ok
@@ -114,7 +110,7 @@ def test_criterion_4_component_thresholds():
     assert is_pair_subnormal(F(2, 11)).ok
     assert not is_pair_subnormal(F(2, 11) + F(1, 10**6)).ok
     assert time.monotonic() - pair_started < 1.0
-    _report(4, "thresholds are exactly 8/33 and 2/11 and both verdicts flip at +1e-6", started)
+    _report(4, "thresholds read off mu are exactly 8/33 and 2/11 and both verdicts flip at +1e-6", started)
 
 
 def test_criterion_5_chu_vandermonde():

@@ -30,8 +30,9 @@ from shiftcert.cli import (
     build_parser,
     main,
 )
-from shiftcert.lubin import mu_m_cap_n, xi_a
-from shiftcert.measures import AtomicMeasure1D, moment1
+from oracles import mu_m_cap_n
+from shiftcert.lubin import xi_a
+from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
 
 
 def dump_measure(mu, path) -> None:
@@ -155,9 +156,7 @@ class TestCheck1D:
 
     def test_backward_extension_flags(self, weights_file, tmp_path, capsys):
         level1 = tmp_path / "level1.json"
-        from shiftcert.lubin import xi_a_level1
-
-        dump_measure(xi_a_level1(), level1)
+        dump_measure(restrict_density(xi_a(), 1), level1)
         code = main(
             [
                 "check1d",
@@ -677,7 +676,7 @@ class TestOneCertificateShape:
         # one x in each regime: all pass, only the pair fails, only T1 and the sum pass, only T1 passes
         main(["lubin", "certify", "--x", x])
         data = json.loads(capsys.readouterr().out)
-        assert "backward_extension_2d" in assert_one_certificate_shape(data)
+        assert "is_pair_subnormal" in assert_one_certificate_shape(data)
         assert all(type(value) is bool for value in data["verdicts"].values())
 
     def test_check1d_backward_extension_through_an_atom_at_zero(self, weights_file, xi_a_file, capsys):

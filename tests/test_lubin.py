@@ -1,5 +1,4 @@
 import contextlib
-import json
 from fractions import Fraction as F
 from unittest import mock
 
@@ -7,56 +6,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    XI_B_MASS_CAP,
+    NegativeMassError,
+    mass_at,
+    mu_m,
+    mu_m_cap_n,
+    pair_subnormal_reference,
+    pair_threshold_reference,
+    xi_a_level1,
+    xi_b,
+    xi_b_level1,
+    xi_c,
+)
 from shiftcert import lubin
-from shiftcert.errors import NegativeMassError
 from shiftcert.lubin import (
+    MU,
     PAIR_THRESHOLD,
     T2_THRESHOLD,
-    XI_B_MASS_CAP,
     family_diagram,
     family_report,
     is_pair_subnormal,
     is_t1_subnormal,
     is_t2_subnormal,
     moment2d,
-    mu_m,
-    mu_m_cap_n,
     threshold_pair,
     threshold_t1,
     threshold_t2,
     xi_a,
-    xi_a_level1,
-    xi_b,
-    xi_b_level1,
-    xi_c,
 )
-from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
+from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1, restrict_density
 from shiftcert.certificate import Certificate, to_json
+from shiftcert.numerics import rref
 from shiftcert.shift1d import WeightSequence1D, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 xs = st.fractions(min_value=F(1, 64), max_value=F(8, 15), max_denominator=64)
-# measures on the grid the threshold loops read: points in (1/4)Z, masses in (1/8)Z
-grid_measures = st.dictionaries(st.integers(0, 8), st.integers(1, 16), min_size=1, max_size=4).map(
-    lambda atoms: AtomicMeasure1D((F(a, 4), F(b, 8)) for a, b in atoms.items())
+
+# rows and columns the Fraction oracles read before their closing identities
+WINDOW = 64
+SUM_CERTIFIED = F(482964062, 585323453)
+# the headline regimes: everything passes; the pair fails; T2 fails; the sum certificate fails
+REGIMES = (
+    (F(0), PAIR_THRESHOLD),
+    (PAIR_THRESHOLD, T2_THRESHOLD),
+    (T2_THRESHOLD, SUM_CERTIFIED),
+    (SUM_CERTIFIED, F(3, 2)),
 )
+
+
+@st.composite
+def regime_xs(draw):
+    """A rational in one regime's interval (lo, hi], with a denominator of up to 60 bits."""
+    lo, hi = REGIMES[draw(st.integers(0, 3))]
+    q = draw(st.integers(1, 2**60))
+    p_lo, p_hi = (lo * q).__floor__() + 1, (hi * q).__floor__()
+    if p_lo > p_hi:
+        return hi
+    return F(draw(st.integers(p_lo, p_hi)), q)
 
 
 def t2_column_bound(n: int) -> F:
     """Largest x for which column n+1 extends backward:
     8 gamma_n(xi_a restricted) / (11 (2 (1/4)^n + (1/2)^n))."""
-    numerator = 8 * moment1(lubin.xi_a_level1(), n)
+    numerator = 8 * moment1(xi_a_level1(), n)
     denominator = 11 * (2 * F(1, 4) ** n + F(1, 2) ** n)
     return numerator / denominator
 
 
 def threshold_t1_reference() -> Certificate:
-    """The row loop of threshold_t1 in Fractions: the oracle for its integer loop."""
-    for m in range(lubin.THRESHOLD_WINDOW + 1):
-        numerator = moment1(lubin.xi_c(), m)
-        denominator = 8 * moment1(lubin.xi_b_level1(), m)
-        cert = backward_extension_1d(numerator / denominator, restrict_density(lubin.xi_c(), m))
-        identity = 8 * moment1(lubin.xi_b_level1(), m) - (2 * F(1, 4) ** m + F(1, 2) ** m)
+    """T1 by backward extensions: row m+1 extends the xi_c shift restricted m
+    steps, and the margin 8 gamma_m(xi_b restricted) - (2 (1/4)^m + (1/2)^m)
+    stays the constant 5; both are checked on the window."""
+    for m in range(WINDOW + 1):
+        numerator = moment1(xi_c(), m)
+        denominator = 8 * moment1(xi_b_level1(), m)
+        cert = backward_extension_1d(numerator / denominator, restrict_density(xi_c(), m))
+        identity = 8 * moment1(xi_b_level1(), m) - (2 * F(1, 4) ** m + F(1, 2) ** m)
         if not cert.ok or identity != 5:
             return Certificate(
                 "threshold_t1", False, {"m": m, "extension": cert, "margin_identity": str(identity)}
@@ -65,7 +91,7 @@ def threshold_t1_reference() -> Certificate:
         "threshold_t1",
         True,
         {
-            "m_max": lubin.THRESHOLD_WINDOW,
+            "m_max": WINDOW,
             "constant_margin": "5",
             "conclusion": "row extensions pass for every parameter value",
         },
@@ -73,15 +99,17 @@ def threshold_t1_reference() -> Certificate:
 
 
 def threshold_t2_reference() -> F:
-    """The column loop of threshold_t2 in Fractions: the oracle for its integer loop."""
-    bounds = [t2_column_bound(n) for n in range(lubin.THRESHOLD_WINDOW + 1)]
+    """T2 by backward extensions: the column bounds increase on the window,
+    the first is the least, and 3 - u - 2u^2 == 2 (1 - u) (u + 3/2) >= 0 for
+    u = (1/2)^n carries that past it."""
+    bounds = [t2_column_bound(n) for n in range(WINDOW + 1)]
     for earlier, later in zip(bounds, bounds[1:]):
         if not earlier < later:
             raise ArithmeticError("column bounds failed to increase on the window")
     minimum = bounds[0]
     if minimum != T2_THRESHOLD:
         raise ArithmeticError(f"expected the first column bound to be 8/33, got {minimum}")
-    for n in range(lubin.THRESHOLD_WINDOW + 1):
+    for n in range(WINDOW + 1):
         u = F(1, 2) ** n
         lhs = 3 - u - 2 * u**2
         if lhs != 2 * (1 - u) * (u + F(3, 2)) or lhs < 0:
@@ -89,27 +117,55 @@ def threshold_t2_reference() -> F:
     return minimum
 
 
+_MU_CACHES = ("_mu_identity", "_slices", "_threshold", "threshold_t1")
+
+
+def clear_mu_caches():
+    for name in _MU_CACHES:
+        getattr(lubin, name).cache_clear()
+
+
 @contextlib.contextmanager
-def measures_replaced(**measures):
-    """Replace lubin's x-free measures, with the threshold caches cleared on entry and exit."""
-    replacements = {name: (lambda mu=mu: mu) for name, mu in measures.items()}
-    with mock.patch.multiple(lubin, **replacements):
-        lubin.threshold_t1.cache_clear()
-        lubin.threshold_t2.cache_clear()
-        try:
-            yield
-        finally:
-            lubin.threshold_t1.cache_clear()
-            lubin.threshold_t2.cache_clear()
-
-
-def outcome(check):
-    """The JSON form of what ``check()`` returns, or the type and text of what it raises."""
+def mu_replaced(table, check_identity=True):
+    """Replace lubin's mu table, with the caches that read it cleared on entry
+    and exit; without ``check_identity`` nothing compares it with moment2d."""
+    patches = {"MU": table}
+    if not check_identity:
+        patches["_mu_identity"] = lambda: None
+    clear_mu_caches()
     try:
-        value = check()
-    except (ArithmeticError, ValueError) as error:
-        return type(error).__name__, str(error)
-    return json.loads(to_json(value)) if isinstance(value, Certificate) else str(value)
+        with mock.patch.multiple(lubin, **patches):
+            yield
+    finally:
+        clear_mu_caches()
+
+
+def replaced_atom(point, constant, slope):
+    """MU with the atom at ``point`` given a new constant and slope."""
+    return tuple((p, constant, slope) if p == point else (p, c, d) for p, c, d in MU)
+
+
+def replay(witness) -> F:
+    """The witness's mass, recomputed from moment2d alone: one Vandermonde rref
+    on the slice's support points against the slice's moments."""
+    x = witness["x"]
+    if "atom" in witness:
+        points = [p for p, _, _ in MU]
+        # seven lattice points whose monomials separate mu's seven atoms
+        lattice = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1)]
+        rows = [[s**k1 * t**k2 for s, t in points] + [moment2d(k1, k2, x)] for k1, k2 in lattice]
+        target = witness["atom"]
+    else:
+        axis = 0 if witness["slice"] == "row" else 1
+        points = sorted({p[axis] for p, _, _ in MU})
+        index = witness["index"]
+        # row k2 has the moments moment2d(j, k2), column k1 the moments moment2d(k1, j)
+        at = (lambda j: (j, index)) if axis == 0 else (lambda j: (index, j))
+        rows = [[p**j for p in points] + [moment2d(*at(j), x)] for j in range(len(points))]
+        target = witness["point"]
+    reduced, pivots = rref(rows)
+    assert pivots == list(range(len(points)))
+    return reduced[points.index(target)][len(points)]
 
 
 class TestMeasures:
@@ -124,15 +180,15 @@ class TestMeasures:
 
     def test_xi_b_at_one_fifth(self):
         mu = xi_b(F(1, 5))
-        assert mu.mass_at(F(0)) == F(5, 8)
-        assert mu.mass_at(F(1, 4)) == F(1, 5)
-        assert mu.mass_at(F(1, 2)) == F(1, 20)
-        assert mu.mass_at(F(1)) == F(1, 8)
+        assert mass_at(mu, F(0)) == F(5, 8)
+        assert mass_at(mu, F(1, 4)) == F(1, 5)
+        assert mass_at(mu, F(1, 2)) == F(1, 20)
+        assert mass_at(mu, F(1)) == F(1, 8)
         assert mu.is_probability()
 
     def test_xi_b_exists_up_to_the_mass_cap(self):
         top = xi_b(XI_B_MASS_CAP)
-        assert top.mass_at(F(0)) == 0
+        assert mass_at(top, F(0)) == 0
         assert top.is_probability()
         with pytest.raises(NegativeMassError):
             xi_b(XI_B_MASS_CAP + F(1, 10**6))
@@ -140,8 +196,8 @@ class TestMeasures:
             xi_b(F(0))
 
     def test_level_one_restrictions(self):
-        assert xi_a_level1() == restrict_density(xi_a(), 1)
-        assert xi_b_level1() == restrict_density(xi_b(F(1, 5)), 1)
+        assert xi_a_level1() == AtomicMeasure1D([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(1), F(1, 4))])
+        assert xi_b_level1() == AtomicMeasure1D([(F(1, 4), F(1, 4)), (F(1, 2), F(1, 8)), (F(1), F(5, 8))])
 
     def test_xi_b_level_one_is_parameter_free(self):
         for x in (F(1, 7), F(1, 3), F(8, 15)):
@@ -150,7 +206,7 @@ class TestMeasures:
     def test_mu_measures_golden(self):
         assert mu_m_cap_n().is_probability()
         assert mu_m().is_probability()
-        assert mu_m().mass_at(F(0), F(1)) == F(5, 8)
+        assert mass_at(mu_m(), (F(0), F(1))) == F(5, 8)
 
 
 # Literal closed forms of the squared weights: a along row 0, b up column
@@ -293,6 +349,8 @@ class TestThresholds:
     def test_t2_value_and_binding_column(self):
         assert threshold_t2() == F(8, 33)
         assert t2_column_bound(0) == F(8, 33)
+        witness = is_t2_subnormal(F(1, 5)).witness
+        assert (witness["slice"], witness["index"], witness["point"]) == ("column", 1, 0)
 
     def test_t2_column_bounds_increase(self):
         for n in range(10):
@@ -304,7 +362,7 @@ class TestThresholds:
     def test_t1_unconditional(self):
         cert = threshold_t1()
         assert cert.ok
-        assert F(cert.witness["constant_margin"]) == 5
+        assert cert.witness["threshold"] is None
 
     def test_module_constants_agree(self):
         assert T2_THRESHOLD == F(8, 33)
@@ -312,53 +370,118 @@ class TestThresholds:
         assert XI_B_MASS_CAP == F(8, 15)
 
     def test_integer_loops_match_the_fraction_loops(self):
-        assert threshold_t1() == threshold_t1_reference()
+        # the integer sign kernel on mu against the Fraction extension loops
+        assert threshold_t1().ok is threshold_t1_reference().ok is True
         assert threshold_t2() == threshold_t2_reference() == T2_THRESHOLD
+        assert threshold_pair() == pair_threshold_reference() == PAIR_THRESHOLD
 
     def test_t1_failure_reads_the_measure(self):
-        # total mass 3/4 breaks the margin identity at m = 0: 8 * 3/4 - 3 != 5
-        broken = AtomicMeasure1D([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4))])
-        with measures_replaced(xi_b_level1=broken):
+        # row 0's mass at s = 1/4 becomes 1/4 + 2/11 - 2x, in a table not compared with moment2d
+        with mu_replaced(replaced_atom((F(1, 4), F(1, 4)), F(1, 4), F(-1)), check_identity=False):
             cert = threshold_t1()
             assert not cert.ok
-            assert set(cert.witness) == {"m", "extension", "margin_identity"}
-            assert cert.witness["m"] == 0
-            assert cert.witness["margin_identity"] == "3"
-            assert cert == threshold_t1_reference()
+            assert cert.witness["threshold"] == F(19, 88)
+            assert (cert.witness["index"], cert.witness["point"]) == (0, F(1, 4))
+            assert is_t1_subnormal(F(19, 88)).ok
+            failure = is_t1_subnormal(F(1, 3)).witness
+            assert (failure["index"], failure["point"], failure["mass"]) == (0, F(1, 4), F(-31, 132))
         assert threshold_t1().ok
 
     def test_t1_failure_at_an_atom_at_zero(self):
-        with measures_replaced(xi_c=AtomicMeasure1D([(F(0), F(1, 2)), (F(1, 2), F(1, 2))])):
+        # the row slice at s = 0 holds (0, 1) and (0, 0); past row 0 only (0, 1) is left, whose
+        # mass 5/8 - 5x/8 is every row's, so the threshold is where the top base's coefficient vanishes
+        with mu_replaced(replaced_atom((F(0), F(1)), F(5, 8), F(-5, 8)), check_identity=False):
             cert = threshold_t1()
-            assert not cert.ok and cert.witness["m"] == 0
-            assert cert.witness["extension"].witness["reciprocal_norm"] == "infinite"
-            assert cert == threshold_t1_reference()
-
-    @given(grid_measures, grid_measures)
-    @settings(max_examples=150, deadline=None)
-    def test_integer_t1_matches_the_fraction_loop_on_grid_measures(self, c_measure, b_measure):
-        for measures in ({"xi_c": c_measure}, {"xi_c": c_measure, "xi_b_level1": b_measure}):
-            with measures_replaced(**measures):
-                assert outcome(threshold_t1) == outcome(threshold_t1_reference)
-
-    @given(grid_measures)
-    @settings(max_examples=100, deadline=None)
-    def test_integer_t2_matches_the_fraction_loop_on_grid_measures(self, a_measure):
-        with measures_replaced(xi_a_level1=a_measure):
-            assert outcome(threshold_t2) == outcome(threshold_t2_reference)
-
-    def test_t2_refuses_equal_column_bounds(self):
-        # gamma_n = (2 (1/4)^n + (1/2)^n) / 8 makes every column bound 1/11
-        flat = AtomicMeasure1D([(F(1, 4), F(1, 4)), (F(1, 2), F(1, 8))])
-        with measures_replaced(xi_a_level1=flat):
-            with pytest.raises(ArithmeticError, match="failed to increase"):
-                threshold_t2()
-            assert outcome(threshold_t2) == outcome(threshold_t2_reference)
+            assert not cert.ok
+            assert (cert.witness["threshold"], cert.witness["index"], cert.witness["point"]) == (1, None, 0)
+            assert is_t1_subnormal(F(1)).witness["mass"] is None
+            failure = is_t1_subnormal(F(21, 20)).witness
+            assert (failure["index"], failure["point"], failure["mass"]) == (1, 0, F(-1, 32))
 
     def test_off_grid_measure_is_refused(self):
-        with measures_replaced(xi_c=AtomicMeasure1D([(F(1, 3), F(1))])):
-            with pytest.raises(ArithmeticError):
+        # an atom at a base that no piece of moment2d has
+        with mu_replaced(MU + (((F(1, 3), F(0)), F(0), F(0)),)):
+            with pytest.raises(ArithmeticError, match="bases"):
                 threshold_t1()
+
+
+class TestMuTable:
+    def test_mu_reproduces_the_moment_table(self):
+        for x in (F(1, 7), F(2, 11), F(8, 33), F(3, 2)):
+            for k1 in range(12):
+                for k2 in range(12):
+                    assert sum((c + d * x) * s**k1 * t**k2 for (s, t), c, d in MU) == moment2d(k1, k2, x)
+
+    def test_the_axis_slices_are_xi_a_and_xi_b(self):
+        # row 0 of T1 pushes mu forward to s, column 0 of T2 pushes it forward to t
+        for x in (F(1, 7), F(2, 11), F(8, 15)):
+            row, column = {}, {}
+            for (s, t), c, d in MU:
+                row[s] = row.get(s, 0) + c + d * x
+                column[t] = column.get(t, 0) + c + d * x
+            assert AtomicMeasure1D(row.items()) == xi_a()
+            assert AtomicMeasure1D((p, m) for p, m in column.items() if m) == xi_b(x)
+
+    def test_the_identity_check_runs_once_per_process(self):
+        clear_mu_caches()
+        with mock.patch.object(lubin, "moment2d", wraps=lubin.moment2d) as moments:
+            for x in (F(1, 5), F(1, 2), F(2)):
+                family_report(x)
+        # x = 1 and x = 2 at the 4 + 3 + 2 indices of row 0, column 0 and the interior
+        assert moments.call_count == 2 * (4 + 3 + 2)
+
+    @pytest.mark.parametrize("part", ["constant", "slope"])
+    @pytest.mark.parametrize("index", range(len(MU)))
+    def test_a_tampered_mass_is_refused(self, index, part):
+        point, c, d = MU[index]
+        if part == "constant":
+            tampered = replaced_atom(point, c + F(1, 1000), d)
+        else:
+            tampered = replaced_atom(point, c, d + F(1, 1000))
+        with mu_replaced(tampered):
+            with pytest.raises(ArithmeticError, match="reproduce moment2d"):
+                lubin._mu_identity()
+            with pytest.raises(ArithmeticError):
+                is_pair_subnormal(F(1, 5))
+        assert is_pair_subnormal(F(1, 6)).ok
+
+    def test_the_pair_measure_is_mu_while_it_is_positive(self):
+        for x in (F(1, 9), F(2, 11)):
+            atoms = [(p, c + d * x) for p, c, d in MU if c + d * x]
+            assert check_berger_2d(family_diagram(x), AtomicMeasure2D(atoms), (10, 10)).ok
+
+
+class TestOracles:
+    @staticmethod
+    def assert_matches(x):
+        assert is_t1_subnormal(x).ok == threshold_t1_reference().ok
+        column = backward_extension_1d(F(11, 8) * x, xi_c()).ok
+        assert is_t2_subnormal(x).ok == (x <= threshold_t2_reference()) == column
+        assert is_pair_subnormal(x).ok == pair_subnormal_reference(x)
+
+    def test_the_verdicts_match_the_extension_oracles_at_the_thresholds(self):
+        for edge in (PAIR_THRESHOLD, T2_THRESHOLD, F(8, 15), F(6, 5), SUM_CERTIFIED):
+            for x in (edge - F(1, 10**6), edge, edge + F(1, 10**6)):
+                self.assert_matches(x)
+
+    @given(regime_xs())
+    @settings(max_examples=120, deadline=None)
+    def test_the_verdicts_match_the_extension_oracles(self, x):
+        self.assert_matches(x)
+
+    @given(regime_xs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_witness_replays_from_the_moment_table(self, x):
+        for cert in (is_t1_subnormal(x), is_t2_subnormal(x), is_pair_subnormal(x)):
+            if cert.witness["mass"] is not None:
+                assert replay(cert.witness) == cert.witness["mass"]
+                assert (cert.witness["mass"] >= 0) == cert.ok
+
+    def test_fail_witnesses_replay(self):
+        for x in (F(1, 5), F(1, 2), F(3, 2), F(876543210987654321, 1 << 59)):
+            for cert in (is_t2_subnormal(x), is_pair_subnormal(x)):
+                if not cert.ok:
+                    assert replay(cert.witness) == cert.witness["mass"] < 0
 
 
 class TestVerdicts:
@@ -383,10 +506,9 @@ class TestVerdicts:
 
     def test_pair_certificate_structure(self):
         cert = is_pair_subnormal(F(2, 11))
-        assert cert.witness["deep_restriction"].ok
-        assert cert.witness["extension_to_mu_m"].ok
-        assert cert.witness["final_extension"].ok
-        assert cert.witness["extension_to_mu_m"].witness["new_measure"] == mu_m()
+        assert set(cert.witness) == {"x", "threshold", "atom", "mass"}
+        assert cert.witness["atom"] == (F(1, 4), F(0))
+        assert cert.witness["mass"] == 0 and cert.witness["threshold"] == F(2, 11)
 
     @pytest.mark.parametrize(
         "x",
@@ -394,10 +516,12 @@ class TestVerdicts:
         ids=str,
     )
     def test_cached_deep_check_equals_the_check_at_x(self, x):
-        # the interior weights are x-free, so the once-per-process check
-        # must be exactly what the pipeline would compute at x
+        # the deep (1, 1) restriction has s t mu, normalized, as its Berger measure;
+        # only interior atoms survive and x cancels, so the cached measure is it at every x
+        interior = [(p, (c + d * x) * p[0] * p[1]) for p, c, d in MU if p[0] and p[1]]
+        total = sum(m for _, m in interior)
+        assert AtomicMeasure2D((p, m / total) for p, m in interior) == mu_m_cap_n()
         at_x = check_berger_2d(family_diagram(x).restricted(1, 1), mu_m_cap_n(), (6, 6))
-        assert is_pair_subnormal(x).witness["deep_restriction"] == at_x
         assert at_x.ok and at_x.witness == {"window": (6, 6)}
 
     def test_cross_check_disagreement_raises(self, monkeypatch):
@@ -412,6 +536,12 @@ class TestVerdicts:
             is_t2_subnormal(F(0))
         with pytest.raises(ValueError):
             is_pair_subnormal(F(-1, 5))
+
+    @pytest.mark.parametrize("x", [F(0), F(-3), F(-1, 5)], ids=str)
+    def test_every_verdict_refuses_a_nonpositive_x(self, x):
+        for verdict in (is_t1_subnormal, is_t2_subnormal, is_pair_subnormal, family_report):
+            with pytest.raises(ValueError, match="x must be positive"):
+                verdict(x)
 
 
 class TestFamilyReport:

@@ -172,26 +172,6 @@ def test_cached_threshold_t1_is_read_only():
         cert.witness["m_max"] = 0
 
 
-def test_cached_extension_to_mu_m_is_read_only():
-    cert = lubin._extension_to_mu_m()
-    assert cert is lubin.is_pair_subnormal(Fraction(1, 2)).witness["extension_to_mu_m"]
-    for name in ("check", "ok", "witness"):
-        with pytest.raises(AttributeError):
-            setattr(cert, name, None)
-    with pytest.raises(TypeError):
-        cert.witness["new_measure"] = None
-    assert cert.witness["new_measure"] == lubin.mu_m()
-
-
-def test_cached_deep_restriction_check_is_read_only():
-    cert = lubin.is_pair_subnormal(Fraction(1, 10)).witness["deep_restriction"]
-    assert cert is lubin.is_pair_subnormal(Fraction(1, 2)).witness["deep_restriction"]
-    with pytest.raises(TypeError):
-        cert.witness["window"] = (1, 1)
-    with pytest.raises(AttributeError):
-        cert.witness["window"].append(1)
-
-
 def test_traced_names_resolve():
     # the benchmark's tracer patches these names by lookup; read its tables
     # without importing it, so a deleted or renamed function fails here
@@ -211,22 +191,33 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
-    """Module-level functions, classes and constants of ``src`` that nothing else names.
+def _definitions(module: ast.Module):
+    """The top-level statements of a module, then the methods of its classes other than dunders."""
+    for statement in module.body:
+        yield statement
+        if isinstance(statement, ast.ClassDef):
+            for item in statement.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
+                    yield item
 
-    A constant is a name bound by a top-level assignment.  A reference is an
-    AST name or attribute in ``src`` or ``demos``, outside the definition
-    itself (so recursion does not count) and outside ``__init__.py``, whose
-    re-exports are not uses.  The benchmark's tracer names functions as
-    strings, so any word-bounded mention in ``bench`` counts too.
-    Docstrings hold no names, so they never count.
+
+def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
+    """Module-level functions, classes and constants, and class methods, of ``src`` that nothing else names.
+
+    A constant is a name bound by a top-level assignment; dunder methods,
+    which Python calls itself, are left out.  A reference is an AST name or
+    attribute in ``src`` or ``demos``, outside the definition itself (so
+    recursion does not count) and outside ``__init__.py``, whose re-exports
+    are not uses.  The benchmark's tracer names functions as strings, so
+    any word-bounded mention in ``bench`` counts too.  Docstrings hold no
+    names, so they never count.
     """
     defined: dict[str, str] = {}
     used: set[str] = set()
     for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        for statement in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             own: set[str] = set()
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = {statement.name}
@@ -253,8 +244,8 @@ def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
 
 
 def test_every_function_and_class_is_used():
-    # a module-level function, class or constant that no other code names is dead:
-    # delete it, or move it into the tests if only the tests call it
+    # a module-level function, class or constant, or a method, that no other code
+    # names is dead: delete it, or move it into the tests if only the tests call it
     root = SRC.parent.parent
     assert _unreferenced(SRC, root / "demos", root / "bench") == []
 

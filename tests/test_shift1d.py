@@ -14,6 +14,7 @@ from shiftcert.errors import (
     RankExceededError,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
+from shiftcert.numerics import rref
 from shiftcert.shift1d import (
     WeightSequence1D,
     agler_sums_1d,
@@ -567,3 +568,64 @@ class TestBergerFit:
         r = len(mu.atoms)
         moments = [moment1(mu, n) for n in range(2 * r + 1)]
         assert berger_fit(moments, r) == mu
+
+
+def recurrence_polynomial_reference(ms: list[F], max_atoms: int) -> list[F] | None:
+    """The first order <= max_atoms at which the moment windows have a monic
+    kernel vector, by one rref per order: the oracle for Berlekamp-Massey."""
+    for order in range(1, max_atoms + 1):
+        rows = [ms[j : j + order + 1] for j in range(len(ms) - order)]
+        reduced, pivot_cols = rref(rows)
+        if order in pivot_cols:
+            continue  # every kernel vector has leading coefficient 0
+        coeffs = [F(0)] * (order + 1)
+        coeffs[order] = F(1)
+        for row_index, col in enumerate(pivot_cols):
+            coeffs[col] = -reduced[row_index][order]
+        return coeffs
+    return None
+
+
+@st.composite
+def moment_lists(draw):
+    """Moments of 1-5 atoms (some at 0), a few of them perturbed off a moment list,
+    with 2 max_atoms + 1 to 2 max_atoms + 4 entries, normalized to gamma_0 = 1."""
+    points = draw(
+        st.lists(st.fractions(min_value=F(0), max_value=F(2), max_denominator=30), min_size=1, max_size=5, unique=True)
+    )
+    masses = draw(st.lists(st.fractions(min_value=F(1, 9), max_value=F(5), max_denominator=9), min_size=len(points), max_size=len(points)))
+    max_atoms = draw(st.integers(1, 6))
+    size = 2 * max_atoms + 1 + draw(st.integers(0, 3))
+    ms = [sum(m * p**k for p, m in zip(points, masses)) for k in range(size)]
+    if draw(st.integers(0, 4)) == 0:
+        ms[draw(st.integers(1, size - 1))] += draw(st.fractions(min_value=F(1, 50), max_value=F(1), max_denominator=50))
+    return [m / ms[0] for m in ms], max_atoms
+
+
+class TestMinimalRecurrence:
+    @given(moment_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_berlekamp_massey_matches_the_rref_loop(self, case):
+        ms, max_atoms = case
+        assert shift1d._minimal_recurrence(ms, max_atoms) == recurrence_polynomial_reference(ms, max_atoms)
+
+    def test_sixteen_large_atoms_by_hand(self):
+        points = [F(1, 10**12 + j) for j in range(1, 17)]
+        ms = [sum(p**k for p in points) / 16 for k in range(33)]
+        assert shift1d._minimal_recurrence(ms, 15) is None
+        coeffs = shift1d._minimal_recurrence(ms, 16)
+        assert len(coeffs) == 17 and coeffs[-1] == 1
+        for p in points:
+            assert sum(c * p**i for i, c in enumerate(coeffs)) == 0
+
+    def test_one_rref_per_fit_and_none_on_a_rank_refusal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shift1d, "rref", lambda rows: calls.append(len(rows)) or rref(rows))
+        mu = AtomicMeasure1D([(F(1, 4), F(1, 3)), (F(1, 2), F(1, 3)), (F(1), F(1, 3))])
+        moments = [moment1(mu, n) for n in range(9)]
+        assert berger_fit(moments, 4) == mu
+        assert calls == [3]  # the Vandermonde solve on the three atoms
+        calls.clear()
+        with pytest.raises(RankExceededError, match="no linear recurrence of order <= 2 fits the moments"):
+            berger_fit(moments[:5], 2)
+        assert calls == []

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import backward_extension_2d, swapped, xi_a_level1, xi_b_level1
 from shiftcert.certificate import Certificate, to_json
-from shiftcert.lubin import family_diagram, moment2d, xi_a, xi_a_level1, xi_b_level1
+from shiftcert.lubin import family_diagram, moment2d, xi_a
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -20,7 +21,6 @@ from shiftcert.measures import (
 from shiftcert.shift1d import WeightSequence1D
 from shiftcert.shift2d import (
     WeightDiagram,
-    backward_extension_2d,
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
@@ -501,7 +501,7 @@ class TestBackwardExtension2D:
         assert not report.ok
 
     def test_atom_on_the_axis_blocks_extension(self):
-        report = backward_extension_2d(F(1, 100), MU_M.swapped(), xi_a_level1(), "vertical")
+        report = backward_extension_2d(F(1, 100), swapped(MU_M), xi_a_level1(), "vertical")
         assert not report.ok
         assert report.witness["reciprocal_norm"] == "infinite"
 
