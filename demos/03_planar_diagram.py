@@ -2,8 +2,9 @@
 
 The family's moment table determines a two-variable weight diagram,
 ``family_diagram(x)``: every weight is a ratio of two moments.
-Commutativity, path independence, and the Berger checks of its
-restrictions are all decided exactly, with replayable witnesses.
+Commutativity (equivalently, path independence below each window
+point) and the Berger checks of its restrictions are decided exactly,
+with replayable witnesses.
 """
 
 from fractions import Fraction as F
@@ -14,7 +15,6 @@ from shiftcert import (
     commutativity_check,
     family_diagram,
     joint_hyponormality_window,
-    path_independence_check,
 )
 from shiftcert.lubin import MU
 
@@ -35,7 +35,6 @@ print("beta^2 along row 0: ", [str(d.beta_sq(k, 0)) for k in range(3)])
 print("beta^2 up column 0: ", [str(d.beta_sq(0, k)) for k in range(3)])
 
 print("\ncommutativity on 10x10:", commutativity_check(d, (10, 10)).verdict)
-print("path independence at (6, 5):", path_independence_check(d, (6, 5)).verdict)
 
 # the family's signed measure mu restricts to positive measures: the deep
 # restriction (both indices >= 1) keeps two atoms; one level up, three

@@ -51,7 +51,6 @@ from .shift2d import (
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
-    path_independence_check,
 )
 from .lubin import (
     PAIR_THRESHOLD,
@@ -119,7 +118,6 @@ __all__ = [
     "p_n_bruteforce",
     "p_n_closed",
     "parse_rational",
-    "path_independence_check",
     "positivity_over_all_k",
     "rat_str",
     "reciprocal_norm",

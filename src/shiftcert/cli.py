@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -55,12 +56,7 @@ from .shift1d import (
     berger_fit,
     subnormal_necessary,
 )
-from .shift2d import (
-    check_berger_2d,
-    commutativity_check,
-    joint_hyponormality_window,
-    path_independence_check,
-)
+from .shift2d import check_berger_2d, commutativity_check, joint_hyponormality_window
 
 # Caps on the size flags; the largest call each admits takes a few seconds on 2 cores.
 MOMENTS_N_MAX = 1000
@@ -73,9 +69,9 @@ SWEEP_N_MAX = 200
 SWEEP_K_MAX = 200
 SWEEP_ROWS_MAX = 50_000
 # check2d weights at depth k1 + k2 have about 2 (k1 + k2) bits.  DEPTH_MAX caps the deepest
-# point read (the --path point or the window's far corner, offset by --restrict), which also
-# keeps printed rationals inside Python's 4300-digit limit; the window tests cost about
-# w h d^2 at depth d = k1 + k2 + w + h, so WINDOW_WORK_MAX caps --restrict with the window.
+# point read, the window's far corner offset by --restrict, which also keeps printed
+# rationals inside Python's 4300-digit limit; the window tests cost about w h d^2 at
+# depth d = k1 + k2 + w + h, so WINDOW_WORK_MAX caps --restrict with the window.
 DEPTH_MAX = 2000
 WINDOW_SIDE_MAX = 256
 WINDOW_WORK_MAX = 2 * 10**10
@@ -149,15 +145,21 @@ def _weights(fh) -> WeightSequence1D:
     raise ValueError("weight file needs \"kind\": \"measure\" or \"prefix\"")
 
 
+_INDEX_RE = re.compile("[0-9]+")  # int() alone also takes any Unicode digit, and "0_3"
+
+
 def _moments(fh) -> list:
-    """gamma_0, gamma_1, ... from CSV rows ``n,gamma_n`` after an optional header."""
-    rows = [line.strip() for line in fh if line.strip()]
-    if rows and not rows[0].split(",")[0].strip().lstrip("-").isdigit():
+    """gamma_0, gamma_1, ... from CSV rows ``n,gamma_n`` after an optional header;
+    each index n is written in the ASCII digits 0-9."""
+    rows = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
+    if rows and not rows[0][1].split(",")[0].strip().lstrip("-").isdigit():
         rows = rows[1:]  # header
     pairs = []
-    for row in rows:
-        n_text, gamma_text = row.split(",")
-        pairs.append((int(n_text), parse_rational(gamma_text)))
+    for number, row in rows:
+        fields = row.split(",")
+        if len(fields) != 2 or not _INDEX_RE.fullmatch(fields[0].strip()):
+            raise ValueError(f"line {number} must be n,gamma_n with n in digits 0-9, got {row!r}")
+        pairs.append((int(fields[0]), parse_rational(fields[1])))
     pairs.sort()
     if [n for n, _ in pairs] != list(range(len(pairs))):
         raise ValueError("moment indices must be contiguous from 0")
@@ -225,17 +227,11 @@ def cmd_check2d(args) -> int:
     _cap("a --window side", max(window), WINDOW_SIDE_MAX)
     _cap("--restrict k1 + k2 plus the window sides", depth, DEPTH_MAX)
     _cap("the window's work w h (k1 + k2 + w + h)^2", w * h * depth**2, WINDOW_WORK_MAX)
-    point = None
-    if args.path:
-        point = _parse_pair(args.path, ",", "lattice point must look like 1,2")
-        _cap("--path k1 + k2 plus --restrict k1 + k2", sum(base) + sum(point), DEPTH_MAX)
     diagram = lubin.family_diagram(x).restricted(*base)
     checks = [commutativity_check(diagram, window)]
     if args.berger:
         mu = _load(args.berger, "measure", lambda fh: _measure(json.load(fh), 2))
         checks.append(check_berger_2d(diagram, mu, window))
-    if point is not None:
-        checks.append(path_independence_check(diagram, point))
     if args.hyponormal:
         checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
@@ -359,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="8x8")
     p.add_argument("--restrict", default="0,0", help="base point i,j of the restriction")
     p.add_argument("--berger", help="measure JSON to verify against the diagram")
-    p.add_argument("--path", help="lattice point k1,k2 for path independence")
     p.add_argument(
         "--hyponormal", action="store_true", help="exact joint hyponormality test on the window"
     )

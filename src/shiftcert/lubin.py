@@ -68,7 +68,7 @@ def xi_a() -> AtomicMeasure1D:
     )
 
 
-# entries per index-keyed cache: every index a --path walk (k1 + k2 <= 2000) reaches
+# entries per index-keyed cache: every index a check2d window reaches (depth k1 + k2 <= 2000)
 _INDEX_CACHE = 2048
 
 

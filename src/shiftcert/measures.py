@@ -234,7 +234,7 @@ def measure_from_dict(data: dict):
         raise ValueError("a measure must be a JSON object")
     dim = data.get("dim")
     raw = data.get("atoms")
-    if dim not in (1, 2) or not isinstance(raw, list):
+    if type(dim) is not int or dim not in (1, 2) or not isinstance(raw, list):  # True == 1, 1.0 == 1
         raise ValueError("measure object needs 'dim' in {1, 2} and an 'atoms' list")
     if not all(isinstance(entry, dict) and {"point", "mass"} <= entry.keys() for entry in raw):
         raise ValueError("each atom must be a JSON object with a 'point' and a 'mass'")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .certificate import Certificate
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)  # \d: 0-9 only
 
 
 def parse_rational(text: str) -> Fraction:

@@ -17,8 +17,9 @@ moment sequence of a positive measure on a closed square (its Berger
 measure); this module provides the exact finite machinery around that
 characterization:
 
-* weight diagrams, their canonical-path moments and lattice restrictions,
-* commutativity and path-independence checks with witnesses,
+* weight diagrams and their lattice restrictions,
+* commutativity (equivalently, path independence below each window
+  point), with a witness,
 * verification of a candidate planar Berger measure on a window,
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
@@ -33,7 +34,6 @@ so it builds no moment table.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 from typing import Callable
@@ -74,12 +74,6 @@ class WeightDiagram:
     def beta_sq(self, k1: int, k2: int) -> Fraction:
         return _positive("beta^2", (k1, k2), self._beta_rule(k1, k2))
 
-    def moment(self, k1: int, k2: int) -> Fraction:
-        """gamma_k along the canonical path: row 0 first, then up column k1."""
-        if k1 < 0 or k2 < 0:
-            raise ValueError("lattice indices must be >= 0")
-        return _path_product(self, "R" * k1 + "U" * k2)
-
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): its rules translated."""
         if i < 0 or j < 0:
@@ -91,21 +85,6 @@ class WeightDiagram:
             lambda k1, k2: alpha(k1 + i, k2 + j),
             lambda k1, k2: beta(k1 + i, k2 + j),
         )
-
-
-def _path_product(diagram: WeightDiagram, steps) -> Fraction:
-    """Product of the squared weights along a monotone path from (0, 0):
-    "R" steps by alpha^2 to the right, "U" by beta^2 upwards."""
-    x = y = 0
-    total = Fraction(1)
-    for step in steps:
-        if step == "R":
-            total *= diagram.alpha_sq(x, y)
-            x += 1
-        else:
-            total *= diagram.beta_sq(x, y)
-            y += 1
-    return total
 
 
 def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
@@ -132,43 +111,6 @@ def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
                     {"k": [k1, k2], "lhs": str(b1 * a0), "rhs": str(a2 * b0)},
                 )
     return Certificate("commutativity_check", True, {"window": [w, h]})
-
-
-# random monotone paths that path_independence_check tries besides the two extreme ones
-RANDOM_PATHS = 10
-
-
-def path_independence_check(diagram: WeightDiagram, point, seed: int = 0) -> Certificate:
-    """gamma at ``point`` along all-horizontal-first, all-vertical-first, and
-    RANDOM_PATHS random monotone paths; exact equality required."""
-    k1, k2 = point
-    if k1 < 0 or k2 < 0:
-        raise ValueError("lattice point must be in the quadrant")
-    reference = diagram.moment(k1, k2)
-    paths = [["U"] * k2 + ["R"] * k1]
-    rng = random.Random(seed)
-    for _ in range(RANDOM_PATHS):
-        steps = ["R"] * k1 + ["U"] * k2
-        rng.shuffle(steps)
-        paths.append(steps)
-    for steps in paths:
-        value = _path_product(diagram, steps)
-        if value != reference:
-            return Certificate(
-                "path_independence_check",
-                False,
-                {
-                    "point": [k1, k2],
-                    "path": "".join(steps),
-                    "value": str(value),
-                    "reference": str(reference),
-                },
-            )
-    return Certificate(
-        "path_independence_check",
-        True,
-        {"point": [k1, k2], "paths_checked": len(paths) + 1, "value": str(reference)},
-    )
 
 
 def _scaled(value: Fraction, denominator: int) -> int:

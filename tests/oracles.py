@@ -14,7 +14,9 @@ backward extension, so the tests can compare the two:
 * :func:`backward_extension_2d`, the one-step backward extension of a
   subnormal pair, with the explicit new Berger measure on a pass;
 * :func:`pair_threshold_reference` and :func:`pair_subnormal_reference`,
-  the pair test composed from those extensions.
+  the pair test composed from those extensions;
+* :func:`canonical_moment`, a weight diagram's moment gamma_k as the
+  product of its squared weights along the canonical path.
 """
 
 from fractions import Fraction
@@ -242,3 +244,15 @@ def pair_subnormal_reference(x) -> bool:
     step_one = backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
     step_two = backward_extension_2d(x, mu_m(), xi_a(), "vertical")
     return column.ok and deep.ok and step_one.ok and step_two.ok
+
+
+def canonical_moment(diagram, k1: int, k2: int) -> Fraction:
+    """gamma_k along the canonical path from (0, 0): alpha^2 along row 0 to
+    (k1, 0), then beta^2 up column k1.  On a commuting diagram every monotone
+    path gives this product; the package decides that by commutativity_check."""
+    total = Fraction(1)
+    for j in range(k1):
+        total *= diagram.alpha_sq(j, 0)
+    for j in range(k2):
+        total *= diagram.beta_sq(k1, j)
+    return total

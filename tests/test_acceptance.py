@@ -41,10 +41,7 @@ from shiftcert.measures import (
     restrict_density,
 )
 from shiftcert.shift1d import WeightSequence1D, berger_fit
-from shiftcert.shift2d import (
-    check_berger_2d,
-    path_independence_check,
-)
+from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 
 def _report(number: int, text: str, started: float) -> None:
@@ -198,11 +195,12 @@ def test_criterion_9_property_suites():
         assert not is_infinite(direct)
         assert direct == reciprocal_norm(marginal(mu, "y"))
 
-    # path independence on 50 random lattice points of the family diagram
+    # path independence below 50 random lattice points of the family diagram: every
+    # unit square below the point commutes (a point on an axis has one path)
     diagram = family_diagram(F(1, 5))
-    for index in range(50):
-        point = (rng.randint(0, 9), rng.randint(0, 9))
-        assert path_independence_check(diagram, point, seed=index).ok
+    for _ in range(50):
+        k1, k2 = rng.randint(0, 9), rng.randint(0, 9)
+        assert min(k1, k2) == 0 or commutativity_check(diagram, (k1, k2)).ok
 
     # restricting the weight sequence == restricting the measure density
     for xi in (xi_a(), xi_b(F(1, 5)), xi_c()):

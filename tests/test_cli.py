@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import gc
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -140,6 +143,18 @@ class TestFit:
         csv.write_text("0,1\n2,1/2\n3,1/4\n")
         assert main(["fit", str(csv), "--max-atoms", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "row", ["\u0663,1/8", "0_3,1/8", "+3,1/8", "3,1/8,1"], ids=["arabic-indic", "underscore", "signed", "three-fields"]
+    )
+    def test_a_bad_row_is_named(self, row, tmp_path, capsys):
+        # int() alone would read the first three indices as 3
+        csv = tmp_path / "m.csv"
+        csv.write_text(f"n,gamma_n\n0,1\n1,1/2\n2,1/4\n{row}\n")
+        assert main(["fit", str(csv), "--max-atoms", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load moments: line 5 must be n,gamma_n with n in digits 0-9, got {row!r}\n"
+        )
+
 
 class TestCheck1D:
     def test_measure_weights_pass(self, weights_file, capsys):
@@ -200,14 +215,11 @@ class TestCheck2D:
         assert main(["check2d", "--x", "1/5", "--berger", str(mu)]) == 1
 
     def test_path_and_hyponormality(self, capsys):
-        code = main(
-            ["check2d", "--x", "1/5", "--window", "4x4", "--path", "3,2", "--hyponormal"]
-        )
+        # the commutativity check is the exact path-independence test below each window point
+        code = main(["check2d", "--x", "1/5", "--window", "4x4", "--hyponormal"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        checks = {c["check"] for c in data["checks"]}
-        assert "path_independence_check" in checks
-        assert "joint_hyponormality_window" in checks
+        assert [c["check"] for c in data["checks"]] == ["commutativity_check", "joint_hyponormality_window"]
 
     def test_hyponormality_fails_at_one_half(self, capsys):
         assert main(["check2d", "--x", "1/2", "--window", "3x3", "--hyponormal"]) == 1
@@ -257,18 +269,27 @@ class TestCheck2D:
         assert captured.err == f"error: cannot load measure: {message}\n"
 
     def test_negative_path_point_is_a_usage_error(self, capsys):
-        assert main(["check2d", "--x", "1/5", "--path=-1,2"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # --path is gone, for any point: --window with --restrict decides path independence exactly
+        for argv in (["--path=-1,2"], ["--path", "1,1"]):
+            with pytest.raises(SystemExit) as info:
+                main(["check2d", "--x", "1/5", *argv])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "error: unrecognized arguments: --path" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("point", ["700,700", "2000,0"])
+    @pytest.mark.parametrize("point", ["700,700", "1999,1"])
     def test_deep_path_point_is_decided(self, point, capsys):
-        assert main(["check2d", "--x", "1/5", "--window", "3x3", "--path", point]) == 0
-        checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert checks["path_independence_check"]["verdict"] == "pass"
+        # every path from the base point to ``point`` agrees iff the 1x1 window commutes
+        k1, k2 = map(int, point.split(","))
+        argv = ["check2d", "--x", "1/5", "--window", "1x1", "--restrict", f"{k1 - 1},{k2 - 1}"]
+        assert main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["check"], c["verdict"]) for c in checks] == [("commutativity_check", "pass")]
 
     def test_path_past_the_depth_cap_is_a_usage_error(self, capsys):
-        assert main(["check2d", "--x", "1/5", "--window", "3x3", "--path", "2001,0"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        argv = ["check2d", "--x", "1/5", "--window", "1x1", "--restrict", f"{DEPTH_MAX - 1},0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --restrict k1 + k2 plus the window sides")
 
     def test_window_past_the_side_cap_is_a_usage_error(self, capsys):
         side = WINDOW_SIDE_MAX + 1
@@ -411,9 +432,6 @@ check2d_argv = st.fixed_dictionaries(
             st.sampled_from(["0x3", "-1x2", "six", "3x", "2x2x2", f"{WINDOW_SIDE_MAX + 1}x1"]),
         ),
         "--restrict": _mostly(_points(3), st.sampled_from(["-1,0", "1", "a,b", "1,2,3", "", f"{DEPTH_MAX},0"])),
-        "--path": st.one_of(
-            st.none(), _mostly(_points(8), st.sampled_from(["0,-1", f"{DEPTH_MAX + 1},0", "1", "a,b"]))
-        ),
         "--berger": st.one_of(
             st.none(),
             _mostly(
@@ -438,7 +456,7 @@ class TestCheck2DFuzz:
                 assert c["witness"], c
             if code == 1:
                 failed = next(c for c in checks if c["verdict"] == "fail")
-                assert "k" in failed["witness"] or "path" in failed["witness"]
+                assert "k" in failed["witness"]
 
 
 CHECK1D_CAPS = {"--order": CHECK1D_ORDER_MAX, "--n-max": CHECK1D_N_MAX, "--k-max": CHECK1D_K_MAX}
@@ -596,10 +614,6 @@ _PAST_CAPS = {
         ["check2d", "--x", "1/5", "--window", "1x2", "--restrict", f"{DEPTH_MAX - 2},0"],
         DEPTH_MAX,
     ),
-    "check2d-restricted-path-depth": (
-        ["check2d", "--x", "1/5", "--window", "1x1", "--restrict", "1,0", "--path", f"{DEPTH_MAX},0"],
-        DEPTH_MAX,
-    ),
     "check2d-window-work": (
         # the shallowest base point whose largest window passes the work cap
         ["check2d", "--x", "1/5", "--window", f"{WINDOW_SIDE_MAX}x{WINDOW_SIDE_MAX}", "--restrict",
@@ -618,9 +632,6 @@ _AT_CAPS = {
     "sweep-n-max": _SWEEP_ONE_X + ["--n-max", SWEEP_N_MAX, "--k-max", 0],
     "sweep-k-max": _SWEEP_ONE_X + ["--n-max", 1, "--k-max", SWEEP_K_MAX],
     "check2d-restrict-depth": ["check2d", "--x", "1/5", "--window", "1x2", "--restrict", f"{DEPTH_MAX - 3},0"],
-    "check2d-restricted-path-depth": [
-        "check2d", "--x", "1/5", "--window", "1x1", "--restrict", "1,0", "--path", f"{DEPTH_MAX - 1},0"
-    ],
 }
 
 
@@ -705,7 +716,7 @@ class TestNoCyclicGarbage:
             (["fit", str(fib_csv), "--max-atoms", "2"], 1),
             (["check1d", weights_file, "--backext-alpha0", "1/11", "--backext-measure", xi_a_file], 1),
             (["check1d", bad_weights_file], 1),
-            (["check2d", "--x", "1/5", "--window", "4x4", "--hyponormal", "--path", "2,3"], 0),
+            (["check2d", "--x", "1/5", "--window", "4x4", "--hyponormal"], 0),
             (["lubin", "certify", "--x", "1/5"], 1),
             (["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1"], 0),
             (["epsilon"], 0),
@@ -817,8 +828,9 @@ class TestMalformedInput:
             ("moments", {"dim": 1, "atoms": [{"point": 0, "mass": 1}]}),
             ("check1d", {"kind": "prefix", "squared_weights": 5}),
             ("check1d", {"kind": "prefix", "squared_weights": [5]}),
+            ("moments", {"dim": True, "atoms": [{"point": "1/2", "mass": "1"}]}),
         ],
-        ids=["atom-not-object", "atom-numbers", "weights-not-list", "weight-number"],
+        ids=["atom-not-object", "atom-numbers", "weights-not-list", "weight-number", "dim-true"],
     )
     def test_malformed_nested_json_is_a_usage_error(self, command, content, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -920,6 +932,42 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """Every ``shiftcert ...`` line in README's fenced blocks, with its prompt,
+    ``[...]`` groups, ``\\`` continuations and comments stripped."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"\[[^\]]*\]", "", line.split("#")[0]).strip().removeprefix("$ ")
+            if line.startswith("shiftcert "):
+                commands.append(line)
+    return commands
+
+
+def _subcommands() -> set[str]:
+    parser = build_parser()
+    return set(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+class TestDocsMatchTheParser:
+    def test_every_readme_command_parses(self, capsys):
+        commands = _readme_commands()
+        assert {shlex.split(c)[1] for c in commands} == _subcommands()
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")
+
+    def test_module_docstring_lists_the_subcommands(self):
+        block = shiftcert.cli.__doc__.split("Subcommands::")[1].split("\n\n")[1]
+        assert {line.split()[0] for line in block.splitlines()} == _subcommands()
 
 
 class TestParserIsBuiltOnce:

@@ -273,8 +273,10 @@ class TestSerialization:
         assert len(data["atoms"]) == 3
 
     def test_rejects_unknown_dim(self):
-        with pytest.raises(ValueError):
-            measure_from_dict({"dim": 3, "atoms": []})
+        # True == 1 and 1.0 == 1 in Python, so equality with 1 or 2 is not enough
+        for dim in (3, True, 1.0, 2.0, "1"):
+            with pytest.raises(ValueError, match="'dim' in"):
+                measure_from_dict({"dim": dim, "atoms": [{"point": "1/2", "mass": "1"}]})
 
     @pytest.mark.parametrize(
         "atom", [{"point": "1/2"}, {"mass": "1"}, {"point": ["1/2", "1/2"]}], ids=["no-mass", "no-point", "planar-no-mass"]

@@ -35,7 +35,10 @@ class TestParseRational:
         assert parse_rational("+7") == F(7)
         assert parse_rational("0") == F(0)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e-3", "2/0", "1/-2", "", "a/b", "1 / 2", 5, None])
+    # Fraction reads any Unicode decimal digit ("\uff15" is a fullwidth 5), so 0-9 only
+    @pytest.mark.parametrize(
+        "bad", ["0.5", "1e-3", "2/0", "1/-2", "", "a/b", "1 / 2", 5, None, "\uff15", "-\u0663/4", "1\u0660"]
+    )
     def test_rejects_non_rational_text(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -61,6 +61,19 @@ def test_no_float_in_the_package():
     assert found == []
 
 
+def test_no_sampling_in_the_package():
+    # every verdict is a certificate: a check that samples (random paths, random
+    # points) passes on what it happened to draw, so no module may import random
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "random" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    ]
+    assert found == []
+
+
 def test_no_indented_json_dumps():
     # every indented payload goes through certificate.to_json; json.dumps with
     # an indent would be a second emission path, on the slow pure-Python encoder
@@ -114,8 +127,8 @@ def test_no_cache_grows_with_the_parameter():
 
 
 def test_no_cache_grows_with_the_window_or_path_depth():
-    # check2d reaches the index-keyed weight caches with its window, base
-    # point and --path depth; each of them must be bounded
+    # check2d reaches the index-keyed weight caches with its window and the
+    # --restrict base point's depth; each of them must be bounded
     caches = {
         f"{module.__name__}.{name}": value
         for module in (lubin, agler, cli, shift2d)
@@ -128,9 +141,10 @@ def test_no_cache_grows_with_the_window_or_path_depth():
         for base in ("0,0", "1,1"):
             cli.main(
                 ["check2d", "--x", "1/5", "--window", f"{side}x{side}", "--restrict", base,
-                 "--hyponormal", "--path", f"0,{depth}", "--out", os.devnull]
+                 "--hyponormal", "--out", os.devnull]
             )
-            cli.main(["check2d", "--x", "1/5", "--window", "2x2", "--path", f"{depth},0", "--out", os.devnull])
+            for deep in (f"0,{depth}", f"{depth},0"):
+                cli.main(["check2d", "--x", "1/5", "--window", "2x2", "--restrict", deep, "--out", os.devnull])
         sizes.append({name: cache.cache_info().currsize for name, cache in caches.items()})
     growing = [
         name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import backward_extension_2d, swapped, xi_a_level1, xi_b_level1
+from oracles import backward_extension_2d, canonical_moment, swapped, xi_a_level1, xi_b_level1
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.lubin import family_diagram, moment2d, xi_a
 from shiftcert.measures import (
@@ -24,7 +24,6 @@ from shiftcert.shift2d import (
     check_berger_2d,
     commutativity_check,
     joint_hyponormality_window,
-    path_independence_check,
 )
 
 MU_CAP = AtomicMeasure2D(
@@ -109,7 +108,7 @@ def reference_check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, windo
     w, h = window
     for k2 in range(h):
         for k1 in range(w):
-            lhs, rhs = diagram.moment(k1, k2), moment2(mu, k1, k2)
+            lhs, rhs = canonical_moment(diagram, k1, k2), moment2(mu, k1, k2)
             if lhs != rhs:
                 return Certificate(
                     "check_berger_2d", False, {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)}
@@ -182,16 +181,16 @@ class TestWeightDiagram:
 
     def test_moment_along_canonical_path(self):
         d = family()
-        assert d.moment(0, 0) == 1
-        assert d.moment(2, 0) == d.alpha_sq(0, 0) * d.alpha_sq(1, 0)
-        assert d.moment(1, 1) == d.alpha_sq(0, 0) * d.beta_sq(1, 0)
+        assert canonical_moment(d, 0, 0) == 1
+        assert canonical_moment(d, 2, 0) == d.alpha_sq(0, 0) * d.alpha_sq(1, 0)
+        assert canonical_moment(d, 1, 1) == d.alpha_sq(0, 0) * d.beta_sq(1, 0)
 
     def test_deep_moment_needs_no_recursion(self):
         # past the interpreter's recursion limit, along row 0 and up a column
         d = family()
-        assert d.moment(3, 2) == moment2d(3, 2, F(1, 5))
-        assert d.moment(1500, 0) == moment1(xi_a(), 1500)
-        assert d.moment(3, 1500) == moment2d(3, 1500, F(1, 5))
+        assert canonical_moment(d, 3, 2) == moment2d(3, 2, F(1, 5))
+        assert canonical_moment(d, 1500, 0) == moment1(xi_a(), 1500)
+        assert canonical_moment(d, 3, 1500) == moment2d(3, 1500, F(1, 5))
 
     def test_restriction_translates_indices(self):
         d = family()
@@ -254,40 +253,18 @@ class TestCommutativity:
         assert cert.witness["k"] == [0, 0]
         assert F(cert.witness["lhs"]) == F(1, 6)
         assert F(cert.witness["rhs"]) == F(1, 4)
+        # every squared weight 1 but beta^2 = 1/2 at (0, 0) and 2 at (0, 1): the path
+        # URRRRRRU to (6, 2) has product 1/2 and the canonical path 1
+        betas = {(0, 0): F(1, 2), (0, 1): F(2)}
+        unit = WeightDiagram(lambda k1, k2: F(1), lambda k1, k2: betas.get((k1, k2), F(1)))
+        assert canonical_moment(unit, 6, 2) == 1
+        cert = commutativity_check(unit, (6, 2))
+        assert not cert.ok
+        assert dict(cert.witness) == {"k": [0, 0], "lhs": "1", "rhs": "1/2"}
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
             commutativity_check(family(), (0, 3))
-
-
-class TestPathIndependence:
-    def test_family_point(self):
-        cert = path_independence_check(family(), (4, 3))
-        assert cert.ok
-        assert cert.witness["point"] == [4, 3]
-
-    def test_origin_is_trivial(self):
-        assert path_independence_check(family(), (0, 0)).ok
-
-    def test_skew_diagram_fails_and_names_a_path(self):
-        cert = path_independence_check(skew_diagram(), (2, 1))
-        assert not cert.ok
-        path = cert.witness["path"]
-        assert sorted(path) == ["R", "R", "U"]
-        assert F(cert.witness["value"]) != F(cert.witness["reference"])
-
-    def test_negative_point_rejected(self):
-        with pytest.raises(ValueError):
-            path_independence_check(family(), (-1, 2))
-
-    @given(
-        k1=st.integers(min_value=0, max_value=6),
-        k2=st.integers(min_value=0, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_family_paths_property(self, k1, k2, seed):
-        assert path_independence_check(family(), (k1, k2), seed=seed).ok
 
 
 class TestBerger2D:
@@ -398,10 +375,10 @@ class TestBerger2DKernel:
 
     def test_an_alpha_off_row_0_is_off_the_canonical_path(self):
         # no canonical path steps right above row 0, so the check passes although
-        # the all-vertical-first path to (3, 3) meets the perturbed weight
+        # the diagram does not commute below (3, 3), where other paths meet the weight
         diagram = perturbed(cap_moment_diagram(), "alpha", (1, 2), F(2))
         assert check_berger_2d(diagram, MU_CAP, (6, 6)).ok
-        assert not path_independence_check(diagram, (3, 3)).ok
+        assert not commutativity_check(diagram, (3, 3)).ok
 
     def test_a_beta_above_row_0_fails_up_its_column(self):
         diagram = perturbed(cap_moment_diagram(), "beta", (2, 1), F(2))
@@ -444,7 +421,6 @@ class TestStatelessDiagram:
             commutativity_check(diagram, (64, 64))
             joint_hyponormality_window(diagram, (64, 64))
             check_berger_2d(diagram, MU_CAP, (64, 64))
-            assert path_independence_check(diagram, (0, 500)).ok
         assert (state(whole), state(deep)) == before
         # a diagram is its two rules and nothing else
         assert set(vars(whole)) == set(vars(deep)) == {"_alpha_rule", "_beta_rule"}
@@ -455,13 +431,10 @@ class TestStatelessDiagram:
         # the moment diagram of the unit point mass at (1, 1), one weight at the origin replaced
         bad = perturbed(WeightDiagram(lambda k1, k2: F(1), lambda k1, k2: F(1)), which, (0, 0), value)
         unit = AtomicMeasure2D([((F(1), F(1)), F(1))])
-        step = (1, 0) if which == "alpha" else (0, 1)
         for check in (
             lambda: commutativity_check(bad, (2, 2)),
             lambda: joint_hyponormality_window(bad, (2, 2)),
             lambda: check_berger_2d(bad, unit, (2, 2)),
-            lambda: path_independence_check(bad, (1, 1)),
-            lambda: bad.moment(*step),
         ):
             with pytest.raises(ValueError, match="must be positive"):
                 check()
@@ -776,5 +749,5 @@ class TestTensorProperty:
         xi = AtomicMeasure1D([(p, m / total) for p, m in row_atoms])
         w = WeightSequence1D.from_measure(xi)
         d = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
-        assert d.moment(k1, k2) == moment1(xi, k1) * moment1(xi, k2)
+        assert canonical_moment(d, k1, k2) == moment1(xi, k1) * moment1(xi, k2)
         assert commutativity_check(d, (3, 3)).ok
