@@ -17,6 +17,7 @@ from shiftcert import (
     moment1,
     subnormal_necessary,
 )
+from shiftcert.certificate import to_json
 from shiftcert.errors import InconsistentMomentsError, NoRationalAtomsError
 
 xi = AtomicMeasure1D(
@@ -35,7 +36,7 @@ print("\nbad sequence Hankel test:", hankel.verdict)
 print("  plain part:", hankel.witness["hankel"].verdict)
 print("  shifted part:", hankel.witness["shifted_hankel"].verdict)
 agler = agler_sums_1d(bad, 4, 2)
-print("bad sequence Agler sums:", agler.verdict, "at", agler.witness)
+print("bad sequence Agler sums:", agler.verdict, "at", to_json(agler.witness))
 
 # recovery: 2r + 1 exact moments pin down an r-atom measure
 moments = [moment1(xi, n) for n in range(9)]

@@ -19,6 +19,7 @@ from shiftcert import (
     tail_stopping_index,
 )
 from shiftcert.agler import per_n_exact_sup
+from shiftcert.certificate import to_json
 
 # two independent routes to the same rational: a closed form through the
 # arcsine-type integral moments, and brute force over the moment table
@@ -44,4 +45,4 @@ print("\ncertify_sum(1/5):", cert.verdict, "with every n checked up to", cert.wi
 # and just past the certified bound the first violated sum is reported
 bad = certify_sum(certified_x_max() + F(1, 10**6))
 print("\njust past the bound:", bad.verdict)
-print("violation:", bad.witness["violation"])
+print("violation:", to_json(bad.witness["violation"]))

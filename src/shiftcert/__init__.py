@@ -37,7 +37,6 @@ from .numerics import (
     SymmetricExactMatrix,
     is_psd,
     parse_rational,
-    rat_str,
 )
 from .shift1d import (
     WeightSequence1D,
@@ -119,7 +118,6 @@ __all__ = [
     "p_n_closed",
     "parse_rational",
     "positivity_over_all_k",
-    "rat_str",
     "reciprocal_norm",
     "restrict_density",
     "subnormal_necessary",

@@ -53,19 +53,19 @@ pair itself stops being jointly subnormal at 2/11.
 Everything above that does not depend on x is computed once per process,
 in the per-n record :func:`per_n_coefficients`: the constants and slopes
 of A_n and B_n, C_n, the k = 0 affine pair, the two tail inequalities,
-and one k-scan.  For each k >= 1, P_n(k, 0) gamma_k = const_k + slope_k x
-with const_k > 0, so only the forms with slope_k < 0 can go negative; the
+and one k-scan.  For each k >= 1, P_n(k, 0) gamma_k is a positive multiple
+of const_k + slope_k x with const_k > 0, so only the forms with slope_k < 0 can go negative; the
 record keeps those ``exposed`` forms up to the index past which no root
 can fall below the running minimum, and ``sup``, the least root over
 them and the k = 0 form.  The caches are keyed by n or by nothing, so no
-cache grows with x.  At x, a per-n decision tests the k = 0 form and each
-exposed form by the sign of one cross-multiplied integer (no gcd), never
-against a cached root, so :func:`certify_sum` can check its verdict
-against the certified bound; Fractions are built only for a failure
-witness.  The record itself is built in integers: every coefficient is a
-numerator over the one denominator 88 * 16^n, so the k-scan compares
-slopes, consts and roots by cross-multiplication, and Fractions are built
-only for the stored fields.
+cache grows with x.  The record is integers: each coefficient is a
+numerator over the one denominator 88 * 16^n (the k-th form over a further
+4^k), read straight off the recurrence's numerators, and only ``sup`` is a
+Fraction.  At x = p/q a form holds iff const q + slope p >= 0, so a per-n
+decision tests the k = 0 form and each exposed form by the sign of one
+integer, never against a cached root, and :func:`certify_sum` can check
+its verdict against the certified bound.  Fractions are built only for
+what a function returns.
 """
 
 from __future__ import annotations
@@ -94,8 +94,21 @@ _MOMENT_CACHE = 1024
 
 @lru_cache(maxsize=_NUMERATOR_CACHE)
 def _moment_numerators(c: Fraction) -> list[int]:
-    # J_n = q^n I_n(c) for c = p/q, for n = 0, 1, ...; integral_moment extends the list in place
+    # J_n = q^n I_n(c) for c = p/q, for n = 0, 1, ...; _moment_numerator extends the list in place
     return [1, c.denominator - 2 * c.numerator]
+
+
+def _moment_numerator(c: Fraction, n: int) -> int:
+    """J_n = q^n I_n(c) for c = p/q, by the integer recurrence of :func:`integral_moment`."""
+    p, q = c.numerator, c.denominator
+    numerators = _moment_numerators(c)
+    for m in range(len(numerators) - 1, n):
+        step = (2 * m + 1) * (q - 2 * p) * numerators[m] - m * q * (q - 4 * p) * numerators[m - 1]
+        value, remainder = divmod(step, m + 1)
+        if remainder:
+            raise ArithmeticError(f"the recurrence for I_{m + 1}({c}) left a remainder")
+        numerators.append(value)
+    return numerators[n]
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
@@ -117,23 +130,7 @@ def integral_moment(c, n: int) -> Fraction:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    p, q = c.numerator, c.denominator
-    numerators = _moment_numerators(c)
-    for m in range(len(numerators) - 1, n):
-        step = (2 * m + 1) * (q - 2 * p) * numerators[m] - m * q * (q - 4 * p) * numerators[m - 1]
-        value, remainder = divmod(step, m + 1)
-        if remainder:
-            raise ArithmeticError(f"the recurrence for I_{m + 1}({c}) left a remainder")
-        numerators.append(value)
-    return Fraction(numerators[n], q**n)
-
-
-def _numerator_over(value: Fraction, denominator: int) -> int:
-    """value * denominator, which must be an integer."""
-    scaled, remainder = divmod(value.numerator * denominator, value.denominator)
-    if remainder:
-        raise ArithmeticError(f"{value} is not a multiple of 1/{denominator}")
-    return scaled
+    return Fraction(_moment_numerator(c, n), c.denominator**n)
 
 
 class PerNCoefficients(
@@ -144,14 +141,16 @@ class PerNCoefficients(
 ):
     """The x-free data of one n, from which every per-n fact at x follows.
 
-    A_n = const_a + slope_a x,  B_n = const_b + slope_b x,  C_n = c_n,
-    P_n(0, 0) = k0_const + k0_slope x.
+    The coefficients are integers, numerators over den = 88 * 16^n:
+
+        den A_n = const_a + slope_a x,  den B_n = const_b + slope_b x,
+        den C_n = c_n,  den P_n(0, 0) = k0_const + k0_slope x.
 
     ``exposed`` holds each (k, const_k, slope_k) with k >= 1, slope_k < 0
-    and const_k + slope_k x = P_n(k, 0) gamma_k, in increasing k, up to the
-    scan's stop; every later k has its root at or above ``sup``, the least
-    root over the exposed forms and the k = 0 form (``None`` when no form
-    has a negative slope).
+    and const_k + slope_k x = den 4^k P_n(k, 0) gamma_k, in increasing k,
+    up to the scan's stop; every later k has its root at or above ``sup``,
+    the least root over the exposed forms and the k = 0 form, a Fraction
+    (``None`` when no form has a negative slope).
     """
 
     __slots__ = ()
@@ -166,17 +165,16 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
     roots grow without bound in k because C_n > 0 dominates, so the scan
     stops once no later k can undercut the running minimum.
 
-    All seven coefficients are integer numerators over 88 * 16^n, and the
-    k-th form is scaled by a further 4^k, so the scan is integer-only;
-    Fractions are built only for the stored fields.
+    16^n I_n(1/16) is the recurrence's J_n for c = 1/16, and 16^n I_n(1/8)
+    is 2^n J_n for c = 1/8, so the record is integers throughout, and the
+    k-scan compares slopes, consts and roots by cross-multiplication.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     sixteen, fifteen, fourteen, twelve = 16**n, 15**n, 14**n, 12**n
-    j16 = _numerator_over(integral_moment(C_SIXTEENTH, n), sixteen)  # 16^n I_n(1/16)
-    j8 = _numerator_over(integral_moment(C_EIGHTH, n), sixteen)  # 16^n I_n(1/8)
-    # numerators over den = 88 * 16^n; (15/16)^n, (7/8)^n, (3/4)^n are 15^n, 14^n, 12^n over 16^n
-    den = 88 * sixteen
+    j16 = _moment_numerator(C_SIXTEENTH, n)  # 16^n I_n(1/16)
+    j8 = _moment_numerator(C_EIGHTH, n) << n  # 16^n I_n(1/8)
+    # numerators over 88 * 16^n; (15/16)^n, (7/8)^n, (3/4)^n are 15^n, 14^n, 12^n over 16^n
     const_a, slope_a = 16 * fifteen, 88 * (j16 - fifteen)  # (2/11)(15/16)^n, I_n(1/16) - (15/16)^n
     const_b, slope_b = 4 * fourteen, 22 * (j8 - fourteen)  # (1/22)(7/8)^n, (I_n(1/8) - (7/8)^n) / 4
     c_n = 2 * twelve  # (1/44)(3/4)^n
@@ -186,7 +184,7 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
     exposed = []
     sup: tuple[int, int] | None = None  # (numerator, positive denominator)
     if slope_a < 0 or slope_b < 0:
-        two_k = 1  # the k-th form times 4^k den is const_k + slope_k x below
+        two_k = 1  # the k-th form over 88 * 16^n * 4^k is const_k + slope_k x below
         for k in range(1, _SCAN_LIMIT):
             two_k *= 2
             slope_k = slope_a + slope_b * two_k
@@ -205,19 +203,16 @@ def per_n_coefficients(n: int) -> PerNCoefficients:
     if k0_slope < 0 and (sup is None or k0_const * sup[1] < sup[0] * -k0_slope):
         sup = (k0_const, -k0_slope)
     return PerNCoefficients(
-        const_a=Fraction(const_a, den),
-        slope_a=Fraction(slope_a, den),
-        const_b=Fraction(const_b, den),
-        slope_b=Fraction(slope_b, den),
-        c_n=Fraction(c_n, den),
-        k0_const=Fraction(k0_const, den),
-        k0_slope=Fraction(k0_slope, den),
-        exposed=tuple(
-            (k, Fraction(const_k, den << 2 * k), Fraction(slope_k, den << 2 * k))
-            for k, const_k, slope_k in exposed
-        ),
-        sup=None if sup is None else Fraction(*sup),
+        const_a, slope_a, const_b, slope_b, c_n, k0_const, k0_slope,
+        exposed=tuple(exposed), sup=None if sup is None else Fraction(*sup),
     )
+
+
+def _numerators_at(n: int, x: Fraction) -> tuple[int, int, int, int]:
+    """A_n(x), B_n(x), C_n and P_n(0, 0) at x = p/q, as numerators over 88 * 16^n * q."""
+    r, p, q = per_n_coefficients(n), x.numerator, x.denominator
+    a, b = r.const_a * q + r.slope_a * p, r.const_b * q + r.slope_b * p
+    return a, b, r.c_n * q, r.k0_const * q + r.k0_slope * p
 
 
 def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -225,8 +220,8 @@ def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
     x = Fraction(x)
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = per_n_coefficients(n)
-    return r.const_a + r.slope_a * x, r.const_b + r.slope_b * x, r.c_n
+    den = (88 << 4 * n) * x.denominator
+    return tuple(Fraction(v, den) for v in _numerators_at(n, x)[:3])
 
 
 def p_n_closed(x, k: int, n: int) -> Fraction:
@@ -235,16 +230,22 @@ def p_n_closed(x, k: int, n: int) -> Fraction:
 
 
 def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
-    """P_n(k, 0) for each k in ``ks``, with A_n(x), B_n(x), C_n computed once."""
+    """P_n(k, 0) for each k in ``ks``, with A_n(x), B_n(x), C_n computed once,
+    as integer numerators; one Fraction is built per k."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
     if n < 1 or any(k < 0 for k in ks):
         raise ValueError("need n >= 1 and k >= 0")
-    r = per_n_coefficients(n)
-    a, b, c = abc_coefficients(x, n)
-    k0 = r.k0_const + r.k0_slope * x
-    return [k0 if k == 0 else (a / 4**k + b / 2**k + c) / gamma_row(k) for k in ks]
+    a, b, c, k0 = _numerators_at(n, x)
+    den = (88 << 4 * n) * x.denominator
+    values = []
+    for k in ks:
+        # P_n(k, 0) gamma_k = (a + b 2^k + c 4^k) / (den 4^k) for k >= 1, and gamma_0 = 1
+        gamma = gamma_row(k)
+        numerator = k0 if k == 0 else a + (b << k) + (c << 2 * k)
+        values.append(Fraction(numerator * gamma.denominator, (den << 2 * k) * gamma.numerator))
+    return values
 
 
 def p_n_bruteforce(x, k: int, n: int) -> Fraction:
@@ -277,26 +278,19 @@ def per_n_exact_sup(n: int) -> Fraction | None:
     return per_n_coefficients(n).sup
 
 
-def _nonnegative_at(const: Fraction, slope: Fraction, x: Fraction) -> bool:
-    """const + slope x >= 0, by the sign of one integer: the affine form
-    times the positive const.den * slope.den * x.den, with no gcd taken."""
-    scaled_const = const.numerator * slope.denominator * x.denominator
-    return scaled_const + slope.numerator * const.denominator * x.numerator >= 0
-
-
 def _first_negative_k(record: PerNCoefficients, x: Fraction) -> int | None:
     """The least k >= 0 with P_n(k, 0) < 0 at x, or ``None`` when there is none.
 
-    Tests the k = 0 form, then each exposed form, at x.  Every k the scan
-    passed over without exposing it has a nonnegative slope, and every k
-    past the scan's stop has its root at or above ``sup``, which one of the
-    tested forms attains; so a form fails at x iff some k fails, and the
-    first one found is the least.
+    Tests the k = 0 form, then each exposed form, at x = p/q: a form holds
+    iff const q + slope p >= 0, one integer sign.  Every k the scan passed
+    over without exposing it has a nonnegative slope, and every k past the
+    scan's stop has its root at or above ``sup``, which one of the tested
+    forms attains; so a form fails at x iff some k fails, and the first one
+    found is the least.
     """
-    if not _nonnegative_at(record.k0_const, record.k0_slope, x):
-        return 0
-    for k, const, slope in record.exposed:
-        if not _nonnegative_at(const, slope, x):
+    p, q = x.numerator, x.denominator
+    for k, const, slope in ((0, record.k0_const, record.k0_slope), *record.exposed):
+        if const * q + slope * p < 0:
             return k
     return None
 
@@ -321,7 +315,7 @@ def positivity_over_all_k(x, n: int) -> Certificate:
             "positivity_over_all_k", True, {"n": n, "forms_checked": 1 + len(record.exposed)}
         )
     return Certificate(
-        "positivity_over_all_k", False, {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
+        "positivity_over_all_k", False, {"n": n, "k": k, "value": p_n_closed(x, k, n)}
     )
 
 
@@ -396,7 +390,7 @@ def certify_sum(x) -> Certificate:
     for n in range(1, tail.n_star + 1):
         k = _first_negative_k(per_n_coefficients(n), x)
         if k is not None:
-            violation = {"n": n, "k": k, "value": str(p_n_closed(x, k, n))}
+            violation = {"n": n, "k": k, "value": p_n_closed(x, k, n)}
             break
     if violation is None and x > K0_CAP:
         violation = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}

@@ -53,9 +53,13 @@ def to_json(value: Any) -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``, built in one pass.
 
     A certificate renders as ``{"check", "verdict", "witness"}``, a measure
-    as its ``as_dict()``, a ``Fraction`` as its "p/q" string, a mapping with
-    ``str(key)`` keys and a tuple as a list; the other values are ``str``,
-    ``int``, ``bool`` and ``None``.
+    as its ``as_dict()``, a mapping with ``str(key)`` keys and a tuple as a
+    list; the other values are ``str``, ``int``, ``bool`` and ``None``.
+
+    Serialization convention: witnesses hold exact values, and this is where
+    a rational becomes text.  A ``Fraction`` renders as the string ``"p/q"``,
+    or bare ``"p"`` when the denominator is 1 (``str(Fraction)`` already
+    does this), so the rendering is lossless.
     """
     out: list[str] = []
     _write(value, out, "\n")

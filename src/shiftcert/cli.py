@@ -14,7 +14,9 @@ Exit codes: 0 all requested checks pass, 1 a mathematical check failed
 (the JSON output carries the witness), 2 usage or input errors: commands
 raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
 with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
-where it is written).  Every size flag, and fit's row count, has a cap.
+where it is written).  Every integer flag, and each half of ``--window`` and
+``--restrict``, is read as ``-?[0-9]+`` in ASCII digits, and every size
+flag, and fit's row count, has a cap.
 Every JSON payload on stdout or in ``--out`` comes from ``certificate.to_json``
 (sorted keys, indent 2); the one-line error on stderr is compact.
 
@@ -48,7 +50,7 @@ from . import agler, lubin
 from .certificate import to_json
 from .errors import ShiftCertError
 from .measures import measure_from_dict, moment1
-from .numerics import parse_rational, rat_str
+from .numerics import parse_rational
 from .shift1d import (
     WeightSequence1D,
     agler_sums_1d,
@@ -145,15 +147,26 @@ def _weights(fh) -> WeightSequence1D:
     raise ValueError("weight file needs \"kind\": \"measure\" or \"prefix\"")
 
 
-_INDEX_RE = re.compile("[0-9]+")  # int() alone also takes any Unicode digit, and "0_3"
+# int() alone also takes any Unicode digit, "_" between digits, and spaces
+_INTEGER_RE = re.compile("-?[0-9]+")
+_INDEX_RE = re.compile("[0-9]+")
+_HEADER_RE = re.compile("[A-Za-z]")
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, written ``-?[0-9]+``; argparse names the flag."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be an integer in digits 0-9, got {text!r}")
+    return int(text)
 
 
 def _moments(fh) -> list:
-    """gamma_0, gamma_1, ... from CSV rows ``n,gamma_n`` after an optional header;
-    each index n is written in the ASCII digits 0-9."""
+    """gamma_0, gamma_1, ... from CSV rows ``n,gamma_n``; a first row whose
+    first field starts with an ASCII letter is a header.  Each index n is
+    written in the ASCII digits 0-9."""
     rows = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
-    if rows and not rows[0][1].split(",")[0].strip().lstrip("-").isdigit():
-        rows = rows[1:]  # header
+    if rows and _HEADER_RE.match(rows[0][1].split(",")[0].strip()):
+        rows = rows[1:]
     pairs = []
     for number, row in rows:
         fields = row.split(",")
@@ -167,11 +180,11 @@ def _moments(fh) -> list:
 
 
 def _parse_pair(text: str, sep: str, shape: str) -> tuple[int, int]:
-    try:
-        a, b = text.lower().split(sep)
-        return int(a), int(b)
-    except ValueError as exc:
-        raise ValueError(f"{shape}, got {text!r}") from exc
+    """The two integers of ``text``, split at ``sep``; ``shape`` shows the form."""
+    halves = text.lower().split(sep)
+    if len(halves) != 2 or not all(_INTEGER_RE.fullmatch(half) for half in halves):
+        raise ValueError(f"{shape}, got {text!r}")
+    return int(halves[0]), int(halves[1])
 
 
 def cmd_moments(args) -> int:
@@ -183,7 +196,7 @@ def cmd_moments(args) -> int:
     if args.format == "json":
         payload = [{"n": n, "gamma": g} for n, g in values]
         return _emit(to_json(payload), args.out)
-    lines = ["n,gamma_n"] + [f"{n},{rat_str(g)}" for n, g in values]
+    lines = ["n,gamma_n"] + [f"{n},{g!s}" for n, g in values]
     return _emit("\n".join(lines), args.out)
 
 
@@ -238,9 +251,7 @@ def cmd_check2d(args) -> int:
         lines = ["k1,k2,alpha_sq,beta_sq"]
         for k2 in range(h):
             for k1 in range(w):
-                lines.append(
-                    f"{k1},{k2},{rat_str(diagram.alpha_sq(k1, k2))},{rat_str(diagram.beta_sq(k1, k2))}"
-                )
+                lines.append(f"{k1},{k2},{diagram.alpha_sq(k1, k2)!s},{diagram.beta_sq(k1, k2)!s}")
         if _emit("\n".join(lines), args.dump) == 2:
             return 2
     payload = {
@@ -300,9 +311,10 @@ def cmd_sweep(args) -> int:
     lines = ["x,n,k,p_n"]
     ks = range(args.k_max + 1)
     for x in (x_min + i * x_step for i in range(count)):
+        label = str(x)
         for n in range(1, args.n_max + 1):
             for k, value in zip(ks, agler.p_n_closed_values(x, n, ks)):
-                lines.append(f"{rat_str(x)},{n},{k},{rat_str(value)}")
+                lines.append(f"{label},{n},{k},{value!s}")
     return _emit("\n".join(lines), args.out)
 
 
@@ -329,22 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="dump shift moments of a measure")
     p.add_argument("measure", help="measure JSON file (dim 1)")
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--n-max", type=_integer, default=16)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("fit", help="recover the atomic measure behind moments")
     p.add_argument("moments", help="CSV file with columns n,gamma_n")
-    p.add_argument("--max-atoms", type=int, default=4)
+    p.add_argument("--max-atoms", type=_integer, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("check1d", help="one-variable subnormality battery")
     p.add_argument("weights", help="weight JSON file (measure or prefix form)")
-    p.add_argument("--order", type=int, default=4, help="Hankel order")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--order", type=_integer, default=4, help="Hankel order")
+    p.add_argument("--n-max", type=_integer, default=8)
+    p.add_argument("--k-max", type=_integer, default=4)
     p.add_argument("--backext-alpha0", help="squared weight to prepend (p/q)")
     p.add_argument("--backext-measure", help="measure JSON for the extension test")
     p.add_argument("--out")
@@ -373,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", required=True)
     p.add_argument("--x-max", required=True)
     p.add_argument("--x-step", required=True)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--n-max", type=_integer, default=8)
+    p.add_argument("--k-max", type=_integer, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

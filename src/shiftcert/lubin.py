@@ -326,8 +326,8 @@ def family_report(x) -> dict:
     x = Fraction(x)
     t1, t2, pair = is_t1_subnormal(x), is_t2_subnormal(x), is_pair_subnormal(x)
     return {
-        "x": str(x),
-        "thresholds": {"t1": "every x > 0", "t2": str(T2_THRESHOLD), "pair": str(PAIR_THRESHOLD)},
+        "x": x,
+        "thresholds": {"t1": "every x > 0", "t2": T2_THRESHOLD, "pair": PAIR_THRESHOLD},
         "verdicts": {"t1_subnormal": t1.ok, "t2_subnormal": t2.ok, "pair_subnormal": pair.ok},
         "certificates": {"t1": t1, "t2": t2, "pair": pair},
     }

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InfiniteReciprocalNormError, ZeroMomentError
-from .numerics import parse_rational, rat_str
+from .numerics import parse_rational
 
 
 class _Infinite:
@@ -96,7 +96,7 @@ class _AtomicMeasure:
 
     def as_dict(self) -> dict:
         """The JSON form; :func:`measure_from_dict` reads it back."""
-        atoms = [{"point": self._point_json(p), "mass": rat_str(m)} for p, m in self.atoms]
+        atoms = [{"point": self._point_json(p), "mass": str(m)} for p, m in self.atoms]
         return {"dim": self.dim, "atoms": atoms}
 
     def __eq__(self, other) -> bool:
@@ -117,7 +117,7 @@ class AtomicMeasure1D(_AtomicMeasure):
     dim = 1
     _SUPPORT = ">= 0"
     _location = staticmethod(Fraction)
-    _point_json = staticmethod(rat_str)
+    _point_json = staticmethod(str)
     _point_repr = staticmethod(str)
 
     @staticmethod
@@ -143,7 +143,7 @@ class AtomicMeasure2D(_AtomicMeasure):
 
     @staticmethod
     def _point_json(key: tuple[Fraction, Fraction]) -> list[str]:
-        return [rat_str(key[0]), rat_str(key[1])]
+        return [str(key[0]), str(key[1])]
 
     @staticmethod
     def _point_repr(key: tuple[Fraction, Fraction]) -> str:

@@ -9,9 +9,6 @@ Besides the matrix kernels, :func:`exponential_sum_sign` decides the sign
 of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once, and
 :func:`exponential_sum_threshold` finds the exact parameter range on which
 such a sum, with coefficients affine in a parameter, stays nonnegative.
-
-Serialization convention: a rational renders as ``"p/q"``, or bare
-``"p"`` when the denominator is 1 (``str(Fraction)`` already does this).
 """
 
 from __future__ import annotations
@@ -38,11 +35,6 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(s)
-
-
-def rat_str(value) -> str:
-    """Canonical string form of a rational, ``p/q`` or ``p``."""
-    return str(Fraction(value))
 
 
 class SymmetricExactMatrix:
@@ -122,7 +114,7 @@ def is_psd(matrix: SymmetricExactMatrix) -> Certificate:
                 lower[i][k] = f
                 for j in range(k + 1, n):
                     s[i][j] -= f * s[k][j]
-    return Certificate("is_psd", True, {"order": n, "pivots": [str(p) for p in pivots]})
+    return Certificate("is_psd", True, {"order": n, "pivots": pivots})
 
 
 def _negativity_certificate(matrix, lower, support) -> Certificate:
@@ -138,11 +130,7 @@ def _negativity_certificate(matrix, lower, support) -> Certificate:
     value = matrix.quadratic_form(v)
     if not value < 0:
         raise ArithmeticError("internal error: lifted witness is not negative")
-    return Certificate(
-        "is_psd",
-        False,
-        {"order": n, "vector": [str(c) for c in v], "value": str(value)},
-    )
+    return Certificate("is_psd", False, {"order": n, "vector": v, "value": value})
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

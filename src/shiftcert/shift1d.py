@@ -154,12 +154,12 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
                 return Certificate(
                     "agler_sums_1d",
                     False,
-                    {"n": n, "k": k, "value": str(Fraction(row[k], base[k])), "rescaled_by": str(scale)},
+                    {"n": n, "k": k, "value": Fraction(row[k], base[k]), "rescaled_by": scale},
                 )
     return Certificate(
         "agler_sums_1d",
         True,
-        {"n_max": n_max, "k_max": k_max, "rescaled_by": str(scale)},
+        {"n_max": n_max, "k_max": k_max, "rescaled_by": scale},
     )
 
 
@@ -179,18 +179,13 @@ def backward_extension_1d(alpha0_sq, xi: AtomicMeasure1D) -> Certificate:
         return Certificate(
             "backward_extension_1d",
             False,
-            {"reciprocal_norm": "infinite", "first_weight_sq": str(a0)},
+            {"reciprocal_norm": "infinite", "first_weight_sq": a0},
         )
     bound = 1 / norm
     return Certificate(
         "backward_extension_1d",
         a0 <= bound,
-        {
-            "reciprocal_norm": str(norm),
-            "bound": str(bound),
-            "first_weight_sq": str(a0),
-            "margin": str(bound - a0),
-        },
+        {"reciprocal_norm": norm, "bound": bound, "first_weight_sq": a0, "margin": bound - a0},
     )
 
 

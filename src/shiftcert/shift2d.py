@@ -108,7 +108,7 @@ def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
                 return Certificate(
                     "commutativity_check",
                     False,
-                    {"k": [k1, k2], "lhs": str(b1 * a0), "rhs": str(a2 * b0)},
+                    {"k": [k1, k2], "lhs": b1 * a0, "rhs": a2 * b0},
                 )
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
@@ -166,7 +166,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
                 return Certificate(
                     "check_berger_2d",
                     False,
-                    {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)},
+                    {"k": [k1, k2], "diagram": lhs, "measure": rhs},
                 )
             numerators.append(numerator)
     return Certificate("check_berger_2d", True, {"window": (w, h)})
@@ -232,7 +232,7 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
                     {
                         "window": [w, h],
                         "k": [k1, k2],
-                        **{name: None if v is None else str(Fraction(*v)) for name, v in zip("adPQ", (a, d, p, q))},
+                        **{name: None if v is None else Fraction(*v) for name, v in zip("adPQ", (a, d, p, q))},
                     },
                 )
     return Certificate(

@@ -33,11 +33,11 @@ xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
 
 
-def positivity_reference(x: F, n: int) -> tuple[bool, int | None, str | None]:
+def positivity_reference(x: F, n: int) -> tuple[bool, int | None, F | None]:
     """(ok, least failing k, P_n(k, 0) there) by Fraction signs and a k-scan at x."""
     p0 = p_n_closed(x, 0, n)
     if p0 < 0:
-        return False, 0, str(p0)
+        return False, 0, p0
     a, b, c = abc_coefficients(x, n)
     if a >= 0 and b >= 0:
         return True, None, None
@@ -45,12 +45,12 @@ def positivity_reference(x: F, n: int) -> tuple[bool, int | None, str | None]:
         wa, wb = F(1, 4) ** k, F(1, 2) ** k
         value = a * wa + b * wb + c
         if value < 0:
-            return False, k, str(value / moment1(xi_a(), k))
+            return False, k, value / moment1(xi_a(), k)
         if abs(a) * wa + abs(b) * wb <= c:
             return True, None, None
 
 
-def decision(x: F, n: int) -> tuple[bool, int | None, str | None]:
+def decision(x: F, n: int) -> tuple[bool, int | None, F | None]:
     cert = positivity_over_all_k(x, n)
     return cert.ok, cert.witness.get("k"), cert.witness.get("value")
 
@@ -58,9 +58,9 @@ def decision(x: F, n: int) -> tuple[bool, int | None, str | None]:
 def roots(n: int) -> list[F]:
     """The k = 0 root, each exposed root and the sup of the per-n record."""
     r = per_n_coefficients(n)
-    found = [-const / slope for _, const, slope in r.exposed] + [r.sup]
+    found = [F(-const, slope) for _, const, slope in r.exposed] + [r.sup]
     if r.k0_slope < 0:
-        found.append(-r.k0_const / r.k0_slope)
+        found.append(F(-r.k0_const, r.k0_slope))
     return [root for root in found if root is not None]
 
 
@@ -225,11 +225,11 @@ class TestDualRoutes:
 class TestPerNBounds:
     def test_affine_bounds_at_n1_by_hand(self):
         r = per_n_coefficients(1)
-        assert -r.const_a / r.slope_a == F(30, 11)
-        assert -r.const_b / r.slope_b == F(14, 11)
-        assert -r.k0_const / r.k0_slope == F(43, 11)
+        assert F(-r.const_a, r.slope_a) == F(30, 11)
+        assert F(-r.const_b, r.slope_b) == F(14, 11)
+        assert F(-r.k0_const, r.k0_slope) == F(43, 11)
         # the scan stops once no later root can fall below the running minimum 28/11
-        assert [(k, -const / slope) for k, const, slope in r.exposed] == [
+        assert [(k, F(-const, slope)) for k, const, slope in r.exposed] == [
             (1, F(28, 11)),
             (2, F(106, 33)),
             (3, F(278, 55)),
@@ -261,12 +261,14 @@ class TestPerNBounds:
 
 class TestPerNRecord:
     def test_integer_record_matches_the_fraction_scan(self):
-        # every field, for each n up to the sweep's --n-max cap
+        # every field, for each n up to the sweep's --n-max cap: the integers
+        # are numerators over 88 * 16^n, and the k-th form's over 88 * 16^n * 4^k
         for n in range(201):
-            record = per_n_coefficients(n)
-            assert record._asdict() == (
-                per_n_coefficients_reference(n)
-            ), n
+            record, den = per_n_coefficients(n), 88 * 16**n
+            scaled = {name: F(v, den) for name, v in record._asdict().items() if name not in ("exposed", "sup")}
+            scaled["exposed"] = tuple((k, F(c, den * 4**k), F(s, den * 4**k)) for k, c, s in record.exposed)
+            scaled["sup"] = record.sup
+            assert scaled == per_n_coefficients_reference(n), n
 
     def test_exposed_roots_are_zeros_of_the_oracle(self):
         nudge = F(1, 10**40)
@@ -274,7 +276,7 @@ class TestPerNRecord:
         for n in range(1, tail_stopping_index().n_star + 1):
             for k, const, slope in per_n_coefficients(n).exposed:
                 assert slope < 0 < const
-                root = -const / slope
+                root = F(-const, slope)
                 assert p_n_bruteforce(root, k, n) == 0
                 assert p_n_bruteforce(root + nudge, k, n) < 0
                 checked += 1
@@ -291,7 +293,7 @@ class TestPerNRecord:
         x_max = certified_x_max()
         n = next(m for m in range(1, 102) if per_n_coefficients(m).sup == x_max)
         record = per_n_coefficients(n)
-        kept = tuple(form for form in record.exposed if -form[1] / form[2] != x_max)
+        kept = tuple(form for form in record.exposed if F(-form[1], form[2]) != x_max)
         assert len(kept) < len(record.exposed)  # the bound is attained by an exposed form
         broken = record._replace(exposed=kept)
         original = agler.per_n_coefficients

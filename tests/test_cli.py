@@ -155,6 +155,70 @@ class TestFit:
             f"error: cannot load moments: line 5 must be n,gamma_n with n in digits 0-9, got {row!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "first", ["+0,1", "\u0660,1", "#n,gamma_n", ",gamma_n"], ids=["signed", "arabic-indic", "hash", "empty"]
+    )
+    def test_a_first_row_is_a_header_only_if_it_starts_with_a_letter(self, first, tmp_path, capsys):
+        # any other first row must parse, so a bad one is named, not dropped
+        csv = tmp_path / "m.csv"
+        csv.write_text(f"{first}\n0,1\n1,1/2\n2,1/3\n")
+        assert main(["fit", str(csv), "--max-atoms", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot load moments: line 1 must be n,gamma_n with n in digits 0-9, got {first!r}\n"
+        )
+
+    @pytest.mark.parametrize("header", ["n,gamma_n", "index,value", "N"])
+    def test_a_first_row_starting_with_a_letter_is_a_header(self, header, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        csv.write_text(f"{header}\n" + "\n".join(f"{n},{F(1, 2**n)}" for n in range(3)))
+        assert main(["fit", str(csv), "--max-atoms", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"dim": 1, "atoms": [{"point": "1/2", "mass": "1"}]}
+
+
+class TestIntegerFlags:
+    """Every integer flag is read as ``-?[0-9]+`` in ASCII; int() alone would
+    also take other scripts' digits, "_" between digits and spaces."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check2d", "--x", "1/5", "--window", "\uff13x\uff13"],
+            ["check2d", "--x", "1/5", "--window", "3x3", "--restrict", "1_0,0"],
+            ["check2d", "--x", "1/5", "--window", "3x3", "--restrict", "1, 0"],
+            ["moments", "{measure}", "--n-max", "\uff13"],
+            ["moments", "{measure}", "--n-max", "+3"],
+            ["fit", "{csv}", "--max-atoms", "\u0661"],
+            ["check1d", "{weights}", "--order", "1_0"],
+            ["check1d", "{weights}", "--n-max", " 4"],
+            ["check1d", "{weights}", "--k-max", "2.0"],
+            ["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1", "--n-max", "\u0662"],
+            ["sweep", "--x-min", "1/5", "--x-max", "1/5", "--x-step", "1", "--k-max", "1_1"],
+        ],
+        ids=[
+            "window-fullwidth", "restrict-underscore", "restrict-space", "moments-fullwidth", "moments-plus",
+            "fit-arabic-indic", "check1d-order", "check1d-n-max", "check1d-k-max", "sweep-n-max", "sweep-k-max",
+        ],
+    )
+    def test_non_ascii_integers_are_usage_errors(self, argv, xi_a_file, weights_file, tmp_path):
+        csv = tmp_path / "m.csv"
+        csv.write_text(two_atom_csv(9))
+        paths = {"measure": xi_a_file, "weights": weights_file, "csv": str(csv)}
+        assert _run_contract([arg.format(**paths) for arg in argv]) == (2, None)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["moments", "{measure}", "--n-max", "-1"], "need --n-max >= 0"),
+            (["check2d", "--x", "1/5", "--window=-1x2"], "window sides must be >= 1"),
+            (["check2d", "--x", "1/5", "--restrict=-1,0"], "base point must be in the quadrant"),
+            (["sweep", "--x-min", "1/5", "--x-max", "1", "--x-step", "1", "--k-max", "-1"],
+             "need --n-max >= 1 and --k-max >= 0"),
+        ],
+    )
+    def test_negative_values_reach_the_range_checks(self, argv, message, xi_a_file, capsys):
+        assert main([arg.format(measure=xi_a_file) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCheck1D:
     def test_measure_weights_pass(self, weights_file, capsys):

@@ -553,8 +553,9 @@ class TestFamilyReport:
             "t2_subnormal": True,
             "pair_subnormal": False,
         }
-        assert report["thresholds"]["t2"] == "8/33"
-        assert report["thresholds"]["pair"] == "2/11"
+        assert report["x"] == F(1, 5)
+        assert report["thresholds"]["t2"] == F(8, 33)
+        assert report["thresholds"]["pair"] == F(2, 11)
 
     def test_report_serializes(self):
         text = to_json(family_report(F(2, 11)))

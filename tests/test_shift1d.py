@@ -67,10 +67,10 @@ def agler_sums_1d_reference(w, n_max, k_max):
                 return Certificate(
                     "agler_sums_1d",
                     False,
-                    {"n": n, "k": k, "value": str(total), "rescaled_by": str(scale)},
+                    {"n": n, "k": k, "value": total, "rescaled_by": scale},
                 )
     return Certificate(
-        "agler_sums_1d", True, {"n_max": n_max, "k_max": k_max, "rescaled_by": str(scale)}
+        "agler_sums_1d", True, {"n_max": n_max, "k_max": k_max, "rescaled_by": scale}
     )
 
 
@@ -308,6 +308,37 @@ class TestSubnormalNecessary:
 
     def test_order_zero_is_trivial(self):
         assert subnormal_necessary(seq_a(), 0).ok
+
+
+class TestPastTheDigitLimit:
+    """A witness holds exact values, so a verdict on rationals past Python's
+    4300-digit str() limit still returns, and its witness replays."""
+
+    TINY = F(1, 10**5000)
+
+    def weights(self):
+        return WeightSequence1D.from_prefix([F(1), self.TINY, F(1)])
+
+    def test_hankel_witness_replays(self):
+        w = self.weights()
+        cert = subnormal_necessary(w, 2)
+        assert not cert.ok
+        plain = cert.witness["hankel"]
+        assert not plain.ok
+        v, gammas = plain.witness["vector"], [w.moment(i) for i in range(5)]
+        value = sum(v[i] * v[j] * gammas[i + j] for i in range(3) for j in range(3))
+        assert value == plain.witness["value"] < 0
+
+    def test_agler_witness_replays(self):
+        cert = agler_sums_1d(self.weights(), 3, 2)
+        assert not cert.ok
+        n, k = cert.witness["n"], cert.witness["k"]
+        gammas = [F(1), F(1), self.TINY, self.TINY, self.TINY, self.TINY]  # the bound is 1
+        table = gammas
+        for _ in range(n):
+            table = [a - b for a, b in zip(table, table[1:])]
+        assert cert.witness["rescaled_by"] == 1
+        assert cert.witness["value"] == table[k] / gammas[k] < 0
 
 
 class TestAglerSums1D:

@@ -98,7 +98,7 @@ def reference_commutativity_check(diagram: WeightDiagram, window) -> Certificate
                 return Certificate(
                     "commutativity_check",
                     False,
-                    {"k": [k1, k2], "lhs": str(lhs), "rhs": str(rhs)},
+                    {"k": [k1, k2], "lhs": lhs, "rhs": rhs},
                 )
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
@@ -111,7 +111,7 @@ def reference_check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, windo
             lhs, rhs = canonical_moment(diagram, k1, k2), moment2(mu, k1, k2)
             if lhs != rhs:
                 return Certificate(
-                    "check_berger_2d", False, {"k": [k1, k2], "diagram": str(lhs), "measure": str(rhs)}
+                    "check_berger_2d", False, {"k": [k1, k2], "diagram": lhs, "measure": rhs}
                 )
     return Certificate("check_berger_2d", True, {"window": (w, h)})
 
@@ -139,7 +139,7 @@ def reference_joint_hyponormality_window(diagram: WeightDiagram, window) -> Cert
                     {
                         "window": [w, h],
                         "k": [k1, k2],
-                        **{name: None if v is None else str(v) for name, v in zip("adPQ", (a, d, p, q))},
+                        **{name: v for name, v in zip("adPQ", (a, d, p, q))},
                     },
                 )
     return Certificate(
@@ -260,7 +260,7 @@ class TestCommutativity:
         assert canonical_moment(unit, 6, 2) == 1
         cert = commutativity_check(unit, (6, 2))
         assert not cert.ok
-        assert dict(cert.witness) == {"k": [0, 0], "lhs": "1", "rhs": "1/2"}
+        assert dict(cert.witness) == {"k": [0, 0], "lhs": F(1), "rhs": F(1, 2)}
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -391,11 +391,11 @@ class TestBerger2DKernel:
         "atoms, k, diagram_moment, measure_moment",
         [
             # mass 1/2: the first test, at the origin
-            ([((F(1, 4), F(1, 4)), F(1, 4)), ((F(1, 2), F(1, 2)), F(1, 4))], [0, 0], "1", "1/2"),
+            ([((F(1, 4), F(1, 4)), F(1, 4)), ((F(1, 2), F(1, 2)), F(1, 4))], [0, 0], F(1), F(1, 2)),
             # t-moments of MU_CAP, one s-coordinate moved: row 0
-            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 3), F(1, 2)), F(1, 2))], [1, 0], "3/8", "7/24"),
+            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 3), F(1, 2)), F(1, 2))], [1, 0], F(3, 8), F(7, 24)),
             # s-moments of MU_CAP, one t-coordinate moved: above row 0
-            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 2), F(1, 3)), F(1, 2))], [0, 1], "3/8", "7/24"),
+            ([((F(1, 4), F(1, 4)), F(1, 2)), ((F(1, 2), F(1, 3)), F(1, 2))], [0, 1], F(3, 8), F(7, 24)),
         ],
         ids=["origin", "row-0", "above-row-0"],
     )
@@ -718,14 +718,14 @@ class TestIntegerKernels:
         # a == 0 and P != Q: the off-diagonal entry is not 0
         cert = joint_hyponormality_window(single_block(one, one, F(2), one, F(3), one), (2, 2))
         assert not cert.ok
-        assert cert.witness["a"] == "0" and cert.witness["P"] == "2" and cert.witness["Q"] == "1"
+        assert cert.witness["a"] == 0 and cert.witness["P"] == 2 and cert.witness["Q"] == 1
 
     def test_negative_diagonal_entry_witness(self):
         one = F(1)
         cert = joint_hyponormality_window(single_block(F(2), one, one, one, F(3), one), (2, 2))
         assert not cert.ok
         assert dict(cert.witness) == {
-            "window": [2, 2], "k": [0, 0], "a": "-1", "d": "2", "P": None, "Q": None,
+            "window": [2, 2], "k": [0, 0], "a": F(-1), "d": F(2), "P": None, "Q": None,
         }
 
 
