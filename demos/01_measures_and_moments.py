@@ -42,11 +42,11 @@ print("gamma_(1,1) =", moment2(mu, 1, 1))
 print("x-marginal:", marginal(mu, "x"))
 print("y-marginal:", marginal(mu, "y"))
 
-# ||1/t|| can be computed on the plane or on the y-marginal; the two
-# groupings of the same finite sum must agree exactly
-norm = reciprocal_norm(mu, axis="t")
+# ||1/t|| is the norm of the y-marginal: the sum over the planar atoms,
+# grouped by their t coordinate, must agree with it exactly
+norm = reciprocal_norm(marginal(mu, "y"))
 print("\n||1/t|| =", norm)
-assert norm == reciprocal_norm(marginal(mu, "y"))
+assert norm == sum(m / t for (_, t), m in mu.atoms)
 
 # reweighting by 1/(t ||1/t||) gives the extremal probability measure
 ext = extremal(mu, axis="t")

@@ -21,11 +21,9 @@ from .errors import (
     ZeroMomentError,
 )
 from .measures import (
-    INFINITE,
     AtomicMeasure1D,
     AtomicMeasure2D,
     extremal,
-    is_infinite,
     marginal,
     measure_from_dict,
     moment1,
@@ -34,7 +32,6 @@ from .measures import (
     restrict_density,
 )
 from .numerics import (
-    SymmetricExactMatrix,
     is_psd,
     parse_rational,
 )
@@ -80,14 +77,12 @@ __all__ = [
     "AtomicMeasure1D",
     "AtomicMeasure2D",
     "Certificate",
-    "INFINITE",
     "InconsistentMomentsError",
     "InfiniteReciprocalNormError",
     "NoRationalAtomsError",
     "PAIR_THRESHOLD",
     "RankExceededError",
     "ShiftCertError",
-    "SymmetricExactMatrix",
     "T2_THRESHOLD",
     "WeightDiagram",
     "WeightSequence1D",
@@ -104,7 +99,6 @@ __all__ = [
     "family_diagram",
     "family_report",
     "integral_moment",
-    "is_infinite",
     "is_pair_subnormal",
     "is_psd",
     "is_t1_subnormal",

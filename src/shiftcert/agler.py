@@ -76,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certificate import Certificate
-from .lubin import PAIR_THRESHOLD, gamma_row, moment2d
+from .lubin import PAIR_THRESHOLD, _parameter, gamma_row, moment2d
 from .numerics import _first_power_at_least
 
 C_SIXTEENTH = Fraction(1, 16)
@@ -232,9 +232,7 @@ def p_n_closed(x, k: int, n: int) -> Fraction:
 def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
     """P_n(k, 0) for each k in ``ks``, with A_n(x), B_n(x), C_n computed once,
     as integer numerators; one Fraction is built per k."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _parameter(x)
     if n < 1 or any(k < 0 for k in ks):
         raise ValueError("need n >= 1 and k >= 0")
     a, b, c, k0 = _numerators_at(n, x)
@@ -255,9 +253,7 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
     under distinct degree-l monomials, with multinomial weights C(l,i)^2
     and moment ratios off anti-diagonals of the table.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _parameter(x)
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     base = moment2d(k, 0, x)
@@ -303,9 +299,7 @@ def positivity_over_all_k(x, n: int) -> Certificate:
     a cached root.  A pass witness counts the forms checked; a failure
     witness names the least failing k and the value P_n(k, 0) < 0 there.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _parameter(x)
     if n < 1:
         raise ValueError("n must be >= 1")
     record = per_n_coefficients(n)
@@ -382,9 +376,7 @@ def certify_sum(x) -> Certificate:
     least failing k and the value P_n(k, 0) < 0 there, or the cap it
     exceeds.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _parameter(x)
     tail = tail_stopping_index()
     violation = None
     for n in range(1, tail.n_star + 1):

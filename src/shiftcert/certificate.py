@@ -22,7 +22,7 @@ class Certificate:
 
     __slots__ = ("check", "ok", "witness")
 
-    def __init__(self, check: str, ok: bool, witness: Mapping[str, Any] = MappingProxyType({})):
+    def __init__(self, check: str, ok: bool, witness: Mapping[str, Any]):
         object.__setattr__(self, "check", check)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", MappingProxyType(dict(witness)))

@@ -6,7 +6,7 @@ class ShiftCertError(Exception):
 
 
 class ZeroMomentError(ShiftCertError):
-    """A moment that must be positive vanished (measure concentrated at 0)."""
+    """A moment that must be positive vanished (the zero measure, or one concentrated at 0)."""
 
 
 class InfiniteReciprocalNormError(ShiftCertError):

@@ -2,15 +2,15 @@
 
 Atom lists are kept canonical -- sorted by location, distinct locations,
 strictly positive rational masses -- so equality of measures is structural
-equality.  Non-integrability of 1/coordinate is a *value* (:data:`INFINITE`),
-not an error: several subnormality tests read it as a definite negative
-answer.
+equality.
 
 The calculus implemented here:
 
 * moments ``moment1`` / ``moment2`` (with the convention 0^0 = 1),
 * marginals of planar measures (pushforward onto an axis, masses merged),
-* the reciprocal norm  || 1/t ||_{L1(mu)}  along either coordinate,
+* the reciprocal norm  || 1/s ||_{L1(xi)}  of a half-line measure, ``None``
+  when an atom at 0 makes it diverge (a planar measure's norm is its
+  marginal's),
 * the extremal reweighting  d(mu_ext) = (1 / (t * ||1/t||)) d(mu),
 * the restriction density  d(xi_i) = (s^i / gamma_i) d(xi), which is the
   Berger measure of a restricted shift.
@@ -28,27 +28,6 @@ from typing import Iterable
 
 from .errors import InfiniteReciprocalNormError, ZeroMomentError
 from .numerics import parse_rational
-
-
-class _Infinite:
-    """Sentinel for a divergent reciprocal norm."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-
-INFINITE = _Infinite()
-
-
-def is_infinite(value) -> bool:
-    return value is INFINITE
 
 
 def _axis_index(axis) -> int:
@@ -173,35 +152,24 @@ def marginal(mu: AtomicMeasure2D, axis) -> AtomicMeasure1D:
     return AtomicMeasure1D(merged.items())
 
 
-def reciprocal_norm(mu, axis=None):
-    """|| 1/coordinate ||_{L1(mu)}, or :data:`INFINITE` if an atom sits on the axis."""
-    if isinstance(mu, AtomicMeasure1D):
-        if axis is not None and _axis_index(axis) != 0:
-            raise ValueError("a measure on the half-line has only the first coordinate")
-        pairs = mu.atoms
-    elif isinstance(mu, AtomicMeasure2D):
-        if axis is None:
-            raise ValueError("axis is required for a planar measure")
-        idx = _axis_index(axis)
-        pairs = tuple((point[idx], m) for point, m in mu.atoms)
-    else:
-        raise TypeError(f"unsupported measure type {type(mu).__name__}")
-    total = Fraction(0)
-    for coordinate, m in pairs:
-        if coordinate == 0:
-            return INFINITE
-        total += m / coordinate
-    return total
+def reciprocal_norm(xi: AtomicMeasure1D) -> Fraction | None:
+    """|| 1/s ||_{L1(xi)}, or ``None`` when an atom sits at 0 and it diverges.
+
+    A planar measure's norm along a coordinate is the norm of its marginal.
+    """
+    if xi.atoms and xi.atoms[0][0] == 0:  # atoms are sorted, so an atom at 0 is first
+        return None
+    return sum((m / p for p, m in xi.atoms), Fraction(0))
 
 
 def extremal(mu: AtomicMeasure2D, axis) -> AtomicMeasure2D:
     """Reweight by 1/(coordinate * ||1/coordinate||); a probability measure."""
-    norm = reciprocal_norm(mu, axis)
-    if is_infinite(norm):
+    idx = _axis_index(axis)
+    norm = reciprocal_norm(marginal(mu, idx))
+    if norm is None:
         raise InfiniteReciprocalNormError(
             "extremal measure undefined: an atom lies on the coordinate axis"
         )
-    idx = _axis_index(axis)
     return AtomicMeasure2D(
         (point, m / (point[idx] * norm)) for point, m in mu.atoms
     )
@@ -211,21 +179,18 @@ def restrict_density(xi: AtomicMeasure1D, i: int) -> AtomicMeasure1D:
     """The measure with density s^i / gamma_i against xi.
 
     This is the Berger measure of the shift restricted to the invariant
-    subspace spanned by basis vectors of index >= i.  Atoms at 0 vanish
-    for i >= 1; a measure concentrated at 0 has gamma_i == 0 and no
-    restriction, which raises :class:`ZeroMomentError`.
+    subspace spanned by basis vectors of index >= i; level 0 normalizes
+    xi.  With 0^0 = 1, an atom at 0 is kept at level 0 and vanishes at
+    every later level.  A measure with gamma_i == 0 (the zero measure, or
+    at i >= 1 one concentrated at 0) has no restriction, which raises
+    :class:`ZeroMomentError`.
     """
     if i < 0:
         raise ValueError("restriction index must be >= 0")
-    if i == 0:
-        gamma = moment1(xi, 0)
-        if gamma == 0:
-            raise ZeroMomentError("cannot normalize the zero measure")
-        return xi.scaled(1 / gamma) if gamma != 1 else xi
     gamma = moment1(xi, i)
     if gamma == 0:
         raise ZeroMomentError(f"moment of order {i} vanishes; no restriction density")
-    return AtomicMeasure1D((p, m * p**i / gamma) for p, m in xi.atoms if p != 0)
+    return AtomicMeasure1D((p, m * p**i / gamma) for p, m in xi.atoms if p or not i)
 
 
 def measure_from_dict(data: dict):

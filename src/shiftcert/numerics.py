@@ -5,10 +5,12 @@ rationals in lowest terms, which is exactly the arithmetic needed to
 separate thresholds such as 2/11 from 8/33 without any tolerance budget.
 No float appears anywhere in the package.
 
-Besides the matrix kernels, :func:`exponential_sum_sign` decides the sign
-of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once, and
-:func:`exponential_sum_threshold` finds the exact parameter range on which
-such a sum, with coefficients affine in a parameter, stays nonnegative.
+The matrix kernels :func:`is_psd` and :func:`rref` take a matrix as the
+list of its rows.  Besides them, :func:`exponential_sum_sign` decides the
+sign of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once,
+and :func:`exponential_sum_threshold` finds the exact parameter range on
+which such a sum, with coefficients affine in a parameter, stays
+nonnegative.
 """
 
 from __future__ import annotations
@@ -37,61 +39,25 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-class SymmetricExactMatrix:
-    """Dense symmetric matrix of rationals, validated on construction."""
-
-    __slots__ = ("_rows", "order")
-
-    def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        n = len(data)
-        for row in data:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if data[i][j] != data[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-        self._rows = data
-        self.order = n
-
-    @classmethod
-    def hankel(cls, values: Sequence, order: int) -> "SymmetricExactMatrix":
-        """[values[i + j]] for 0 <= i, j < order; needs 2*order - 1 values."""
-        vals = [Fraction(v) for v in values]
-        if len(vals) < 2 * order - 1:
-            raise ValueError("not enough values for the requested Hankel order")
-        return cls([[vals[i + j] for j in range(order)] for i in range(order)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
-
-    def quadratic_form(self, vector: Sequence) -> Fraction:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.order:
-            raise ValueError("vector length must match the matrix order")
-        return sum(v[i] * self._rows[i][j] * v[j] for i in range(self.order) for j in range(self.order))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricExactMatrix) and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"SymmetricExactMatrix(order={self.order})"
-
-
-def is_psd(matrix: SymmetricExactMatrix) -> Certificate:
+def is_psd(rows: Sequence[Sequence]) -> Certificate:
     """Exact positive-semidefiniteness decision with witnesses.
 
-    Rational LDL^T elimination with exact zero tests.  A zero pivot is
-    legal only when its entire residual row vanishes; otherwise, or when a
-    pivot goes negative, the elimination state lifts to an explicit
-    rational vector v with v^T M v < 0, which the certificate carries.
+    ``rows`` are the rows of a square symmetric matrix of rationals (ints
+    or Fractions); anything else raises ``ValueError``.  Rational LDL^T
+    elimination with exact zero tests.  A zero pivot is legal only when
+    its entire residual row vanishes; otherwise, or when a pivot goes
+    negative, the elimination state lifts to an explicit rational vector
+    v with v^T M v < 0, which the certificate carries.
     """
-    n = matrix.order
-    s = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
+    matrix = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for j in range(i):
+            if row[j] != matrix[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    s = [row[:] for row in matrix]
     lower = [[Fraction(0)] * n for _ in range(n)]
     pivots: list[Fraction] = []
     for k in range(n):
@@ -119,7 +85,7 @@ def is_psd(matrix: SymmetricExactMatrix) -> Certificate:
 
 def _negativity_certificate(matrix, lower, support) -> Certificate:
     # Lift a bad vector from Schur-complement coordinates: solve L^T v = u.
-    n = matrix.order
+    n = len(matrix)
     v = [Fraction(0)] * n
     for i in reversed(range(n)):
         acc = support.get(i, Fraction(0))
@@ -127,7 +93,7 @@ def _negativity_certificate(matrix, lower, support) -> Certificate:
             if lower[j][i]:
                 acc -= lower[j][i] * v[j]
         v[i] = acc
-    value = matrix.quadratic_form(v)
+    value = sum(v[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
     if not value < 0:
         raise ArithmeticError("internal error: lifted witness is not negative")
     return Certificate("is_psd", False, {"order": n, "vector": v, "value": value})

@@ -25,11 +25,9 @@ from shiftcert.certificate import Certificate
 from shiftcert.errors import ShiftCertError
 from shiftcert.lubin import family_diagram, xi_a
 from shiftcert.measures import (
-    INFINITE,
     AtomicMeasure1D,
     AtomicMeasure2D,
     extremal,
-    is_infinite,
     marginal,
     reciprocal_norm,
     restrict_density,
@@ -140,9 +138,9 @@ def dominates(mu: AtomicMeasure1D, nu: AtomicMeasure1D) -> Certificate:
 
 
 def domination_scale_bound(mu: AtomicMeasure1D, nu: AtomicMeasure1D):
-    """Largest c >= 0 with c*mu <= nu atomwise; INFINITE when mu is the zero measure."""
+    """Largest c >= 0 with c*mu <= nu atomwise; None (no bound) when mu is the zero measure."""
     if not mu.atoms:
-        return INFINITE
+        return None
     return min(mass_at(nu, p) / m for p, m in mu.atoms)
 
 
@@ -193,8 +191,8 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
         "domination": None,
         "new_measure": None,
     }
-    norm = reciprocal_norm(mu_sub, "t")
-    if is_infinite(norm):
+    norm = reciprocal_norm(marginal(mu_sub, "t"))
+    if norm is None:
         return Certificate("backward_extension_2d", False, witness)
     bound = 1 / norm
     weight_ok = beta0 <= bound
@@ -228,7 +226,7 @@ def pair_threshold_reference() -> Fraction:
     step_one = backward_extension_2d(Fraction(1, 8), mu_m_cap_n(), xi_b_level1(), "horizontal")
     if not step_one.ok or step_one.witness["new_measure"] != mu_m():
         raise ArithmeticError("the horizontal extension step failed to rebuild mu_M")
-    norm = reciprocal_norm(mu_m(), "t")
+    norm = reciprocal_norm(marginal(mu_m(), "t"))
     per_unit_x = marginal(extremal(mu_m(), "t"), "x").scaled(norm)
     return min(domination_scale_bound(per_unit_x, xi_a()), 1 / norm)
 

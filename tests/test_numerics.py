@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert.numerics import (
-    SymmetricExactMatrix,
     _first_power_at_least,
     exponential_sum_sign,
     exponential_sum_threshold,
@@ -18,8 +17,13 @@ from shiftcert.numerics import (
 
 
 def from_function(order, fn):
-    """The order x order matrix [fn(i, j)]."""
-    return SymmetricExactMatrix([[fn(i, j) for j in range(order)] for i in range(order)])
+    """The rows of the order x order matrix [fn(i, j)]."""
+    return [[fn(i, j) for j in range(order)] for i in range(order)]
+
+
+def quadratic_form(rows, v):
+    """v^T M v for the matrix with the given rows, summed directly."""
+    return sum(v[i] * rows[i][j] * v[j] for i in range(len(rows)) for j in range(len(rows)))
 
 
 rationals = st.fractions(
@@ -86,24 +90,31 @@ class TestArcsineQuadrature:
 
 
 class TestSymmetricExactMatrix:
-    def test_hankel_layout(self):
-        values = [F(1), F(2), F(3), F(4), F(5)]
-        h = SymmetricExactMatrix.hankel(values, 3)
-        assert h.entry(0, 2) == h.entry(1, 1) == F(3)
-        assert h.entry(2, 2) == F(5)
-
-    def test_hankel_needs_enough_values(self):
-        with pytest.raises(ValueError):
-            SymmetricExactMatrix.hankel([F(1), F(2)], 2)
-
+    # is_psd takes a matrix as its rows and checks the shape and symmetry itself
     def test_quadratic_form_by_hand(self):
         m = from_function(2, lambda i, j: F(i + j + 1))
         # [[1,2],[2,3]], v = (1,-1): 1 - 2 - 2 + 3 = 0
-        assert m.quadratic_form([F(1), F(-1)]) == 0
+        assert quadratic_form(m, [F(1), F(-1)]) == 0
 
     def test_asymmetric_function_rejected(self):
-        with pytest.raises(ValueError):
-            from_function(2, lambda i, j: F(i - j))
+        with pytest.raises(ValueError, match="not symmetric at"):
+            is_psd(from_function(2, lambda i, j: F(i - j)))
+
+    @pytest.mark.parametrize(
+        "rows", [[[F(1), F(0)]], [[F(1), F(0)], [F(0)]], [[F(1)], [F(0), F(1)]]], ids=["wide", "short-row", "long-row"]
+    )
+    def test_non_square_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            is_psd(rows)
+
+    def test_integer_rows_fail_with_a_rational_witness(self):
+        # int entries: an int / int division would give a float vector
+        rows = [[1, 2], [2, 1]]
+        cert = is_psd(rows)
+        assert not cert.ok
+        v, value = cert.witness["vector"], cert.witness["value"]
+        assert all(type(t) is F for t in v) and type(value) is F
+        assert quadratic_form(rows, v) == value < 0
 
 
 class TestIsPsd:
@@ -126,7 +137,7 @@ class TestIsPsd:
         cert = is_psd(m)
         assert not cert.ok
         v = [F(t) for t in cert.witness["vector"]]
-        value = m.quadratic_form(v)
+        value = quadratic_form(m, v)
         assert value < 0
         assert value == F(cert.witness["value"])
 
@@ -142,7 +153,7 @@ class TestIsPsd:
         cert = is_psd(m)
         assert not cert.ok
         v = [F(t) for t in cert.witness["vector"]]
-        assert m.quadratic_form(v) < 0
+        assert quadratic_form(m, v) < 0
 
     @given(
         entries=st.lists(rationals, min_size=9, max_size=9),
@@ -170,7 +181,7 @@ class TestIsPsd:
         cert = is_psd(m)
         if not cert.ok:
             v = [F(t) for t in cert.witness["vector"]]
-            assert m.quadratic_form(v) < 0
+            assert quadratic_form(m, v) < 0
 
 
 class TestLinearAlgebraHelpers:

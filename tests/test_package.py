@@ -186,6 +186,25 @@ def test_cached_threshold_t1_is_read_only():
         cert.witness["m_max"] = 0
 
 
+def test_all_lists_exactly_the_imported_names():
+    # a deleted export that lingers in __all__ breaks `from shiftcert import *`
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(shiftcert.__all__) == len(set(shiftcert.__all__))
+    assert set(shiftcert.__all__) == imported
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "from shiftcert import *; import shiftcert; print(set(shiftcert.__all__) <= set(globals()))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "True"
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer patches these names by lookup; read its tables
     # without importing it, so a deleted or renamed function fails here
