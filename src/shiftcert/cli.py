@@ -44,6 +44,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 from . import agler, lubin
@@ -249,9 +250,9 @@ def cmd_check2d(args) -> int:
         checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
         lines = ["k1,k2,alpha_sq,beta_sq"]
-        for k2 in range(h):
-            for k1 in range(w):
-                lines.append(f"{k1},{k2},{diagram.alpha_sq(k1, k2)!s},{diagram.beta_sq(k1, k2)!s}")
+        for k2, (alpha_row, beta_row) in enumerate(zip(diagram.alpha_rows(w, h), diagram.beta_rows(w, h))):
+            for k1, (alpha, beta) in enumerate(zip(alpha_row, beta_row)):
+                lines.append(f"{k1},{k2},{Fraction(*alpha)},{Fraction(*beta)}")
         if _emit("\n".join(lines), args.dump) == 2:
             return 2
     payload = {

@@ -46,7 +46,7 @@ from math import lcm
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
-from .numerics import exponential_sum_sign, exponential_sum_threshold
+from .numerics import _index, exponential_sum_sign, exponential_sum_threshold
 from .shift2d import WeightDiagram
 
 _HALF = Fraction(1, 2)
@@ -129,6 +129,7 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
     gamma_{(k1,k2)} = (x/8) (1/2 (1/4)^{k1+k2-2} + 1/2 (1/2)^{k1+k2-2}).
     """
     x = _parameter(x)
+    k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
     if k1 < 0 or k2 < 0:
         raise ValueError("lattice indices must be >= 0")
     if k2 == 0:

@@ -15,6 +15,7 @@ nonnegative.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import lcm
@@ -37,6 +38,18 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(s)
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int, for a lattice index, a moment order or a window side.
+
+    Only integer types pass (``operator.index``): a float would be truncated
+    or leak into the exact arithmetic as a float power.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def is_psd(rows: Sequence[Sequence]) -> Certificate:

@@ -24,12 +24,16 @@ characterization:
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
 
-A diagram is its two weight rules and holds no other state.  The checks
-read each weight they need once and decide by the signs of integers,
-cross-multiplying numerators and (positive) denominators with no gcd
-taken; a fraction is built only for a failure witness.  The Berger check
-steps along the canonical path (row 0, then up a column) as it scans,
-so it builds no moment table.
+A diagram is its two weight rules and holds no other state.  Every check
+reads its weights through one window reader, ``alpha_rows`` /
+``beta_rows``: one rule call per lattice point, row by row, each weight
+validated positive and kept as a (numerator, positive denominator) pair
+of ints.  The checks then decide by the signs of integers,
+cross-multiplying numerators and denominators with no gcd taken; a
+fraction is built only for a failure witness.  The point reads
+``alpha_sq`` / ``beta_sq`` validate with the same helper and message.
+The Berger check steps along the canonical path (row 0, then up a
+column) as it scans, so it builds no moment table.
 """
 
 from __future__ import annotations
@@ -40,42 +44,72 @@ from typing import Callable
 
 from .certificate import Certificate
 from .measures import AtomicMeasure2D
+from .numerics import _index
+
+Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
+Rule = Callable[[int, int], Fraction]  # a squared weight by lattice point
 
 
 def _check_window(window) -> tuple[int, int]:
-    w, h = window
+    w, h = (_index(side, "a window side") for side in window)
     if w < 1 or h < 1:
         raise ValueError("window sides must be >= 1")
-    return int(w), int(h)
+    return w, h
 
 
-def _positive(name: str, key: tuple[int, int], value) -> Fraction:
-    # a Fraction's denominator is positive, so its numerator carries the sign
-    v = value if type(value) is Fraction else Fraction(value)
-    if v.numerator <= 0:
-        raise ValueError(f"{name} at {key} must be positive, got {v}")
-    return v
+def _positive(name: str, k1: int, k2: int, value) -> Pair:
+    """A squared weight as a Pair, which must be positive."""
+    n, d = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
+    if n <= 0:
+        raise ValueError(f"{name} at {(k1, k2)} must be positive, got {Fraction(n, d)}")
+    return n, d
 
 
-Rule = Callable[[int, int], Fraction]  # a squared weight by lattice point
+def _rows(rule: Rule, name: str, w: int, h: int) -> list[list[Pair]]:
+    """rule(k1, k2) for k1 < w and k2 < h as Pairs, one call per point, row
+    by row; a positive Fraction unpacks in place, any other value goes
+    through _positive."""
+    rows = []
+    for k2 in range(h):
+        row = []
+        for k1 in range(w):
+            value = rule(k1, k2)
+            pair = value.as_integer_ratio() if type(value) is Fraction else None
+            if pair is None or pair[0] <= 0:
+                pair = _positive(name, k1, k2, value)
+            row.append(pair)
+        rows.append(row)
+    return rows
 
 
 class WeightDiagram:
     """Squared weights (alpha^2, beta^2) indexed by lattice points: the two
-    rules, each read validated, and no other state."""
+    rules and no other state.  A point read gives a Fraction, a window read
+    rows of Pairs; both validate each weight the same way."""
 
     def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule):
         self._alpha_rule = alpha_sq_rule
         self._beta_rule = beta_sq_rule
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        return _positive("alpha^2", (k1, k2), self._alpha_rule(k1, k2))
+        k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
+        return Fraction(*_positive("alpha^2", k1, k2, self._alpha_rule(k1, k2)))
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
-        return _positive("beta^2", (k1, k2), self._beta_rule(k1, k2))
+        k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
+        return Fraction(*_positive("beta^2", k1, k2, self._beta_rule(k1, k2)))
+
+    def alpha_rows(self, w: int, h: int) -> list[list[Pair]]:
+        """alpha^2 on k1 < w, k2 < h: rows of (numerator, denominator) pairs."""
+        return _rows(self._alpha_rule, "alpha^2", w, h)
+
+    def beta_rows(self, w: int, h: int) -> list[list[Pair]]:
+        """beta^2 on k1 < w, k2 < h: rows of (numerator, denominator) pairs."""
+        return _rows(self._beta_rule, "beta^2", w, h)
 
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): its rules translated."""
+        i, j = _index(i, "base point"), _index(j, "base point")
         if i < 0 or j < 0:
             raise ValueError("base point must be in the quadrant")
         if i == 0 and j == 0:
@@ -95,20 +129,18 @@ def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
     only for a failure witness.
     """
     w, h = _check_window(window)
-    alpha = [[diagram.alpha_sq(k1, k2) for k1 in range(w)] for k2 in range(h + 1)]
-    beta = [[diagram.beta_sq(k1, k2) for k1 in range(w + 1)] for k2 in range(h)]
+    alpha = diagram.alpha_rows(w, h + 1)
+    beta = diagram.beta_rows(w + 1, h)
     for k2 in range(h):
-        alpha_row, alpha_up, beta_row = alpha[k2], alpha[k2 + 1], beta[k2]
-        for k1 in range(w):
-            b1, a0 = beta_row[k1 + 1], alpha_row[k1]
-            a2, b0 = alpha_up[k1], beta_row[k1]
-            lhs_n, lhs_d = b1.numerator * a0.numerator, b1.denominator * a0.denominator
-            rhs_n, rhs_d = a2.numerator * b0.numerator, a2.denominator * b0.denominator
-            if lhs_n * rhs_d != rhs_n * lhs_d:
+        beta_row = beta[k2]
+        for k1, ((a0n, a0d), (a2n, a2d), (b0n, b0d), (b1n, b1d)) in enumerate(
+            zip(alpha[k2], alpha[k2 + 1], beta_row, beta_row[1:])
+        ):
+            if b1n * a0n * a2d * b0d != a2n * b0n * b1d * a0d:
                 return Certificate(
                     "commutativity_check",
                     False,
-                    {"k": [k1, k2], "lhs": b1 * a0, "rhs": a2 * b0},
+                    {"k": [k1, k2], "lhs": Fraction(b1n * a0n, b1d * a0d), "rhs": Fraction(a2n * b0n, a2d * b0d)},
                 )
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
@@ -136,11 +168,15 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     is row-major, so each point's predecessor on the canonical path,
     (k1-1, 0) on row 0 and (k1, k2-1) above it, has already matched the
     diagram: the mass must be 1, and every other measure moment its
-    predecessor's times the squared weight between them.  Each test is one
-    integer cross-multiplication; a Fraction is built only for a failure
-    witness, where predecessor times weight is the diagram moment.
+    predecessor's times the squared weight between them.  The w - 1
+    alphas on row 0 and the w (h - 1) betas below the top row are read up
+    front, so a non-positive one raises even past a mismatch.  Each test
+    is one integer cross-multiplication; a Fraction is built only for a
+    failure witness, where predecessor times weight is the diagram moment.
     """
     w, h = _check_window(window)
+    (alpha,) = diagram.alpha_rows(w - 1, 1)
+    beta = diagram.beta_rows(w, h - 1)
     f = lcm(*(m.denominator for _, m in mu.atoms))
     b = lcm(*(s.denominator for (s, _), _ in mu.atoms))
     d = lcm(*(t.denominator for (_, t), _ in mu.atoms))
@@ -154,14 +190,14 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
         for k1 in range(w):
             numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
             if k2:
-                weight, previous, step = diagram.beta_sq(k1, k2 - 1), below[k1], d
+                (wn, wd), previous, step = beta[k2 - 1][k1], below[k1], d
             elif k1:
-                weight, previous, step = diagram.alpha_sq(k1 - 1, 0), numerators[k1 - 1], b
+                (wn, wd), previous, step = alpha[k1 - 1], numerators[k1 - 1], b
             else:
-                weight, previous, step = Fraction(1), f, 1  # the mass N(0, 0) / f
-            if numerator * weight.denominator != previous * weight.numerator * step:
+                (wn, wd), previous, step = (1, 1), f, 1  # the mass N(0, 0) / f
+            if numerator * wd != previous * wn * step:
                 denominator = f * b**k1 * d**k2
-                lhs = Fraction(previous, denominator // step) * weight
+                lhs = Fraction(previous * wn, denominator // step * wd)
                 rhs = Fraction(numerator, denominator)
                 return Certificate(
                     "check_berger_2d",
@@ -197,32 +233,28 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     lies in the window, and each is read once.
     """
     w, h = _check_window(window)
-    alpha = [[diagram.alpha_sq(k1, k2) for k1 in range(w)] for k2 in range(h)]
-    beta = [[diagram.beta_sq(k1, k2) for k1 in range(w)] for k2 in range(h)]
+    alpha = diagram.alpha_rows(w, h)
+    beta = diagram.beta_rows(w, h)
     for k2 in range(h):
         alpha_row, beta_row = alpha[k2], beta[k2]
         for k1 in range(w):
-            a0, b0 = alpha_row[k1], beta_row[k1]
+            a0n, a0d = alpha_row[k1]
+            b0n, b0d = beta_row[k1]
             a = d = p = q = None  # each entry as (numerator, positive denominator)
             if k1 + 1 < w:
-                a1 = alpha_row[k1 + 1]
-                a = (
-                    a1.numerator * a0.denominator - a0.numerator * a1.denominator,
-                    a0.denominator * a1.denominator,
-                )
+                a1n, a1d = alpha_row[k1 + 1]
+                a = (a1n * a0d - a0n * a1d, a0d * a1d)
             if k2 + 1 < h:
-                b1 = beta[k2 + 1][k1]
-                d = (
-                    b1.numerator * b0.denominator - b0.numerator * b1.denominator,
-                    b0.denominator * b1.denominator,
-                )
+                b1n, b1d = beta[k2 + 1][k1]
+                d = (b1n * b0d - b0n * b1d, b0d * b1d)
             ok = (a is None or a[0] >= 0) and (d is None or d[0] >= 0)
             if ok and a is not None and d is not None:
-                a2, b2 = alpha[k2 + 1][k1], beta_row[k1 + 1]
-                p = (a2.numerator * b2.numerator, a2.denominator * b2.denominator)
-                q = (a0.numerator * b0.numerator, a0.denominator * b0.denominator)
+                a2n, a2d = alpha[k2 + 1][k1]
+                b2n, b2d = beta_row[k1 + 1]
+                p = (a2n * b2n, a2d * b2d)
+                q = (a0n * b0n, a0d * b0d)
                 # r and 4 P Q times L and L^2, with L = P_den Q_den a1_den b1_den
-                scale = a1.denominator * b1.denominator
+                scale = a1d * b1d
                 r = scale * (p[0] * q[1] + q[0] * p[1]) - a[0] * d[0] * p[1]
                 ok = r <= 0 or r * r <= 4 * p[0] * q[0] * p[1] * q[1] * scale * scale
             if not ok:

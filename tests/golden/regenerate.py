@@ -33,6 +33,10 @@ INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected.json"
 
 CERTIFIED = "482964062/585323453"  # the certified bound for the sum, in the lubin cases
+# x with a 60-bit prime denominator 2^60 - 93, the widest the battery benchmark draws:
+# 0.15 in (0, 2/11], where the pair is subnormal, and 0.21 in (2/11, 8/33], where it is not
+X_PAIR = "172938225691027032/1152921504606846883"
+X_T2 = "242113515967437845/1152921504606846883"
 
 CASES = {
     # moments
@@ -84,6 +88,13 @@ CASES = {
     "check2d-all": [
         "check2d", "--x", "1/11", "--window", "3X3", "--berger", "mu_1_11.json", "--hyponormal",
     ],
+    "check2d-hyponormal-row": ["check2d", "--x", "1/5", "--window", "6x1", "--hyponormal"],
+    "check2d-hyponormal-column": ["check2d", "--x", "1/5", "--window", "1x6", "--hyponormal"],
+    "check2d-hyponormal-32-fail": ["check2d", "--x", X_T2, "--window", "32x32", "--hyponormal"],
+    "check2d-hyponormal-32-dump": [
+        "check2d", "--x", X_PAIR, "--window", "32x32", "--hyponormal", "--dump", "dump.csv",
+    ],
+    "check2d-restrict-hyponormal": ["check2d", "--x", "1/5", "--window", "4x9", "--restrict", "5,7", "--hyponormal"],
     "check2d-bad-window": ["check2d", "--x", "1/5", "--window", "8by8"],
     "check2d-bad-x": ["check2d", "--x", "0.2"],
     # lubin certify, one case per regime and at each boundary

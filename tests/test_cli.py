@@ -36,6 +36,7 @@ from shiftcert.cli import (
 from oracles import mu_m_cap_n
 from shiftcert.lubin import xi_a
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
+from shiftcert.shift2d import WeightDiagram
 
 
 def dump_measure(mu, path) -> None:
@@ -296,6 +297,20 @@ class TestCheck2D:
         assert lines[0] == "k1,k2,alpha_sq,beta_sq"
         assert lines[1] == "0,0,1/11,1/5"
         assert len(lines) == 10
+
+    def test_check2d_reads_no_weight_point_by_point(self, tmp_path, capsys, monkeypatch):
+        # every check2d weight, --dump included, goes through the window reader
+        def refuse(self, k1, k2):
+            raise AssertionError(f"a point read at {(k1, k2)}")
+
+        monkeypatch.setattr(WeightDiagram, "alpha_sq", refuse)
+        monkeypatch.setattr(WeightDiagram, "beta_sq", refuse)
+        mu = tmp_path / "mu.json"
+        dump_measure(mu_m_cap_n(), mu)
+        out = tmp_path / "diagram.csv"
+        argv = ["check2d", "--x", "1/5", "--restrict", "1,1", "--window", "5x4", "--berger", str(mu)]
+        assert main(argv + ["--hyponormal", "--dump", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 5 * 4
 
     def test_bad_window(self):
         assert main(["check2d", "--x", "1/5", "--window", "six"]) == 2

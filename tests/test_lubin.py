@@ -308,6 +308,12 @@ class TestMomentTable:
         with pytest.raises(ValueError):
             moment2d(-1, 0, F(1, 5))
 
+    def test_indices_must_be_integers(self):
+        with pytest.raises(ValueError, match="lattice index must be an integer"):
+            moment2d(1.5, 0, 1)
+        with pytest.raises(ValueError, match="lattice index must be an integer"):
+            moment2d(1, 2.0, F(1, 5))
+
 
 class TestFamilyDiagram:
     def test_figure_golden_weights(self):

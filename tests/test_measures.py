@@ -121,6 +121,17 @@ class TestMoments:
         assert moment2(MU_CAP, 1, 1) == F(1, 2) * F(1, 16) + F(1, 2) * F(1, 4)
         assert moment2(MU_M, 0, 1) == F(1, 4) * F(1, 4) + F(1, 8) * F(1, 2) + F(5, 8)
 
+    def test_moment1_order_must_be_an_integer(self):
+        # a float order would raise the atoms to a float power and return a float
+        with pytest.raises(ValueError, match="moment order must be an integer"):
+            moment1(XI_A, 0.5)
+
+    def test_moment2_orders_must_be_integers(self):
+        with pytest.raises(ValueError, match="moment order must be an integer"):
+            moment2(MU_CAP, 1.5, 0)
+        with pytest.raises(ValueError, match="moment order must be an integer"):
+            moment2(MU_CAP, 0, F(1))
+
 
 class TestMarginals:
     def test_marginal_merges_masses(self):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -438,6 +439,110 @@ class TestStatelessDiagram:
         ):
             with pytest.raises(ValueError, match="must be positive"):
                 check()
+
+
+def unit_diagram(rule=lambda k1, k2: F(1)) -> WeightDiagram:
+    """Every squared weight 1: the moment diagram of the unit point mass at
+    (1, 1), which passes all three window checks."""
+    return WeightDiagram(rule, rule)
+
+
+UNIT_MASS = AtomicMeasure2D([((F(1), F(1)), F(1))])
+
+
+class TestWindowReader:
+    @pytest.mark.parametrize("w, h", [(1, 1), (1, 4), (5, 1), (3, 4)])
+    def test_each_check_calls_each_rule_once_per_point_it_needs(self, w, h):
+        calls = []
+
+        def counting(name):
+            def rule(k1, k2):
+                calls.append((name, k1, k2))
+                return F(1)
+
+            return rule
+
+        diagram = WeightDiagram(counting("alpha"), counting("beta"))
+
+        def grid(name, width, height):
+            return [(name, k1, k2) for k2 in range(height) for k1 in range(width)]
+
+        for check, want, count in (
+            (
+                lambda: commutativity_check(diagram, (w, h)),
+                grid("alpha", w, h + 1) + grid("beta", w + 1, h),
+                w * (h + 1) + (w + 1) * h,
+            ),
+            (
+                lambda: joint_hyponormality_window(diagram, (w, h)),
+                grid("alpha", w, h) + grid("beta", w, h),
+                2 * w * h,
+            ),
+            (
+                lambda: check_berger_2d(diagram, UNIT_MASS, (w, h)),
+                grid("alpha", w - 1, 1) + grid("beta", w, h - 1),
+                (w - 1) + w * (h - 1),
+            ),
+        ):
+            calls.clear()
+            assert check().ok
+            # each point once, alphas then betas, row by row
+            assert calls == want and len(calls) == count
+
+    @pytest.mark.parametrize("which, point", [("alpha", (2, 3)), ("beta", (3, 2))])
+    def test_a_bad_weight_only_commutativity_reads_is_named(self, which, point):
+        # alpha at (w - 1, h) and beta at (w, h - 1) lie outside the other checks' window
+        bad = perturbed(unit_diagram(), which, point, F(-1, 2))
+        message = f"{which}^2 at {point} must be positive, got -1/2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            commutativity_check(bad, (3, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(bad, f"{which}_sq")(*point)
+        assert joint_hyponormality_window(bad, (3, 3)).ok
+        assert check_berger_2d(bad, UNIT_MASS, (3, 3)).ok
+
+    def test_integer_weights_are_accepted(self):
+        ones = unit_diagram(lambda k1, k2: 1)
+        assert commutativity_check(ones, (4, 3)).ok
+        assert joint_hyponormality_window(ones, (4, 3)).ok
+        assert check_berger_2d(ones, UNIT_MASS, (4, 3)).ok
+        assert ones.alpha_sq(2, 1) == 1 and type(ones.alpha_sq(2, 1)) is F
+        assert ones.alpha_rows(2, 1) == [[(1, 1), (1, 1)]]
+        # a failure's witness is still a Fraction
+        twos = WeightDiagram(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
+        cert = commutativity_check(twos, (1, 2))
+        assert not cert.ok
+        assert cert.witness["k"] == [0, 1]
+        assert [type(cert.witness[side]) for side in ("lhs", "rhs")] == [F, F]
+
+    def test_the_berger_reads_are_eager(self):
+        # a wrong mass fails at (0, 0), but a bad beta deeper in the window is read first
+        bad = perturbed(unit_diagram(), "beta", (2, 1), F(0))
+        half = AtomicMeasure2D([((F(1), F(1)), F(1, 2))])
+        assert not check_berger_2d(unit_diagram(), half, (3, 3)).ok
+        with pytest.raises(ValueError, match=re.escape("beta^2 at (2, 1) must be positive, got 0")):
+            check_berger_2d(bad, half, (3, 3))
+
+
+class TestIntegerIndices:
+    """A non-integer side or index is refused, not truncated or raised to a float power."""
+
+    def test_window_side(self):
+        for check in (commutativity_check, joint_hyponormality_window):
+            with pytest.raises(ValueError, match="window side must be an integer"):
+                check(family(), (2.5, 2))
+        with pytest.raises(ValueError, match="window side must be an integer"):
+            check_berger_2d(family(), MU_CAP, (2, F(3, 1)))
+
+    def test_base_point(self):
+        with pytest.raises(ValueError, match="base point must be an integer"):
+            family().restricted(0.5, 0)
+
+    def test_point_reads(self):
+        with pytest.raises(ValueError, match="lattice index must be an integer"):
+            family().alpha_sq(0.5, 0)
+        with pytest.raises(ValueError, match="lattice index must be an integer"):
+            family().beta_sq(0, 1.0)
 
 
 class TestBackwardExtension2D:
