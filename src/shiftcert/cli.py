@@ -250,9 +250,9 @@ def cmd_check2d(args) -> int:
         checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
         lines = ["k1,k2,alpha_sq,beta_sq"]
-        for k2, (alpha_row, beta_row) in enumerate(zip(diagram.alpha_rows(w, h), diagram.beta_rows(w, h))):
-            for k1, (alpha, beta) in enumerate(zip(alpha_row, beta_row)):
-                lines.append(f"{k1},{k2},{Fraction(*alpha)},{Fraction(*beta)}")
+        for k2, ((ans, ads), (bns, bds)) in enumerate(zip(diagram.alpha_rows(w, h), diagram.beta_rows(w, h))):
+            for k1, (an, ad, bn, bd) in enumerate(zip(ans, ads, bns, bds)):
+                lines.append(f"{k1},{k2},{Fraction(an, ad)},{Fraction(bn, bd)}")
         if _emit("\n".join(lines), args.dump) == 2:
             return 2
     payload = {

@@ -27,10 +27,10 @@ characterization:
 A diagram is its two weight rules and holds no other state.  Every check
 reads its weights through one window reader, ``alpha_rows`` /
 ``beta_rows``: one rule call per lattice point, row by row, each weight
-validated positive and kept as a (numerator, positive denominator) pair
-of ints.  The checks then decide by the signs of integers,
-cross-multiplying numerators and denominators with no gcd taken; a
-fraction is built only for a failure witness.  The point reads
+validated positive, and each row kept as two int lists, its numerators
+and its positive denominators.  The checks then decide by the signs of
+integers, cross-multiplying numerators and denominators with no gcd
+taken; a fraction is built only for a failure witness.  The point reads
 ``alpha_sq`` / ``beta_sq`` validate with the same helper and message.
 The Berger check steps along the canonical path (row 0, then up a
 column) as it scans, so it builds no moment table.
@@ -47,6 +47,7 @@ from .measures import AtomicMeasure2D
 from .numerics import _index
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
+Row = tuple[list[int], list[int]]  # a window row: numerators, positive denominators
 Rule = Callable[[int, int], Fraction]  # a squared weight by lattice point
 
 
@@ -57,6 +58,14 @@ def _check_window(window) -> tuple[int, int]:
     return w, h
 
 
+def _point(k1, k2) -> tuple[int, int]:
+    """A lattice point: two integer indices, each >= 0."""
+    k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
+    if k1 < 0 or k2 < 0:
+        raise ValueError("lattice indices must be >= 0")
+    return k1, k2
+
+
 def _positive(name: str, k1: int, k2: int, value) -> Pair:
     """A squared weight as a Pair, which must be positive."""
     n, d = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
@@ -65,46 +74,47 @@ def _positive(name: str, k1: int, k2: int, value) -> Pair:
     return n, d
 
 
-def _rows(rule: Rule, name: str, w: int, h: int) -> list[list[Pair]]:
-    """rule(k1, k2) for k1 < w and k2 < h as Pairs, one call per point, row
-    by row; a positive Fraction unpacks in place, any other value goes
+def _rows(rule: Rule, name: str, w: int, h: int) -> list[Row]:
+    """rule(k1, k2) for k1 < w and k2 < h, one Row per k2 and one call per
+    point; a positive Fraction unpacks in place, any other value goes
     through _positive."""
     rows = []
     for k2 in range(h):
-        row = []
+        numerators, denominators = [], []
         for k1 in range(w):
             value = rule(k1, k2)
-            pair = value.as_integer_ratio() if type(value) is Fraction else None
-            if pair is None or pair[0] <= 0:
-                pair = _positive(name, k1, k2, value)
-            row.append(pair)
-        rows.append(row)
+            n, d = value.as_integer_ratio() if type(value) is Fraction else (0, 1)
+            if n <= 0:
+                n, d = _positive(name, k1, k2, value)
+            numerators.append(n)
+            denominators.append(d)
+        rows.append((numerators, denominators))
     return rows
 
 
 class WeightDiagram:
     """Squared weights (alpha^2, beta^2) indexed by lattice points: the two
     rules and no other state.  A point read gives a Fraction, a window read
-    rows of Pairs; both validate each weight the same way."""
+    Rows; both validate each weight the same way."""
 
     def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule):
         self._alpha_rule = alpha_sq_rule
         self._beta_rule = beta_sq_rule
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
-        k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
+        k1, k2 = _point(k1, k2)
         return Fraction(*_positive("alpha^2", k1, k2, self._alpha_rule(k1, k2)))
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
-        k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
+        k1, k2 = _point(k1, k2)
         return Fraction(*_positive("beta^2", k1, k2, self._beta_rule(k1, k2)))
 
-    def alpha_rows(self, w: int, h: int) -> list[list[Pair]]:
-        """alpha^2 on k1 < w, k2 < h: rows of (numerator, denominator) pairs."""
+    def alpha_rows(self, w: int, h: int) -> list[Row]:
+        """alpha^2 on k1 < w, k2 < h: rows of (numerators, denominators)."""
         return _rows(self._alpha_rule, "alpha^2", w, h)
 
-    def beta_rows(self, w: int, h: int) -> list[list[Pair]]:
-        """beta^2 on k1 < w, k2 < h: rows of (numerator, denominator) pairs."""
+    def beta_rows(self, w: int, h: int) -> list[Row]:
+        """beta^2 on k1 < w, k2 < h: rows of (numerators, denominators)."""
         return _rows(self._beta_rule, "beta^2", w, h)
 
     def restricted(self, i: int, j: int) -> "WeightDiagram":
@@ -132,9 +142,9 @@ def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
     alpha = diagram.alpha_rows(w, h + 1)
     beta = diagram.beta_rows(w + 1, h)
     for k2 in range(h):
-        beta_row = beta[k2]
-        for k1, ((a0n, a0d), (a2n, a2d), (b0n, b0d), (b1n, b1d)) in enumerate(
-            zip(alpha[k2], alpha[k2 + 1], beta_row, beta_row[1:])
+        (a0ns, a0ds), (a2ns, a2ds), (bns, bds) = alpha[k2], alpha[k2 + 1], beta[k2]
+        for k1, (a0n, a0d, a2n, a2d, b0n, b0d, b1n, b1d) in enumerate(
+            zip(a0ns, a0ds, a2ns, a2ds, bns, bds, bns[1:], bds[1:])
         ):
             if b1n * a0n * a2d * b0d != a2n * b0n * b1d * a0d:
                 return Certificate(
@@ -175,7 +185,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     failure witness, where predecessor times weight is the diagram moment.
     """
     w, h = _check_window(window)
-    (alpha,) = diagram.alpha_rows(w - 1, 1)
+    ((alpha_ns, alpha_ds),) = diagram.alpha_rows(w - 1, 1)
     beta = diagram.beta_rows(w, h - 1)
     f = lcm(*(m.denominator for _, m in mu.atoms))
     b = lcm(*(s.denominator for (s, _), _ in mu.atoms))
@@ -187,12 +197,14 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     for k2 in range(h):
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]
         below, numerators = numerators, []
+        if k2:
+            beta_ns, beta_ds = beta[k2 - 1]
         for k1 in range(w):
             numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
             if k2:
-                (wn, wd), previous, step = beta[k2 - 1][k1], below[k1], d
+                wn, wd, previous, step = beta_ns[k1], beta_ds[k1], below[k1], d
             elif k1:
-                (wn, wd), previous, step = alpha[k1 - 1], numerators[k1 - 1], b
+                wn, wd, previous, step = alpha_ns[k1 - 1], alpha_ds[k1 - 1], numerators[k1 - 1], b
             else:
                 (wn, wd), previous, step = (1, 1), f, 1  # the mass N(0, 0) / f
             if numerator * wd != previous * wn * step:
@@ -236,21 +248,22 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     alpha = diagram.alpha_rows(w, h)
     beta = diagram.beta_rows(w, h)
     for k2 in range(h):
-        alpha_row, beta_row = alpha[k2], beta[k2]
+        (ans, ads), (bns, bds) = alpha[k2], beta[k2]
+        if k2 + 1 < h:
+            (a2ns, a2ds), (b1ns, b1ds) = alpha[k2 + 1], beta[k2 + 1]
         for k1 in range(w):
-            a0n, a0d = alpha_row[k1]
-            b0n, b0d = beta_row[k1]
+            a0n, a0d, b0n, b0d = ans[k1], ads[k1], bns[k1], bds[k1]
             a = d = p = q = None  # each entry as (numerator, positive denominator)
             if k1 + 1 < w:
-                a1n, a1d = alpha_row[k1 + 1]
+                a1n, a1d = ans[k1 + 1], ads[k1 + 1]
                 a = (a1n * a0d - a0n * a1d, a0d * a1d)
             if k2 + 1 < h:
-                b1n, b1d = beta[k2 + 1][k1]
+                b1n, b1d = b1ns[k1], b1ds[k1]
                 d = (b1n * b0d - b0n * b1d, b0d * b1d)
             ok = (a is None or a[0] >= 0) and (d is None or d[0] >= 0)
             if ok and a is not None and d is not None:
-                a2n, a2d = alpha[k2 + 1][k1]
-                b2n, b2d = beta_row[k1 + 1]
+                a2n, a2d = a2ns[k1], a2ds[k1]
+                b2n, b2d = bns[k1 + 1], bds[k1 + 1]
                 p = (a2n * b2n, a2d * b2d)
                 q = (a0n * b0n, a0d * b0d)
                 # r and 4 P Q times L and L^2, with L = P_den Q_den a1_den b1_den

@@ -7,8 +7,11 @@ backward extension, so the tests can compare the two:
 
 * :class:`NegativeMassError`, raised where a measure would need a
   negative atom;
-* the measures xi_b(x), xi_c and their level-one restrictions, and the
-  Berger measures mu_M and mu_{M int N} of two restrictions of the pair;
+* the measures xi_a, xi_b(x), xi_c and their level-one restrictions, and
+  the Berger measures mu_M and mu_{M int N} of two restrictions of the
+  pair;
+* :func:`family_moment`, the paper's closed-form moment table, which
+  ``lubin.moment2d`` must reproduce from mu;
 * atomwise arithmetic of atomic measures (mass at a point, sum,
   difference, the swap of the plane's coordinates) and domination;
 * :func:`backward_extension_2d`, the one-step backward extension of a
@@ -23,12 +26,14 @@ from fractions import Fraction
 
 from shiftcert.certificate import Certificate
 from shiftcert.errors import ShiftCertError
-from shiftcert.lubin import family_diagram, xi_a
+from shiftcert.lubin import family_diagram
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
     extremal,
     marginal,
+    moment1,
+    moment2,
     reciprocal_norm,
     restrict_density,
 )
@@ -41,6 +46,18 @@ class NegativeMassError(ShiftCertError):
 
 
 XI_B_MASS_CAP = Fraction(8, 15)  # xi_b exists as a positive measure iff x <= 8/15
+
+
+def xi_a() -> AtomicMeasure1D:
+    """3/4 d(0) + 2/11 d(1/4) + 1/22 d(1/2) + 1/44 d(1), the Berger measure of row 0."""
+    return AtomicMeasure1D(
+        [
+            (Fraction(0), Fraction(3, 4)),
+            (Fraction(1, 4), Fraction(2, 11)),
+            (Fraction(1, 2), Fraction(1, 22)),
+            (Fraction(1), Fraction(1, 44)),
+        ]
+    )
 
 
 def xi_b(x) -> AtomicMeasure1D:
@@ -92,6 +109,17 @@ def mu_m() -> AtomicMeasure2D:
             ((Fraction(0), Fraction(1)), Fraction(5, 8)),
         ]
     )
+
+
+def family_moment(x, k1: int, k2: int) -> Fraction:
+    """gamma_k of the family in the paper's closed form: xi_a on row 0, the
+    atoms of xi_b(x) away from 0 on column 0, and x/8 times mu_{M int N}
+    shifted one step inside."""
+    if k2 == 0:
+        return moment1(xi_a(), k1)
+    if k1 == 0:
+        return x * (Fraction(1, 4) ** k2 + Fraction(1, 4) * Fraction(1, 2) ** k2 + Fraction(5, 8))
+    return x / 8 * moment2(mu_m_cap_n(), k1 - 1, k2 - 1)
 
 
 def mass_at(mu, point) -> Fraction:

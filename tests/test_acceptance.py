@@ -19,7 +19,7 @@ from shiftcert.agler import (
     tail_stopping_index,
 )
 from shiftcert.cli import main
-from oracles import xi_b, xi_c
+from oracles import xi_a, xi_b, xi_c
 from shiftcert.lubin import (
     MU,
     family_diagram,
@@ -30,7 +30,6 @@ from shiftcert.lubin import (
     threshold_pair,
     threshold_t1,
     threshold_t2,
-    xi_a,
 )
 from shiftcert.measures import (
     AtomicMeasure2D,

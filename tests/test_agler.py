@@ -27,7 +27,7 @@ from shiftcert.agler import (
 from shiftcert.certificate import to_json
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
 from shiftcert.measures import moment1
-from shiftcert.lubin import xi_a
+from oracles import xi_a
 
 xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))

@@ -33,8 +33,7 @@ from shiftcert.cli import (
     build_parser,
     main,
 )
-from oracles import mu_m_cap_n
-from shiftcert.lubin import xi_a
+from oracles import mu_m_cap_n, xi_a
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
 from shiftcert.shift2d import WeightDiagram
 

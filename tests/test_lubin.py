@@ -10,11 +10,13 @@ from oracles import (
     XI_B_MASS_CAP,
     NegativeMassError,
     canonical_moment,
+    family_moment,
     mass_at,
     mu_m,
     mu_m_cap_n,
     pair_subnormal_reference,
     pair_threshold_reference,
+    xi_a,
     xi_a_level1,
     xi_b,
     xi_b_level1,
@@ -34,7 +36,6 @@ from shiftcert.lubin import (
     threshold_pair,
     threshold_t1,
     threshold_t2,
-    xi_a,
 )
 from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1, restrict_density
 from shiftcert.certificate import Certificate, to_json
@@ -118,27 +119,34 @@ def threshold_t2_reference() -> F:
     return minimum
 
 
-_MU_CACHES = ("_mu_identity", "_slices", "_threshold", "threshold_t1")
-
-
 def clear_mu_caches():
-    for name in _MU_CACHES:
-        getattr(lubin, name).cache_clear()
+    # every cache in lubin reads mu: the pieces, the index-keyed moments and
+    # weights, moment2d, and the slices and thresholds of the verdicts
+    for value in vars(lubin).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 @contextlib.contextmanager
-def mu_replaced(table, check_identity=True):
-    """Replace lubin's mu table, with the caches that read it cleared on entry
-    and exit; without ``check_identity`` nothing compares it with moment2d."""
-    patches = {"MU": table}
-    if not check_identity:
-        patches["_mu_identity"] = lambda: None
+def mu_replaced(table):
+    """Replace lubin's mu table, with the caches that read it cleared on entry and exit."""
     clear_mu_caches()
     try:
-        with mock.patch.multiple(lubin, **patches):
+        with mock.patch.object(lubin, "MU", table):
             yield
     finally:
         clear_mu_caches()
+
+
+def closed_form_mismatches(window=12, xs=(F(1, 7), F(2, 11), F(8, 33), F(3, 2))):
+    """The points of the window where moment2d misses the paper's closed form."""
+    return [
+        (x, k1, k2)
+        for x in xs
+        for k1 in range(window)
+        for k2 in range(window)
+        if moment2d(k1, k2, x) != family_moment(x, k1, k2)
+    ]
 
 
 def replaced_atom(point, constant, slope):
@@ -304,6 +312,12 @@ class TestMomentTable:
         x = F(1, 5)
         assert moment2d(2, 3, x) == moment2d(3, 2, x) == moment2d(4, 1, x)
 
+    def test_deep_entries_are_the_closed_form(self):
+        # far past the 12x12 window the identity is checked on
+        x = F(1, 5)
+        for k1, k2 in ((400, 0), (0, 400), (200, 300), (1, 999), (999, 1)):
+            assert moment2d(k1, k2, x) == family_moment(x, k1, k2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             moment2d(-1, 0, F(1, 5))
@@ -383,8 +397,9 @@ class TestThresholds:
         assert threshold_pair() == pair_threshold_reference() == PAIR_THRESHOLD
 
     def test_t1_failure_reads_the_measure(self):
-        # row 0's mass at s = 1/4 becomes 1/4 + 2/11 - 2x, in a table not compared with moment2d
-        with mu_replaced(replaced_atom((F(1, 4), F(1, 4)), F(1, 4), F(-1)), check_identity=False):
+        # row 0's mass at s = 1/4 becomes 1/4 + 2/11 - 2x; the verdicts read mu alone, so a
+        # table without x-free pieces still has them
+        with mu_replaced(replaced_atom((F(1, 4), F(1, 4)), F(1, 4), F(-1))):
             cert = threshold_t1()
             assert not cert.ok
             assert cert.witness["threshold"] == F(19, 88)
@@ -397,7 +412,7 @@ class TestThresholds:
     def test_t1_failure_at_an_atom_at_zero(self):
         # the row slice at s = 0 holds (0, 1) and (0, 0); past row 0 only (0, 1) is left, whose
         # mass 5/8 - 5x/8 is every row's, so the threshold is where the top base's coefficient vanishes
-        with mu_replaced(replaced_atom((F(0), F(1)), F(5, 8), F(-5, 8)), check_identity=False):
+        with mu_replaced(replaced_atom((F(0), F(1)), F(5, 8), F(-5, 8))):
             cert = threshold_t1()
             assert not cert.ok
             assert (cert.witness["threshold"], cert.witness["index"], cert.witness["point"]) == (1, None, 0)
@@ -405,19 +420,57 @@ class TestThresholds:
             failure = is_t1_subnormal(F(21, 20)).witness
             assert (failure["index"], failure["point"], failure["mass"]) == (1, 0, F(-1, 32))
 
-    def test_off_grid_measure_is_refused(self):
-        # an atom at a base that no piece of moment2d has
-        with mu_replaced(MU + (((F(1, 3), F(0)), F(0), F(0)),)):
-            with pytest.raises(ArithmeticError, match="bases"):
-                threshold_t1()
-
 
 class TestMuTable:
     def test_mu_reproduces_the_moment_table(self):
+        # moment2d is read off mu's pieces; both it and mu's direct moments are the closed form
+        assert closed_form_mismatches() == []
         for x in (F(1, 7), F(2, 11), F(8, 33), F(3, 2)):
             for k1 in range(12):
                 for k2 in range(12):
                     assert sum((c + d * x) * s**k1 * t**k2 for (s, t), c, d in MU) == moment2d(k1, k2, x)
+
+    def test_the_pieces_of_mu(self):
+        row, column, diagonal = lubin._pieces()
+        assert row == xi_a()
+        assert column == AtomicMeasure1D([(F(1, 4), F(1)), (F(1, 2), F(1, 4)), (F(1), F(5, 8))])
+        assert diagonal == AtomicMeasure1D([(F(1, 4), F(1)), (F(1, 2), F(1, 4))])
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            pytest.param(
+                # a constant-free atom at (1/3, 1/2), its slope cancelled on the s-axis
+                MU + (((F(1, 3), F(1, 2)), F(0), F(1)), ((F(1, 3), F(0)), F(1, 100), F(-1))),
+                "off the diagonal",
+                id="off-diagonal",
+            ),
+            pytest.param(
+                replaced_atom((F(0), F(1)), F(1, 100), F(5, 8)), "has the constant 1/100", id="constant-above-axis"
+            ),
+            pytest.param(
+                replaced_atom((F(1), F(0)), F(1, 44), F(1, 1000)), "slopes at s = 1 sum to 1/1000", id="slopes-at-one-s"
+            ),
+            pytest.param(
+                replaced_atom((F(1), F(0)), F(0), F(0)), "row piece has the mass 0 at 1", id="zero-piece-mass"
+            ),
+        ],
+    )
+    def test_a_table_without_exact_pieces_is_refused(self, table, message):
+        with mu_replaced(table):
+            with pytest.raises(ArithmeticError, match=message):
+                lubin._pieces()
+            with pytest.raises(ArithmeticError, match=message):
+                commutativity_check(family_diagram(F(1, 5)), (2, 2))
+        assert commutativity_check(family_diagram(F(1, 5)), (2, 2)).ok
+
+    def test_the_pieces_are_read_once_per_process(self):
+        clear_mu_caches()
+        for x in (F(1, 5), F(1, 2), F(2)):
+            family_report(x)
+            commutativity_check(family_diagram(x).restricted(3, 5), (8, 8))
+            moment2d(30, 40, x)
+        assert lubin._pieces.cache_info().misses == 1
 
     def test_the_axis_slices_are_xi_a_and_xi_b(self):
         # row 0 of T1 pushes mu forward to s, column 0 of T2 pushes it forward to t
@@ -429,13 +482,25 @@ class TestMuTable:
             assert AtomicMeasure1D(row.items()) == xi_a()
             assert AtomicMeasure1D((p, m) for p, m in column.items() if m) == xi_b(x)
 
-    def test_the_identity_check_runs_once_per_process(self):
-        clear_mu_caches()
-        with mock.patch.object(lubin, "moment2d", wraps=lubin.moment2d) as moments:
-            for x in (F(1, 5), F(1, 2), F(2)):
-                family_report(x)
-        # x = 1 and x = 2 at the 4 + 3 + 2 indices of row 0, column 0 and the interior
-        assert moments.call_count == 2 * (4 + 3 + 2)
+    # Who refuses each tampered mass, by MU index and part: _pieces, when the change breaks
+    # one of mu's piece facts (a constant above the s-axis, or slopes that no longer cancel
+    # at one s), or else the comparison with the paper's closed form, which moment2d misses.
+    REFUSED_BY = {
+        (0, "constant"): "pieces",
+        (0, "slope"): "pieces",
+        (1, "constant"): "pieces",
+        (1, "slope"): "pieces",
+        (2, "constant"): "pieces",
+        (2, "slope"): "pieces",
+        (3, "constant"): "closed form",
+        (3, "slope"): "pieces",
+        (4, "constant"): "closed form",
+        (4, "slope"): "pieces",
+        (5, "constant"): "closed form",
+        (5, "slope"): "pieces",
+        (6, "constant"): "closed form",
+        (6, "slope"): "pieces",
+    }
 
     @pytest.mark.parametrize("part", ["constant", "slope"])
     @pytest.mark.parametrize("index", range(len(MU)))
@@ -446,11 +511,13 @@ class TestMuTable:
         else:
             tampered = replaced_atom(point, c, d + F(1, 1000))
         with mu_replaced(tampered):
-            with pytest.raises(ArithmeticError, match="reproduce moment2d"):
-                lubin._mu_identity()
-            with pytest.raises(ArithmeticError):
-                is_pair_subnormal(F(1, 5))
-        assert is_pair_subnormal(F(1, 6)).ok
+            if self.REFUSED_BY[index, part] == "pieces":
+                with pytest.raises(ArithmeticError, match="mu's"):
+                    lubin._pieces()
+            else:
+                lubin._pieces()
+                assert closed_form_mismatches() != []
+        assert closed_form_mismatches() == []
 
     def test_the_pair_measure_is_mu_while_it_is_positive(self):
         for x in (F(1, 9), F(2, 11)):

@@ -3,6 +3,7 @@ fresh interpreter."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -135,7 +136,7 @@ def test_no_cache_grows_with_the_window_or_path_depth():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
-    assert "shiftcert.lubin._b_moment_core" in caches
+    assert "shiftcert.lubin._column_core" in caches
     sizes = []
     for side, depth in ((4, 40), (8, 150), (12, 400), (16, 900)):
         for base in ("0,0", "1,1"):
@@ -152,7 +153,7 @@ def test_no_cache_grows_with_the_window_or_path_depth():
         if cache.cache_info().maxsize is None and sizes[0][name] != sizes[-1][name]
     ]
     assert growing == []
-    assert sizes[0]["shiftcert.lubin._b_moment_core"] < sizes[-1]["shiftcert.lubin._b_moment_core"]
+    assert sizes[0]["shiftcert.lubin._column_core"] < sizes[-1]["shiftcert.lubin._column_core"]
 
 
 def test_no_cache_grows_with_the_integral_moment_argument():
@@ -222,6 +223,20 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+def test_the_tracer_reads_both_caches():
+    # bench/run.py --trace reads cache_state(), which needs moment2d and
+    # integral_moment to stay lru_caches; load the tracer by path (it imports
+    # only sys and time) and call it
+    spec = importlib.util.spec_from_file_location("_tracing", SRC.parent.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lubin.moment2d(1, 1, Fraction(1, 5))
+    state = tracing.cache_state()
+    assert set(state) == {"moment2d_entries", "integral_moment_misses"}
+    assert state["moment2d_entries"] >= 1
+    assert isinstance(state["integral_moment_misses"], int)
 
 
 def _definitions(module: ast.Module):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import backward_extension_2d, canonical_moment, swapped, xi_a_level1, xi_b_level1
+from oracles import backward_extension_2d, canonical_moment, family_moment, swapped, xi_a, xi_a_level1, xi_b_level1
 from shiftcert.certificate import Certificate, to_json
-from shiftcert.lubin import family_diagram, moment2d, xi_a
+from shiftcert.lubin import family_diagram, moment2d
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -71,17 +71,6 @@ def weights_from_moments2d(table: MomentTable2D) -> WeightDiagram:
         lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
         lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
     )
-
-
-def family_moment(x, k1: int, k2: int) -> F:
-    """gamma_k of the family read off its measures: xi_a on row 0, the
-    atoms of xi_b(x) away from 0 on column 0, and x/8 times mu_{M int N}
-    shifted one step inside."""
-    if k2 == 0:
-        return moment1(xi_a(), k1)
-    if k1 == 0:
-        return x * (F(1, 4) ** k2 + F(1, 4) * F(1, 2) ** k2 + F(5, 8))
-    return x / 8 * moment2(MU_CAP, k1 - 1, k2 - 1)
 
 
 def moment_ratio_diagram(x) -> WeightDiagram:
@@ -237,6 +226,11 @@ class TestClosedFormDiagram:
             family().alpha_sq(-1, 2)
         with pytest.raises(ValueError):
             family().beta_sq(3, -1)
+        # the point read refuses it for every diagram, not only where the rule does
+        with pytest.raises(ValueError, match="lattice indices must be >= 0"):
+            unit_diagram().alpha_sq(0, -1)
+        with pytest.raises(ValueError, match="lattice indices must be >= 0"):
+            unit_diagram().beta_sq(-2, 0)
 
 
 class TestCommutativity:
@@ -507,7 +501,7 @@ class TestWindowReader:
         assert joint_hyponormality_window(ones, (4, 3)).ok
         assert check_berger_2d(ones, UNIT_MASS, (4, 3)).ok
         assert ones.alpha_sq(2, 1) == 1 and type(ones.alpha_sq(2, 1)) is F
-        assert ones.alpha_rows(2, 1) == [[(1, 1), (1, 1)]]
+        assert ones.alpha_rows(2, 1) == [([1, 1], [1, 1])]
         # a failure's witness is still a Fraction
         twos = WeightDiagram(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
         cert = commutativity_check(twos, (1, 2))
