@@ -74,10 +74,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, _parameter, gamma_row, moment2d
-from .numerics import _first_power_at_least
 
 C_SIXTEENTH = Fraction(1, 16)
 C_EIGHTH = Fraction(1, 8)
@@ -332,8 +332,8 @@ def tail_stopping_index() -> TailBound:
     """
     if not (2 * 12**2 < 17**2 and Fraction(6 * 22 * 17, 7 * 12) < 27):
         raise ArithmeticError("the rational bounds sqrt(2) < 17/12 and 6*pi*sqrt(2) < 27 failed")
-    n_sixteenth = _first_power_at_least(Fraction(31, 30), 27)
-    n_eighth = _first_power_at_least(Fraction(15, 14), 27)
+    n_sixteenth = next(n for n in count() if 31**n >= 27 * 30**n)
+    n_eighth = next(n for n in count() if 15**n >= 27 * 14**n)
     n_star = max(n_sixteenth, n_eighth)
     witness = (
         "I_n(1/16) >= (31/32)^n / 27 and I_n(1/8) >= (15/16)^n / 27 from the "

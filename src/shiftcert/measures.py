@@ -67,12 +67,6 @@ class _AtomicMeasure:
     def is_probability(self) -> bool:
         return self.total_mass() == 1
 
-    def scaled(self, factor):
-        c = Fraction(factor)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return type(self)((p, c * m) for p, m in self.atoms)
-
     def as_dict(self) -> dict:
         """The JSON form; :func:`measure_from_dict` reads it back."""
         atoms = [{"point": self._point_json(p), "mass": str(m)} for p, m in self.atoms]

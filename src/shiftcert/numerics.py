@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Sequence
 
@@ -137,46 +138,23 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivot_cols
 
 
-def _first_power_at_least(ratio, target) -> int:
-    """The least n >= 0 with ratio^n >= target, for a rational ratio > 1.
-
-    In integers, with ratio = p/q: the powers p^(2^j), q^(2^j) square
-    until they clear the target, and then the bits of n - 1, the largest
-    exponent that falls short, are read off from the top, one product each.
-    """
-    ratio, target = Fraction(ratio), Fraction(target)
-    p, q = ratio.numerator, ratio.denominator
-    if p <= q:
-        raise ValueError("the ratio must exceed 1")
-    if target <= 1:
-        return 0
-    num, den = target.numerator, target.denominator
-    squares = [(p, q)]  # (p^(2^j), q^(2^j))
-    while squares[-1][0] * den < squares[-1][1] * num:
-        squares.append((squares[-1][0] ** 2, squares[-1][1] ** 2))
-    short, a, b = 0, 1, 1  # ratio^short = a / b falls short of the target
-    for j in reversed(range(len(squares) - 1)):
-        c, d = a * squares[j][0], b * squares[j][1]
-        if c * den < d * num:
-            short, a, b = short + 2**j, c, d
-    return short + 1
-
-
 def exponential_sum_sign(terms) -> Certificate:
     """Decide f(k) = sum_i c_i a_i^k >= 0 for every k >= 0, exactly.
 
     ``terms`` holds pairs (a_i, c_i) of distinct rational bases in [0, 1]
     and rational coefficients (ints or Fractions), with 0^0 = 1, so a base
-    0 counts at k = 0 only.  Past that, the largest base a with a nonzero
-    coefficient c dominates: from the least K with (a / b)^K >= S / |c|, b
-    the next base and S the other coefficients' absolute sum, f(k) has the
-    sign of c (strictly past K).  So k < K is scanned when c > 0, and
-    k <= K + 1 when c < 0, as the integers q^k D f(k) over the common
-    denominators q of the bases and D of the coefficients.
+    0 counts at k = 0 only.  The scan runs over the integers q^k D f(k),
+    with q and D the common denominators of the bases and coefficients,
+    from k = 0 up.  It fails at the first negative value.  Past k = 0 the
+    largest base with a nonzero coefficient leads, and once its term is
+    at least the sum of the others' absolute values it stays so, since
+    every other term shrinks against it: f then keeps the lead's sign.
+    So a positive lead passes at that index, and a negative one fails
+    there or at the next index, where it outweighs the rest strictly.
 
     The witness is the least failing k with f(k) < 0 as ``value``, or on a
     pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
-    the ``stop_index`` from which it dominates.
+    the ``stop_index``, the least k >= 1 from which it dominates.
     """
     terms = list(terms)
     q = lcm(*(a.denominator for a, _ in terms))
@@ -190,23 +168,22 @@ def exponential_sum_sign(terms) -> Certificate:
     live = sorted(((p, n) for p, n in ints if p and n), reverse=True)
     if not live:
         return Certificate("exponential_sum_sign", True, {"dominant_base": None, "stop_index": 1})
-    (top, lead), rest = live[0], live[1:]
-    stop = 0
-    if rest:
-        others = Fraction(sum(abs(n) for _, n in rest), abs(lead))
-        stop = _first_power_at_least(Fraction(top, rest[0][0]), others)
-    last = stop if lead > 0 else stop + 2  # the scan's end, exclusive
     bases = [p for p, _ in live]
-    powers = [n * p for p, n in live]
-    for k in range(1, last):
+    powers = [n * p for p, n in live]  # the terms q^k D c_i a_i^k, lead first
+    dominated = False
+    for k in count(1):
         total = sum(powers)
         if total < 0:
             value = Fraction(total, d * q**k)
             return Certificate("exponential_sum_sign", False, {"k": k, "value": value})
+        if 2 * abs(powers[0]) >= sum(map(abs, powers)):
+            if powers[0] > 0:
+                witness = {"dominant_base": Fraction(bases[0], q), "stop_index": k}
+                return Certificate("exponential_sum_sign", True, witness)
+            if dominated:
+                raise ArithmeticError("a negative dominant term failed to show by the index after it dominates")
+            dominated = True
         powers = [v * p for v, p in zip(powers, bases)]
-    if lead < 0:
-        raise ArithmeticError("a negative dominant term failed to show by its stop index")
-    return Certificate("exponential_sum_sign", True, {"dominant_base": Fraction(top, q), "stop_index": max(1, stop)})
 
 
 def exponential_sum_threshold(terms) -> tuple[Fraction | None, int | None]:

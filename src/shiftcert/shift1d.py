@@ -82,13 +82,15 @@ class WeightSequence1D:
     def from_measure(cls, xi: AtomicMeasure1D) -> "WeightSequence1D":
         """The shift whose Berger measure is the probability measure xi.
 
-        Its moments are xi's, gamma_k = moment1(xi, k).  They are positive,
-        as the bound (the largest atom) must be, and their ratios are at
-        most that bound.
+        Its moments are xi's, gamma_k = moment1(xi, k), and their ratios
+        are at most the bound, xi's largest atom.  That atom must lie above
+        0, or every weight would be 0.
         """
         if not xi.is_probability():
             raise ValueError("Berger measures are probability measures")
         bound = max(p for p, _ in xi.atoms)
+        if bound == 0:
+            raise ValueError("the Berger measure has no atom above 0, so every weight would be 0")
         return cls(lambda k: moment1(xi, k), bound)
 
     @classmethod

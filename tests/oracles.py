@@ -13,7 +13,7 @@ backward extension, so the tests can compare the two:
 * :func:`family_moment`, the paper's closed-form moment table, which
   ``lubin.moment2d`` must reproduce from mu;
 * atomwise arithmetic of atomic measures (mass at a point, sum,
-  difference, the swap of the plane's coordinates) and domination;
+  scaling, difference, the swap of the plane's coordinates) and domination;
 * :func:`backward_extension_2d`, the one-step backward extension of a
   subnormal pair, with the explicit new Berger measure on a pass;
 * :func:`pair_threshold_reference` and :func:`pair_subnormal_reference`,
@@ -135,6 +135,11 @@ def plus(mu, nu):
     return type(mu)(merged.items())
 
 
+def scaled(mu, factor):
+    """The measure factor * mu; the constructor refuses a factor <= 0."""
+    return type(mu)((p, Fraction(factor) * m) for p, m in mu.atoms)
+
+
 def minus(mu: AtomicMeasure1D, nu: AtomicMeasure1D) -> AtomicMeasure1D:
     """The atomwise difference mu - nu; zero atoms are dropped, negatives raise."""
     merged = dict(mu.atoms)
@@ -226,12 +231,12 @@ def backward_extension_2d(first_step_sq, mu_sub: AtomicMeasure2D, xi0: AtomicMea
     weight_ok = beta0 <= bound
     scale = beta0 * norm  # total mass moved off the axis
     ext = extremal(mu_sub, "t")
-    shadow = marginal(ext, "x").scaled(scale)
+    shadow = scaled(marginal(ext, "x"), scale)
     dom = dominates(shadow, xi0)
     ok = weight_ok and dom.ok
     witness.update(reciprocal_norm=norm, bound=bound, weight_ok=weight_ok, domination=dom)
     if ok:
-        lifted = ext.scaled(scale)
+        lifted = scaled(ext, scale)
         leftover = minus(xi0, shadow)
         axis_part = AtomicMeasure2D(((p, Fraction(0)), m) for p, m in leftover.atoms)
         # no collision: condition (i) rules out mu_sub atoms with t == 0
@@ -255,7 +260,7 @@ def pair_threshold_reference() -> Fraction:
     if not step_one.ok or step_one.witness["new_measure"] != mu_m():
         raise ArithmeticError("the horizontal extension step failed to rebuild mu_M")
     norm = reciprocal_norm(marginal(mu_m(), "t"))
-    per_unit_x = marginal(extremal(mu_m(), "t"), "x").scaled(norm)
+    per_unit_x = scaled(marginal(extremal(mu_m(), "t"), "x"), norm)
     return min(domination_scale_bound(per_unit_x, xi_a()), 1 / norm)
 
 

@@ -992,6 +992,15 @@ class TestMalformedInput:
         assert main(["moments", xi_a_file, "--n-max", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_weights_of_a_measure_at_zero_name_the_cause(self, tmp_path, capsys):
+        # a Berger measure with its one atom at 0 gives the zero shift; the
+        # error says so, not that some norm bound is not positive
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"kind": "measure", "measure": {"dim": 1, "atoms": [{"point": "0", "mass": "1"}]}}))
+        assert main(["check1d", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot load weights: the Berger measure has no atom above 0, so every weight would be 0\n"
+
     def test_empty_backext_measure_is_a_usage_error(self, weights_file, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"dim": 1, "atoms": []}))

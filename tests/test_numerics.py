@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert.numerics import (
-    _first_power_at_least,
     exponential_sum_sign,
     exponential_sum_threshold,
     is_psd,
@@ -214,6 +214,15 @@ def first_negative_reference(terms, k_max=400):
     return None
 
 
+def dominance_reference(terms):
+    """The least k >= 1 where the top live base's term is at least the others' absolute sum."""
+    live = sorted((a, c) for a, c in terms if a and c)
+    if not live:
+        return 1
+    (top, lead), rest = live[-1], live[:-1]
+    return next(k for k in itertools.count(1) if abs(lead) * top**k >= sum(abs(c) * a**k for a, c in rest))
+
+
 def sign_outcome(terms):
     cert = exponential_sum_sign(terms)
     return None if cert.ok else (cert.witness["k"], cert.witness["value"])
@@ -237,6 +246,9 @@ class TestExponentialSumSign:
         for _ in range(400):
             terms = shifted(random_sum(rng, rng.randint(1, 4)), rng.choice([0, 0, 1, 2, 7]))
             assert sign_outcome(terms) == first_negative_reference(terms)
+            cert = exponential_sum_sign(terms)
+            if cert.ok:
+                assert cert.witness["stop_index"] == dominance_reference(terms)
 
     def test_knife_edge_sums_vanish_at_the_chosen_index(self):
         # f(k) = 1 - 2^(j - k) is zero at k = j, negative before and positive after
@@ -284,6 +296,14 @@ class TestExponentialSumSign:
         assert sign_outcome([(F(1), F(1)), (F(1, 2), F(-100))]) == (0, F(-99))
         assert exponential_sum_sign(shifted([(F(1), F(1)), (F(1, 2), F(-100))], 7)).ok
 
+    @pytest.mark.parametrize("r, stop", [(F(999, 1000), 881), (F(9999, 10**4), 8814)])
+    def test_the_stop_index_is_exact_for_close_top_bases(self, r, stop):
+        # (1 - r^k)^2 >= 0; 1 first outweighs 2 r^k + r^(2k) at this index,
+        # below the bound ln 3 / ln(1/r) that (1/r)^k >= 3 gives (1,099 and 10,986)
+        cert = exponential_sum_sign([(F(1), F(1)), (r, F(-2)), (r * r, F(1))])
+        assert cert.witness == {"dominant_base": 1, "stop_index": stop}
+        assert 2 * r**stop + r ** (2 * stop) <= 1 < 2 * r ** (stop - 1) + r ** (2 * stop - 2)
+
     def test_close_top_bases_are_decided_past_a_large_stop_index(self):
         # 1 - 2 r^k + 2 0^k with r = 199999/200000 fails at k = 1; its stop
         # index is about 200000 ln 2, where 1 would first dominate 2 r^k
@@ -299,23 +319,6 @@ class TestExponentialSumSign:
             exponential_sum_sign([(F(3, 2), F(1))])
         with pytest.raises(ValueError):
             exponential_sum_sign([(F(1, 2), F(1)), (F(1, 2), F(-1))])
-
-    def test_first_power_at_least(self):
-        assert _first_power_at_least(F(2), 1) == 0
-        assert _first_power_at_least(F(2), F(1, 3)) == 0
-        assert _first_power_at_least(F(2), 1024) == 10
-        assert _first_power_at_least(F(2), 1025) == 11
-        assert _first_power_at_least(F(31, 30), 27) == 101
-        assert _first_power_at_least(F(3, 2), F(9, 4)) == 2
-        assert _first_power_at_least(F(10**40), 10**400 + 1) == 11
-        with pytest.raises(ValueError):
-            _first_power_at_least(F(1), 2)
-
-    @pytest.mark.parametrize("ratio, target", [(F(100001, 100000), 3), (F(200000, 199999), 2), (F(3, 2), F(7, 5))])
-    def test_first_power_at_least_finds_a_far_index_exactly(self, ratio, target):
-        # the two close ratios need n past 100,000
-        n = _first_power_at_least(ratio, target)
-        assert ratio**n >= target > ratio ** (n - 1)
 
 
 def threshold_reference(terms, k_max=400):

@@ -5,7 +5,6 @@ import ast
 import importlib
 import importlib.util
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -256,9 +255,8 @@ def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
     which Python calls itself, are left out.  A reference is an AST name or
     attribute in ``src`` or ``demos``, outside the definition itself (so
     recursion does not count) and outside ``__init__.py``, whose re-exports
-    are not uses.  The benchmark's tracer names functions as strings, so
-    any word-bounded mention in ``bench`` counts too.  Docstrings hold no
-    names, so they never count.
+    are not uses.  In ``bench`` only what :func:`_bench_names` finds
+    counts.  Docstrings hold no names, so they never count.
     """
     defined: dict[str, str] = {}
     used: set[str] = set()
@@ -283,12 +281,48 @@ def _unreferenced(src: Path, demos: Path, bench: Path) -> list[str]:
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
                     used.add(name)
-    bench_text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py")))
-    return sorted(
-        where
-        for name, where in defined.items()
-        if name not in used and not re.search(rf"\b{re.escape(name)}\b", bench_text)
-    )
+    used |= _bench_names(bench)
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def _bench_names(bench: Path) -> set[str]:
+    """The names that ``bench`` uses as ``shiftcert`` names.
+
+    These are the strings of the tracer tables ``SPANS`` and ``COUNTERS``,
+    the names imported from ``shiftcert``, and the attributes of a
+    ``shiftcert`` module: one bound by an import, a dotted
+    ``shiftcert.module`` or a ``sys.modules["shiftcert..."]`` lookup.  A
+    bench name that only shares a word with the package does not count.
+    """
+    names: set[str] = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: set[str] = set()  # local names bound to shiftcert modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                modules.update(b for b, alias in zip(bound, node.names) if alias.name.startswith("shiftcert"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shiftcert"):
+                modules.update(alias.asname or alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} & {"SPANS", "COUNTERS"}:
+                strings = (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+                names.update(v for v in strings if isinstance(v, str))
+
+        def is_module(node) -> bool:
+            if isinstance(node, ast.Name):
+                return node.id in modules
+            if isinstance(node, ast.Attribute):
+                return is_module(node.value)
+            return (
+                isinstance(node, ast.Subscript)
+                and ast.unparse(node.value) == "sys.modules"
+                and isinstance(node.slice, ast.Constant)
+                and str(node.slice.value).startswith("shiftcert")
+            )
+
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and is_module(node.value))
+    return names
 
 
 def test_every_function_and_class_is_used():
@@ -296,6 +330,29 @@ def test_every_function_and_class_is_used():
     # names is dead: delete it, or move it into the tests if only the tests call it
     root = SRC.parent.parent
     assert _unreferenced(SRC, root / "demos", root / "bench") == []
+
+
+def test_bench_counts_only_its_shiftcert_names(tmp_path):
+    # a tracer-table string, an import from shiftcert and an attribute of a
+    # shiftcert module count; a bench class's own method of the same name does not
+    (tmp_path / "b.py").write_text(
+        "import sys\n"
+        "import shiftcert.cli\n"
+        "from shiftcert import agler\n"
+        "from shiftcert.lubin import family_report\n"
+        "SPANS = ((\"agler.certify_sum\", \"shiftcert.agler\", \"certify_sum\"),)\n"
+        "class Sample:\n"
+        "    def scaled(self):\n"
+        "        return self.scaled\n"
+        "agler.p_n_bruteforce\n"
+        "shiftcert.cli.main\n"
+        "sys.modules[\"shiftcert.agler\"].integral_moment\n"
+        "other.moment1\n",
+        encoding="utf-8",
+    )
+    names = _bench_names(tmp_path)
+    assert {"certify_sum", "family_report", "p_n_bruteforce", "main", "integral_moment"} <= names
+    assert not {"scaled", "Sample", "moment1"} & names
 
 
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))

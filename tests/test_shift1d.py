@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import scaled
 from shiftcert import shift1d
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.errors import (
@@ -231,7 +232,11 @@ class TestWeightSequence:
 
     def test_from_measure_needs_probability(self):
         with pytest.raises(ValueError):
-            WeightSequence1D.from_measure(XI_A.scaled(F(2)))
+            WeightSequence1D.from_measure(scaled(XI_A, F(2)))
+
+    def test_from_measure_needs_an_atom_above_zero(self):
+        with pytest.raises(ValueError, match="no atom above 0"):
+            WeightSequence1D.from_measure(dirac(F(0)))
 
     def test_prefix_tail_repeats(self):
         assert BAD.squared_weight(0) == 2
