@@ -11,14 +11,16 @@ Subcommands::
     epsilon   print the certified margin past the joint threshold
 
 Exit codes: 0 all requested checks pass, 1 a mathematical check failed
-(the JSON output carries the witness), 2 usage or input errors: commands
+(the JSON output carries the witness; a command that raises
+``ShiftCertError`` prints ``{"error": ..., "message": ...}`` instead, where
+its output goes), 2 usage or input errors: commands
 raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
 with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
 where it is written).  Every integer flag, and each half of ``--window`` and
 ``--restrict``, is read as ``-?[0-9]+`` in ASCII digits, and every size
 flag, and fit's row count, has a cap.
 Every JSON payload on stdout or in ``--out`` comes from ``certificate.to_json``
-(sorted keys, indent 2); the one-line error on stderr is compact.
+(sorted keys, indent 2).
 
 The argument parser is built once per process and reused by every call
 of :func:`main`; argparse keeps each call's values in a fresh namespace.
@@ -205,12 +207,7 @@ def cmd_fit(args) -> int:
     _cap("--max-atoms", args.max_atoms, FIT_ATOMS_MAX)
     moments = _load(args.moments, "moments", _moments)
     _cap("the moment CSV's rows", len(moments), FIT_ROWS_MAX)
-    try:
-        measure = berger_fit(moments, args.max_atoms)
-    except ShiftCertError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        return _emit(to_json(error), args.out, 1)
-    return _emit(to_json(measure), args.out)
+    return _emit(to_json(berger_fit(moments, args.max_atoms)), args.out)
 
 
 def cmd_check1d(args) -> int:
@@ -250,7 +247,7 @@ def cmd_check2d(args) -> int:
         checks.append(joint_hyponormality_window(diagram, window))
     if args.dump:
         lines = ["k1,k2,alpha_sq,beta_sq"]
-        for k2, ((ans, ads), (bns, bds)) in enumerate(zip(diagram.alpha_rows(w, h), diagram.beta_rows(w, h))):
+        for k2, (ans, ads, bns, bds) in enumerate(diagram.rows(w, h)):
             for k1, (an, ad, bn, bd) in enumerate(zip(ans, ads, bns, bds)):
                 lines.append(f"{k1},{k2},{Fraction(an, ad)},{Fraction(bn, bd)}")
         if _emit("\n".join(lines), args.dump) == 2:
@@ -403,8 +400,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ShiftCertError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _emit(to_json({"error": type(exc).__name__, "message": str(exc)}), args.out, 1)
     except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
 

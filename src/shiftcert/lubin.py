@@ -145,9 +145,10 @@ def _column_weights(k2: int) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
-def _interior_weight(n: int) -> Fraction:
-    # alpha^2_k == beta^2_k == diagonal_(n+1) / diagonal_n for k1, k2 >= 1 with k1 + k2 = n
-    return _diagonal_core(n + 1) / _diagonal_core(n)
+def _interior_weights(n: int) -> tuple[Fraction, Fraction]:
+    # (alpha^2_k, beta^2_k), both diagonal_(n+1) / diagonal_n, for k1, k2 >= 1 with k1 + k2 = n
+    weight = _diagonal_core(n + 1) / _diagonal_core(n)
+    return weight, weight
 
 
 def _parameter(x) -> Fraction:
@@ -178,27 +179,22 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
 def family_diagram(x) -> WeightDiagram:
     """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k.
 
-    Each weight is one of the index-keyed x-free helpers above, except
-    beta^2_(k1,0), which is x times one; so a window costs its x-free
-    lookups and one product with x per column.
+    Its one rule checks the lattice region once and returns the pair
+    (alpha^2, beta^2) from one index-keyed x-free helper above: row 0's
+    with beta^2 times x, column 0's, or the interior's equal pair; so a
+    window costs its x-free lookups and one product with x per column.
     """
     x = _parameter(x)
 
-    def alpha_sq(k1: int, k2: int) -> Fraction:
+    def rule(k1: int, k2: int) -> tuple[Fraction, Fraction]:
         if k2 == 0:
-            return _row_weights(k1)[0]
+            alpha, beta = _row_weights(k1)
+            return alpha, x * beta
         if k1 == 0:
-            return _column_weights(k2)[0]
-        return _interior_weight(k1 + k2)
+            return _column_weights(k2)
+        return _interior_weights(k1 + k2)
 
-    def beta_sq(k1: int, k2: int) -> Fraction:
-        if k2 == 0:
-            return x * _row_weights(k1)[1]
-        if k1 == 0:
-            return _column_weights(k2)[1]
-        return _interior_weight(k1 + k2)
-
-    return WeightDiagram(alpha_sq, beta_sq)
+    return WeightDiagram(rule)
 
 
 @lru_cache(maxsize=3)

@@ -24,16 +24,18 @@ characterization:
 * the exact windowed joint hyponormality check: the compressed
   self-commutator splits into 2x2 blocks, each decided over the rationals.
 
-A diagram is its two weight rules and holds no other state.  Every check
-reads its weights through one window reader, ``alpha_rows`` /
-``beta_rows``: one rule call per lattice point, row by row, each weight
-validated positive, and each row kept as two int lists, its numerators
-and its positive denominators.  The checks then decide by the signs of
-integers, cross-multiplying numerators and denominators with no gcd
-taken; a fraction is built only for a failure witness.  The point reads
-``alpha_sq`` / ``beta_sq`` validate with the same helper and message.
-The Berger check steps along the canonical path (row 0, then up a
-column) as it scans, so it builds no moment table.
+A diagram is its one weight rule, which gives the pair (alpha^2, beta^2)
+at a lattice point, and holds no other state.  Every check reads its
+weights through one window reader, ``rows``: one rule call per lattice
+point, row by row, each weight validated positive, and each row kept as
+four int lists, the alpha numerators and positive denominators, then the
+beta ones.  The checks then decide by the signs of integers,
+cross-multiplying numerators and denominators with no gcd taken; a
+fraction is built only for a failure witness.  The point reads
+``alpha_sq`` / ``beta_sq`` read the pair, validate their half with the
+same helper and message, and return it.  The Berger check steps along
+the canonical path (row 0, then up a column) as it scans, so it builds
+no moment table.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .measures import AtomicMeasure2D
 from .numerics import _index
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
-Row = tuple[list[int], list[int]]  # a window row: numerators, positive denominators
-Rule = Callable[[int, int], Fraction]  # a squared weight by lattice point
+# a window row: alpha^2 numerators, denominators, then beta^2 numerators, denominators
+Row = tuple[list[int], list[int], list[int], list[int]]
+Rule = Callable[[int, int], tuple[Fraction, Fraction]]  # (alpha^2, beta^2) by lattice point
 
 
 def _check_window(window) -> tuple[int, int]:
@@ -74,75 +77,66 @@ def _positive(name: str, k1: int, k2: int, value) -> Pair:
     return n, d
 
 
-def _rows(rule: Rule, name: str, w: int, h: int) -> list[Row]:
-    """rule(k1, k2) for k1 < w and k2 < h, one Row per k2 and one call per
-    point; a positive Fraction unpacks in place, any other value goes
-    through _positive."""
-    rows = []
-    for k2 in range(h):
-        numerators, denominators = [], []
-        for k1 in range(w):
-            value = rule(k1, k2)
-            n, d = value.as_integer_ratio() if type(value) is Fraction else (0, 1)
-            if n <= 0:
-                n, d = _positive(name, k1, k2, value)
-            numerators.append(n)
-            denominators.append(d)
-        rows.append((numerators, denominators))
-    return rows
-
-
 class WeightDiagram:
-    """Squared weights (alpha^2, beta^2) indexed by lattice points: the two
-    rules and no other state.  A point read gives a Fraction, a window read
-    Rows; both validate each weight the same way."""
+    """Squared weights (alpha^2, beta^2) indexed by lattice points: the one
+    rule giving the pair and no other state.  A point read gives a Fraction,
+    a window read Rows; both validate each weight the same way."""
 
-    def __init__(self, alpha_sq_rule: Rule, beta_sq_rule: Rule):
-        self._alpha_rule = alpha_sq_rule
-        self._beta_rule = beta_sq_rule
+    def __init__(self, rule: Rule):
+        self._rule = rule
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:
         k1, k2 = _point(k1, k2)
-        return Fraction(*_positive("alpha^2", k1, k2, self._alpha_rule(k1, k2)))
+        return Fraction(*_positive("alpha^2", k1, k2, self._rule(k1, k2)[0]))
 
     def beta_sq(self, k1: int, k2: int) -> Fraction:
         k1, k2 = _point(k1, k2)
-        return Fraction(*_positive("beta^2", k1, k2, self._beta_rule(k1, k2)))
+        return Fraction(*_positive("beta^2", k1, k2, self._rule(k1, k2)[1]))
 
-    def alpha_rows(self, w: int, h: int) -> list[Row]:
-        """alpha^2 on k1 < w, k2 < h: rows of (numerators, denominators)."""
-        return _rows(self._alpha_rule, "alpha^2", w, h)
-
-    def beta_rows(self, w: int, h: int) -> list[Row]:
-        """beta^2 on k1 < w, k2 < h: rows of (numerators, denominators)."""
-        return _rows(self._beta_rule, "beta^2", w, h)
+    def rows(self, w: int, h: int) -> list[Row]:
+        """The pairs on k1 < w, k2 < h, one Row per k2 and one rule call per
+        point; a positive Fraction unpacks in place, any other value goes
+        through _positive."""
+        rule, rows = self._rule, []
+        for k2 in range(h):
+            row = ans, ads, bns, bds = [], [], [], []
+            for k1 in range(w):
+                alpha, beta = rule(k1, k2)
+                an, ad = alpha.as_integer_ratio() if type(alpha) is Fraction else (0, 1)
+                if an <= 0:
+                    an, ad = _positive("alpha^2", k1, k2, alpha)
+                bn, bd = beta.as_integer_ratio() if type(beta) is Fraction else (0, 1)
+                if bn <= 0:
+                    bn, bd = _positive("beta^2", k1, k2, beta)
+                ans.append(an)
+                ads.append(ad)
+                bns.append(bn)
+                bds.append(bd)
+            rows.append(row)
+        return rows
 
     def restricted(self, i: int, j: int) -> "WeightDiagram":
-        """The diagram seen from base point (i, j): its rules translated."""
+        """The diagram seen from base point (i, j): its rule translated."""
         i, j = _index(i, "base point"), _index(j, "base point")
         if i < 0 or j < 0:
             raise ValueError("base point must be in the quadrant")
         if i == 0 and j == 0:
             return self
-        alpha, beta = self._alpha_rule, self._beta_rule
-        return WeightDiagram(
-            lambda k1, k2: alpha(k1 + i, k2 + j),
-            lambda k1, k2: beta(k1 + i, k2 + j),
-        )
+        rule = self._rule
+        return WeightDiagram(lambda k1, k2: rule(k1 + i, k2 + j))
 
 
 def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
     """beta_{k+(1,0)}^2 alpha_k^2 == alpha_{k+(0,1)}^2 beta_k^2 on the window.
 
-    Reads the w x (h+1) alphas and (w+1) x h betas once each, and decides
-    by cross-multiplied integers; the products are built as fractions
-    only for a failure witness.
+    Reads the (w+1) x (h+1) pairs once each, and decides by
+    cross-multiplied integers; the products are built as fractions only
+    for a failure witness.
     """
     w, h = _check_window(window)
-    alpha = diagram.alpha_rows(w, h + 1)
-    beta = diagram.beta_rows(w + 1, h)
+    rows = diagram.rows(w + 1, h + 1)
     for k2 in range(h):
-        (a0ns, a0ds), (a2ns, a2ds), (bns, bds) = alpha[k2], alpha[k2 + 1], beta[k2]
+        (a0ns, a0ds, bns, bds), (a2ns, a2ds, _, _) = rows[k2], rows[k2 + 1]
         for k1, (a0n, a0d, a2n, a2d, b0n, b0d, b1n, b1d) in enumerate(
             zip(a0ns, a0ds, a2ns, a2ds, bns, bds, bns[1:], bds[1:])
         ):
@@ -178,15 +172,16 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     is row-major, so each point's predecessor on the canonical path,
     (k1-1, 0) on row 0 and (k1, k2-1) above it, has already matched the
     diagram: the mass must be 1, and every other measure moment its
-    predecessor's times the squared weight between them.  The w - 1
-    alphas on row 0 and the w (h - 1) betas below the top row are read up
-    front, so a non-positive one raises even past a mismatch.  Each test
+    predecessor's times the squared weight between them.  The pairs on
+    the w x max(h - 1, 1) rectangle, which hold the alphas on row 0 and
+    the betas below the top row, are read up front, so a non-positive
+    weight there raises even past a mismatch.  Each test
     is one integer cross-multiplication; a Fraction is built only for a
     failure witness, where predecessor times weight is the diagram moment.
     """
     w, h = _check_window(window)
-    ((alpha_ns, alpha_ds),) = diagram.alpha_rows(w - 1, 1)
-    beta = diagram.beta_rows(w, h - 1)
+    rows = diagram.rows(w, max(h - 1, 1))
+    alpha_ns, alpha_ds = rows[0][:2]
     f = lcm(*(m.denominator for _, m in mu.atoms))
     b = lcm(*(s.denominator for (s, _), _ in mu.atoms))
     d = lcm(*(t.denominator for (_, t), _ in mu.atoms))
@@ -198,7 +193,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]
         below, numerators = numerators, []
         if k2:
-            beta_ns, beta_ds = beta[k2 - 1]
+            beta_ns, beta_ds = rows[k2 - 1][2:]
         for k1 in range(w):
             numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
             if k2:
@@ -245,12 +240,11 @@ def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
     lies in the window, and each is read once.
     """
     w, h = _check_window(window)
-    alpha = diagram.alpha_rows(w, h)
-    beta = diagram.beta_rows(w, h)
+    rows = diagram.rows(w, h)
     for k2 in range(h):
-        (ans, ads), (bns, bds) = alpha[k2], beta[k2]
+        ans, ads, bns, bds = rows[k2]
         if k2 + 1 < h:
-            (a2ns, a2ds), (b1ns, b1ds) = alpha[k2 + 1], beta[k2 + 1]
+            a2ns, a2ds, b1ns, b1ds = rows[k2 + 1]
         for k1 in range(w):
             a0n, a0d, b0n, b0d = ans[k1], ads[k1], bns[k1], bds[k1]
             a = d = p = q = None  # each entry as (numerator, positive denominator)

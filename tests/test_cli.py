@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftcert
+from shiftcert import cli
+from shiftcert.certificate import to_json
+from shiftcert.errors import ZeroMomentError
 from shiftcert.cli import (
     CHECK1D_K_MAX,
     CHECK1D_N_MAX,
@@ -335,8 +338,9 @@ class TestCheck2D:
             ([[["1/2", "-1"], "1"]], "atom location must be in the quarter-plane, got 1/2,-1"),
             ([[["1/2", "1"], "0"]], "atom mass must be positive, got 0 at 1/2,1"),
             ([[["1/2", "1"], "1/2"], [["2/4", "1"], "1/2"]], "duplicate atom location 1/2,1"),
+            ([["1/2", "1"]], "a planar atom point must be a pair of rationals"),
         ],
-        ids=["location", "zero-mass", "duplicate"],
+        ids=["location", "zero-mass", "duplicate", "point-not-pair"],
     )
     def test_bad_planar_atom_is_named_by_its_coordinates(self, tmp_path, capsys, atoms, message):
         path = tmp_path / "mu.json"
@@ -843,6 +847,20 @@ class TestLubinCertify:
         main(["lubin", "certify", "--x", "1/5", "--out", str(out)])
         assert json.loads(out.read_text())["counterexample"] is True
 
+    def test_a_mathematical_error_is_reported_where_the_output_goes(self, tmp_path, capsys, monkeypatch):
+        # any command, not only fit: exit 1 with the error JSON on stdout or in --out
+        def refuse(x):
+            raise ZeroMomentError("gamma_0 vanished")
+
+        monkeypatch.setattr(cli.lubin, "family_report", refuse)
+        error = to_json({"error": "ZeroMomentError", "message": "gamma_0 vanished"})
+        assert main(["lubin", "certify", "--x", "1/5"]) == 1
+        assert capsys.readouterr() == (error + "\n", "")
+        out = tmp_path / "error.json"
+        assert main(["lubin", "certify", "--x", "1/5", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == error + "\n"
+
 
 class TestSweep:
     def test_grid_values(self, capsys):
@@ -967,12 +985,14 @@ class TestMalformedInput:
         assert main(["check1d", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("tail", ["cycle", 5])
-    def test_unknown_tail_rule_is_a_usage_error(self, tail, tmp_path):
+    @pytest.mark.parametrize("tail", ["cycle", 5, "flat"])
+    def test_unknown_tail_rule_is_a_usage_error(self, tail, tmp_path, capsys):
         # "repeat_last" is the one tail rule; any other value exits 2 with
-        # one error line and no traceback
+        # one error line and no traceback, in process and from a fresh one
         path = tmp_path / "weights.json"
         path.write_text(json.dumps({"kind": "prefix", "squared_weights": ["1/2", "1/3"], "tail": tail}))
+        assert main(["check1d", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot load weights: unknown tail rule {tail!r}\n")
         env = dict(os.environ, PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent))
         result = subprocess.run(
             [sys.executable, "-m", "shiftcert.cli", "check1d", str(path)],

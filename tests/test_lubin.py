@@ -1,4 +1,5 @@
 import contextlib
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -40,7 +41,7 @@ from shiftcert.lubin import (
 from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1, restrict_density
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.numerics import rref
-from shiftcert.shift1d import WeightSequence1D, backward_extension_1d
+from shiftcert.shift1d import WeightSequence1D, agler_sums_1d, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
 xs = st.fractions(min_value=F(1, 64), max_value=F(8, 15), max_denominator=64)
@@ -641,3 +642,46 @@ class TestFamilyReport:
         assert t2.call_count == 1
         assert report["certificates"]["t2"] == lubin.is_t2_subnormal(x)
         assert report["verdicts"]["t2_subnormal"] == (x <= lubin.T2_THRESHOLD)
+
+
+def sigma_moment(l: int, x: F) -> F:
+    """c_l = ||S^l e_(0,0)||^2 for S = (T1 + T2)/2, summed over MU's atoms:
+    an axis atom m d(s, 0) or m d(0, t) gives m (s/4)^l or m (t/4)^l, and a
+    diagonal atom m d(s, s) gives m C(2l, l) (s/4)^l."""
+    total = F(0)
+    for (s, t), constant, slope in MU:
+        mass = constant + slope * x
+        if s and t:
+            assert s == t
+            total += mass * math.comb(2 * l, l) * (s / 4) ** l
+        else:
+            total += mass * ((s if t == 0 else t) / 4) ** l
+    return total
+
+
+class TestSumMeasure:
+    """(T1 + T2)/2 restricted to the cyclic subspace of e_(0,0) is the shift
+    with moments c_l; an Agler sum below 0 shows it is not subnormal."""
+
+    @pytest.mark.parametrize("x", [F(1, 2), F(8, 33), F(1, 5), F(2, 11)], ids=str)
+    def test_moments_are_the_sum_of_the_atoms(self, x):
+        for l in range(12):
+            direct = sum(math.comb(l, j) ** 2 * moment2d(l - j, j, x) for j in range(l + 1)) / 4**l
+            assert sigma_moment(l, x) == direct
+
+    @pytest.mark.parametrize(
+        "x, n, k",
+        [(F(1, 2), 13, 1), (F(8, 33), 59, 4), (F(1, 5), 492, 33)],
+        ids=["1/2", "8/33", "1/5"],
+    )
+    def test_an_agler_sum_fails_first_at(self, x, n, k):
+        cert = agler_sums_1d(WeightSequence1D(lambda l: sigma_moment(l, x), 1), n, k)
+        # the scan runs n-major, so the witness is the grid's first failure
+        assert not cert.ok
+        assert (cert.witness["n"], cert.witness["k"]) == (n, k)
+        value = sum((-1) ** i * math.comb(n, i) * sigma_moment(k + i, x) for i in range(n + 1))
+        assert cert.witness["value"] == value / sigma_moment(k, x) < 0
+
+    def test_every_agler_sum_passes_at_the_pair_threshold(self):
+        x = PAIR_THRESHOLD
+        assert agler_sums_1d(WeightSequence1D(lambda l: sigma_moment(l, x), 1), 80, 5).ok

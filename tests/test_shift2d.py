@@ -40,6 +40,11 @@ MU_M = AtomicMeasure2D(
 XI_C = AtomicMeasure1D([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))])
 
 
+def two_rules(alpha, beta) -> WeightDiagram:
+    """The diagram whose one rule pairs the squared-weight rules ``alpha`` and ``beta``."""
+    return WeightDiagram(lambda k1, k2: (alpha(k1, k2), beta(k1, k2)))
+
+
 class MomentTable2D:
     """Lazy table of planar moments gamma_{(k1, k2)} with gamma_{(0,0)} == 1.
 
@@ -67,7 +72,7 @@ class MomentTable2D:
 
 def weights_from_moments2d(table: MomentTable2D) -> WeightDiagram:
     """Diagram with alpha_k^2 = gamma_{k+(1,0)} / gamma_k, beta_k^2 = gamma_{k+(0,1)} / gamma_k."""
-    return WeightDiagram(
+    return two_rules(
         lambda k1, k2: table.value(k1 + 1, k2) / table.value(k1, k2),
         lambda k1, k2: table.value(k1, k2 + 1) / table.value(k1, k2),
     )
@@ -145,7 +150,7 @@ def family(x=F(1, 5)) -> WeightDiagram:
 
 def skew_diagram() -> WeightDiagram:
     # beta depends on k1 while alpha is constant: the steps cannot commute
-    return WeightDiagram(
+    return two_rules(
         lambda k1, k2: F(1, 2),
         lambda k1, k2: F(1, k1 + 2),
     )
@@ -239,7 +244,7 @@ class TestCommutativity:
 
     def test_tensor_commutes(self):
         w = WeightSequence1D.from_measure(XI_C)
-        tensor = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
+        tensor = two_rules(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
         assert commutativity_check(tensor, (6, 6)).ok
 
     def test_skew_fails_with_witness(self):
@@ -251,7 +256,7 @@ class TestCommutativity:
         # every squared weight 1 but beta^2 = 1/2 at (0, 0) and 2 at (0, 1): the path
         # URRRRRRU to (6, 2) has product 1/2 and the canonical path 1
         betas = {(0, 0): F(1, 2), (0, 1): F(2)}
-        unit = WeightDiagram(lambda k1, k2: F(1), lambda k1, k2: betas.get((k1, k2), F(1)))
+        unit = two_rules(lambda k1, k2: F(1), lambda k1, k2: betas.get((k1, k2), F(1)))
         assert canonical_moment(unit, 6, 2) == 1
         cert = commutativity_check(unit, (6, 2))
         assert not cert.ok
@@ -278,7 +283,7 @@ class TestBerger2D:
                 for q, mq in XI_C.atoms
             ]
         )
-        tensor = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
+        tensor = two_rules(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
         assert check_berger_2d(tensor, product, (6, 6)).ok
 
     def test_wrong_measure_names_first_bad_moment(self):
@@ -320,7 +325,7 @@ def perturbed(diagram: WeightDiagram, which: str, point, factor) -> WeightDiagra
     def rule(name, read):
         return lambda k1, k2: read(k1, k2) * (factor if (name, (k1, k2)) == (which, point) else 1)
 
-    return WeightDiagram(rule("alpha", diagram.alpha_sq), rule("beta", diagram.beta_sq))
+    return two_rules(rule("alpha", diagram.alpha_sq), rule("beta", diagram.beta_sq))
 
 
 def cap_moment_diagram() -> WeightDiagram:
@@ -417,14 +422,14 @@ class TestStatelessDiagram:
             joint_hyponormality_window(diagram, (64, 64))
             check_berger_2d(diagram, MU_CAP, (64, 64))
         assert (state(whole), state(deep)) == before
-        # a diagram is its two rules and nothing else
-        assert set(vars(whole)) == set(vars(deep)) == {"_alpha_rule", "_beta_rule"}
+        # a diagram is its one rule and nothing else
+        assert set(vars(whole)) == set(vars(deep)) == {"_rule"}
 
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [F(0), F(-1)])
     def test_a_nonpositive_weight_is_rejected_when_read(self, which, value):
         # the moment diagram of the unit point mass at (1, 1), one weight at the origin replaced
-        bad = perturbed(WeightDiagram(lambda k1, k2: F(1), lambda k1, k2: F(1)), which, (0, 0), value)
+        bad = perturbed(two_rules(lambda k1, k2: F(1), lambda k1, k2: F(1)), which, (0, 0), value)
         unit = AtomicMeasure2D([((F(1), F(1)), F(1))])
         for check in (
             lambda: commutativity_check(bad, (2, 2)),
@@ -438,7 +443,7 @@ class TestStatelessDiagram:
 def unit_diagram(rule=lambda k1, k2: F(1)) -> WeightDiagram:
     """Every squared weight 1: the moment diagram of the unit point mass at
     (1, 1), which passes all three window checks."""
-    return WeightDiagram(rule, rule)
+    return two_rules(rule, rule)
 
 
 UNIT_MASS = AtomicMeasure2D([((F(1), F(1)), F(1))])
@@ -449,43 +454,33 @@ class TestWindowReader:
     def test_each_check_calls_each_rule_once_per_point_it_needs(self, w, h):
         calls = []
 
-        def counting(name):
-            def rule(k1, k2):
-                calls.append((name, k1, k2))
-                return F(1)
+        def rule(k1, k2):
+            calls.append((k1, k2))
+            return F(1), F(1)
 
-            return rule
+        diagram = WeightDiagram(rule)
 
-        diagram = WeightDiagram(counting("alpha"), counting("beta"))
-
-        def grid(name, width, height):
-            return [(name, k1, k2) for k2 in range(height) for k1 in range(width)]
+        def grid(width, height):
+            return [(k1, k2) for k2 in range(height) for k1 in range(width)]
 
         for check, want, count in (
-            (
-                lambda: commutativity_check(diagram, (w, h)),
-                grid("alpha", w, h + 1) + grid("beta", w + 1, h),
-                w * (h + 1) + (w + 1) * h,
-            ),
-            (
-                lambda: joint_hyponormality_window(diagram, (w, h)),
-                grid("alpha", w, h) + grid("beta", w, h),
-                2 * w * h,
-            ),
-            (
-                lambda: check_berger_2d(diagram, UNIT_MASS, (w, h)),
-                grid("alpha", w - 1, 1) + grid("beta", w, h - 1),
-                (w - 1) + w * (h - 1),
-            ),
+            (lambda: commutativity_check(diagram, (w, h)), grid(w + 1, h + 1), (w + 1) * (h + 1)),
+            (lambda: joint_hyponormality_window(diagram, (w, h)), grid(w, h), w * h),
+            (lambda: check_berger_2d(diagram, UNIT_MASS, (w, h)), grid(w, max(h - 1, 1)), w * max(h - 1, 1)),
         ):
             calls.clear()
             assert check().ok
-            # each point once, alphas then betas, row by row
+            # each point once, row by row
             assert calls == want and len(calls) == count
 
-    @pytest.mark.parametrize("which, point", [("alpha", (2, 3)), ("beta", (3, 2))])
+    @pytest.mark.parametrize(
+        "which, point",
+        [("alpha", (2, 3)), ("beta", (3, 2)), ("alpha", (3, 1)), ("beta", (1, 3)), ("alpha", (3, 3)), ("beta", (3, 3))],
+    )
     def test_a_bad_weight_only_commutativity_reads_is_named(self, which, point):
-        # alpha at (w - 1, h) and beta at (w, h - 1) lie outside the other checks' window
+        # alpha at (w - 1, h) and beta at (w, h - 1) lie outside the other checks' window;
+        # so do column w, row h and the corner (w, h), which enter no product but lie in
+        # commutativity's one (w + 1) x (h + 1) read
         bad = perturbed(unit_diagram(), which, point, F(-1, 2))
         message = f"{which}^2 at {point} must be positive, got -1/2"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -501,9 +496,10 @@ class TestWindowReader:
         assert joint_hyponormality_window(ones, (4, 3)).ok
         assert check_berger_2d(ones, UNIT_MASS, (4, 3)).ok
         assert ones.alpha_sq(2, 1) == 1 and type(ones.alpha_sq(2, 1)) is F
-        assert ones.alpha_rows(2, 1) == [([1, 1], [1, 1])]
+        assert ones.rows(2, 1) == [([1, 1], [1, 1], [1, 1], [1, 1])]
         # a failure's witness is still a Fraction
-        twos = WeightDiagram(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
+        twos = two_rules(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
+        assert twos.rows(1, 2) == [([1], [1], [1], [1]), ([1], [1], [2], [1])]
         cert = commutativity_check(twos, (1, 2))
         assert not cert.ok
         assert cert.witness["k"] == [0, 1]
@@ -642,7 +638,7 @@ def monotone_random_diagram(rng: random.Random) -> WeightDiagram:
     base_b = {k1: F(rng.randint(1, 8), rng.randint(1, 8)) for k1 in range(8)}
     inc_a = {(k1, k2): step() for k1 in range(8) for k2 in range(8)}
     inc_b = {(k1, k2): step() for k1 in range(8) for k2 in range(8)}
-    return WeightDiagram(
+    return two_rules(
         lambda k1, k2: base_a[k2] + sum(inc_a[i, k2] for i in range(k1)),
         lambda k1, k2: base_b[k1] + sum(inc_b[k1, j] for j in range(k2)),
     )
@@ -712,7 +708,7 @@ class TestJointHyponormality:
 
 def table_diagram(alpha: dict, beta: dict, fill=F(100)) -> WeightDiagram:
     """Squared weights from two tables; points outside them get ``fill``."""
-    return WeightDiagram(
+    return two_rules(
         lambda k1, k2: alpha.get((k1, k2), fill),
         lambda k1, k2: beta.get((k1, k2), fill),
     )
@@ -847,6 +843,6 @@ class TestTensorProperty:
         total = sum(m for _, m in row_atoms)
         xi = AtomicMeasure1D([(p, m / total) for p, m in row_atoms])
         w = WeightSequence1D.from_measure(xi)
-        d = WeightDiagram(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
+        d = two_rules(lambda k1, k2: w.squared_weight(k1), lambda k1, k2: w.squared_weight(k2))
         assert canonical_moment(d, k1, k2) == moment1(xi, k1) * moment1(xi, k2)
         assert commutativity_check(d, (3, 3)).ok
