@@ -105,6 +105,8 @@ CASES = {
     "lubin-past-t2": ["lubin", "certify", "--x", "1/2", "--out", "out.json"],
     "lubin-at-certified": ["lubin", "certify", "--x", CERTIFIED],
     "lubin-sum-violation": ["lubin", "certify", "--x", "5/6"],
+    "lubin-sum-violation-k0": ["lubin", "certify", "--x", "5"],
+    "lubin-sum-violation-n6": ["lubin", "certify", "--x", "17/20"],
     "lubin-past-cap": ["lubin", "certify", "--x", "2"],
     "lubin-nonpositive": ["lubin", "certify", "--x=-1/5"],
     # sweep
