@@ -10,62 +10,33 @@ moment table:
                 sum_i C(l,i)^2 gamma_{(k+l-i, i)} / gamma_{(k, 0)},
 
 because the images of e_{(k,0)} under distinct monomials in T1, T2 of the
-same degree are orthogonal (:func:`p_n_bruteforce`).  Collapsing the inner
-sum with the square-binomial convolution identity gives the closed form
-(:func:`p_n_closed`): for k >= 1,
+same degree are orthogonal (:func:`p_n_bruteforce`).  The table is the
+moments of the family's signed measure mu (:data:`.lubin.MU`), so the
+inner sum splits over mu's atoms.  An atom at (s, t) with mass c + d x
+adds to P_n(k, 0) gamma_k
 
-    P_n(k,0) gamma_k = A_n(x) (1/4)^k + B_n(x) (1/2)^k + C_n,
-    A_n = (2/11 - x)(15/16)^n + x I_n(1/16),
-    B_n = (1/22 - x/4)(7/8)^n + (x/4) I_n(1/8),
-    C_n = (1/44)(3/4)^n,
+    (c + d x) s^k (1 - (s + t)/4)^n   on an axis, where s t = 0,
+    (c + d x) s^k I_n(s/4)            on the diagonal s = t,
 
-where
+since sum_i C(l,i)^2 s^(l-i) t^i is (s + t)^l on an axis and
+C(2l, l) s^l on the diagonal; I_n(c) = sum_l C(n,l) (-c)^l C(2l, l) is
+:func:`integral_moment`.  Grouped by s, the atoms make P_n(k, 0) gamma_k
+one exponential sum in k with coefficients affine in x, the shape of
+lubin's slices: the per-n slice, integers over one denominator, built
+from mu once per n in a bounded cache.  The range (0, X_n] on which it
+stays nonnegative for every k >= 0 comes from
+:func:`.numerics.exponential_sum_threshold`, the kernel of lubin's
+thresholds (:func:`per_n_exact_sup`), and a decision at x runs
+:func:`.numerics.exponential_sum_sign` on the slice and checks its
+verdict against X_n (:func:`positivity_over_all_k`).  No cache is keyed
+by x.
 
-    I_n(c) = sum_l C(n,l) (-c)^l C(2l, l)
-           = integral of (1 - c s)^n against the arcsine-type density
-             (1/pi) / sqrt(4s - s^2) on [0, 4].
-
-The generating function  sum_n I_n(c) t^n = ((1 - t)(1 - (1 - 4c) t))^(-1/2)
-gives the three-term recurrence
-
-    (n + 1) I_(n+1) = (2n + 1)(1 - 2c) I_n - n (1 - 4c) I_(n-1),
-    I_0 = 1,  I_1 = 1 - 2c,
-
-so :func:`integral_moment` costs O(n) integer steps.  The k = 0 value
-has an analogous affine-in-x expression.  All coefficients are
-exact rationals, so per-n positivity over all k is decidable: C_n > 0
-dominates the tail in k, and the k = 0 form is affine in x.
-
-The infinite family of n is closed off analytically: restricting the
-integral to [1/3, 1/2] gives  I_n(c) >= (1/(6 pi sqrt(2))) (1 - c/2)^n,
-and with the rational outer bounds pi < 22/7, sqrt(2) < 17/12 (so
-6 pi sqrt(2) < 27 because 6 * 22/7 * 17/12 = 187/7 < 27), the exact
-inequalities  I_n(1/16) >= (15/16)^n  and  I_n(1/8) >= (7/8)^n  hold for
-all n past explicit stopping indices where (31/30)^n and (15/14)^n clear
-27.  Past the stopping index, A_n and B_n are nonnegative for *every*
-x > 0 and the k = 0 form only needs x <= 6/5.
-
-The upshot is an exact certified bound ``certified_x_max`` strictly above
-2/11: the rescaled sum is subnormal on (0, 2/11 + epsilon] with
-``epsilon = certified_epsilon()`` a positive rational, even though the
-pair itself stops being jointly subnormal at 2/11.
-
-Everything above that does not depend on x is computed once per process,
-in the per-n record :func:`per_n_coefficients`: the constants and slopes
-of A_n and B_n, C_n, the k = 0 affine pair, the two tail inequalities,
-and one k-scan.  For each k >= 1, P_n(k, 0) gamma_k is a positive multiple
-of const_k + slope_k x with const_k > 0, so only the forms with slope_k < 0 can go negative; the
-record keeps those ``exposed`` forms up to the index past which no root
-can fall below the running minimum, and ``sup``, the least root over
-them and the k = 0 form.  The caches are keyed by n or by nothing, so no
-cache grows with x.  The record is integers: each coefficient is a
-numerator over the one denominator 88 * 16^n (the k-th form over a further
-4^k), read straight off the recurrence's numerators, and only ``sup`` is a
-Fraction.  At x = p/q a form holds iff const q + slope p >= 0, so a per-n
-decision tests the k = 0 form and each exposed form by the sign of one
-integer, never against a cached root, and :func:`certify_sum` can check
-its verdict against the certified bound.  Fractions are built only for
-what a function returns.
+The n past an explicit stopping index are closed off analytically
+(:func:`tail_stopping_index`), so an exact certified bound
+``certified_x_max`` lies strictly above 2/11: the rescaled sum is
+subnormal on (0, 2/11 + epsilon] with ``epsilon = certified_epsilon()``
+a positive rational, even though the pair itself stops being jointly
+subnormal at 2/11.
 """
 
 from __future__ import annotations
@@ -76,32 +47,34 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
+from . import lubin
 from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, _parameter, gamma_row, moment2d
+from .numerics import _index, exponential_sum_sign, exponential_sum_threshold
 
-C_SIXTEENTH = Fraction(1, 16)
-C_EIGHTH = Fraction(1, 8)
-K0_CAP = Fraction(6, 5)  # the k = 0 tail constraint: 3/4 - (5x/8)(1 - (3/4)^n) >= 0
-
-_SCAN_LIMIT = 100_000
-
+# the k = 0 tail constraint: mu's mass at the origin, constant + slope x, stays >= 0
+K0_CAP = next(c / -d for (s, t), c, d in lubin.MU if s == t == 0)
 
 # c values whose numerator lists are kept; the certificate reads two, 1/16 and 1/8
 _NUMERATOR_CACHE = 8
 # entries of the (c, n)-keyed integral_moment cache
 _MOMENT_CACHE = 1024
+# entries of each n-keyed cache: every n that sweep (n <= 200) and the certificate (n <= 101) reach
+_ORDER_CACHE = 256
+# entries of the (n, k)-keyed row cache, which a sweep reads again at every x: grids up to 4,096 pairs stay whole
+_ROW_CACHE = 4096
 
 
 @lru_cache(maxsize=_NUMERATOR_CACHE)
-def _moment_numerators(c: Fraction) -> list[int]:
-    # J_n = q^n I_n(c) for c = p/q, for n = 0, 1, ...; _moment_numerator extends the list in place
-    return [1, c.denominator - 2 * c.numerator]
+def _moment_numerators(p: int, q: int) -> list[int]:
+    # J_n = q^n I_n(p/q) for n = 0, 1, ...; _moment_numerator extends the list in place
+    return [1, q - 2 * p]
 
 
 def _moment_numerator(c: Fraction, n: int) -> int:
     """J_n = q^n I_n(c) for c = p/q, by the integer recurrence of :func:`integral_moment`."""
     p, q = c.numerator, c.denominator
-    numerators = _moment_numerators(c)
+    numerators = _moment_numerators(p, q)
     for m in range(len(numerators) - 1, n):
         step = (2 * m + 1) * (q - 2 * p) * numerators[m] - m * q * (q - 4 * p) * numerators[m - 1]
         value, remainder = divmod(step, m + 1)
@@ -111,7 +84,7 @@ def _moment_numerator(c: Fraction, n: int) -> int:
     return numerators[n]
 
 
-@lru_cache(maxsize=_MOMENT_CACHE)
+@lru_cache(maxsize=_MOMENT_CACHE, typed=True)
 def integral_moment(c, n: int) -> Fraction:
     """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l), by its three-term recurrence.
 
@@ -123,126 +96,99 @@ def integral_moment(c, n: int) -> Fraction:
         (n + 1) J_(n+1) = (2n + 1)(q - 2p) J_n - n q (q - 4p) J_(n-1),
 
     filled in ascending n into a list kept per c (at most ``_NUMERATOR_CACHE``
-    of them), and each division by n + 1 is checked to be exact.
+    of them), and each division by n + 1 is checked to be exact.  The cache
+    is typed, so a float n never meets the value cached for the int.
     """
-    c = Fraction(c)
+    c, n = Fraction(c), _least(n, "n", 0)
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return Fraction(_moment_numerator(c, n), c.denominator**n)
 
 
-class PerNCoefficients(
-    namedtuple(
-        "PerNCoefficients",
-        "const_a slope_a const_b slope_b c_n k0_const k0_slope exposed sup",
-    )
-):
-    """The x-free data of one n, from which every per-n fact at x follows.
-
-    The coefficients are integers, numerators over den = 88 * 16^n:
-
-        den A_n = const_a + slope_a x,  den B_n = const_b + slope_b x,
-        den C_n = c_n,  den P_n(0, 0) = k0_const + k0_slope x.
-
-    ``exposed`` holds each (k, const_k, slope_k) with k >= 1, slope_k < 0
-    and const_k + slope_k x = den 4^k P_n(k, 0) gamma_k, in increasing k,
-    up to the scan's stop; every later k has its root at or above ``sup``,
-    the least root over the exposed forms and the k = 0 form, a Fraction
-    (``None`` when no form has a negative slope).
-    """
-
-    __slots__ = ()
+def _least(value, what: str, least: int = 1) -> int:
+    """``value`` as the int ``what`` (an order n or an index k), at least ``least``."""
+    value = _index(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
-@lru_cache(maxsize=None)
-def per_n_coefficients(n: int) -> PerNCoefficients:
-    """The per-n record, computed once per process for each n.
+@lru_cache(maxsize=1)
+def _atoms() -> tuple[int, int, tuple, tuple]:
+    """mu's atoms in integers, read once: (mass_den, weight_den, bases, atoms),
+    ``bases`` the distinct s in increasing order.  An atom (i, c, d, moment, g)
+    at s = bases[i] has the mass (c + d x) / mass_den and, at n, the weight
+    g^n / weight_den^n on an axis (moment ``None``) or J_n g^n / weight_den^n
+    on the diagonal, J_n the numerator of I_n(moment).  An interior atom off
+    the diagonal raises ``ArithmeticError``."""
+    mass_den = math.lcm(*(v.denominator for _, c, d in lubin.MU for v in (c, d)))
+    bases = tuple(sorted({s for (s, _), _, _ in lubin.MU}))
+    atoms = []
+    for (s, t), c, d in lubin.MU:
+        if s and t and s != t:
+            raise ArithmeticError(f"mu's interior atom at {(s, t)} is off the diagonal")
+        moment = s / 4 if s and t else None
+        # the weight's ratio: I_n(p/q) = J_n (1/q)^n, and (1 - (s + t)/4)^n on an axis
+        ratio = Fraction(1, moment.denominator) if moment else 1 - (s + t) / 4
+        atoms.append((bases.index(s), int(c * mass_den), int(d * mass_den), moment, ratio))
+    weight_den = math.lcm(*(ratio.denominator for *_, ratio in atoms))
+    return mass_den, weight_den, bases, tuple((*atom[:4], int(atom[4] * weight_den)) for atom in atoms)
 
-    For each k >= 1 the form const_k + slope_k x has const_k > 0, so each k
-    contributes either no constraint (nonnegative slope) or a root; the
-    roots grow without bound in k because C_n > 0 dominates, so the scan
-    stops once no later k can undercut the running minimum.
 
-    16^n I_n(1/16) is the recurrence's J_n for c = 1/16, and 16^n I_n(1/8)
-    is 2^n J_n for c = 1/8, so the record is integers throughout, and the
-    k-scan compares slopes, consts and roots by cross-multiplication.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    sixteen, fifteen, fourteen, twelve = 16**n, 15**n, 14**n, 12**n
-    j16 = _moment_numerator(C_SIXTEENTH, n)  # 16^n I_n(1/16)
-    j8 = _moment_numerator(C_EIGHTH, n) << n  # 16^n I_n(1/8)
-    # numerators over 88 * 16^n; (15/16)^n, (7/8)^n, (3/4)^n are 15^n, 14^n, 12^n over 16^n
-    const_a, slope_a = 16 * fifteen, 88 * (j16 - fifteen)  # (2/11)(15/16)^n, I_n(1/16) - (15/16)^n
-    const_b, slope_b = 4 * fourteen, 22 * (j8 - fourteen)  # (1/22)(7/8)^n, (I_n(1/8) - (7/8)^n) / 4
-    c_n = 2 * twelve  # (1/44)(3/4)^n
-    # P_n(0,0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n)
-    k0_const = 66 * sixteen + const_a + const_b + c_n
-    k0_slope = slope_a + slope_b - 55 * (sixteen - twelve)
-    exposed = []
-    sup: tuple[int, int] | None = None  # (numerator, positive denominator)
-    if slope_a < 0 or slope_b < 0:
-        two_k = 1  # the k-th form over 88 * 16^n * 4^k is const_k + slope_k x below
-        for k in range(1, _SCAN_LIMIT):
-            two_k *= 2
-            slope_k = slope_a + slope_b * two_k
-            if slope_k < 0:
-                const_k = const_a + const_b * two_k + c_n * two_k * two_k
-                exposed.append((k, const_k, slope_k))
-                if sup is None or const_k * sup[1] < sup[0] * -slope_k:
-                    sup = (const_k, -slope_k)
-            if slope_b >= 0 and slope_k >= 0:
-                break  # slope_k = slope_a + slope_b 2^k is nondecreasing
-            reach = abs(slope_a) + abs(slope_b) * two_k
-            if sup is not None and reach * sup[0] < c_n * two_k * two_k * sup[1]:
-                break  # later k cannot push the root below the running minimum
-        else:
-            raise ArithmeticError("per-n scan failed to terminate")
-    if k0_slope < 0 and (sup is None or k0_const * sup[1] < sup[0] * -k0_slope):
-        sup = (k0_const, -k0_slope)
-    return PerNCoefficients(
-        const_a, slope_a, const_b, slope_b, c_n, k0_const, k0_slope,
-        exposed=tuple(exposed), sup=None if sup is None else Fraction(*sup),
+@lru_cache(maxsize=_ORDER_CACHE)
+def _slice(n: int) -> tuple[int, tuple, Fraction | None]:
+    """(den, terms, sup): den P_n(k, 0) gamma_k is the sum of (c + d x) s^k
+    over the integer terms (s, c, d), one per base s of mu in increasing s
+    (0^0 = 1), and sup is its threshold, the largest x where no k fails."""
+    mass_den, weight_den, bases, atoms = _atoms()
+    constants, slopes = [0] * len(bases), [0] * len(bases)
+    for i, c, d, moment, g in atoms:
+        weight = g**n if moment is None else _moment_numerator(moment, n) * g**n
+        constants[i] += c * weight
+        slopes[i] += d * weight
+    terms = tuple(zip(bases, constants, slopes))
+    return mass_den * weight_den**n, terms, exponential_sum_threshold(terms)[0]
+
+
+@lru_cache(maxsize=_ROW_CACHE, typed=True)
+def _row(n: int, k) -> tuple[int, int, int]:
+    """(c, d, den), x-free integers with P_n(k, 0) = (c + d x) / den.  The cache
+    is typed and validates k, so a float k never meets the int it equals."""
+    k = _least(k, "k", 0)
+    den, terms, _ = _slice(n)
+    scale = math.lcm(*(s.denominator for s, _, _ in terms))
+    powers = [(s.numerator * (scale // s.denominator)) ** k for s, _, _ in terms]
+    gamma = gamma_row(k)
+    return (
+        sum(c * u for u, (_, c, _) in zip(powers, terms)) * gamma.denominator,
+        sum(d * u for u, (_, _, d) in zip(powers, terms)) * gamma.denominator,
+        den * scale**k * gamma.numerator,
     )
 
 
-def _numerators_at(n: int, x: Fraction) -> tuple[int, int, int, int]:
-    """A_n(x), B_n(x), C_n and P_n(0, 0) at x = p/q, as numerators over 88 * 16^n * q."""
-    r, p, q = per_n_coefficients(n), x.numerator, x.denominator
-    a, b = r.const_a * q + r.slope_a * p, r.const_b * q + r.slope_b * p
-    return a, b, r.c_n * q, r.k0_const * q + r.k0_slope * p
-
-
-def abc_coefficients(x, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The coefficients A_n(x), B_n(x), C_n of the k >= 1 closed form."""
+def abc_coefficients(x, n: int) -> tuple[Fraction, ...]:
+    """The coefficients A_n(x), B_n(x), C_n of 4^-k, 2^-k and 1 in
+    P_n(k, 0) gamma_k for k >= 1: the slice's terms with s > 0, in increasing s."""
     x = Fraction(x)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    den = (88 << 4 * n) * x.denominator
-    return tuple(Fraction(v, den) for v in _numerators_at(n, x)[:3])
+    den, terms, _ = _slice(_least(n, "n"))
+    p, q = x.numerator, x.denominator
+    return tuple(Fraction(c * q + d * p, den * q) for s, c, d in terms if s)
 
 
 def p_n_closed(x, k: int, n: int) -> Fraction:
-    """P_n(k, 0) via the collapsed coefficients; exact rational."""
+    """P_n(k, 0) read off the per-n slice of mu; exact rational."""
     return p_n_closed_values(x, n, (k,))[0]
 
 
 def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
-    """P_n(k, 0) for each k in ``ks``, with A_n(x), B_n(x), C_n computed once,
-    as integer numerators; one Fraction is built per k."""
-    x = _parameter(x)
-    if n < 1 or any(k < 0 for k in ks):
-        raise ValueError("need n >= 1 and k >= 0")
-    a, b, c, k0 = _numerators_at(n, x)
-    den = (88 << 4 * n) * x.denominator
+    """P_n(k, 0) for each k in ``ks``, from the x-free integers of each
+    (n, k) row; one Fraction is built per k."""
+    x, n = _parameter(x), _least(n, "n")
+    p, q = x.numerator, x.denominator
     values = []
     for k in ks:
-        # P_n(k, 0) gamma_k = (a + b 2^k + c 4^k) / (den 4^k) for k >= 1, and gamma_0 = 1
-        gamma = gamma_row(k)
-        numerator = k0 if k == 0 else a + (b << k) + (c << 2 * k)
-        values.append(Fraction(numerator * gamma.denominator, (den << 2 * k) * gamma.numerator))
+        c, d, den = _row(n, k)
+        values.append(Fraction(c * q + d * p, den * q))
     return values
 
 
@@ -253,9 +199,7 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
     under distinct degree-l monomials, with multinomial weights C(l,i)^2
     and moment ratios off anti-diagonals of the table.
     """
-    x = _parameter(x)
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    x, n, k = _parameter(x), _least(n, "n"), _least(k, "k", 0)
     base = moment2d(k, 0, x)
     total = Fraction(0)
     for ell in range(n + 1):
@@ -268,49 +212,30 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
 
 
 def per_n_exact_sup(n: int) -> Fraction | None:
-    """Largest x with P_n(k, 0) >= 0 for every k >= 0, or ``None`` if unconstrained."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return per_n_coefficients(n).sup
-
-
-def _first_negative_k(record: PerNCoefficients, x: Fraction) -> int | None:
-    """The least k >= 0 with P_n(k, 0) < 0 at x, or ``None`` when there is none.
-
-    Tests the k = 0 form, then each exposed form, at x = p/q: a form holds
-    iff const q + slope p >= 0, one integer sign.  Every k the scan passed
-    over without exposing it has a nonnegative slope, and every k past the
-    scan's stop has its root at or above ``sup``, which one of the tested
-    forms attains; so a form fails at x iff some k fails, and the first one
-    found is the least.
-    """
-    p, q = x.numerator, x.denominator
-    for k, const, slope in ((0, record.k0_const, record.k0_slope), *record.exposed):
-        if const * q + slope * p < 0:
-            return k
-    return None
+    """Largest x with P_n(k, 0) >= 0 for every k >= 0, or ``None`` if
+    unconstrained: the threshold of the per-n slice, once per process."""
+    return _slice(_least(n, "n"))[2]
 
 
 def positivity_over_all_k(x, n: int) -> Certificate:
     """Exact decision of P_n(k, 0) >= 0 for every k >= 0 at fixed n.
 
-    Evaluates at x the k = 0 form and each exposed form of the per-n
-    record :func:`per_n_coefficients`, by integer signs and never against
-    a cached root.  A pass witness counts the forms checked; a failure
-    witness names the least failing k and the value P_n(k, 0) < 0 there.
+    Runs :func:`.numerics.exponential_sum_sign` on the per-n slice at x and
+    raises ``ArithmeticError`` if it disagrees with :func:`per_n_exact_sup`.
+    A pass witness is the sign test's (the dominant base and the index from
+    which it dominates); a failure witness names the least failing k and
+    the value P_n(k, 0) < 0 there.
     """
-    x = _parameter(x)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    record = per_n_coefficients(n)
-    k = _first_negative_k(record, x)
-    if k is None:
-        return Certificate(
-            "positivity_over_all_k", True, {"n": n, "forms_checked": 1 + len(record.exposed)}
-        )
-    return Certificate(
-        "positivity_over_all_k", False, {"n": n, "k": k, "value": p_n_closed(x, k, n)}
-    )
+    x, n = _parameter(x), _least(n, "n")
+    p, q = x.numerator, x.denominator
+    sign = exponential_sum_sign([(s, c * q + d * p) for s, c, d in _slice(n)[1]])
+    sup = per_n_exact_sup(n)
+    if sign.ok != (sup is None or x <= sup):
+        raise ArithmeticError(f"the sign test of P_{n} at x = {x} disagrees with the threshold {sup}")
+    if sign.ok:
+        return Certificate("positivity_over_all_k", True, {"n": n, **sign.witness})
+    k = sign.witness["k"]
+    return Certificate("positivity_over_all_k", False, {"n": n, "k": k, "value": p_n_closed(x, k, n)})
 
 
 class TailBound(namedtuple("TailBound", "n_star n_sixteenth n_eighth witness")):
@@ -321,26 +246,34 @@ class TailBound(namedtuple("TailBound", "n_star n_sixteenth n_eighth witness")):
 
 @lru_cache(maxsize=1)
 def tail_stopping_index() -> TailBound:
-    """Smallest window past which both tail inequalities hold for all n.
+    """Smallest window past which the tail inequalities hold for all n.
 
     On [1/3, 1/2] the arcsine-type density exceeds 1/(pi sqrt(2 * 7/4)),
     so I_n(c) >= (1/(6 pi sqrt(2))) (1 - c/2)^n.  Exact rational chain:
     6 pi sqrt(2) < 6 * (22/7) * (17/12) = 187/7 < 27 (and 288 < 289
-    witnesses sqrt(2) < 17/12), hence I_n(c) >= (1 - c/2)^n / 27.  The
-    ratios against the targets are then (31/30)^n for c = 1/16 and
-    (15/14)^n for c = 1/8, and each only needs to clear 27.
+    witnesses sqrt(2) < 17/12), hence I_n(c) >= (1 - c/2)^n / 27.  A
+    diagonal atom (s, s) of mu has c = s/4 and must meet an axis atom
+    (s, 0) of the opposite slope, whose weight (1 - c)^n is the target, so
+    the ratio (31/30)^n for c = 1/16, and (15/14)^n for c = 1/8, only
+    needs to clear 27.  Past both indices no slope at s > 0 is negative,
+    and the k = 0 value is at least mu's mass at the origin, 3/4 - 5x/8.
     """
     if not (2 * 12**2 < 17**2 and Fraction(6 * 22 * 17, 7 * 12) < 27):
         raise ArithmeticError("the rational bounds sqrt(2) < 17/12 and 6*pi*sqrt(2) < 27 failed")
-    n_sixteenth = next(n for n in count() if 31**n >= 27 * 30**n)
-    n_eighth = next(n for n in count() if 15**n >= 27 * 14**n)
-    n_star = max(n_sixteenth, n_eighth)
+    axis = {s: d for (s, t), _, d in lubin.MU if not t}
+    diagonal = [(s, d) for (s, t), _, d in lubin.MU if s and s == t]
+    if not all(0 < d == -axis.get(s, 0) for s, d in diagonal):
+        raise ArithmeticError("the tail needs each diagonal atom (s, s) of mu to meet an axis atom (s, 0) of the opposite slope")
+    bounds = [(s / 4, 1 - s / 8, (1 - s / 8) / (1 - s / 4)) for s, _ in diagonal]  # (c, 1 - c/2, its ratio to 1 - c)
+    indices = [next(n for n in count() if r.numerator**n >= 27 * r.denominator**n) for *_, r in bounds]
+    n_sixteenth, n_eighth = indices
+    n_star = max(indices)
     witness = (
-        "I_n(1/16) >= (31/32)^n / 27 and I_n(1/8) >= (15/16)^n / 27 from the "
-        "[1/3, 1/2] window of the arcsine-type integral with 6*pi*sqrt(2) < 27; "
-        f"(31/30)^n >= 27 from n = {n_sixteenth} and (15/14)^n >= 27 from "
-        f"n = {n_eighth}, so for n > {n_star} the coefficients A_n, B_n are "
-        "nonnegative for every x > 0 and the k = 0 value only requires x <= 6/5."
+        " and ".join(f"I_n({c}) >= ({lower})^n / 27" for c, lower, _ in bounds)
+        + " from the [1/3, 1/2] window of the arcsine-type integral with 6*pi*sqrt(2) < 27; "
+        + " and ".join(f"({r})^n >= 27 from n = {m}" for (*_, r), m in zip(bounds, indices))
+        + f", so for n > {n_star} the coefficients A_n, B_n are nonnegative for every x > 0"
+        f" and the k = 0 value only requires x <= {K0_CAP}."
     )
     return TailBound(n_star=n_star, n_sixteenth=n_sixteenth, n_eighth=n_eighth, witness=witness)
 
@@ -368,9 +301,10 @@ def certify_sum(x) -> Certificate:
     """Decide subnormality of (T1 + T2)/2 at parameter x, with certificate.
 
     Exact per-n positivity for every n up to the analytic stopping index
-    ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n.  The
-    verdict is equivalent to x <= certified_x_max(), which the
-    construction re-asserts.  The witness records x, ``n_tail``,
+    ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n: the first
+    n whose exact sup x exceeds is decided again by
+    :func:`positivity_over_all_k`, and the verdict must be x <=
+    certified_x_max().  The witness records x, ``n_tail``,
     ``certified_x_max``, ``epsilon``, the analytic ``tail_witness``, and the
     ``violation``: ``None`` on a pass, else the least failing n with its
     least failing k and the value P_n(k, 0) < 0 there, or the cap it
@@ -380,9 +314,9 @@ def certify_sum(x) -> Certificate:
     tail = tail_stopping_index()
     violation = None
     for n in range(1, tail.n_star + 1):
-        k = _first_negative_k(per_n_coefficients(n), x)
-        if k is not None:
-            violation = {"n": n, "k": k, "value": p_n_closed(x, k, n)}
+        sup = per_n_exact_sup(n)
+        if sup is not None and x > sup:
+            violation = positivity_over_all_k(x, n).witness
             break
     if violation is None and x > K0_CAP:
         violation = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}

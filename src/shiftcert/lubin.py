@@ -159,13 +159,14 @@ def _parameter(x) -> Fraction:
     return x
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def moment2d(k1: int, k2: int, x) -> Fraction:
     """The family's moment table at parameter x, the moments of mu.
 
     Row 0 is the row piece's moments, column 0 past (0, 0) x times the
     column piece's, and the interior x times the diagonal piece's moment
-    of order k1 + k2.
+    of order k1 + k2.  The cache is typed, so a float index never meets
+    the entry cached for the int it equals.
     """
     x = _parameter(x)
     k1, k2 = _point(k1, k2)

@@ -186,45 +186,60 @@ def exponential_sum_sign(terms) -> Certificate:
         powers = [v * p for v, p in zip(powers, bases)]
 
 
+def _outweighs(values) -> bool:
+    """Whether f(k), the sum of ``values`` (one k >= 1, largest base first),
+    stays >= 0 at every later k: the first nonzero term is positive and at
+    least the negative terms' sizes, each of which shrinks against it."""
+    lead = next(filter(None, values), 0)
+    return lead >= 0 and lead >= -sum(filter((0).__gt__, values))  # (0).__gt__(v): v < 0
+
+
 def exponential_sum_threshold(terms) -> tuple[Fraction | None, int | None]:
     """The exact X with f_k(x) >= 0 for every k >= 0 iff 0 < x <= X.
 
-    ``terms`` holds triples (a_i, c_i, d_i), and f_k(x) = sum_i (c_i + d_i x)
-    a_i^k = A_k + B_k x.  Returns (X, k) with k the least index where
-    -A_k / B_k = X; (X, None) when X is the point where the largest base's
-    coefficient vanishes, the limit of those roots; or (None, None) when
+    ``terms`` holds triples (a_i, c_i, d_i) of distinct bases in [0, 1] and
+    rational coefficients, and f_k(x) = sum_i (c_i + d_i x) a_i^k = A_k + B_k x.
+    Returns (X, k) with k the least index where -A_k / B_k = X; (X, None)
+    when the first root lies above R, the root of the largest base's
+    coefficient, so the roots fall toward it and X = R; or (None, None) when
     every x > 0 passes.  The set has this shape iff every A_k >= 0; when it
     has not, or holds no x > 0, this raises ``ArithmeticError``.
 
-    The search starts at the first root with B_k < 0, or at the limit when
-    that is smaller, and the sign test at each candidate either passes, so
-    the candidate is X, or names an index with a smaller root.  Only
-    finitely many roots lie below a candidate under the limit, so it ends.
+    One scan over the integers q^k D f_k, as in :func:`exponential_sum_sign`,
+    keeps the least root X_k so far with its least index, and stops past
+    k = 0 once the terms at x = 0 and at X_k each pass :func:`_outweighs`.
     """
-    terms = [(Fraction(a), Fraction(c), Fraction(d)) for a, c, d in terms]
-
-    def root(k: int) -> Fraction:
-        constant = sum(c * a**k for a, c, _ in terms)
-        if constant == 0:
-            raise ArithmeticError(f"f_{k}(x) < 0 for every x > 0")
-        return constant / -sum(d * a**k for a, _, d in terms)
-
-    at_zero = exponential_sum_sign([(a, c) for a, c, _ in terms])
-    if not at_zero.ok:
-        raise ArithmeticError(f"f_k(0) < 0 at k = {at_zero.witness['k']}, so the range is not (0, X]")
-    sign = exponential_sum_sign([(a, d) for a, _, d in terms])
-    if sign.ok:
-        return None, None
-    index = sign.witness["k"]
-    best = root(index)
-    _, c, d = max(((a, c, d) for a, c, d in terms if a and (c or d)), default=(0, 0, 0))
-    if d < 0 and c / -d < best:
-        best, index = c / -d, None
-        if best == 0:
-            raise ArithmeticError("the dominant coefficient is negative for every x > 0")
-    while True:
-        sign = exponential_sum_sign([(a, c + d * best) for a, c, d in terms])
-        if sign.ok:
-            return best, index
-        index = sign.witness["k"]
-        best = root(index)
+    terms = list(terms)
+    q = scale = 1
+    for a, c, d in terms:
+        q, scale = lcm(q, a.denominator), lcm(scale, c.denominator, d.denominator)
+    rows = sorted(
+        [
+            (a.numerator * (q // a.denominator), c.numerator * (scale // c.denominator), d.numerator * (scale // d.denominator))
+            for a, c, d in terms
+        ],
+        reverse=True,
+    )  # largest base first; a base 0 drops out past k = 0
+    bases = [p for p, _, _ in rows]
+    if len(set(bases)) != len(bases) or bases and not 0 <= bases[-1] <= bases[0] <= q:
+        raise ValueError("the bases must be distinct and lie in [0, 1]")
+    c0, d0 = next(((c, d) for p, c, d in rows if p and (c or d)), (0, 0))  # the lead's coefficient
+    constants, slopes = [c for _, c, _ in rows], [d for _, _, d in rows]
+    num, den, index = 1, 0, None  # the least root so far, num / den; 1 / 0 while there is none
+    for k in count():
+        constant, slope = sum(constants), sum(slopes)
+        if constant < 0:
+            raise ArithmeticError(f"f_k(0) < 0 at k = {k}, so the range is not (0, X]")
+        if slope < 0:
+            if constant == 0:
+                raise ArithmeticError(f"f_{k}(x) < 0 for every x > 0")
+            if den == 0 and d0 < 0 and c0 * -slope + d0 * constant < 0:  # the first root, above R
+                if c0 <= 0:
+                    raise ArithmeticError("the dominant coefficient is negative for every x > 0")
+                num, den, index = c0, -d0, None
+            elif constant * den < num * -slope:
+                num, den, index = constant, -slope, k
+        if k and _outweighs(constants) and _outweighs([c * den + d * num for c, d in zip(constants, slopes)]):
+            return (None, None) if den == 0 else (Fraction(num, den), index)
+        constants = [c * p for c, p in zip(constants, bases)]
+        slopes = [d * p for d, p in zip(slopes, bases)]

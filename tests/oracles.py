@@ -19,9 +19,15 @@ backward extension, so the tests can compare the two:
 * :func:`pair_threshold_reference` and :func:`pair_subnormal_reference`,
   the pair test composed from those extensions;
 * :func:`canonical_moment`, a weight diagram's moment gamma_k as the
-  product of its squared weights along the canonical path.
+  product of its squared weights along the canonical path;
+* :func:`per_n_coefficients_reference`, the rescaled sum's per-n record
+  in the paper's closed form (A_n, B_n, C_n and the k = 0 form, with
+  I_n from the O(n^2) binomial sum :func:`integral_moment_sum`), which
+  the slices ``agler`` reads off mu must reproduce.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from shiftcert.certificate import Certificate
@@ -287,3 +293,67 @@ def canonical_moment(diagram, k1: int, k2: int) -> Fraction:
     for j in range(k2):
         total *= diagram.beta_sq(k1, j)
     return total
+
+
+def integral_moment_sum(c: Fraction, n: int) -> Fraction:
+    """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l) over a common denominator: the
+    O(n^2) binomial sum, the oracle for the recurrence of integral_moment."""
+    p, q = c.numerator, c.denominator
+    numerator = sum(
+        math.comb(n, ell) * math.comb(2 * ell, ell) * (-p) ** ell * q ** (n - ell) for ell in range(n + 1)
+    )
+    return Fraction(numerator, q**n)
+
+
+def per_n_coefficients_reference(n: int) -> dict:
+    """The rescaled sum's per-n record in closed form, by a Fraction k-scan.
+
+    For k >= 1, P_n(k, 0) gamma_k = A_n(x) (1/4)^k + B_n(x) (1/2)^k + C_n with
+
+        A_n = (2/11 - x)(15/16)^n + x I_n(1/16),
+        B_n = (1/22 - x/4)(7/8)^n + (x/4) I_n(1/8),
+        C_n = (1/44)(3/4)^n,
+
+    and P_n(0, 0) = 3/4 + A_n + B_n + C_n - (5x/8)(1 - (3/4)^n).  Each
+    coefficient is kept as (const, slope) in x.  ``exposed`` holds each
+    (k, const_k, slope_k) of P_n(k, 0) gamma_k with slope_k < 0, in
+    increasing k, up to the index past which no root can fall below the
+    running minimum, and ``sup`` is the least root over them and the k = 0
+    form (``None`` when no form has a negative slope).
+    """
+    i16, i8 = integral_moment_sum(Fraction(1, 16), n), integral_moment_sum(Fraction(1, 8), n)
+    p16, p8, p4 = Fraction(15, 16) ** n, Fraction(7, 8) ** n, Fraction(3, 4) ** n
+    const_a, slope_a = Fraction(2, 11) * p16, i16 - p16
+    const_b, slope_b = Fraction(1, 22) * p8, (i8 - p8) / 4
+    c_n = Fraction(1, 44) * p4
+    k0_const = Fraction(3, 4) + const_a + const_b + c_n
+    k0_slope = slope_a + slope_b - Fraction(5, 8) * (1 - p4)
+    exposed = []
+    sup = None
+    if slope_a < 0 or slope_b < 0:
+        for k in itertools.count(1):
+            wa, wb = Fraction(1, 4) ** k, Fraction(1, 2) ** k
+            slope_k = slope_a * wa + slope_b * wb
+            if slope_k < 0:
+                const_k = const_a * wa + const_b * wb + c_n
+                exposed.append((k, const_k, slope_k))
+                root = const_k / -slope_k
+                if sup is None or root < sup:
+                    sup = root
+            if slope_b >= 0 and slope_k >= 0:
+                break
+            if sup is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * sup < c_n:
+                break
+    if k0_slope < 0 and (sup is None or k0_const / -k0_slope < sup):
+        sup = k0_const / -k0_slope
+    return {
+        "const_a": const_a,
+        "slope_a": slope_a,
+        "const_b": const_b,
+        "slope_b": slope_b,
+        "c_n": c_n,
+        "k0_const": k0_const,
+        "k0_slope": k0_slope,
+        "exposed": tuple(exposed),
+        "sup": sup,
+    }

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcert import agler
+from shiftcert import agler, lubin
 from shiftcert.agler import (
     K0_CAP,
     abc_coefficients,
@@ -19,7 +20,6 @@ from shiftcert.agler import (
     p_n_bruteforce,
     p_n_closed,
     p_n_closed_values,
-    per_n_coefficients,
     per_n_exact_sup,
     positivity_over_all_k,
     tail_stopping_index,
@@ -27,18 +27,28 @@ from shiftcert.agler import (
 from shiftcert.certificate import to_json
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
 from shiftcert.measures import moment1
-from oracles import xi_a
+from shiftcert.numerics import exponential_sum_threshold
+from oracles import integral_moment_sum, per_n_coefficients_reference, xi_a
 
 xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
 
+# the closed-form oracle costs O(n^2) per n; the tests read each n many times
+closed_form = functools.lru_cache(maxsize=None)(per_n_coefficients_reference)
+
+
+def closed_form_at(x: F, n: int) -> tuple[F, F, F, F]:
+    """A_n(x), B_n(x), C_n and P_n(0, 0) from the closed-form oracle."""
+    r = closed_form(n)
+    return r["const_a"] + r["slope_a"] * x, r["const_b"] + r["slope_b"] * x, r["c_n"], r["k0_const"] + r["k0_slope"] * x
+
 
 def positivity_reference(x: F, n: int) -> tuple[bool, int | None, F | None]:
-    """(ok, least failing k, P_n(k, 0) there) by Fraction signs and a k-scan at x."""
-    p0 = p_n_closed(x, 0, n)
+    """(ok, least failing k, P_n(k, 0) there) by Fraction signs and a k-scan
+    of the closed form at x."""
+    a, b, c, p0 = closed_form_at(x, n)
     if p0 < 0:
         return False, 0, p0
-    a, b, c = abc_coefficients(x, n)
     if a >= 0 and b >= 0:
         return True, None, None
     for k in itertools.count(1):
@@ -56,22 +66,18 @@ def decision(x: F, n: int) -> tuple[bool, int | None, F | None]:
 
 
 def roots(n: int) -> list[F]:
-    """The k = 0 root, each exposed root and the sup of the per-n record."""
-    r = per_n_coefficients(n)
-    found = [F(-const, slope) for _, const, slope in r.exposed] + [r.sup]
-    if r.k0_slope < 0:
-        found.append(F(-r.k0_const, r.k0_slope))
+    """The k = 0 root and each exposed root of the closed form, and the sup."""
+    r = closed_form(n)
+    found = [-const / slope for _, const, slope in r["exposed"]] + [per_n_exact_sup(n)]
+    if r["k0_slope"] < 0:
+        found.append(-r["k0_const"] / r["k0_slope"])
     return [root for root in found if root is not None]
 
 
-def integral_moment_sum(c: F, n: int) -> F:
-    """I_n(c) = sum_l C(n,l) (-c)^l C(2l,l) over a common denominator: the
-    O(n^2) binomial sum, the oracle for the recurrence of integral_moment."""
-    p, q = c.numerator, c.denominator
-    numerator = sum(
-        math.comb(n, ell) * math.comb(2 * ell, ell) * (-p) ** ell * q ** (n - ell) for ell in range(n + 1)
-    )
-    return F(numerator, q**n)
+def slice_form(n: int, k: int) -> tuple[F, F]:
+    """(const, slope) with P_n(k, 0) gamma_k = const + slope x, read off the per-n slice."""
+    den, terms, _ = agler._slice(n)
+    return sum(F(c) * s**k for s, c, _ in terms) / den, sum(F(d) * s**k for s, _, d in terms) / den
 
 
 def tail_inequalities(n: int) -> tuple[bool, bool]:
@@ -80,44 +86,11 @@ def tail_inequalities(n: int) -> tuple[bool, bool]:
     return integral_moment(F(1, 16), n) >= F(15, 16) ** n, integral_moment(F(1, 8), n) >= F(7, 8) ** n
 
 
-def per_n_coefficients_reference(n: int) -> dict:
-    """The per-n record's fields by the Fraction k-scan, with I_n from the binomial sum."""
-    i16, i8 = integral_moment_sum(F(1, 16), n), integral_moment_sum(F(1, 8), n)
-    p16, p8, p4 = F(15, 16) ** n, F(7, 8) ** n, F(3, 4) ** n
-    const_a, slope_a = PAIR_THRESHOLD * p16, i16 - p16
-    const_b, slope_b = F(1, 22) * p8, (i8 - p8) / 4
-    c_n = F(1, 44) * p4
-    k0_const = F(3, 4) + const_a + const_b + c_n
-    k0_slope = slope_a + slope_b - F(5, 8) * (1 - p4)
-    exposed = []
-    sup = None
-    if slope_a < 0 or slope_b < 0:
-        for k in itertools.count(1):
-            wa, wb = F(1, 4) ** k, F(1, 2) ** k
-            slope_k = slope_a * wa + slope_b * wb
-            if slope_k < 0:
-                const_k = const_a * wa + const_b * wb + c_n
-                exposed.append((k, const_k, slope_k))
-                root = const_k / -slope_k
-                if sup is None or root < sup:
-                    sup = root
-            if slope_b >= 0 and slope_k >= 0:
-                break
-            if sup is not None and (abs(slope_a) * wa + abs(slope_b) * wb) * sup < c_n:
-                break
-    if k0_slope < 0 and (sup is None or k0_const / -k0_slope < sup):
-        sup = k0_const / -k0_slope
-    return {
-        "const_a": const_a,
-        "slope_a": slope_a,
-        "const_b": const_b,
-        "slope_b": slope_b,
-        "c_n": c_n,
-        "k0_const": k0_const,
-        "k0_slope": k0_slope,
-        "exposed": tuple(exposed),
-        "sup": sup,
-    }
+def clear_family_caches() -> None:
+    for module in (lubin, agler):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def quadrature_oracle(c: F, n: int) -> float:
@@ -183,7 +156,7 @@ class TestIntegralMoment:
         c = F(1, 3)
         agler._moment_numerators.cache_clear()
         try:
-            agler._moment_numerators(c)[1] = 2
+            agler._moment_numerators(c.numerator, c.denominator)[1] = 2
             with pytest.raises(ArithmeticError):
                 agler.integral_moment.__wrapped__(c, 2)
         finally:
@@ -224,16 +197,19 @@ class TestDualRoutes:
 
 class TestPerNBounds:
     def test_affine_bounds_at_n1_by_hand(self):
-        r = per_n_coefficients(1)
-        assert F(-r.const_a, r.slope_a) == F(30, 11)
-        assert F(-r.const_b, r.slope_b) == F(14, 11)
-        assert F(-r.k0_const, r.k0_slope) == F(43, 11)
-        # the scan stops once no later root can fall below the running minimum 28/11
-        assert [(k, F(-const, slope)) for k, const, slope in r.exposed] == [
+        den, terms, _ = agler._slice(1)
+        forms = {s: (F(c, den), F(d, den)) for s, c, d in terms}
+        assert -forms[F(1, 4)][0] / forms[F(1, 4)][1] == F(30, 11)
+        assert -forms[F(1, 2)][0] / forms[F(1, 2)][1] == F(14, 11)
+        const, slope = slice_form(1, 0)
+        assert -const / slope == F(43, 11)
+        # the roots of k = 1, 2, 3; the least over every k binds at k = 1
+        assert [(k, -const / slope) for k, (const, slope) in ((k, slice_form(1, k)) for k in (1, 2, 3))] == [
             (1, F(28, 11)),
             (2, F(106, 33)),
             (3, F(278, 55)),
         ]
+        assert exponential_sum_threshold(terms) == (F(28, 11), 1)
 
     def test_k0_bound_matches_the_first_moment(self):
         # P_1(0) = 1 - (gamma_(1,0) + gamma_(0,1))/4 = 1 - (1/11 + x)/4
@@ -261,22 +237,30 @@ class TestPerNBounds:
 
 class TestPerNRecord:
     def test_integer_record_matches_the_fraction_scan(self):
-        # every field, for each n up to the sweep's --n-max cap: the integers
-        # are numerators over 88 * 16^n, and the k-th form's over 88 * 16^n * 4^k
+        # every field of the closed form, for each n up to the sweep's --n-max
+        # cap: the slice read off mu holds integers over 88 * 16^n
         for n in range(201):
-            record, den = per_n_coefficients(n), 88 * 16**n
-            scaled = {name: F(v, den) for name, v in record._asdict().items() if name not in ("exposed", "sup")}
-            scaled["exposed"] = tuple((k, F(c, den * 4**k), F(s, den * 4**k)) for k, c, s in record.exposed)
-            scaled["sup"] = record.sup
-            assert scaled == per_n_coefficients_reference(n), n
+            reference = closed_form(n)
+            den, terms, sup = agler._slice(n)
+            assert den == 88 * 16**n
+            forms = {s: (F(c, den), F(d, den)) for s, c, d in terms}
+            assert forms[F(1, 4)] == (reference["const_a"], reference["slope_a"]), n
+            assert forms[F(1, 2)] == (reference["const_b"], reference["slope_b"]), n
+            assert forms[F(1)] == (reference["c_n"], 0), n
+            assert slice_form(n, 0) == (reference["k0_const"], reference["k0_slope"]), n
+            last = max((k for k, _, _ in reference["exposed"]), default=0)
+            exposed = tuple((k, *slice_form(n, k)) for k in range(1, last + 1) if slice_form(n, k)[1] < 0)
+            assert exposed == reference["exposed"], n
+            assert sup == exponential_sum_threshold(terms)[0] == reference["sup"], n
 
     def test_exposed_roots_are_zeros_of_the_oracle(self):
         nudge = F(1, 10**40)
         checked = 0
         for n in range(1, tail_stopping_index().n_star + 1):
-            for k, const, slope in per_n_coefficients(n).exposed:
+            for k, const, slope in closed_form(n)["exposed"]:
                 assert slope < 0 < const
-                root = F(-const, slope)
+                root = -const / slope
+                assert p_n_closed(root, k, n) == 0
                 assert p_n_bruteforce(root, k, n) == 0
                 assert p_n_bruteforce(root + nudge, k, n) < 0
                 checked += 1
@@ -285,29 +269,62 @@ class TestPerNRecord:
     def test_no_k_goes_negative_at_the_sup(self):
         # a scan that stopped too early would miss a k with a lower root
         for n in range(1, tail_stopping_index().n_star + 1):
-            sup = per_n_coefficients(n).sup
+            sup = per_n_exact_sup(n)
             if sup is not None:
                 assert min(p_n_closed_values(sup, n, range(1, 65))) >= 0, n
 
     def test_certify_sum_cross_check_catches_a_dropped_form(self, monkeypatch):
+        # a sup that missed the form binding the certified bound lets every
+        # n pass just past it, against the cached bound
         x_max = certified_x_max()
-        n = next(m for m in range(1, 102) if per_n_coefficients(m).sup == x_max)
-        record = per_n_coefficients(n)
-        kept = tuple(form for form in record.exposed if F(-form[1], form[2]) != x_max)
-        assert len(kept) < len(record.exposed)  # the bound is attained by an exposed form
-        broken = record._replace(exposed=kept)
-        original = agler.per_n_coefficients
-        monkeypatch.setattr(agler, "per_n_coefficients", lambda m: broken if m == n else original(m))
+        n = next(m for m in range(1, 102) if per_n_exact_sup(m) == x_max)
+        assert exponential_sum_threshold(agler._slice(n)[1])[1] >= 1  # the bound binds at a form with k >= 1
+        original = agler.per_n_exact_sup
+        monkeypatch.setattr(agler, "per_n_exact_sup", lambda m: x_max + 1 if m == n else original(m))
         with pytest.raises(ArithmeticError):
             certify_sum(x_max + F(1, 10**40))
+
+    def test_positivity_cross_check_catches_a_wrong_sup(self, monkeypatch):
+        # the sign test at x must agree with the threshold it is read against
+        assert positivity_over_all_k(F(2), 1).ok
+        monkeypatch.setattr(agler, "per_n_exact_sup", lambda m: F(1))
+        with pytest.raises(ArithmeticError, match="disagrees with the threshold 1"):
+            positivity_over_all_k(F(2), 1)
+
+    def test_the_slices_follow_mu(self, monkeypatch):
+        # the slices are read off lubin.MU, not restated: a changed mass at
+        # (1, 0) moves the closed form and the brute force together
+        x = F(1, 5)
+        before = p_n_closed(x, 2, 3)
+        changed = tuple((point, F(1, 22) if point == (1, 0) else c, d) for point, c, d in lubin.MU)
+        monkeypatch.setattr(lubin, "MU", changed)
+        clear_family_caches()
+        try:
+            assert p_n_closed(x, 2, 3) != before
+            for x, k, n in [(F(1, 5), 2, 3), (F(1, 5), 0, 1), (F(1, 2), 1, 6), (F(3, 7), 5, 2), (F(6, 5), 0, 4)]:
+                assert p_n_closed(x, k, n) == p_n_bruteforce(x, k, n)
+        finally:
+            monkeypatch.undo()
+            clear_family_caches()
+        assert p_n_closed(F(1, 5), 2, 3) == before
 
 
 class TestPositivityDecision:
     def test_passes_below_the_bound(self):
+        # the witness is the sign test's: C_n at the base 1 outweighs the
+        # other terms from stop_index on, and first there
         for n in range(1, 7):
             cert = positivity_over_all_k(F(1, 5), n)
             assert cert.ok
-            assert cert.witness == {"n": n, "forms_checked": 1 + len(per_n_coefficients(n).exposed)}
+            assert set(cert.witness) == {"n", "dominant_base", "stop_index"}
+            assert cert.witness["n"] == n and cert.witness["dominant_base"] == 1
+            a, b, c, _ = closed_form_at(F(1, 5), n)
+            stop = cert.witness["stop_index"]
+
+            def outweighs(j):
+                return c >= abs(a) * F(1, 4) ** j + abs(b) * F(1, 2) ** j
+
+            assert outweighs(stop) and (stop == 1 or not outweighs(stop - 1))
 
     def test_failure_witness_is_replayable(self):
         cert = positivity_over_all_k(F(3), 1)
@@ -436,6 +453,28 @@ class TestCertifySum:
     def test_validation(self):
         with pytest.raises(ValueError):
             certify_sum(F(0))
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "function, good, bad",
+        [
+            (p_n_closed, ("1/5", 1, 2), ("1/5", 1, 2.0)),
+            (p_n_closed, ("1/5", 1, 2), ("1/5", 1.0, 2)),
+            (p_n_closed_values, ("1/5", 2, [0, 1]), ("1/5", 2, [0, 1.0])),
+            (positivity_over_all_k, ("1/5", 2), ("1/5", 2.0)),
+            (per_n_exact_sup, (2,), (2.0,)),
+            (integral_moment, ("1/16", 2), ("1/16", 2.0)),
+            (p_n_bruteforce, ("1/5", 1, 2), ("1/5", 1, 2.0)),
+            (abc_coefficients, ("1/5", 2), ("1/5", 2.0)),
+        ],
+        ids=lambda value: getattr(value, "__name__", None) or repr(value),
+    )
+    def test_a_float_order_or_index_is_a_value_error(self, function, good, bad):
+        # the int form is computed first, so a cache cannot hand it to the float
+        function(*good)
+        with pytest.raises(ValueError, match="must be an integer"):
+            function(*bad)
 
 
 class TestSumMomentsAreConsistent:

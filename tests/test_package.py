@@ -177,6 +177,27 @@ def test_no_cache_grows_with_the_integral_moment_argument():
     assert agler._moment_numerators.cache_info().currsize <= agler._NUMERATOR_CACHE
 
 
+def test_no_cache_grows_with_the_order_n():
+    # the per-n slices and rows are cached by n; fresh orders past what
+    # sweep and the certificate reach must not grow any cache without bound
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in (lubin, agler, cli)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    before = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    for n in range(1, 400):
+        agler.p_n_closed(Fraction(1, 5), 1, n)
+    growing = [
+        name
+        for name, cache in caches.items()
+        if cache.cache_info().maxsize is None and before[name] != cache.cache_info().currsize
+    ]
+    assert growing == []
+    assert agler._slice.cache_info().currsize <= agler._ORDER_CACHE
+
+
 def test_cached_threshold_t1_is_read_only():
     cert = lubin.threshold_t1()
     assert cert is lubin.threshold_t1()
