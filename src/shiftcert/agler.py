@@ -119,14 +119,12 @@ def _atoms() -> tuple[int, int, tuple, tuple]:
     ``bases`` the distinct s in increasing order.  An atom (i, c, d, moment, g)
     at s = bases[i] has the mass (c + d x) / mass_den and, at n, the weight
     g^n / weight_den^n on an axis (moment ``None``) or J_n g^n / weight_den^n
-    on the diagonal, J_n the numerator of I_n(moment).  An interior atom off
-    the diagonal raises ``ArithmeticError``."""
+    on the diagonal, J_n the numerator of I_n(moment)."""
+    lubin._pieces()  # raises ArithmeticError unless every interior atom lies on the diagonal
     mass_den = math.lcm(*(v.denominator for _, c, d in lubin.MU for v in (c, d)))
     bases = tuple(sorted({s for (s, _), _, _ in lubin.MU}))
     atoms = []
     for (s, t), c, d in lubin.MU:
-        if s and t and s != t:
-            raise ArithmeticError(f"mu's interior atom at {(s, t)} is off the diagonal")
         moment = s / 4 if s and t else None
         # the weight's ratio: I_n(p/q) = J_n (1/q)^n, and (1 - (s + t)/4)^n on an axis
         ratio = Fraction(1, moment.denominator) if moment else 1 - (s + t) / 4
@@ -223,8 +221,8 @@ def positivity_over_all_k(x, n: int) -> Certificate:
     Runs :func:`.numerics.exponential_sum_sign` on the per-n slice at x and
     raises ``ArithmeticError`` if it disagrees with :func:`per_n_exact_sup`.
     A pass witness is the sign test's (the dominant base and the index from
-    which it dominates); a failure witness names the least failing k and
-    the value P_n(k, 0) < 0 there.
+    which it outweighs the negative terms); a failure witness names the
+    least failing k and the value P_n(k, 0) < 0 there.
     """
     x, n = _parameter(x), _least(n, "n")
     p, q = x.numerator, x.denominator
@@ -257,13 +255,12 @@ def tail_stopping_index() -> TailBound:
     the ratio (31/30)^n for c = 1/16, and (15/14)^n for c = 1/8, only
     needs to clear 27.  Past both indices no slope at s > 0 is negative,
     and the k = 0 value is at least mu's mass at the origin, 3/4 - 5x/8.
+    The diagonal atoms are those of :func:`.lubin._pieces`' diagonal piece,
+    which proves each slope positive and cancelled at s by the axis atom.
     """
     if not (2 * 12**2 < 17**2 and Fraction(6 * 22 * 17, 7 * 12) < 27):
         raise ArithmeticError("the rational bounds sqrt(2) < 17/12 and 6*pi*sqrt(2) < 27 failed")
-    axis = {s: d for (s, t), _, d in lubin.MU if not t}
-    diagonal = [(s, d) for (s, t), _, d in lubin.MU if s and s == t]
-    if not all(0 < d == -axis.get(s, 0) for s, d in diagonal):
-        raise ArithmeticError("the tail needs each diagonal atom (s, s) of mu to meet an axis atom (s, 0) of the opposite slope")
+    diagonal = lubin._pieces()[2].atoms
     bounds = [(s / 4, 1 - s / 8, (1 - s / 8) / (1 - s / 4)) for s, _ in diagonal]  # (c, 1 - c/2, its ratio to 1 - c)
     indices = [next(n for n in count() if r.numerator**n >= 27 * r.denominator**n) for *_, r in bounds]
     n_sixteenth, n_eighth = indices

@@ -33,7 +33,8 @@ jointly subnormal iff mu >= 0: iff x <= 2/11.  Each slice mass is a
 short exponential sum in the slice index, so each threshold is read off
 by :func:`.numerics.exponential_sum_threshold` once per process, and
 each verdict at x runs :func:`.numerics.exponential_sum_sign` on every
-slice and checks the result against the threshold.  The rescaled sum
+slice and checks the result against the threshold; both kernels scan
+the same integer terms and stop on the same rule.  The rescaled sum
 T1 + T2 is the subject of :mod:`.agler`.
 
 The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries;

@@ -10,7 +10,9 @@ list of its rows.  Besides them, :func:`exponential_sum_sign` decides the
 sign of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once,
 and :func:`exponential_sum_threshold` finds the exact parameter range on
 which such a sum, with coefficients affine in a parameter, stays
-nonnegative.
+nonnegative.  Both read their terms into integers with
+:func:`_integer_terms` and scan k upward until the stop rule
+:func:`_outweighs` proves that no later k fails.
 """
 
 from __future__ import annotations
@@ -138,60 +140,64 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivot_cols
 
 
-def exponential_sum_sign(terms) -> Certificate:
-    """Decide f(k) = sum_i c_i a_i^k >= 0 for every k >= 0, exactly.
-
-    ``terms`` holds pairs (a_i, c_i) of distinct rational bases in [0, 1]
-    and rational coefficients (ints or Fractions), with 0^0 = 1, so a base
-    0 counts at k = 0 only.  The scan runs over the integers q^k D f(k),
-    with q and D the common denominators of the bases and coefficients,
-    from k = 0 up.  It fails at the first negative value.  Past k = 0 the
-    largest base with a nonzero coefficient leads, and once its term is
-    at least the sum of the others' absolute values it stays so, since
-    every other term shrinks against it: f then keeps the lead's sign.
-    So a positive lead passes at that index, and a negative one fails
-    there or at the next index, where it outweighs the rest strictly.
-
-    The witness is the least failing k with f(k) < 0 as ``value``, or on a
-    pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
-    the ``stop_index``, the least k >= 1 from which it dominates.
-    """
+def _integer_terms(terms) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(q, D, rows): each term (a_i, c_i, ...) as the integer row
+    (q a_i, D c_i, ...), largest base first, with q the common denominator
+    of the bases and D that of every coefficient.  The bases must be
+    distinct and lie in [0, 1]; otherwise this raises ``ValueError``."""
     terms = list(terms)
-    q = lcm(*(a.denominator for a, _ in terms))
-    d = lcm(*(c.denominator for _, c in terms))
-    ints = [(a.numerator * (q // a.denominator), c.numerator * (d // c.denominator)) for a, c in terms]
-    if len({p for p, _ in ints}) != len(ints) or not all(0 <= p <= q for p, _ in ints):
+    q = lcm(*[t[0].denominator for t in terms])
+    d = lcm(*[c.denominator for t in terms for c in t[1:]])
+    rows = sorted(
+        [(t[0].numerator * (q // t[0].denominator), *[c.numerator * (d // c.denominator) for c in t[1:]]) for t in terms],
+        reverse=True,
+    )
+    if len({row[0] for row in rows}) != len(rows) or rows and not 0 <= rows[-1][0] <= rows[0][0] <= q:
         raise ValueError("the bases must be distinct and lie in [0, 1]")
-    if sum(n for _, n in ints) < 0:
-        value = Fraction(sum(n for _, n in ints), d)
-        return Certificate("exponential_sum_sign", False, {"k": 0, "value": value})
-    live = sorted(((p, n) for p, n in ints if p and n), reverse=True)
-    if not live:
-        return Certificate("exponential_sum_sign", True, {"dominant_base": None, "stop_index": 1})
-    bases = [p for p, _ in live]
-    powers = [n * p for p, n in live]  # the terms q^k D c_i a_i^k, lead first
-    dominated = False
-    for k in count(1):
-        total = sum(powers)
-        if total < 0:
-            value = Fraction(total, d * q**k)
-            return Certificate("exponential_sum_sign", False, {"k": k, "value": value})
-        if 2 * abs(powers[0]) >= sum(map(abs, powers)):
-            if powers[0] > 0:
-                witness = {"dominant_base": Fraction(bases[0], q), "stop_index": k}
-                return Certificate("exponential_sum_sign", True, witness)
-            if dominated:
-                raise ArithmeticError("a negative dominant term failed to show by the index after it dominates")
-            dominated = True
-        powers = [v * p for v, p in zip(powers, bases)]
+    return q, d, rows
 
 
 def _outweighs(values) -> bool:
     """Whether f(k), the sum of ``values`` (one k >= 1, largest base first),
     stays >= 0 at every later k: the first nonzero term is positive and at
-    least the negative terms' sizes, each of which shrinks against it."""
-    lead = next(filter(None, values), 0)
-    return lead >= 0 and lead >= -sum(filter((0).__gt__, values))  # (0).__gt__(v): v < 0
+    least the negative terms' sizes, each of which shrinks against it.  A
+    negative lead is one of those terms, so it never passes."""
+    negative = sum(filter((0).__gt__, values))  # (0).__gt__(v): v < 0
+    return not negative or next(filter(None, values)) >= -negative
+
+
+def exponential_sum_sign(terms) -> Certificate:
+    """Decide f(k) = sum_i c_i a_i^k >= 0 for every k >= 0, exactly.
+
+    ``terms`` holds pairs (a_i, c_i) of distinct rational bases in [0, 1]
+    and rational coefficients (ints or Fractions), with 0^0 = 1, so a base
+    0 counts at k = 0 only.  The scan runs over the integers q^k D f(k) of
+    :func:`_integer_terms` from k = 0 up.  It fails at the first negative
+    value and passes at the first k >= 1 where the terms pass
+    :func:`_outweighs`, since f then stays >= 0.  A negative lead never
+    passes: it outgrows every other term, so f itself goes negative.
+
+    The witness is the least failing k with f(k) < 0 as ``value``, or on a
+    pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
+    the ``stop_index``, the least k >= 1 from which it outweighs the rest.
+    """
+    q, d, rows = _integer_terms(terms)
+    total = sum(row[1] for row in rows)
+    if total < 0:
+        return Certificate("exponential_sum_sign", False, {"k": 0, "value": Fraction(total, d)})
+    bases = [p for p, n in rows if p and n]  # a base 0 drops out past k = 0
+    if not bases:
+        return Certificate("exponential_sum_sign", True, {"dominant_base": None, "stop_index": 1})
+    powers = [n * p for p, n in rows if p and n]  # the terms q^k D c_i a_i^k, lead first
+    for k in count(1):
+        if _outweighs(powers):
+            witness = {"dominant_base": Fraction(bases[0], q), "stop_index": k}
+            return Certificate("exponential_sum_sign", True, witness)
+        total = sum(powers)
+        if total < 0:
+            value = Fraction(total, d * q**k)
+            return Certificate("exponential_sum_sign", False, {"k": k, "value": value})
+        powers = [v * p for v, p in zip(powers, bases)]
 
 
 def exponential_sum_threshold(terms) -> tuple[Fraction | None, int | None]:
@@ -205,24 +211,13 @@ def exponential_sum_threshold(terms) -> tuple[Fraction | None, int | None]:
     every x > 0 passes.  The set has this shape iff every A_k >= 0; when it
     has not, or holds no x > 0, this raises ``ArithmeticError``.
 
-    One scan over the integers q^k D f_k, as in :func:`exponential_sum_sign`,
-    keeps the least root X_k so far with its least index, and stops past
-    k = 0 once the terms at x = 0 and at X_k each pass :func:`_outweighs`.
+    One scan over the integer rows of :func:`_integer_terms`, as in
+    :func:`exponential_sum_sign`, keeps the least root X_k so far with its
+    least index, and stops past k = 0 once the terms at x = 0 and at X_k
+    each pass :func:`_outweighs`.
     """
-    terms = list(terms)
-    q = scale = 1
-    for a, c, d in terms:
-        q, scale = lcm(q, a.denominator), lcm(scale, c.denominator, d.denominator)
-    rows = sorted(
-        [
-            (a.numerator * (q // a.denominator), c.numerator * (scale // c.denominator), d.numerator * (scale // d.denominator))
-            for a, c, d in terms
-        ],
-        reverse=True,
-    )  # largest base first; a base 0 drops out past k = 0
+    _, _, rows = _integer_terms(terms)  # a base 0 drops out past k = 0
     bases = [p for p, _, _ in rows]
-    if len(set(bases)) != len(bases) or bases and not 0 <= bases[-1] <= bases[0] <= q:
-        raise ValueError("the bases must be distinct and lie in [0, 1]")
     c0, d0 = next(((c, d) for p, c, d in rows if p and (c or d)), (0, 0))  # the lead's coefficient
     constants, slopes = [c for _, c, _ in rows], [d for _, _, d in rows]
     num, den, index = 1, 0, None  # the least root so far, num / den; 1 / 0 while there is none

@@ -38,7 +38,7 @@ from .errors import (
     RankExceededError,
 )
 from .measures import AtomicMeasure1D, moment1, reciprocal_norm
-from .numerics import is_psd, rref
+from .numerics import _index, is_psd, rref
 
 Rule = Callable[[int], Fraction]  # a moment by index
 
@@ -60,6 +60,7 @@ class WeightSequence1D:
         self._moments: list[Fraction] = []
 
     def squared_weight(self, n: int) -> Fraction:
+        n = _index(n, "weight index")
         if n < 0:
             raise ValueError("weight index must be >= 0")
         w = self.moment(n + 1) / self.moment(n)
@@ -72,6 +73,7 @@ class WeightSequence1D:
         return w
 
     def moment(self, n: int) -> Fraction:
+        n = _index(n, "moment order")
         if n < 0:
             raise ValueError("moment order must be >= 0")
         while len(self._moments) <= n:
@@ -118,6 +120,7 @@ class WeightSequence1D:
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:
     """Exact PSD test of [gamma_{i+j}] and [gamma_{i+j+1}], 0 <= i, j <= order."""
+    order = _index(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
     gammas = [w.moment(i) for i in range(2 * order + 2)]
@@ -141,6 +144,7 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
     gammas over a common denominator, in integers; a fraction is built
     only for the failure witness.
     """
+    n_max, k_max = _index(n_max, "n_max"), _index(k_max, "k_max")
     if n_max < 1 or k_max < 0:
         raise ValueError("need n_max >= 1 and k_max >= 0")
     bound = w.norm_bound_sq

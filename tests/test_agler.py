@@ -312,7 +312,7 @@ class TestPerNRecord:
 class TestPositivityDecision:
     def test_passes_below_the_bound(self):
         # the witness is the sign test's: C_n at the base 1 outweighs the
-        # other terms from stop_index on, and first there
+        # negative terms from stop_index on, and first there
         for n in range(1, 7):
             cert = positivity_over_all_k(F(1, 5), n)
             assert cert.ok
@@ -322,7 +322,7 @@ class TestPositivityDecision:
             stop = cert.witness["stop_index"]
 
             def outweighs(j):
-                return c >= abs(a) * F(1, 4) ** j + abs(b) * F(1, 2) ** j
+                return c >= max(-a, 0) * F(1, 4) ** j + max(-b, 0) * F(1, 2) ** j
 
             assert outweighs(stop) and (stop == 1 or not outweighs(stop - 1))
 

@@ -23,7 +23,7 @@ from oracles import (
     xi_b_level1,
     xi_c,
 )
-from shiftcert import lubin
+from shiftcert import agler, lubin
 from shiftcert.lubin import (
     MU,
     PAIR_THRESHOLD,
@@ -461,6 +461,9 @@ class TestMuTable:
         with mu_replaced(table):
             with pytest.raises(ArithmeticError, match=message):
                 lubin._pieces()
+            # agler reads its atoms only from a table that _pieces accepts
+            with pytest.raises(ArithmeticError, match=message):
+                agler._atoms.__wrapped__()
             with pytest.raises(ArithmeticError, match=message):
                 commutativity_check(family_diagram(F(1, 5)), (2, 2))
         assert commutativity_check(family_diagram(F(1, 5)), (2, 2)).ok

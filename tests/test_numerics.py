@@ -215,12 +215,13 @@ def first_negative_reference(terms, k_max=400):
 
 
 def dominance_reference(terms):
-    """The least k >= 1 where the top live base's term is at least the others' absolute sum."""
-    live = sorted((a, c) for a, c in terms if a and c)
-    if not live:
-        return 1
-    (top, lead), rest = live[-1], live[:-1]
-    return next(k for k in itertools.count(1) if abs(lead) * top**k >= sum(abs(c) * a**k for a, c in rest))
+    """The least k >= 1 where the first nonzero term c a^k, largest base
+    first, is positive and at least the negative terms' sizes, by brute force."""
+    for k in itertools.count(1):
+        values = [c * a**k for a, c in sorted(terms, reverse=True)]
+        lead = next((v for v in values if v), 0)
+        if lead >= 0 and lead >= sum(-v for v in values if v < 0):
+            return k
 
 
 def sign_outcome(terms):
@@ -290,19 +291,36 @@ class TestExponentialSumSign:
         assert first_negative_reference(shifted(terms, 11)) is None
 
     def test_the_stop_index_is_where_domination_starts(self):
-        assert exponential_sum_sign([(F(1), F(1)), (F(1, 2), F(100))]).witness["stop_index"] == 7
+        # (1 - 100 (1/2)^k)^2: 1 first outweighs the one negative term 200 (1/2)^k at k = 8
+        assert exponential_sum_sign([(F(1), F(1)), (F(1, 2), F(-200)), (F(1, 4), F(10**4))]).witness["stop_index"] == 8
+        # with no negative term past k = 0 the lead outweighs the rest at once
+        assert exponential_sum_sign([(F(1), F(1)), (F(1, 2), F(100))]).witness["stop_index"] == 1
         assert exponential_sum_sign([(F(1), F(1)), (F(1, 2), F(1, 2))]).witness["stop_index"] == 1
         # 1 - 100 (1/2)^k turns nonnegative at k = 7, where 1 dominates
         assert sign_outcome([(F(1), F(1)), (F(1, 2), F(-100))]) == (0, F(-99))
         assert exponential_sum_sign(shifted([(F(1), F(1)), (F(1, 2), F(-100))], 7)).ok
 
-    @pytest.mark.parametrize("r, stop", [(F(999, 1000), 881), (F(9999, 10**4), 8814)])
+    @pytest.mark.parametrize("r, stop", [(F(999, 1000), 693), (F(9999, 10**4), 6932)])
     def test_the_stop_index_is_exact_for_close_top_bases(self, r, stop):
-        # (1 - r^k)^2 >= 0; 1 first outweighs 2 r^k + r^(2k) at this index,
-        # below the bound ln 3 / ln(1/r) that (1/r)^k >= 3 gives (1,099 and 10,986)
+        # (1 - r^k)^2 >= 0; 1 first outweighs the one negative term 2 r^k at
+        # this index, the least k >= ln 2 / ln(1/r)
         cert = exponential_sum_sign([(F(1), F(1)), (r, F(-2)), (r * r, F(1))])
         assert cert.witness == {"dominant_base": 1, "stop_index": stop}
-        assert 2 * r**stop + r ** (2 * stop) <= 1 < 2 * r ** (stop - 1) + r ** (2 * stop - 2)
+        assert 2 * r**stop <= 1 < 2 * r ** (stop - 1)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(F(1), F(-1)), (F(1, 2), F(100))],
+            [(F(1), F(-1)), (F(99, 100), F(2)), (F(0), F(5))],
+            [(F(9, 10), F(-1, 3)), (F(1, 2), F(40)), (F(1, 4), F(-7))],
+        ],
+    )
+    def test_a_negative_lead_is_refused_at_the_first_negative_index(self, terms):
+        # the lead outgrows the rest, so f goes negative; it never passes the stop rule
+        outcome = sign_outcome(terms)
+        assert outcome is not None and outcome[0] > 0
+        assert outcome == first_negative_reference(terms)
 
     def test_close_top_bases_are_decided_past_a_large_stop_index(self):
         # 1 - 2 r^k + 2 0^k with r = 199999/200000 fails at k = 1; its stop
@@ -385,6 +403,19 @@ class TestExponentialSumThreshold:
     def test_a_negative_constant_part_is_refused(self):
         with pytest.raises(ArithmeticError, match="not \\(0, X\\]"):
             exponential_sum_threshold([(F(1, 2), F(-1), F(1))])
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(F(1, 2), F(1), F(0)), (F(1, 2), F(0), F(1))],
+            [(F(3, 2), F(1), F(0))],
+            [(F(-1, 2), F(1), F(0)), (F(1), F(1), F(0))],
+        ],
+        ids=["duplicate", "above-one", "negative"],
+    )
+    def test_bases_are_validated(self, terms):
+        with pytest.raises(ValueError, match=r"the bases must be distinct and lie in \[0, 1\]"):
+            exponential_sum_threshold(terms)
 
     def test_no_positive_x_is_refused(self):
         with pytest.raises(ArithmeticError):

@@ -292,6 +292,22 @@ class TestWeightSequence:
         ]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda w: w.moment(2.0), "moment order must be an integer, got 2.0"),
+        (lambda w: w.squared_weight(1.0), "weight index must be an integer, got 1.0"),
+        (lambda w: subnormal_necessary(w, 2.0), "order must be an integer, got 2.0"),
+        (lambda w: agler_sums_1d(w, 2.0, 1), "n_max must be an integer, got 2.0"),
+    ],
+    ids=["moment", "squared_weight", "subnormal_necessary", "agler_sums_1d"],
+)
+def test_a_float_index_is_refused(call, message):
+    with pytest.raises(ValueError) as caught:
+        call(seq_a())
+    assert str(caught.value) == message
+
+
 class TestSubnormalNecessary:
     def test_measure_shift_passes(self):
         cert = subnormal_necessary(seq_a(), 3)
