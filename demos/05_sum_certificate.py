@@ -1,8 +1,9 @@
-"""Certifying the rescaled sum past the joint threshold.
+"""Certifying the rescaled sum's bottom-row test past the joint threshold.
 
-The sum (T1 + T2)/2 stays subnormal on a strictly larger parameter range
-than the pair: every alternating Agler sum is nonnegative for
-x <= certified_x_max(), which exceeds 2/11 by an exact rational margin.
+The sum (T1 + T2)/2 passes the bottom-row Agler test on a strictly larger
+parameter range than the pair is jointly subnormal on: every alternating
+Agler sum P_n(k, 0) is nonnegative for x <= certified_x_max(), which
+exceeds 2/11 by an exact rational margin.
 The certificate is finite work (n up to an analytic stopping index) plus
 two exact tail inequalities.
 """

@@ -1,4 +1,4 @@
-"""Certified subnormality of the rescaled sum T1 + T2.
+"""The certified bottom-row Agler test of the rescaled sum T1 + T2.
 
 For a contraction S, subnormality is equivalent to nonnegativity of every
 alternating sum  P_n(v) = sum_l (-1)^l C(n,l) ||S^l v||^2.  Here
@@ -33,10 +33,10 @@ by x.
 
 The n past an explicit stopping index are closed off analytically
 (:func:`tail_stopping_index`), so an exact certified bound
-``certified_x_max`` lies strictly above 2/11: the rescaled sum is
-subnormal on (0, 2/11 + epsilon] with ``epsilon = certified_epsilon()``
-a positive rational, even though the pair itself stops being jointly
-subnormal at 2/11.
+``certified_x_max`` lies strictly above 2/11: the rescaled sum passes the
+bottom-row Agler test on (0, 2/11 + epsilon] with
+``epsilon = certified_epsilon()`` a positive rational, even though the
+pair itself stops being jointly subnormal at 2/11.
 """
 
 from __future__ import annotations
@@ -99,18 +99,10 @@ def integral_moment(c, n: int) -> Fraction:
     of them), and each division by n + 1 is checked to be exact.  The cache
     is typed, so a float n never meets the value cached for the int.
     """
-    c, n = Fraction(c), _least(n, "n", 0)
+    c, n = Fraction(c), _index(n, "n")
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     return Fraction(_moment_numerator(c, n), c.denominator**n)
-
-
-def _least(value, what: str, least: int = 1) -> int:
-    """``value`` as the int ``what`` (an order n or an index k), at least ``least``."""
-    value = _index(value, what)
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    return value
 
 
 @lru_cache(maxsize=1)
@@ -152,7 +144,7 @@ def _slice(n: int) -> tuple[int, tuple, Fraction | None]:
 def _row(n: int, k) -> tuple[int, int, int]:
     """(c, d, den), x-free integers with P_n(k, 0) = (c + d x) / den.  The cache
     is typed and validates k, so a float k never meets the int it equals."""
-    k = _least(k, "k", 0)
+    k = _index(k, "k")
     den, terms, _ = _slice(n)
     scale = math.lcm(*(s.denominator for s, _, _ in terms))
     powers = [(s.numerator * (scale // s.denominator)) ** k for s, _, _ in terms]
@@ -167,8 +159,8 @@ def _row(n: int, k) -> tuple[int, int, int]:
 def abc_coefficients(x, n: int) -> tuple[Fraction, ...]:
     """The coefficients A_n(x), B_n(x), C_n of 4^-k, 2^-k and 1 in
     P_n(k, 0) gamma_k for k >= 1: the slice's terms with s > 0, in increasing s."""
-    x = Fraction(x)
-    den, terms, _ = _slice(_least(n, "n"))
+    x = _parameter(x)
+    den, terms, _ = _slice(_index(n, "n", 1))
     p, q = x.numerator, x.denominator
     return tuple(Fraction(c * q + d * p, den * q) for s, c, d in terms if s)
 
@@ -181,7 +173,7 @@ def p_n_closed(x, k: int, n: int) -> Fraction:
 def p_n_closed_values(x, n: int, ks) -> list[Fraction]:
     """P_n(k, 0) for each k in ``ks``, from the x-free integers of each
     (n, k) row; one Fraction is built per k."""
-    x, n = _parameter(x), _least(n, "n")
+    x, n = _parameter(x), _index(n, "n", 1)
     p, q = x.numerator, x.denominator
     values = []
     for k in ks:
@@ -197,7 +189,7 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
     under distinct degree-l monomials, with multinomial weights C(l,i)^2
     and moment ratios off anti-diagonals of the table.
     """
-    x, n, k = _parameter(x), _least(n, "n"), _least(k, "k", 0)
+    x, n, k = _parameter(x), _index(n, "n", 1), _index(k, "k")
     base = moment2d(k, 0, x)
     total = Fraction(0)
     for ell in range(n + 1):
@@ -212,7 +204,7 @@ def p_n_bruteforce(x, k: int, n: int) -> Fraction:
 def per_n_exact_sup(n: int) -> Fraction | None:
     """Largest x with P_n(k, 0) >= 0 for every k >= 0, or ``None`` if
     unconstrained: the threshold of the per-n slice, once per process."""
-    return _slice(_least(n, "n"))[2]
+    return _slice(_index(n, "n", 1))[2]
 
 
 def positivity_over_all_k(x, n: int) -> Certificate:
@@ -224,7 +216,7 @@ def positivity_over_all_k(x, n: int) -> Certificate:
     which it outweighs the negative terms); a failure witness names the
     least failing k and the value P_n(k, 0) < 0 there.
     """
-    x, n = _parameter(x), _least(n, "n")
+    x, n = _parameter(x), _index(n, "n", 1)
     p, q = x.numerator, x.denominator
     sign = exponential_sum_sign([(s, c * q + d * p) for s, c, d in _slice(n)[1]])
     sup = per_n_exact_sup(n)
@@ -277,7 +269,7 @@ def tail_stopping_index() -> TailBound:
 
 @lru_cache(maxsize=1)
 def certified_x_max() -> Fraction:
-    """Largest x certified here for subnormality of the rescaled sum."""
+    """Largest x certified here to pass the rescaled sum's bottom-row Agler test."""
     tail = tail_stopping_index()
     best = K0_CAP
     for n in range(1, tail.n_star + 1):
@@ -295,7 +287,7 @@ def certified_epsilon() -> Fraction:
 
 
 def certify_sum(x) -> Certificate:
-    """Decide subnormality of (T1 + T2)/2 at parameter x, with certificate.
+    """Decide the bottom-row Agler test of (T1 + T2)/2 at parameter x, with certificate.
 
     Exact per-n positivity for every n up to the analytic stopping index
     ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n: the first

@@ -47,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from numbers import Rational
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
@@ -153,7 +154,10 @@ def _interior_weights(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _parameter(x) -> Fraction:
-    """x as a Fraction, which must be positive."""
+    """x as a Fraction, which must be positive.  Only a rational or its
+    string passes: a binary float has lost the rational it stood for."""
+    if not isinstance(x, (Rational, str)):
+        raise ValueError(f"x must be a rational, got {x!r}")
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
@@ -307,7 +311,7 @@ def is_pair_subnormal(x) -> Certificate:
 
 def family_report(x) -> dict:
     """The family's thresholds, verdicts and certificates at parameter x."""
-    x = Fraction(x)
+    x = _parameter(x)
     t1, t2, pair = is_t1_subnormal(x), is_t2_subnormal(x), is_pair_subnormal(x)
     return {
         "x": x,

@@ -126,15 +126,11 @@ class AtomicMeasure2D(_AtomicMeasure):
 def moment1(mu: AtomicMeasure1D, k: int) -> Fraction:
     """k-th power moment; 0^0 = 1 so that moment1(mu, 0) is the total mass."""
     k = _index(k, "moment order")
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
     return sum((m * p**k for p, m in mu.atoms), Fraction(0))
 
 
 def moment2(mu: AtomicMeasure2D, k1: int, k2: int) -> Fraction:
     k1, k2 = _index(k1, "moment order"), _index(k2, "moment order")
-    if k1 < 0 or k2 < 0:
-        raise ValueError("moment orders must be >= 0")
     return sum((m * s**k1 * t**k2 for (s, t), m in mu.atoms), Fraction(0))
 
 
@@ -181,8 +177,7 @@ def restrict_density(xi: AtomicMeasure1D, i: int) -> AtomicMeasure1D:
     at i >= 1 one concentrated at 0) has no restriction, which raises
     :class:`ZeroMomentError`.
     """
-    if i < 0:
-        raise ValueError("restriction index must be >= 0")
+    i = _index(i, "restriction index")
     gamma = moment1(xi, i)
     if gamma == 0:
         raise ZeroMomentError(f"moment of order {i} vanishes; no restriction density")

@@ -43,16 +43,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int, for a lattice index, a moment order or a window side.
+def _index(value, what: str, least: int = 0) -> int:
+    """``value`` as an int at least ``least``, for a lattice index, a moment
+    order or a window side.
 
     Only integer types pass (``operator.index``): a float would be truncated
     or leak into the exact arithmetic as a float power.
     """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def is_psd(rows: Sequence[Sequence]) -> Certificate:

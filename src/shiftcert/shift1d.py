@@ -61,8 +61,6 @@ class WeightSequence1D:
 
     def squared_weight(self, n: int) -> Fraction:
         n = _index(n, "weight index")
-        if n < 0:
-            raise ValueError("weight index must be >= 0")
         w = self.moment(n + 1) / self.moment(n)
         if w <= 0:
             raise ValueError(f"squared weight at {n} must be positive, got {w}")
@@ -74,8 +72,6 @@ class WeightSequence1D:
 
     def moment(self, n: int) -> Fraction:
         n = _index(n, "moment order")
-        if n < 0:
-            raise ValueError("moment order must be >= 0")
         while len(self._moments) <= n:
             self._moments.append(self._moment_rule(len(self._moments)))
         return self._moments[n]
@@ -121,8 +117,6 @@ class WeightSequence1D:
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:
     """Exact PSD test of [gamma_{i+j}] and [gamma_{i+j+1}], 0 <= i, j <= order."""
     order = _index(order, "order")
-    if order < 0:
-        raise ValueError("order must be >= 0")
     gammas = [w.moment(i) for i in range(2 * order + 2)]
     plain = is_psd([gammas[i : i + order + 1] for i in range(order + 1)])
     shifted = is_psd([gammas[i + 1 : i + order + 2] for i in range(order + 1)])
@@ -144,9 +138,7 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
     gammas over a common denominator, in integers; a fraction is built
     only for the failure witness.
     """
-    n_max, k_max = _index(n_max, "n_max"), _index(k_max, "k_max")
-    if n_max < 1 or k_max < 0:
-        raise ValueError("need n_max >= 1 and k_max >= 0")
+    n_max, k_max = _index(n_max, "n_max", 1), _index(k_max, "k_max")
     bound = w.norm_bound_sq
     scale = bound if bound > 1 else Fraction(1)
     gammas = [w.moment(i) / scale**i for i in range(n_max + k_max + 1)]
@@ -210,9 +202,8 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     :class:`InconsistentMomentsError` when the formal fit is not a positive
     measure on [0, inf) reproducing the data.
     """
+    max_atoms = _index(max_atoms, "max_atoms", 1)
     ms = [Fraction(m) for m in moments]
-    if max_atoms < 1:
-        raise ValueError("max_atoms must be >= 1")
     if not ms or ms[0] != 1:
         raise ValueError("moments[0] must equal 1")
     if len(ms) < 2 * max_atoms + 1:

@@ -55,18 +55,13 @@ Rule = Callable[[int, int], tuple[Fraction, Fraction]]  # (alpha^2, beta^2) by l
 
 
 def _check_window(window) -> tuple[int, int]:
-    w, h = (_index(side, "a window side") for side in window)
-    if w < 1 or h < 1:
-        raise ValueError("window sides must be >= 1")
+    w, h = (_index(side, "window sides", 1) for side in window)
     return w, h
 
 
 def _point(k1, k2) -> tuple[int, int]:
     """A lattice point: two integer indices, each >= 0."""
-    k1, k2 = _index(k1, "lattice index"), _index(k2, "lattice index")
-    if k1 < 0 or k2 < 0:
-        raise ValueError("lattice indices must be >= 0")
-    return k1, k2
+    return _index(k1, "lattice index"), _index(k2, "lattice index")
 
 
 def _positive(name: str, k1: int, k2: int, value) -> Pair:
@@ -118,8 +113,6 @@ class WeightDiagram:
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): its rule translated."""
         i, j = _index(i, "base point"), _index(j, "base point")
-        if i < 0 or j < 0:
-            raise ValueError("base point must be in the quadrant")
         if i == 0 and j == 0:
             return self
         rule = self._rule

@@ -23,7 +23,10 @@ backward extension, so the tests can compare the two:
 * :func:`per_n_coefficients_reference`, the rescaled sum's per-n record
   in the paper's closed form (A_n, B_n, C_n and the k = 0 form, with
   I_n from the O(n^2) binomial sum :func:`integral_moment_sum`), which
-  the slices ``agler`` reads off mu must reproduce.
+  the slices ``agler`` reads off mu must reproduce;
+* :func:`sum_block_hankel`, the block Hankel matrix H(x) of the rescaled
+  sum (T1 + T2)/2 on the degree-4 block, and :data:`SUM_KERNEL`, the
+  integer vector v with v^T H(x) v = -(25/4096)(x - 2/11).
 """
 
 import itertools
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from shiftcert.certificate import Certificate
 from shiftcert.errors import ShiftCertError
-from shiftcert.lubin import family_diagram
+from shiftcert.lubin import family_diagram, moment2d
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -357,3 +360,48 @@ def per_n_coefficients_reference(n: int) -> dict:
         "exposed": tuple(exposed),
         "sup": sup,
     }
+
+
+SUM_DEGREE, SUM_ORDER = 4, 3
+# v in blocks i = 0..3, with a = 0..4 inside each block
+SUM_KERNEL = (
+    -1, -4, -6, -4, -1,
+    4, 40, 72, 40, 4,
+    0, -96, -320, -96, 0,
+    0, 0, 512, 0, 0,
+)
+
+
+def sum_gram(x, l: int) -> list[list[Fraction]]:
+    """G_l[a][b] = <S^l f_(a,4-a), S^l f_(b,4-b)> for S = (T1 + T2)/2 and
+    f_k = sqrt(gamma_k) e_k, so that T1, T2 shift the f's and
+    <f_k, f_k'> = delta gamma_k:
+
+        G_l[a][b] = 4^-l sum_j C(l, j) C(l, j + b - a) gamma_(a+l-j, 4-a+j).
+    """
+    d = SUM_DEGREE
+    return [
+        [
+            Fraction(
+                sum(
+                    math.comb(l, j) * math.comb(l, j + b - a) * moment2d(a + l - j, d - a + j, x)
+                    for j in range(max(0, a - b), min(l, l + a - b) + 1)
+                ),
+                4**l,
+            )
+            for b in range(d + 1)
+        ]
+        for a in range(d + 1)
+    ]
+
+
+def sum_block_hankel(x) -> list[list[Fraction]]:
+    """H[(i, a)][(j, b)] = G_(i+j)[a][b] for 0 <= i, j <= 3, 0 <= a, b <= 4:
+    the moments of a PSD-matrix-valued measure, so PSD, if S is subnormal."""
+    grams = [sum_gram(x, l) for l in range(2 * SUM_ORDER + 1)]
+    size = SUM_DEGREE + 1
+    return [
+        [grams[i + j][a][b] for j in range(SUM_ORDER + 1) for b in range(size)]
+        for i in range(SUM_ORDER + 1)
+        for a in range(size)
+    ]

@@ -213,7 +213,7 @@ class TestIntegerFlags:
         [
             (["moments", "{measure}", "--n-max", "-1"], "need --n-max >= 0"),
             (["check2d", "--x", "1/5", "--window=-1x2"], "window sides must be >= 1"),
-            (["check2d", "--x", "1/5", "--restrict=-1,0"], "base point must be in the quadrant"),
+            (["check2d", "--x", "1/5", "--restrict=-1,0"], "base point must be >= 0"),
             (["sweep", "--x-min", "1/5", "--x-max", "1", "--x-step", "1", "--k-max", "-1"],
              "need --n-max >= 1 and --k-max >= 0"),
         ],

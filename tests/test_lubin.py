@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SUM_KERNEL,
     XI_B_MASS_CAP,
     NegativeMassError,
     canonical_moment,
@@ -17,6 +18,7 @@ from oracles import (
     mu_m_cap_n,
     pair_subnormal_reference,
     pair_threshold_reference,
+    sum_block_hankel,
     xi_a,
     xi_a_level1,
     xi_b,
@@ -40,7 +42,7 @@ from shiftcert.lubin import (
 )
 from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1, restrict_density
 from shiftcert.certificate import Certificate, to_json
-from shiftcert.numerics import rref
+from shiftcert.numerics import is_psd, rref
 from shiftcert.shift1d import WeightSequence1D, agler_sums_1d, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
@@ -621,6 +623,15 @@ class TestVerdicts:
             with pytest.raises(ValueError, match="x must be positive"):
                 verdict(x)
 
+    def test_a_float_x_is_refused(self):
+        # 0.18 is 3242591731706757/18014398509481984, not 9/50: no verdict may run on it
+        calls = [is_t1_subnormal, is_t2_subnormal, is_pair_subnormal, family_report, family_diagram,
+                 lambda x: moment2d(1, 1, x), agler.certify_sum, lambda x: agler.abc_coefficients(x, 3)]
+        for call in calls:
+            for x in (0.18, 0.5, 1.0):
+                with pytest.raises(ValueError, match=f"x must be a rational, got {x!r}"):
+                    call(x)
+
 
 class TestFamilyReport:
     def test_report_at_the_witness_parameter(self):
@@ -684,6 +695,21 @@ class TestSumMeasure:
         assert (cert.witness["n"], cert.witness["k"]) == (n, k)
         value = sum((-1) ** i * math.comb(n, i) * sigma_moment(k + i, x) for i in range(n + 1))
         assert cert.witness["value"] == value / sigma_moment(k, x) < 0
+
+    def test_one_integer_vector_refutes_the_sum_past_the_pair_threshold(self):
+        # H(x) is PSD if S is subnormal; v^T H(x) v changes sign exactly at 2/11
+        xs = [F(1, 10), F(2, 11), F(1, 5), F(8, 33), F(19, 100), F(5), F(2, 11) + F(1, 10**12),
+              agler.certified_x_max()]
+        v = SUM_KERNEL
+        for x in xs:
+            h = sum_block_hankel(x)
+            value = sum(v[i] * h[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+            assert value == -F(25, 4096) * (x - PAIR_THRESHOLD), x
+
+    def test_the_block_hankel_is_psd_of_rank_19_at_the_pair_threshold(self):
+        cert = is_psd(sum_block_hankel(PAIR_THRESHOLD))
+        assert cert.ok
+        assert sum(1 for pivot in cert.witness["pivots"] if pivot) == 19
 
     def test_every_agler_sum_passes_at_the_pair_threshold(self):
         x = PAIR_THRESHOLD

@@ -120,6 +120,11 @@ class TestMoments:
         # a float order would raise the atoms to a float power and return a float
         with pytest.raises(ValueError, match="moment order must be an integer"):
             moment1(XI_A, 0.5)
+        # so is the restriction's, which is the order of the moment it divides by
+        with pytest.raises(ValueError, match="restriction index must be an integer, got '1'"):
+            restrict_density(XI_A, "1")
+        with pytest.raises(ValueError, match="restriction index must be an integer, got 1.0"):
+            restrict_density(XI_A, 1.0)
 
     def test_moment2_orders_must_be_integers(self):
         with pytest.raises(ValueError, match="moment order must be an integer"):

@@ -299,8 +299,10 @@ class TestWeightSequence:
         (lambda w: w.squared_weight(1.0), "weight index must be an integer, got 1.0"),
         (lambda w: subnormal_necessary(w, 2.0), "order must be an integer, got 2.0"),
         (lambda w: agler_sums_1d(w, 2.0, 1), "n_max must be an integer, got 2.0"),
+        (lambda w: berger_fit([w.moment(i) for i in range(10)], 4.5), "max_atoms must be an integer, got 4.5"),
+        (lambda w: berger_fit([w.moment(i) for i in range(10)], "4"), "max_atoms must be an integer, got '4'"),
     ],
-    ids=["moment", "squared_weight", "subnormal_necessary", "agler_sums_1d"],
+    ids=["moment", "squared_weight", "subnormal_necessary", "agler_sums_1d", "berger_fit", "berger_fit-str"],
 )
 def test_a_float_index_is_refused(call, message):
     with pytest.raises(ValueError) as caught:

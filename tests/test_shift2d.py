@@ -232,9 +232,9 @@ class TestClosedFormDiagram:
         with pytest.raises(ValueError):
             family().beta_sq(3, -1)
         # the point read refuses it for every diagram, not only where the rule does
-        with pytest.raises(ValueError, match="lattice indices must be >= 0"):
+        with pytest.raises(ValueError, match="lattice index must be >= 0"):
             unit_diagram().alpha_sq(0, -1)
-        with pytest.raises(ValueError, match="lattice indices must be >= 0"):
+        with pytest.raises(ValueError, match="lattice index must be >= 0"):
             unit_diagram().beta_sq(-2, 0)
 
 
@@ -519,9 +519,9 @@ class TestIntegerIndices:
 
     def test_window_side(self):
         for check in (commutativity_check, joint_hyponormality_window):
-            with pytest.raises(ValueError, match="window side must be an integer"):
+            with pytest.raises(ValueError, match="window sides must be an integer"):
                 check(family(), (2.5, 2))
-        with pytest.raises(ValueError, match="window side must be an integer"):
+        with pytest.raises(ValueError, match="window sides must be an integer"):
             check_berger_2d(family(), MU_CAP, (2, F(3, 1)))
 
     def test_base_point(self):
