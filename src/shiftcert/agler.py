@@ -50,7 +50,7 @@ from itertools import count
 from . import lubin
 from .certificate import Certificate
 from .lubin import PAIR_THRESHOLD, _parameter, gamma_row, moment2d
-from .numerics import _index, exponential_sum_sign, exponential_sum_threshold
+from .numerics import _index, _rational, exponential_sum_sign, exponential_sum_threshold
 
 # the k = 0 tail constraint: mu's mass at the origin, constant + slope x, stays >= 0
 K0_CAP = next(c / -d for (s, t), c, d in lubin.MU if s == t == 0)
@@ -99,7 +99,7 @@ def integral_moment(c, n: int) -> Fraction:
     of them), and each division by n + 1 is checked to be exact.  The cache
     is typed, so a float n never meets the value cached for the int.
     """
-    c, n = Fraction(c), _index(n, "n")
+    c, n = _rational(c, "c", text=True), _index(n, "n")
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     return Fraction(_moment_numerator(c, n), c.denominator**n)

@@ -238,16 +238,17 @@ def cmd_check2d(args) -> int:
     _cap("a --window side", max(window), WINDOW_SIDE_MAX)
     _cap("--restrict k1 + k2 plus the window sides", depth, DEPTH_MAX)
     _cap("the window's work w h (k1 + k2 + w + h)^2", w * h * depth**2, WINDOW_WORK_MAX)
-    diagram = lubin.family_diagram(x).restricted(*base)
-    checks = [commutativity_check(diagram, window)]
+    # one read of commutativity's (w+1) x (h+1) rectangle serves every check and the dump
+    read = lubin.family_diagram(x).restricted(*base).read(w + 1, h + 1)
+    checks = [commutativity_check(read, window)]
     if args.berger:
         mu = _load(args.berger, "measure", lambda fh: _measure(json.load(fh), 2))
-        checks.append(check_berger_2d(diagram, mu, window))
+        checks.append(check_berger_2d(read, mu, window))
     if args.hyponormal:
-        checks.append(joint_hyponormality_window(diagram, window))
+        checks.append(joint_hyponormality_window(read, window))
     if args.dump:
         lines = ["k1,k2,alpha_sq,beta_sq"]
-        for k2, (ans, ads, bns, bds) in enumerate(diagram.rows(w, h)):
+        for k2, (ans, ads, bns, bds) in enumerate(read.rows(w, h)):
             for k1, (an, ad, bn, bd) in enumerate(zip(ans, ads, bns, bds)):
                 lines.append(f"{k1},{k2},{Fraction(an, ad)},{Fraction(bn, bd)}")
         if _emit("\n".join(lines), args.dump) == 2:

@@ -47,11 +47,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from numbers import Rational
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
-from .numerics import exponential_sum_sign, exponential_sum_threshold
+from .numerics import _rational, exponential_sum_sign, exponential_sum_threshold
 from .shift2d import WeightDiagram, _point
 
 _HALF = Fraction(1, 2)
@@ -154,11 +153,9 @@ def _interior_weights(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _parameter(x) -> Fraction:
-    """x as a Fraction, which must be positive.  Only a rational or its
-    string passes: a binary float has lost the rational it stood for."""
-    if not isinstance(x, (Rational, str)):
-        raise ValueError(f"x must be a rational, got {x!r}")
-    x = Fraction(x)
+    """x as a Fraction, which must be positive: a rational or its string,
+    never a float."""
+    x = _rational(x, "x", text=True)
     if x <= 0:
         raise ValueError("x must be positive")
     return x

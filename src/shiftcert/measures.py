@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InfiniteReciprocalNormError, ZeroMomentError
-from .numerics import _index, parse_rational
+from .numerics import _index, _rational, parse_rational
 
 
 def _axis_index(axis) -> int:
@@ -51,7 +51,7 @@ class _AtomicMeasure:
     def __init__(self, atoms: Iterable):
         seen = {}
         for point, mass in atoms:
-            key, m = self._location(point), Fraction(mass)
+            key, m = self._location(point), _rational(mass, "atom mass")
             if not self._inside(key):
                 raise ValueError(f"atom location must be {self._SUPPORT}, got {self._point_repr(key)}")
             if m <= 0:
@@ -89,9 +89,12 @@ class AtomicMeasure1D(_AtomicMeasure):
     __slots__ = ()
     dim = 1
     _SUPPORT = ">= 0"
-    _location = staticmethod(Fraction)
     _point_json = staticmethod(str)
     _point_repr = staticmethod(str)
+
+    @staticmethod
+    def _location(point) -> Fraction:
+        return _rational(point, "atom location")
 
     @staticmethod
     def _inside(p: Fraction) -> bool:
@@ -108,7 +111,7 @@ class AtomicMeasure2D(_AtomicMeasure):
     @staticmethod
     def _location(point) -> tuple[Fraction, Fraction]:
         s, t = point
-        return Fraction(s), Fraction(t)
+        return _rational(s, "atom location"), _rational(t, "atom location")
 
     @staticmethod
     def _inside(key: tuple[Fraction, Fraction]) -> bool:

@@ -1,16 +1,17 @@
 """Exact rational kernels shared by the whole package.
 
-Scalars are ``fractions.Fraction`` throughout: arbitrary-precision
+Scalars are ``fractions.Fraction`` at every interface: arbitrary-precision
 rationals in lowest terms, which is exactly the arithmetic needed to
 separate thresholds such as 2/11 from 8/33 without any tolerance budget.
-No float appears anywhere in the package.
+No float appears anywhere in the package: :func:`_rational` reads every
+exact scalar input and refuses a float, as :func:`_index` reads indices.
 
-The matrix kernels :func:`is_psd` and :func:`rref` take a matrix as the
-list of its rows.  Besides them, :func:`exponential_sum_sign` decides the
-sign of a short exponential sum f(k) = sum_i c_i a_i^k at every k at once,
-and :func:`exponential_sum_threshold` finds the exact parameter range on
-which such a sum, with coefficients affine in a parameter, stays
-nonnegative.  Both read their terms into integers with
+The matrix kernels :func:`is_psd` (in integers) and :func:`rref` take a
+matrix as the list of its rows.  Besides them, :func:`exponential_sum_sign`
+decides the sign of a short exponential sum f(k) = sum_i c_i a_i^k at
+every k at once, and :func:`exponential_sum_threshold` finds the exact
+parameter range on which such a sum, with coefficients affine in a
+parameter, stays nonnegative.  Both read their terms into integers with
 :func:`_integer_terms` and scan k upward until the stop rule
 :func:`_outweighs` proves that no later k fails.
 """
@@ -21,7 +22,8 @@ import operator
 import re
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
+from numbers import Rational
 from typing import Sequence
 
 from .certificate import Certificate
@@ -59,53 +61,104 @@ def _index(value, what: str, least: int = 0) -> int:
     return value
 
 
+def _rational(value, what: str, text: bool = False) -> Fraction:
+    """``value`` as a Fraction, for an exact scalar input.
+
+    Only rational types pass (``numbers.Rational``: int, Fraction, ...),
+    and with ``text`` a string that ``Fraction`` reads.  A binary float has
+    lost the rational it stood for, so it raises ``ValueError``, as does
+    any other value.
+    """
+    if type(value) is Fraction:
+        return value
+    if text and isinstance(value, str):
+        return Fraction(value)
+    if not isinstance(value, Rational):
+        raise ValueError(f"{what} must be a rational, got {value!r}")
+    return Fraction(value)
+
+
 def is_psd(rows: Sequence[Sequence]) -> Certificate:
     """Exact positive-semidefiniteness decision with witnesses.
 
     ``rows`` are the rows of a square symmetric matrix of rationals (ints
-    or Fractions); anything else raises ``ValueError``.  Rational LDL^T
-    elimination with exact zero tests.  A zero pivot is legal only when
-    its entire residual row vanishes; otherwise, or when a pivot goes
-    negative, the elimination state lifts to an explicit rational vector
-    v with v^T M v < 0, which the certificate carries.
+    or Fractions); anything else raises ``ValueError``.  Symmetric Gaussian
+    elimination in integers: row i of the Schur complement is an int list
+    r_i over its own positive denominator d_i, in lowest terms, and pivot
+    row k updates it as r_i <- r_kk r_i - r_ik r_k, d_i <- d_i r_kk (with
+    the common factor of r_kk and r_ik taken out first), after which one
+    gcd of d_i and the row takes it back to lowest terms.  So the stored
+    integers are those of the exact rational Schur complement, and no
+    Fraction is built while eliminating.  The pivot r_kk / d_k is decided
+    by the sign of r_kk.  A zero pivot is legal only when its entire
+    residual row vanishes; otherwise, or when a pivot goes negative, the
+    elimination state lifts to an explicit rational vector v with
+    v^T M v < 0, which the certificate carries.  A pass carries the pivots
+    r_kk / d_k.
     """
-    matrix = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j in range(i):
-            if row[j] != matrix[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    s = [row[:] for row in matrix]
-    lower = [[Fraction(0)] * n for _ in range(n)]
+    n = len(rows)
+    # each entry as (numerator, positive denominator), in lowest terms
+    ratios = [
+        [(v, 1) if type(v) is int else _rational(v, "a matrix entry").as_integer_ratio() for v in row]
+        for row in rows
+    ]
+    if any(len(row) != n for row in ratios):
+        raise ValueError("matrix must be square")
+    if ratios != [list(column) for column in zip(*ratios)]:
+        i, j = next((i, j) for i in range(n) for j in range(i) if ratios[i][j] != ratios[j][i])
+        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    dens = [lcm(*[q for _, q in row]) for row in ratios]
+    # row k of the Schur complement over columns k..n-1 at step k, times dens[k]
+    schur = [[p * (d // q) for p, q in row] for row, d in zip(ratios, dens)]
+    steps = []  # per nonzero pivot: (k, r_kk, d_k, [(i, r_ik, d_i) for each row i it changed])
     pivots: list[Fraction] = []
     for k in range(n):
-        pivot = s[k][k]
+        head, d = schur[k], dens[k]
+        pivot = head[0]
         if pivot < 0:
-            return _negativity_certificate(matrix, lower, {k: Fraction(1)})
+            return _negativity_certificate(ratios, steps, {k: Fraction(1)})
         if pivot == 0:
-            j = next((j for j in range(k + 1, n) if s[k][j] != 0), None)
+            j = next((j for j, v in enumerate(head, k) if v), None)
             if j is not None:
                 # the 2x2 block [[0, sigma], [sigma, tau]] is indefinite
-                sigma, tau = s[k][j], s[j][j]
+                sigma, tau = Fraction(head[j - k], d), Fraction(schur[j][j - k], dens[j])
                 lam = -sigma / (abs(tau) + 1)
-                return _negativity_certificate(matrix, lower, {k: Fraction(1), j: lam})
-            pivots.append(pivot)
+                return _negativity_certificate(ratios, steps, {k: Fraction(1), j: lam})
+            # row k vanishes, so by symmetry does column k
+            for i in range(k + 1, n):
+                del schur[i][0]
+            pivots.append(Fraction(0))
             continue
-        pivots.append(pivot)
+        pivots.append(Fraction(pivot, d))
+        changed = []
         for i in range(k + 1, n):
-            f = s[i][k] / pivot
-            if f:
-                lower[i][k] = f
-                for j in range(k + 1, n):
-                    s[i][j] -= f * s[k][j]
+            row = schur[i]
+            a = row[0]
+            if a:
+                changed.append((i, a, dens[i]))
+                c = gcd(pivot, a)  # taken out first, it keeps the products small
+                s, t = pivot // c, a // c
+                row = [s * x - t * y for x, y in zip(row, head)]
+                del row[0]  # column k, now 0
+                di = dens[i] * s
+                g = gcd(di, *row)
+                dens[i] = di // g
+                schur[i] = [x // g for x in row] if g != 1 else row
+            else:
+                del row[0]
+        steps.append((k, pivot, d, changed))
     return Certificate("is_psd", True, {"order": n, "pivots": pivots})
 
 
-def _negativity_certificate(matrix, lower, support) -> Certificate:
-    # Lift a bad vector from Schur-complement coordinates: solve L^T v = u.
-    n = len(matrix)
+def _negativity_certificate(ratios, steps, support) -> Certificate:
+    # Lift a bad vector from Schur-complement coordinates: solve L^T v = u,
+    # with L[i][k] = (r_ik / d_i) / (r_kk / d_k) read off the elimination steps.
+    n = len(ratios)
+    matrix = [[Fraction(p, q) for p, q in row] for row in ratios]
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    for k, pivot, d, changed in steps:
+        for i, a, di in changed:
+            lower[i][k] = Fraction(a * d, di * pivot)
     v = [Fraction(0)] * n
     for i in reversed(range(n)):
         acc = support.get(i, Fraction(0))
@@ -121,7 +174,7 @@ def _negativity_certificate(matrix, lower, support) -> Certificate:
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    m = [[_rational(v, "a matrix entry") for v in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivot_cols: list[int] = []

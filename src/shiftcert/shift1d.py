@@ -38,7 +38,7 @@ from .errors import (
     RankExceededError,
 )
 from .measures import AtomicMeasure1D, moment1, reciprocal_norm
-from .numerics import _index, is_psd, rref
+from .numerics import _index, _rational, is_psd, rref
 
 Rule = Callable[[int], Fraction]  # a moment by index
 
@@ -54,7 +54,7 @@ class WeightSequence1D:
 
     def __init__(self, moment_rule: Rule, norm_bound_sq):
         self._moment_rule = moment_rule
-        self.norm_bound_sq = Fraction(norm_bound_sq)
+        self.norm_bound_sq = _rational(norm_bound_sq, "norm bound")
         if self.norm_bound_sq <= 0:
             raise ValueError("norm bound must be positive")
         self._moments: list[Fraction] = []
@@ -99,10 +99,10 @@ class WeightSequence1D:
         weight is checked here, in index order; the tail repeats the last
         one, so no later weight can fail.
         """
-        prefix = [Fraction(v) for v in squared_prefix]
+        prefix = [_rational(v, "a squared weight") for v in squared_prefix]
         if not prefix:
             raise ValueError("prefix must be nonempty")
-        bound = Fraction(norm_bound_sq) if norm_bound_sq is not None else max(prefix)
+        bound = _rational(norm_bound_sq, "norm bound") if norm_bound_sq is not None else max(prefix)
         products = [Fraction(1)]
         for v in prefix:
             products.append(products[-1] * v)
@@ -167,7 +167,7 @@ def backward_extension_1d(alpha0_sq, xi: AtomicMeasure1D) -> Certificate:
     Passes iff 1/s is integrable (no atom at 0) and the prepended squared
     weight does not exceed 1 / ||1/s||.  The measure needs an atom.
     """
-    a0 = Fraction(alpha0_sq)
+    a0 = _rational(alpha0_sq, "the prepended squared weight")
     if a0 <= 0:
         raise ValueError("the prepended squared weight must be positive")
     if not xi.atoms:
@@ -203,7 +203,7 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     measure on [0, inf) reproducing the data.
     """
     max_atoms = _index(max_atoms, "max_atoms", 1)
-    ms = [Fraction(m) for m in moments]
+    ms = [_rational(m, "a moment") for m in moments]
     if not ms or ms[0] != 1:
         raise ValueError("moments[0] must equal 1")
     if len(ms) < 2 * max_atoms + 1:

@@ -29,13 +29,15 @@ at a lattice point, and holds no other state.  Every check reads its
 weights through one window reader, ``rows``: one rule call per lattice
 point, row by row, each weight validated positive, and each row kept as
 four int lists, the alpha numerators and positive denominators, then the
-beta ones.  The checks then decide by the signs of integers,
-cross-multiplying numerators and denominators with no gcd taken; a
-fraction is built only for a failure witness.  The point reads
-``alpha_sq`` / ``beta_sq`` read the pair, validate their half with the
-same helper and message, and return it.  The Berger check steps along
-the canonical path (row 0, then up a column) as it scans, so it builds
-no moment table.
+beta ones.  A check takes a diagram or one such read kept as a
+:class:`WindowRead` (``WeightDiagram.read``), which serves every smaller
+rectangle, so several checks read each point once.  The checks then
+decide by the signs of integers, cross-multiplying numerators and
+denominators with no gcd taken; a fraction is built only for a failure
+witness.  The point reads ``alpha_sq`` / ``beta_sq`` read the pair,
+validate their half with the same helper and message, and return it.
+The Berger check steps along the canonical path (row 0, then up a
+column) as it scans, so it builds no moment table.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Callable
 
 from .certificate import Certificate
 from .measures import AtomicMeasure2D
-from .numerics import _index
+from .numerics import _index, _rational
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
 # a window row: alpha^2 numerators, denominators, then beta^2 numerators, denominators
@@ -65,8 +67,8 @@ def _point(k1, k2) -> tuple[int, int]:
 
 
 def _positive(name: str, k1: int, k2: int, value) -> Pair:
-    """A squared weight as a Pair, which must be positive."""
-    n, d = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
+    """A squared weight as a Pair, which must be a positive rational."""
+    n, d = _rational(value, f"{name} at {(k1, k2)}").as_integer_ratio()
     if n <= 0:
         raise ValueError(f"{name} at {(k1, k2)} must be positive, got {Fraction(n, d)}")
     return n, d
@@ -110,6 +112,12 @@ class WeightDiagram:
             rows.append(row)
         return rows
 
+    def read(self, w: int, h: int) -> "WindowRead":
+        """The pairs on k1 < w, k2 < h, each side at least 1, read once
+        through ``rows``."""
+        w, h = _check_window((w, h))
+        return WindowRead(self.rows(w, h), w, h)
+
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): its rule translated."""
         i, j = _index(i, "base point"), _index(j, "base point")
@@ -119,7 +127,29 @@ class WeightDiagram:
         return WeightDiagram(lambda k1, k2: rule(k1 + i, k2 + j))
 
 
-def commutativity_check(diagram: WeightDiagram, window) -> Certificate:
+class WindowRead:
+    """The rows of one w x h rectangle of a diagram, read once.  It serves
+    ``rows(w', h')`` for any w' <= w, h' <= h by slicing, so a check takes
+    either a diagram or a read that covers its rectangle; a larger
+    rectangle raises ``ValueError``."""
+
+    __slots__ = ("_rows", "_w", "_h")
+
+    def __init__(self, rows: list[Row], w: int, h: int):
+        self._rows, self._w, self._h = rows, w, h
+
+    def rows(self, w: int, h: int) -> list[Row]:
+        if w > self._w or h > self._h:
+            raise ValueError(f"a {self._w}x{self._h} read does not cover a {w}x{h} rectangle")
+        if w == self._w:
+            return self._rows[:h]
+        return [(ans[:w], ads[:w], bns[:w], bds[:w]) for ans, ads, bns, bds in self._rows[:h]]
+
+
+Weights = WeightDiagram | WindowRead  # what a check reads its rectangle from
+
+
+def commutativity_check(diagram: Weights, window) -> Certificate:
     """beta_{k+(1,0)}^2 alpha_k^2 == alpha_{k+(0,1)}^2 beta_k^2 on the window.
 
     Reads the (w+1) x (h+1) pairs once each, and decides by
@@ -155,7 +185,7 @@ def _powers(base: int, count: int) -> list[int]:
     return powers
 
 
-def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Certificate:
+def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificate:
     """Exact equality of diagram moments and measure moments on the window.
 
     Over common denominators f of the masses and b, d of the coordinates,
@@ -208,7 +238,7 @@ def check_berger_2d(diagram: WeightDiagram, mu: AtomicMeasure2D, window) -> Cert
     return Certificate("check_berger_2d", True, {"window": (w, h)})
 
 
-def joint_hyponormality_window(diagram: WeightDiagram, window) -> Certificate:
+def joint_hyponormality_window(diagram: Weights, window) -> Certificate:
     """Exact PSD test of the compressed self-commutator on a window.
 
     The compression of [[ [T1*,T1], [T2*,T1] ], [ [T1*,T2], [T2*,T2] ]] to

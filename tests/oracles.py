@@ -26,7 +26,10 @@ backward extension, so the tests can compare the two:
   the slices ``agler`` reads off mu must reproduce;
 * :func:`sum_block_hankel`, the block Hankel matrix H(x) of the rescaled
   sum (T1 + T2)/2 on the degree-4 block, and :data:`SUM_KERNEL`, the
-  integer vector v with v^T H(x) v = -(25/4096)(x - 2/11).
+  integer vector v with v^T H(x) v = -(25/4096)(x - 2/11);
+* :func:`is_psd_reference`, the rational LDL^T that ``numerics.is_psd``
+  replaced by an integer elimination, whose certificates it must match
+  exactly.
 """
 
 import itertools
@@ -405,3 +408,45 @@ def sum_block_hankel(x) -> list[list[Fraction]]:
         for i in range(SUM_ORDER + 1)
         for a in range(size)
     ]
+
+
+def is_psd_reference(rows) -> Certificate:
+    """The PSD decision by rational LDL^T in ``Fraction``s, each Schur
+    complement entry updated as s_ij -= (s_ik / s_kk) s_kj.  A zero pivot
+    passes only when its residual row vanishes; otherwise, or at a negative
+    pivot, the lower factor lifts the bad Schur-complement vector to v with
+    v^T M v < 0 by solving L^T v = u."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    n = len(matrix)
+    s = [row[:] for row in matrix]
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    pivots = []
+    support = None
+    for k in range(n):
+        pivot = s[k][k]
+        if pivot < 0:
+            support = {k: Fraction(1)}
+            break
+        if pivot == 0:
+            j = next((j for j in range(k + 1, n) if s[k][j] != 0), None)
+            if j is not None:
+                # the 2x2 block [[0, sigma], [sigma, tau]] is indefinite
+                sigma, tau = s[k][j], s[j][j]
+                support = {k: Fraction(1), j: -sigma / (abs(tau) + 1)}
+                break
+            pivots.append(pivot)
+            continue
+        pivots.append(pivot)
+        for i in range(k + 1, n):
+            f = s[i][k] / pivot
+            if f:
+                lower[i][k] = f
+                for j in range(k + 1, n):
+                    s[i][j] -= f * s[k][j]
+    if support is None:
+        return Certificate("is_psd", True, {"order": n, "pivots": pivots})
+    v = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        v[i] = support.get(i, Fraction(0)) - sum(lower[j][i] * v[j] for j in range(i + 1, n))
+    value = sum(v[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
+    return Certificate("is_psd", False, {"order": n, "vector": v, "value": value})

@@ -314,6 +314,51 @@ class TestCheck2D:
         assert main(argv + ["--hyponormal", "--dump", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 5 * 4
 
+    @staticmethod
+    def counted_family(monkeypatch, calls, bad=None):
+        """Wrap the family rule: record each call, and at the point ``bad[1]``
+        give -1/2 for ``bad[0]`` ("alpha" or "beta")."""
+        family = cli.lubin.family_diagram
+
+        def diagram(x):
+            rule = family(x)._rule
+
+            def counted(k1, k2):
+                calls.append((k1, k2))
+                alpha, beta = rule(k1, k2)
+                if bad is not None and bad[1] == (k1, k2):
+                    return (F(-1, 2), beta) if bad[0] == "alpha" else (alpha, F(-1, 2))
+                return alpha, beta
+
+            return WeightDiagram(counted)
+
+        monkeypatch.setattr(cli.lubin, "family_diagram", diagram)
+
+    def test_check2d_reads_its_window_once(self, tmp_path, capsys, monkeypatch):
+        # commutativity's 33 x 33 read serves hyponormality and the dump: 1,089 rule
+        # calls, each point once, where a read per check made 3,137
+        calls = []
+        self.counted_family(monkeypatch, calls)
+        out = tmp_path / "diagram.csv"
+        argv = ["check2d", "--x", "1/10", "--window", "32x32", "--hyponormal", "--dump", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 33 * 33 == 1089
+        assert sorted(calls) == sorted({(k1, k2) for k1 in range(33) for k2 in range(33)})
+        assert len(out.read_text().splitlines()) == 1 + 32 * 32
+
+    @pytest.mark.parametrize(
+        "which, point", [("alpha", (32, 32)), ("beta", (31, 32)), ("alpha", (0, 32)), ("beta", (5, 7))]
+    )
+    def test_a_bad_weight_in_the_one_read_is_named(self, which, point, tmp_path, capsys, monkeypatch):
+        # every point of the (w+1) x (h+1) rectangle is read and checked, inside the
+        # checks' w x h window or not
+        self.counted_family(monkeypatch, [], bad=(which, point))
+        mu = tmp_path / "mu.json"
+        dump_measure(mu_m_cap_n(), mu)
+        argv = ["check2d", "--x", "1/10", "--window", "32x32", "--hyponormal", "--berger", str(mu)]
+        assert main(argv + ["--dump", str(tmp_path / "diagram.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {which}^2 at {point} must be positive, got -1/2\n")
+
     def test_bad_window(self):
         assert main(["check2d", "--x", "1/5", "--window", "six"]) == 2
 

@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_psd_reference, sum_block_hankel
+from shiftcert.agler import integral_moment
+from shiftcert.lubin import PAIR_THRESHOLD, family_diagram
+from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1
 from shiftcert.numerics import (
     exponential_sum_sign,
     exponential_sum_threshold,
@@ -14,6 +18,7 @@ from shiftcert.numerics import (
     parse_rational,
     rref,
 )
+from shiftcert.shift1d import WeightSequence1D, backward_extension_1d, berger_fit
 
 
 def from_function(order, fn):
@@ -182,6 +187,144 @@ class TestIsPsd:
         if not cert.ok:
             v = [F(t) for t in cert.witness["vector"]]
             assert quadratic_form(m, v) < 0
+
+
+def hankel(moments, order, shift=0):
+    """The rows of [moments[i + j + shift]], 0 <= i, j <= order."""
+    return [moments[i + shift : i + shift + order + 1] for i in range(order + 1)]
+
+
+def random_measure(rng, atoms):
+    points = {F(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(atoms)}
+    return AtomicMeasure1D((p, F(rng.randint(1, 9), rng.randint(1, 9))) for p in points)
+
+
+def symmetric_nudge(rng, rows):
+    """``rows`` with one entry and its mirror moved by a small random rational."""
+    rows = [row[:] for row in rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    e = F(rng.randint(-4, 4), rng.randint(1, 50))
+    rows[i][j] += e
+    if i != j:
+        rows[j][i] += e
+    return rows
+
+
+def zeroed(rng, rows):
+    """``rows`` with a random row and its column set to 0."""
+    z = rng.randrange(len(rows))
+    return [[F(0) if z in (i, j) else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def gram(rng, order, rank):
+    """B^T B for a random rank x order rational B: PSD of rank at most ``rank``."""
+    b = [[F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(order)] for _ in range(rank)]
+    return [[sum((r[i] * r[j] for r in b), F(0)) for j in range(order)] for i in range(order)]
+
+
+def seeded_matrices(seed=27, count=1300):
+    """(kind, rows) for measure Hankels, perturbed Hankels, low-rank Gram
+    matrices and zeroed rows of either, and zero pivots ahead of a nonzero row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mu = random_measure(rng, rng.randint(1, 4))
+        order = rng.randint(1, 6)
+        moments = [moment1(mu, n) for n in range(2 * order + 2)]
+        shift = rng.randint(0, 1)
+        yield "hankel", hankel(moments, order, shift)
+        yield "perturbed hankel", symmetric_nudge(rng, hankel(moments, order, shift))
+        size = rng.randint(1, 7)
+        low = gram(rng, size, rng.randint(0, size))
+        yield "gram", low
+        yield "zeroed", zeroed(rng, rng.choice([low, symmetric_nudge(rng, low), hankel(moments, order)]))
+    for t in range(-3, 4):
+        yield "zero pivot", [[F(0), F(1)], [F(1), F(t)]]
+        yield "zero pivot", [[F(1), F(1), F(2)], [F(1), F(1), F(5)], [F(2), F(5), F(t)]]
+
+
+def assert_same_certificate(rows):
+    got, want = is_psd(rows), is_psd_reference(rows)
+    assert (got.ok, dict(got.witness)) == (want.ok, dict(want.witness))
+    for key in ("pivots", "vector", "value"):
+        if key in got.witness:
+            values = got.witness[key] if key != "value" else [got.witness[key]]
+            assert all(type(v) is F for v in values)
+    return got
+
+
+class TestIsPsdAgainstTheReference:
+    """The integer elimination gives the rational LDL^T's certificates exactly."""
+
+    def test_seeded_matrices(self):
+        outcomes, cases = {}, 0
+        for kind, rows in seeded_matrices():
+            outcomes.setdefault(kind, set()).add(assert_same_certificate(rows).ok)
+            cases += 1
+        assert cases >= 5000
+        # Hankels and Gram matrices are PSD, a zero pivot ahead of a nonzero row is not,
+        # and the perturbed and zeroed matrices go both ways
+        assert outcomes == {
+            "hankel": {True},
+            "perturbed hankel": {True, False},
+            "gram": {True},
+            "zeroed": {True, False},
+            "zero pivot": {False},
+        }
+
+    def test_the_zero_pivot_branch(self):
+        cert = assert_same_certificate([[0, 1], [1, 5]])
+        assert not cert.ok
+        # the pivot 0 meets sigma = 1 and tau = 5: v = (1, -sigma / (|tau| + 1))
+        assert cert.witness["vector"] == [1, F(-1, 6)]
+        assert cert.witness["value"] == F(-7, 36)
+
+    def test_the_sum_block_hankels(self):
+        psd = assert_same_certificate(sum_block_hankel(PAIR_THRESHOLD))
+        assert psd.ok and sum(1 for p in psd.witness["pivots"] if p) == 19
+        assert not assert_same_certificate(sum_block_hankel(F(1, 5))).ok
+
+    def test_the_largest_admitted_hankel_of_a_four_atom_measure(self):
+        # check1d --order 128: 129 x 129 of rank 4
+        mu = AtomicMeasure1D([(F(1, 7), F(1, 10)), (F(2, 5), F(1, 5)), (F(3, 4), F(3, 10)), (F(1), F(2, 5))])
+        moments = [moment1(mu, n) for n in range(257)]
+        cert = assert_same_certificate(hankel(moments, 128))
+        assert cert.ok and sum(1 for p in cert.witness["pivots"] if p) == 4
+
+
+class TestExactInputs:
+    """Every exact input is read by one reader, which refuses a float."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: is_psd([[v]]),
+            lambda v: is_psd([[F(1), v], [v, F(1)]]),
+            lambda v: rref([[F(1), v]]),
+            lambda v: AtomicMeasure1D([(v, F(1))]),
+            lambda v: AtomicMeasure1D([(F(1, 2), v)]),
+            lambda v: AtomicMeasure2D([((F(1, 2), v), F(1))]),
+            lambda v: WeightSequence1D(lambda k: F(1), v),
+            lambda v: WeightSequence1D.from_prefix([F(1, 2), v]),
+            lambda v: backward_extension_1d(v, AtomicMeasure1D([(F(1, 2), F(1))])),
+            lambda v: berger_fit([F(1), v, F(1, 4)], 1),
+            lambda v: integral_moment(v, 1),
+            lambda v: family_diagram(v),
+        ],
+        ids=[
+            "is_psd", "is_psd-off-diagonal", "rref", "measure-point", "measure-mass", "planar-point",
+            "norm-bound", "prefix", "backward-extension", "fit", "integral_moment", "family_diagram",
+        ],
+    )
+    def test_a_float_is_refused(self, call):
+        call(F(1, 2))  # the rational passes
+        with pytest.raises(ValueError, match="must be a rational, got 0.5"):
+            call(0.5)
+
+    @pytest.mark.parametrize("entry", ["1", "1/2", None, 1j, 0.1])
+    def test_is_psd_takes_ints_and_fractions_only(self, entry):
+        # as a Fraction, 0.1 would be 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="a matrix entry must be a rational"):
+            is_psd([[entry]])
 
 
 class TestLinearAlgebraHelpers:

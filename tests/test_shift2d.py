@@ -439,6 +439,18 @@ class TestStatelessDiagram:
             with pytest.raises(ValueError, match="must be positive"):
                 check()
 
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_a_float_weight_is_rejected_when_read(self, which):
+        # as a Fraction, 0.5 would pass as 1/2
+        one = lambda k1, k2: F(1)
+        half = lambda k1, k2: 0.5 if (k1, k2) == (1, 2) else F(1)
+        bad = two_rules(half, one) if which == "alpha" else two_rules(one, half)
+        message = re.escape(f"{which}^2 at (1, 2) must be a rational, got 0.5")
+        with pytest.raises(ValueError, match=message):
+            commutativity_check(bad, (2, 2))
+        with pytest.raises(ValueError, match=message):
+            getattr(bad, f"{which}_sq")(1, 2)
+
 
 def unit_diagram(rule=lambda k1, k2: F(1)) -> WeightDiagram:
     """Every squared weight 1: the moment diagram of the unit point mass at
@@ -512,6 +524,58 @@ class TestWindowReader:
         assert not check_berger_2d(unit_diagram(), half, (3, 3)).ok
         with pytest.raises(ValueError, match=re.escape("beta^2 at (2, 1) must be positive, got 0")):
             check_berger_2d(bad, half, (3, 3))
+
+
+class TestOneRead:
+    """A diagram's read of one rectangle serves every smaller one, as the diagram does."""
+
+    def test_serves_the_diagram_rows_of_every_smaller_rectangle(self):
+        diagram = family_diagram(F(1, 7)).restricted(2, 1)
+        read = diagram.read(5, 4)
+        for w in range(1, 6):
+            for h in range(1, 5):
+                assert read.rows(w, h) == diagram.rows(w, h)
+
+    def test_the_checks_take_a_read_and_give_the_same_certificates(self):
+        for x in (F(1, 7), F(1, 2)):
+            diagram = family_diagram(x)
+            read = diagram.read(7, 7)
+            assert commutativity_check(read, (6, 6)) == commutativity_check(diagram, (6, 6))
+            assert joint_hyponormality_window(read, (6, 6)) == joint_hyponormality_window(diagram, (6, 6))
+            assert check_berger_2d(read, MU_CAP, (6, 6)) == check_berger_2d(diagram, MU_CAP, (6, 6))
+        skew = perturbed(unit_diagram(), "beta", (2, 1), F(2))
+        assert not commutativity_check(skew.read(4, 4), (3, 3)).ok
+        assert commutativity_check(skew.read(4, 4), (3, 3)) == commutativity_check(skew, (3, 3))
+
+    def test_each_point_is_read_once_and_a_check_reads_nothing_more(self):
+        calls = []
+
+        def rule(k1, k2):
+            calls.append((k1, k2))
+            return F(1), F(1)
+
+        read = WeightDiagram(rule).read(4, 5)
+        assert calls == [(k1, k2) for k2 in range(5) for k1 in range(4)]
+        calls.clear()
+        assert commutativity_check(read, (3, 4)).ok
+        assert joint_hyponormality_window(read, (3, 4)).ok
+        assert check_berger_2d(read, UNIT_MASS, (3, 4)).ok
+        assert calls == []
+
+    def test_a_read_too_small_for_a_check_is_refused(self):
+        read = unit_diagram().read(3, 3)
+        with pytest.raises(ValueError, match="a 3x3 read does not cover a 4x3 rectangle"):
+            commutativity_check(read, (3, 2))
+        with pytest.raises(ValueError, match="a 3x3 read does not cover a 3x4 rectangle"):
+            read.rows(3, 4)
+        with pytest.raises(ValueError, match="window sides must be >= 1"):
+            unit_diagram().read(0, 3)
+
+    def test_a_bad_weight_is_refused_when_read(self):
+        bad = perturbed(unit_diagram(), "alpha", (3, 2), F(0))
+        with pytest.raises(ValueError, match=re.escape("alpha^2 at (3, 2) must be positive, got 0")):
+            bad.read(4, 3)
+        assert bad.read(3, 3).rows(3, 3) == unit_diagram().rows(3, 3)
 
 
 class TestIntegerIndices:
