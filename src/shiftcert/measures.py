@@ -110,7 +110,10 @@ class AtomicMeasure2D(_AtomicMeasure):
 
     @staticmethod
     def _location(point) -> tuple[Fraction, Fraction]:
-        s, t = point
+        try:
+            s, t = point
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValueError("a planar atom point must be a pair of rationals") from None
         return _rational(s, "atom location"), _rational(t, "atom location")
 
     @staticmethod
@@ -201,13 +204,9 @@ def measure_from_dict(data: dict):
         return AtomicMeasure1D(
             (parse_rational(entry["point"]), parse_rational(entry["mass"])) for entry in raw
         )
-    atoms = []
-    for entry in raw:
-        point = entry["point"]
-        if not isinstance(point, (list, tuple)) or len(point) != 2:
-            raise ValueError("a planar atom point must be a pair of rationals")
-        atoms.append(
-            ((parse_rational(point[0]), parse_rational(point[1])), parse_rational(entry["mass"]))
-        )
-    return AtomicMeasure2D(atoms)
+
+    def pair(point):  # AtomicMeasure2D refuses a list of another length, and a non-list as None
+        return [parse_rational(v) for v in point] if isinstance(point, (list, tuple)) else None
+
+    return AtomicMeasure2D((pair(entry["point"]), parse_rational(entry["mass"])) for entry in raw)
 

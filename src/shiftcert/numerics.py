@@ -65,14 +65,14 @@ def _rational(value, what: str, text: bool = False) -> Fraction:
     """``value`` as a Fraction, for an exact scalar input.
 
     Only rational types pass (``numbers.Rational``: int, Fraction, ...),
-    and with ``text`` a string that ``Fraction`` reads.  A binary float has
-    lost the rational it stood for, so it raises ``ValueError``, as does
-    any other value.
+    and with ``text`` a string that :func:`parse_rational` reads, the one
+    grammar of exact text.  A binary float has lost the rational it stood
+    for, so it raises ``ValueError``, as does any other value.
     """
     if type(value) is Fraction:
         return value
     if text and isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     if not isinstance(value, Rational):
         raise ValueError(f"{what} must be a rational, got {value!r}")
     return Fraction(value)
@@ -92,9 +92,11 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
     Fraction is built while eliminating.  The pivot r_kk / d_k is decided
     by the sign of r_kk.  A zero pivot is legal only when its entire
     residual row vanishes; otherwise, or when a pivot goes negative, the
-    elimination state lifts to an explicit rational vector v with
-    v^T M v < 0, which the certificate carries.  A pass carries the pivots
-    r_kk / d_k.
+    bad Schur-complement vector lifts to an explicit rational vector v
+    with v^T M v < 0, which the certificate carries.  The lift reads the
+    log of the rows each pivot changed, one reverse pass over it, and
+    checks v^T M v on v's support only, so it builds no n x n table.  A
+    pass carries the pivots r_kk / d_k.
     """
     n = len(rows)
     # each entry as (numerator, positive denominator), in lowest terms
@@ -151,25 +153,20 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
 
 
 def _negativity_certificate(ratios, steps, support) -> Certificate:
-    # Lift a bad vector from Schur-complement coordinates: solve L^T v = u,
-    # with L[i][k] = (r_ik / d_i) / (r_kk / d_k) read off the elimination steps.
-    n = len(ratios)
-    matrix = [[Fraction(p, q) for p, q in row] for row in ratios]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    for k, pivot, d, changed in steps:
-        for i, a, di in changed:
-            lower[i][k] = Fraction(a * d, di * pivot)
-    v = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        acc = support.get(i, Fraction(0))
-        for j in range(i + 1, n):
-            if lower[j][i]:
-                acc -= lower[j][i] * v[j]
-        v[i] = acc
-    value = sum(v[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
+    # Lift a bad vector from Schur-complement coordinates: solve L^T v = u, where
+    # column k of L is step k's changed rows, L[i][k] = (r_ik / d_i) / (r_kk / d_k).
+    # Every index in the support lies past the last step, so one reverse pass sets
+    # each v[k] from the v[i] below it, and v^T M v is summed over v's support.
+    v = [Fraction(0)] * len(ratios)
+    for i, u in support.items():
+        v[i] = u
+    for k, pivot, d, changed in reversed(steps):
+        v[k] = -Fraction(d, pivot) * sum((Fraction(a, di) * v[i] for i, a, di in changed if v[i]), Fraction(0))
+    nonzero = [(i, x) for i, x in enumerate(v) if x]
+    value = sum(x * sum(Fraction(*ratios[i][j]) * y for j, y in nonzero) for i, x in nonzero)
     if not value < 0:
         raise ArithmeticError("internal error: lifted witness is not negative")
-    return Certificate("is_psd", False, {"order": n, "vector": v, "value": value})
+    return Certificate("is_psd", False, {"order": len(v), "vector": v, "value": value})
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

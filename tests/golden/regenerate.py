@@ -75,6 +75,8 @@ CASES = {
     ],
     "check1d-backext-half": ["check1d", "w_flat.json", "--backext-alpha0", "1/2"],
     "check1d-bad-kind": ["check1d", "w_bad_kind.json"],
+    # the order cap: two failing 129 x 129 Hankel tests on a prefix whose tail is flat
+    "check1d-flat-tail-128": ["check1d", "w_flat_tail.json", "--order", "128"],
     # check2d
     "check2d-default": ["check2d", "--x", "1/5"],
     "check2d-berger-pass": ["check2d", "--x", "1/11", "--window", "5x4", "--berger", "mu_1_11.json"],

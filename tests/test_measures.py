@@ -72,6 +72,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AtomicMeasure1D([(F(1, 2), F(1, 4)), (F(1, 2), F(1, 4))])
 
+    @pytest.mark.parametrize("point", [5, (F(1),), (F(1), F(2), F(3)), None], ids=["int", "single", "triple", "none"])
+    def test_a_planar_point_must_be_a_pair(self, point):
+        with pytest.raises(ValueError, match="a planar atom point must be a pair of rationals"):
+            AtomicMeasure2D([(point, F(1))])
+
     def test_dirac_is_probability(self):
         d = dirac(F(1, 4))
         assert d.is_probability()

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import is_psd_reference, sum_block_hankel
 from shiftcert.agler import integral_moment
-from shiftcert.lubin import PAIR_THRESHOLD, family_diagram
+from shiftcert.lubin import PAIR_THRESHOLD, family_diagram, family_report
 from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1
 from shiftcert.numerics import (
+    _negativity_certificate,
     exponential_sum_sign,
     exponential_sum_threshold,
     is_psd,
@@ -290,6 +291,19 @@ class TestIsPsdAgainstTheReference:
         cert = assert_same_certificate(hankel(moments, 128))
         assert cert.ok and sum(1 for p in cert.witness["pivots"] if p) == 4
 
+    def test_a_lifted_vector_that_is_not_negative_is_refused(self):
+        # the identity with an empty elimination log: v = e_0 gives v^T M v = 1
+        with pytest.raises(ArithmeticError, match="lifted witness is not negative"):
+            _negativity_certificate([[(1, 1), (0, 1)], [(0, 1), (1, 1)]], [], {0: F(1)})
+
+    @pytest.mark.parametrize("shift, support", [(0, [0, 1, 51]), (1, [0, 1, 50])], ids=["plain", "shifted"])
+    def test_the_flat_tail_hankels(self, shift, support):
+        # 51 squared weights 1/2, then 51/100 repeated: subnormal would need a flat shift
+        w = WeightSequence1D.from_prefix([F(1, 2)] * 51 + [F(51, 100)])
+        moments = [w.moment(n) for n in range(122)]
+        cert = assert_same_certificate(hankel(moments, 60, shift))
+        assert not cert.ok and [i for i, v in enumerate(cert.witness["vector"]) if v] == support
+
 
 class TestExactInputs:
     """Every exact input is read by one reader, which refuses a float."""
@@ -319,6 +333,14 @@ class TestExactInputs:
         call(F(1, 2))  # the rational passes
         with pytest.raises(ValueError, match="must be a rational, got 0.5"):
             call(0.5)
+
+    @pytest.mark.parametrize("text", ["0.1", "1e-3", "1_0/3", "\u0661/\u0663", "1/ 3"])
+    @pytest.mark.parametrize("call", [lambda c: integral_moment(c, 2), family_report], ids=["integral_moment", "x"])
+    def test_exact_text_has_one_grammar(self, call, text):
+        # parse_rational's "p/q" or integer: no decimal, exponent, "_" or non-ASCII digit
+        assert call(" 1/10 ") == call(F(1, 10))
+        with pytest.raises(ValueError, match="not a rational literal"):
+            call(text)
 
     @pytest.mark.parametrize("entry", ["1", "1/2", None, 1j, 0.1])
     def test_is_psd_takes_ints_and_fractions_only(self, entry):
