@@ -1,14 +1,16 @@
 """The CLI output-identity corpus: commands, how one is run, and how the
-expected outputs are rebuilt.
+expected outputs are rebuilt; and the demos' pinned stdout.
 
 Each case runs ``shiftcert.cli.main`` in process, from a scratch directory
 that holds a copy of ``inputs/`` and nothing else, with relative paths
 (``check1d`` echoes its input path).  What a case leaves is its exit code,
 its stdout and stderr, and every file it wrote there (``--out``,
 ``--dump``).  ``expected.json`` keeps those, and ``tests/test_golden.py``
-compares them byte for byte.
+compares them byte for byte.  Each script in ``demos/`` runs in a fresh
+interpreter, and its stdout is kept as ``demos/<script>.txt`` here, which
+``tests/test_package.py`` compares byte for byte too.
 
-Regenerate, from the repository root, with the package under test first
+Regenerate both, from the repository root, with the package under test first
 on the path::
 
     PYTHONPATH=src python tests/golden/regenerate.py
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +34,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected.json"
+DEMOS = HERE.parent.parent / "demos"
+DEMO_OUTPUTS = HERE / "demos"
 
 CERTIFIED = "482964062/585323453"  # the certified bound for the sum, in the lubin cases
 # x with a 60-bit prime denominator 2^60 - 93, the widest the battery benchmark draws:
@@ -152,6 +157,15 @@ def run_case(argv: list[str], workdir: Path) -> dict:
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
 
 
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """Run the script ``demo`` in a fresh interpreter with the imported
+    package's directory as its path; stdout and stderr are kept as bytes."""
+    import shiftcert
+
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=120)
+
+
 def regenerate() -> None:
     corpus = {}
     for name, argv in CASES.items():
@@ -159,6 +173,13 @@ def regenerate() -> None:
             corpus[name] = {"argv": argv, **run_case(argv, Path(workdir))}
     EXPECTED.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(corpus)} cases to {EXPECTED}", file=sys.stderr)
+    DEMO_OUTPUTS.mkdir(exist_ok=True)
+    for demo in sorted(DEMOS.glob("*.py")):
+        result = run_demo(demo)
+        if result.returncode:
+            raise SystemExit(f"{demo.name} exited {result.returncode}:\n{result.stderr.decode()}")
+        (DEMO_OUTPUTS / f"{demo.stem}.txt").write_bytes(result.stdout)
+        print(f"wrote the stdout of {demo.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

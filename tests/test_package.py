@@ -377,12 +377,15 @@ def test_bench_counts_only_its_shiftcert_names(tmp_path):
 
 
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+DEMO_OUTPUTS = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs_cleanly(demo):
-    # each demo runs standalone, in a fresh interpreter with src/ on the path
+    # each demo runs standalone, in a fresh interpreter with src/ on the path,
+    # and prints exactly the stdout that tests/golden/regenerate.py pinned
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stdout + result.stderr
+    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert b"Traceback" not in result.stdout + result.stderr
+    assert result.stdout == (DEMO_OUTPUTS / f"{demo.stem}.txt").read_bytes()
