@@ -49,8 +49,8 @@ from itertools import count
 
 from . import lubin
 from .certificate import Certificate
-from .lubin import PAIR_THRESHOLD, _parameter, gamma_row, moment2d
-from .numerics import _index, _rational, exponential_sum_sign, exponential_sum_threshold
+from .lubin import _ROW, PAIR_THRESHOLD, _moment, _parameter, moment2d
+from .numerics import _index, _integers, _rational, exponential_sum_sign, exponential_sum_threshold
 
 # the k = 0 tail constraint: mu's mass at the origin, constant + slope x, stays >= 0
 K0_CAP = next(c / -d for (s, t), c, d in lubin.MU if s == t == 0)
@@ -59,7 +59,7 @@ K0_CAP = next(c / -d for (s, t), c, d in lubin.MU if s == t == 0)
 _NUMERATOR_CACHE = 8
 # entries of the (c, n)-keyed integral_moment cache
 _MOMENT_CACHE = 1024
-# entries of each n-keyed cache: every n that sweep (n <= 200) and the certificate (n <= 101) reach
+# entries of each n-keyed cache and numerator list: every n that sweep (n <= 200) and the certificate (n <= 101) reach
 _ORDER_CACHE = 256
 # entries of the (n, k)-keyed row cache, which a sweep reads again at every x: grids up to 4,096 pairs stay whole
 _ROW_CACHE = 4096
@@ -67,7 +67,7 @@ _ROW_CACHE = 4096
 
 @lru_cache(maxsize=_NUMERATOR_CACHE)
 def _moment_numerators(p: int, q: int) -> list[int]:
-    # J_n = q^n I_n(p/q) for n = 0, 1, ...; _moment_numerator extends the list in place
+    # J_n = q^n I_n(p/q) for n = 0, 1, ..., _ORDER_CACHE at most; _moment_numerator extends the list in place
     return [1, q - 2 * p]
 
 
@@ -75,13 +75,18 @@ def _moment_numerator(c: Fraction, n: int) -> int:
     """J_n = q^n I_n(c) for c = p/q, by the integer recurrence of :func:`integral_moment`."""
     p, q = c.numerator, c.denominator
     numerators = _moment_numerators(p, q)
+    if n < len(numerators):
+        return numerators[n]
+    previous, current = numerators[-2:]
     for m in range(len(numerators) - 1, n):
-        step = (2 * m + 1) * (q - 2 * p) * numerators[m] - m * q * (q - 4 * p) * numerators[m - 1]
+        step = (2 * m + 1) * (q - 2 * p) * current - m * q * (q - 4 * p) * previous
         value, remainder = divmod(step, m + 1)
         if remainder:
             raise ArithmeticError(f"the recurrence for I_{m + 1}({c}) left a remainder")
-        numerators.append(value)
-    return numerators[n]
+        previous, current = current, value
+        if m < _ORDER_CACHE:
+            numerators.append(value)
+    return current
 
 
 @lru_cache(maxsize=_MOMENT_CACHE, typed=True)
@@ -96,8 +101,9 @@ def integral_moment(c, n: int) -> Fraction:
         (n + 1) J_(n+1) = (2n + 1)(q - 2p) J_n - n q (q - 4p) J_(n-1),
 
     filled in ascending n into a list kept per c (at most ``_NUMERATOR_CACHE``
-    of them), and each division by n + 1 is checked to be exact.  The cache
-    is typed, so a float n never meets the value cached for the int.
+    of them, each up to n = ``_ORDER_CACHE``), and each division by n + 1 is
+    checked to be exact.  The cache is typed, so a float n never meets the
+    value cached for the int.
     """
     c, n = _rational(c, "c", text=True), _index(n, "n")
     if not 0 < c < 1:
@@ -113,16 +119,16 @@ def _atoms() -> tuple[int, int, tuple, tuple]:
     g^n / weight_den^n on an axis (moment ``None``) or J_n g^n / weight_den^n
     on the diagonal, J_n the numerator of I_n(moment)."""
     lubin._pieces()  # raises ArithmeticError unless every interior atom lies on the diagonal
-    mass_den = math.lcm(*(v.denominator for _, c, d in lubin.MU for v in (c, d)))
+    mass_den, masses = _integers([v for _, c, d in lubin.MU for v in (c, d)])
     bases = tuple(sorted({s for (s, _), _, _ in lubin.MU}))
     atoms = []
-    for (s, t), c, d in lubin.MU:
+    for (s, t), _, _ in lubin.MU:
         moment = s / 4 if s and t else None
         # the weight's ratio: I_n(p/q) = J_n (1/q)^n, and (1 - (s + t)/4)^n on an axis
-        ratio = Fraction(1, moment.denominator) if moment else 1 - (s + t) / 4
-        atoms.append((bases.index(s), int(c * mass_den), int(d * mass_den), moment, ratio))
-    weight_den = math.lcm(*(ratio.denominator for *_, ratio in atoms))
-    return mass_den, weight_den, bases, tuple((*atom[:4], int(atom[4] * weight_den)) for atom in atoms)
+        atoms.append((bases.index(s), moment, Fraction(1, moment.denominator) if moment else 1 - (s + t) / 4))
+    weight_den, weights = _integers([ratio for *_, ratio in atoms])
+    cs, ds = masses[::2], masses[1::2]
+    return mass_den, weight_den, bases, tuple((i, c, d, m, g) for (i, m, _), c, d, g in zip(atoms, cs, ds, weights))
 
 
 @lru_cache(maxsize=_ORDER_CACHE)
@@ -146,9 +152,9 @@ def _row(n: int, k) -> tuple[int, int, int]:
     is typed and validates k, so a float k never meets the int it equals."""
     k = _index(k, "k")
     den, terms, _ = _slice(n)
-    scale = math.lcm(*(s.denominator for s, _, _ in terms))
-    powers = [(s.numerator * (scale // s.denominator)) ** k for s, _, _ in terms]
-    gamma = gamma_row(k)
+    scale, bases = _integers([s for s, _, _ in terms])
+    powers = [u**k for u in bases]
+    gamma = _moment(_ROW, k)
     return (
         sum(c * u for u, (_, c, _) in zip(powers, terms)) * gamma.denominator,
         sum(d * u for u, (_, _, d) in zip(powers, terms)) * gamma.denominator,
@@ -252,7 +258,7 @@ def tail_stopping_index() -> TailBound:
     """
     if not (2 * 12**2 < 17**2 and Fraction(6 * 22 * 17, 7 * 12) < 27):
         raise ArithmeticError("the rational bounds sqrt(2) < 17/12 and 6*pi*sqrt(2) < 27 failed")
-    diagonal = lubin._pieces()[2].atoms
+    diagonal = lubin._pieces()[lubin._DIAGONAL].atoms
     bounds = [(s / 4, 1 - s / 8, (1 - s / 8) / (1 - s / 4)) for s, _ in diagonal]  # (c, 1 - c/2, its ratio to 1 - c)
     indices = [next(n for n in count() if r.numerator**n >= 27 * r.denominator**n) for *_, r in bounds]
     n_sixteenth, n_eighth = indices

@@ -37,20 +37,20 @@ slice and checks the result against the threshold; both kernels scan
 the same integer terms and stop on the same rule.  The rescaled sum
 T1 + T2 is the subject of :mod:`.agler`.
 
-The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries;
-the index-keyed caches hold at most 2048 each, so no cache grows with x,
-a window or a lattice depth.
+The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries.
+The piece moments sit in one cache keyed by piece and index,
+:func:`_moment`, of 2048 indices per piece, and each weight cache holds
+2048, so no cache grows with x, a window or a lattice depth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
-from .numerics import _rational, exponential_sum_sign, exponential_sum_threshold
+from .numerics import _integers, _rational, exponential_sum_sign, exponential_sum_threshold
 from .shift2d import WeightDiagram, _point
 
 _HALF = Fraction(1, 2)
@@ -108,47 +108,35 @@ def _pieces() -> tuple[AtomicMeasure1D, AtomicMeasure1D, AtomicMeasure1D]:
     return tuple(AtomicMeasure1D(piece.items()) for piece in pieces.values())
 
 
+_ROW, _COLUMN, _DIAGONAL = range(3)  # the order of _pieces()
 # entries per index-keyed cache: every index a check2d window reaches (depth k1 + k2 <= 2000)
 _INDEX_CACHE = 2048
 
 
-@lru_cache(maxsize=_INDEX_CACHE)
-def gamma_row(k: int) -> Fraction:
-    """gamma_(k,0), the row-0 moments; x-free."""
-    return moment1(_pieces()[0], k)
-
-
-@lru_cache(maxsize=_INDEX_CACHE)
-def _column_core(k: int) -> Fraction:
-    # gamma_(0,k) / x for k >= 1
-    return moment1(_pieces()[1], k)
-
-
-@lru_cache(maxsize=_INDEX_CACHE)
-def _diagonal_core(n: int) -> Fraction:
-    # gamma_(k1,k2) / x for k1, k2 >= 1 with k1 + k2 = n
-    return moment1(_pieces()[2], n)
+@lru_cache(maxsize=3 * _INDEX_CACHE)
+def _moment(piece: int, k: int) -> Fraction:
+    """Moment k of the x-free piece ``piece`` of mu."""
+    return moment1(_pieces()[piece], k)
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
 def _row_weights(k1: int) -> tuple[Fraction, Fraction]:
-    # (alpha^2_(k1,0), beta^2_(k1,0) / x); gamma_(k1,1) / x is column 0's core at k1 = 0, the diagonal's past it
-    gamma = gamma_row(k1)
-    above = _column_core(1) if k1 == 0 else _diagonal_core(k1 + 1)
-    return gamma_row(k1 + 1) / gamma, above / gamma
+    # (alpha^2_(k1,0), beta^2_(k1,0) / x); gamma_(k1,1) / x is the column's moment 1 at k1 = 0, the diagonal's past it
+    gamma = _moment(_ROW, k1)
+    return _moment(_ROW, k1 + 1) / gamma, _moment(_DIAGONAL if k1 else _COLUMN, k1 + 1) / gamma
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
 def _column_weights(k2: int) -> tuple[Fraction, Fraction]:
     # (alpha^2_(0,k2), beta^2_(0,k2)) for k2 >= 1; x cancels in both
-    core = _column_core(k2)
-    return _diagonal_core(k2 + 1) / core, _column_core(k2 + 1) / core
+    core = _moment(_COLUMN, k2)
+    return _moment(_DIAGONAL, k2 + 1) / core, _moment(_COLUMN, k2 + 1) / core
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
 def _interior_weights(n: int) -> tuple[Fraction, Fraction]:
     # (alpha^2_k, beta^2_k), both diagonal_(n+1) / diagonal_n, for k1, k2 >= 1 with k1 + k2 = n
-    weight = _diagonal_core(n + 1) / _diagonal_core(n)
+    weight = _moment(_DIAGONAL, n + 1) / _moment(_DIAGONAL, n)
     return weight, weight
 
 
@@ -173,10 +161,8 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
     x = _parameter(x)
     k1, k2 = _point(k1, k2)
     if k2 == 0:
-        return gamma_row(k1)
-    if k1 == 0:
-        return x * _column_core(k2)
-    return x * _diagonal_core(k1 + k2)
+        return _moment(_ROW, k1)
+    return x * _moment(_DIAGONAL if k1 else _COLUMN, k1 + k2)
 
 
 def family_diagram(x) -> WeightDiagram:
@@ -218,8 +204,8 @@ def _slices(kind: str) -> tuple:
             grouped.setdefault(point[axis], []).append((point[1 - axis], c, d))
     slices = []
     for point, terms in sorted(grouped.items()):
-        den = lcm(*(v.denominator for _, c, d in terms for v in (c, d)))
-        slices.append((point, den, tuple((a, int(c * den), int(d * den)) for a, c, d in terms)))
+        den, ints = _integers([v for _, c, d in terms for v in (c, d)])
+        slices.append((point, den, tuple(zip([a for a, _, _ in terms], ints[::2], ints[1::2]))))
     return tuple(slices)
 
 

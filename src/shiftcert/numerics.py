@@ -13,7 +13,9 @@ every k at once, and :func:`exponential_sum_threshold` finds the exact
 parameter range on which such a sum, with coefficients affine in a
 parameter, stays nonnegative.  Both read their terms into integers with
 :func:`_integer_terms` and scan k upward until the stop rule
-:func:`_outweighs` proves that no later k fails.
+:func:`_outweighs` proves that no later k fails.  :func:`_integers`, the
+one reader of rationals as integers over their least common denominator,
+serves every module that computes in integers.
 """
 
 from __future__ import annotations
@@ -174,6 +176,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     m = [[_rational(v, "a matrix entry") for v in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("matrix rows must have the same length")
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -194,18 +198,28 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivot_cols
 
 
+def _integers(values: Sequence) -> tuple[int, list[int]]:
+    """(D, ints): the rationals ``values`` as integers over their least
+    common denominator D, so values[i] == ints[i] / D.  A value that is not
+    rational, such as a float, raises ``ValueError``."""
+    try:
+        d = lcm(*[v.denominator for v in values])
+    except AttributeError:  # a value is not rational: read through _rational, it raises ValueError
+        d = lcm(*[_rational(v, "an exact value").denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _integer_terms(terms) -> tuple[int, int, list[tuple[int, ...]]]:
     """(q, D, rows): each term (a_i, c_i, ...) as the integer row
     (q a_i, D c_i, ...), largest base first, with q the common denominator
-    of the bases and D that of every coefficient.  The bases must be
-    distinct and lie in [0, 1]; otherwise this raises ``ValueError``."""
+    of the bases and D that of every coefficient (:func:`_integers`).  The
+    bases must be distinct and lie in [0, 1]; otherwise this raises
+    ``ValueError``."""
     terms = list(terms)
-    q = lcm(*[t[0].denominator for t in terms])
-    d = lcm(*[c.denominator for t in terms for c in t[1:]])
-    rows = sorted(
-        [(t[0].numerator * (q // t[0].denominator), *[c.numerator * (d // c.denominator) for c in t[1:]]) for t in terms],
-        reverse=True,
-    )
+    q, bases = _integers([t[0] for t in terms])
+    d, coefficients = _integers([c for t in terms for c in t[1:]])
+    width = len(coefficients) // len(terms) if terms else 0
+    rows = sorted(zip(bases, *[iter(coefficients)] * width), reverse=True)  # one iterator: width per base
     if len({row[0] for row in rows}) != len(rows) or rows and not 0 <= rows[-1][0] <= rows[0][0] <= q:
         raise ValueError("the bases must be distinct and lie in [0, 1]")
     return q, d, rows

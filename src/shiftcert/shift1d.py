@@ -38,7 +38,7 @@ from .errors import (
     RankExceededError,
 )
 from .measures import AtomicMeasure1D, moment1, reciprocal_norm
-from .numerics import _index, _rational, is_psd, rref
+from .numerics import _index, _integers, _rational, is_psd, rref
 
 Rule = Callable[[int], Fraction]  # a moment by index
 
@@ -142,8 +142,7 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
     bound = w.norm_bound_sq
     scale = bound if bound > 1 else Fraction(1)
     gammas = [w.moment(i) / scale**i for i in range(n_max + k_max + 1)]
-    den = math.lcm(*(g.denominator for g in gammas))
-    base = [g.numerator * (den // g.denominator) for g in gammas]
+    _, base = _integers(gammas)
     row = base
     for n in range(1, n_max + 1):
         row = [a - b for a, b in zip(row, row[1:])]
@@ -275,8 +274,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     that holds one root, with R of opposite signs at its ends, is halved by
     the sign of R alone.
     """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]  # content 1, as coeffs[-1] == 1
+    _, ints = _integers(coeffs)  # content 1, as coeffs[-1] == 1
     if ints[:2] == [0, 0]:
         raise InconsistentMomentsError("recurrence polynomial has a repeated root at 0")
     e, lead = len(ints) - 1, ints[-1]

@@ -43,12 +43,11 @@ column) as it scans, so it builds no moment table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from .certificate import Certificate
 from .measures import AtomicMeasure2D
-from .numerics import _index, _rational
+from .numerics import _index, _integers, _rational
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
 # a window row: alpha^2 numerators, denominators, then beta^2 numerators, denominators
@@ -172,11 +171,6 @@ def commutativity_check(diagram: Weights, window) -> Certificate:
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
 
-def _scaled(value: Fraction, denominator: int) -> int:
-    """value * denominator, for a multiple of value's denominator."""
-    return value.numerator * (denominator // value.denominator)
-
-
 def _powers(base: int, count: int) -> list[int]:
     """[base^0, ..., base^(count-1)], with 0^0 = 1."""
     powers = [1]
@@ -205,12 +199,10 @@ def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificat
     w, h = _check_window(window)
     rows = diagram.rows(w, max(h - 1, 1))
     alpha_ns, alpha_ds = rows[0][:2]
-    f = lcm(*(m.denominator for _, m in mu.atoms))
-    b = lcm(*(s.denominator for (s, _), _ in mu.atoms))
-    d = lcm(*(t.denominator for (_, t), _ in mu.atoms))
-    atoms = [
-        (_scaled(m, f), _powers(_scaled(s, b), w), _powers(_scaled(t, d), h)) for (s, t), m in mu.atoms
-    ]
+    f, masses = _integers([m for _, m in mu.atoms])
+    b, ss = _integers([s for (s, _), _ in mu.atoms])
+    d, ts = _integers([t for (_, t), _ in mu.atoms])
+    atoms = [(e, _powers(a, w), _powers(c, h)) for e, a, c in zip(masses, ss, ts)]
     numerators: list[int] = []  # N on the row being scanned
     for k2 in range(h):
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]

@@ -1021,8 +1021,10 @@ class TestMalformedInput:
         [
             {"kind": "prefix", "squared_weights": ["1", "0"]},
             {"kind": "prefix", "squared_weights": ["2"], "norm_bound_sq": "1"},
+            {"kind": "prefix", "squared_weights": []},
+            {"kind": "prefix", "squared_weights": ["1/2"], "norm_bound_sq": "0"},
         ],
-        ids=["weight-zero-past-index-0", "weight-above-bound"],
+        ids=["weight-zero-past-index-0", "weight-above-bound", "empty-prefix", "zero-bound"],
     )
     def test_out_of_range_prefix_weight_is_a_usage_error(self, content, tmp_path, capsys):
         path = tmp_path / "weights.json"

@@ -156,6 +156,8 @@ class TestMarginals:
     def test_axis_aliases_agree(self):
         assert marginal(MU_M, 0) == marginal(MU_M, "s") == marginal(MU_M, "x")
         assert marginal(MU_M, 1) == marginal(MU_M, "t") == marginal(MU_M, "y")
+        with pytest.raises(ValueError, match="axis must be one of 'x'/'s'/0 or 'y'/'t'/1, got 2"):
+            marginal(MU_M, 2)
 
 
 def planar_reciprocal_norm(mu, idx):

@@ -323,10 +323,14 @@ class TestExactInputs:
             lambda v: berger_fit([F(1), v, F(1, 4)], 1),
             lambda v: integral_moment(v, 1),
             lambda v: family_diagram(v),
+            lambda v: exponential_sum_sign([(v, F(1))]),
+            lambda v: exponential_sum_sign([(F(1, 2), v)]),
+            lambda v: exponential_sum_threshold([(F(1, 2), F(1), v)]),
         ],
         ids=[
             "is_psd", "is_psd-off-diagonal", "rref", "measure-point", "measure-mass", "planar-point",
             "norm-bound", "prefix", "backward-extension", "fit", "integral_moment", "family_diagram",
+            "sign-base", "sign-coefficient", "threshold-slope",
         ],
     )
     def test_a_float_is_refused(self, call):
@@ -361,6 +365,10 @@ class TestLinearAlgebraHelpers:
         inconsistent = [[F(1), F(2), F(1)], [F(2), F(4), F(3)]]
         assert rref(consistent)[1] == [0]
         assert rref(inconsistent)[1] == [0, 2]
+
+    def test_rref_refuses_ragged_rows(self):
+        with pytest.raises(ValueError, match="matrix rows must have the same length"):
+            rref([[F(1), F(2)], [F(3)]])
 
     def test_rref_pivots(self):
         rows = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]

@@ -15,6 +15,8 @@ import pytest
 import shiftcert
 from shiftcert import agler, cli, lubin, shift2d
 
+from oracles import integral_moment_sum
+
 SRC = Path(shiftcert.__file__).resolve().parent
 
 
@@ -135,7 +137,7 @@ def test_no_cache_grows_with_the_window_or_path_depth():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
-    assert "shiftcert.lubin._column_core" in caches
+    assert "shiftcert.lubin._moment" in caches
     sizes = []
     for side, depth in ((4, 40), (8, 150), (12, 400), (16, 900)):
         for base in ("0,0", "1,1"):
@@ -152,7 +154,7 @@ def test_no_cache_grows_with_the_window_or_path_depth():
         if cache.cache_info().maxsize is None and sizes[0][name] != sizes[-1][name]
     ]
     assert growing == []
-    assert sizes[0]["shiftcert.lubin._column_core"] < sizes[-1]["shiftcert.lubin._column_core"]
+    assert sizes[0]["shiftcert.lubin._moment"] < sizes[-1]["shiftcert.lubin._moment"]
 
 
 def test_no_cache_grows_with_the_integral_moment_argument():
@@ -175,6 +177,11 @@ def test_no_cache_grows_with_the_integral_moment_argument():
     ]
     assert growing == []
     assert agler._moment_numerators.cache_info().currsize <= agler._NUMERATOR_CACHE
+    # nor does one c's list grow with n: it keeps J_0 .. J_256 and runs the recurrence past them
+    c = Fraction(3, 71)
+    assert agler.integral_moment(c, 2000) > 0
+    assert len(agler._moment_numerators(c.numerator, c.denominator)) == agler._ORDER_CACHE + 1
+    assert agler.integral_moment(c, 300) == integral_moment_sum(c, 300)
 
 
 def test_no_cache_grows_with_the_order_n():

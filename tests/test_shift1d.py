@@ -255,8 +255,13 @@ class TestWeightSequence:
             ([F(1, 2), F(1, 3), F(0), F(-1)], None, "squared weight at 2 must be positive, got 0"),
             ([F(1, 2), F(1, 3), F(-2, 5), F(5)], F(1), "squared weight at 2 must be positive, got -2/5"),
             ([F(1, 2), F(1, 3), F(1, 4), F(3, 2), F(0)], F(1), "squared weight 3/2 at 3 exceeds the declared bound 1"),
+            ([], None, "prefix must be nonempty"),
+            ([F(1, 2)], F(0), "norm bound must be positive"),
         ],
-        ids=["zero-at-0", "negative-at-0", "above-bound-at-0", "zero-at-2", "negative-at-2", "above-bound-at-3"],
+        ids=[
+            "zero-at-0", "negative-at-0", "above-bound-at-0", "zero-at-2", "negative-at-2", "above-bound-at-3",
+            "empty", "zero-bound",
+        ],
     )
     def test_prefix_is_checked_at_construction(self, prefix, bound, message):
         # every prefix weight is checked once, in index order, so the first
