@@ -213,11 +213,13 @@ def _integer_terms(terms) -> tuple[int, int, list[tuple[int, ...]]]:
     """(q, D, rows): each term (a_i, c_i, ...) as the integer row
     (q a_i, D c_i, ...), largest base first, with q the common denominator
     of the bases and D that of every coefficient (:func:`_integers`).  The
-    bases must be distinct and lie in [0, 1]; otherwise this raises
-    ``ValueError``."""
+    terms must have one length, and the bases must be distinct and lie in
+    [0, 1]; otherwise this raises ``ValueError``."""
     terms = list(terms)
     q, bases = _integers([t[0] for t in terms])
     d, coefficients = _integers([c for t in terms for c in t[1:]])
+    if len({len(t) for t in terms}) > 1:
+        raise ValueError("the terms must have one length")
     width = len(coefficients) // len(terms) if terms else 0
     rows = sorted(zip(bases, *[iter(coefficients)] * width), reverse=True)  # one iterator: width per base
     if len({row[0] for row in rows}) != len(rows) or rows and not 0 <= rows[-1][0] <= rows[0][0] <= q:

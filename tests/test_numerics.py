@@ -510,6 +510,9 @@ class TestExponentialSumSign:
             exponential_sum_sign([(F(3, 2), F(1))])
         with pytest.raises(ValueError):
             exponential_sum_sign([(F(1, 2), F(1)), (F(1, 2), F(-1))])
+        # ragged terms whose coefficients still number one per base
+        with pytest.raises(ValueError):
+            exponential_sum_sign([(F(1, 2), F(1)), (F(1, 4), F(1), F(2)), (F(1, 8),)])
 
 
 def threshold_reference(terms, k_max=400):
