@@ -218,11 +218,11 @@ def _integer_terms(terms) -> tuple[int, int, list[tuple[int, ...]]]:
     terms = list(terms)
     q, bases = _integers([t[0] for t in terms])
     d, coefficients = _integers([c for t in terms for c in t[1:]])
-    if len({len(t) for t in terms}) > 1:
+    if len(set(map(len, terms))) > 1:
         raise ValueError("the terms must have one length")
     width = len(coefficients) // len(terms) if terms else 0
     rows = sorted(zip(bases, *[iter(coefficients)] * width), reverse=True)  # one iterator: width per base
-    if len({row[0] for row in rows}) != len(rows) or rows and not 0 <= rows[-1][0] <= rows[0][0] <= q:
+    if len(set(bases)) != len(rows) or rows and not 0 <= rows[-1][0] <= rows[0][0] <= q:
         raise ValueError("the bases must be distinct and lie in [0, 1]")
     return q, d, rows
 
