@@ -30,12 +30,13 @@ the s-pushforward of t^k2 mu, is positive: for every x > 0.  T2 is
 subnormal iff each column's, the t-pushforward of s^k1 mu, is: its mass
 at t = 0 is 1/11 - 3x/8 at column 1, so iff x <= 8/33.  The pair is
 jointly subnormal iff mu >= 0: iff x <= 2/11.  Each slice mass is a
-short exponential sum in the slice index, so each threshold is read off
-by :func:`.numerics.exponential_sum_threshold` once per process, and
-each verdict at x runs :func:`.numerics.exponential_sum_sign` on every
-slice and checks the result against the threshold; both kernels scan
-the same integer terms and stop on the same rule.  The rescaled sum
-T1 + T2 is the subject of :mod:`.agler`.
+short exponential sum in the slice index, so each slice is read into
+integers once per process and stored with its own threshold, read off
+by :func:`.numerics.exponential_sum_threshold`.  A verdict at x scans
+each stored read with :func:`.numerics._sign_scan`, which stops on the
+same rule, and checks each slice's sign against that slice's threshold
+and its outcome against the headline one.  The rescaled sum T1 + T2 is
+the subject of :mod:`.agler`.
 
 The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries.
 The piece moments sit in one cache keyed by piece and index,
@@ -50,7 +51,7 @@ from functools import lru_cache
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
-from .numerics import _integers, _rational, exponential_sum_sign, exponential_sum_threshold
+from .numerics import _integer_terms, _rational, _sign_scan, exponential_sum_threshold
 from .shift2d import WeightDiagram, _point
 
 _HALF = Fraction(1, 2)
@@ -188,8 +189,9 @@ def family_diagram(x) -> WeightDiagram:
 
 @lru_cache(maxsize=3)
 def _slices(kind: str) -> tuple:
-    """The sign questions of one verdict, as (point, den, terms), each term
-    (base, constant, slope) scaled by the positive integer ``den`` to integers.
+    """The sign questions of one verdict, as (point, threshold, index, read):
+    each slice's terms (base, constant, slope) read once, into its threshold
+    and index and into integers, (q, den, rows) by ``_integer_terms``.
 
     Row k2's mass at s = p sums mass * t^k2 over mu's atoms at (p, t), an
     exponential sum in k2; a column's mass at t = p likewise sums over the
@@ -202,48 +204,39 @@ def _slices(kind: str) -> tuple:
         grouped = {}
         for point, c, d in MU:
             grouped.setdefault(point[axis], []).append((point[1 - axis], c, d))
-    slices = []
-    for point, terms in sorted(grouped.items()):
-        den, ints = _integers([v for _, c, d in terms for v in (c, d)])
-        slices.append((point, den, tuple(zip([a for a, _, _ in terms], ints[::2], ints[1::2]))))
-    return tuple(slices)
+    return tuple((point, *exponential_sum_threshold(t), _integer_terms(t)) for point, t in sorted(grouped.items()))
 
 
-@lru_cache(maxsize=3)
 def _threshold(kind: str) -> tuple:
-    """(X, index, point, den, terms): the least threshold over the slices of
-    ``kind`` and the slice where it binds; all ``None`` when no x > 0 fails."""
-    best = (None,) * 5
-    for point, den, terms in _slices(kind):
-        threshold, index = exponential_sum_threshold(terms)
-        if threshold is not None and (best[0] is None or threshold < best[0]):
-            best = (threshold, index, point, den, terms)
-    return best
+    """The slice of ``kind`` with the least threshold, the first on a tie,
+    where that threshold binds; all ``None`` when no x > 0 fails."""
+    return min((s for s in _slices(kind) if s[1] is not None), key=lambda s: s[1], default=(None,) * 4)
 
 
 def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
-    """The sign test of ``kind`` at x, checked against the cached ``threshold``.
+    """The sign test of ``kind`` at x, checked against each slice's own
+    threshold and against ``threshold``, the kind's.
 
-    At x = p/q the scaled coefficients give the integers constant q +
-    slope p, den q times the masses, and the test runs on those.  The
-    witness names the first slice point with a negative mass at x, or on a
-    pass the point where the threshold binds, with its mass at x.
+    At x = p/r a slice's integer rows give constant r + slope p, den r times
+    its masses, which :func:`.numerics._sign_scan` scans.  The witness names
+    the first slice point with a negative mass at x, or on a pass the point
+    where the threshold binds, with its mass at x.
     """
-    p, q = x.numerator, x.denominator
-    failure = None
-    for point, den, terms in _slices(kind):
-        sign = exponential_sum_sign([(a, c * q + d * p) for a, c, d in terms])
+    p, r = x.numerator, x.denominator
+    ok = True
+    for point, bound, index, (q, den, rows) in _slices(kind):
+        sign = _sign_scan(q, den * r, [(a, c * r + d * p) for a, c, d in rows])
+        if sign.ok != (bound is None or x <= bound):
+            raise ArithmeticError(f"the sign test at x = {x} disagrees with the threshold {bound} of the slice at {point}")
         if not sign.ok:
-            failure = (sign.witness["k"], point, sign.witness["value"] / (den * q))
+            ok, index, mass = False, sign.witness["k"], sign.witness["value"]
             break
-    ok = failure is None
+    else:
+        point, _, index, read = _threshold(kind)
+        q, den, rows = read or (1, 1, ())  # no slice binds when no x > 0 fails
+        mass = None if index is None else Fraction(sum((c * r + d * p) * a**index for a, c, d in rows), den * r * q**index)
     if ok != (threshold is None or x <= threshold):
         raise ArithmeticError(f"the sign test at x = {x} disagrees with the threshold {threshold}")
-    if failure is None:
-        _, index, point, den, terms = _threshold(kind)
-        mass = None if index is None else sum((c * q + d * p) * a**index for a, c, d in terms) / (den * q)
-        failure = (index, point, mass)
-    index, point, mass = failure
     where = {"atom": point} if kind == "atom" else {"slice": kind, "index": index, "point": point}
     return Certificate(check, ok, {"x": x, "threshold": threshold, **where, "mass": mass})
 
@@ -251,17 +244,14 @@ def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
 @lru_cache(maxsize=1)
 def threshold_t1() -> Certificate:
     """T1 is subnormal for every x > 0: no row of mu's slices ever goes negative."""
-    threshold, index, point, _, _ = _threshold("row")
-    return Certificate(
-        "threshold_t1",
-        threshold is None,
-        {"threshold": threshold, "slice": "row", "index": index, "point": point},
-    )
+    point, threshold, index, _ = _threshold("row")
+    witness = {"threshold": threshold, "slice": "row", "index": index, "point": point}
+    return Certificate("threshold_t1", threshold is None, witness)
 
 
 def _headline(kind: str, expected: Fraction) -> Fraction:
     """The threshold of ``kind``, which must be the headline value ``expected``."""
-    threshold = _threshold(kind)[0]
+    threshold = _threshold(kind)[1]
     if threshold != expected:
         raise ArithmeticError(f"expected the {kind} threshold to be {expected}, got {threshold}")
     return threshold

@@ -13,9 +13,10 @@ every k at once, and :func:`exponential_sum_threshold` finds the exact
 parameter range on which such a sum, with coefficients affine in a
 parameter, stays nonnegative.  Both read their terms into integers with
 :func:`_integer_terms` and scan k upward until the stop rule
-:func:`_outweighs` proves that no later k fails.  :func:`_integers`, the
-one reader of rationals as integers over their least common denominator,
-serves every module that computes in integers.
+:func:`_outweighs` proves that no later k fails; the sign scan alone is
+:func:`_sign_scan`, for a caller that keeps its read to scan it again.
+:func:`_integers`, the one reader of rationals as integers over their
+least common denominator, serves every module that computes in integers.
 """
 
 from __future__ import annotations
@@ -251,7 +252,11 @@ def exponential_sum_sign(terms) -> Certificate:
     pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
     the ``stop_index``, the least k >= 1 from which it outweighs the rest.
     """
-    q, d, rows = _integer_terms(terms)
+    return _sign_scan(*_integer_terms(terms))
+
+
+def _sign_scan(q: int, d: int, rows) -> Certificate:
+    """The scan of :func:`exponential_sum_sign` on the (q, D, rows) that :func:`_integer_terms` reads."""
     total = sum(row[1] for row in rows)
     if total < 0:
         return Certificate("exponential_sum_sign", False, {"k": 0, "value": Fraction(total, d)})

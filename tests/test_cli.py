@@ -924,8 +924,15 @@ class TestSweep:
         assert code == 0
         assert capsys.readouterr().out.strip() == "x,n,k,p_n"
 
-    def test_bad_step(self):
-        assert main(["sweep", "--x-min", "1/10", "--x-max", "1/5", "--x-step", "0"]) == 2
+    def test_bad_step(self, capsys):
+        # a zero step or a zero start: exit 2 with the one usage line
+        table = [
+            (["--x-min", "1/10", "--x-step", "0"], "--x-step must be positive"),
+            (["--x-min", "0", "--x-step", "1/10"], "--x-min must be positive"),
+        ]
+        for args, message in table:
+            assert main(["sweep", "--x-max", "1/5", *args]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestEpsilon:

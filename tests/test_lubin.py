@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -25,7 +26,7 @@ from oracles import (
     xi_b_level1,
     xi_c,
 )
-from shiftcert import agler, lubin
+from shiftcert import agler, lubin, numerics
 from shiftcert.lubin import (
     MU,
     PAIR_THRESHOLD,
@@ -610,6 +611,46 @@ class TestVerdicts:
         monkeypatch.setattr(lubin, "threshold_t2", lambda: F(1, 2))
         with pytest.raises(ArithmeticError):
             is_t2_subnormal(F(1, 3))
+
+    def test_cross_check_per_slice_disagreement_raises(self, monkeypatch):
+        # each scanned slice's sign must agree with that slice's own threshold: atom (0, 0)'s
+        # 6/5 tampered to 1/5 leaves the least atom threshold at 2/11, so only this check sees it
+        original = lubin._slices
+        atom = (F(0), F(0))
+        assert [s[1] for s in original("atom") if s[0] == atom] == [F(6, 5)]
+
+        def tampered(kind):
+            slices = original(kind)
+            if kind != "atom":
+                return slices
+            return tuple((p, F(1, 5), i, read) if p == atom else (p, t, i, read) for p, t, i, read in slices)
+
+        monkeypatch.setattr(lubin, "_slices", tampered)
+        assert threshold_pair() == PAIR_THRESHOLD
+        with pytest.raises(ArithmeticError, match=re.escape(f"threshold 1/5 of the slice at {atom}")):
+            is_pair_subnormal(F(1, 4))
+
+    def test_cross_check_headline_mismatch_raises(self, monkeypatch):
+        # the column slices' least threshold must be the headline T2 threshold
+        monkeypatch.setattr(lubin, "T2_THRESHOLD", F(1, 4))
+        with pytest.raises(ArithmeticError, match="expected the column threshold to be 1/4, got 8/33"):
+            threshold_t2()
+
+    def test_a_warm_family_report_reads_no_slice(self, monkeypatch):
+        # each slice is read into integers once, with its threshold, and every verdict scans
+        # that read: a report at a fresh x reads nothing (a read per scanned slice made 15 at 1/6)
+        family_report(F(1, 5))
+        calls = []
+        original = numerics._integer_terms
+
+        def counted(terms):
+            calls.append(terms)
+            return original(terms)
+
+        for module in (numerics, lubin):
+            monkeypatch.setattr(module, "_integer_terms", counted)
+        assert all(family_report(F(1, 6))["verdicts"].values())
+        assert calls == []
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
