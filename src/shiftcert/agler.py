@@ -26,10 +26,10 @@ lubin's slices: the per-n slice, integers over one denominator, built
 from mu once per n in a bounded cache.  The range (0, X_n] on which it
 stays nonnegative for every k >= 0 comes from
 :func:`.numerics.exponential_sum_threshold`, the kernel of lubin's
-thresholds (:func:`per_n_exact_sup`), and a decision at x runs
-:func:`.numerics.exponential_sum_sign` on the slice and checks its
-verdict against X_n (:func:`positivity_over_all_k`).  No cache is keyed
-by x.
+thresholds (:func:`per_n_exact_sup`).  :func:`certify_sum` compares x in
+integers with an x-free table of the record sups (:func:`_records`), and
+only the first n whose X_n x exceeds runs the sign test on its slice,
+checked against X_n (:func:`positivity_over_all_k`).  No cache is keyed by x.
 
 The n past an explicit stopping index are closed off analytically
 (:func:`tail_stopping_index`), so an exact certified bound
@@ -292,29 +292,45 @@ def certified_epsilon() -> Fraction:
     return certified_x_max() - PAIR_THRESHOLD
 
 
+@lru_cache(maxsize=1)
+def _records() -> tuple[tuple[int | None, int, int], ...]:
+    """The per-n sups num/den, n <= n_tail, below every earlier one, as (n, num, den),
+    then (None, num, den) for K0_CAP if it lies lower still: the first n
+    whose sup x exceeds is a record, the first record x exceeds."""
+    records, least = [], None
+    for n in range(1, tail_stopping_index().n_star + 1):
+        sup = _slice(n)[2]
+        if sup is not None and (least is None or sup < least):
+            records.append((n, sup.numerator, sup.denominator))
+            least = sup
+    if least is None or K0_CAP < least:
+        records.append((None, K0_CAP.numerator, K0_CAP.denominator))
+    return tuple(records)
+
+
 def certify_sum(x) -> Certificate:
     """Decide the bottom-row Agler test of (T1 + T2)/2 at parameter x, with certificate.
 
     Exact per-n positivity for every n up to the analytic stopping index
-    ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n: the first
-    n whose exact sup x exceeds is decided again by
-    :func:`positivity_over_all_k`, and the verdict must be x <=
-    certified_x_max().  The witness records x, ``n_tail``,
-    ``certified_x_max``, ``epsilon``, the analytic ``tail_witness``, and the
-    ``violation``: ``None`` on a pass, else the least failing n with its
-    least failing k and the value P_n(k, 0) < 0 there, or the cap it
-    exceeds.
+    ``n_tail``, and the k = 0 cap x <= 6/5 covering all larger n.  x = p/r
+    is compared in integers with the x-free record sups of :func:`_records`:
+    the first record it exceeds is the first n whose exact sup it exceeds,
+    which :func:`positivity_over_all_k` decides again, or the cap.  The
+    verdict must be x <= certified_x_max(), which is found by its own loop.
+    The witness records x, ``n_tail``, ``certified_x_max``, ``epsilon``,
+    the analytic ``tail_witness``, and the ``violation``: ``None`` on a
+    pass, else the least failing n with its least failing k and the value
+    P_n(k, 0) < 0 there, or the cap it exceeds.
     """
     x = _parameter(x)
     tail = tail_stopping_index()
+    p, r = x.numerator, x.denominator
     violation = None
-    for n in range(1, tail.n_star + 1):
-        sup = per_n_exact_sup(n)
-        if sup is not None and x > sup:
-            violation = positivity_over_all_k(x, n).witness
+    for n, num, den in _records():
+        if p * den > num * r:
+            cap = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}
+            violation = cap if n is None else positivity_over_all_k(x, n).witness
             break
-    if violation is None and x > K0_CAP:
-        violation = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}
     x_max = certified_x_max()
     if (violation is None) != (x <= x_max):
         raise ArithmeticError("per-n decisions must match the certified bound")

@@ -35,7 +35,8 @@ integers once per process and stored with its own threshold, read off
 by :func:`.numerics.exponential_sum_threshold`.  A verdict at x scans
 each stored read with :func:`.numerics._sign_scan`, which stops on the
 same rule, and checks each slice's sign against that slice's threshold
-and its outcome against the headline one.  The rescaled sum T1 + T2 is
+and its outcome against the headline one, all in integers, with each
+kind's binding slice held once per process.  The rescaled sum T1 + T2 is
 the subject of :mod:`.agler`.
 
 The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries.
@@ -207,9 +208,10 @@ def _slices(kind: str) -> tuple:
     return tuple((point, *exponential_sum_threshold(t), _integer_terms(t)) for point, t in sorted(grouped.items()))
 
 
+@lru_cache(maxsize=3)
 def _threshold(kind: str) -> tuple:
     """The slice of ``kind`` with the least threshold, the first on a tie,
-    where that threshold binds; all ``None`` when no x > 0 fails."""
+    where that threshold binds, held once per process; all ``None`` when no x > 0 fails."""
     return min((s for s in _slices(kind) if s[1] is not None), key=lambda s: s[1], default=(None,) * 4)
 
 
@@ -218,24 +220,26 @@ def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
     threshold and against ``threshold``, the kind's.
 
     At x = p/r a slice's integer rows give constant r + slope p, den r times
-    its masses, which :func:`.numerics._sign_scan` scans.  The witness names
-    the first slice point with a negative mass at x, or on a pass the point
-    where the threshold binds, with its mass at x.
+    its masses, which :func:`.numerics._sign_scan` scans in integers, and
+    each threshold is compared with x in integers.  The witness names the
+    first slice point with a negative mass at x, or on a pass the point
+    where the threshold binds, with its mass at x; this certificate is the
+    only one a verdict builds.
     """
     p, r = x.numerator, x.denominator
     ok = True
     for point, bound, index, (q, den, rows) in _slices(kind):
-        sign = _sign_scan(q, den * r, [(a, c * r + d * p) for a, c, d in rows])
-        if sign.ok != (bound is None or x <= bound):
+        ok, k, total = _sign_scan([(a, c * r + d * p) for a, c, d in rows])
+        if ok != (bound is None or p * bound.denominator <= bound.numerator * r):
             raise ArithmeticError(f"the sign test at x = {x} disagrees with the threshold {bound} of the slice at {point}")
-        if not sign.ok:
-            ok, index, mass = False, sign.witness["k"], sign.witness["value"]
+        if not ok:
+            index, mass = k, Fraction(total, den * r * q**k)
             break
     else:
         point, _, index, read = _threshold(kind)
         q, den, rows = read or (1, 1, ())  # no slice binds when no x > 0 fails
         mass = None if index is None else Fraction(sum((c * r + d * p) * a**index for a, c, d in rows), den * r * q**index)
-    if ok != (threshold is None or x <= threshold):
+    if ok != (threshold is None or p * threshold.denominator <= threshold.numerator * r):
         raise ArithmeticError(f"the sign test at x = {x} disagrees with the threshold {threshold}")
     where = {"atom": point} if kind == "atom" else {"slice": kind, "index": index, "point": point}
     return Certificate(check, ok, {"x": x, "threshold": threshold, **where, "mass": mass})

@@ -14,7 +14,8 @@ parameter range on which such a sum, with coefficients affine in a
 parameter, stays nonnegative.  Both read their terms into integers with
 :func:`_integer_terms` and scan k upward until the stop rule
 :func:`_outweighs` proves that no later k fails; the sign scan alone is
-:func:`_sign_scan`, for a caller that keeps its read to scan it again.
+:func:`_sign_scan`, in integers and with no certificate, for a caller
+that keeps its read to scan it again at each parameter.
 :func:`_integers`, the one reader of rationals as integers over their
 least common denominator, serves every module that computes in integers.
 """
@@ -252,26 +253,29 @@ def exponential_sum_sign(terms) -> Certificate:
     pass the ``dominant_base`` (``None`` when f vanishes past k = 0) and
     the ``stop_index``, the least k >= 1 from which it outweighs the rest.
     """
-    return _sign_scan(*_integer_terms(terms))
+    q, d, rows = _integer_terms(terms)
+    ok, k, total = _sign_scan(rows)
+    if not ok:
+        return Certificate("exponential_sum_sign", False, {"k": k, "value": Fraction(total, d * q**k)})
+    lead = next((Fraction(p, q) for p, n in rows if p and n), None)  # None when f vanishes past k = 0
+    return Certificate("exponential_sum_sign", True, {"dominant_base": lead, "stop_index": k})
 
 
-def _sign_scan(q: int, d: int, rows) -> Certificate:
-    """The scan of :func:`exponential_sum_sign` on the (q, D, rows) that :func:`_integer_terms` reads."""
+def _sign_scan(rows) -> tuple[bool, int, int | None]:
+    """The scan of :func:`exponential_sum_sign` on the integer rows (q a_i, D c_i) of
+    :func:`_integer_terms`, in integers: (True, stop index, None) or (False, the
+    least failing k, the total q^k D f(k) < 0 there)."""
     total = sum(row[1] for row in rows)
     if total < 0:
-        return Certificate("exponential_sum_sign", False, {"k": 0, "value": Fraction(total, d)})
+        return False, 0, total
     bases = [p for p, n in rows if p and n]  # a base 0 drops out past k = 0
-    if not bases:
-        return Certificate("exponential_sum_sign", True, {"dominant_base": None, "stop_index": 1})
     powers = [n * p for p, n in rows if p and n]  # the terms q^k D c_i a_i^k, lead first
     for k in count(1):
-        if _outweighs(powers):
-            witness = {"dominant_base": Fraction(bases[0], q), "stop_index": k}
-            return Certificate("exponential_sum_sign", True, witness)
+        if _outweighs(powers):  # also when no power is left: f vanishes past k = 0
+            return True, k, None
         total = sum(powers)
         if total < 0:
-            value = Fraction(total, d * q**k)
-            return Certificate("exponential_sum_sign", False, {"k": k, "value": value})
+            return False, k, total
         powers = [v * p for v, p in zip(powers, bases)]
 
 

@@ -29,13 +29,18 @@ backward extension, so the tests can compare the two:
   integer vector v with v^T H(x) v = -(25/4096)(x - 2/11);
 * :func:`is_psd_reference`, the rational LDL^T that ``numerics.is_psd``
   replaced by an integer elimination, whose certificates it must match
-  exactly.
+  exactly;
+* :func:`certify_sum_reference`, the rescaled sum's certificate by a
+  ``Fraction`` scan of every per-n sup up to the tail index, which
+  ``agler.certify_sum`` replaced by integer comparisons with its record
+  sups, and whose certificates it must match exactly.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from shiftcert import agler
 from shiftcert.certificate import Certificate
 from shiftcert.errors import ShiftCertError
 from shiftcert.lubin import family_diagram, moment2d
@@ -450,3 +455,29 @@ def is_psd_reference(rows) -> Certificate:
         v[i] = support.get(i, Fraction(0)) - sum(lower[j][i] * v[j] for j in range(i + 1, n))
     value = sum(v[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
     return Certificate("is_psd", False, {"order": n, "vector": v, "value": value})
+
+
+def certify_sum_reference(x) -> Certificate:
+    """The bottom-row Agler certificate of the rescaled sum at x by a scan of
+    every n up to the tail index: the first n whose per-n sup x exceeds is
+    decided by ``positivity_over_all_k``; past them all, x must not exceed
+    the k = 0 cap."""
+    x = Fraction(x)
+    tail = agler.tail_stopping_index()
+    violation = None
+    for n in range(1, tail.n_star + 1):
+        sup = agler.per_n_exact_sup(n)
+        if sup is not None and x > sup:
+            violation = agler.positivity_over_all_k(x, n).witness
+            break
+    if violation is None and x > agler.K0_CAP:
+        violation = {"reason": f"x exceeds the k = 0 tail cap {agler.K0_CAP} for the analytic region"}
+    witness = {
+        "x": x,
+        "n_tail": tail.n_star,
+        "certified_x_max": agler.certified_x_max(),
+        "epsilon": agler.certified_epsilon(),
+        "tail_witness": tail.witness,
+        "violation": violation,
+    }
+    return Certificate("certify_sum", violation is None, witness)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,7 +29,7 @@ from shiftcert.certificate import to_json
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
 from shiftcert.measures import moment1
 from shiftcert.numerics import exponential_sum_threshold
-from oracles import integral_moment_sum, per_n_coefficients_reference, xi_a
+from oracles import certify_sum_reference, integral_moment_sum, per_n_coefficients_reference, xi_a
 
 xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
@@ -91,6 +92,30 @@ def clear_family_caches() -> None:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def counted_calls(monkeypatch) -> list:
+    """(name, n) for each later call of agler.per_n_exact_sup and agler.positivity_over_all_k."""
+    calls = []
+    for name in ("per_n_exact_sup", "positivity_over_all_k"):
+        original = getattr(agler, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append((name, args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(agler, name, counted)
+    return calls
+
+
+def seeded_x(rng: random.Random, regime: int) -> F:
+    """A rational in the regime's interval (lo, hi] of the headline table, with a
+    3- to 60-bit denominator; the interval's top when none of its fractions has it."""
+    lo, hi = ((F(0), PAIR_THRESHOLD), (PAIR_THRESHOLD, F(8, 33)), (F(8, 33), certified_x_max()), (certified_x_max(), F(3, 2)))[regime]
+    bits = rng.randint(3, 60)
+    q = rng.randrange(1 << (bits - 1), 1 << bits)
+    p_lo, p_hi = (lo * q).__floor__() + 1, (hi * q).__floor__()
+    return hi if p_lo > p_hi else F(rng.randint(p_lo, p_hi), q)
 
 
 def quadrature_oracle(c: F, n: int) -> float:
@@ -284,6 +309,15 @@ class TestPerNRecord:
         with pytest.raises(ArithmeticError):
             certify_sum(x_max + F(1, 10**40))
 
+    def test_certify_sum_cross_check_catches_a_raised_bound(self, monkeypatch):
+        # the record walk and certified_x_max are found apart: a raised bound lets x pass
+        # the bound while its record still fails it, and the two must agree
+        x_max = certified_x_max()
+        certify_sum(F(1, 5))
+        monkeypatch.setattr(agler, "certified_x_max", lambda: x_max + 1)
+        with pytest.raises(ArithmeticError, match="per-n decisions must match the certified bound"):
+            certify_sum(x_max + F(1, 10**40))
+
     def test_positivity_cross_check_catches_a_wrong_sup(self, monkeypatch):
         # the sign test at x must agree with the threshold it is read against
         assert positivity_over_all_k(F(2), 1).ok
@@ -425,6 +459,51 @@ class TestCertifySum:
         value = F(violation["value"])
         assert value < 0
         assert value == p_n_bruteforce(x_max + F(1, 10**6), violation["k"], violation["n"])
+
+    def test_a_pass_reads_no_sup_and_decides_no_n(self, monkeypatch):
+        # the record sups are read once per process: a warm pass compares x with them in integers
+        certify_sum(F(1, 5))
+        calls = counted_calls(monkeypatch)
+        for x in (F(1, 6), F(1, 2), certified_x_max()):
+            assert certify_sum(x).ok
+        assert calls == []
+
+    def test_a_failure_decides_only_its_first_failing_n(self, monkeypatch):
+        # x past the bound decides one n, the first whose sup it exceeds, which reads its own sup
+        certify_sum(F(1, 5))
+        calls = counted_calls(monkeypatch)
+        for x, n in [(certified_x_max() + F(1, 10**40), 7), (F(5, 6), 7), (F(2), 2)]:
+            calls.clear()
+            assert certify_sum(x).witness["violation"]["n"] == n
+            assert calls == [("positivity_over_all_k", n), ("per_n_exact_sup", n)]
+
+    def test_matches_the_reference_scan_at_every_sup_and_the_cap(self):
+        eps = F(1, 10**12)
+        sups = [per_n_exact_sup(n) for n in range(1, tail_stopping_index().n_star + 1)]
+        points = {s + e for s in [s for s in sups if s is not None] + [K0_CAP] for e in (-eps, 0, eps)}
+        for x in sorted(points):
+            assert certify_sum(x) == certify_sum_reference(x), x
+
+    def test_matches_the_reference_scan_at_seeded_x(self):
+        rng = random.Random(31)
+        for i in range(200):
+            x = seeded_x(rng, i % 4)
+            assert certify_sum(x) == certify_sum_reference(x), x
+
+    def test_the_cap_decides_when_it_lies_below_every_sup(self, monkeypatch):
+        # the cap 6/5 lies above the certified bound, so no x reaches it today; lowered below
+        # every sup, it ends the record table and decides each x past it that no n fails
+        monkeypatch.setattr(agler, "K0_CAP", F(1, 2))
+        clear_family_caches()
+        try:
+            assert agler._records()[-1] == (None, 1, 2) and certified_x_max() == F(1, 2)
+            for x in (F(1, 2), F(1, 2) + F(1, 10**12), F(3, 5), F(5, 6), F(2)):
+                assert certify_sum(x) == certify_sum_reference(x), x
+            reason = "x exceeds the k = 0 tail cap 1/2 for the analytic region"
+            assert certify_sum(F(3, 5)).witness["violation"] == {"reason": reason}
+        finally:
+            monkeypatch.undo()
+            clear_family_caches()
 
     def test_tail_flags_recorded(self):
         # the certificate closes the n-tail where both per-n tail inequalities hold

@@ -43,7 +43,7 @@ from shiftcert.lubin import (
 )
 from shiftcert.measures import AtomicMeasure1D, AtomicMeasure2D, moment1, restrict_density
 from shiftcert.certificate import Certificate, to_json
-from shiftcert.numerics import is_psd, rref
+from shiftcert.numerics import exponential_sum_sign, is_psd, rref
 from shiftcert.shift1d import WeightSequence1D, agler_sums_1d, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d, commutativity_check
 
@@ -70,6 +70,21 @@ def regime_xs(draw):
     if p_lo > p_hi:
         return hi
     return F(draw(st.integers(p_lo, p_hi)), q)
+
+
+# each slice kind with the verdict that scans it
+VERDICTS = {"row": is_t1_subnormal, "column": is_t2_subnormal, "atom": is_pair_subnormal}
+
+
+def slice_terms(kind: str) -> dict:
+    """Each slice of ``kind`` as its terms (base, constant, slope), grouped from MU
+    here, in increasing point: a row at s over the atoms (s, t) with base t, a
+    column at t over the atoms (s, t) with base s, and each atom alone with base 1."""
+    grouped = {}
+    for point, c, d in MU:
+        key, base = {"row": (point[0], point[1]), "column": (point[1], point[0]), "atom": (point, F(1))}[kind]
+        grouped.setdefault(key, []).append((base, c, d))
+    return dict(sorted(grouped.items()))
 
 
 def t2_column_bound(n: int) -> F:
@@ -651,6 +666,40 @@ class TestVerdicts:
             monkeypatch.setattr(module, "_integer_terms", counted)
         assert all(family_report(F(1, 6))["verdicts"].values())
         assert calls == []
+
+    def test_a_warm_family_report_builds_only_its_three_certificates(self, monkeypatch):
+        # each slice is scanned in integers and each threshold compared with x in integers, so
+        # only the verdicts build a Certificate (one more per scanned slice made 18 at 1/6)
+        family_report(F(1, 5))
+        built = []
+        original = Certificate.__init__
+
+        def counted(self, check, ok, witness):
+            built.append(check)
+            original(self, check, ok, witness)
+
+        monkeypatch.setattr(Certificate, "__init__", counted)
+        assert all(family_report(F(1, 6))["verdicts"].values())
+        assert built == ["is_t1_subnormal", "is_t2_subnormal", "is_pair_subnormal"]
+
+    def test_the_verdicts_match_the_public_sign_test_at_every_slice_threshold(self):
+        # at, just below and just above each slice threshold of every kind, each verdict is the
+        # first slice (in point order) whose sum fails exponential_sum_sign, with its k and value
+        eps = F(1, 10**12)
+        bounds = {s[1] for kind in VERDICTS for s in lubin._slices(kind) if s[1] is not None}
+        assert bounds == {T2_THRESHOLD, PAIR_THRESHOLD, F(6, 5)}
+        for x in sorted(b + e for b in bounds for e in (-eps, 0, eps)):
+            for kind, verdict in VERDICTS.items():
+                cert, slices = verdict(x), slice_terms(kind)
+                signs = [(p, exponential_sum_sign([(a, c + d * x) for a, c, d in t])) for p, t in slices.items()]
+                failed = next(((p, sign) for p, sign in signs if not sign.ok), None)
+                assert cert.ok == (failed is None), (x, kind)
+                point = cert.witness["atom" if kind == "atom" else "point"]
+                index = 0 if kind == "atom" else cert.witness["index"]
+                if failed:
+                    assert (point, index, cert.witness["mass"]) == (failed[0], failed[1].witness["k"], failed[1].witness["value"])
+                elif index is not None:  # a pass names the binding slice and its mass at x
+                    assert cert.witness["mass"] == sum((c + d * x) * a**index for a, c, d in slices[point])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
