@@ -234,10 +234,8 @@ def positivity_over_all_k(x, n: int) -> Certificate:
     return Certificate("positivity_over_all_k", False, {"n": n, "k": k, "value": p_n_closed(x, k, n)})
 
 
-class TailBound(namedtuple("TailBound", "n_star n_sixteenth n_eighth witness")):
-    """Analytic closure of the n-tail, with exact stopping indices."""
-
-    __slots__ = ()
+# Analytic closure of the n-tail, with exact stopping indices.
+TailBound = namedtuple("TailBound", "n_star n_sixteenth n_eighth witness")
 
 
 @lru_cache(maxsize=1)
@@ -329,7 +327,7 @@ def certify_sum(x) -> Certificate:
     for n, num, den in _records():
         if p * den > num * r:
             cap = {"reason": f"x exceeds the k = 0 tail cap {K0_CAP} for the analytic region"}
-            violation = cap if n is None else positivity_over_all_k(x, n).witness
+            violation = cap if n is None else dict(positivity_over_all_k(x, n).witness)
             break
     x_max = certified_x_max()
     if (violation is None) != (x <= x_max):

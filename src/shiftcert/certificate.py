@@ -3,13 +3,15 @@
 Every decision procedure in the package returns a :class:`Certificate`
 rather than a bare boolean: a failing check names the first violation it
 found, and a passing check records what was actually verified.  A
-certificate is immutable and its witness is a read-only mapping, so a
-certificate can be cached and shared.  :func:`to_json` renders every JSON
+certificate is a named tuple ``(check, ok, witness)`` whose ``bool`` is
+``ok`` and whose witness is a read-only mapping, so it can be cached,
+shared, copied and pickled.  :func:`to_json` renders every JSON
 payload the CLI prints, with rationals as "p/q" strings, so it is lossless.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -17,32 +19,19 @@ from types import MappingProxyType
 from typing import Any
 
 
-class Certificate:
+class Certificate(namedtuple("Certificate", "check ok witness")):
     """A named check, whether it passed, and the exact witness of either."""
 
-    __slots__ = ("check", "ok", "witness")
+    __slots__ = ()
 
-    def __init__(self, check: str, ok: bool, witness: Mapping[str, Any]):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", MappingProxyType(dict(witness)))
+    def __new__(cls, check: str, ok: bool, witness: Mapping[str, Any]):
+        return super().__new__(cls, check, ok, MappingProxyType(dict(witness)))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"a certificate is immutable; cannot set {name!r}")
+    def __getnewargs__(self):
+        return self.check, self.ok, dict(self.witness)  # a proxy does not pickle
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a certificate is immutable; cannot delete {name!r}")
-
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a non-empty tuple is always true
         return self.ok
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return (self.check, self.ok, self.witness) == (other.check, other.ok, other.witness)
-
-    def __repr__(self) -> str:
-        return f"Certificate({self.check!r}, {self.ok!r}, {dict(self.witness)!r})"
 
     @property
     def verdict(self) -> str:
