@@ -6,7 +6,8 @@ equality.
 
 The calculus implemented here:
 
-* moments ``moment1`` / ``moment2`` (with the convention 0^0 = 1),
+* moments ``moment1`` / ``moment2`` (with the convention 0^0 = 1), each
+  read in integers as one sum over one common denominator,
 * marginals of planar measures (pushforward onto an axis, masses merged),
 * the reciprocal norm  || 1/s ||_{L1(xi)}  of a half-line measure, ``None``
   when an atom at 0 makes it diverge (a planar measure's norm is its
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InfiniteReciprocalNormError, ZeroMomentError
-from .numerics import _index, _rational, parse_rational
+from .numerics import _index, _integers, _rational, parse_rational
 
 
 def _axis_index(axis) -> int:
@@ -130,14 +131,32 @@ class AtomicMeasure2D(_AtomicMeasure):
 
 
 def moment1(mu: AtomicMeasure1D, k: int) -> Fraction:
-    """k-th power moment; 0^0 = 1 so that moment1(mu, 0) is the total mass."""
+    """k-th power moment; 0^0 = 1 so that moment1(mu, 0) is the total mass.
+
+    Read in integers: with the points P_i / Q and the masses M_i / D over
+    their common denominators, it is sum_i M_i P_i^k / (D Q^k), one Fraction.
+    """
     k = _index(k, "moment order")
-    return sum((m * p**k for p, m in mu.atoms), Fraction(0))
+    return _moment([m for _, m in mu.atoms], ([p for p, _ in mu.atoms], k))
 
 
 def moment2(mu: AtomicMeasure2D, k1: int, k2: int) -> Fraction:
+    """The (k1, k2) moment, sum of m s^k1 t^k2 over the atoms, read in integers as
+    :func:`moment1` is."""
     k1, k2 = _index(k1, "moment order"), _index(k2, "moment order")
-    return sum((m * s**k1 * t**k2 for (s, t), m in mu.atoms), Fraction(0))
+    points = [p for p, _ in mu.atoms]
+    return _moment([m for _, m in mu.atoms], ([s for s, _ in points], k1), ([t for _, t in points], k2))
+
+
+def _moment(masses, *powers) -> Fraction:
+    """sum_i masses[i] * prod_j xs_j[i] ** k_j over the pairs (xs_j, k_j) of
+    ``powers``, with each list read over its common denominator (:func:`_integers`)."""
+    den, terms = _integers(masses)
+    for xs, k in powers:
+        q, ints = _integers(xs)
+        terms = [t * x**k for t, x in zip(terms, ints)]
+        den *= q**k
+    return Fraction(sum(terms), den)
 
 
 def marginal(mu: AtomicMeasure2D, axis) -> AtomicMeasure1D:

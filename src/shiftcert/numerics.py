@@ -97,10 +97,11 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
     by the sign of r_kk.  A zero pivot is legal only when its entire
     residual row vanishes; otherwise, or when a pivot goes negative, the
     bad Schur-complement vector lifts to an explicit rational vector v
-    with v^T M v < 0, which the certificate carries.  The lift reads the
-    log of the rows each pivot changed, one reverse pass over it, and
-    checks v^T M v on v's support only, so it builds no n x n table.  A
-    pass carries the pivots r_kk / d_k.
+    with v^T M v < 0, which the certificate carries.  The lift
+    (:func:`_negativity_certificate`) is in integers too: one reverse pass
+    over the log of the rows each pivot changed, with v^T M v summed on
+    v's support only, so it builds no n x n table.  A pass carries the
+    pivots r_kk / d_k; Fractions are built for the witness only.
     """
     n = len(rows)
     # each entry as (numerator, positive denominator), in lowest terms
@@ -117,25 +118,25 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
     # row k of the Schur complement over columns k..n-1 at step k, times dens[k]
     schur = [[p * (d // q) for p, q in row] for row, d in zip(ratios, dens)]
     steps = []  # per nonzero pivot: (k, r_kk, d_k, [(i, r_ik, d_i) for each row i it changed])
-    pivots: list[Fraction] = []
+    pivots = []  # (r_kk, d_k) per step; Fractions only on a pass
     for k in range(n):
         head, d = schur[k], dens[k]
         pivot = head[0]
         if pivot < 0:
-            return _negativity_certificate(ratios, steps, {k: Fraction(1)})
+            return _negativity_certificate(ratios, steps, {k: 1})
         if pivot == 0:
             j = next((j for j, v in enumerate(head, k) if v), None)
             if j is not None:
-                # the 2x2 block [[0, sigma], [sigma, tau]] is indefinite
-                sigma, tau = Fraction(head[j - k], d), Fraction(schur[j][j - k], dens[j])
-                lam = -sigma / (abs(tau) + 1)
-                return _negativity_certificate(ratios, steps, {k: Fraction(1), j: lam})
+                # the 2x2 block [[0, sigma], [sigma, tau]] is indefinite: with sigma = h / d
+                # and tau = t / d_j, lam = -sigma / (|tau| + 1) = -h d_j / (d (|t| + d_j))
+                h, t, dj = head[j - k], schur[j][j - k], dens[j]
+                return _negativity_certificate(ratios, steps, {k: 1, j: Fraction(-h * dj, d * (abs(t) + dj))})
             # row k vanishes, so by symmetry does column k
             for i in range(k + 1, n):
                 del schur[i][0]
-            pivots.append(Fraction(0))
+            pivots.append((0, 1))
             continue
-        pivots.append(Fraction(pivot, d))
+        pivots.append((pivot, d))
         changed = []
         for i in range(k + 1, n):
             row = schur[i]
@@ -153,24 +154,44 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
             else:
                 del row[0]
         steps.append((k, pivot, d, changed))
-    return Certificate("is_psd", True, {"order": n, "pivots": pivots})
+    return Certificate("is_psd", True, {"order": n, "pivots": [Fraction(p, q) for p, q in pivots]})
 
 
 def _negativity_certificate(ratios, steps, support) -> Certificate:
-    # Lift a bad vector from Schur-complement coordinates: solve L^T v = u, where
-    # column k of L is step k's changed rows, L[i][k] = (r_ik / d_i) / (r_kk / d_k).
-    # Every index in the support lies past the last step, so one reverse pass sets
-    # each v[k] from the v[i] below it, and v^T M v is summed over v's support.
-    v = [Fraction(0)] * len(ratios)
-    for i, u in support.items():
+    """The bad Schur-complement vector ``support`` ({index: rational}) lifted
+    to v with v^T M v < 0, in integers, as a failing certificate.
+
+    The lift solves L^T v = u, L[i][k] = (r_ik / d_i) / (r_kk / d_k) for
+    the rows step k changed.  The support lies past the last step, so one
+    reverse pass sets each v[k] from the v[i] below it.  v = V / den, V an
+    int list: with S = sum_i r_ik (l / d_i) V_i, l the lcm of those d_i,
+    v[k] = -d_k S / (r_kk l den), so a step scales V and den by r_kk l,
+    sets V_k = -d_k S and takes out their gcd.  v^T M v is one integer
+    over L den^2, L the lcm of the denominators on v's support.
+    """
+    den, values = _integers(support.values())
+    v = [0] * len(ratios)
+    for i, u in zip(support, values):
         v[i] = u
     for k, pivot, d, changed in reversed(steps):
-        v[k] = -Fraction(d, pivot) * sum((Fraction(a, di) * v[i] for i, a, di in changed if v[i]), Fraction(0))
-    nonzero = [(i, x) for i, x in enumerate(v) if x]
-    value = sum(x * sum(Fraction(*ratios[i][j]) * y for j, y in nonzero) for i, x in nonzero)
-    if not value < 0:
+        terms = [(a, di, v[i]) for i, a, di in changed if v[i]]
+        common = lcm(*[di for _, di, _ in terms])
+        total = sum(a * (common // di) * x for a, di, x in terms)
+        if total:
+            scale = pivot * common
+            v = [x * scale for x in v]
+            v[k] = -d * total
+            g = gcd(den * scale, *v)
+            den = den * scale // g
+            v = [x // g for x in v]
+    nonzero = [i for i, x in enumerate(v) if x]
+    entries = [[ratios[i][j] for j in nonzero] for i in nonzero]
+    big = lcm(*[q for row in entries for _, q in row])
+    total = sum(v[i] * sum(p * (big // q) * v[j] for (p, q), j in zip(row, nonzero)) for row, i in zip(entries, nonzero))
+    if not total < 0:
         raise ArithmeticError("internal error: lifted witness is not negative")
-    return Certificate("is_psd", False, {"order": len(v), "vector": v, "value": value})
+    vector = [Fraction(x, den) for x in v]
+    return Certificate("is_psd", False, {"order": len(v), "vector": vector, "value": Fraction(total, big * den * den)})
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

@@ -136,13 +136,17 @@ def agler_sums_1d(w: WeightSequence1D, n_max: int, k_max: int) -> Certificate:
     difference (I - E)^n gamma at k divided by gamma_k > 0, so each is
     decided by the sign of one entry of the difference table of the
     gammas over a common denominator, in integers; a fraction is built
-    only for the failure witness.
+    only for the failure witness.  The rescale is in integers too: with
+    gamma_i = g_i / D and B = bn / bd, each g_i bd^i bn^(top - i), top =
+    n_max + k_max, is gamma_i / B^i times one positive factor, D bn^top.
     """
     n_max, k_max = _index(n_max, "n_max", 1), _index(k_max, "k_max")
     bound = w.norm_bound_sq
     scale = bound if bound > 1 else Fraction(1)
-    gammas = [w.moment(i) / scale**i for i in range(n_max + k_max + 1)]
-    _, base = _integers(gammas)
+    top = n_max + k_max
+    _, base = _integers([w.moment(i) for i in range(top + 1)])
+    bn, bd = scale.as_integer_ratio()
+    base = [g * bd**i * bn ** (top - i) for i, g in enumerate(base)]
     row = base
     for n in range(1, n_max + 1):
         row = [a - b for a, b in zip(row, row[1:])]

@@ -10,6 +10,9 @@ backward extension, so the tests can compare the two:
 * the measures xi_a, xi_b(x), xi_c and their level-one restrictions, and
   the Berger measures mu_M and mu_{M int N} of two restrictions of the
   pair;
+* :func:`moment1_reference` and :func:`moment2_reference`, an atomic
+  measure's moments as ``Fraction`` sums, which ``measures.moment1`` and
+  ``measures.moment2`` replaced by one integer sum each;
 * :func:`family_moment`, the paper's closed-form moment table, which
   ``lubin.moment2d`` must reproduce from mu;
 * atomwise arithmetic of atomic measures (mass at a point, sum,
@@ -126,6 +129,16 @@ def mu_m() -> AtomicMeasure2D:
             ((Fraction(0), Fraction(1)), Fraction(5, 8)),
         ]
     )
+
+
+def moment1_reference(mu: AtomicMeasure1D, k: int) -> Fraction:
+    """sum_i m_i p_i^k over the atoms (p_i, m_i), in Fractions; 0^0 = 1."""
+    return sum((m * p**k for p, m in mu.atoms), Fraction(0))
+
+
+def moment2_reference(mu: AtomicMeasure2D, k1: int, k2: int) -> Fraction:
+    """sum_i m_i s_i^k1 t_i^k2 over the atoms ((s_i, t_i), m_i), in Fractions; 0^0 = 1."""
+    return sum((m * s**k1 * t**k2 for (s, t), m in mu.atoms), Fraction(0))
 
 
 def family_moment(x, k1: int, k2: int) -> Fraction:

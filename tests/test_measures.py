@@ -1,11 +1,22 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NegativeMassError, dominates, domination_scale_bound, mass_at, minus, plus, scaled
+from oracles import (
+    NegativeMassError,
+    dominates,
+    domination_scale_bound,
+    mass_at,
+    minus,
+    moment1_reference,
+    moment2_reference,
+    plus,
+    scaled,
+)
 from shiftcert.errors import (
     InfiniteReciprocalNormError,
     ZeroMomentError,
@@ -136,6 +147,61 @@ class TestMoments:
             moment2(MU_CAP, 1.5, 0)
         with pytest.raises(ValueError, match="moment order must be an integer"):
             moment2(MU_CAP, 0, F(1))
+
+
+def seeded_rational(rng, zero=False):
+    """A nonnegative rational with a 3- to 60-bit denominator; 0 when ``zero``."""
+    q = rng.randrange(1 << (rng.randint(3, 60) - 1), 1 << 60)
+    return F(0) if zero else F(rng.randint(1, 2 * q), q)
+
+
+def seeded_measures(dim, seed=33, count=150):
+    """Measures of 0-6 atoms at rationals with 3- to 60-bit denominators, a third
+    of them with an atom at 0 (on an axis in the plane) when they have any."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size, on_zero = rng.randint(0, 6), rng.random() < 1 / 3
+        points = {
+            seeded_rational(rng, on_zero and i == 0) if dim == 1
+            else (seeded_rational(rng, on_zero and i == 0), seeded_rational(rng))
+            for i in range(size)
+        }
+        atoms = [(p, seeded_rational(rng)) for p in points]
+        yield AtomicMeasure1D(atoms) if dim == 1 else AtomicMeasure2D(atoms)
+
+
+class TestMomentsAgainstTheReference:
+    """The integer moment sums give the Fraction sums exactly."""
+
+    ORDERS = (0, 1, 2, 7, 31, 200)
+
+    def test_moment1_on_seeded_measures(self):
+        sizes = set()
+        for mu in seeded_measures(1):
+            sizes.add(len(mu.atoms))
+            for k in self.ORDERS:
+                got = moment1(mu, k)
+                assert type(got) is F and got == moment1_reference(mu, k)
+        assert sizes == set(range(7))
+
+    def test_moment2_on_seeded_measures(self):
+        for mu in seeded_measures(2):
+            for k1, k2 in [(0, 0), (0, 5), (3, 0), (7, 31), (200, 1), (2, 200)]:
+                got = moment2(mu, k1, k2)
+                assert type(got) is F and got == moment2_reference(mu, k1, k2)
+
+    def test_the_empty_measure_and_an_atom_at_zero(self):
+        assert moment1(AtomicMeasure1D([]), 0) == moment1(AtomicMeasure1D([]), 5) == 0
+        assert moment2(AtomicMeasure2D([]), 2, 3) == 0
+        at_zero = AtomicMeasure1D([(F(0), F(2, 3)), (F(1, 2), F(1, 3))])
+        assert [moment1(at_zero, k) for k in range(3)] == [1, F(1, 6), F(1, 12)]
+        assert moment2(MU_M, 0, 0) == 1 and moment2(MU_M, 1, 0) == F(1, 8) and moment2(MU_M, 0, 3) == F(165, 256)
+
+    def test_moment1_builds_one_fraction(self, fractions_built):
+        mu = AtomicMeasure1D([(F(1, 7), F(1, 10)), (F(2, 5), F(1, 5)), (F(3, 4), F(3, 10)), (F(1), F(2, 5))])
+        for k in (0, 1, 9, 200):
+            value, built = fractions_built(lambda: moment1(mu, k))
+            assert value == moment1_reference(mu, k) and built == 1
 
 
 class TestMarginals:

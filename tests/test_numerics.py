@@ -305,6 +305,40 @@ class TestIsPsdAgainstTheReference:
         assert not cert.ok and [i for i, v in enumerate(cert.witness["vector"]) if v] == support
 
 
+def battery_prefix(rng):
+    """3 to 8 distinct squared weights p/q in (0, 1], q <= 16, increasing but for one
+    swapped adjacent pair: the shape of the benchmark's non-subnormal prefixes."""
+    length = rng.randint(3, 8)
+    values = set()
+    while len(values) < length:
+        q = rng.randint(1, 16)
+        values.add(F(rng.randint(1, q), q))
+    squared = sorted(values)
+    j = rng.randrange(length - 1)
+    squared[j], squared[j + 1] = squared[j + 1], squared[j]
+    return squared
+
+
+class TestTheFailureWitness:
+    """The witness of a failing test is lifted and checked in integers."""
+
+    def test_battery_prefixes_with_one_descent(self):
+        rng = random.Random(33)
+        for _ in range(500):
+            w = WeightSequence1D.from_prefix(battery_prefix(rng))
+            moments = [w.moment(n) for n in range(10)]
+            plain, shifted = (assert_same_certificate(hankel(moments, 4, shift)) for shift in (0, 1))
+            # a descent makes a 2x2 principal minor of one of the two Hankels negative
+            assert not (plain.ok and shifted.ok)
+
+    def test_a_failing_hankel_builds_only_its_witness(self, fractions_built):
+        w = WeightSequence1D.from_prefix([F(1, 2), F(1, 4), F(3, 4)])
+        rows = hankel([w.moment(n) for n in range(9)], 4)
+        cert, built = fractions_built(lambda: is_psd(rows))
+        assert not cert.ok and cert == is_psd_reference(rows)
+        assert built == len(cert.witness["vector"]) + 1 == 6  # the vector and the value
+
+
 class TestExactInputs:
     """Every exact input is read by one reader, which refuses a float."""
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -423,6 +424,27 @@ class TestAglerSums1D:
     def test_matches_the_fraction_sums_on_measures(self, xi, n_max, k_max):
         w = WeightSequence1D.from_measure(xi)
         assert agler_sums_1d(w, n_max, k_max) == agler_sums_1d_reference(w, n_max, k_max)
+
+    @pytest.mark.parametrize("bound", [F(2), F(7, 3)], ids=["2", "7/3"])
+    def test_the_integer_rescale_on_seeded_shifts_above_one(self, bound):
+        # prefixes of squared weights in (0, bound], and shifts whose measures have
+        # atoms in (0, bound], so the first fail and the second pass
+        rng = random.Random(33)
+        outcomes = set()
+        for _ in range(120):
+            if rng.random() < 0.5:
+                prefix = [bound * F(rng.randint(1, q), q) for q in (rng.randint(1, 12) for _ in range(rng.randint(1, 6)))]
+                w = WeightSequence1D.from_prefix(prefix, norm_bound_sq=bound)
+            else:
+                points = {bound * F(rng.randint(1, q), q) for q in (rng.randint(1, 12) for _ in range(rng.randint(1, 4)))}
+                xi = AtomicMeasure1D((p, F(1, len(points))) for p in points)
+                w = WeightSequence1D(lambda k, xi=xi: moment1(xi, k), bound)
+            n_max, k_max = rng.randint(1, 12), rng.randint(0, 8)
+            cert = agler_sums_1d(w, n_max, k_max)
+            assert cert == agler_sums_1d_reference(w, n_max, k_max)
+            assert type(cert.witness["rescaled_by"]) is F and cert.witness["rescaled_by"] == bound
+            outcomes.add(cert.ok)
+        assert outcomes == {True, False}
 
     def test_each_moment_is_computed_and_read_once(self, monkeypatch):
         # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each,
