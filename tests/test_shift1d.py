@@ -425,10 +425,10 @@ class TestAglerSums1D:
         w = WeightSequence1D.from_measure(xi)
         assert agler_sums_1d(w, n_max, k_max) == agler_sums_1d_reference(w, n_max, k_max)
 
-    @pytest.mark.parametrize("bound", [F(2), F(7, 3)], ids=["2", "7/3"])
+    @pytest.mark.parametrize("bound", [F(2), F(7, 3)], ids=["2", "7_3"])
     def test_the_integer_rescale_on_seeded_shifts_above_one(self, bound):
-        # prefixes of squared weights in (0, bound], and shifts whose measures have
-        # atoms in (0, bound], so the first fail and the second pass
+        # prefixes of squared weights in (0, bound], which mostly fail, and shifts
+        # whose measures have atoms in (0, bound], which pass
         rng = random.Random(33)
         outcomes = set()
         for _ in range(120):
