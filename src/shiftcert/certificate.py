@@ -30,11 +30,6 @@ class Certificate(namedtuple("Certificate", "check ok witness")):
     def __getnewargs__(self):
         return self.check, self.ok, dict(self.witness)  # a proxy does not pickle
 
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's _make (and _replace, which calls it) would skip __new__
-        return cls(*iterable)
-
     def __bool__(self) -> bool:  # a non-empty tuple is always true
         return self.ok
 

@@ -216,23 +216,3 @@ def test_certificates_differ_whenever_a_field_differs():
         Certificate("demo", True, {}),
     ):
         assert base != other and not base == other
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: Certificate("demo", True, {"n": 1})._replace(witness={"n": 2}),
-        lambda: Certificate._make(["demo", True, {"n": 2}]),
-    ],
-    ids=["_replace", "_make"],
-)
-def test_replace_and_make_build_through_new(build):
-    # namedtuple's own _make builds with tuple.__new__, which keeps a plain, writable dict
-    cert = build()
-    assert type(cert) is Certificate and type(cert.witness) is MappingProxyType
-    with pytest.raises(TypeError):
-        cert.witness["n"] = 3
-    assert cert == Certificate("demo", True, {"n": 2})
-    for operation in ROUND_TRIPS.values():
-        twin = operation(cert)
-        assert twin == cert and type(twin.witness) is MappingProxyType

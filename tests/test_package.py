@@ -7,7 +7,6 @@ import importlib.util
 import os
 import subprocess
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,23 +266,13 @@ def test_the_tracer_reads_both_caches():
     assert isinstance(state["integral_moment_misses"], int)
 
 
-# a named tuple's own methods call these, as _replace calls _make, so an override is used
-_NAMEDTUPLE_METHODS = frozenset(vars(namedtuple("Base", "")))
-
-
 def _definitions(module: ast.Module):
-    """The top-level statements of a module, then the methods of its classes other than
-    dunders and, in a subclass of a ``namedtuple(...)``, the overrides of its methods."""
+    """The top-level statements of a module, then the methods of its classes other than dunders."""
     for statement in module.body:
         yield statement
         if isinstance(statement, ast.ClassDef):
-            named = any(isinstance(b, ast.Call) and ast.unparse(b.func) == "namedtuple" for b in statement.bases)
             for item in statement.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not item.name.startswith("__")
-                    and not (named and item.name in _NAMEDTUPLE_METHODS)
-                ):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
                     yield item
 
 
