@@ -238,7 +238,8 @@ def cmd_check2d(args) -> int:
     _cap("a --window side", max(window), WINDOW_SIDE_MAX)
     _cap("--restrict k1 + k2 plus the window sides", depth, DEPTH_MAX)
     _cap("the window's work w h (k1 + k2 + w + h)^2", w * h * depth**2, WINDOW_WORK_MAX)
-    # one read of commutativity's (w+1) x (h+1) rectangle serves every check and the dump
+    # one read of commutativity's (w+1) x (h+1) rectangle serves every check and the dump;
+    # the family reads it by index runs, w + h + O(1) weight lookups with no rule call
     read = lubin.family_diagram(x).restricted(*base).read(w + 1, h + 1)
     checks = [commutativity_check(read, window)]
     if args.berger:

@@ -21,8 +21,11 @@ So only the row-0 vertical weights depend on x: beta^2_(k1,0) = x c(k1),
 with c(0) = 1.  Every other weight is an x-free ratio of piece moments,
 cached by the one index it depends on in a bounded cache, so a diagram
 costs nothing to build and pays for x with one product per column of
-row 0.  The squared weight at (0, 2) is 43/48 (the surd sqrt(44/48)
-sometimes quoted for it is inconsistent with these moments).
+row 0.  A w x h window costs three index runs, not w h rule calls: row 0
+by k1, column 0 by k2 and the interior by k1 + k2, w + h + O(1) cache
+lookups, and each interior row is a slice of the interior run.  The
+squared weight at (0, 2) is 43/48 (the surd sqrt(44/48) sometimes quoted
+for it is inconsistent with these moments).
 
 Moments determine a signed measure on [0, 1] and on [0, 1]^2, so T1,
 the direct sum of its rows, is subnormal iff each row's Berger measure,
@@ -49,11 +52,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .certificate import Certificate
 from .measures import AtomicMeasure1D, moment1
-from .numerics import _integer_terms, _rational, _sign_scan, exponential_sum_threshold
-from .shift2d import WeightDiagram, _point
+from .numerics import _index, _integer_terms, _rational, _sign_scan, exponential_sum_threshold
+from .shift2d import Row, WeightDiagram, _point
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -167,25 +171,93 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
     return x * _moment(_DIAGONAL if k1 else _COLUMN, k1 + k2)
 
 
-def family_diagram(x) -> WeightDiagram:
-    """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k.
+class _FamilyRule(NamedTuple):
+    """The family's weight rule at x seen from the base point (i, j): the
+    pair (alpha^2, beta^2) at (k1 + i, k2 + j), from one index-keyed x-free
+    helper above: row 0's with beta^2 times x, column 0's, or the
+    interior's equal pair."""
 
-    Its one rule checks the lattice region once and returns the pair
-    (alpha^2, beta^2) from one index-keyed x-free helper above: row 0's
-    with beta^2 times x, column 0's, or the interior's equal pair; so a
-    window costs its x-free lookups and one product with x per column.
-    """
-    x = _parameter(x)
+    x: Fraction
+    i: int
+    j: int
 
-    def rule(k1: int, k2: int) -> tuple[Fraction, Fraction]:
+    def __call__(self, k1: int, k2: int) -> tuple[Fraction, Fraction]:
+        k1, k2 = k1 + self.i, k2 + self.j
         if k2 == 0:
             alpha, beta = _row_weights(k1)
-            return alpha, x * beta
+            return alpha, self.x * beta
         if k1 == 0:
             return _column_weights(k2)
         return _interior_weights(k1 + k2)
 
-    return WeightDiagram(rule)
+
+def _run(pairs) -> Row | None:
+    """A run of pairs as one Row, or None unless every value is a positive Fraction."""
+    ans, ads, bns, bds = run = [], [], [], []
+    for alpha, beta in pairs:
+        if type(alpha) is not Fraction or type(beta) is not Fraction:
+            return None
+        (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        if an <= 0 or bn <= 0:
+            return None
+        ans.append(an)
+        ads.append(ad)
+        bns.append(bn)
+        bds.append(bd)
+    return run
+
+
+class _FamilyDiagram(WeightDiagram):
+    """The family's diagram, whose one state is its :class:`_FamilyRule`.
+
+    A window read looks each index of three runs up once: row 0 by k1,
+    column 0 by k2 and the interior by k1 + k2, so each interior row is a
+    slice of the interior run.  A point read still calls the rule.
+    """
+
+    def rows(self, w: int, h: int) -> list[Row]:
+        """The pairs on k1 < w, k2 < h, as the per-point reader gives them.
+
+        A run value that is not a positive Fraction sends the read to the
+        per-point reader, whose ``_positive`` names the first point holding
+        it.
+        """
+        x, i, j = self._rule
+        heights = range(max(j, 1), j + h)  # the k2 of the rows past row 0
+        first = max(i, 1)  # the first interior k1
+        count = max(i + w - first, 0)  # interior points per row
+        row = column = interior = ([],) * 4  # a run the window does not reach
+        if j == 0 < h:
+            row = _run((alpha, x * beta) for alpha, beta in map(_row_weights, range(i, i + w)))
+        if i == 0 < w:
+            column = _run(map(_column_weights, heights))
+        if count and heights:
+            interior = _run(map(_interior_weights, range(first + heights[0], i + w + heights[-1])))
+        if row is None or column is None or interior is None:
+            return super().rows(w, h)
+        rows = [row] if j == 0 < h else []
+        (cans, cads, cbns, cbds), (ans, ads, bns, bds) = column, interior
+        for r in range(len(heights)):
+            c, s = slice(r, r + 1), slice(r, r + count)  # the column's point, the interior's
+            rows.append((cans[c] + ans[s], cads[c] + ads[s], cbns[c] + bns[s], cbds[c] + bds[s]))
+        return rows
+
+    def restricted(self, i: int, j: int) -> WeightDiagram:
+        """The diagram seen from base point (i, j): its rule's base moved."""
+        i, j = _index(i, "base point"), _index(j, "base point")
+        x, base_i, base_j = self._rule
+        return _FamilyDiagram(_FamilyRule(x, base_i + i, base_j + j))
+
+
+def family_diagram(x) -> WeightDiagram:
+    """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k.
+
+    Its one rule checks the lattice region once and returns the pair from
+    one x-free helper; a window read looks each of row 0's, column 0's and
+    the interior's indices up once, so a w x h window costs w + h + O(1)
+    lookups and one product with x per column of row 0.
+    """
+    return _FamilyDiagram(_FamilyRule(_parameter(x), 0, 0))
 
 
 @lru_cache(maxsize=3)

@@ -26,10 +26,12 @@ characterization:
 
 A diagram is its one weight rule, which gives the pair (alpha^2, beta^2)
 at a lattice point, and holds no other state.  Every check reads its
-weights through one window reader, ``rows``: one rule call per lattice
-point, row by row, each weight validated positive, and each row kept as
-four int lists, the alpha numerators and positive denominators, then the
-beta ones.  A check takes a diagram or one such read kept as a
+weights through one window reader, ``rows``, each weight validated
+positive and each row kept as four int lists, the alpha numerators and
+positive denominators, then the beta ones.  A diagram reads one rule
+call per lattice point, row by row; the family's (``lubin.family_diagram``)
+overrides ``rows`` to read its few distinct weights by index runs and
+gives the same ints.  A check takes a diagram or one such read kept as a
 :class:`WindowRead` (``WeightDiagram.read``), which serves every smaller
 rectangle, so several checks read each point once.  The checks then
 decide by the signs of integers, cross-multiplying numerators and
@@ -76,7 +78,9 @@ def _positive(name: str, k1: int, k2: int, value) -> Pair:
 class WeightDiagram:
     """Squared weights (alpha^2, beta^2) indexed by lattice points: the one
     rule giving the pair and no other state.  A point read gives a Fraction,
-    a window read Rows; both validate each weight the same way."""
+    a window read Rows; both validate each weight the same way.  A subclass
+    may read a window from its rule's structure, and this per-point read is
+    the oracle it must match."""
 
     def __init__(self, rule: Rule):
         self._rule = rule
@@ -91,8 +95,8 @@ class WeightDiagram:
 
     def rows(self, w: int, h: int) -> list[Row]:
         """The pairs on k1 < w, k2 < h, one Row per k2 and one rule call per
-        point; a positive Fraction unpacks in place, any other value goes
-        through _positive."""
+        point, row by row; a positive Fraction unpacks in place, any other
+        value goes through _positive, which names the first bad point."""
         rule, rows = self._rule, []
         for k2 in range(h):
             row = ans, ads, bns, bds = [], [], [], []

@@ -5,6 +5,8 @@ The package reads every family verdict off the one signed measure mu
 through the family's one-variable measures and the two-step planar
 backward extension, so the tests can compare the two:
 
+* :func:`seeded_x`, a parameter drawn from one regime of the headline
+  table with a 3- to 60-bit denominator;
 * :class:`NegativeMassError`, raised where a measure would need a
   negative atom;
 * the measures xi_a, xi_b(x), xi_c and their level-one restrictions, and
@@ -41,12 +43,13 @@ backward extension, so the tests can compare the two:
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from shiftcert import agler
 from shiftcert.certificate import Certificate
 from shiftcert.errors import ShiftCertError
-from shiftcert.lubin import family_diagram, moment2d
+from shiftcert.lubin import PAIR_THRESHOLD, T2_THRESHOLD, family_diagram, moment2d
 from shiftcert.measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -59,6 +62,18 @@ from shiftcert.measures import (
 )
 from shiftcert.shift1d import backward_extension_1d
 from shiftcert.shift2d import check_berger_2d
+
+
+def seeded_x(rng: random.Random, regime: int) -> Fraction:
+    """A rational in the regime's interval (lo, hi] of the headline table, with a
+    3- to 60-bit denominator; the interval's top when none of its fractions has it."""
+    x_max = agler.certified_x_max()
+    lo, hi = ((Fraction(0), PAIR_THRESHOLD), (PAIR_THRESHOLD, T2_THRESHOLD), (T2_THRESHOLD, x_max), (x_max, Fraction(3, 2)))[regime]
+    bits = rng.randint(3, 60)
+    q = rng.randrange(1 << (bits - 1), 1 << bits)
+    p_lo, p_hi = (lo * q).__floor__() + 1, (hi * q).__floor__()
+    return hi if p_lo > p_hi else Fraction(rng.randint(p_lo, p_hi), q)
+
 
 
 class NegativeMassError(ShiftCertError):

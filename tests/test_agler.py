@@ -29,7 +29,7 @@ from shiftcert.certificate import to_json
 from shiftcert.lubin import PAIR_THRESHOLD, moment2d
 from shiftcert.measures import moment1
 from shiftcert.numerics import exponential_sum_threshold
-from oracles import certify_sum_reference, integral_moment_sum, per_n_coefficients_reference, xi_a
+from oracles import certify_sum_reference, integral_moment_sum, per_n_coefficients_reference, seeded_x, xi_a
 
 xs = st.fractions(min_value=F(1, 32), max_value=F(2), max_denominator=64)
 wide_xs = st.builds(F, st.integers(1, 1 << 200), st.integers(1, 1 << 200))
@@ -106,16 +106,6 @@ def counted_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(agler, name, counted)
     return calls
-
-
-def seeded_x(rng: random.Random, regime: int) -> F:
-    """A rational in the regime's interval (lo, hi] of the headline table, with a
-    3- to 60-bit denominator; the interval's top when none of its fractions has it."""
-    lo, hi = ((F(0), PAIR_THRESHOLD), (PAIR_THRESHOLD, F(8, 33)), (F(8, 33), certified_x_max()), (certified_x_max(), F(3, 2)))[regime]
-    bits = rng.randint(3, 60)
-    q = rng.randrange(1 << (bits - 1), 1 << bits)
-    p_lo, p_hi = (lo * q).__floor__() + 1, (hi * q).__floor__()
-    return hi if p_lo > p_hi else F(rng.randint(p_lo, p_hi), q)
 
 
 def quadrature_oracle(c: F, n: int) -> float:

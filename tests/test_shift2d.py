@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import backward_extension_2d, canonical_moment, family_moment, swapped, xi_a, xi_a_level1, xi_b_level1
+from oracles import (
+    backward_extension_2d,
+    canonical_moment,
+    family_moment,
+    seeded_x,
+    swapped,
+    xi_a,
+    xi_a_level1,
+    xi_b_level1,
+)
+from shiftcert.cli import DEPTH_MAX
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.lubin import family_diagram, moment2d
 from shiftcert.measures import (
@@ -576,6 +586,72 @@ class TestOneRead:
         with pytest.raises(ValueError, match=re.escape("alpha^2 at (3, 2) must be positive, got 0")):
             bad.read(4, 3)
         assert bad.read(3, 3).rows(3, 3) == unit_diagram().rows(3, 3)
+
+
+def lowest_terms(rows) -> bool:
+    """Every pair of every Row positive and in lowest terms."""
+    return all(
+        n > 0 and d > 0 and math.gcd(n, d) == 1
+        for row in rows
+        for ns, ds in (row[:2], row[2:])
+        for n, d in zip(ns, ds)
+    )
+
+
+class TestFamilyRunRead:
+    """The family reads a window by index runs: row 0 by k1, column 0 by k2 and
+    the interior by k1 + k2.  The per-point reader of its own rule is the oracle."""
+
+    WINDOWS = [(1, 1), (1, 9), (9, 1), (1, 33), (33, 1), (6, 4), (33, 33), (0, 5), (5, 0)]
+
+    @staticmethod
+    def bases(rng: random.Random) -> list[tuple[int, int]]:
+        """The origin, a base on each axis, one inside, and three whose 33x33
+        window reaches the depth cap."""
+        deep = DEPTH_MAX - 66
+        return [
+            (0, 0),
+            (rng.randrange(1, 40), 0),
+            (0, rng.randrange(1, 40)),
+            (rng.randrange(1, 40), rng.randrange(1, 40)),
+            (deep, 0),
+            (0, deep),
+            (deep - 7, 7),
+        ]
+
+    def test_family_read_matches_the_per_point_read(self):
+        rng = random.Random(34)
+        for n in range(8):
+            diagram = family_diagram(seeded_x(rng, n % 4))
+            oracle = WeightDiagram(diagram._rule)
+            for i, j in self.bases(rng):
+                runs, points = diagram.restricted(i, j), oracle.restricted(i, j)
+                for w, h in self.WINDOWS:
+                    rows = runs.rows(w, h)
+                    assert rows == points.rows(w, h)
+                    assert len(rows) == h and all(len(part) == w for row in rows for part in row)
+                    assert lowest_terms(rows)
+
+    def test_family_read_restricts_by_moving_its_base(self):
+        rng = random.Random(35)
+        for n in range(4):
+            diagram = family_diagram(seeded_x(rng, n))
+            oracle = WeightDiagram(diagram._rule)
+            nested = diagram.restricted(0, 3).restricted(2, 0).restricted(1, 1)
+            assert nested.rows(12, 10) == oracle.restricted(3, 4).rows(12, 10)
+            assert nested.restricted(0, 0).rows(5, 5) == nested.rows(5, 5)
+            assert vars(nested) == {"_rule": diagram._rule._replace(i=3, j=4)}
+
+    def test_family_read_serves_every_smaller_rectangle(self):
+        rng = random.Random(36)
+        for n in range(4):
+            diagram = family_diagram(seeded_x(rng, n))
+            oracle = WeightDiagram(diagram._rule)
+            for i, j in ((0, 0), (2, 0), (0, 3), (4, 1)):
+                read = diagram.restricted(i, j).read(9, 7)
+                for w, h in ((1, 1), (9, 1), (1, 7), (4, 5), (9, 7)):
+                    assert read.rows(w, h) == oracle.restricted(i, j).rows(w, h)
+                assert lowest_terms(read.rows(9, 7))
 
 
 class TestIntegerIndices:
