@@ -250,13 +250,8 @@ class _FamilyDiagram(WeightDiagram):
 
 
 def family_diagram(x) -> WeightDiagram:
-    """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k.
-
-    Its one rule checks the lattice region once and returns the pair from
-    one x-free helper; a window read looks each of row 0's, column 0's and
-    the interior's indices up once, so a w x h window costs w + h + O(1)
-    lookups and one product with x per column of row 0.
-    """
+    """The family's weight diagram at x > 0, gamma_{k+e} / gamma_k, which
+    reads a window by index runs (:class:`_FamilyDiagram`)."""
     return _FamilyDiagram(_FamilyRule(_parameter(x), 0, 0))
 
 

@@ -20,8 +20,8 @@ from oracles import (
     xi_a_level1,
     xi_b_level1,
 )
-from shiftcert.cli import DEPTH_MAX
 from shiftcert.certificate import Certificate, to_json
+from shiftcert.cli import DEPTH_MAX
 from shiftcert.lubin import family_diagram, moment2d
 from shiftcert.measures import (
     AtomicMeasure1D,
