@@ -35,12 +35,12 @@ at t = 0 is 1/11 - 3x/8 at column 1, so iff x <= 8/33.  The pair is
 jointly subnormal iff mu >= 0: iff x <= 2/11.  Each slice mass is a
 short exponential sum in the slice index, so each slice is read into
 integers once per process and stored with its own threshold, read off
-by :func:`.numerics.exponential_sum_threshold`.  A verdict at x scans
-each stored read with :func:`.numerics._sign_scan`, which stops on the
-same rule, and checks each slice's sign against that slice's threshold
-and its outcome against the headline one, all in integers, with each
-kind's binding slice held once per process.  The rescaled sum T1 + T2 is
-the subject of :mod:`.agler`.
+by :func:`.numerics.exponential_sum_threshold`, and each kind's slices
+with the one that binds, in one cache (:func:`_slices`).  A verdict at x
+scans each stored read with :func:`.numerics._sign_scan`, which stops on
+the same rule, and checks each slice's sign against that slice's
+threshold and its outcome against the headline one, all in integers.
+The rescaled sum T1 + T2 is the subject of :mod:`.agler`.
 
 The one cache keyed by x, :func:`moment2d`, holds at most 1024 entries.
 The piece moments sit in one cache keyed by piece and index,
@@ -256,10 +256,12 @@ def family_diagram(x) -> WeightDiagram:
 
 
 @lru_cache(maxsize=3)
-def _slices(kind: str) -> tuple:
-    """The sign questions of one verdict, as (point, threshold, index, read):
-    each slice's terms (base, constant, slope) read once, into its threshold
-    and index and into integers, (q, den, rows) by ``_integer_terms``.
+def _slices(kind: str) -> tuple[tuple, tuple]:
+    """The sign questions of one verdict, as (point, threshold, index, read),
+    and the one that binds: each slice's terms (base, constant, slope) read
+    once, into its threshold and index and into integers, (q, den, rows) by
+    ``_integer_terms``.  The binding slice has the least threshold, the
+    first on a tie, and is all ``None`` when no x > 0 fails.
 
     Row k2's mass at s = p sums mass * t^k2 over mu's atoms at (p, t), an
     exponential sum in k2; a column's mass at t = p likewise sums over the
@@ -272,14 +274,9 @@ def _slices(kind: str) -> tuple:
         grouped = {}
         for point, c, d in MU:
             grouped.setdefault(point[axis], []).append((point[1 - axis], c, d))
-    return tuple((point, *exponential_sum_threshold(t), _integer_terms(t)) for point, t in sorted(grouped.items()))
-
-
-@lru_cache(maxsize=3)
-def _threshold(kind: str) -> tuple:
-    """The slice of ``kind`` with the least threshold, the first on a tie,
-    where that threshold binds, held once per process; all ``None`` when no x > 0 fails."""
-    return min((s for s in _slices(kind) if s[1] is not None), key=lambda s: s[1], default=(None,) * 4)
+    slices = tuple((point, *exponential_sum_threshold(t), _integer_terms(t)) for point, t in sorted(grouped.items()))
+    binding = min((s for s in slices if s[1] is not None), key=lambda s: s[1], default=(None,) * 4)
+    return slices, binding
 
 
 def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
@@ -295,7 +292,8 @@ def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
     """
     p, r = x.numerator, x.denominator
     ok = True
-    for point, bound, index, (q, den, rows) in _slices(kind):
+    slices, binding = _slices(kind)
+    for point, bound, index, (q, den, rows) in slices:
         ok, k, total = _sign_scan([(a, c * r + d * p) for a, c, d in rows])
         if ok != (bound is None or p * bound.denominator <= bound.numerator * r):
             raise ArithmeticError(f"the sign test at x = {x} disagrees with the threshold {bound} of the slice at {point}")
@@ -303,7 +301,7 @@ def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
             index, mass = k, Fraction(total, den * r * q**k)
             break
     else:
-        point, _, index, read = _threshold(kind)
+        point, _, index, read = binding
         q, den, rows = read or (1, 1, ())  # no slice binds when no x > 0 fails
         mass = None if index is None else Fraction(sum((c * r + d * p) * a**index for a, c, d in rows), den * r * q**index)
     if ok != (threshold is None or p * threshold.denominator <= threshold.numerator * r):
@@ -315,14 +313,14 @@ def _verdict(check: str, kind: str, x: Fraction, threshold) -> Certificate:
 @lru_cache(maxsize=1)
 def threshold_t1() -> Certificate:
     """T1 is subnormal for every x > 0: no row of mu's slices ever goes negative."""
-    point, threshold, index, _ = _threshold("row")
+    point, threshold, index, _ = _slices("row")[1]
     witness = {"threshold": threshold, "slice": "row", "index": index, "point": point}
     return Certificate("threshold_t1", threshold is None, witness)
 
 
 def _headline(kind: str, expected: Fraction) -> Fraction:
     """The threshold of ``kind``, which must be the headline value ``expected``."""
-    threshold = _threshold(kind)[1]
+    _, threshold, _, _ = _slices(kind)[1]
     if threshold != expected:
         raise ArithmeticError(f"expected the {kind} threshold to be {expected}, got {threshold}")
     return threshold

@@ -105,10 +105,7 @@ def is_psd(rows: Sequence[Sequence]) -> Certificate:
     """
     n = len(rows)
     # each entry as (numerator, positive denominator), in lowest terms
-    ratios = [
-        [(v, 1) if type(v) is int else _rational(v, "a matrix entry").as_integer_ratio() for v in row]
-        for row in rows
-    ]
+    ratios = [[_rational(v, "a matrix entry").as_integer_ratio() for v in row] for row in rows]
     if any(len(row) != n for row in ratios):
         raise ValueError("matrix must be square")
     if ratios != [list(column) for column in zip(*ratios)]:

@@ -29,11 +29,12 @@ at a lattice point, and holds no other state.  Every check reads its
 weights through one window reader, ``rows``, each weight validated
 positive and each row kept as four int lists, the alpha numerators and
 positive denominators, then the beta ones.  A diagram reads one rule
-call per lattice point, row by row; the family's (``lubin.family_diagram``)
-overrides ``rows`` to read its few distinct weights by index runs and
-gives the same ints.  A check takes a diagram or one such read kept as a
-:class:`WindowRead` (``WeightDiagram.read``), which serves every smaller
-rectangle, so several checks read each point once.  The checks then
+call per lattice point, row by row, each weight through ``_positive``;
+the family's (``lubin.family_diagram``) overrides ``rows`` to read its
+few distinct weights by index runs and gives the same ints.  A check
+takes a diagram or one such read kept as a :class:`WindowRead`
+(``WeightDiagram.read``), which serves every smaller rectangle, so
+several checks read each point once.  The checks then
 decide by the signs of integers, cross-multiplying numerators and
 denominators with no gcd taken; a fraction is built only for a failure
 witness.  The point reads ``alpha_sq`` / ``beta_sq`` read the pair,
@@ -95,19 +96,15 @@ class WeightDiagram:
 
     def rows(self, w: int, h: int) -> list[Row]:
         """The pairs on k1 < w, k2 < h, one Row per k2 and one rule call per
-        point, row by row; a positive Fraction unpacks in place, any other
-        value goes through _positive, which names the first bad point."""
+        point, row by row; each weight goes through _positive, which names
+        the first bad point."""
         rule, rows = self._rule, []
         for k2 in range(h):
             row = ans, ads, bns, bds = [], [], [], []
             for k1 in range(w):
                 alpha, beta = rule(k1, k2)
-                an, ad = alpha.as_integer_ratio() if type(alpha) is Fraction else (0, 1)
-                if an <= 0:
-                    an, ad = _positive("alpha^2", k1, k2, alpha)
-                bn, bd = beta.as_integer_ratio() if type(beta) is Fraction else (0, 1)
-                if bn <= 0:
-                    bn, bd = _positive("beta^2", k1, k2, beta)
+                an, ad = _positive("alpha^2", k1, k2, alpha)
+                bn, bd = _positive("beta^2", k1, k2, beta)
                 ans.append(an)
                 ads.append(ad)
                 bns.append(bn)

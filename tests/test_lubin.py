@@ -632,13 +632,13 @@ class TestVerdicts:
         # 6/5 tampered to 1/5 leaves the least atom threshold at 2/11, so only this check sees it
         original = lubin._slices
         atom = (F(0), F(0))
-        assert [s[1] for s in original("atom") if s[0] == atom] == [F(6, 5)]
+        slices, binding = original("atom")
+        assert [s[1] for s in slices if s[0] == atom] == [F(6, 5)]
 
         def tampered(kind):
-            slices = original(kind)
             if kind != "atom":
-                return slices
-            return tuple((p, F(1, 5), i, read) if p == atom else (p, t, i, read) for p, t, i, read in slices)
+                return original(kind)
+            return tuple((p, F(1, 5), i, read) if p == atom else (p, t, i, read) for p, t, i, read in slices), binding
 
         monkeypatch.setattr(lubin, "_slices", tampered)
         assert threshold_pair() == PAIR_THRESHOLD
@@ -686,7 +686,7 @@ class TestVerdicts:
         # at, just below and just above each slice threshold of every kind, each verdict is the
         # first slice (in point order) whose sum fails exponential_sum_sign, with its k and value
         eps = F(1, 10**12)
-        bounds = {s[1] for kind in VERDICTS for s in lubin._slices(kind) if s[1] is not None}
+        bounds = {s[1] for kind in VERDICTS for s in lubin._slices(kind)[0] if s[1] is not None}
         assert bounds == {T2_THRESHOLD, PAIR_THRESHOLD, F(6, 5)}
         for x in sorted(b + e for b in bounds for e in (-eps, 0, eps)):
             for kind, verdict in VERDICTS.items():

@@ -261,6 +261,10 @@ class TestIsPsdAgainstTheReference:
         for kind, rows in seeded_matrices():
             outcomes.setdefault(kind, set()).add(assert_same_certificate(rows).ok)
             cases += 1
+            # the matrix scaled to ints gives, to the type of each value, its Fraction form's certificate
+            scale = math.lcm(*(v.denominator for row in rows for v in row))
+            ints = [[int(v * scale) for v in row] for row in rows]
+            assert repr(is_psd(ints)) == repr(is_psd([[F(v) for v in row] for row in ints]))
         assert cases >= 5000
         # Hankels and Gram matrices are PSD, a zero pivot ahead of a nonzero row is not,
         # and the perturbed and zeroed matrices go both ways

@@ -205,6 +205,13 @@ def test_no_cache_grows_with_the_order_n():
     assert agler._slice.cache_info().currsize <= agler._ORDER_CACHE
 
 
+def test_each_cache_covers_the_cap_that_sizes_it():
+    # a window at the depth cap reads weights up to index DEPTH_MAX and piece moments up to DEPTH_MAX + 1
+    assert lubin._INDEX_CACHE >= cli.DEPTH_MAX + 2
+    # the n-keyed caches hold every n that sweep and the sum's certificate reach
+    assert agler._ORDER_CACHE >= max(cli.SWEEP_N_MAX, agler.tail_stopping_index().n_star)
+
+
 def test_cached_threshold_t1_is_read_only():
     cert = lubin.threshold_t1()
     assert cert is lubin.threshold_t1()

@@ -519,6 +519,10 @@ class TestWindowReader:
         assert check_berger_2d(ones, UNIT_MASS, (4, 3)).ok
         assert ones.alpha_sq(2, 1) == 1 and type(ones.alpha_sq(2, 1)) is F
         assert ones.rows(2, 1) == [([1, 1], [1, 1], [1, 1], [1, 1])]
+        # an int rule reads to the Rows of the equal Fraction rule
+        ints = two_rules(lambda k1, k2: k1 + 2 * k2 + 1, lambda k1, k2: 3 * k1 + k2 + 2)
+        fractions = two_rules(lambda k1, k2: F(k1 + 2 * k2 + 1), lambda k1, k2: F(3 * k1 + k2 + 2))
+        assert ints.rows(4, 3) == fractions.rows(4, 3)
         # a failure's witness is still a Fraction
         twos = two_rules(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
         assert twos.rows(1, 2) == [([1], [1], [1], [1]), ([1], [1], [2], [1])]
