@@ -39,7 +39,7 @@ print("certified_x_max =", certified_x_max(), f"(~{float(certified_x_max()):.4f}
 print("certified_epsilon =", certified_epsilon(), f"(~{float(certified_epsilon()):.4f})")
 
 # the headline: at x = 1/5 the pair is not jointly subnormal (1/5 > 2/11)
-# but the rescaled sum is, with a complete certificate
+# but the rescaled sum passes the bottom-row Agler test, with a complete certificate
 cert = certify_sum(F(1, 5))
 print("\ncertify_sum(1/5):", cert.verdict, "with every n checked up to", cert.witness["n_tail"])
 

@@ -4,8 +4,8 @@ The package works over the rationals end to end: weight sequences and
 planar weight diagrams, finitely atomic representing measures and their
 marginal/extremal/restriction calculus, the one-variable backward-extension
 test, Hankel and Agler positivity checks, an exact sign test for short
-exponential sums, and a certified parameter range for the subnormality
-of a rescaled shift sum.
+exponential sums, and a certified parameter range for the bottom-row
+Agler test of a rescaled shift sum, a necessary test of its subnormality.
 
 Everything decision-bearing returns a :class:`~shiftcert.certificate.Certificate`
 carrying an exact witness, so a failure can be replayed by hand.

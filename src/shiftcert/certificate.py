@@ -25,7 +25,13 @@ class Certificate(namedtuple("Certificate", "check ok witness")):
     __slots__ = ()
 
     def __new__(cls, check: str, ok: bool, witness: Mapping[str, Any]):
-        return super().__new__(cls, check, ok, MappingProxyType(dict(witness)))
+        return cls._make((check, ok, witness))
+
+    @classmethod
+    def _make(cls, fields):
+        """The one constructor, which ``__new__`` and ``_replace`` call: the witness becomes a read-only copy."""
+        check, ok, witness = fields
+        return tuple.__new__(cls, (check, ok, MappingProxyType(dict(witness))))
 
     def __getnewargs__(self):
         return self.check, self.ok, dict(self.witness)  # a proxy does not pickle

@@ -191,15 +191,12 @@ class _FamilyRule(NamedTuple):
         return _interior_weights(k1 + k2)
 
 
-def _run(pairs) -> Row | None:
-    """A run of pairs as one Row, or None unless every value is a positive Fraction."""
+def _run(pairs) -> Row:
+    """A run of pairs as one Row, read unchecked: :func:`_pieces` proves each
+    piece mass positive and :func:`_parameter` x, so every value is a positive Fraction."""
     ans, ads, bns, bds = run = [], [], [], []
     for alpha, beta in pairs:
-        if type(alpha) is not Fraction or type(beta) is not Fraction:
-            return None
         (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
-        if an <= 0 or bn <= 0:
-            return None
         ans.append(an)
         ads.append(ad)
         bns.append(bn)
@@ -216,26 +213,19 @@ class _FamilyDiagram(WeightDiagram):
     """
 
     def rows(self, w: int, h: int) -> list[Row]:
-        """The pairs on k1 < w, k2 < h, as the per-point reader gives them.
-
-        A run value that is not a positive Fraction sends the read to the
-        per-point reader, whose ``_positive`` names the first point holding
-        it.
-        """
+        """The pairs on k1 < w, k2 < h, as the per-point reader gives them, each run read unchecked (:func:`_run`)."""
         x, i, j = self._rule
         heights = range(max(j, 1), j + h)  # the k2 of the rows past row 0
         first = max(i, 1)  # the first interior k1
         count = max(i + w - first, 0)  # interior points per row
-        row = column = interior = ([],) * 4  # a run the window does not reach
+        rows = []
+        column = interior = ([],) * 4  # a run the window does not reach
         if j == 0 < h:
-            row = _run((alpha, x * beta) for alpha, beta in map(_row_weights, range(i, i + w)))
+            rows.append(_run((alpha, x * beta) for alpha, beta in map(_row_weights, range(i, i + w))))
         if i == 0 < w:
             column = _run(map(_column_weights, heights))
         if count and heights:
             interior = _run(map(_interior_weights, range(first + heights[0], i + w + heights[-1])))
-        if row is None or column is None or interior is None:
-            return super().rows(w, h)
-        rows = [row] if j == 0 < h else []
         (cans, cads, cbns, cbds), (ans, ads, bns, bds) = column, interior
         for r in range(len(heights)):
             c, s = slice(r, r + 1), slice(r, r + count)  # the column's point, the interior's

@@ -218,9 +218,8 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     if any(p < 0 for p in points):
         raise InconsistentMomentsError("recurrence has a root at a negative location")
     size = len(points)
-    reduced, pivot_cols = rref([[p**j for p in points] + [ms[j]] for j in range(size)])
-    if pivot_cols != list(range(size)):  # distinct points: cannot happen
-        raise InconsistentMomentsError("Vandermonde system is singular")
+    # _rational_roots gives distinct points, so the Vandermonde system reduces to [I | masses]
+    reduced, _ = rref([[p**j for p in points] + [ms[j]] for j in range(size)])
     masses = [row[size] for row in reduced]
     if any(m <= 0 for m in masses):
         raise InconsistentMomentsError("fit requires a nonpositive mass")

@@ -26,15 +26,15 @@ characterization:
 
 A diagram is its one weight rule, which gives the pair (alpha^2, beta^2)
 at a lattice point, and holds no other state.  Every check reads its
-weights through one window reader, ``rows``, each weight validated
-positive and each row kept as four int lists, the alpha numerators and
-positive denominators, then the beta ones.  A diagram reads one rule
-call per lattice point, row by row, each weight through ``_positive``;
-the family's (``lubin.family_diagram``) overrides ``rows`` to read its
-few distinct weights by index runs and gives the same ints.  A check
-takes a diagram or one such read kept as a :class:`WindowRead`
-(``WeightDiagram.read``), which serves every smaller rectangle, so
-several checks read each point once.  The checks then
+weights through one window reader, ``rows``, each row kept as four int
+lists, the alpha numerators and positive denominators, then the beta
+ones.  A diagram reads one rule call per lattice point, row by row, each
+weight validated positive by ``_positive``; the family's
+(``lubin.family_diagram``) overrides ``rows`` to read its few distinct
+weights, positive by construction, by index runs and gives the same
+ints.  A check takes a diagram or one such read kept as a
+:class:`WindowRead` (``WeightDiagram.read``), which serves every smaller
+rectangle, so several checks read each point once.  The checks then
 decide by the signs of integers, cross-multiplying numerators and
 denominators with no gcd taken; a fraction is built only for a failure
 witness.  The point reads ``alpha_sq`` / ``beta_sq`` read the pair,

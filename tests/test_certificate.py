@@ -146,10 +146,27 @@ RESULTS = {
     "joint_hyponormality_window-pass": lambda: joint_hyponormality_window(FAMILY_READ, (2, 2)),
     "joint_hyponormality_window-fail": lambda: joint_hyponormality_window(FAMILY_READ, (4, 4)),
 }
+
+
+def rebuilt(build):
+    """A round trip through ``build``, a certificate constructor, applied to a
+    certificate, or to each of a report's ``certificates``."""
+
+    def trip(value):
+        if isinstance(value, Certificate):
+            return build(value)
+        return {**value, "certificates": {name: build(c) for name, c in value["certificates"].items()}}
+
+    return trip
+
+
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    # namedtuple's own constructors, each handed a plain, writable witness
+    "_replace": rebuilt(lambda c: c._replace(witness=dict(c.witness))),
+    "_make": rebuilt(lambda c: type(c)._make((c.check, c.ok, dict(c.witness)))),
 }
 
 
@@ -190,6 +207,8 @@ def test_a_certificate_is_immutable():
         cert.extra = 1
     with pytest.raises(TypeError):
         cert.witness["n"] = 2
+    with pytest.raises(TypeError):
+        cert._replace(witness={"n": 2}).witness["n"] = 3
     witness = {"n": 1}
     cert = Certificate("demo", True, witness)
     witness["n"] = 2

@@ -386,44 +386,6 @@ class TestCheck2D:
         }
         assert len(out.read_text().splitlines()) == 1 + 32 * 32
 
-    @pytest.mark.parametrize("value", [F(0), F(-1, 2)])
-    @pytest.mark.parametrize(
-        "helper, index, half, point",
-        [
-            ("_row_weights", 7, 1, (7, 0)),
-            ("_row_weights", 32, 0, (32, 0)),
-            ("_column_weights", 5, 0, (0, 5)),
-            ("_column_weights", 32, 1, (0, 32)),
-            ("_interior_weights", 2, 1, (1, 1)),
-            ("_interior_weights", 40, 0, (32, 8)),
-        ],
-    )
-    def test_a_tampered_run_is_named_as_the_point_read_names_it(
-        self, helper, index, half, point, value, tmp_path, capsys, monkeypatch
-    ):
-        # one index of one weight cache gives a non-positive half: the run read and the
-        # per-point read of the same rule name the first point holding it, as check2d does
-        original = getattr(cli.lubin, helper)
-
-        def tampered(k):
-            pair = list(original(k))
-            if k == index:
-                pair[half] = value
-            return tuple(pair)
-
-        monkeypatch.setattr(cli.lubin, helper, tampered)
-        diagram = cli.lubin.family_diagram(F(1, 10))
-        messages = []
-        for reader in (diagram, WeightDiagram(diagram._rule)):
-            with pytest.raises(ValueError) as info:
-                reader.rows(33, 33)
-            messages.append(str(info.value))
-        got = value / 10 if helper == "_row_weights" and half else value  # row 0's beta^2 is x times the cache's
-        assert messages == [f"{('alpha^2', 'beta^2')[half]} at {point} must be positive, got {got}"] * 2
-        argv = ["check2d", "--x", "1/10", "--window", "32x32", "--hyponormal", "--dump", str(tmp_path / "d.csv")]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {messages[0]}\n")
-
     def test_bad_window(self):
         assert main(["check2d", "--x", "1/5", "--window", "six"]) == 2
 

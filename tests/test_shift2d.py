@@ -20,6 +20,7 @@ from oracles import (
     xi_a_level1,
     xi_b_level1,
 )
+from shiftcert import lubin
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.cli import DEPTH_MAX
 from shiftcert.lubin import family_diagram, moment2d
@@ -656,6 +657,22 @@ class TestFamilyRunRead:
                 for w, h in ((1, 1), (9, 1), (1, 7), (4, 5), (9, 7)):
                     assert read.rows(w, h) == oracle.restricted(i, j).rows(w, h)
                 assert lowest_terms(read.rows(9, 7))
+
+    def test_family_read_trusts_a_positive_fraction_at_every_index_a_window_reaches(self):
+        # the run read checks no value: every weight cache gives a pair of positive
+        # Fractions at each index up to the depth cap, as _pieces proves
+        try:
+            pairs = [
+                *map(lubin._row_weights, range(DEPTH_MAX + 1)),
+                *map(lubin._column_weights, range(1, DEPTH_MAX + 1)),
+                *map(lubin._interior_weights, range(2, DEPTH_MAX + 1)),
+            ]
+            assert len(pairs) == 3 * DEPTH_MAX
+            assert [pair for pair in pairs if not all(type(v) is F and v > 0 for v in pair)] == []
+        finally:  # leave no full cache for the cache-growth tests
+            for value in vars(lubin).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 class TestIntegerIndices:
