@@ -28,6 +28,7 @@ from .measures import (
     measure_from_dict,
     moment1,
     moment2,
+    moment_run,
     reciprocal_norm,
     restrict_density,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "measure_from_dict",
     "moment1",
     "moment2",
+    "moment_run",
     "p_n_bruteforce",
     "p_n_closed",
     "parse_rational",

@@ -52,7 +52,7 @@ from functools import lru_cache
 from . import agler, lubin
 from .certificate import to_json
 from .errors import ShiftCertError
-from .measures import measure_from_dict, moment1
+from .measures import measure_from_dict, moment_run
 from .numerics import parse_rational
 from .shift1d import (
     WeightSequence1D,
@@ -195,7 +195,7 @@ def cmd_moments(args) -> int:
         raise ValueError("need --n-max >= 0")
     _cap("--n-max", args.n_max, MOMENTS_N_MAX)
     mu = _load(args.measure, "measure", lambda fh: _measure(json.load(fh), 1))
-    values = [(n, moment1(mu, n)) for n in range(args.n_max + 1)]
+    values = list(zip(range(args.n_max + 1), moment_run(mu)))
     if args.format == "json":
         payload = [{"n": n, "gamma": g} for n, g in values]
         return _emit(to_json(payload), args.out)

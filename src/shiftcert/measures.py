@@ -6,8 +6,9 @@ equality.
 
 The calculus implemented here:
 
-* moments ``moment1`` / ``moment2`` (with the convention 0^0 = 1), each
-  read in integers as one sum over one common denominator,
+* moments in integers, with 0^0 = 1: ``moment_run`` reads a half-line
+  measure's atoms once and then its moments in order, ``moment1`` is its
+  first value, and ``moment2`` is one integer sum over one denominator,
 * marginals of planar measures (pushforward onto an axis, masses merged),
 * the reciprocal norm  || 1/s ||_{L1(xi)}  of a half-line measure, ``None``
   when an atom at 0 makes it diverge (a planar measure's norm is its
@@ -25,7 +26,7 @@ JSON schema (used by the CLI)::
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InfiniteReciprocalNormError, ZeroMomentError
 from .numerics import _index, _integers, _rational, parse_rational
@@ -132,30 +133,32 @@ class AtomicMeasure2D(_AtomicMeasure):
 
 def moment1(mu: AtomicMeasure1D, k: int) -> Fraction:
     """k-th power moment; 0^0 = 1 so that moment1(mu, 0) is the total mass.
+    It is the first value of :func:`moment_run`, and builds one Fraction."""
+    return next(moment_run(mu, k))
 
-    Read in integers: with the points P_i / Q and the masses M_i / D over
-    their common denominators, it is sum_i M_i P_i^k / (D Q^k), one Fraction.
-    """
-    k = _index(k, "moment order")
-    return _moment([m for _, m in mu.atoms], ([p for p, _ in mu.atoms], k))
+
+def moment_run(mu: AtomicMeasure1D, start: int = 0) -> Iterator[Fraction]:
+    """The moments of order start, start + 1, ... of mu, without end.  With the
+    points P_i / Q and the masses M_i / D over their common denominators
+    (:func:`_integers`, read once), moment k is sum_i M_i P_i^k / (D Q^k):
+    each costs one integer product per atom and builds one Fraction."""
+    start = _index(start, "moment order")
+    den, terms = _integers([m for _, m in mu.atoms])
+    q, points = _integers([p for p, _ in mu.atoms])
+    terms, den = [t * p**start for t, p in zip(terms, points)], den * q**start
+    while True:
+        yield Fraction(sum(terms), den)
+        terms, den = [t * p for t, p in zip(terms, points)], den * q
 
 
 def moment2(mu: AtomicMeasure2D, k1: int, k2: int) -> Fraction:
     """The (k1, k2) moment, sum of m s^k1 t^k2 over the atoms, read in integers as
-    :func:`moment1` is."""
+    :func:`moment_run` reads one: one integer sum, one Fraction."""
     k1, k2 = _index(k1, "moment order"), _index(k2, "moment order")
-    points = [p for p, _ in mu.atoms]
-    return _moment([m for _, m in mu.atoms], ([s for s, _ in points], k1), ([t for _, t in points], k2))
-
-
-def _moment(masses, *powers) -> Fraction:
-    """sum_i masses[i] * prod_j xs_j[i] ** k_j over the pairs (xs_j, k_j) of
-    ``powers``, with each list read over its common denominator (:func:`_integers`)."""
-    den, terms = _integers(masses)
-    for xs, k in powers:
-        q, ints = _integers(xs)
-        terms = [t * x**k for t, x in zip(terms, ints)]
-        den *= q**k
+    den, terms = _integers([m for _, m in mu.atoms])
+    for axis, k in ((0, k1), (1, k2)):
+        q, ints = _integers([p[axis] for p, _ in mu.atoms])
+        terms, den = [t * x**k for t, x in zip(terms, ints)], den * q**k
     return Fraction(sum(terms), den)
 
 

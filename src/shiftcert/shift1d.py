@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence
 
 from .certificate import Certificate
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     NoRationalAtomsError,
     RankExceededError,
 )
-from .measures import AtomicMeasure1D, moment1, reciprocal_norm
+from .measures import AtomicMeasure1D, moment_run, reciprocal_norm
 from .numerics import _index, _integers, _rational, is_psd, rref
 
 Rule = Callable[[int], Fraction]  # a moment by index
@@ -47,9 +48,9 @@ class WeightSequence1D:
     """A weighted shift given by its moments, with a declared norm bound.
 
     The shift is its moment sequence, ``moment_rule(k) = gamma_k``; each
-    moment is computed once and kept.  Its squared weights are the ratios
-    gamma_{n+1} / gamma_n, and each one read is checked to be positive and
-    at most the bound.
+    moment is computed once and kept: the rule runs once per index, in index
+    order, so it may be ``next`` on a run.  The squared weights are the ratios
+    gamma_{n+1} / gamma_n, each checked to be positive and at most the bound.
     """
 
     def __init__(self, moment_rule: Rule, norm_bound_sq):
@@ -61,7 +62,10 @@ class WeightSequence1D:
 
     def squared_weight(self, n: int) -> Fraction:
         n = _index(n, "weight index")
-        w = self.moment(n + 1) / self.moment(n)
+        return self._checked(n, self.moment(n + 1) / self.moment(n))
+
+    def _checked(self, n: int, w: Fraction) -> Fraction:
+        """The squared weight w at n, once it is positive and at most the bound."""
         if w <= 0:
             raise ValueError(f"squared weight at {n} must be positive, got {w}")
         if w > self.norm_bound_sq:
@@ -80,38 +84,45 @@ class WeightSequence1D:
     def from_measure(cls, xi: AtomicMeasure1D) -> "WeightSequence1D":
         """The shift whose Berger measure is the probability measure xi.
 
-        Its moments are xi's, gamma_k = moment1(xi, k), and their ratios
-        are at most the bound, xi's largest atom.  That atom must lie above
-        0, or every weight would be 0.
+        Its moments are xi's, read in order by one :func:`moment_run`, and
+        their ratios are at most the bound, xi's largest atom.  That atom
+        must lie above 0, or every weight would be 0.
         """
-        if not xi.is_probability():
+        run = moment_run(xi)
+        if (total := next(run)) != 1:
             raise ValueError("Berger measures are probability measures")
         bound = max(p for p, _ in xi.atoms)
         if bound == 0:
             raise ValueError("the Berger measure has no atom above 0, so every weight would be 0")
-        return cls(lambda k: moment1(xi, k), bound)
+        run = chain([total], run)
+        return cls(lambda k: next(run), bound)
 
     @classmethod
     def from_prefix(cls, squared_prefix: Sequence, norm_bound_sq=None) -> "WeightSequence1D":
         """The shift with the given squared weights, the last one repeated.
 
         Its moments are the running products of the weights.  Every prefix
-        weight is checked here, in index order; the tail repeats the last
-        one, so no later weight can fail.
+        weight, the ratio of two products, is checked here, in index order;
+        the tail repeats the last one, so no later weight can fail.
         """
         prefix = [_rational(v, "a squared weight") for v in squared_prefix]
         if not prefix:
             raise ValueError("prefix must be nonempty")
         bound = _rational(norm_bound_sq, "norm bound") if norm_bound_sq is not None else max(prefix)
-        products = [Fraction(1)]
-        for v in prefix:
-            products.append(products[-1] * v)
-        last = prefix[-1]
-        size = len(prefix)
-        w = cls(lambda k: products[k] if k <= size else products[size] * last ** (k - size), bound)
-        for n in range(size):
-            w.squared_weight(n)
+        run = _products(chain(prefix, repeat(prefix[-1])))
+        w = cls(lambda k: next(run), bound)
+        for n, v in enumerate(prefix):
+            w._checked(n, v)
         return w
+
+
+def _products(weights: Iterator[Fraction]) -> Iterator[Fraction]:
+    """1, w_0, w_0 w_1, ...: the running products, one Fraction each."""
+    num, den = 1, 1
+    for w in weights:
+        product = Fraction(num, den)
+        yield product
+        num, den = product.numerator * w.numerator, product.denominator * w.denominator
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:
@@ -224,8 +235,8 @@ def berger_fit(moments: Sequence, max_atoms: int) -> AtomicMeasure1D:
     if any(m <= 0 for m in masses):
         raise InconsistentMomentsError("fit requires a nonpositive mass")
     candidate = AtomicMeasure1D(zip(points, masses))
-    for j, target in enumerate(ms):
-        if moment1(candidate, j) != target:
+    for j, (target, moment) in enumerate(zip(ms, moment_run(candidate))):
+        if moment != target:
             raise InconsistentMomentsError(f"fit fails to reproduce moment {j}")
     return candidate
 
@@ -234,34 +245,36 @@ def _minimal_recurrence(ms: list[Fraction], max_order: int) -> list[Fraction] | 
     """Monic coefficients c, of least order L, with sum_i c_i * ms[j+i] == 0 for
     every window j; ``None`` when L > max_order.
 
-    One Berlekamp-Massey pass over the rationals: ``current`` is the
-    connection polynomial C (C_0 = 1) of the shortest recurrence of the
-    moments read so far, and a nonzero discrepancy d at index n is cancelled
-    by (d / last) z^gap ``previous``, the polynomial and discrepancy before
-    the last change of L.  The answer is C reversed to degree L, the only
-    one of order L given 2 L moments.  L never decreases, so the pass stops
-    once it exceeds ``max_order``.
+    One Berlekamp-Massey pass in integers, over the moments' common
+    denominator (:func:`_integers`): ``current`` is a multiple of the
+    connection polynomial C of the shortest recurrence of the moments read so
+    far, and a nonzero discrepancy d at index n is cancelled as last C - d
+    z^gap ``previous``, the polynomial and discrepancy before the last change
+    of L, with the content removed by one gcd.  The answer is C reversed to
+    degree L and made monic, the only one of order L given 2 L moments.  L
+    never decreases, so the pass stops once it exceeds ``max_order``.
     """
-    current, previous = [Fraction(1)], [Fraction(1)]
-    length, gap, last = 0, 1, Fraction(1)
-    for n, moment in enumerate(ms):
-        discrepancy = moment + sum(current[i] * ms[n - i] for i in range(1, min(len(current), n + 1)))
+    _, g = _integers(ms)
+    current, previous = [1], [1]
+    length, gap, last = 0, 1, 1
+    for n in range(len(g)):
+        discrepancy = sum(c * g[n - i] for i, c in enumerate(current[: n + 1]))
         if discrepancy == 0:
             gap += 1
             continue
-        factor = discrepancy / last
-        updated = current + [Fraction(0)] * (len(previous) + gap - len(current))
+        updated = [last * c for c in current] + [0] * (len(previous) + gap - len(current))
         for i, c in enumerate(previous):
-            updated[i + gap] -= factor * c
+            updated[i + gap] -= discrepancy * c
         if 2 * length <= n:
             length, previous, last, gap = n + 1 - length, current, discrepancy, 1
             if length > max_order:
                 return None
         else:
             gap += 1
-        current = updated
-    current += [Fraction(0)] * (length + 1 - len(current))
-    return current[length::-1]
+        content = math.gcd(*updated)
+        current = [c // content for c in updated]
+    current += [0] * (length + 1 - len(current))
+    return [Fraction(c, current[0]) for c in current[length::-1]]
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:

@@ -38,7 +38,13 @@ backward extension, so the tests can compare the two:
 * :func:`certify_sum_reference`, the rescaled sum's certificate by a
   ``Fraction`` scan of every per-n sup up to the tail index, which
   ``agler.certify_sum`` replaced by integer comparisons with its record
-  sups, and whose certificates it must match exactly.
+  sups, and whose certificates it must match exactly;
+* :func:`from_prefix_reference`, a squared-weight prefix's shift with its
+  running products in ``Fraction``s and each weight checked as a moment
+  ratio, and :func:`minimal_recurrence_reference`, Berlekamp-Massey over
+  the rationals: the forms that ``WeightSequence1D.from_prefix`` and
+  ``shift1d._minimal_recurrence`` replaced by integer reads, whose moments,
+  messages and recurrences they must match exactly.
 """
 
 import itertools
@@ -60,7 +66,8 @@ from shiftcert.measures import (
     reciprocal_norm,
     restrict_density,
 )
-from shiftcert.shift1d import backward_extension_1d
+from shiftcert.numerics import _rational
+from shiftcert.shift1d import WeightSequence1D, backward_extension_1d
 from shiftcert.shift2d import check_berger_2d
 
 
@@ -509,3 +516,50 @@ def certify_sum_reference(x) -> Certificate:
         "violation": violation,
     }
     return Certificate("certify_sum", violation is None, witness)
+
+
+def from_prefix_reference(squared_prefix, norm_bound_sq=None) -> WeightSequence1D:
+    """The shift with the given squared weights, the last one repeated: its
+    moments are the running products in ``Fraction``s, and each prefix weight
+    is checked, in index order, as the ratio of two of them."""
+    prefix = [_rational(v, "a squared weight") for v in squared_prefix]
+    if not prefix:
+        raise ValueError("prefix must be nonempty")
+    bound = _rational(norm_bound_sq, "norm bound") if norm_bound_sq is not None else max(prefix)
+    products = [Fraction(1)]
+    for v in prefix:
+        products.append(products[-1] * v)
+    last, size = prefix[-1], len(prefix)
+    w = WeightSequence1D(lambda k: products[k] if k <= size else products[size] * last ** (k - size), bound)
+    for n in range(size):
+        w.squared_weight(n)
+    return w
+
+
+def minimal_recurrence_reference(ms: list[Fraction], max_order: int) -> list[Fraction] | None:
+    """Berlekamp-Massey over the rationals: ``current`` is the connection
+    polynomial C (C_0 = 1) of the shortest recurrence of the moments read so
+    far, and a nonzero discrepancy d at index n is cancelled by
+    (d / last) z^gap ``previous``, the polynomial and discrepancy before the
+    last change of L.  The answer is C reversed to degree L, or ``None`` once
+    L exceeds ``max_order``."""
+    current, previous = [Fraction(1)], [Fraction(1)]
+    length, gap, last = 0, 1, Fraction(1)
+    for n, moment in enumerate(ms):
+        discrepancy = moment + sum(current[i] * ms[n - i] for i in range(1, min(len(current), n + 1)))
+        if discrepancy == 0:
+            gap += 1
+            continue
+        factor = discrepancy / last
+        updated = current + [Fraction(0)] * (len(previous) + gap - len(current))
+        for i, c in enumerate(previous):
+            updated[i + gap] -= factor * c
+        if 2 * length <= n:
+            length, previous, last, gap = n + 1 - length, current, discrepancy, 1
+            if length > max_order:
+                return None
+        else:
+            gap += 1
+        current = updated
+    current += [Fraction(0)] * (length + 1 - len(current))
+    return current[length::-1]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import scaled
-from shiftcert import shift1d
+from oracles import from_prefix_reference, minimal_recurrence_reference, moment1_reference, scaled
+from shiftcert import measures, shift1d
 from shiftcert.certificate import Certificate, to_json
 from shiftcert.errors import (
     InconsistentMomentsError,
@@ -16,7 +16,7 @@ from shiftcert.errors import (
     RankExceededError,
 )
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
-from shiftcert.numerics import rref
+from shiftcert.numerics import _integers, rref
 from shiftcert.shift1d import (
     WeightSequence1D,
     agler_sums_1d,
@@ -47,6 +47,11 @@ XI_A_LEVEL1 = AtomicMeasure1D(
 # squared weights 2, 1/2, 1/2, ...: gamma = 1, 2, 1, 1/2, ... is not a
 # Hausdorff moment sequence (the formal fit is 4 d(1/4) - 3 d(0))
 BAD = WeightSequence1D.from_prefix([F(2), F(1, 2)], norm_bound_sq=F(2))
+
+
+def first_moments(w, count):
+    """gamma_0, ..., gamma_(count - 1) of the shift w."""
+    return [w.moment(k) for k in range(count)]
 
 
 def seq_a() -> WeightSequence1D:
@@ -280,6 +285,51 @@ class TestWeightSequence:
             assert w.moment(k) == gamma
             gamma *= prefix[min(k, len(prefix) - 1)]
 
+    def test_prefix_reader_matches_the_fraction_reader(self):
+        # 3,000 seeded prefixes, some with a zero, a negative or an above-bound
+        # weight, or a bound of 0: the integer running products give the moments
+        # of the Fraction products, and a bad prefix the same message
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(3000):
+            size = rng.randint(1, 6)
+            prefix = [F(rng.randint(1, 60), rng.randint(1, 40)) for _ in range(size)]
+            bound = rng.choice([None, None, F(rng.randint(1, 90), rng.randint(1, 20)), F(0)])
+            bad = rng.randrange(4)
+            if bad == 1:
+                prefix[rng.randrange(size)] = F(0)
+            elif bad == 2:
+                prefix[rng.randrange(size)] = -F(rng.randint(1, 9), rng.randint(1, 9))
+            elif bad == 3 and bound:
+                prefix[rng.randrange(size)] = bound + F(1, rng.randint(1, 50))
+            outcomes = []
+            for read in (WeightSequence1D.from_prefix, from_prefix_reference):
+                try:
+                    w = read(prefix, bound)
+                    outcomes.append((w.norm_bound_sq, [w.moment(k) for k in range(2 * size + 3)]))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            got = outcomes[0]
+            assert got == outcomes[1]
+            if isinstance(got, str):
+                seen.add("zero" if got.endswith("got 0") else "negative" if "got -" in got else "above" if "exceeds" in got else got)
+            else:
+                assert all(type(g) is F for g in got[1])
+                seen.add("moments")
+        assert seen == {"moments", "zero", "negative", "above", "norm bound must be positive"}
+
+    def test_a_measure_backed_sequence_builds_one_fraction_per_moment(self, fractions_built):
+        # the atoms are read into integers once, and the probability check is the
+        # run's first moment
+        xi = AtomicMeasure1D([(F(1, 7), F(1, 10)), (F(2, 5), F(1, 5)), (F(3, 4), F(3, 10)), (F(1), F(2, 5))])
+        moments, built = fractions_built(lambda: first_moments(WeightSequence1D.from_measure(xi), 13))
+        assert moments == [moment1_reference(xi, k) for k in range(13)] and built == 13
+
+    def test_a_prefix_builds_one_fraction_per_moment(self, fractions_built):
+        prefix = [F(1, 3), F(2, 5), F(3, 7), F(1, 2), F(4, 9)]
+        moments, built = fractions_built(lambda: first_moments(WeightSequence1D.from_prefix(prefix), 13))
+        assert moments == first_moments(from_prefix_reference(prefix), 13) and built == 13
+
     def test_constant_shift(self):
         w = WeightSequence1D.from_prefix([F(1, 3)])
         assert w.moment(4) == F(1, 3) ** 4
@@ -447,19 +497,23 @@ class TestAglerSums1D:
         assert outcomes == {True, False}
 
     def test_each_moment_is_computed_and_read_once(self, monkeypatch):
-        # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each,
-        # and a measure-backed sequence builds each of them once, as the
-        # measure moment
+        # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each; a
+        # measure-backed sequence runs its rule once per index, in index order,
+        # and reads the atoms into integers once (the masses and the points)
         xi = AtomicMeasure1D([(F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(1), F(1, 4)), (F(3, 2), F(1, 4))])
-        built = []
-        monkeypatch.setattr(shift1d, "moment1", lambda mu, k: built.append(k) or moment1(mu, k))
+        integer_reads = []
+        monkeypatch.setattr(measures, "_integers", lambda values: integer_reads.append(len(values)) or _integers(values))
         w = WeightSequence1D.from_measure(xi)
+        rule, ruled = w._moment_rule, []
+        w._moment_rule = lambda k: ruled.append(k) or rule(k)
         reads = []
         moment = w.moment
         w.moment = lambda n: reads.append(n) or moment(n)
         assert agler_sums_1d(w, 64, 64).ok
         assert reads == list(range(129))
-        assert built == list(range(129))
+        assert ruled == list(range(129))
+        assert integer_reads == [4, 4]
+        assert [w.moment(k) for k in range(129)] == [moment1_reference(xi, k) for k in range(129)]
 
 
 class TestBackwardExtension1D:
@@ -684,11 +738,36 @@ class TestMinimalRecurrence:
         ms, max_atoms = case
         assert shift1d._minimal_recurrence(ms, max_atoms) == recurrence_polynomial_reference(ms, max_atoms)
 
+    def test_integer_pass_matches_the_fraction_pass(self):
+        # 3,000 seeded moment lists of 1-6 atoms (some at 0), a fifth of them
+        # perturbed off a moment list, with max_atoms above and below the rank
+        rng = random.Random(19)
+        orders = set()
+        for _ in range(3000):
+            points = {F(rng.randint(0, 60), rng.randint(1, 30)) for _ in range(rng.randint(1, 6))}
+            masses = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+            max_atoms = rng.randint(1, 7)
+            ms = [sum(m * p**k for p, m in zip(points, masses)) for k in range(2 * max_atoms + 1 + rng.randint(0, 3))]
+            if rng.randrange(5) == 0:
+                ms[rng.randrange(1, len(ms))] += F(rng.randint(1, 50), 50)
+            ms = [m / ms[0] for m in ms]
+            coeffs = shift1d._minimal_recurrence(ms, max_atoms)
+            assert coeffs == minimal_recurrence_reference(ms, max_atoms)
+            orders.add(coeffs and len(coeffs) - 1)
+        assert orders == {None, 1, 2, 3, 4, 5, 6, 7}
+
+    def test_a_pass_builds_only_its_answer(self, fractions_built):
+        mu = AtomicMeasure1D([(F(1, 7), F(1, 10)), (F(2, 5), F(1, 5)), (F(3, 4), F(3, 10)), (F(1), F(2, 5))])
+        ms = [moment1(mu, n) for n in range(10)]
+        coeffs, built = fractions_built(lambda: shift1d._minimal_recurrence(ms, 4))
+        assert coeffs == minimal_recurrence_reference(ms, 4) and built == 5
+
     def test_sixteen_large_atoms_by_hand(self):
         points = [F(1, 10**12 + j) for j in range(1, 17)]
         ms = [sum(p**k for p in points) / 16 for k in range(33)]
-        assert shift1d._minimal_recurrence(ms, 15) is None
+        assert shift1d._minimal_recurrence(ms, 15) is None is minimal_recurrence_reference(ms, 15)
         coeffs = shift1d._minimal_recurrence(ms, 16)
+        assert coeffs == minimal_recurrence_reference(ms, 16)
         assert len(coeffs) == 17 and coeffs[-1] == 1
         for p in points:
             assert sum(c * p**i for i, c in enumerate(coeffs)) == 0
