@@ -24,6 +24,13 @@ Every JSON payload on stdout or in ``--out`` comes from ``certificate.to_json``
 
 The argument parser is built once per process and reused by every call
 of :func:`main`; argparse keeps each call's values in a fresh namespace.
+:func:`main` follows argv's leading words (``check1d``, ``lubin certify``,
+...) to the command's own parser, the one argparse would reach, and parses
+the remaining words with it alone: one argparse pass per call.  The full
+parser runs when the leading words name no command (no arguments,
+``--help``, an unknown command, ``lubin`` alone) and when the command's
+parser is left with words it does not know, so every usage line, help text
+and error reads as before.
 
 Weight files for ``check1d`` are JSON, either a measure reference::
 
@@ -333,26 +340,29 @@ def cmd_epsilon(args) -> int:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser; ``parser.leaves`` maps the words that name each
+    command, as a tuple, to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="shiftcert",
         description="Exact subnormality certificates for weighted shifts.",
     )
+    parser.leaves = leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="dump shift moments of a measure")
+    p = leaves["moments",] = sub.add_parser("moments", help="dump shift moments of a measure")
     p.add_argument("measure", help="measure JSON file (dim 1)")
     p.add_argument("--n-max", type=_integer, default=16)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("fit", help="recover the atomic measure behind moments")
+    p = leaves["fit",] = sub.add_parser("fit", help="recover the atomic measure behind moments")
     p.add_argument("moments", help="CSV file with columns n,gamma_n")
     p.add_argument("--max-atoms", type=_integer, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("check1d", help="one-variable subnormality battery")
+    p = leaves["check1d",] = sub.add_parser("check1d", help="one-variable subnormality battery")
     p.add_argument("weights", help="weight JSON file (measure or prefix form)")
     p.add_argument("--order", type=_integer, default=4, help="Hankel order")
     p.add_argument("--n-max", type=_integer, default=8)
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_check1d)
 
-    p = sub.add_parser("check2d", help="planar battery on the family diagram")
+    p = leaves["check2d",] = sub.add_parser("check2d", help="planar battery on the family diagram")
     p.add_argument("--x", required=True, help="family parameter (p/q)")
     p.add_argument("--window", default="8x8")
     p.add_argument("--restrict", default="0,0", help="base point i,j of the restriction")
@@ -376,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lubin", help="verdicts for the parametric family")
     lubin_sub = p.add_subparsers(dest="lubin_command", required=True)
-    pc = lubin_sub.add_parser("certify", help="full verdict sheet at a parameter")
+    pc = leaves["lubin", "certify"] = lubin_sub.add_parser("certify", help="full verdict sheet at a parameter")
     pc.add_argument("--x", required=True, help="family parameter (p/q)")
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_lubin_certify)
 
-    p = sub.add_parser("sweep", help="grid of alternating sums as CSV")
+    p = leaves["sweep",] = sub.add_parser("sweep", help="grid of alternating sums as CSV")
     p.add_argument("--x-min", required=True)
     p.add_argument("--x-max", required=True)
     p.add_argument("--x-step", required=True)
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("epsilon", help="certified margin past the joint threshold")
+    p = leaves["epsilon",] = sub.add_parser("epsilon", help="certified margin past the joint threshold")
     p.add_argument("--out")
     p.set_defaults(func=cmd_epsilon)
 
@@ -398,7 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    for words in (1, 2):  # a command is named by one word, or by two under lubin
+        leaf = parser.leaves.get(tuple(argv[:words]))
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[words:])
+            break
+    if leaf is None or extras:  # the full parser prints the usage, help or error argparse would
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ShiftCertError as exc:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .certificate import Certificate
@@ -207,9 +208,10 @@ def _run(pairs) -> Row:
 class _FamilyDiagram(WeightDiagram):
     """The family's diagram, whose one state is its :class:`_FamilyRule`.
 
-    A window read looks each index of three runs up once: row 0 by k1,
-    column 0 by k2 and the interior by k1 + k2, so each interior row is a
-    slice of the interior run.  A point read still calls the rule.
+    A window read looks each index of three runs up once: row 0 by k1
+    (its beta^2 is x times the run's, in integers), column 0 by k2 and the
+    interior by k1 + k2, so each interior row is a slice of the interior
+    run.  A point read still calls the rule.
     """
 
     def rows(self, w: int, h: int) -> list[Row]:
@@ -221,7 +223,12 @@ class _FamilyDiagram(WeightDiagram):
         rows = []
         column = interior = ([],) * 4  # a run the window does not reach
         if j == 0 < h:
-            rows.append(_run((alpha, x * beta) for alpha, beta in map(_row_weights, range(i, i + w))))
+            row = _run(map(_row_weights, range(i, i + w)))
+            p, q = x.as_integer_ratio()
+            for t, (n, d) in enumerate(zip(row[2], row[3])):  # x * n/d in lowest terms by two gcds
+                g, k = gcd(p, d), gcd(n, q)
+                row[2][t], row[3][t] = (p // g) * (n // k), (q // k) * (d // g)
+            rows.append(row)
         if i == 0 < w:
             column = _run(map(_column_weights, heights))
         if count and heights:

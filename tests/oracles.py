@@ -44,7 +44,11 @@ backward extension, so the tests can compare the two:
   ratio, and :func:`minimal_recurrence_reference`, Berlekamp-Massey over
   the rationals: the forms that ``WeightSequence1D.from_prefix`` and
   ``shift1d._minimal_recurrence`` replaced by integer reads, whose moments,
-  messages and recurrences they must match exactly.
+  messages and recurrences they must match exactly;
+* :func:`cli_main_reference`, the CLI's ``main`` parsing every call with
+  the full parser, top level first, which ``cli.main`` replaced by one
+  pass of the command's own parser, and whose exit codes, output and
+  errors it must match exactly.
 """
 
 import itertools
@@ -52,8 +56,8 @@ import math
 import random
 from fractions import Fraction
 
-from shiftcert import agler
-from shiftcert.certificate import Certificate
+from shiftcert import agler, cli
+from shiftcert.certificate import Certificate, to_json
 from shiftcert.errors import ShiftCertError
 from shiftcert.lubin import PAIR_THRESHOLD, T2_THRESHOLD, family_diagram, moment2d
 from shiftcert.measures import (
@@ -563,3 +567,15 @@ def minimal_recurrence_reference(ms: list[Fraction], max_order: int) -> list[Fra
         current = updated
     current += [Fraction(0)] * (length + 1 - len(current))
     return current[length::-1]
+
+
+def cli_main_reference(argv=None) -> int:
+    """``cli.main`` with every call parsed by ``build_parser().parse_args``:
+    argparse walks from the top-level parser through each subcommand's."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ShiftCertError as exc:
+        return cli._emit(to_json({"error": type(exc).__name__, "message": str(exc)}), args.out, 1)
+    except (OSError, ValueError) as exc:
+        return cli._fail_usage(str(exc))

@@ -36,7 +36,7 @@ from shiftcert.cli import (
     build_parser,
     main,
 )
-from oracles import mu_m_cap_n, xi_a
+from oracles import cli_main_reference, mu_m_cap_n, xi_a
 from shiftcert.measures import AtomicMeasure1D, moment1, restrict_density
 from shiftcert.shift2d import WeightDiagram
 
@@ -1179,6 +1179,81 @@ class TestParserIsBuiltOnce:
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+
+
+def _dispatch_corpus() -> list[list[str]]:
+    """Every README command, the help of every parser, and calls that the
+    full parser must answer: no or unknown command words, usage errors, and
+    words a command's parser does not know."""
+    return [
+        *(shlex.split(command)[1:] for command in _readme_commands()),
+        *([*words, "--help"] for words in build_parser().leaves),
+        ["--help"], ["lubin", "--help"], ["-h"],
+        [], ["bogus"], ["lubin"], ["lubin", "bogus"], ["lubin certify", "--x", "1/5"],
+        ["-h", "lubin"], ["lubin", "-h", "certify"], ["--", "lubin", "certify", "--x", "1/5"],
+        ["lubin", "certify"], ["check2d", "--window", "3x3"], ["moments"],
+        ["check1d", "WEIGHTS.json", "--order", "4.5"], ["moments", "MEASURE.json", "--n-max", "\u0663"],
+        ["lubin", "certify", "--x", "1/5", "--ou", "c.json"], ["lubin", "certify", "--x=1/7"],
+        ["lubin", "certify", "--", "--x", "1/5"], ["lubin", "certify", "--x", "1/5", "--"],
+        ["lubin", "certify", "--x", "1/5", "--bogus"], ["lubin", "certify", "certify"],
+        ["check1d", "WEIGHTS.json", "stray"], ["check1d", "WEIGHTS.json", "--backext", "1/2"],
+        ["epsilon", "--out"], ["lubin", "certify", "--x", "0"], ["check1d", "missing.json"],
+    ]
+
+
+class TestDispatchMatchesTheFullParser:
+    """``main`` hands each call straight to its command's parser; every exit
+    code, output byte and error must be what the full parser gives."""
+
+    @staticmethod
+    def readme_inputs(path: Path) -> None:
+        """The files README's commands name, in ``path``."""
+        path.mkdir()
+        dump_measure(xi_a(), path / "MEASURE.json")
+        dump_measure(mu_m_cap_n(), path / "MU.json")
+        (path / "MOMENTS.csv").write_text(two_atom_csv(10))
+        (path / "WEIGHTS.json").write_text(json.dumps({"kind": "measure", "measure": xi_a().as_dict()}))
+
+    @pytest.mark.parametrize("argv", _dispatch_corpus(), ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_answers_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        outcomes = []
+        for call in (main, cli_main_reference):
+            where = tmp_path / call.__name__
+            self.readme_inputs(where)
+            monkeypatch.chdir(where)
+            try:
+                code = call(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            files = {path.name: path.read_bytes() for path in sorted(where.iterdir())}
+            outcomes.append((code, *capsys.readouterr(), files))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("x, code", [("1/7", 0), ("1/5", 1)])
+    def test_a_parsed_call_skips_the_top_level_parser(self, x, code, tmp_path, monkeypatch, capsys):
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        assert cli_main_reference(["lubin", "certify", "--x", x, "--out", str(want)]) == code
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setitem(vars(build_parser()), name, refuse)
+        assert main(["lubin", "certify", "--x", x, "--out", str(got)]) == code
+        assert got.read_bytes() == want.read_bytes()
+        assert capsys.readouterr() == ("", "")
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch, capsys):
+        assert main(["epsilon"]) == 0
+        want = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["shiftcert", "epsilon"])
+        assert main() == 0
+        assert capsys.readouterr() == want
+        monkeypatch.setattr(sys, "argv", ["shiftcert", "lubin", "certify", "--x", "1/5", "--bogus"])
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: shiftcert [-h]")
 
 
 class TestGammaGolden:

@@ -658,6 +658,15 @@ class TestFamilyRunRead:
                     assert read.rows(w, h) == oracle.restricted(i, j).rows(w, h)
                 assert lowest_terms(read.rows(9, 7))
 
+    def test_a_warm_family_read_builds_no_fraction(self, fractions_built):
+        # row 0's beta^2 is x times the row run's beta, taken in integers by two gcds
+        x = F(172938225691027032, 1152921504606846883)
+        for base in ((0, 0), (5, 0)):
+            diagram = family_diagram(x).restricted(*base)
+            want = WeightDiagram(diagram._rule).rows(33, 33)
+            rows, built = fractions_built(lambda: diagram.read(33, 33).rows(33, 33))
+            assert (rows, built) == (want, 0)
+
     def test_family_read_trusts_a_positive_fraction_at_every_index_a_window_reaches(self):
         # the run read checks no value: every weight cache gives a pair of positive
         # Fractions at each index up to the depth cap, as _pieces proves
