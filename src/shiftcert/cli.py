@@ -256,8 +256,8 @@ def cmd_check2d(args) -> int:
         checks.append(joint_hyponormality_window(read, window))
     if args.dump:
         lines = ["k1,k2,alpha_sq,beta_sq"]
-        for k2, (ans, ads, bns, bds) in enumerate(read.rows(w, h)):
-            for k1, (an, ad, bn, bd) in enumerate(zip(ans, ads, bns, bds)):
+        for k2, row in enumerate(read.rows(w, h)):
+            for k1, (an, ad, bn, bd) in enumerate(row):
                 lines.append(f"{k1},{k2},{Fraction(an, ad)},{Fraction(bn, bd)}")
         if _emit("\n".join(lines), args.dump) == 2:
             return 2

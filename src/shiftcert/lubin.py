@@ -19,11 +19,11 @@ make the table x-free in pieces, and :func:`_pieces` checks them:
 
 So only the row-0 vertical weights depend on x: beta^2_(k1,0) = x c(k1),
 with c(0) = 1.  Every other weight is an x-free ratio of piece moments,
-cached by the one index it depends on in a bounded cache, so a diagram
-costs nothing to build and pays for x with one product per column of
-row 0.  A w x h window costs three index runs, not w h rule calls: row 0
-by k1, column 0 by k2 and the interior by k1 + k2, w + h + O(1) cache
-lookups, and each interior row is a slice of the interior run.  The
+cached as a window Row record of ints by the one index it depends on in
+a bounded cache, so a diagram costs nothing to build and pays for x with
+two gcds per column of row 0.  A w x h window costs three index runs,
+not w h rule calls: row 0 by k1, column 0 by k2 and the interior by
+k1 + k2, w + h + O(1) cache lookups, each interior row a list slice.  The
 squared weight at (0, 2) is 43/48 (the surd sqrt(44/48) sometimes quoted
 for it is inconsistent with these moments).
 
@@ -127,24 +127,26 @@ def _moment(piece: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
-def _row_weights(k1: int) -> tuple[Fraction, Fraction]:
+def _row_weights(k1: int) -> tuple[int, int, int, int]:
     # (alpha^2_(k1,0), beta^2_(k1,0) / x); gamma_(k1,1) / x is the column's moment 1 at k1 = 0, the diagonal's past it
     gamma = _moment(_ROW, k1)
-    return _moment(_ROW, k1 + 1) / gamma, _moment(_DIAGONAL if k1 else _COLUMN, k1 + 1) / gamma
+    alpha, beta = _moment(_ROW, k1 + 1) / gamma, _moment(_DIAGONAL if k1 else _COLUMN, k1 + 1) / gamma
+    return *alpha.as_integer_ratio(), *beta.as_integer_ratio()
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
-def _column_weights(k2: int) -> tuple[Fraction, Fraction]:
+def _column_weights(k2: int) -> tuple[int, int, int, int]:
     # (alpha^2_(0,k2), beta^2_(0,k2)) for k2 >= 1; x cancels in both
     core = _moment(_COLUMN, k2)
-    return _moment(_DIAGONAL, k2 + 1) / core, _moment(_COLUMN, k2 + 1) / core
+    alpha, beta = _moment(_DIAGONAL, k2 + 1) / core, _moment(_COLUMN, k2 + 1) / core
+    return *alpha.as_integer_ratio(), *beta.as_integer_ratio()
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
-def _interior_weights(n: int) -> tuple[Fraction, Fraction]:
+def _interior_weights(n: int) -> tuple[int, int, int, int]:
     # (alpha^2_k, beta^2_k), both diagonal_(n+1) / diagonal_n, for k1, k2 >= 1 with k1 + k2 = n
-    weight = _moment(_DIAGONAL, n + 1) / _moment(_DIAGONAL, n)
-    return weight, weight
+    wn, wd = (_moment(_DIAGONAL, n + 1) / _moment(_DIAGONAL, n)).as_integer_ratio()
+    return wn, wd, wn, wd
 
 
 def _parameter(x) -> Fraction:
@@ -174,9 +176,9 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
 
 class _FamilyRule(NamedTuple):
     """The family's weight rule at x seen from the base point (i, j): the
-    pair (alpha^2, beta^2) at (k1 + i, k2 + j), from one index-keyed x-free
-    helper above: row 0's with beta^2 times x, column 0's, or the
-    interior's equal pair."""
+    pair (alpha^2, beta^2) at (k1 + i, k2 + j), built as Fractions from one
+    index-keyed x-free record above: row 0's with beta^2 times x, column
+    0's, or the interior's equal pair."""
 
     x: Fraction
     i: int
@@ -185,58 +187,41 @@ class _FamilyRule(NamedTuple):
     def __call__(self, k1: int, k2: int) -> tuple[Fraction, Fraction]:
         k1, k2 = k1 + self.i, k2 + self.j
         if k2 == 0:
-            alpha, beta = _row_weights(k1)
-            return alpha, self.x * beta
-        if k1 == 0:
-            return _column_weights(k2)
-        return _interior_weights(k1 + k2)
-
-
-def _run(pairs) -> Row:
-    """A run of pairs as one Row, read unchecked: :func:`_pieces` proves each
-    piece mass positive and :func:`_parameter` x, so every value is a positive Fraction."""
-    ans, ads, bns, bds = run = [], [], [], []
-    for alpha, beta in pairs:
-        (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
-        ans.append(an)
-        ads.append(ad)
-        bns.append(bn)
-        bds.append(bd)
-    return run
+            an, ad, bn, bd = _row_weights(k1)
+            return Fraction(an, ad), self.x * Fraction(bn, bd)
+        an, ad, bn, bd = _interior_weights(k1 + k2) if k1 else _column_weights(k2)
+        return Fraction(an, ad), Fraction(bn, bd)
 
 
 class _FamilyDiagram(WeightDiagram):
     """The family's diagram, whose one state is its :class:`_FamilyRule`.
 
-    A window read looks each index of three runs up once: row 0 by k1
-    (its beta^2 is x times the run's, in integers), column 0 by k2 and the
-    interior by k1 + k2, so each interior row is a slice of the interior
-    run.  A point read still calls the rule.
+    A window read looks each cached Row record of three runs up once: row
+    0 by k1 (its beta^2 is x times the cached one, in integers), column 0
+    by k2 and the interior by k1 + k2, so each interior row is a slice of
+    the interior run.  A point read still calls the rule.
     """
 
     def rows(self, w: int, h: int) -> list[Row]:
-        """The pairs on k1 < w, k2 < h, as the per-point reader gives them, each run read unchecked (:func:`_run`)."""
+        """The per-point reader's pairs on k1 < w, k2 < h, read unchecked (positive by :func:`_pieces` and x > 0)."""
         x, i, j = self._rule
         heights = range(max(j, 1), j + h)  # the k2 of the rows past row 0
         first = max(i, 1)  # the first interior k1
         count = max(i + w - first, 0)  # interior points per row
         rows = []
-        column = interior = ([],) * 4  # a run the window does not reach
+        column = interior = []  # a run the window does not reach
         if j == 0 < h:
-            row = _run(map(_row_weights, range(i, i + w)))
-            p, q = x.as_integer_ratio()
-            for t, (n, d) in enumerate(zip(row[2], row[3])):  # x * n/d in lowest terms by two gcds
+            p, q = x.numerator, x.denominator
+            row = []
+            for an, ad, n, d in map(_row_weights, range(i, i + w)):  # x * n/d in lowest terms by two gcds
                 g, k = gcd(p, d), gcd(n, q)
-                row[2][t], row[3][t] = (p // g) * (n // k), (q // k) * (d // g)
+                row.append((an, ad, (p // g) * (n // k), (q // k) * (d // g)))
             rows.append(row)
         if i == 0 < w:
-            column = _run(map(_column_weights, heights))
+            column = list(map(_column_weights, heights))
         if count and heights:
-            interior = _run(map(_interior_weights, range(first + heights[0], i + w + heights[-1])))
-        (cans, cads, cbns, cbds), (ans, ads, bns, bds) = column, interior
-        for r in range(len(heights)):
-            c, s = slice(r, r + 1), slice(r, r + count)  # the column's point, the interior's
-            rows.append((cans[c] + ans[s], cads[c] + ads[s], cbns[c] + bns[s], cbds[c] + bds[s]))
+            interior = list(map(_interior_weights, range(first + heights[0], i + w + heights[-1])))
+        rows.extend(column[r : r + 1] + interior[r : r + count] for r in range(len(heights)))
         return rows
 
     def restricted(self, i: int, j: int) -> WeightDiagram:

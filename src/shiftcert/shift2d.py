@@ -26,21 +26,21 @@ characterization:
 
 A diagram is its one weight rule, which gives the pair (alpha^2, beta^2)
 at a lattice point, and holds no other state.  Every check reads its
-weights through one window reader, ``rows``, each row kept as four int
-lists, the alpha numerators and positive denominators, then the beta
-ones.  A diagram reads one rule call per lattice point, row by row, each
-weight validated positive by ``_positive``; the family's
-(``lubin.family_diagram``) overrides ``rows`` to read its few distinct
-weights, positive by construction, by index runs and gives the same
-ints.  A check takes a diagram or one such read kept as a
-:class:`WindowRead` (``WeightDiagram.read``), which serves every smaller
-rectangle, so several checks read each point once.  The checks then
-decide by the signs of integers, cross-multiplying numerators and
-denominators with no gcd taken; a fraction is built only for a failure
-witness.  The point reads ``alpha_sq`` / ``beta_sq`` read the pair,
-validate their half with the same helper and message, and return it.
-The Berger check steps along the canonical path (row 0, then up a
-column) as it scans, so it builds no moment table.
+weights through one window reader, ``rows``, each row kept as one list
+of records, one per lattice point: the alpha numerator and positive
+denominator, then the beta ones.  A diagram reads one rule call per
+lattice point, row by row, each weight validated positive by
+``_positive``; the family's (``lubin.family_diagram``) overrides
+``rows`` to read its few distinct weights, positive by construction, by
+index runs and gives the same records.  A check takes a diagram or one
+such read kept as a :class:`WindowRead` (``WeightDiagram.read``), which
+serves every smaller rectangle, so several checks read each point once.
+The checks then decide by the signs of integers, cross-multiplying
+numerators and denominators with no gcd taken; a fraction is built only
+for a failure witness.  The point reads ``alpha_sq`` / ``beta_sq`` read
+the pair, validate their half with the same helper and message, and
+return it.  The Berger check steps along the canonical path (row 0, then
+up a column) as it scans, so it builds no moment table.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .measures import AtomicMeasure2D
 from .numerics import _index, _integers, _rational
 
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
-# a window row: alpha^2 numerators, denominators, then beta^2 numerators, denominators
-Row = tuple[list[int], list[int], list[int], list[int]]
+# a window row: one (alpha^2 numerator, denominator, beta^2 numerator, denominator) per k1
+Row = list[tuple[int, int, int, int]]
 Rule = Callable[[int, int], tuple[Fraction, Fraction]]  # (alpha^2, beta^2) by lattice point
 
 
@@ -95,20 +95,15 @@ class WeightDiagram:
         return Fraction(*_positive("beta^2", k1, k2, self._rule(k1, k2)[1]))
 
     def rows(self, w: int, h: int) -> list[Row]:
-        """The pairs on k1 < w, k2 < h, one Row per k2 and one rule call per
-        point, row by row; each weight goes through _positive, which names
-        the first bad point."""
+        """The pairs on k1 < w, k2 < h, one Row per k2 and one rule call and
+        record per point, row by row; each weight goes through _positive,
+        which names the first bad point."""
         rule, rows = self._rule, []
         for k2 in range(h):
-            row = ans, ads, bns, bds = [], [], [], []
+            row = []
             for k1 in range(w):
                 alpha, beta = rule(k1, k2)
-                an, ad = _positive("alpha^2", k1, k2, alpha)
-                bn, bd = _positive("beta^2", k1, k2, beta)
-                ans.append(an)
-                ads.append(ad)
-                bns.append(bn)
-                bds.append(bd)
+                row.append((*_positive("alpha^2", k1, k2, alpha), *_positive("beta^2", k1, k2, beta)))
             rows.append(row)
         return rows
 
@@ -143,7 +138,7 @@ class WindowRead:
             raise ValueError(f"a {self._w}x{self._h} read does not cover a {w}x{h} rectangle")
         if w == self._w:
             return self._rows[:h]
-        return [(ans[:w], ads[:w], bns[:w], bds[:w]) for ans, ads, bns, bds in self._rows[:h]]
+        return [row[:w] for row in self._rows[:h]]
 
 
 Weights = WeightDiagram | WindowRead  # what a check reads its rectangle from
@@ -158,11 +153,8 @@ def commutativity_check(diagram: Weights, window) -> Certificate:
     """
     w, h = _check_window(window)
     rows = diagram.rows(w + 1, h + 1)
-    for k2 in range(h):
-        (a0ns, a0ds, bns, bds), (a2ns, a2ds, _, _) = rows[k2], rows[k2 + 1]
-        for k1, (a0n, a0d, a2n, a2d, b0n, b0d, b1n, b1d) in enumerate(
-            zip(a0ns, a0ds, a2ns, a2ds, bns, bds, bns[1:], bds[1:])
-        ):
+    for k2, (row, above) in enumerate(zip(rows, rows[1:])):
+        for k1, ((a0n, a0d, b0n, b0d), (_, _, b1n, b1d), (a2n, a2d, _, _)) in enumerate(zip(row, row[1:], above)):
             if b1n * a0n * a2d * b0d != a2n * b0n * b1d * a0d:
                 return Certificate(
                     "commutativity_check",
@@ -199,7 +191,6 @@ def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificat
     """
     w, h = _check_window(window)
     rows = diagram.rows(w, max(h - 1, 1))
-    alpha_ns, alpha_ds = rows[0][:2]
     f, masses = _integers([m for _, m in mu.atoms])
     b, ss = _integers([s for (s, _), _ in mu.atoms])
     d, ts = _integers([t for (_, t), _ in mu.atoms])
@@ -208,14 +199,12 @@ def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificat
     for k2 in range(h):
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]
         below, numerators = numerators, []
-        if k2:
-            beta_ns, beta_ds = rows[k2 - 1][2:]
         for k1 in range(w):
             numerator = sum(ec * a_powers[k1] for ec, a_powers in row)
             if k2:
-                wn, wd, previous, step = beta_ns[k1], beta_ds[k1], below[k1], d
+                (_, _, wn, wd), previous, step = rows[k2 - 1][k1], below[k1], d
             elif k1:
-                wn, wd, previous, step = alpha_ns[k1 - 1], alpha_ds[k1 - 1], numerators[k1 - 1], b
+                (wn, wd, _, _), previous, step = rows[0][k1 - 1], numerators[k1 - 1], b
             else:
                 (wn, wd), previous, step = (1, 1), f, 1  # the mass N(0, 0) / f
             if numerator * wd != previous * wn * step:
@@ -257,23 +246,18 @@ def joint_hyponormality_window(diagram: Weights, window) -> Certificate:
     """
     w, h = _check_window(window)
     rows = diagram.rows(w, h)
-    for k2 in range(h):
-        ans, ads, bns, bds = rows[k2]
-        if k2 + 1 < h:
-            a2ns, a2ds, b1ns, b1ds = rows[k2 + 1]
+    for k2, row in enumerate(rows):
         for k1 in range(w):
-            a0n, a0d, b0n, b0d = ans[k1], ads[k1], bns[k1], bds[k1]
+            a0n, a0d, b0n, b0d = row[k1]
             a = d = p = q = None  # each entry as (numerator, positive denominator)
             if k1 + 1 < w:
-                a1n, a1d = ans[k1 + 1], ads[k1 + 1]
+                a1n, a1d, b2n, b2d = row[k1 + 1]  # the pair at k + (1, 0)
                 a = (a1n * a0d - a0n * a1d, a0d * a1d)
             if k2 + 1 < h:
-                b1n, b1d = b1ns[k1], b1ds[k1]
+                a2n, a2d, b1n, b1d = rows[k2 + 1][k1]  # the pair at k + (0, 1)
                 d = (b1n * b0d - b0n * b1d, b0d * b1d)
             ok = (a is None or a[0] >= 0) and (d is None or d[0] >= 0)
             if ok and a is not None and d is not None:
-                a2n, a2d = a2ns[k1], a2ds[k1]
-                b2n, b2d = bns[k1 + 1], bds[k1 + 1]
                 p = (a2n * b2n, a2d * b2d)
                 q = (a0n * b0n, a0d * b0d)
                 # r and 4 P Q times L and L^2, with L = P_den Q_den a1_den b1_den

@@ -519,14 +519,14 @@ class TestWindowReader:
         assert joint_hyponormality_window(ones, (4, 3)).ok
         assert check_berger_2d(ones, UNIT_MASS, (4, 3)).ok
         assert ones.alpha_sq(2, 1) == 1 and type(ones.alpha_sq(2, 1)) is F
-        assert ones.rows(2, 1) == [([1, 1], [1, 1], [1, 1], [1, 1])]
+        assert ones.rows(2, 1) == [[(1, 1, 1, 1), (1, 1, 1, 1)]]
         # an int rule reads to the Rows of the equal Fraction rule
         ints = two_rules(lambda k1, k2: k1 + 2 * k2 + 1, lambda k1, k2: 3 * k1 + k2 + 2)
         fractions = two_rules(lambda k1, k2: F(k1 + 2 * k2 + 1), lambda k1, k2: F(3 * k1 + k2 + 2))
         assert ints.rows(4, 3) == fractions.rows(4, 3)
         # a failure's witness is still a Fraction
         twos = two_rules(lambda k1, k2: 1, lambda k1, k2: 2 if (k1, k2) == (0, 1) else 1)
-        assert twos.rows(1, 2) == [([1], [1], [1], [1]), ([1], [1], [2], [1])]
+        assert twos.rows(1, 2) == [[(1, 1, 1, 1)], [(1, 1, 2, 1)]]
         cert = commutativity_check(twos, (1, 2))
         assert not cert.ok
         assert cert.witness["k"] == [0, 1]
@@ -594,12 +594,12 @@ class TestOneRead:
 
 
 def lowest_terms(rows) -> bool:
-    """Every pair of every Row positive and in lowest terms."""
+    """Every pair of every point's record positive and in lowest terms."""
     return all(
         n > 0 and d > 0 and math.gcd(n, d) == 1
         for row in rows
-        for ns, ds in (row[:2], row[2:])
-        for n, d in zip(ns, ds)
+        for point in row
+        for n, d in (point[:2], point[2:])
     )
 
 
@@ -634,7 +634,7 @@ class TestFamilyRunRead:
                 for w, h in self.WINDOWS:
                     rows = runs.rows(w, h)
                     assert rows == points.rows(w, h)
-                    assert len(rows) == h and all(len(part) == w for row in rows for part in row)
+                    assert len(rows) == h and all(len(row) == w for row in rows)
                     assert lowest_terms(rows)
 
     def test_family_read_restricts_by_moving_its_base(self):
@@ -667,17 +667,36 @@ class TestFamilyRunRead:
             rows, built = fractions_built(lambda: diagram.read(33, 33).rows(33, 33))
             assert (rows, built) == (want, 0)
 
+    def test_a_warm_family_read_converts_nothing(self, monkeypatch):
+        # the weight caches hold each point's record as ints, so a warm read takes
+        # them as they are: no Fraction is read back into a pair
+        calls = []
+        original = F.as_integer_ratio
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        for base in ((0, 0), (5, 0)):
+            diagram = family_diagram(F(1, 10)).restricted(*base)
+            diagram.read(33, 33)  # warm the weight caches
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "as_integer_ratio", counted)
+                diagram.read(33, 33)
+            assert calls == []
+
     def test_family_read_trusts_a_positive_fraction_at_every_index_a_window_reaches(self):
-        # the run read checks no value: every weight cache gives a pair of positive
-        # Fractions at each index up to the depth cap, as _pieces proves
+        # the run read checks no value: every weight cache gives four positive ints,
+        # each pair in lowest terms, at each index up to the depth cap, as _pieces proves
         try:
-            pairs = [
+            records = [
                 *map(lubin._row_weights, range(DEPTH_MAX + 1)),
                 *map(lubin._column_weights, range(1, DEPTH_MAX + 1)),
                 *map(lubin._interior_weights, range(2, DEPTH_MAX + 1)),
             ]
-            assert len(pairs) == 3 * DEPTH_MAX
-            assert [pair for pair in pairs if not all(type(v) is F and v > 0 for v in pair)] == []
+            assert len(records) == 3 * DEPTH_MAX
+            assert [r for r in records if not (len(r) == 4 and all(type(v) is int for v in r))] == []
+            assert lowest_terms([records])
         finally:  # leave no full cache for the cache-growth tests
             for value in vars(lubin).values():
                 if hasattr(value, "cache_clear"):
