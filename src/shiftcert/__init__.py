@@ -11,6 +11,8 @@ Everything decision-bearing returns a :class:`~shiftcert.certificate.Certificate
 carrying an exact witness, so a failure can be replayed by hand.
 """
 
+import types
+
 from .certificate import Certificate
 from .errors import (
     InconsistentMomentsError,
@@ -74,51 +76,5 @@ from .agler import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicMeasure1D",
-    "AtomicMeasure2D",
-    "Certificate",
-    "InconsistentMomentsError",
-    "InfiniteReciprocalNormError",
-    "NoRationalAtomsError",
-    "PAIR_THRESHOLD",
-    "RankExceededError",
-    "ShiftCertError",
-    "T2_THRESHOLD",
-    "WeightDiagram",
-    "WeightSequence1D",
-    "ZeroMomentError",
-    "agler_sums_1d",
-    "backward_extension_1d",
-    "berger_fit",
-    "certified_epsilon",
-    "certified_x_max",
-    "certify_sum",
-    "check_berger_2d",
-    "commutativity_check",
-    "extremal",
-    "family_diagram",
-    "family_report",
-    "integral_moment",
-    "is_pair_subnormal",
-    "is_psd",
-    "is_t1_subnormal",
-    "is_t2_subnormal",
-    "joint_hyponormality_window",
-    "marginal",
-    "measure_from_dict",
-    "moment1",
-    "moment2",
-    "moment_run",
-    "p_n_bruteforce",
-    "p_n_closed",
-    "parse_rational",
-    "positivity_over_all_k",
-    "reciprocal_norm",
-    "restrict_density",
-    "subnormal_necessary",
-    "tail_stopping_index",
-    "threshold_pair",
-    "threshold_t1",
-    "threshold_t2",
-]
+# the re-exports: every public name the imports above bind, not a submodule
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, types.ModuleType))

@@ -353,13 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure", help="measure JSON file (dim 1)")
     p.add_argument("--n-max", type=_integer, default=16)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 
     p = leaves["fit",] = sub.add_parser("fit", help="recover the atomic measure behind moments")
     p.add_argument("moments", help="CSV file with columns n,gamma_n")
     p.add_argument("--max-atoms", type=_integer, default=4)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
     p = leaves["check1d",] = sub.add_parser("check1d", help="one-variable subnormality battery")
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_integer, default=4)
     p.add_argument("--backext-alpha0", help="squared weight to prepend (p/q)")
     p.add_argument("--backext-measure", help="measure JSON for the extension test")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check1d)
 
     p = leaves["check2d",] = sub.add_parser("check2d", help="planar battery on the family diagram")
@@ -381,14 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--hyponormal", action="store_true", help="exact joint hyponormality test on the window"
     )
     p.add_argument("--dump", help="write the window's weights as CSV here")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check2d)
 
     p = sub.add_parser("lubin", help="verdicts for the parametric family")
     lubin_sub = p.add_subparsers(dest="lubin_command", required=True)
     pc = leaves["lubin", "certify"] = lubin_sub.add_parser("certify", help="full verdict sheet at a parameter")
     pc.add_argument("--x", required=True, help="family parameter (p/q)")
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_lubin_certify)
 
     p = leaves["sweep",] = sub.add_parser("sweep", help="grid of alternating sums as CSV")
@@ -397,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-step", required=True)
     p.add_argument("--n-max", type=_integer, default=8)
     p.add_argument("--k-max", type=_integer, default=4)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = leaves["epsilon",] = sub.add_parser("epsilon", help="certified margin past the joint threshold")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_epsilon)
 
+    for leaf in leaves.values():  # every command writes to stdout or --out, its last option
+        leaf.add_argument("--out")
     return parser
 
 

@@ -176,20 +176,16 @@ def moment2d(k1: int, k2: int, x) -> Fraction:
 
 class _FamilyRule(NamedTuple):
     """The family's weight rule at x seen from the base point (i, j): the
-    pair (alpha^2, beta^2) at (k1 + i, k2 + j), built as Fractions from one
-    index-keyed x-free record above: row 0's with beta^2 times x, column
-    0's, or the interior's equal pair."""
+    pair (alpha^2, beta^2) at (k1 + i, k2 + j) as Fractions, the one record
+    of the 1x1 window read at that point, so a point read takes the window
+    read's index path."""
 
     x: Fraction
     i: int
     j: int
 
     def __call__(self, k1: int, k2: int) -> tuple[Fraction, Fraction]:
-        k1, k2 = k1 + self.i, k2 + self.j
-        if k2 == 0:
-            an, ad, bn, bd = _row_weights(k1)
-            return Fraction(an, ad), self.x * Fraction(bn, bd)
-        an, ad, bn, bd = _interior_weights(k1 + k2) if k1 else _column_weights(k2)
+        [[(an, ad, bn, bd)]] = _FamilyDiagram(self._replace(i=self.i + k1, j=self.j + k2)).rows(1, 1)
         return Fraction(an, ad), Fraction(bn, bd)
 
 
@@ -199,11 +195,13 @@ class _FamilyDiagram(WeightDiagram):
     A window read looks each cached Row record of three runs up once: row
     0 by k1 (its beta^2 is x times the cached one, in integers), column 0
     by k2 and the interior by k1 + k2, so each interior row is a slice of
-    the interior run.  A point read still calls the rule.
+    the interior run.  A point read calls the rule, which reads the 1x1
+    window at the point, so every read of the family goes through ``rows``.
     """
 
     def rows(self, w: int, h: int) -> list[Row]:
-        """The per-point reader's pairs on k1 < w, k2 < h, read unchecked (positive by :func:`_pieces` and x > 0)."""
+        """The records gamma_(k+e) / gamma_k on k1 < w, k2 < h, in lowest
+        terms and read unchecked (positive by :func:`_pieces` and x > 0)."""
         x, i, j = self._rule
         heights = range(max(j, 1), j + h)  # the k2 of the rows past row 0
         first = max(i, 1)  # the first interior k1

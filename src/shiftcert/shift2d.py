@@ -80,8 +80,8 @@ class WeightDiagram:
     """Squared weights (alpha^2, beta^2) indexed by lattice points: the one
     rule giving the pair and no other state.  A point read gives a Fraction,
     a window read Rows; both validate each weight the same way.  A subclass
-    may read a window from its rule's structure, and this per-point read is
-    the oracle it must match."""
+    may read a window from its rule's structure, and must give the records
+    this per-point read gives."""
 
     def __init__(self, rule: Rule):
         self._rule = rule

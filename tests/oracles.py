@@ -178,6 +178,18 @@ def family_moment(x, k1: int, k2: int) -> Fraction:
     return x / 8 * moment2(mu_m_cap_n(), k1 - 1, k2 - 1)
 
 
+def family_rows(x, i: int, j: int, w: int, h: int) -> list:
+    """The family's window rows on k1 < w, k2 < h seen from the base point
+    (i, j): each point's record (alpha^2 numerator, denominator, beta^2
+    numerator, denominator) read off the closed-form moments as
+    gamma_(k+e) / gamma_k, with no weight cache or index run of ``lubin``."""
+    gamma = [[family_moment(x, k1, k2) for k1 in range(i, i + w + 1)] for k2 in range(j, j + h + 1)]
+    return [
+        [(*(row[c + 1] / row[c]).as_integer_ratio(), *(above[c] / row[c]).as_integer_ratio()) for c in range(w)]
+        for row, above in zip(gamma, gamma[1:])
+    ]
+
+
 def mass_at(mu, point) -> Fraction:
     """The mass of an atomic measure at a point: a number on the half-line, a pair in the plane."""
     return dict(mu.atoms).get(point, Fraction(0))

@@ -1121,6 +1121,17 @@ class TestParser:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    def test_every_command_takes_one_out_as_its_last_option(self):
+        # --out is declared once for every command, after the command's own options,
+        # so each usage line and help text ends with it
+        leaves = build_parser().leaves
+        assert len(leaves) == 7
+        for words, leaf in leaves.items():
+            options = [action.option_strings for action in leaf._actions]
+            assert options.count(["--out"]) == 1, words
+            assert options[-1] == ["--out"], words
+            assert leaf._actions[-1].dest == "out" and leaf._actions[-1].default is None, words
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -14,6 +14,7 @@ from oracles import (
     backward_extension_2d,
     canonical_moment,
     family_moment,
+    family_rows,
     seeded_x,
     swapped,
     xi_a,
@@ -605,7 +606,9 @@ def lowest_terms(rows) -> bool:
 
 class TestFamilyRunRead:
     """The family reads a window by index runs: row 0 by k1, column 0 by k2 and
-    the interior by k1 + k2.  The per-point reader of its own rule is the oracle."""
+    the interior by k1 + k2.  Its point read is its 1x1 window read, so the
+    oracle is the ratios gamma_(k+e) / gamma_k of the closed-form moments
+    (``family_rows``), which read no weight cache."""
 
     WINDOWS = [(1, 1), (1, 9), (9, 1), (1, 33), (33, 1), (6, 4), (33, 33), (0, 5), (5, 0)]
 
@@ -624,38 +627,76 @@ class TestFamilyRunRead:
             (deep - 7, 7),
         ]
 
-    def test_family_read_matches_the_per_point_read(self):
+    def test_family_read_matches_the_moment_ratios(self):
         rng = random.Random(34)
         for n in range(8):
-            diagram = family_diagram(seeded_x(rng, n % 4))
-            oracle = WeightDiagram(diagram._rule)
+            x = seeded_x(rng, n % 4)
+            diagram = family_diagram(x)
             for i, j in self.bases(rng):
-                runs, points = diagram.restricted(i, j), oracle.restricted(i, j)
+                runs, want = diagram.restricted(i, j), family_rows(x, i, j, 33, 33)
                 for w, h in self.WINDOWS:
                     rows = runs.rows(w, h)
-                    assert rows == points.rows(w, h)
+                    assert rows == [row[:w] for row in want[:h]]
                     assert len(rows) == h and all(len(row) == w for row in rows)
                     assert lowest_terms(rows)
+
+    def test_family_read_oracle_reads_no_weight_cache(self, monkeypatch):
+        # the oracle builds with every weight cache refused, so it checks the run read
+        # rather than repeating it; the run read then gives its rows
+        rng = random.Random(37)
+        x = seeded_x(rng, 1)
+        bases = self.bases(rng)
+
+        def refuse(index):
+            raise AssertionError(f"a weight cache read at {index}")
+
+        with monkeypatch.context() as patch:
+            for name in ("_row_weights", "_column_weights", "_interior_weights"):
+                patch.setattr(lubin, name, refuse)
+            want = [family_rows(x, i, j, 33, 33) for i, j in bases]
+            for i, j in bases:
+                with pytest.raises(AssertionError, match="a weight cache read"):
+                    family_diagram(x).restricted(i, j).rows(33, 33)
+        assert [family_diagram(x).restricted(i, j).rows(33, 33) for i, j in bases] == want
+
+    def test_a_family_point_read_is_its_one_point_window_read(self):
+        # a point read goes through the window reader, on the axes, inside and at the depth cap
+        rng = random.Random(38)
+        x = seeded_x(rng, 2)
+        diagram = family_diagram(x)
+        points = [(0, 0), (DEPTH_MAX, 0), (0, DEPTH_MAX), (DEPTH_MAX - 1, 1), (1, DEPTH_MAX - 1)]
+        points += [(rng.randrange(DEPTH_MAX + 1), 0) for _ in range(4)]
+        points += [(0, rng.randrange(1, DEPTH_MAX + 1)) for _ in range(4)]
+        points += [(k1, rng.randrange(1, DEPTH_MAX + 1 - k1)) for k1 in rng.sample(range(1, DEPTH_MAX), 8)]
+        for k1, k2 in points:
+            [[(an, ad, bn, bd)]] = diagram.restricted(k1, k2).rows(1, 1)
+            pair = F(an, ad), F(bn, bd)
+            assert (diagram.alpha_sq(k1, k2), diagram.beta_sq(k1, k2)) == diagram._rule(k1, k2) == pair
+            i, j = rng.randint(0, k1), rng.randint(0, k2)
+            based = diagram.restricted(i, j)
+            assert (based.alpha_sq(k1 - i, k2 - j), based.beta_sq(k1 - i, k2 - j)) == pair
+            gamma = family_moment(x, k1, k2)
+            assert pair == (family_moment(x, k1 + 1, k2) / gamma, family_moment(x, k1, k2 + 1) / gamma)
 
     def test_family_read_restricts_by_moving_its_base(self):
         rng = random.Random(35)
         for n in range(4):
-            diagram = family_diagram(seeded_x(rng, n))
-            oracle = WeightDiagram(diagram._rule)
+            x = seeded_x(rng, n)
+            diagram = family_diagram(x)
             nested = diagram.restricted(0, 3).restricted(2, 0).restricted(1, 1)
-            assert nested.rows(12, 10) == oracle.restricted(3, 4).rows(12, 10)
+            assert nested.rows(12, 10) == family_rows(x, 3, 4, 12, 10)
             assert nested.restricted(0, 0).rows(5, 5) == nested.rows(5, 5)
             assert vars(nested) == {"_rule": diagram._rule._replace(i=3, j=4)}
 
     def test_family_read_serves_every_smaller_rectangle(self):
         rng = random.Random(36)
         for n in range(4):
-            diagram = family_diagram(seeded_x(rng, n))
-            oracle = WeightDiagram(diagram._rule)
+            x = seeded_x(rng, n)
+            diagram = family_diagram(x)
             for i, j in ((0, 0), (2, 0), (0, 3), (4, 1)):
                 read = diagram.restricted(i, j).read(9, 7)
                 for w, h in ((1, 1), (9, 1), (1, 7), (4, 5), (9, 7)):
-                    assert read.rows(w, h) == oracle.restricted(i, j).rows(w, h)
+                    assert read.rows(w, h) == family_rows(x, i, j, w, h)
                 assert lowest_terms(read.rows(9, 7))
 
     def test_a_warm_family_read_builds_no_fraction(self, fractions_built):
@@ -663,7 +704,7 @@ class TestFamilyRunRead:
         x = F(172938225691027032, 1152921504606846883)
         for base in ((0, 0), (5, 0)):
             diagram = family_diagram(x).restricted(*base)
-            want = WeightDiagram(diagram._rule).rows(33, 33)
+            want = family_rows(x, *base, 33, 33)
             rows, built = fractions_built(lambda: diagram.read(33, 33).rows(33, 33))
             assert (rows, built) == (want, 0)
 
