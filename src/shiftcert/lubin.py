@@ -241,7 +241,9 @@ def _slices(kind: str) -> tuple[tuple, tuple]:
     and the one that binds: each slice's terms (base, constant, slope) read
     once, into its threshold and index and into integers, (q, den, rows) by
     ``_integer_terms``.  The binding slice has the least threshold, the
-    first on a tie, and is all ``None`` when no x > 0 fails.
+    first on a tie, and is all ``None`` when no x > 0 fails.  The column and
+    atom tables must bind at the headline thresholds, :data:`T2_THRESHOLD`
+    and :data:`PAIR_THRESHOLD`, or the build raises ``ArithmeticError``.
 
     Row k2's mass at s = p sums mass * t^k2 over mu's atoms at (p, t), an
     exponential sum in k2; a column's mass at t = p likewise sums over the
@@ -256,6 +258,9 @@ def _slices(kind: str) -> tuple[tuple, tuple]:
             grouped.setdefault(point[axis], []).append((point[1 - axis], c, d))
     slices = tuple((point, *exponential_sum_threshold(t), _integer_terms(t)) for point, t in sorted(grouped.items()))
     binding = min((s for s in slices if s[1] is not None), key=lambda s: s[1], default=(None,) * 4)
+    headline = {"column": T2_THRESHOLD, "atom": PAIR_THRESHOLD}
+    if kind in headline and binding[1] != headline[kind]:
+        raise ArithmeticError(f"expected the {kind} threshold to be {headline[kind]}, got {binding[1]}")
     return slices, binding
 
 
@@ -298,22 +303,14 @@ def threshold_t1() -> Certificate:
     return Certificate("threshold_t1", threshold is None, witness)
 
 
-def _headline(kind: str, expected: Fraction) -> Fraction:
-    """The threshold of ``kind``, which must be the headline value ``expected``."""
-    _, threshold, _, _ = _slices(kind)[1]
-    if threshold != expected:
-        raise ArithmeticError(f"expected the {kind} threshold to be {expected}, got {threshold}")
-    return threshold
-
-
 def threshold_t2() -> Fraction:
     """Exact T2 threshold 8/33, read off mu's column slices: column 1 binds, at t = 0."""
-    return _headline("column", T2_THRESHOLD)
+    return _slices("column")[1][1]
 
 
 def threshold_pair() -> Fraction:
     """Exact joint threshold 2/11: the least x past which an atom of mu goes negative."""
-    return _headline("atom", PAIR_THRESHOLD)
+    return _slices("atom")[1][1]
 
 
 def is_t1_subnormal(x) -> Certificate:

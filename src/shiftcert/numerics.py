@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -39,14 +40,19 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer string.
 
     Decimal literals are rejected on purpose: every interface of this
-    package is exact, and a caller holding ``0.1`` has already lost.
+    package is exact, and a caller holding ``0.1`` has already lost.  An
+    integer past Python's string limit is refused with the literal's digit count.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational literal: {text!r}")
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # the syntax is checked, so only the integer digit limit remains
+        digits, limit = sum(c.isdigit() for c in s), sys.get_int_max_str_digits()
+        raise ValueError(f"a rational literal of {digits} digits passes the limit of {limit} digits per integer") from None
 
 
 def _index(value, what: str, least: int = 0) -> int:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .certificate import Certificate
 from .errors import (
@@ -41,20 +41,18 @@ from .errors import (
 from .measures import AtomicMeasure1D, moment_run, reciprocal_norm
 from .numerics import _index, _integers, _rational, is_psd, rref
 
-Rule = Callable[[int], Fraction]  # a moment by index
-
 
 class WeightSequence1D:
     """A weighted shift given by its moments, with a declared norm bound.
 
-    The shift is its moment sequence, ``moment_rule(k) = gamma_k``; each
-    moment is computed once and kept: the rule runs once per index, in index
-    order, so it may be ``next`` on a run.  The squared weights are the ratios
-    gamma_{n+1} / gamma_n, each checked to be positive and at most the bound.
+    The shift is its moment sequence gamma_0, gamma_1, ..., read from one
+    run as far as an index needs and kept.  The squared weights are the
+    ratios gamma_{n+1} / gamma_n, each checked to be positive and at most
+    the bound.
     """
 
-    def __init__(self, moment_rule: Rule, norm_bound_sq):
-        self._moment_rule = moment_rule
+    def __init__(self, moments: Iterable, norm_bound_sq):
+        self._run = iter(moments)
         self.norm_bound_sq = _rational(norm_bound_sq, "norm bound")
         if self.norm_bound_sq <= 0:
             raise ValueError("norm bound must be positive")
@@ -76,8 +74,10 @@ class WeightSequence1D:
 
     def moment(self, n: int) -> Fraction:
         n = _index(n, "moment order")
-        while len(self._moments) <= n:
-            self._moments.append(self._moment_rule(len(self._moments)))
+        if len(self._moments) <= n:
+            self._moments += islice(self._run, n + 1 - len(self._moments))
+            if len(self._moments) <= n:
+                raise ValueError(f"the moment run ends before index {n}")
         return self._moments[n]
 
     @classmethod
@@ -94,8 +94,7 @@ class WeightSequence1D:
         bound = max(p for p, _ in xi.atoms)
         if bound == 0:
             raise ValueError("the Berger measure has no atom above 0, so every weight would be 0")
-        run = chain([total], run)
-        return cls(lambda k: next(run), bound)
+        return cls(chain([total], run), bound)
 
     @classmethod
     def from_prefix(cls, squared_prefix: Sequence, norm_bound_sq=None) -> "WeightSequence1D":
@@ -109,8 +108,7 @@ class WeightSequence1D:
         if not prefix:
             raise ValueError("prefix must be nonempty")
         bound = _rational(norm_bound_sq, "norm bound") if norm_bound_sq is not None else max(prefix)
-        run = _products(chain(prefix, repeat(prefix[-1])))
-        w = cls(lambda k: next(run), bound)
+        w = cls(_products(chain(prefix, repeat(prefix[-1]))), bound)
         for n, v in enumerate(prefix):
             w._checked(n, v)
         return w

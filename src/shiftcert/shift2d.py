@@ -55,7 +55,6 @@ from .numerics import _index, _integers, _rational
 Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
 # a window row: one (alpha^2 numerator, denominator, beta^2 numerator, denominator) per k1
 Row = list[tuple[int, int, int, int]]
-Rule = Callable[[int, int], tuple[Fraction, Fraction]]  # (alpha^2, beta^2) by lattice point
 
 
 def _check_window(window) -> tuple[int, int]:
@@ -83,7 +82,7 @@ class WeightDiagram:
     may read a window from its rule's structure, and must give the records
     this per-point read gives."""
 
-    def __init__(self, rule: Rule):
+    def __init__(self, rule: Callable[[int, int], tuple[Fraction, Fraction]]):
         self._rule = rule
 
     def alpha_sq(self, k1: int, k2: int) -> Fraction:

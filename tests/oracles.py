@@ -546,7 +546,7 @@ def from_prefix_reference(squared_prefix, norm_bound_sq=None) -> WeightSequence1
     for v in prefix:
         products.append(products[-1] * v)
     last, size = prefix[-1], len(prefix)
-    w = WeightSequence1D(lambda k: products[k] if k <= size else products[size] * last ** (k - size), bound)
+    w = WeightSequence1D((products[k] if k <= size else products[size] * last ** (k - size) for k in itertools.count()), bound)
     for n in range(size):
         w.squared_weight(n)
     return w

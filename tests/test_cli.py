@@ -1083,6 +1083,27 @@ class TestMalformedInput:
         assert result.stdout == ""
         assert result.stderr == f"error: cannot load weights: unknown tail rule {tail!r}\n"
 
+    @pytest.mark.parametrize("where", ["--x", "measure"])
+    def test_a_literal_past_the_digit_limit_is_a_usage_error(self, where, tmp_path, capsys):
+        # a 5,001-digit integer passes Python's integer string limit inside Fraction; the
+        # error counts its digits on one line, in process and from a fresh interpreter
+        big = "7" + "0" * 5000  # str(7 * 10**5000) would itself meet the limit
+        limit = sys.get_int_max_str_digits()
+        if where == "--x":
+            argv, cause, digits = ["lubin", "certify", "--x", big], "", 5001
+        else:
+            path = tmp_path / "measure.json"
+            path.write_text(json.dumps({"dim": 1, "atoms": [{"point": f"1/{big}", "mass": "1"}]}))
+            argv, cause, digits = ["moments", str(path)], "cannot load measure: ", 5002
+        err = f"error: {cause}a rational literal of {digits} digits passes the limit of {limit} digits per integer\n"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-m", "shiftcert.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
     @pytest.mark.parametrize("alpha0", ["0", "-1/2"])
     def test_nonpositive_backext_alpha0_is_a_usage_error(self, alpha0, weights_file, xi_a_file, capsys):
         argv = ["check1d", weights_file, f"--backext-alpha0={alpha0}", "--backext-measure", xi_a_file]

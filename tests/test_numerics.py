@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -55,6 +56,22 @@ class TestParseRational:
     def test_round_trips_with_str(self):
         for value in (F(2, 11), F(-5), F(0), F(43, 48)):
             assert parse_rational(str(value)) == value
+
+    @pytest.mark.parametrize("text", ["7" + "0" * 5000, "-1/7" + "0" * 5000], ids=["numerator", "denominator"])
+    def test_a_literal_past_the_digit_limit_gives_its_digit_count(self, text):
+        # Fraction meets Python's integer string limit; the one message counts the
+        # literal's digits and does not echo it
+        limit = sys.get_int_max_str_digits()
+        digits = sum(c.isdigit() for c in text)
+        message = f"a rational literal of {digits} digits passes the limit of {limit} digits per integer"
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == message
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_a_literal_at_the_digit_limit_parses(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1/{'7' * limit}") == F(1, int("7" * limit))
 
 
 def chu_vandermonde_sum(n):
@@ -355,7 +372,7 @@ class TestExactInputs:
             lambda v: AtomicMeasure1D([(v, F(1))]),
             lambda v: AtomicMeasure1D([(F(1, 2), v)]),
             lambda v: AtomicMeasure2D([((F(1, 2), v), F(1))]),
-            lambda v: WeightSequence1D(lambda k: F(1), v),
+            lambda v: WeightSequence1D(itertools.repeat(F(1)), v),
             lambda v: WeightSequence1D.from_prefix([F(1, 2), v]),
             lambda v: backward_extension_1d(v, AtomicMeasure1D([(F(1, 2), F(1))])),
             lambda v: berger_fit([F(1), v, F(1, 4)], 1),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +35,7 @@ def dirac(point):
 def restrict(w, i):
     """The shift on the invariant subspace of indices >= i: its weights shifted
     by i, so its moments are gamma_(k+i) / gamma_i."""
-    return WeightSequence1D(lambda k: w.moment(k + i) / w.moment(i), w.norm_bound_sq)
+    return WeightSequence1D((w.moment(k + i) / w.moment(i) for k in count()), w.norm_bound_sq)
 
 
 XI_A = AtomicMeasure1D(
@@ -488,7 +489,7 @@ class TestAglerSums1D:
             else:
                 points = {bound * F(rng.randint(1, q), q) for q in (rng.randint(1, 12) for _ in range(rng.randint(1, 4)))}
                 xi = AtomicMeasure1D((p, F(1, len(points))) for p in points)
-                w = WeightSequence1D(lambda k, xi=xi: moment1(xi, k), bound)
+                w = WeightSequence1D((moment1(xi, k) for k in count()), bound)
             n_max, k_max = rng.randint(1, 12), rng.randint(0, 8)
             cert = agler_sums_1d(w, n_max, k_max)
             assert cert == agler_sums_1d_reference(w, n_max, k_max)
@@ -498,22 +499,44 @@ class TestAglerSums1D:
 
     def test_each_moment_is_computed_and_read_once(self, monkeypatch):
         # at n_max = k_max = 64 the sums read gamma_0 .. gamma_128 once each; a
-        # measure-backed sequence runs its rule once per index, in index order,
+        # measure-backed sequence pulls each from its run once, in index order,
         # and reads the atoms into integers once (the masses and the points)
         xi = AtomicMeasure1D([(F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(1), F(1, 4)), (F(3, 2), F(1, 4))])
         integer_reads = []
         monkeypatch.setattr(measures, "_integers", lambda values: integer_reads.append(len(values)) or _integers(values))
         w = WeightSequence1D.from_measure(xi)
-        rule, ruled = w._moment_rule, []
-        w._moment_rule = lambda k: ruled.append(k) or rule(k)
+        run, pulled = w._run, []
+
+        def counted():
+            for k, m in enumerate(run):
+                pulled.append(k)
+                yield m
+
+        w._run = counted()
         reads = []
         moment = w.moment
         w.moment = lambda n: reads.append(n) or moment(n)
         assert agler_sums_1d(w, 64, 64).ok
         assert reads == list(range(129))
-        assert ruled == list(range(129))
+        assert pulled == list(range(129))
         assert integer_reads == [4, 4]
         assert [w.moment(k) for k in range(129)] == [moment1_reference(xi, k) for k in range(129)]
+
+    def test_one_generator_serves_every_check_on_its_shift(self):
+        # the run is read once, as far as each check needs: the necessary test reads
+        # gamma_0 .. gamma_13, and the sums then read on from gamma_14 to gamma_40
+        xi = AtomicMeasure1D([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4)), (F(1), F(1, 4))])
+        w = WeightSequence1D((moment1(xi, k) for k in count()), 1)
+        measured = WeightSequence1D.from_measure(xi)
+        assert subnormal_necessary(w, 6) == subnormal_necessary(measured, 6)
+        assert agler_sums_1d(w, 20, 20) == agler_sums_1d(measured, 20, 20)
+        assert subnormal_necessary(w, 6).ok and agler_sums_1d(w, 20, 20).ok
+
+    def test_a_run_that_ends_early_names_the_missing_index(self):
+        w = WeightSequence1D([F(1), F(1, 2)], 1)
+        assert [w.moment(0), w.moment(1)] == [F(1), F(1, 2)]
+        with pytest.raises(ValueError, match="index 2$"):
+            subnormal_necessary(w, 4)
 
 
 class TestBackwardExtension1D:
@@ -627,16 +650,22 @@ class TestBergerFit:
         assert str(caught.value) == "recurrence polynomial of degree 3 has only 0 distinct rational roots"
         assert 0 < len(calls) <= 2 + (8 * n).bit_length()
 
-    def test_a_cell_with_one_crossing_is_halved_by_the_sign_of_r_alone(self, monkeypatch):
-        # eight atoms at 1/(10^20 + j): once the Sturm chain (nine polynomials)
-        # has put each root in a cell of its own, one evaluation of R per step
-        # finds it; evaluating the whole chain at every step took 29,996
-        mu = AtomicMeasure1D([(F(1, 10**20 + j), F(1, 8)) for j in range(1, 9)])
+    @pytest.mark.parametrize(
+        "points, most",
+        [([F(1, 10**20 + j) for j in range(1, 9)], 6000), ([F(j, 17) for j in range(1, 17)], 5000)],
+        ids=["8-large", "16-uniform"],
+    )
+    def test_a_cell_with_one_crossing_is_halved_by_the_sign_of_r_alone(self, monkeypatch, points, most):
+        # once the Sturm chain has put each root in a cell of its own, one evaluation
+        # of R per step finds it: 4,484 evaluations for eight atoms at 1/(10^20 + j)
+        # and 1,491 for the uniform measure on j/17, where evaluating the whole chain
+        # at every step took 29,996 and 17,203
+        mu = AtomicMeasure1D([(p, F(1, len(points))) for p in points])
         calls = []
         value = shift1d._value
         monkeypatch.setattr(shift1d, "_value", lambda p, u: calls.append(u) or value(p, u))
-        assert berger_fit([moment1(mu, n) for n in range(17)], 8) == mu
-        assert len(calls) < 6000
+        assert berger_fit([moment1(mu, n) for n in range(2 * len(points) + 1)], len(points)) == mu
+        assert len(calls) < most
 
     @pytest.mark.parametrize(
         "coeffs, found",
