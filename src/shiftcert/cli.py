@@ -18,7 +18,10 @@ raise ``ValueError`` for bad input, and :func:`main` turns it into exit 2
 with ``error: ...`` (only an unwritable ``--out`` or ``--dump`` is reported
 where it is written).  Every integer flag, and each half of ``--window`` and
 ``--restrict``, is read as ``-?[0-9]+`` in ASCII digits, and every size
-flag, and fit's row count, has a cap.
+flag, and fit's row count, has a cap.  A rational past Python's integer
+string limit (4300 digits by default) exits 2 with one ``error:`` line,
+whether it is read or printed; ``PYTHONINTMAXSTRDIGITS=0`` (or ``python -X
+int_max_str_digits=0``) lifts the limit for both.
 Every JSON payload on stdout or in ``--out`` comes from ``certificate.to_json``
 (sorted keys, indent 2).
 

@@ -43,9 +43,9 @@ def _axis_index(axis) -> int:
 class _AtomicMeasure:
     """The core both measure types share: a measure is its canonical atoms.
 
-    A subclass says how a point is read (``_location``), which points lie
-    in the support (``_inside``, named by ``_SUPPORT``) and how a point is
-    written (``_point_json``, ``_point_repr``).
+    A subclass says how a point is read and checked to lie in the support
+    (``_location``) and how a point is written (``_point_json``,
+    ``_point_repr``).
     """
 
     __slots__ = ("atoms",)
@@ -54,8 +54,6 @@ class _AtomicMeasure:
         seen = {}
         for point, mass in atoms:
             key, m = self._location(point), _rational(mass, "atom mass")
-            if not self._inside(key):
-                raise ValueError(f"atom location must be {self._SUPPORT}, got {self._point_repr(key)}")
             if m <= 0:
                 raise ValueError(f"atom mass must be positive, got {m} at {self._point_repr(key)}")
             if key in seen:
@@ -90,17 +88,15 @@ class AtomicMeasure1D(_AtomicMeasure):
 
     __slots__ = ()
     dim = 1
-    _SUPPORT = ">= 0"
     _point_json = staticmethod(str)
     _point_repr = staticmethod(str)
 
     @staticmethod
     def _location(point) -> Fraction:
-        return _rational(point, "atom location")
-
-    @staticmethod
-    def _inside(p: Fraction) -> bool:
-        return p >= 0
+        p = _rational(point, "atom location")
+        if p < 0:
+            raise ValueError(f"atom location must be >= 0, got {p}")
+        return p
 
 
 class AtomicMeasure2D(_AtomicMeasure):
@@ -108,7 +104,6 @@ class AtomicMeasure2D(_AtomicMeasure):
 
     __slots__ = ()
     dim = 2
-    _SUPPORT = "in the quarter-plane"
 
     @staticmethod
     def _location(point) -> tuple[Fraction, Fraction]:
@@ -116,11 +111,10 @@ class AtomicMeasure2D(_AtomicMeasure):
             s, t = point
         except (TypeError, ValueError):  # not iterable, or not two items
             raise ValueError("a planar atom point must be a pair of rationals") from None
-        return _rational(s, "atom location"), _rational(t, "atom location")
-
-    @staticmethod
-    def _inside(key: tuple[Fraction, Fraction]) -> bool:
-        return key[0] >= 0 and key[1] >= 0
+        s, t = _rational(s, "atom location"), _rational(t, "atom location")
+        if s < 0 or t < 0:
+            raise ValueError(f"atom location must be in the quarter-plane, got {s},{t}")
+        return s, t
 
     @staticmethod
     def _point_json(key: tuple[Fraction, Fraction]) -> list[str]:

@@ -28,9 +28,10 @@ arithmetic:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Sequence
 
 from .certificate import Certificate
 from .errors import (
@@ -108,19 +109,10 @@ class WeightSequence1D:
         if not prefix:
             raise ValueError("prefix must be nonempty")
         bound = _rational(norm_bound_sq, "norm bound") if norm_bound_sq is not None else max(prefix)
-        w = cls(_products(chain(prefix, repeat(prefix[-1]))), bound)
+        w = cls(accumulate(chain(prefix, repeat(prefix[-1])), operator.mul, initial=Fraction(1)), bound)
         for n, v in enumerate(prefix):
             w._checked(n, v)
         return w
-
-
-def _products(weights: Iterator[Fraction]) -> Iterator[Fraction]:
-    """1, w_0, w_0 w_1, ...: the running products, one Fraction each."""
-    num, den = 1, 1
-    for w in weights:
-        product = Fraction(num, den)
-        yield product
-        num, den = product.numerator * w.numerator, product.denominator * w.denominator
 
 
 def subnormal_necessary(w: WeightSequence1D, order: int) -> Certificate:

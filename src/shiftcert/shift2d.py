@@ -52,7 +52,6 @@ from .certificate import Certificate
 from .measures import AtomicMeasure2D
 from .numerics import _index, _integers, _rational
 
-Pair = tuple[int, int]  # a rational as (numerator, positive denominator), in lowest terms
 # a window row: one (alpha^2 numerator, denominator, beta^2 numerator, denominator) per k1
 Row = list[tuple[int, int, int, int]]
 
@@ -67,8 +66,8 @@ def _point(k1, k2) -> tuple[int, int]:
     return _index(k1, "lattice index"), _index(k2, "lattice index")
 
 
-def _positive(name: str, k1: int, k2: int, value) -> Pair:
-    """A squared weight as a Pair, which must be a positive rational."""
+def _positive(name: str, k1: int, k2: int, value) -> tuple[int, int]:
+    """A squared weight, a positive rational, as (numerator, positive denominator) in lowest terms."""
     n, d = _rational(value, f"{name} at {(k1, k2)}").as_integer_ratio()
     if n <= 0:
         raise ValueError(f"{name} at {(k1, k2)} must be positive, got {Fraction(n, d)}")
@@ -115,8 +114,6 @@ class WeightDiagram:
     def restricted(self, i: int, j: int) -> "WeightDiagram":
         """The diagram seen from base point (i, j): its rule translated."""
         i, j = _index(i, "base point"), _index(j, "base point")
-        if i == 0 and j == 0:
-            return self
         rule = self._rule
         return WeightDiagram(lambda k1, k2: rule(k1 + i, k2 + j))
 
@@ -163,14 +160,6 @@ def commutativity_check(diagram: Weights, window) -> Certificate:
     return Certificate("commutativity_check", True, {"window": [w, h]})
 
 
-def _powers(base: int, count: int) -> list[int]:
-    """[base^0, ..., base^(count-1)], with 0^0 = 1."""
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(powers[-1] * base)
-    return powers
-
-
 def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificate:
     """Exact equality of diagram moments and measure moments on the window.
 
@@ -193,7 +182,7 @@ def check_berger_2d(diagram: Weights, mu: AtomicMeasure2D, window) -> Certificat
     f, masses = _integers([m for _, m in mu.atoms])
     b, ss = _integers([s for (s, _), _ in mu.atoms])
     d, ts = _integers([t for (_, t), _ in mu.atoms])
-    atoms = [(e, _powers(a, w), _powers(c, h)) for e, a, c in zip(masses, ss, ts)]
+    atoms = [(e, [a**k for k in range(w)], [c**k for k in range(h)]) for e, a, c in zip(masses, ss, ts)]
     numerators: list[int] = []  # N on the row being scanned
     for k2 in range(h):
         row = [(e * c_powers[k2], a_powers) for e, a_powers, c_powers in atoms]

@@ -110,6 +110,40 @@ class TestMoments:
     def test_missing_file(self):
         assert main(["moments", "/nonexistent.json"]) == 2
 
+    @pytest.fixture()
+    def tiny_atom_file(self, tmp_path):
+        # one atom at 1/10^100, so gamma_50 = 1/10^5000 has a 5,001-digit denominator
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dim": 1, "atoms": [{"point": "1/1" + "0" * 100, "mass": "1"}]}))
+        return str(path)
+
+    def test_a_printed_rational_past_the_digit_limit_is_a_usage_error(self, tiny_atom_file, capsys):
+        # Python's int-to-str limit binds the output too: one error line, no traceback
+        # and nothing on stdout, whatever limit the environment set
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["moments", tiny_atom_file, "--n-max", "50"]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
+        assert "Traceback" not in err
+
+    def test_the_digit_limit_lifted_prints_every_digit(self, tiny_atom_file):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(shiftcert.__file__).resolve().parent.parent),
+            PYTHONINTMAXSTRDIGITS="0",
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "shiftcert.cli", "moments", tiny_atom_file, "--n-max", "50"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.split()[-1] == "50,1/1" + "0" * 5000
+
 
 class TestFit:
     def test_round_trip(self, xi_a_file, tmp_path, capsys):

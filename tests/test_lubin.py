@@ -301,6 +301,22 @@ class TestWeights:
         assert a_closed(0) == F(4, 11) != d.alpha_sq(0, 0)
         assert b_closed(0) == F(8, 15) != d.beta_sq(0, 0)
 
+    def test_a_cold_read_computes_each_piece_moment_once(self, monkeypatch):
+        # the three weight caches read overlapping runs of piece moments, and the
+        # _moment cache computes each once: row 0..257, column 1..257 and diagonal
+        # 2..513, 1,027 in all (2,561 calls without it, and a slower read)
+        pieces, calls = lubin._pieces(), []
+
+        def counted(xi, k):
+            calls.append((pieces.index(xi), k))
+            return moment1(xi, k)
+
+        monkeypatch.setattr(lubin, "moment1", counted)
+        for cache in (lubin._moment, lubin._row_weights, lubin._column_weights, lubin._interior_weights):
+            cache.cache_clear()
+        family_diagram(F(1, 10)).read(257, 257)
+        assert len(calls) == len(set(calls)) == 1027
+
     def test_weights_increase_to_their_limits(self):
         d = self.diagram()
         deep = d.restricted(1, 1)
